@@ -20,7 +20,7 @@ from .patterns import (LittelmannPattern, PatternAggregates, aggregates,
                        bzl_to_pattern, cone_satisfied, column_letter,
                        enumerate_patterns, pattern_shape, pattern_to_bzl,
                        pattern_weight, pattern_wt, polytope_satisfied,
-                       polytope_upper_bound, top_rows)
+                       polytope_upper_bound)
 from .decorations import (ComponentD, DecoratedPattern, build_components_D,
                           circling_lower_bound, decorate, render)
 from .series import (BranchDecomposition, BranchTerm, WeightPolynomial,

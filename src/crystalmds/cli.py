@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .conventions import DEFAULT
-from .decorations import decorate, render
-from .patterns import enumerate_patterns
+from .decorations import decorated_crystal, render
 from .roots import CartanSpec, build_root_system, is_strongly_dominant
 from .series import character_via_patterns, p_part, polynomial_json_obj
 from .verification import SUITES
@@ -32,13 +30,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _default_threads() -> int:
-    env = os.environ.get("CRYSTALMDS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crystalmds",
@@ -52,9 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", required=True, type=_parse_lambda,
                        metavar="M1,M2,...", help="highest weight, fundamental-weight coordinates")
         p.add_argument("--n", type=int, default=1, help="metaplectic cover degree")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: available parallelism; "
-                            "env CRYSTALMDS_THREADS overrides)")
 
     pc = sub.add_parser("compute", help="print a crystal polynomial")
     add_common(pc)
@@ -87,7 +75,6 @@ def _compute_poly(args):
     rs = build_root_system(CartanSpec(args.family, args.rank))
     if len(args.lam) != args.rank:
         raise ValueError(f"lambda has {len(args.lam)} coordinates, rank is {args.rank}")
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.character:
         return rs, character_via_patterns(rs, args.lam)
     if not is_strongly_dominant(args.lam) and not args.allow_dominant:
@@ -95,7 +82,7 @@ def _compute_poly(args):
             "p-part semantics require a strongly dominant lambda; "
             "pass --allow-dominant to sum over a boundary crystal anyway")
     return rs, p_part(rs, args.lam, args.n, DEFAULT,
-                      allow_dominant=args.allow_dominant, threads=threads)
+                      allow_dominant=args.allow_dominant)
 
 
 def cmd_compute(args) -> int:
@@ -141,10 +128,10 @@ def cmd_export(args) -> int:
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        patterns = list(enumerate_patterns(rs, args.lam))
+        decorated = list(decorated_crystal(rs, args.lam))
         (outdir / "patterns.txt").write_text(
-            "".join(L.to_text() + "\n" for L in patterns), encoding="utf-8")
-        blocks = [render(decorate(L, args.lam)) for L in patterns]
+            "".join(dp.pattern.to_text() + "\n" for dp in decorated), encoding="utf-8")
+        blocks = [render(dp) for dp in decorated]
         (outdir / "decorated.txt").write_text(
             "\n\n".join(blocks) + "\n", encoding="utf-8")
         obj = polynomial_json_obj(poly, args.family, args.rank, args.n, args.lam)
@@ -153,7 +140,7 @@ def cmd_export(args) -> int:
         print(f"export failed at {exc.filename or outdir}: {exc.strerror or exc}",
               file=sys.stderr)
         return 1
-    print(f"wrote {len(patterns)} patterns to {outdir}")
+    print(f"wrote {len(decorated)} patterns to {outdir}")
     return 0
 
 

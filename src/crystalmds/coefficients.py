@@ -22,7 +22,7 @@ Everything here is immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -214,14 +214,6 @@ class CoeffElement:
 
 _ZERO = CoeffElement({})
 _ONE = CoeffElement({(0, ()): 1})
-
-
-def coeff_sum(items: Iterable[CoeffElement]) -> CoeffElement:
-    acc: dict[_MonKey, int] = {}
-    for el in items:
-        for k, v in el._terms.items():
-            acc[k] = acc.get(k, 0) + v
-    return CoeffElement(acc)
 
 
 # ---------------------------------------------------------------------------

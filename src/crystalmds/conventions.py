@@ -45,5 +45,3 @@ class Conventions:
 
 
 DEFAULT = Conventions()
-
-MIDDLE_BOUND_SCALES = {"B": DEFAULT.middle_bound_scale_b, "C": DEFAULT.middle_bound_scale_c}

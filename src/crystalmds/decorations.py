@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .conventions import DEFAULT, Conventions
-from .patterns import (LittelmannPattern, PatternAggregates, Position,
-                       _chain_lower_bound, _chain_tight, _upper_bound_agg,
-                       polytope_satisfied, row_end)
+from .patterns import (LittelmannPattern, Position, _chain_lower_bound,
+                       _crystal_walk, _freeze, _walk, row_end)
+from .roots import RootSystem
 from .weightpoly import Weight
 
 
@@ -119,31 +120,34 @@ def build_components_D(dp: DecoratedPattern) -> tuple[ComponentD, ...]:
     return _row_components(dp.pattern, dp.conv)
 
 
+def _decorated(L: LittelmannPattern, lam: Weight, circled: list, boxed: list,
+               conv: Conventions) -> DecoratedPattern:
+    return DecoratedPattern(pattern=L, lam=lam, circled=_freeze(circled),
+                            boxed=_freeze(boxed),
+                            components=_row_components(L, conv), conv=conv)
+
+
 def decorate(L: LittelmannPattern, lam: Weight,
              conv: Conventions = DEFAULT) -> DecoratedPattern:
-    """Attach circling/boxing masks for a pattern inside the ``lam`` polytope."""
+    """Attach circling/boxing masks for a pattern inside the ``lam`` polytope.
+
+    Runs the enumeration walk pinned to ``L``: one bound evaluation per
+    entry, and ValueError at the first entry outside the polytope.
+    """
     lam = tuple(lam)
-    if not polytope_satisfied(L, lam, conv):
-        raise ValueError("pattern lies outside the highest-weight polytope")
-    agg = PatternAggregates(L, conv)
-    circ, box = [], []
-    for idx, row in enumerate(L.rows):
-        i = idx + 1
-        crow, brow = [], []
-        for off, v in enumerate(row):
-            j = i + off
-            crow.append(_chain_tight(L.a, L.spec, i, j))
-            brow.append(v == _upper_bound_agg(agg, lam, i, j))
-        circ.append(tuple(crow))
-        box.append(tuple(brow))
-    return DecoratedPattern(
-        pattern=L,
-        lam=lam,
-        circled=tuple(circ),
-        boxed=tuple(box),
-        components=_row_components(L, conv),
-        conv=conv,
-    )
+    ((_, circled, boxed),) = _walk(L.spec, lam, conv, pinned=L.rows)
+    return _decorated(L, lam, circled, boxed, conv)
+
+
+def decorated_crystal(rs: RootSystem, lam: Weight,
+                      conv: Conventions = DEFAULT) -> Iterator[DecoratedPattern]:
+    """Every pattern of the highest-weight crystal, decorated, in enumeration
+    order; the masks are read off the bounds the enumeration walk already
+    evaluated."""
+    lam = tuple(lam)
+    spec = rs.spec
+    for rows, circled, boxed in _crystal_walk(rs, lam, conv):
+        yield _decorated(LittelmannPattern(spec, _freeze(rows)), lam, circled, boxed, conv)
 
 
 def render(dp: DecoratedPattern) -> str:

@@ -9,7 +9,8 @@ Enumeration walks slots row by row from the top, right to left inside each
 row.  Under that order the cone gives an exact lower bound and the polytope
 an exact upper bound for the next entry from already-placed entries alone,
 so the search prunes at the first violated constraint and every leaf is a
-crystal element.
+crystal element.  The same walk marks each entry that meets one of its
+bounds, which is all the circling and boxing masks need.
 """
 from __future__ import annotations
 
@@ -60,17 +61,10 @@ def column_letter(spec: CartanSpec, j: int) -> int:
     return j - r + 2
 
 
-@dataclass(frozen=True)
-class LittelmannPattern:
-    spec: CartanSpec
-    rows: tuple[tuple[int, ...], ...]
+class _RowAccess:
+    """Entry access shared by finished patterns and the walk's buffer."""
 
-    def __post_init__(self):
-        shape = pattern_shape(self.spec)
-        if [len(row) for row in self.rows] != shape:
-            raise ValueError(f"rows do not fit the {self.spec} shape {shape}")
-        if any(v < 0 for row in self.rows for v in row):
-            raise ValueError("pattern entries must be nonnegative")
+    __slots__ = ()
 
     def a(self, i: int, j: int) -> int:
         """Entry at row i, flat column j; 0 outside the shape."""
@@ -85,6 +79,19 @@ class LittelmannPattern:
         if self.spec.family == "D":
             return self.a(i, 2 * r - 1 - j)
         return self.a(i, 2 * r - j)
+
+
+@dataclass(frozen=True)
+class LittelmannPattern(_RowAccess):
+    spec: CartanSpec
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        shape = pattern_shape(self.spec)
+        if [len(row) for row in self.rows] != shape:
+            raise ValueError(f"rows do not fit the {self.spec} shape {shape}")
+        if any(v < 0 for row in self.rows for v in row):
+            raise ValueError("pattern entries must be nonnegative")
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
         for i, row in enumerate(self.rows, start=1):
@@ -125,20 +132,6 @@ def _chain_lower_bound(a, spec: CartanSpec, i: int, j: int):
         if j == r - 1:
             return a(i, r + 1)
     return a(i, j + 1)
-
-
-def _chain_lb_int(a, spec: CartanSpec, i: int, j: int) -> int:
-    """Integer form of the chain lower bound (ceiling of the halved case)."""
-    if spec.family == "B" and j == spec.rank - 1:
-        return (a(i, spec.rank) + 1) // 2
-    return _chain_lower_bound(a, spec, i, j)
-
-
-def _chain_tight(a, spec: CartanSpec, i: int, j: int) -> bool:
-    """Whether the chain bound holds with equality (integer arithmetic only)."""
-    if spec.family == "B" and j == spec.rank - 1:
-        return 2 * a(i, j) == a(i, spec.rank)
-    return a(i, j) == _chain_lower_bound(a, spec, i, j)
 
 
 def cone_satisfied(L: LittelmannPattern) -> bool:
@@ -267,7 +260,7 @@ def polytope_satisfied(L: LittelmannPattern, lam: Weight,
 # Enumeration
 # ---------------------------------------------------------------------------
 
-class _Partial:
+class _Partial(_RowAccess):
     """Mutable pattern under construction; quacks like LittelmannPattern for
     the aggregate helpers."""
 
@@ -277,19 +270,6 @@ class _Partial:
         self.spec = spec
         self.rows = rows
 
-    def a(self, i: int, j: int) -> int:
-        if not 1 <= i <= len(self.rows):
-            return 0
-        if not i <= j <= row_end(self.spec, i):
-            return 0
-        return self.rows[i - 1][j - i]
-
-    def abar(self, i: int, j: int) -> int:
-        r = self.spec.rank
-        if self.spec.family == "D":
-            return self.a(i, 2 * r - 1 - j)
-        return self.a(i, 2 * r - j)
-
 
 def enumeration_slots(spec: CartanSpec) -> list[Position]:
     """Slot order used by the enumerator: rows top to bottom, right to left."""
@@ -298,83 +278,89 @@ def enumeration_slots(spec: CartanSpec) -> list[Position]:
             for j in range(row_end(spec, i), i - 1, -1)]
 
 
-def enumerate_patterns(rs: RootSystem, lam: Weight, conv: Conventions = DEFAULT,
-                       top_row: tuple[int, ...] | None = None) -> Iterator[LittelmannPattern]:
-    """All patterns of the highest-weight crystal, each exactly once.
+def _walk(spec: CartanSpec, lam: tuple[int, ...], conv: Conventions = DEFAULT,
+          pinned: tuple[tuple[int, ...], ...] | None = None
+          ) -> Iterator[tuple[list, list, list]]:
+    """The slot walk: the one place that evaluates the bounds of a slot.
 
-    Deterministic order: lexicographic in the slot sequence of
-    ``enumeration_slots`` (rows top to bottom, right to left), values
-    ascending.  ``top_row`` restricts to one branching class by pinning the
-    first row.
+    Slots are visited in ``enumeration_slots`` order.  Each node evaluates
+    the slot's cone lower bound and polytope upper bound once, from the
+    entries already placed, and every value placed there records its marks:
+    circled when it equals the lower bound (in the halved B slot, when twice
+    it equals a(i, r)), boxed when it equals the upper bound.  Each leaf
+    yields the shared ``(rows, circled, boxed)`` buffers, which change when
+    the walk resumes, so a consumer copies what it keeps.
+
+    With ``pinned`` rows the walk follows that one pattern and raises
+    ValueError at the first entry outside its bounds.
     """
+    shape = pattern_shape(spec)
+    rows = [[0] * n for n in shape]
+    circled = [[False] * n for n in shape]
+    boxed = [[False] * n for n in shape]
+    partial = _Partial(spec, rows)
+    agg = PatternAggregates(partial, conv)
+    slots = enumeration_slots(spec)
+    r = spec.rank
+    halved = r - 1 if spec.family == "B" else 0  # column whose bound is a(i, r)/2
+
+    def dfs(k: int):
+        if k == len(slots):
+            yield rows, circled, boxed
+            return
+        i, j = slots[k]
+        off = j - i
+        if j == halved:
+            twice = partial.a(i, r)
+            lo, tight = (twice + 1) // 2, (None if twice % 2 else twice // 2)
+        else:
+            lo = tight = _chain_lower_bound(partial.a, spec, i, j)
+        hi = _upper_bound_agg(agg, lam, i, j)
+        if pinned is None:
+            values = range(lo, hi + 1)
+        else:
+            v = pinned[i - 1][off]
+            if not lo <= v <= hi:
+                raise ValueError(f"entry {v} at {(i, j)} lies outside the "
+                                 f"highest-weight polytope (bounds {lo}..{hi})")
+            values = (v,)
+        row, crow, brow = rows[i - 1], circled[i - 1], boxed[i - 1]
+        for v in values:
+            row[off] = v
+            crow[off] = v == tight
+            brow[off] = v == hi
+            yield from dfs(k + 1)
+        row[off] = 0
+
+    return dfs(0)
+
+
+def _crystal_walk(rs: RootSystem, lam: Weight,
+                  conv: Conventions = DEFAULT) -> Iterator[tuple[list, list, list]]:
+    """``_walk`` over the whole crystal of highest weight ``lam``."""
     lam = tuple(lam)
     if len(lam) != rs.rank:
         raise ValueError("highest weight has wrong rank")
     if not is_dominant(lam):
         raise ValueError(f"enumeration requires a dominant weight, got {lam}")
-    spec = rs.spec
-    shape = pattern_shape(spec)
-    rows = [[0] * n for n in shape]
-    partial = _Partial(spec, rows)
-    agg = PatternAggregates(partial, conv)
-    slots = enumeration_slots(spec)
-
-    start = 0
-    if top_row is not None:
-        if len(top_row) != shape[0]:
-            raise ValueError("top row has wrong length")
-        rows[0] = list(top_row)
-        for i, j in slots[:shape[0]]:
-            v = partial.a(i, j)
-            if not (_chain_lb_int(partial.a, spec, i, j) <= v
-                    <= _upper_bound_agg(agg, lam, i, j)):
-                return
-        start = shape[0]
-
-    def dfs(k: int):
-        if k == len(slots):
-            yield LittelmannPattern(spec, tuple(tuple(row) for row in rows))
-            return
-        i, j = slots[k]
-        lb = _chain_lb_int(partial.a, spec, i, j)
-        ub = _upper_bound_agg(agg, lam, i, j)
-        for v in range(lb, ub + 1):
-            rows[i - 1][j - i] = v
-            yield from dfs(k + 1)
-        rows[i - 1][j - i] = 0
-
-    yield from dfs(start)
+    return _walk(rs.spec, lam, conv)
 
 
-def top_rows(rs: RootSystem, lam: Weight, conv: Conventions = DEFAULT) -> list[tuple[int, ...]]:
-    """Admissible first rows (the branching classes), in enumeration order.
+def _freeze(rows: list[list]) -> tuple[tuple, ...]:
+    return tuple(tuple(row) for row in rows)
 
-    First-row bounds involve no other row, so this is a self-contained
-    sub-enumeration.
+
+def enumerate_patterns(rs: RootSystem, lam: Weight,
+                       conv: Conventions = DEFAULT) -> Iterator[LittelmannPattern]:
+    """All patterns of the highest-weight crystal, each exactly once.
+
+    Deterministic order: lexicographic in the slot sequence of
+    ``enumeration_slots`` (rows top to bottom, right to left), values
+    ascending.
     """
-    lam = tuple(lam)
     spec = rs.spec
-    shape = pattern_shape(spec)
-    rows = [[0] * n for n in shape]
-    partial = _Partial(spec, rows)
-    agg = PatternAggregates(partial, conv)
-    slots = enumeration_slots(spec)[:shape[0]]
-    out: list[tuple[int, ...]] = []
-
-    def dfs(k: int):
-        if k == len(slots):
-            out.append(tuple(rows[0]))
-            return
-        i, j = slots[k]
-        lb = _chain_lb_int(partial.a, spec, i, j)
-        ub = _upper_bound_agg(agg, lam, i, j)
-        for v in range(lb, ub + 1):
-            rows[i - 1][j - i] = v
-            dfs(k + 1)
-        rows[i - 1][j - i] = 0
-
-    dfs(0)
-    return out
+    for rows, _, _ in _crystal_walk(rs, lam, conv):
+        yield LittelmannPattern(spec, _freeze(rows))
 
 
 # ---------------------------------------------------------------------------

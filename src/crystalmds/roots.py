@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-import heapq
 
-from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
+from .weightpoly import Weight, WeightPolynomial, divide_terms, poly_from_int_terms
 
 FAMILIES = ("A", "B", "C", "D")
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -86,9 +85,6 @@ class RootSystem:
         """k-th simple root (1-based) in fundamental-weight coordinates."""
         return tuple(self.cartan[i][k - 1] for i in range(self.rank))
 
-    def fundamental_weight_in_root_basis(self, k: int) -> tuple[Fraction, ...]:
-        return tuple(self.cartan_inverse[j][k - 1] for j in range(self.rank))
-
     # -- weight operations ----------------------------------------------------
     def reflect(self, w: Weight, k: int) -> Weight:
         """Simple reflection through the k-th simple root (1-based)."""
@@ -114,21 +110,8 @@ class RootSystem:
         return tuple(sum(ainv[k][i] * w[i] for i in range(self.rank))
                      for k in range(self.rank))
 
-    def bilinear(self, u: Weight, v) -> Fraction:
-        """Weyl-invariant symmetric form, normalized so B(alpha, alpha)/2 is
-        the symmetrizer entry of each simple root."""
-        cu = self.root_coordinates(u)
-        d = self.symmetrizer
-        return sum(cu[k] * d[k] * v[k] for k in range(self.rank))
-
-    def height(self, w: Weight) -> Fraction:
-        return sum(self.root_coordinates(w))
-
     def weight_sort_key(self, w: Weight):
         return (sum(h * c for h, c in zip(self.height_vec, w)), tuple(w))
-
-    def zero_polynomial(self, meta: dict | None = None) -> WeightPolynomial:
-        return WeightPolynomial(self.height_vec, {}, meta)
 
 
 def is_dominant(w: Weight) -> bool:
@@ -318,44 +301,6 @@ def _signed_orbit(rs: RootSystem, v: Weight) -> dict[Weight, int]:
     return out
 
 
-def _divide_int_polys(rs: RootSystem, numer: dict[Weight, int],
-                      denom: dict[Weight, int]) -> dict[Weight, int]:
-    """Exact division of integer weight polynomials by descending leading-term
-    elimination; raises if a remainder survives."""
-    key = rs.weight_sort_key
-    lead_w = max(denom, key=key)
-    lead_c = denom[lead_w]
-    rem = dict(numer)
-    heap: list[tuple] = []
-    for w in rem:
-        hk, tw = key(w)
-        heapq.heappush(heap, (-hk, tuple(-x for x in tw), w))
-    quot: dict[Weight, int] = {}
-    while rem:
-        while heap:
-            _, _, w = heap[0]
-            if w in rem:
-                break
-            heapq.heappop(heap)
-        c = rem[w]
-        if c % lead_c:
-            raise ArithmeticError("inexact character division")
-        qc = c // lead_c
-        gamma = tuple(a - b for a, b in zip(w, lead_w))
-        quot[gamma] = quot.get(gamma, 0) + qc
-        for dw, dc in denom.items():
-            tw = tuple(a + b for a, b in zip(gamma, dw))
-            upd = rem.get(tw, 0) - qc * dc
-            if upd:
-                if tw not in rem:
-                    hk, t = key(tw)
-                    heapq.heappush(heap, (-hk, tuple(-x for x in t), tw))
-                rem[tw] = upd
-            else:
-                rem.pop(tw, None)
-    return quot
-
-
 def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Highest-weight character via the alternating orbit sum divided exactly
     by the Weyl denominator."""
@@ -367,7 +312,10 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     shifted = tuple(c + 1 for c in lam)
     numer = _signed_orbit(rs, shifted)
     denom = _signed_orbit(rs, rs.rho)
-    table = _divide_int_polys(rs, numer, denom)
+    # the denominator leads with +1 at x^rho
+    table, rem = divide_terms(rs.height_vec, numer, denom, 1, 0)
+    if rem:
+        raise AssertionError("inexact character division")
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
     return poly_from_int_terms(rs.height_vec, table, meta)
 

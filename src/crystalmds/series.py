@@ -16,14 +16,13 @@ and verifies that both weights and coefficients factor through the split.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .coefficients import CoeffElement, pattern_coefficient, specialize_n1
 from .conventions import DEFAULT, Conventions
-from .decorations import decorate
-from .patterns import (LittelmannPattern, enumerate_patterns, pattern_to_bzl,
-                       pattern_weight, pattern_wt, top_rows)
+from .decorations import decorate, decorated_crystal
+from .patterns import (LittelmannPattern, enumerate_patterns, pattern_weight,
+                       pattern_wt)
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
 from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
@@ -48,26 +47,13 @@ def character_via_patterns(rs: RootSystem, lam: Weight,
     return poly_from_int_terms(rs.height_vec, table, meta)
 
 
-def _group_sum(rs: RootSystem, lam: Weight, n: int, conv: Conventions,
-               top: tuple[int, ...] | None) -> dict[Weight, CoeffElement]:
-    acc: dict[Weight, CoeffElement] = {}
-    for L in enumerate_patterns(rs, lam, conv, top_row=top):
-        c = pattern_coefficient(decorate(L, lam, conv), n)
-        if c.is_zero():
-            continue
-        w = pattern_wt(L, lam)
-        acc[w] = acc[w] + c if w in acc else c
-    return acc
-
-
 def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
-           allow_dominant: bool = False, threads: int | None = None) -> WeightPolynomial:
+           allow_dominant: bool = False) -> WeightPolynomial:
     """The prime-power-coefficient polynomial P at cover degree ``n``.
 
     ``lam`` is the crystal's highest weight.  It must be strongly dominant
     for p-part semantics; pass ``allow_dominant`` for exploratory sums over
-    crystals with boundary weights.  ``threads`` shards the crystal by top
-    row; the result is canonical regardless of thread count.
+    crystals with boundary weights.
     """
     lam = tuple(lam)
     if n < 1:
@@ -79,18 +65,13 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
             f"p-part semantics require a strongly dominant weight, got {lam}; "
             "pass allow_dominant=True to sum anyway")
 
-    if threads and threads > 1:
-        tops = top_rows(rs, lam, conv)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda t: _group_sum(rs, lam, n, conv, t), tops))
-        acc: dict[Weight, CoeffElement] = {}
-        for part in parts:
-            for w, c in part.items():
-                acc[w] = acc[w] + c if w in acc else c
-    else:
-        acc = _group_sum(rs, lam, n, conv, None)
-
+    acc: dict[Weight, CoeffElement] = {}
+    for dp in decorated_crystal(rs, lam, conv):
+        c = pattern_coefficient(dp, n)
+        if c.is_zero():
+            continue
+        w = pattern_wt(dp.pattern, lam)
+        acc[w] = acc[w] + c if w in acc else c
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
     return WeightPolynomial(rs.height_vec, acc, meta)
 
@@ -227,14 +208,11 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
     for L in enumerate_patterns(rs, lam, conv):
         groups.setdefault(tuple(L.rows[0]), []).append(L)
 
-    order = [t for t in top_rows(rs, lam, conv) if t in groups]
-
     terms: list[BranchTerm] = []
     reports: list[BranchGroupReport] = []
     reconstructed: dict[Weight, CoeffElement] = {}
 
-    for top in order:
-        members = groups[top]
+    for top, members in groups.items():
         zero_shape = [tuple(top)] + [tuple([0] * len(row)) for row in members[0].rows[1:]]
         top_only = LittelmannPattern(spec, tuple(zero_shape))
         s_top = pattern_weight(top_only)
@@ -271,7 +249,7 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
 
         terms.append(BranchTerm(mu=mu, shift=shift, scalar=scalar))
         reports.append(BranchGroupReport(
-            top_row=tuple(top), mu=mu, size=len(members),
+            top, mu=mu, size=len(members),
             truncation_ok=truncation_ok, s_additivity_ok=s_add_ok,
             factorization_ok=fact_ok, zero_coeff_is_one=zero_ok,
             witness=witness))

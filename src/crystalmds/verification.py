@@ -12,8 +12,8 @@ import itertools
 from .coefficients import (count_forced_sigma, g_value, gauss_numeric, h_value,
                            sigma_component, specialize_n1)
 from .conventions import DEFAULT, Conventions
-from .decorations import decorate
-from .patterns import PatternAggregates, _chain_tight, _upper_bound_agg, enumerate_patterns
+from .decorations import circling_lower_bound, decorate
+from .patterns import enumerate_patterns, polytope_upper_bound
 from .roots import (CartanSpec, build_root_system, is_strongly_dominant,
                     weight_in_hull, weyl_character, weyl_dimension)
 from .series import branch_decompose, character_via_patterns, p_part, tokuyama_quotient
@@ -252,11 +252,10 @@ def run_decorations_suite(conv: Conventions = DEFAULT) -> dict:
         sound = True
         for L in enumerate_patterns(rs, lam, conv):
             dp = decorate(L, lam, conv)
-            agg = PatternAggregates(L, conv)
             for i, j, v in L.entries():
-                if dp.is_circled(i, j) != _chain_tight(L.a, L.spec, i, j):
+                if dp.is_circled(i, j) != (v == circling_lower_bound(L, (i, j))):
                     sound = False
-                if dp.is_boxed(i, j) != (v == _upper_bound_agg(agg, lam, i, j)):
+                if dp.is_boxed(i, j) != (v == polytope_upper_bound(L, lam, (i, j), conv)):
                     sound = False
         cases.append(_case(f"{family}{rank} lambda={lam} mask tightness", sound))
 

@@ -9,7 +9,9 @@ supplied by the root system, so ordering never touches rationals.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import heapq
+from operator import add, mul, neg, sub
+from typing import Iterator
 
 from .coefficients import CoeffElement
 
@@ -37,9 +39,6 @@ class WeightPolynomial:
     def leading(self) -> tuple[Weight, CoeffElement]:
         w = max(self.terms, key=self.order_key)
         return w, self.terms[w]
-
-    def trailing_key(self):
-        return min(self.order_key(w) for w in self.terms)
 
     # -- basic structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -112,43 +111,21 @@ class WeightPolynomial:
 
     # -- exact division -------------------------------------------------------
     def divide(self, divisor: "WeightPolynomial") -> tuple["WeightPolynomial", "WeightPolynomial"]:
-        """Leading-term elimination under the fixed order.
+        """Leading-term elimination under the fixed order (see ``divide_terms``).
 
         The divisor's leading coefficient must be a ring unit (±q^e).  Returns
         (quotient, remainder); the division was exact iff the remainder is
-        zero.  Divergence on inexact input is cut off by the trailing-key
-        floor: in an exact division every quotient weight key is at least
-        trailing(self) - trailing(divisor).
+        zero.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero weight polynomial")
-        lead_w, lead_c = divisor.leading()
-        unit = lead_c.as_unit_monomial()
+        unit = divisor.leading()[1].as_unit_monomial()
         if unit is None:
             raise ValueError("divisor leading coefficient is not a unit monomial")
-        inv_sign, inv_q = unit[0], -unit[1]
-
-        quot: dict[Weight, CoeffElement] = {}
-        rem = dict(self.terms)
-        if rem:
-            floor = tuple(a - b for a, b in
-                          zip(self.trailing_key()[1], divisor.trailing_key()[1]))
-            floor_key = (sum(h * c for h, c in zip(self.height_vec, floor)), floor)
-        while rem:
-            w = max(rem, key=self.order_key)
-            gamma = tuple(a - b for a, b in zip(w, lead_w))
-            if (sum(h * c for h, c in zip(self.height_vec, gamma)), gamma) < floor_key:
-                break  # cannot belong to any exact quotient
-            qc = rem[w].times_unit(inv_sign, inv_q)
-            quot[gamma] = quot[gamma] + qc if gamma in quot else qc
-            for dw, dc in divisor.terms.items():
-                tw = tuple(a + b for a, b in zip(gamma, dw))
-                upd = rem.get(tw, CoeffElement.zero()) - qc * dc
-                if upd.is_zero():
-                    rem.pop(tw, None)
-                else:
-                    rem[tw] = upd
+        sign, e = unit
+        quot, rem = divide_terms(self.height_vec, self.terms, divisor.terms,
+                                 CoeffElement.q_power(-e, sign), CoeffElement.zero())
         return self._like(quot), self._like(rem)
 
     # -- serialization ---------------------------------------------------------
@@ -168,10 +145,48 @@ def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
     )
 
 
-def poly_sum(height_vec: tuple[int, ...],
-             parts: Iterable[WeightPolynomial]) -> WeightPolynomial:
-    acc: dict[Weight, CoeffElement] = {}
-    for part in parts:
-        for w, c in part.terms.items():
-            acc[w] = acc[w] + c if w in acc else c
-    return WeightPolynomial(height_vec, acc)
+def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict,
+                 inverse, zero) -> tuple[dict, dict]:
+    """Divide weight -> coefficient tables by leading-term elimination.
+
+    Weights are taken in the fixed order (descending height, then
+    lexicographic) from a heap.  Coefficients are ints or CoeffElements;
+    ``inverse`` is the inverse of ``denom``'s leading coefficient, which must
+    be a ring unit, and ``zero`` is the ring's zero.  Returns (quotient,
+    remainder).  Divergence on inexact input is cut off by the trailing-key
+    floor: in an exact division every quotient weight key is at least
+    trailing(numer) - trailing(denom).
+    """
+    def rank(w: Weight):  # heap order: the leading weight comes first
+        return (-sum(map(mul, height_vec, w)), tuple(map(neg, w)), w)
+
+    quot: dict = {}
+    rem = dict(numer)
+    if not rem:
+        return quot, rem
+    lead_w = min(denom, key=rank)
+    floor = rank(tuple(map(sub, max(rem, key=rank), max(denom, key=rank))))
+    heap = [rank(w) for w in rem]
+    heapq.heapify(heap)
+    while heap:
+        w = heapq.heappop(heap)[2]
+        if w not in rem:
+            continue  # eliminated after it was pushed
+        gamma = tuple(map(sub, w, lead_w))
+        if rank(gamma) > floor:
+            break  # cannot belong to any exact quotient
+        qc = rem[w] * inverse
+        quot[gamma] = qc
+        for dw, dc in denom.items():
+            tw = tuple(map(add, gamma, dw))
+            old = rem.get(tw)
+            if old is None:
+                rem[tw] = -(qc * dc)
+                heapq.heappush(heap, rank(tw))
+            else:
+                upd = old - qc * dc
+                if upd == zero:
+                    del rem[tw]
+                else:
+                    rem[tw] = upd
+    return quot, rem

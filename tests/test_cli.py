@@ -88,12 +88,6 @@ def test_export_deterministic(tmp_path, capsys):
     assert first["patterns.txt"].decode().splitlines()[0].count(";") == 1
 
 
-def test_export_thread_invariance(tmp_path, capsys):
-    one = export_files(tmp_path, capsys, "t1", ("--threads", "1"))
-    four = export_files(tmp_path, capsys, "t4", ("--threads", "4"))
-    assert one == four
-
-
 def test_export_pattern_count_matches_dimension(tmp_path, capsys):
     files = export_files(tmp_path, capsys, "dim")
     from crystalmds import CartanSpec, build_root_system, weyl_dimension

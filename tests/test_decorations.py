@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from crystalmds import (CartanSpec, DEFAULT, LittelmannPattern,
                         build_components_D, build_root_system,
                         circling_lower_bound, decorate, enumerate_patterns,
-                        pattern_shape, render)
+                        pattern_shape, polytope_upper_bound, render,
+                        weyl_dimension)
+from crystalmds.decorations import decorated_crystal
+from crystalmds.verification import CHARACTER_BATTERY
 
 
 def P(family, rank, rows):
@@ -74,6 +78,8 @@ def test_circled_and_boxed_possible():
 def test_decorate_rejects_outside_polytope():
     with pytest.raises(ValueError):
         decorate(P("A", 1, [[3]]), (2,))
+    with pytest.raises(ValueError):  # cone: 1 < 3/2, half the middle entry
+        decorate(P("B", 2, [[1, 3, 0], [0]]), (2, 2))
 
 
 def test_b_factor_two_circling():
@@ -83,6 +89,27 @@ def test_b_factor_two_circling():
     assert dp.is_circled(1, 1)       # 2*1 == 2
     dp = decorate(P("B", 2, [[1, 1, 0], [0]]), (2, 2))
     assert not dp.is_circled(1, 1)   # 2*1 != 1
+
+
+def test_walk_masks_match_decorate_and_definitions():
+    # the masks p_part reads off the enumeration walk, against the pinned walk
+    # (decorate) and against the definitional bounds
+    odd_halved = 0
+    for family, rank in CHARACTER_BATTERY + (("D", 3),):
+        rs = build_root_system(CartanSpec(family, rank))
+        for lam in itertools.product(range(3), repeat=rank):
+            if weyl_dimension(rs, lam) > 400:
+                continue
+            for dp in decorated_crystal(rs, lam):
+                L = dp.pattern
+                ref = decorate(L, lam)
+                assert (dp.circled, dp.boxed) == (ref.circled, ref.boxed), L.to_text()
+                for i, j, v in L.entries():
+                    assert dp.is_circled(i, j) == (v == circling_lower_bound(L, (i, j)))
+                    assert dp.is_boxed(i, j) == (v == polytope_upper_bound(L, lam, (i, j)))
+                if family == "B":
+                    odd_halved += sum(L.a(i, rank) % 2 for i in range(1, rank))
+    assert odd_halved > 0
 
 
 # ---------------------------------------------------------------------------

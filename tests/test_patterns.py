@@ -7,8 +7,8 @@ from crystalmds import (CartanSpec, DEFAULT, LittelmannPattern, aggregates,
                         build_root_system, bzl_to_pattern, cone_satisfied,
                         column_letter, enumerate_patterns, pattern_shape,
                         pattern_to_bzl, pattern_weight, pattern_wt,
-                        polytope_satisfied, polytope_upper_bound, top_rows,
-                        weyl_character, weyl_dimension)
+                        polytope_satisfied, polytope_upper_bound,
+                        branch_decompose, weyl_character, weyl_dimension)
 from crystalmds.patterns import row_count, row_end
 from oracles import greedy_bound
 
@@ -232,13 +232,14 @@ def test_monotone_inclusion_in_lambda():
 
 
 def test_top_rows_match_enumeration():
-    r = rs("A", 2)
-    lam = (1, 1)
-    tops = top_rows(r, lam)
-    grouped = {L.rows[0] for L in enumerate_patterns(r, lam)}
-    assert set(tops) == grouped
-    sizes = [sum(1 for _ in enumerate_patterns(r, lam, top_row=t)) for t in tops]
-    assert sum(sizes) == 8
+    # the branching groups partition the crystal, in enumeration order
+    for family, rank, lam in [("A", 2, (1, 1)), ("A", 3, (1, 2, 1)),
+                              ("B", 3, (1, 1, 1)), ("C", 3, (1, 0, 1))]:
+        r = rs(family, rank)
+        groups = branch_decompose(r, lam, 1).groups
+        first_seen = list(dict.fromkeys(L.rows[0] for L in enumerate_patterns(r, lam)))
+        assert [g.top_row for g in groups] == first_seen
+        assert sum(g.size for g in groups) == weyl_dimension(r, lam)
 
 
 # ---------------------------------------------------------------------------
