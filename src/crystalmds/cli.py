@@ -72,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _compute_poly(args):
-    rs = build_root_system(CartanSpec(args.family, args.rank))
     if len(args.lam) != args.rank:
         raise ValueError(f"lambda has {len(args.lam)} coordinates, rank is {args.rank}")
+    rs = build_root_system(CartanSpec(args.family, args.rank))
     if args.character:
         return rs, character_via_patterns(rs, args.lam)
     if not is_strongly_dominant(args.lam) and not args.allow_dominant:

@@ -410,27 +410,40 @@ def sigma_is_forced(a: int, circled: bool, boxed: bool) -> bool:
     return circled and not boxed
 
 
-def sigma_component(comp: "ComponentD", dp: "DecoratedPattern", n: int) -> CoeffElement:
-    """Contribution of one connected component of a type-D decorated row."""
+def _component_factor(comp: "ComponentD", row, crow, brow, n: int) -> CoeffElement:
+    """sigma of one component, read off its row: the row's values and its
+    circled and boxed marks, each indexed by column minus the row index."""
     i = comp.row
-    if any(dp.is_circled(i, j) and dp.is_boxed(i, j) for j in range(comp.j1, comp.j2 + 1)):
+    if any(crow[j - i] and brow[j - i] for j in range(comp.j1, comp.j2 + 1)):
         return _ZERO
     if comp.kind != "sml":
-        if comp.kind == "ml":
-            j = comp.shorter_leg_col
-        else:
-            j = comp.j2
-        return sigma_entry(dp.pattern.a(i, j), dp.is_circled(i, j), dp.is_boxed(i, j), n)
+        off = (comp.shorter_leg_col if comp.kind == "ml" else comp.j2) - i
+        return sigma_entry(row[off], crow[off], brow[off], n)
     # symmetric multiple leaner
     if comp.value == 0:
         return _ONE
-    j = comp.j2
-    right = sigma_entry(comp.value, dp.is_circled(i, j), dp.is_boxed(i, j), n)
-    if dp.is_boxed(i, j):
-        second = sigma_entry(dp.pattern.a(i, j - 1), dp.is_circled(i, j - 1),
-                             dp.is_boxed(i, j - 1), n)
+    off = comp.j2 - i
+    right = sigma_entry(comp.value, crow[off], brow[off], n)
+    if brow[off]:
+        second = sigma_entry(row[off - 1], crow[off - 1], brow[off - 1], n)
         return right * second * CoeffElement.q_power(1 - comp.length)
     return right * (_ONE - CoeffElement.q_power(-comp.length))
+
+
+def sigma_component(comp: "ComponentD", dp: "DecoratedPattern", n: int) -> CoeffElement:
+    """Contribution of one connected component of a type-D decorated row."""
+    k = comp.row - 1
+    return _component_factor(comp, dp.pattern.rows[k], dp.circled[k], dp.boxed[k], n)
+
+
+def row_factor_d(comps: "tuple[ComponentD, ...]", row, crow, brow, n: int) -> CoeffElement:
+    """Product of the factors of one complete type-D row's components."""
+    out = _ONE
+    for comp in comps:
+        out = out * _component_factor(comp, row, crow, brow, n)
+        if out.is_zero():
+            return _ZERO
+    return out
 
 
 def pattern_coefficient(dp: "DecoratedPattern", n: int) -> CoeffElement:
@@ -446,9 +459,8 @@ def pattern_coefficient(dp: "DecoratedPattern", n: int) -> CoeffElement:
         return out
     r = spec.rank
     for i, j, a in dp.pattern.entries():
-        middle = spec.family in ("B", "C") and j == r
         out = out * entry_factor(spec.family, a, dp.is_circled(i, j),
-                                 dp.is_boxed(i, j), middle, n)
+                                 dp.is_boxed(i, j), j == r, n)
         if out.is_zero():
             return _ZERO
     return out

@@ -19,7 +19,7 @@ from typing import Iterator
 from .conventions import DEFAULT, Conventions
 from .patterns import (LittelmannPattern, Position, _chain_lower_bound,
                        _crystal_walk, _freeze, _walk, row_end)
-from .roots import RootSystem
+from .roots import CartanSpec, RootSystem
 from .weightpoly import Weight
 
 
@@ -67,43 +67,32 @@ class DecoratedPattern:
         return self.boxed[i - 1][j - i]
 
 
-def _row_components(L: LittelmannPattern, conv: Conventions) -> tuple[ComponentD, ...]:
-    if L.spec.family != "D":
-        return ()
-    r = L.spec.rank
-    out: list[ComponentD] = []
-    for i, row in enumerate(L.rows, start=1):
-        end = row_end(L.spec, i)
-        runs: list[tuple[int, int]] = []
-        j = i
-        while j <= end:
-            k = j
-            while k + 1 <= end and L.a(i, k + 1) == L.a(i, j):
-                k += 1
-            runs.append((j, k))
-            j = k + 1
-        if conv.d_component_rule == "strict":
-            split = []
-            for j1, j2 in runs:
-                if (j1, j2) == (r - 1, r):
-                    # equal central pair with no shared equal neighbour
-                    split.extend([(r - 1, r - 1), (r, r)])
-                else:
-                    split.append((j1, j2))
-            runs = split
-        for j1, j2 in runs:
-            out.append(_classify(L, i, j1, j2, conv))
-    return tuple(out)
+def row_components(spec: CartanSpec, i: int, row, conv: Conventions = DEFAULT
+                   ) -> tuple[ComponentD, ...]:
+    """Partition row ``i`` of a type-D pattern, given as its values left to
+    right, into components."""
+    r = spec.rank
+    runs: list[tuple[int, int]] = []
+    start = 0
+    while start < len(row):
+        end = start
+        while end + 1 < len(row) and row[end + 1] == row[start]:
+            end += 1
+        runs.append((i + start, i + end))
+        start = end + 1
+    if conv.d_component_rule == "strict" and (r - 1, r) in runs:
+        # equal central pair with no shared equal neighbour
+        k = runs.index((r - 1, r))
+        runs[k:k + 1] = [(r - 1, r - 1), (r, r)]
+    return tuple(_classify(r, i, row[j1 - i], j1, j2, conv) for j1, j2 in runs)
 
 
-def _classify(L: LittelmannPattern, i: int, j1: int, j2: int,
+def _classify(r: int, i: int, value: int, j1: int, j2: int,
               conv: Conventions) -> ComponentD:
-    r = L.spec.rank
     if conv.ml_span_rule == "legs":
         spans = j1 <= r - 2 and j2 >= r + 1
     else:
         spans = j1 <= r - 1 and j2 >= r
-    value = L.a(i, j1)
     if not spans:
         return ComponentD(i, j1, j2, value, "generic")
     if j1 + j2 == 2 * r - 1:
@@ -113,18 +102,25 @@ def _classify(L: LittelmannPattern, i: int, j1: int, j2: int,
     return ComponentD(i, j1, j2, value, "ml", shorter_leg_col=shorter)
 
 
+def _components(L: LittelmannPattern, conv: Conventions) -> tuple[ComponentD, ...]:
+    if L.spec.family != "D":
+        return ()
+    return tuple(comp for i, row in enumerate(L.rows, start=1)
+                 for comp in row_components(L.spec, i, row, conv))
+
+
 def build_components_D(dp: DecoratedPattern) -> tuple[ComponentD, ...]:
     """Partition each row of a type-D decorated pattern into components."""
     if dp.pattern.spec.family != "D":
         raise ValueError("decorated-graph components exist only in type D")
-    return _row_components(dp.pattern, dp.conv)
+    return _components(dp.pattern, dp.conv)
 
 
 def _decorated(L: LittelmannPattern, lam: Weight, circled: list, boxed: list,
                conv: Conventions) -> DecoratedPattern:
     return DecoratedPattern(pattern=L, lam=lam, circled=_freeze(circled),
                             boxed=_freeze(boxed),
-                            components=_row_components(L, conv), conv=conv)
+                            components=_components(L, conv), conv=conv)
 
 
 def decorate(L: LittelmannPattern, lam: Weight,
@@ -135,7 +131,7 @@ def decorate(L: LittelmannPattern, lam: Weight,
     entry, and ValueError at the first entry outside the polytope.
     """
     lam = tuple(lam)
-    ((_, circled, boxed),) = _walk(L.spec, lam, conv, pinned=L.rows)
+    ((_, circled, boxed, _),) = _walk(L.spec, lam, conv, pinned=L.rows)
     return _decorated(L, lam, circled, boxed, conv)
 
 
@@ -146,7 +142,7 @@ def decorated_crystal(rs: RootSystem, lam: Weight,
     evaluated."""
     lam = tuple(lam)
     spec = rs.spec
-    for rows, circled, boxed in _crystal_walk(rs, lam, conv):
+    for rows, circled, boxed, _ in _crystal_walk(rs, lam, conv):
         yield _decorated(LittelmannPattern(spec, _freeze(rows)), lam, circled, boxed, conv)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .conventions import DEFAULT, Conventions
 from .roots import CartanSpec, RootSystem, build_root_system, is_dominant
@@ -279,8 +279,9 @@ def enumeration_slots(spec: CartanSpec) -> list[Position]:
 
 
 def _walk(spec: CartanSpec, lam: tuple[int, ...], conv: Conventions = DEFAULT,
-          pinned: tuple[tuple[int, ...], ...] | None = None
-          ) -> Iterator[tuple[list, list, list]]:
+          pinned: tuple[tuple[int, ...], ...] | None = None,
+          fold: Callable | None = None, seed=None
+          ) -> Iterator[tuple[list, list, list, object]]:
     """The slot walk: the one place that evaluates the bounds of a slot.
 
     Slots are visited in ``enumeration_slots`` order.  Each node evaluates
@@ -289,7 +290,14 @@ def _walk(spec: CartanSpec, lam: tuple[int, ...], conv: Conventions = DEFAULT,
     circled when it equals the lower bound (in the halved B slot, when twice
     it equals a(i, r)), boxed when it equals the upper bound.  Each leaf
     yields the shared ``(rows, circled, boxed)`` buffers, which change when
-    the walk resumes, so a consumer copies what it keeps.
+    the walk resumes, so a consumer copies what it keeps, followed by the
+    leaf's accumulator.
+
+    The accumulator starts as ``seed`` at the root.  With ``fold``, every
+    value placed at slot k turns the parent's accumulator into the child's
+    as ``fold(k, acc, row, crow, brow)``: the row buffers of the slot's row
+    (values, circled, boxed) with the value and its marks in place.  A None
+    result skips the value and its whole subtree.
 
     With ``pinned`` rows the walk follows that one pattern and raises
     ValueError at the first entry outside its bounds.
@@ -304,9 +312,9 @@ def _walk(spec: CartanSpec, lam: tuple[int, ...], conv: Conventions = DEFAULT,
     r = spec.rank
     halved = r - 1 if spec.family == "B" else 0  # column whose bound is a(i, r)/2
 
-    def dfs(k: int):
+    def dfs(k: int, acc):
         if k == len(slots):
-            yield rows, circled, boxed
+            yield rows, circled, boxed, acc
             return
         i, j = slots[k]
         off = j - i
@@ -329,21 +337,26 @@ def _walk(spec: CartanSpec, lam: tuple[int, ...], conv: Conventions = DEFAULT,
             row[off] = v
             crow[off] = v == tight
             brow[off] = v == hi
-            yield from dfs(k + 1)
+            if fold is None:
+                yield from dfs(k + 1, acc)
+            else:
+                child = fold(k, acc, row, crow, brow)
+                if child is not None:
+                    yield from dfs(k + 1, child)
         row[off] = 0
 
-    return dfs(0)
+    return dfs(0, seed)
 
 
-def _crystal_walk(rs: RootSystem, lam: Weight,
-                  conv: Conventions = DEFAULT) -> Iterator[tuple[list, list, list]]:
+def _crystal_walk(rs: RootSystem, lam: Weight, conv: Conventions = DEFAULT,
+                  fold: Callable | None = None, seed=None) -> Iterator[tuple[list, list, list, object]]:
     """``_walk`` over the whole crystal of highest weight ``lam``."""
     lam = tuple(lam)
     if len(lam) != rs.rank:
         raise ValueError("highest weight has wrong rank")
     if not is_dominant(lam):
         raise ValueError(f"enumeration requires a dominant weight, got {lam}")
-    return _walk(rs.spec, lam, conv)
+    return _walk(rs.spec, lam, conv, fold=fold, seed=seed)
 
 
 def _freeze(rows: list[list]) -> tuple[tuple, ...]:
@@ -359,7 +372,7 @@ def enumerate_patterns(rs: RootSystem, lam: Weight,
     ascending.
     """
     spec = rs.spec
-    for rows, _, _ in _crystal_walk(rs, lam, conv):
+    for rows, _, _, _ in _crystal_walk(rs, lam, conv):
         yield LittelmannPattern(spec, _freeze(rows))
 
 

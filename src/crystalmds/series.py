@@ -1,9 +1,11 @@
 """Crystal sums: characters, prime-power parts, deformation quotient, branching.
 
 ``p_part`` assembles the polynomial P over a highest-weight crystal: each
-pattern contributes its Gauss-sum coefficient at its weight.  With every
-coefficient replaced by 1 the same sum is the Weyl character, which gives the
-primary cross-check against the alternating-sum character.
+pattern contributes its Gauss-sum coefficient at its weight.  Both are built
+as prefix products along the enumeration walk, so patterns sharing their top
+entries share those factors, and a zero factor skips its whole subtree.  With
+every coefficient replaced by 1 the same sum is the Weyl character, which
+gives the primary cross-check against the alternating-sum character.
 
 ``tokuyama_quotient`` factors the degree-1 specialization of P as a
 lambda-independent deformed denominator times a character.  The divisor is
@@ -18,10 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coefficients import CoeffElement, pattern_coefficient, specialize_n1
+from .coefficients import (CoeffElement, entry_factor, pattern_coefficient,
+                           row_factor_d, specialize_n1)
 from .conventions import DEFAULT, Conventions
-from .decorations import decorate, decorated_crystal
-from .patterns import (LittelmannPattern, enumerate_patterns, pattern_weight,
+from .decorations import decorate, row_components
+from .patterns import (LittelmannPattern, _crystal_walk, column_letter,
+                       enumerate_patterns, enumeration_slots, pattern_weight,
                        pattern_wt)
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
@@ -65,12 +69,36 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
             f"p-part semantics require a strongly dominant weight, got {lam}; "
             "pass allow_dominant=True to sum anyway")
 
+    # The walk carries (coefficient, weight) as prefix products along the
+    # path: a value v at slot k multiplies the coefficient by the slot's
+    # factor and lowers the weight by v times the column's simple root.  A
+    # zero factor leaves only zero coefficients below, so the subtree is
+    # skipped.
+    spec = rs.spec
+    family, r = spec.family, spec.rank
+    slots = enumeration_slots(spec)
+    drops = [tuple(row[column_letter(spec, j) - 1] for row in rs.cartan) for _, j in slots]
+    one = CoeffElement.one()
+
+    def fold(k, prefix, row, crow, brow):
+        i, j = slots[k]
+        off = j - i
+        if family != "D":
+            f = entry_factor(family, row[off], crow[off], brow[off], j == r, n)
+        elif j == i:  # a type-D row contributes once it is complete
+            f = row_factor_d(row_components(spec, i, row, conv), row, crow, brow, n)
+        else:
+            f = one
+        if f.is_zero():
+            return None
+        coeff, wt = prefix
+        v = row[off]
+        if v:
+            wt = tuple([w - v * d for w, d in zip(wt, drops[k])])
+        return coeff * f, wt
+
     acc: dict[Weight, CoeffElement] = {}
-    for dp in decorated_crystal(rs, lam, conv):
-        c = pattern_coefficient(dp, n)
-        if c.is_zero():
-            continue
-        w = pattern_wt(dp.pattern, lam)
+    for _, _, _, (c, w) in _crystal_walk(rs, lam, conv, fold, (one, lam)):
         acc[w] = acc[w] + c if w in acc else c
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
     return WeightPolynomial(rs.height_vec, acc, meta)

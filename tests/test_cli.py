@@ -49,6 +49,18 @@ def test_compute_rank_mismatch(capsys):
     assert code == 2 and "coordinates" in err
 
 
+@pytest.mark.parametrize("command", ["compute", "export"])
+def test_rank_mismatch_checked_before_root_system(capsys, monkeypatch, tmp_path, command):
+    # a large rank must not pay for its root system before the length check
+    def fail(spec):
+        raise RuntimeError(f"root system of {spec} built before the lambda check")
+    monkeypatch.setattr(cli, "build_root_system", fail)
+    extra = ["--out", str(tmp_path / "out")] if command == "export" else []
+    code, _, err = run(capsys, [command, "--family", "A", "--rank", "160",
+                                "--lambda", "1", *extra])
+    assert code == 2 and "lambda has 1 coordinates, rank is 160" in err
+
+
 def test_verify_tokuyama_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "tokuyama",
                                 "--lambdas", "2;3;1,1;2,1"])

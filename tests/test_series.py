@@ -1,13 +1,16 @@
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from crystalmds import (CartanSpec, CoeffElement, build_root_system,
-                        branch_decompose, character_via_patterns,
-                        enumerate_patterns, p_part, polynomial_json_obj,
-                        specialize_n1, tokuyama_quotient, twisted_character,
-                        weight_in_hull, weyl_character, weyl_dimension)
+from crystalmds import (DEFAULT, CartanSpec, CoeffElement, WeightPolynomial,
+                        build_root_system, branch_decompose,
+                        character_via_patterns, decorate, enumerate_patterns,
+                        p_part, pattern_coefficient, pattern_wt,
+                        polynomial_json_obj, specialize_n1, tokuyama_quotient,
+                        twisted_character, weight_in_hull, weyl_character,
+                        weyl_dimension)
 from crystalmds.series import specialize_poly_n1
 
 Q = CoeffElement.q_power
@@ -20,6 +23,50 @@ def rs(family, rank):
 # ---------------------------------------------------------------------------
 # the crystal sum
 # ---------------------------------------------------------------------------
+
+def per_leaf_p_part(r, lam, degrees, conv):
+    """Reference sum, one pattern at a time: the coefficient of each
+    decorated leaf at its weight, for every cover degree in ``degrees``."""
+    acc = {n: {} for n in degrees}
+    for L in enumerate_patterns(r, lam, conv):
+        dp = decorate(L, lam, conv)
+        w = pattern_wt(L, lam)
+        for n in degrees:
+            c = pattern_coefficient(dp, n)
+            acc[n][w] = acc[n][w] + c if w in acc[n] else c
+    return {n: WeightPolynomial(r.height_vec, terms).terms for n, terms in acc.items()}
+
+
+D_FLAG_SETTINGS = [DEFAULT.with_flags(ml_span_rule=span, d_component_rule=rule)
+                   for span in ("centrals", "legs") for rule in ("runs", "strict")]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
+                                         ("B", 3), ("C", 2), ("C", 3), ("D", 3)])
+def test_p_part_matches_per_leaf_sum(family, rank):
+    # p_part folds the coefficient along the slot walk and skips subtrees
+    # under a zero factor; it must agree with the per-leaf definition.
+    # lambda in {1,2}^r with dimension <= 3000 (no D4 weight qualifies),
+    # n = 1..4, and every type-D component/span flag setting.
+    r = rs(family, rank)
+    degrees = (1, 2, 3, 4)
+    convs = D_FLAG_SETTINGS if family == "D" else [DEFAULT]
+    cases = 0
+    for lam in itertools.product((1, 2), repeat=rank):
+        if weyl_dimension(r, lam) > 3000:
+            continue
+        for conv in convs:
+            ref = per_leaf_p_part(r, lam, degrees, conv)
+            for n in degrees:
+                assert p_part(r, lam, n, conv).terms == ref[n], (lam, n, conv)
+                cases += 1
+    assert cases == DIFFERENTIAL_CASES[family, rank]
+
+
+# (lambda, n, flags) cases per group above: 248 in all
+DIFFERENTIAL_CASES = {("A", 1): 8, ("A", 2): 16, ("A", 3): 32, ("B", 2): 16,
+                      ("B", 3): 16, ("C", 2): 16, ("C", 3): 16, ("D", 3): 128}
+
 
 def test_p_part_rank_one_by_hand():
     # two crystal elements: the highest (circled, factor 1) and the boxed
@@ -221,6 +268,10 @@ FIXED_CASE_SHA256 = {
                   "2137d5444e7a40abc9f091bda21ee4a0dd1523ff8ef4db74915a3d3ab48c0319"),
     "D4-rho-n2": ("D", 4, (1, 1, 1, 1), 2,
                   "7f017bbc003c838294c7546fbd57258aab18f631c16a602ee984130b5dd31ee5"),
+    "A3-333-n1": ("A", 3, (3, 3, 3), 1,
+                  "1b338399030047edce1e32278aa9991d526dd07b1434e65afc69c31e681e9992"),
+    "D4-2111-n3": ("D", 4, (2, 1, 1, 1), 3,
+                   "ab70ca0850ff48b31e2d452f97b9d316750337902368165a68da15015d2b26f8"),
 }
 
 
