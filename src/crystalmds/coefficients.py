@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .decorations import ComponentD, DecoratedPattern
 
@@ -45,6 +43,11 @@ class GaussSymbol:
             raise ValueError("cover degree must be >= 1")
         if not 0 <= self.residue < self.degree:
             raise ValueError("residue must be reduced modulo the degree")
+        # symbols key every monomial, so hash once rather than per product
+        object.__setattr__(self, "_hash", hash((self.t, self.residue, self.degree)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # A monomial key is (q_exponent, gauss_part) with gauss_part a sorted tuple
@@ -323,6 +326,7 @@ def gauss_numeric(t: int, a_exp: int, c_exp: int, p: int, n: int) -> complex:
         raise ValueError("need c_exp >= 1 and a_exp >= 0")
     if t not in (1, 2):
         raise ValueError("subscript t must be 1 or 2")
+    import numpy as np  # only this oracle needs it; keeps the CLI start light
 
     # chi(g^k) = exp(2*pi*i*k/n) for a fixed primitive root g.
     ind = np.zeros(p, dtype=np.int64)

@@ -389,6 +389,13 @@ def pattern_weight(L: LittelmannPattern) -> tuple[int, ...]:
     return tuple(s)
 
 
+def slot_drops(rs: RootSystem) -> list[Weight]:
+    """Per slot of ``enumeration_slots``, the weight lost per unit placed
+    there: the simple root (Cartan column) of the slot's column letter."""
+    spec = rs.spec
+    return [rs.simple_root(column_letter(spec, j)) for _, j in enumeration_slots(spec)]
+
+
 def pattern_wt(L: LittelmannPattern, lam: Weight) -> Weight:
     """Crystal weight of the pattern: lam minus the counted simple roots,
     in fundamental-weight coordinates."""

@@ -303,19 +303,26 @@ def _signed_orbit(rs: RootSystem, v: Weight) -> dict[Weight, int]:
 
 def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Highest-weight character via the alternating orbit sum divided exactly
-    by the Weyl denominator."""
+    by the Weyl denominator.
+
+    The denominator is taken in product form, x^rho times the product over
+    positive roots of (1 - x^-alpha), so the orbit sum is divided by one
+    two-term factor at a time and finally shifted by -rho.
+    """
     lam = tuple(lam)
     if len(lam) != rs.rank:
         raise ValueError("weight has wrong rank")
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
-    shifted = tuple(c + 1 for c in lam)
-    numer = _signed_orbit(rs, shifted)
-    denom = _signed_orbit(rs, rs.rho)
-    # the denominator leads with +1 at x^rho
-    table, rem = divide_terms(rs.height_vec, numer, denom, 1, 0)
-    if rem:
-        raise AssertionError("inexact character division")
+    table = _signed_orbit(rs, tuple(c + 1 for c in lam))
+    zero = (0,) * rs.rank
+    for alpha in rs.positive_roots:
+        # each factor leads with +1 at x^0
+        factor = {zero: 1, tuple(-a for a in alpha): -1}
+        table, rem = divide_terms(rs.height_vec, table, factor, 1, 0)
+        if rem:
+            raise AssertionError("inexact character division")
+    table = {tuple(c - 1 for c in w): k for w, k in table.items()}
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
     return poly_from_int_terms(rs.height_vec, table, meta)
 

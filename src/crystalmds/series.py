@@ -24,9 +24,8 @@ from .coefficients import (CoeffElement, entry_factor, pattern_coefficient,
                            row_factor_d, specialize_n1)
 from .conventions import DEFAULT, Conventions
 from .decorations import decorate, row_components
-from .patterns import (LittelmannPattern, _crystal_walk, column_letter,
-                       enumerate_patterns, enumeration_slots, pattern_weight,
-                       pattern_wt)
+from .patterns import (LittelmannPattern, _crystal_walk, enumerate_patterns,
+                       enumeration_slots, pattern_weight, pattern_wt, slot_drops)
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
 from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
@@ -41,11 +40,21 @@ __all__ = [
 
 def character_via_patterns(rs: RootSystem, lam: Weight,
                            conv: Conventions = DEFAULT) -> WeightPolynomial:
-    """Sum of x^wt over the crystal; must equal the Weyl character exactly."""
+    """Sum of x^wt over the crystal; must equal the Weyl character exactly.
+
+    The walk carries the weight along the path, as in ``p_part``: a value v
+    at slot k lowers it by v times the slot's simple root.
+    """
     lam = tuple(lam)
+    offs = [j - i for i, j in enumeration_slots(rs.spec)]
+    drops = slot_drops(rs)
+
+    def fold(k, wt, row, crow, brow):
+        v = row[offs[k]]
+        return tuple([w - v * d for w, d in zip(wt, drops[k])]) if v else wt
+
     table: dict[Weight, int] = {}
-    for L in enumerate_patterns(rs, lam, conv):
-        w = pattern_wt(L, lam)
+    for _, _, _, w in _crystal_walk(rs, lam, conv, fold, lam):
         table[w] = table.get(w, 0) + 1
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
     return poly_from_int_terms(rs.height_vec, table, meta)
@@ -77,7 +86,7 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
     spec = rs.spec
     family, r = spec.family, spec.rank
     slots = enumeration_slots(spec)
-    drops = [tuple(row[column_letter(spec, j) - 1] for row in rs.cartan) for _, j in slots]
+    drops = slot_drops(rs)
     one = CoeffElement.one()
 
     def fold(k, prefix, row, crow, brow):

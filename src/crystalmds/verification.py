@@ -14,8 +14,9 @@ from .coefficients import (count_forced_sigma, g_value, gauss_numeric, h_value,
 from .conventions import DEFAULT, Conventions
 from .decorations import circling_lower_bound, decorate
 from .patterns import enumerate_patterns, polytope_upper_bound
-from .roots import (CartanSpec, build_root_system, is_strongly_dominant,
-                    weight_in_hull, weyl_character, weyl_dimension)
+from .roots import (CartanSpec, build_root_system, character_dimension,
+                    is_strongly_dominant, weight_in_hull, weyl_character,
+                    weyl_dimension)
 from .series import branch_decompose, character_via_patterns, p_part, tokuyama_quotient
 
 CHARACTER_BATTERY = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -62,8 +63,9 @@ def run_character_suite(max_dim: int = 5000, conv: Conventions = DEFAULT) -> dic
             dim = weyl_dimension(rs, lam)
             if dim > max_dim:
                 continue
-            count = sum(1 for _ in enumerate_patterns(rs, lam, conv))
-            equal = character_via_patterns(rs, lam, conv) == weyl_character(rs, lam)
+            via = character_via_patterns(rs, lam, conv)
+            count = character_dimension(via)
+            equal = via == weyl_character(rs, lam)
             cases.append(_case(f"{family}{rank} lambda={lam}",
                                count == dim and equal,
                                dimension=dim, enumerated=count, character_equal=equal))

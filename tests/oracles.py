@@ -4,6 +4,8 @@ Everything here is derived from classical coordinate models of the root
 systems (unit-vector realizations), not from the package's hard-coded Cartan
 data, so agreement is a genuine cross-check.  The greedy bound reconstructs
 polytope membership straight from the long word and the Cartan pairings.
+The full-denominator character keeps the one-shot Weyl character formula
+as a reference for the product-form division.
 """
 from __future__ import annotations
 
@@ -212,3 +214,17 @@ def greedy_bound(family: str, rank: int, rows: list[list[int]],
         i, j = slots[k]
         bound -= rows[i - 1][j - i] * cartan[c - 1][letters[k] - 1]
     return bound
+
+
+def full_denominator_character(rs, lam) -> dict:
+    """Weight -> multiplicity of the character of ``lam``: the alternating
+    orbit sum of lam + rho divided in one step by the whole alternating
+    orbit sum of rho (the Weyl denominator in sum form)."""
+    from crystalmds.roots import _signed_orbit
+    from crystalmds.weightpoly import divide_terms
+
+    numer = _signed_orbit(rs, tuple(c + 1 for c in lam))
+    denom = _signed_orbit(rs, rs.rho)  # leads with +1 at x^rho
+    table, rem = divide_terms(rs.height_vec, numer, denom, 1, 0)
+    assert not rem, "inexact character division"
+    return table

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crystalmds
 from crystalmds import cli
 
 
@@ -114,3 +119,16 @@ def test_export_unwritable_path(tmp_path, capsys):
     code, _, err = run(capsys, ["export", "--family", "A", "--rank", "1",
                                 "--lambda", "1", "--out", str(blocker / "sub")])
     assert code == 1 and "export failed" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the numeric Gauss-sum oracle needs numpy, and it imports it itself
+    code = ("import sys, crystalmds.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported with the CLI'\n"
+            "from crystalmds.coefficients import gauss_numeric\n"
+            "print(round(abs(gauss_numeric(1, 0, 1, 7, 3)) ** 2, 9))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(crystalmds.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "7.0"  # |g|^2 = p for a nontrivial character

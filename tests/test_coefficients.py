@@ -74,6 +74,18 @@ def test_canonical_merging_and_zero_dropping():
     assert s * s == CoeffElement({(0, ((GaussSymbol(1, 1, 3), 2),)): 1})
 
 
+def test_gauss_symbol_value_semantics():
+    # the hash is computed once per symbol; it must stay the value hash
+    a, b = GaussSymbol(2, 1, 3), GaussSymbol(2, 1, 3)
+    assert a == b and a is not b and hash(a) == hash(b) == hash((2, 1, 3))
+    assert {a: 1}[b] == 1
+    assert sorted([a, GaussSymbol(1, 2, 3), GaussSymbol(2, 0, 3)]) == [
+        GaussSymbol(1, 2, 3), GaussSymbol(2, 0, 3), a]
+    assert repr(a) == "GaussSymbol(t=2, residue=1, degree=3)"
+    with pytest.raises(AttributeError):
+        a.residue = 2
+
+
 def test_power():
     x = Q(1) + ONE
     assert x ** 3 == x * x * x

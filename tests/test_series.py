@@ -1,9 +1,11 @@
+import collections
 import hashlib
 import itertools
 import json
 
 import pytest
 
+from crystalmds import cli
 from crystalmds import (DEFAULT, CartanSpec, CoeffElement, WeightPolynomial,
                         build_root_system, branch_decompose,
                         character_via_patterns, decorate, enumerate_patterns,
@@ -12,6 +14,9 @@ from crystalmds import (DEFAULT, CartanSpec, CoeffElement, WeightPolynomial,
                         twisted_character, weight_in_hull, weyl_character,
                         weyl_dimension)
 from crystalmds.series import specialize_poly_n1
+from crystalmds.verification import CHARACTER_BATTERY
+from crystalmds.weightpoly import poly_from_int_terms
+from oracles import full_denominator_character
 
 Q = CoeffElement.q_power
 
@@ -121,6 +126,54 @@ def test_character_via_patterns_matches():
                               ("B", 2, (0, 1)), ("C", 3, (1, 0, 0))]:
         r = rs(family, rank)
         assert character_via_patterns(r, lam) == weyl_character(r, lam)
+
+
+CHARACTER_REJECTED = {"B": DEFAULT.with_flags(middle_bound_scale_b=1),
+                      "C": DEFAULT.with_flags(middle_bound_scale_c=2),
+                      "D": DEFAULT.with_flags(d_middle_aggregate="literal")}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
+                                         ("B", 3), ("C", 2), ("C", 3), ("D", 3),
+                                         ("D", 4)])
+def test_character_via_patterns_matches_per_leaf(family, rank):
+    # character_via_patterns folds the weight along the slot walk; it must
+    # agree with x^pattern_wt summed over the enumerated patterns, under the
+    # frozen conventions and under the family's rejected alternative (which
+    # changes the crystal for at least one weight, so the fold must honour it).
+    # lambda in {0,1,2}^r with dimension <= 600.
+    r = rs(family, rank)
+    convs = [DEFAULT] + ([CHARACTER_REJECTED[family]] if family in CHARACTER_REJECTED else [])
+    differs = {conv: False for conv in convs[1:]}
+    for lam in itertools.product((0, 1, 2), repeat=rank):
+        if weyl_dimension(r, lam) > 600:
+            continue
+        for conv in convs:
+            ref = collections.Counter(pattern_wt(L, lam) for L in enumerate_patterns(r, lam, conv))
+            via = character_via_patterns(r, lam, conv)
+            assert via.terms == poly_from_int_terms(r.height_vec, ref).terms, (lam, conv)
+            if conv is not DEFAULT and via != character_via_patterns(r, lam):
+                differs[conv] = True
+    assert all(differs.values()), differs
+
+
+WEYL_POOL_CASES = [("A", 4, (2, 1, 1, 2)), ("A", 4, (2, 2, 2, 2)), ("B", 3, (2, 2, 2)),
+                   ("C", 3, (2, 2, 2)), ("D", 4, (1, 1, 1, 1)), ("D", 4, (2, 1, 1, 1))]
+
+
+def test_weyl_character_matches_full_denominator():
+    # weyl_character divides by one factor (1 - x^-alpha) at a time; the
+    # quotient must equal the one-shot division by the whole alternating sum
+    # of rho, over the character battery (lambda in {0,1,2}^r, dimension
+    # <= 1000) and the benchmark's character cases.
+    cases = [(family, rank, lam) for family, rank in CHARACTER_BATTERY
+             for lam in itertools.product((0, 1, 2), repeat=rank)
+             if weyl_dimension(rs(family, rank), lam) <= 1000] + WEYL_POOL_CASES
+    for family, rank, lam in cases:
+        r = rs(family, rank)
+        ref = poly_from_int_terms(r.height_vec, full_denominator_character(r, lam))
+        assert weyl_character(r, lam).terms == ref.terms, (family, rank, lam)
+    assert len(cases) == 130
 
 
 def test_character_d4_spinor_has_eight_unit_terms():
@@ -281,3 +334,21 @@ def test_fixed_case_json_bytes(case):
     poly = p_part(rs(family, rank), lam, n)
     text = json.dumps(polynomial_json_obj(poly, family, rank, n, lam))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of the stdout of `crystalmds compute --character --json`.
+CHARACTER_JSON_SHA256 = {
+    "A4-2222": ("A", 4, "2,2,2,2",
+                "e1c832903c29087eb4d87718b2924c56506c61b476b2e66d457a966603e50c9d"),
+    "D4-2111": ("D", 4, "2,1,1,1",
+                "338de802cccd2d96adb1f07d5ab909d9482a41c89be4818d65fe9ee117a9a94b"),
+}
+
+
+@pytest.mark.parametrize("case", CHARACTER_JSON_SHA256)
+def test_character_json_bytes(case, capsys):
+    family, rank, lam, digest = CHARACTER_JSON_SHA256[case]
+    assert cli.main(["compute", "--family", family, "--rank", str(rank),
+                     "--lambda", lam, "--character", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
