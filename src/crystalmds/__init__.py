@@ -16,11 +16,10 @@ from .roots import (CartanSpec, RootSystem, WeylWord, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
                     nice_long_word, weight_in_hull, weyl_character,
                     weyl_dimension)
-from .patterns import (LittelmannPattern, PatternAggregates, aggregates,
-                       bzl_to_pattern, cone_satisfied, column_letter,
-                       enumerate_patterns, pattern_shape, pattern_to_bzl,
-                       pattern_weight, pattern_wt, polytope_satisfied,
-                       polytope_upper_bound)
+from .patterns import (LittelmannPattern, bzl_to_pattern, cone_satisfied,
+                       column_letter, enumerate_patterns, pattern_shape,
+                       pattern_to_bzl, pattern_weight, pattern_wt,
+                       polytope_satisfied, polytope_upper_bound)
 from .decorations import (ComponentD, DecoratedPattern, build_components_D,
                           circling_lower_bound, decorate, render)
 from .series import (BranchDecomposition, BranchTerm, WeightPolynomial,

@@ -2,13 +2,16 @@
 suites, export fixtures.
 
 Exit codes: 0 success, 1 assertion or verification failure, 2 invalid
-configuration.  Output is fully assembled before printing, so a failure
-never leaves partial JSON on stdout.
+configuration, 141 (128 + SIGPIPE, as a shell reports a writer killed by a
+closed pipe) when the reader closes stdout before the output is written;
+that last case prints nothing to stderr.  Output is fully assembled before
+printing, so a failure never leaves partial JSON on stdout.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -147,12 +150,15 @@ def cmd_export(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"compute": cmd_compute, "verify": cmd_verify, "export": cmd_export}
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_export(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

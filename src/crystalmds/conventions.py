@@ -1,10 +1,10 @@
-"""Frozen constants for rules whose published sources are ambiguous or typo-ridden.
+"""Type-D coefficient rules whose published sources are ambiguous.
 
-Every value below was fixed empirically: the pattern enumerator must reproduce
-highest-weight dimensions and characters exactly over a battery of small
-weights in every family.  The test suite asserts both that the frozen choice
-passes and that each rejected alternative fails, so a change here cannot go
-unnoticed.
+Both flags below change type-D coefficients only: characters and crystal
+sizes cannot see them, so no check arbitrates between their values yet (an
+open item of the roadmap: coefficient-level oracles in every family).  The
+defaults are the readings the package has used so far; the test suite runs
+``p_part`` under every setting against the per-pattern definition.
 """
 from __future__ import annotations
 
@@ -13,20 +13,11 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Conventions:
-    """Switchboard for the independently arbitrated constants.
+    """Switchboard for the type-D component and span rules.
 
-    Non-default values exist so the verification suite can demonstrate that
-    the alternatives fail; production code should use :data:`DEFAULT`.
+    Production code should use :data:`DEFAULT`; the other values exist so
+    the rules can be compared once a coefficient-level oracle exists.
     """
-
-    # Scale factor on the middle-column polytope bound, per family.
-    middle_bound_scale_b: int = 2
-    middle_bound_scale_c: int = 1
-
-    # Central-column aggregate in type D.
-    #   "paired":  s(i, r-1) = s(i, r) = sum of both central columns, rows <= i.
-    #   "literal": twice the partial sum of column r-1 alone.
-    d_middle_aggregate: str = "paired"
 
     # Component formation in a type-D row when the two central entries are
     # equal but neither flanking neighbour shares the value.

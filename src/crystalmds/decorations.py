@@ -131,7 +131,7 @@ def decorate(L: LittelmannPattern, lam: Weight,
     entry, and ValueError at the first entry outside the polytope.
     """
     lam = tuple(lam)
-    ((_, circled, boxed, _),) = _walk(L.spec, lam, conv, pinned=L.rows)
+    ((_, circled, boxed, _, _),) = _walk(L.spec, lam, pinned=L.rows)
     return _decorated(L, lam, circled, boxed, conv)
 
 
@@ -142,7 +142,7 @@ def decorated_crystal(rs: RootSystem, lam: Weight,
     evaluated."""
     lam = tuple(lam)
     spec = rs.spec
-    for rows, circled, boxed, _ in _crystal_walk(rs, lam, conv):
+    for rows, circled, boxed, _, _ in _crystal_walk(rs, lam):
         yield _decorated(LittelmannPattern(spec, _freeze(rows)), lam, circled, boxed, conv)
 
 

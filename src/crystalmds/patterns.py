@@ -9,8 +9,10 @@ Enumeration walks slots row by row from the top, right to left inside each
 row.  Under that order the cone gives an exact lower bound and the polytope
 an exact upper bound for the next entry from already-placed entries alone,
 so the search prunes at the first violated constraint and every leaf is a
-crystal element.  The same walk marks each entry that meets one of its
-bounds, which is all the circling and boxing masks need.
+crystal element.  The upper bound is one coordinate of the weight of the
+entries already placed, which the walk carries along.  The same walk marks
+each entry that meets one of its bounds, which is all the circling and
+boxing masks need.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .conventions import DEFAULT, Conventions
 from .roots import CartanSpec, RootSystem, build_root_system, is_dominant
 from .weightpoly import Weight
 
@@ -142,118 +143,47 @@ def cone_satisfied(L: LittelmannPattern) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Aggregates
-# ---------------------------------------------------------------------------
-
-class PatternAggregates:
-    """Partial column sums entering the polytope bounds.
-
-    ``s(i, j)`` sums rows 1..i of column j, pairing a column with its mirror
-    in types B/C/D away from the middle; the middle column follows the
-    family rule (plain in B, doubled in C, both central columns together in
-    D under the resolved reading).  ``sbar`` shifts the split between row i
-    and the rows above it; ``t`` is a plain column prefix sum (type D).
-    """
-
-    def __init__(self, L: LittelmannPattern, conv: Conventions = DEFAULT):
-        self.L = L
-        self.conv = conv
-
-    def s(self, i: int, j: int) -> int:
-        L, spec = self.L, self.L.spec
-        r = spec.rank
-        fam = spec.family
-        if fam == "A":
-            return sum(L.a(k, j) for k in range(1, i + 1))
-        if fam in ("B", "C") and j == r:
-            scale = 2 if fam == "C" else 1
-            return scale * sum(L.a(k, r) for k in range(1, i + 1))
-        if fam == "D" and j in (r - 1, r):
-            if self.conv.d_middle_aggregate == "paired":
-                return sum(L.a(k, r - 1) + L.a(k, r) for k in range(1, i + 1))
-            return 2 * sum(L.a(k, r - 1) for k in range(1, i + 1))
-        return sum(L.a(k, j) + L.abar(k, j) for k in range(1, i + 1))
-
-    def sbar(self, i: int, j: int) -> int:
-        spec = self.L.spec
-        r = spec.rank
-        fam = spec.family
-        if fam == "A":
-            raise ValueError("type A has no barred aggregate")
-        if fam == "D" and j in (r - 1, r):
-            return self.s(i, j)
-        if fam == "B" and j == r:
-            return self.L.abar(i, j) + 2 * self.s(i - 1, j)
-        return self.L.abar(i, j) + self.s(i - 1, j)
-
-    def t(self, i: int, col: int) -> int:
-        return sum(self.L.a(k, col) for k in range(1, i + 1))
-
-
-def aggregates(L: LittelmannPattern, conv: Conventions = DEFAULT) -> PatternAggregates:
-    return PatternAggregates(L, conv)
-
-
-# ---------------------------------------------------------------------------
 # Polytope bounds
 # ---------------------------------------------------------------------------
 
-def polytope_upper_bound(L: LittelmannPattern, lam: Weight, pos: Position,
-                         conv: Conventions = DEFAULT) -> int:
-    """Right-hand side of the unique highest-weight inequality bounding the
-    entry at ``pos``.
+def _highest_weight(spec: CartanSpec, lam: Weight) -> tuple[int, ...]:
+    lam = tuple(lam)
+    if len(lam) != spec.rank:
+        raise ValueError(f"highest weight {lam} has {len(lam)} coordinates, "
+                         f"rank is {spec.rank}")
+    return lam
 
-    The bound depends only on entries above the slot's row and to its right
-    within the row, which is what makes right-to-left, top-down enumeration
-    prune exactly.
+
+def polytope_upper_bound(L: LittelmannPattern, lam: Weight, pos: Position) -> int:
+    """Right-hand side of the highest-weight inequality bounding the entry at
+    ``pos`` (Littelmann's string-polytope inequality).
+
+    The bound pairs the slot's column letter with lam minus the simple root
+    of every entry before ``pos`` in ``enumeration_slots`` order, which are
+    the later letters of the long word.  So it depends only on entries above
+    the slot's row and to its right within the row, which is what makes
+    right-to-left, top-down enumeration prune exactly.
     """
     i, j = pos
     spec = L.spec
     if not (1 <= i <= len(L.rows) and i <= j <= row_end(spec, i)):
         raise ValueError(f"position {pos} is outside the {spec} shape")
-    return _upper_bound_agg(PatternAggregates(L, conv), tuple(lam), i, j)
+    lam = _highest_weight(spec, lam)
+    c = column_letter(spec, j) - 1
+    pairing = build_root_system(spec).cartan[c]
+    bound = lam[c]
+    for slot in enumeration_slots(spec):
+        if slot == pos:
+            return bound
+        bound -= L.a(*slot) * pairing[column_letter(spec, slot[1]) - 1]
 
 
-def _upper_bound_agg(agg: PatternAggregates, lam: tuple[int, ...], i: int, j: int) -> int:
-    spec = agg.L.spec
-    r = spec.rank
-    fam = spec.family
-
-    def m(k: int) -> int:
-        return lam[k - 1]
-
-    if fam == "A":
-        return m(r - j + 1) + agg.s(i - 1, j - 1) - 2 * agg.s(i - 1, j) + agg.s(i, j + 1)
-
-    if fam in ("B", "C"):
-        if j < r:
-            return m(r - j + 1) + agg.sbar(i, j - 1) - 2 * agg.sbar(i, j) + agg.s(i, j + 1)
-        if j == r:
-            d = agg.conv.middle_bound_scale_b if fam == "B" else agg.conv.middle_bound_scale_c
-            return m(1) + d * agg.sbar(i, r - 1) - d * agg.s(i - 1, r)
-        jj = 2 * r - j  # barred column index
-        return m(r - jj + 1) + agg.sbar(i, jj - 1) - 2 * agg.s(i - 1, jj) + agg.s(i - 1, jj + 1)
-
-    # family D
-    if j <= r - 2:
-        return m(r - j + 1) + agg.sbar(i, j - 1) - 2 * agg.sbar(i, j) + agg.s(i, j + 1)
-    if j == r - 1:
-        return m(1) + agg.sbar(i, r - 2) - 2 * agg.t(i - 1, r - 1)
-    if j == r:
-        return m(2) + agg.sbar(i, r - 2) - 2 * agg.t(i - 1, r)
-    jj = 2 * r - 1 - j
-    return m(r - jj + 1) + agg.sbar(i, jj - 1) - 2 * agg.s(i - 1, jj) + agg.s(i - 1, jj + 1)
-
-
-def polytope_satisfied(L: LittelmannPattern, lam: Weight,
-                       conv: Conventions = DEFAULT) -> bool:
+def polytope_satisfied(L: LittelmannPattern, lam: Weight) -> bool:
     """Membership in the highest-weight polytope: the cone chain plus every
     entry at or under its upper bound."""
-    if not cone_satisfied(L):
-        return False
-    agg = PatternAggregates(L, conv)
-    lam = tuple(lam)
-    return all(v <= _upper_bound_agg(agg, lam, i, j) for i, j, v in L.entries())
+    lam = _highest_weight(L.spec, lam)
+    return cone_satisfied(L) and all(v <= polytope_upper_bound(L, lam, (i, j))
+                                     for i, j, v in L.entries())
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +192,7 @@ def polytope_satisfied(L: LittelmannPattern, lam: Weight,
 
 class _Partial(_RowAccess):
     """Mutable pattern under construction; quacks like LittelmannPattern for
-    the aggregate helpers."""
+    the cone lower bound."""
 
     __slots__ = ("spec", "rows")
 
@@ -278,20 +208,22 @@ def enumeration_slots(spec: CartanSpec) -> list[Position]:
             for j in range(row_end(spec, i), i - 1, -1)]
 
 
-def _walk(spec: CartanSpec, lam: tuple[int, ...], conv: Conventions = DEFAULT,
+def _walk(spec: CartanSpec, lam: Weight,
           pinned: tuple[tuple[int, ...], ...] | None = None,
           fold: Callable | None = None, seed=None
-          ) -> Iterator[tuple[list, list, list, object]]:
+          ) -> Iterator[tuple[list, list, list, Weight, object]]:
     """The slot walk: the one place that evaluates the bounds of a slot.
 
-    Slots are visited in ``enumeration_slots`` order.  Each node evaluates
-    the slot's cone lower bound and polytope upper bound once, from the
-    entries already placed, and every value placed there records its marks:
-    circled when it equals the lower bound (in the halved B slot, when twice
-    it equals a(i, r)), boxed when it equals the upper bound.  Each leaf
-    yields the shared ``(rows, circled, boxed)`` buffers, which change when
-    the walk resumes, so a consumer copies what it keeps, followed by the
-    leaf's accumulator.
+    Slots are visited in ``enumeration_slots`` order, the reverse of the long
+    word, and the walk carries the weight lam - sum v * alpha(letter) of the
+    entries already placed.  Each node evaluates the slot's cone lower bound
+    from those entries and reads its polytope upper bound off that weight:
+    the coordinate of the slot's column letter.  Every value placed there
+    records its marks: circled when it equals the lower bound (in the halved
+    B slot, when twice it equals a(i, r)), boxed when it equals the upper
+    bound.  Each leaf yields the shared ``(rows, circled, boxed)`` buffers,
+    which change when the walk resumes, so a consumer copies what it keeps,
+    followed by the leaf's weight and accumulator.
 
     The accumulator starts as ``seed`` at the root.  With ``fold``, every
     value placed at slot k turns the parent's accumulator into the child's
@@ -302,19 +234,22 @@ def _walk(spec: CartanSpec, lam: tuple[int, ...], conv: Conventions = DEFAULT,
     With ``pinned`` rows the walk follows that one pattern and raises
     ValueError at the first entry outside its bounds.
     """
+    lam = _highest_weight(spec, lam)
     shape = pattern_shape(spec)
     rows = [[0] * n for n in shape]
     circled = [[False] * n for n in shape]
     boxed = [[False] * n for n in shape]
     partial = _Partial(spec, rows)
-    agg = PatternAggregates(partial, conv)
     slots = enumeration_slots(spec)
+    letters = [column_letter(spec, j) - 1 for _, j in slots]
+    rs = build_root_system(spec)
+    drops = [rs.simple_root(c + 1) for c in letters]
     r = spec.rank
     halved = r - 1 if spec.family == "B" else 0  # column whose bound is a(i, r)/2
 
-    def dfs(k: int, acc):
+    def dfs(k: int, wt: Weight, acc):
         if k == len(slots):
-            yield rows, circled, boxed, acc
+            yield rows, circled, boxed, wt, acc
             return
         i, j = slots[k]
         off = j - i
@@ -323,7 +258,7 @@ def _walk(spec: CartanSpec, lam: tuple[int, ...], conv: Conventions = DEFAULT,
             lo, tight = (twice + 1) // 2, (None if twice % 2 else twice // 2)
         else:
             lo = tight = _chain_lower_bound(partial.a, spec, i, j)
-        hi = _upper_bound_agg(agg, lam, i, j)
+        hi = wt[letters[k]]
         if pinned is None:
             values = range(lo, hi + 1)
         else:
@@ -333,38 +268,37 @@ def _walk(spec: CartanSpec, lam: tuple[int, ...], conv: Conventions = DEFAULT,
                                  f"highest-weight polytope (bounds {lo}..{hi})")
             values = (v,)
         row, crow, brow = rows[i - 1], circled[i - 1], boxed[i - 1]
+        drop = drops[k]
         for v in values:
             row[off] = v
             crow[off] = v == tight
             brow[off] = v == hi
+            child_wt = tuple([w - v * d for w, d in zip(wt, drop)]) if v else wt
             if fold is None:
-                yield from dfs(k + 1, acc)
+                yield from dfs(k + 1, child_wt, acc)
             else:
                 child = fold(k, acc, row, crow, brow)
                 if child is not None:
-                    yield from dfs(k + 1, child)
+                    yield from dfs(k + 1, child_wt, child)
         row[off] = 0
 
-    return dfs(0, seed)
+    return dfs(0, lam, seed)
 
 
-def _crystal_walk(rs: RootSystem, lam: Weight, conv: Conventions = DEFAULT,
-                  fold: Callable | None = None, seed=None) -> Iterator[tuple[list, list, list, object]]:
+def _crystal_walk(rs: RootSystem, lam: Weight, fold: Callable | None = None,
+                  seed=None) -> Iterator[tuple[list, list, list, Weight, object]]:
     """``_walk`` over the whole crystal of highest weight ``lam``."""
-    lam = tuple(lam)
-    if len(lam) != rs.rank:
-        raise ValueError("highest weight has wrong rank")
+    lam = _highest_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"enumeration requires a dominant weight, got {lam}")
-    return _walk(rs.spec, lam, conv, fold=fold, seed=seed)
+    return _walk(rs.spec, lam, fold=fold, seed=seed)
 
 
 def _freeze(rows: list[list]) -> tuple[tuple, ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def enumerate_patterns(rs: RootSystem, lam: Weight,
-                       conv: Conventions = DEFAULT) -> Iterator[LittelmannPattern]:
+def enumerate_patterns(rs: RootSystem, lam: Weight) -> Iterator[LittelmannPattern]:
     """All patterns of the highest-weight crystal, each exactly once.
 
     Deterministic order: lexicographic in the slot sequence of
@@ -372,7 +306,7 @@ def enumerate_patterns(rs: RootSystem, lam: Weight,
     ascending.
     """
     spec = rs.spec
-    for rows, _, _, _ in _crystal_walk(rs, lam, conv):
+    for rows, _, _, _, _ in _crystal_walk(rs, lam):
         yield LittelmannPattern(spec, _freeze(rows))
 
 
@@ -387,13 +321,6 @@ def pattern_weight(L: LittelmannPattern) -> tuple[int, ...]:
     for _, j, v in L.entries():
         s[column_letter(L.spec, j) - 1] += v
     return tuple(s)
-
-
-def slot_drops(rs: RootSystem) -> list[Weight]:
-    """Per slot of ``enumeration_slots``, the weight lost per unit placed
-    there: the simple root (Cartan column) of the slot's column letter."""
-    spec = rs.spec
-    return [rs.simple_root(column_letter(spec, j)) for _, j in enumeration_slots(spec)]
 
 
 def pattern_wt(L: LittelmannPattern, lam: Weight) -> Weight:

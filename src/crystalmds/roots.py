@@ -110,9 +110,6 @@ class RootSystem:
         return tuple(sum(ainv[k][i] * w[i] for i in range(self.rank))
                      for k in range(self.rank))
 
-    def weight_sort_key(self, w: Weight):
-        return (sum(h * c for h, c in zip(self.height_vec, w)), tuple(w))
-
 
 def is_dominant(w: Weight) -> bool:
     return all(c >= 0 for c in w)

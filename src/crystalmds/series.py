@@ -1,11 +1,12 @@
 """Crystal sums: characters, prime-power parts, deformation quotient, branching.
 
 ``p_part`` assembles the polynomial P over a highest-weight crystal: each
-pattern contributes its Gauss-sum coefficient at its weight.  Both are built
-as prefix products along the enumeration walk, so patterns sharing their top
-entries share those factors, and a zero factor skips its whole subtree.  With
-every coefficient replaced by 1 the same sum is the Weyl character, which
-gives the primary cross-check against the alternating-sum character.
+pattern contributes its Gauss-sum coefficient at its weight.  The
+enumeration walk carries the weight, and the coefficient is built as a prefix
+product along it, so patterns sharing their top entries share those factors,
+and a zero factor skips its whole subtree.  With every coefficient replaced
+by 1 the same sum is the Weyl character, which gives the primary cross-check
+against the alternating-sum character.
 
 ``tokuyama_quotient`` factors the degree-1 specialization of P as a
 lambda-independent deformed denominator times a character.  The divisor is
@@ -25,7 +26,7 @@ from .coefficients import (CoeffElement, entry_factor, pattern_coefficient,
 from .conventions import DEFAULT, Conventions
 from .decorations import decorate, row_components
 from .patterns import (LittelmannPattern, _crystal_walk, enumerate_patterns,
-                       enumeration_slots, pattern_weight, pattern_wt, slot_drops)
+                       enumeration_slots, pattern_weight, pattern_wt)
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
 from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
@@ -38,23 +39,14 @@ __all__ = [
 ]
 
 
-def character_via_patterns(rs: RootSystem, lam: Weight,
-                           conv: Conventions = DEFAULT) -> WeightPolynomial:
+def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Sum of x^wt over the crystal; must equal the Weyl character exactly.
 
-    The walk carries the weight along the path, as in ``p_part``: a value v
-    at slot k lowers it by v times the slot's simple root.
+    Counts the leaf weights that the slot walk carries along each path.
     """
     lam = tuple(lam)
-    offs = [j - i for i, j in enumeration_slots(rs.spec)]
-    drops = slot_drops(rs)
-
-    def fold(k, wt, row, crow, brow):
-        v = row[offs[k]]
-        return tuple([w - v * d for w, d in zip(wt, drops[k])]) if v else wt
-
     table: dict[Weight, int] = {}
-    for _, _, _, w in _crystal_walk(rs, lam, conv, fold, lam):
+    for _, _, _, w, _ in _crystal_walk(rs, lam):
         table[w] = table.get(w, 0) + 1
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
     return poly_from_int_terms(rs.height_vec, table, meta)
@@ -78,18 +70,15 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
             f"p-part semantics require a strongly dominant weight, got {lam}; "
             "pass allow_dominant=True to sum anyway")
 
-    # The walk carries (coefficient, weight) as prefix products along the
-    # path: a value v at slot k multiplies the coefficient by the slot's
-    # factor and lowers the weight by v times the column's simple root.  A
-    # zero factor leaves only zero coefficients below, so the subtree is
-    # skipped.
+    # The walk carries the coefficient as a prefix product along the path: a
+    # value at slot k multiplies it by the slot's factor.  A zero factor
+    # leaves only zero coefficients below, so the subtree is skipped.
     spec = rs.spec
     family, r = spec.family, spec.rank
     slots = enumeration_slots(spec)
-    drops = slot_drops(rs)
     one = CoeffElement.one()
 
-    def fold(k, prefix, row, crow, brow):
+    def fold(k, coeff, row, crow, brow):
         i, j = slots[k]
         off = j - i
         if family != "D":
@@ -97,17 +86,11 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
         elif j == i:  # a type-D row contributes once it is complete
             f = row_factor_d(row_components(spec, i, row, conv), row, crow, brow, n)
         else:
-            f = one
-        if f.is_zero():
-            return None
-        coeff, wt = prefix
-        v = row[off]
-        if v:
-            wt = tuple([w - v * d for w, d in zip(wt, drops[k])])
-        return coeff * f, wt
+            return coeff
+        return None if f.is_zero() else coeff * f
 
     acc: dict[Weight, CoeffElement] = {}
-    for _, _, _, (c, w) in _crystal_walk(rs, lam, conv, fold, (one, lam)):
+    for _, _, _, w, c in _crystal_walk(rs, lam, fold, one):
         acc[w] = acc[w] + c if w in acc else c
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
     return WeightPolynomial(rs.height_vec, acc, meta)
@@ -242,7 +225,7 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
     r = spec.rank
 
     groups: dict[tuple[int, ...], list[LittelmannPattern]] = {}
-    for L in enumerate_patterns(rs, lam, conv):
+    for L in enumerate_patterns(rs, lam):
         groups.setdefault(tuple(L.rows[0]), []).append(L)
 
     terms: list[BranchTerm] = []
@@ -259,7 +242,7 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
             raise AssertionError(f"branch weight {mu} is not dominant")
         scalar = pattern_coefficient(decorate(top_only, lam, conv), n)
 
-        sub_patterns = {L.rows for L in enumerate_patterns(sub_rs, mu, conv)}
+        sub_patterns = {L.rows for L in enumerate_patterns(sub_rs, mu)}
         truncs = {_truncate(L, sub_spec).rows for L in members}
         truncation_ok = sub_patterns == truncs and top_only.rows in {m.rows for m in members}
 

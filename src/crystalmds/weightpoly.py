@@ -83,15 +83,6 @@ class WeightPolynomial:
     def __sub__(self, other: "WeightPolynomial") -> "WeightPolynomial":
         return self + (-other)
 
-    def mul_term(self, shift: Weight, coeff: CoeffElement) -> "WeightPolynomial":
-        """Multiply by the single term coeff * x^shift."""
-        if coeff.is_zero():
-            return self._like({})
-        out: dict[Weight, CoeffElement] = {}
-        for w, c in self.terms.items():
-            out[tuple(a + b for a, b in zip(w, shift))] = c * coeff
-        return self._like(out)
-
     def __mul__(self, other: "WeightPolynomial") -> "WeightPolynomial":
         self._check(other)
         acc: dict[Weight, CoeffElement] = {}
@@ -101,9 +92,6 @@ class WeightPolynomial:
                 prod = c1 * c2
                 acc[w] = acc[w] + prod if w in acc else prod
         return self._like(acc)
-
-    def scale(self, coeff: CoeffElement) -> "WeightPolynomial":
-        return self._like({w: c * coeff for w, c in self.terms.items()})
 
     def _check(self, other: "WeightPolynomial"):
         if self.height_vec != other.height_vec:
@@ -127,13 +115,6 @@ class WeightPolynomial:
         quot, rem = divide_terms(self.height_vec, self.terms, divisor.terms,
                                  CoeffElement.q_power(-e, sign), CoeffElement.zero())
         return self._like(quot), self._like(rem)
-
-    # -- serialization ---------------------------------------------------------
-    def to_json_obj(self) -> dict:
-        obj = dict(self.meta)
-        obj["terms"] = [{"wt": list(w), "coeff": self.terms[w].to_json_obj()}
-                        for w in self.sorted_weights()]
-        return obj
 
 
 def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],

@@ -36,8 +36,8 @@ def _failures(report):
 def test_criterion_1_character_oracle():
     # exact character equality and crystal size = dimension for every family
     # A1..A3, B2, B3, C2, C3, D4 with coordinates in {0,1,2}, dim <= 5000;
-    # simultaneously freezes the middle-bound scales and the central-column
-    # aggregate reading (each alternative must fail).
+    # the walk's upper bounds are weight coordinates, so this also checks
+    # the string-polytope inequalities in every family.
     rep = _suite("character", lambda: run_character_suite(max_dim=5000))
     ok = rep["ok"]
     _verdict("criterion-1 character oracle", ok, f"{len(rep['cases'])} cases")
@@ -97,6 +97,10 @@ def test_criterion_6_type_d_sigma_rules():
     _verdict("criterion-6 type-D sigma rules", ok,
              f"forced circled-unboxed evaluations: {sum(v or 0 for v in forced.values())}")
     assert ok, [c["name"] for c in cases if c["status"] == "fail"]
+    # the counts read the boxed masks, so they pin the walk's upper bounds
+    assert forced == {f"D4 lambda={lam} forced circled-unboxed sigma evaluations": count
+                      for lam, count in (((1, 0, 0, 0), 0), ((0, 0, 0, 1), 2),
+                                         ((1, 0, 0, 1), 22), ((1, 1, 1, 1), 8461))}
 
 
 def test_criterion_7_determinism_and_round_trips(tmp_path, capsys):

@@ -132,3 +132,18 @@ def test_cli_import_leaves_numpy_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "7.0"  # |g|^2 = p for a nontrivial character
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader takes 10 bytes of a ~250 kB answer and closes the pipe: no
+    # traceback, and the documented exit status for a closed stdout
+    argv = [sys.executable, "-m", "crystalmds.cli", "compute", "--family", "A",
+            "--rank", "4", "--lambda", "2,2,2,2", "--character", "--json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(crystalmds.__file__).parents[1]))
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head == b'{"family":'
+    assert err == b""
+    assert proc.returncode == 141

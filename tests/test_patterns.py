@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from crystalmds import (CartanSpec, DEFAULT, LittelmannPattern, aggregates,
-                        build_root_system, bzl_to_pattern, cone_satisfied,
-                        column_letter, enumerate_patterns, pattern_shape,
-                        pattern_to_bzl, pattern_weight, pattern_wt,
-                        polytope_satisfied, polytope_upper_bound,
-                        branch_decompose, weyl_character, weyl_dimension)
+from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
+                        bzl_to_pattern, cone_satisfied, column_letter, decorate,
+                        enumerate_patterns, pattern_shape, pattern_to_bzl,
+                        pattern_weight, pattern_wt, polytope_satisfied,
+                        polytope_upper_bound, branch_decompose, weyl_character,
+                        weyl_dimension)
 from crystalmds.patterns import row_count, row_end
 from oracles import greedy_bound
 
@@ -85,39 +85,6 @@ def test_cone_examples():
 
 
 # ---------------------------------------------------------------------------
-# aggregates
-# ---------------------------------------------------------------------------
-
-def test_aggregates_zero_pattern():
-    agg = aggregates(P("C", 2, [[0, 0, 0], [0]]))
-    assert agg.s(2, 1) == 0 and agg.sbar(1, 2) == 0 and agg.s(1, 2) == 0
-
-
-def test_aggregates_c_middle_doubling():
-    agg = aggregates(P("C", 2, [[2, 1, 1], [0]]))
-    assert agg.s(1, 2) == 2  # doubled middle column
-    assert agg.s(1, 1) == 3  # column 1 paired with its mirror: 2 + 1
-
-
-def test_aggregates_b_middle():
-    # formula value: abar(2,2) + 2*s(1,2) = 1 + 2*2; the middle column is
-    # its own mirror, so the barred read returns the entry itself
-    agg = aggregates(P("B", 2, [[0, 2, 0], [1]]))
-    assert agg.sbar(2, 2) == 1 + 2 * 2
-    assert agg.s(1, 2) == 2
-
-
-def test_aggregates_d_middle_readings():
-    L = P("D", 3, [[1, 2, 3, 0], [1, 1]])
-    paired = aggregates(L, DEFAULT)
-    assert paired.s(2, 2) == (2 + 3) + (1 + 1)
-    assert paired.s(2, 2) == paired.s(2, 3)
-    literal = aggregates(L, DEFAULT.with_flags(d_middle_aggregate="literal"))
-    assert literal.s(2, 2) == 2 * (2 + 1)
-    assert paired.t(2, 2) == 3 and paired.t(2, 3) == 4
-
-
-# ---------------------------------------------------------------------------
 # polytope bounds
 # ---------------------------------------------------------------------------
 
@@ -161,6 +128,19 @@ def test_bounds_match_string_oracle(family, rank):
             for j in range(i, row_end(spec, i) + 1):
                 assert polytope_upper_bound(L, lam, (i, j)) == \
                     greedy_bound(family, rank, rows, lam, (i, j))
+
+
+@pytest.mark.parametrize("call", [
+    lambda L: decorate(L, (1, 1, 5)),
+    lambda L: decorate(L, (1,)),
+    lambda L: polytope_upper_bound(L, (1,), (1, 1)),
+    lambda L: polytope_satisfied(L, (1, 1, 7)),
+], ids=["decorate-long", "decorate-short", "upper-bound-short", "satisfied-long"])
+def test_wrong_rank_highest_weight_rejected(call):
+    # a highest weight with the wrong number of coordinates is an error, not
+    # a weight read short, padded or cut to the rank
+    with pytest.raises(ValueError, match="coordinates, rank is 2"):
+        call(P("A", 2, [[0, 0], [0]]))
 
 
 def test_polytope_satisfied_examples():

@@ -33,7 +33,7 @@ def per_leaf_p_part(r, lam, degrees, conv):
     """Reference sum, one pattern at a time: the coefficient of each
     decorated leaf at its weight, for every cover degree in ``degrees``."""
     acc = {n: {} for n in degrees}
-    for L in enumerate_patterns(r, lam, conv):
+    for L in enumerate_patterns(r, lam):
         dp = decorate(L, lam, conv)
         w = pattern_wt(L, lam)
         for n in degrees:
@@ -128,33 +128,20 @@ def test_character_via_patterns_matches():
         assert character_via_patterns(r, lam) == weyl_character(r, lam)
 
 
-CHARACTER_REJECTED = {"B": DEFAULT.with_flags(middle_bound_scale_b=1),
-                      "C": DEFAULT.with_flags(middle_bound_scale_c=2),
-                      "D": DEFAULT.with_flags(d_middle_aggregate="literal")}
-
-
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
                                          ("B", 3), ("C", 2), ("C", 3), ("D", 3),
                                          ("D", 4)])
 def test_character_via_patterns_matches_per_leaf(family, rank):
-    # character_via_patterns folds the weight along the slot walk; it must
-    # agree with x^pattern_wt summed over the enumerated patterns, under the
-    # frozen conventions and under the family's rejected alternative (which
-    # changes the crystal for at least one weight, so the fold must honour it).
-    # lambda in {0,1,2}^r with dimension <= 600.
+    # character_via_patterns counts the weights the slot walk carries to its
+    # leaves; it must agree with x^pattern_wt summed over the enumerated
+    # patterns.  lambda in {0,1,2}^r with dimension <= 600.
     r = rs(family, rank)
-    convs = [DEFAULT] + ([CHARACTER_REJECTED[family]] if family in CHARACTER_REJECTED else [])
-    differs = {conv: False for conv in convs[1:]}
     for lam in itertools.product((0, 1, 2), repeat=rank):
         if weyl_dimension(r, lam) > 600:
             continue
-        for conv in convs:
-            ref = collections.Counter(pattern_wt(L, lam) for L in enumerate_patterns(r, lam, conv))
-            via = character_via_patterns(r, lam, conv)
-            assert via.terms == poly_from_int_terms(r.height_vec, ref).terms, (lam, conv)
-            if conv is not DEFAULT and via != character_via_patterns(r, lam):
-                differs[conv] = True
-    assert all(differs.values()), differs
+        ref = collections.Counter(pattern_wt(L, lam) for L in enumerate_patterns(r, lam))
+        via = character_via_patterns(r, lam)
+        assert via.terms == poly_from_int_terms(r.height_vec, ref).terms, lam
 
 
 WEYL_POOL_CASES = [("A", 4, (2, 1, 1, 2)), ("A", 4, (2, 2, 2, 2)), ("B", 3, (2, 2, 2)),
@@ -303,7 +290,7 @@ def test_polynomial_json_schema():
     blob = json.dumps(obj)
     assert json.loads(blob) == obj
     wts = [tuple(t["wt"]) for t in obj["terms"]]
-    keys = [r.weight_sort_key(w) for w in wts]
+    keys = [P.order_key(w) for w in wts]
     assert keys == sorted(keys, reverse=True)
     for t in obj["terms"]:
         mono = t["coeff"]["monomials"]
