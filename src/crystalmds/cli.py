@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--lambdas", type=str, default=None,
                     help="semicolon-separated weights for the tokuyama suite, "
                          "e.g. '1,1;2,1;2,2'")
-    pv.add_argument("--shift", choices=("minus_rho", "same"), default=None)
 
     pe = sub.add_parser("export", help="write pattern/decoration/polynomial fixtures")
     add_common(pe)
@@ -119,7 +118,7 @@ def cmd_verify(args) -> int:
             for lam in lams:
                 lambdas.setdefault(len(lam), []).append(lam)
             lambdas = {r: tuple(v) for r, v in lambdas.items()}
-        report = suite(lambdas=lambdas, shift=args.shift)
+        report = suite(lambdas=lambdas)
     else:
         report = suite()
     print(json.dumps(report))

@@ -2,8 +2,7 @@
 
 A pattern is a ragged array of nonnegative integers, one entry per letter of
 the family's distinguished long word.  Row i spans flat column indices
-``i .. row_end(i)``; reads outside the shape return 0.  The barred accessor
-mirrors a column across the centre of a B/C/D row.
+``i .. row_end(i)``; reads outside the shape return 0.
 
 Enumeration walks slots row by row from the top, right to left inside each
 row.  Under that order the cone gives an exact lower bound and the polytope
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Iterator
 
 from .roots import CartanSpec, RootSystem, build_root_system, is_dominant
@@ -74,12 +74,6 @@ class _RowAccess:
         if not i <= j <= row_end(self.spec, i):
             return 0
         return self.rows[i - 1][j - i]
-
-    def abar(self, i: int, j: int) -> int:
-        r = self.spec.rank
-        if self.spec.family == "D":
-            return self.a(i, 2 * r - 1 - j)
-        return self.a(i, 2 * r - j)
 
 
 @dataclass(frozen=True)
@@ -233,6 +227,10 @@ def _walk(spec: CartanSpec, lam: Weight,
 
     With ``pinned`` rows the walk follows that one pattern and raises
     ValueError at the first entry outside its bounds.
+
+    The walk runs in one generator frame: an explicit per-slot stack holds
+    each slot's remaining values, bounds, weight and accumulator, and every
+    leaf is yielded once, directly.  So the rank meets no recursion limit.
     """
     lam = _highest_weight(spec, lam)
     shape = pattern_shape(spec)
@@ -240,49 +238,68 @@ def _walk(spec: CartanSpec, lam: Weight,
     circled = [[False] * n for n in shape]
     boxed = [[False] * n for n in shape]
     partial = _Partial(spec, rows)
-    slots = enumeration_slots(spec)
-    letters = [column_letter(spec, j) - 1 for _, j in slots]
     rs = build_root_system(spec)
-    drops = [rs.simple_root(c + 1) for c in letters]
     r = spec.rank
     halved = r - 1 if spec.family == "B" else 0  # column whose bound is a(i, r)/2
-
-    def dfs(k: int, wt: Weight, acc):
-        if k == len(slots):
-            yield rows, circled, boxed, wt, acc
-            return
-        i, j = slots[k]
-        off = j - i
-        if j == halved:
-            twice = partial.a(i, r)
-            lo, tight = (twice + 1) // 2, (None if twice % 2 else twice // 2)
-        else:
-            lo = tight = _chain_lower_bound(partial.a, spec, i, j)
-        hi = wt[letters[k]]
-        if pinned is None:
-            values = range(lo, hi + 1)
-        else:
-            v = pinned[i - 1][off]
-            if not lo <= v <= hi:
-                raise ValueError(f"entry {v} at {(i, j)} lies outside the "
+    # per slot: position, its row's buffers, offset in the row, column letter
+    # and that letter's simple root
+    frames = []
+    for i, j in enumeration_slots(spec):
+        c = column_letter(spec, j) - 1
+        frames.append((i, j, rows[i - 1], circled[i - 1], boxed[i - 1], j - i, c,
+                       rs.simple_root(c + 1)))
+    last = len(frames) - 1
+    # the stack, one entry per slot of the current path: the values still to
+    # try with the bounds they are marked against, and the weight and
+    # accumulator of the entries placed before the slot.  Sibling weights
+    # step by one root from wts[k + 1], which starts one step above the
+    # first nonzero value at k.
+    tries: list = [None] * len(frames)
+    wts = [lam] * (len(frames) + 1)
+    accs = [seed] * len(frames)
+    k = 0
+    while k >= 0:
+        i, j, row, crow, brow, off, c, drop = frames[k]
+        if tries[k] is None:  # first visit: evaluate the slot's bounds
+            if j == halved:
+                twice = partial.a(i, r)
+                lo, tight = (twice + 1) // 2, (None if twice % 2 else twice // 2)
+            else:
+                lo = tight = _chain_lower_bound(partial.a, spec, i, j)
+            wt = wts[k]
+            hi = wt[c]
+            first = lo if pinned is None else pinned[i - 1][off]
+            if pinned is not None and not lo <= first <= hi:
+                raise ValueError(f"entry {first} at {(i, j)} lies outside the "
                                  f"highest-weight polytope (bounds {lo}..{hi})")
-            values = (v,)
-        row, crow, brow = rows[i - 1], circled[i - 1], boxed[i - 1]
-        drop = drops[k]
-        for v in values:
+            top = hi if pinned is None else first
+            tries[k] = iter(range(first, top + 1)), tight, hi
+            wts[k + 1] = wt if first <= 1 else tuple(
+                [w - (first - 1) * d for w, d in zip(wt, drop)])
+        it, tight, hi = tries[k]
+        acc, child_wt = accs[k], wts[k + 1]
+        for v in it:
             row[off] = v
             crow[off] = v == tight
             brow[off] = v == hi
-            child_wt = tuple([w - v * d for w, d in zip(wt, drop)]) if v else wt
+            if v:
+                child_wt = tuple(map(sub, child_wt, drop))
             if fold is None:
-                yield from dfs(k + 1, child_wt, acc)
+                child = acc
             else:
                 child = fold(k, acc, row, crow, brow)
-                if child is not None:
-                    yield from dfs(k + 1, child_wt, child)
-        row[off] = 0
-
-    return dfs(0, lam, seed)
+                if child is None:
+                    continue
+            if k == last:
+                yield rows, circled, boxed, child_wt, child
+            else:
+                k += 1
+                wts[k], accs[k] = child_wt, child
+                break
+        else:  # every value tried: clear the slot and go back up
+            row[off] = 0
+            tries[k] = None
+            k -= 1
 
 
 def _crystal_walk(rs: RootSystem, lam: Weight, fold: Callable | None = None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .weightpoly import Weight, WeightPolynomial, divide_terms, poly_from_int_terms
+from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
 
 FAMILIES = ("A", "B", "C", "D")
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -298,13 +298,42 @@ def _signed_orbit(rs: RootSystem, v: Weight) -> dict[Weight, int]:
     return out
 
 
+def _divide_root_string(table: dict[Weight, int], alpha: Weight) -> dict[Weight, int]:
+    """Exact quotient of an integer table by (1 - x^-alpha).
+
+    From f(w) = g(w) - g(w + alpha), the quotient is g(w) = sum over k >= 0
+    of f(w + k alpha): a suffix sum along each alpha-string.  A string is
+    keyed by its point whose coordinate p (the first nonzero one of alpha)
+    lies in the residue range of alpha[p]; q counts the steps from it.  The
+    division is exact iff every string sums to 0.
+    """
+    p = next(i for i, a in enumerate(alpha) if a)
+    ap = alpha[p]
+    strings: dict[Weight, dict[int, int]] = {}
+    for w, c in table.items():
+        q = w[p] // ap
+        base = tuple([x - q * a for x, a in zip(w, alpha)])
+        strings.setdefault(base, {})[q] = c
+    quot: dict[Weight, int] = {}
+    for base, string in strings.items():
+        total = 0
+        for q in range(max(string), min(string) - 1, -1):
+            total += string.get(q, 0)
+            if total:
+                quot[tuple([x + q * a for x, a in zip(base, alpha)])] = total
+        if total:
+            raise AssertionError("inexact character division")
+    return quot
+
+
 def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Highest-weight character via the alternating orbit sum divided exactly
     by the Weyl denominator.
 
     The denominator is taken in product form, x^rho times the product over
     positive roots of (1 - x^-alpha), so the orbit sum is divided by one
-    two-term factor at a time and finally shifted by -rho.
+    factor at a time, as suffix sums along root strings, and finally
+    shifted by -rho.
     """
     lam = tuple(lam)
     if len(lam) != rs.rank:
@@ -312,13 +341,8 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
     table = _signed_orbit(rs, tuple(c + 1 for c in lam))
-    zero = (0,) * rs.rank
     for alpha in rs.positive_roots:
-        # each factor leads with +1 at x^0
-        factor = {zero: 1, tuple(-a for a in alpha): -1}
-        table, rem = divide_terms(rs.height_vec, table, factor, 1, 0)
-        if rem:
-            raise AssertionError("inexact character division")
+        table = _divide_root_string(table, alpha)
     table = {tuple(c - 1 for c in w): k for w, k in table.items()}
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
     return poly_from_int_terms(rs.height_vec, table, meta)

@@ -111,7 +111,7 @@ def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:
 @dataclass(frozen=True)
 class TokuyamaResult:
     lam: Weight
-    shift: str                       # "minus_rho" or "same"
+    shift: str      # always "minus_rho" (divisor at lam - rho); kept for positional callers
     ok: bool
     quotient: WeightPolynomial | None
     remainder: WeightPolynomial | None
@@ -132,30 +132,25 @@ def twisted_character(rs: RootSystem, lam_prime: Weight) -> WeightPolynomial:
     return WeightPolynomial(rs.height_vec, terms, chi.meta)
 
 
-def tokuyama_quotient(rs: RootSystem, lam: Weight, shift: str = "minus_rho",
+def tokuyama_quotient(rs: RootSystem, lam: Weight,
                       conv: Conventions = DEFAULT) -> TokuyamaResult:
-    """Exact division of the degree-1 sum by the shifted, q-twisted character.
+    """Exact division of the degree-1 sum by the q-twisted character of
+    lam - rho.
 
     On success the quotient is the deformed Weyl denominator and does not
     depend on ``lam``; a failed division returns the remainder as witness.
     """
     if rs.family != "A":
         raise ValueError("the deformation factorization is asserted for type A only")
-    if shift not in ("minus_rho", "same"):
-        raise ValueError(f"unknown shift convention {shift!r}")
     lam = tuple(lam)
     if not is_strongly_dominant(lam):
         raise ValueError("need a strongly dominant highest weight")
-    lam_prime = tuple(c - 1 for c in lam) if shift == "minus_rho" else lam
-    if not is_dominant(lam_prime):
-        return TokuyamaResult(lam, shift, False, None, None,
-                              reason="shifted weight is not dominant")
     P = specialize_poly_n1(p_part(rs, lam, 1, conv))
-    divisor = twisted_character(rs, lam_prime)
+    divisor = twisted_character(rs, tuple(c - 1 for c in lam))
     quot, rem = P.divide(divisor)
     if rem.is_zero():
-        return TokuyamaResult(lam, shift, True, quot, None)
-    return TokuyamaResult(lam, shift, False, None, rem, reason="inexact division")
+        return TokuyamaResult(lam, "minus_rho", True, quot, None)
+    return TokuyamaResult(lam, "minus_rho", False, None, rem, reason="inexact division")
 
 
 # ---------------------------------------------------------------------------

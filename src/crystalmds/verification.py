@@ -129,39 +129,23 @@ DEFAULT_TOKUYAMA_LAMBDAS: dict[int, tuple[tuple[int, ...], ...]] = {
 
 
 def run_tokuyama_suite(lambdas: dict[int, tuple[tuple[int, ...], ...]] | None = None,
-                       shift: str | None = None,
                        conv: Conventions = DEFAULT) -> dict:
-    """Degree-1 factorization: exact divisibility and a lambda-independent
-    quotient per rank; records which shift convention succeeds."""
+    """Degree-1 factorization: at each rank, every lambda's sum divides
+    exactly by the twisted character of lambda - rho, with one quotient."""
     lambdas = lambdas or DEFAULT_TOKUYAMA_LAMBDAS
-    shifts = (shift,) if shift else ("minus_rho", "same")
     cases = []
-    winners = []
-    for conv_name in shifts:
-        uniform = True
-        for rank, lams in sorted(lambdas.items()):
-            rs = build_root_system(CartanSpec("A", rank))
-            quotients = []
-            for lam in lams:
-                res = tokuyama_quotient(rs, lam, conv_name, conv)
-                quotients.append(res.quotient.terms if res.ok else None)
-                if not res.ok:
-                    uniform = False
-            divisible = all(q is not None for q in quotients)
-            identical = divisible and all(q == quotients[0] for q in quotients)
-            uniform = uniform and identical
-            cases.append(_case(
-                f"shift={conv_name} rank={rank}: divisible={divisible}, "
-                f"quotient identical={identical}", None))
-        if uniform:
-            winners.append(conv_name)
-    cases.append(_case("exactly one shift convention succeeds uniformly",
-                       len(winners) == 1, winning_shift=winners))
-    if winners:
-        # leading behaviour of the computed quotient at the smallest rank
-        rank, lams = min(lambdas.items())
+    res = None  # the first lambda's result at the smallest rank
+    for rank, lams in sorted(lambdas.items()):
         rs = build_root_system(CartanSpec("A", rank))
-        res = tokuyama_quotient(rs, lams[0], winners[0], conv)
+        results = [tokuyama_quotient(rs, lam, conv) for lam in lams]
+        divisible = all(r.ok for r in results)
+        identical = divisible and all(r.quotient == results[0].quotient for r in results)
+        cases.append(_case(f"rank={rank}: divisible and quotient identical",
+                           identical, divisible=divisible,
+                           failed=[list(r.lam) for r in results if not r.ok]))
+        res = res or results[0]
+    # leading behaviour of the computed quotient at the smallest rank
+    if res.ok:
         lead_w, lead_c = res.quotient.leading()
         dominant_terms = [w for w in res.quotient.terms
                           if all(c >= 0 for c in w)

@@ -55,15 +55,15 @@ def test_criterion_2_gauss_oracle():
 
 
 def test_criterion_3_tokuyama_property():
-    # degree-1 sums divide exactly by the shifted twisted character, with a
-    # quotient independent of lambda at each rank; one shift wins uniformly
+    # degree-1 sums divide exactly by the twisted character of lambda - rho,
+    # with a quotient independent of lambda at each of ranks 1..3
     rep = _suite("tokuyama", run_tokuyama_suite)
     ok = rep["ok"]
-    winner = next((c.get("winning_shift") for c in rep["cases"]
-                   if "winning_shift" in c), None)
-    _verdict("criterion-3 tokuyama factorization", ok, f"shift={winner}")
+    ranks = [c for c in rep["cases"] if c["name"].startswith("rank=")]
+    _verdict("criterion-3 tokuyama factorization", ok, f"{len(ranks)} ranks")
     assert ok, _failures(rep)[:5]
-    assert winner == ["minus_rho"]
+    assert [(c["name"], c["status"]) for c in ranks] == [
+        (f"rank={k}: divisible and quotient identical", "pass") for k in (1, 2, 3)]
 
 
 def test_criterion_4_branching():

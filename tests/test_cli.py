@@ -33,6 +33,18 @@ def test_compute_character_text(capsys):
     assert "(8 terms)" in out
 
 
+def test_compute_character_large_rank(capsys):
+    # A50 has 1275 slots; the walk must not recurse once per slot
+    lam = ",".join(["1"] + ["0"] * 49)
+    code, out, _ = run(capsys, ["compute", "--family", "A", "--rank", "50",
+                                "--character", "--lambda", lam, "--json"])
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    assert len(terms) == 51
+    one = crystalmds.CoeffElement.one().to_json_obj()
+    assert all(t["coeff"] == one for t in terms)
+
+
 def test_compute_rejects_boundary_weight(capsys):
     code, _, err = run(capsys, ["compute", "--family", "B", "--rank", "2",
                                 "--n", "1", "--lambda", "0,0"])

@@ -9,6 +9,7 @@ from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
                         pattern_weight, pattern_wt, polytope_satisfied,
                         polytope_upper_bound, branch_decompose, weyl_character,
                         weyl_dimension)
+from crystalmds.decorations import decorated_crystal
 from crystalmds.patterns import row_count, row_end
 from oracles import greedy_bound
 
@@ -45,15 +46,6 @@ def test_zero_extension_reads():
     L = P("B", 2, [[1, 2, 3], [4]])
     assert L.a(1, 1) == 1 and L.a(1, 3) == 3 and L.a(2, 2) == 4
     assert L.a(1, 0) == 0 and L.a(1, 4) == 0 and L.a(2, 1) == 0 and L.a(3, 2) == 0
-    # barred accessor mirrors across the centre: jbar = 2r - j
-    assert L.abar(1, 1) == 3 and L.abar(1, 2) == 2 and L.abar(2, 2) == 4
-
-
-def test_barred_accessor_type_d():
-    L = P("D", 3, [[1, 2, 3, 4], [5, 6]])
-    # jbar = 2r - 1 - j = 5 - j
-    assert L.abar(1, 1) == 4 and L.abar(1, 2) == 3
-    assert L.abar(2, 2) == 6
 
 
 def test_shape_validation():
@@ -190,15 +182,29 @@ def test_enumeration_counts_and_membership(family, rank):
 
 
 def test_enumeration_deterministic_and_ordered():
+    # branch_decompose groups and export's patterns.txt rely on this order:
+    # lexicographic in the slot sequence, values ascending, no repeats
     from crystalmds.patterns import enumeration_slots
-    r = rs("C", 2)
-    lam = (2, 1)
-    runs = [[L.rows for L in enumerate_patterns(r, lam)] for _ in range(2)]
-    assert runs[0] == runs[1]
-    slots = enumeration_slots(r.spec)
-    keys = [tuple(LittelmannPattern(r.spec, rows).a(i, j) for i, j in slots)
-            for rows in runs[0]]
-    assert keys == sorted(keys)
+    for family, rank, lam in [("C", 2, (2, 1)), ("A", 3, (1, 2, 1)),
+                              ("B", 3, (1, 1, 1)), ("D", 4, (1, 1, 1, 1))]:
+        r = rs(family, rank)
+        runs = [[L.rows for L in enumerate_patterns(r, lam)] for _ in range(2)]
+        assert runs[0] == runs[1]
+        slots = enumeration_slots(r.spec)
+        keys = [tuple(LittelmannPattern(r.spec, rows).a(i, j) for i, j in slots)
+                for rows in runs[0]]
+        assert keys == sorted(set(keys)), (family, rank, lam)
+        assert len(keys) == weyl_dimension(r, lam)
+
+
+def test_walk_large_rank():
+    # the walk holds one frame for all 1275 slots of A50, so rank meets no
+    # recursion limit; the standard representation has 51 patterns
+    r = rs("A", 50)
+    lam = (1,) + (0,) * 49
+    patterns = list(enumerate_patterns(r, lam))
+    assert len(patterns) == 51 == len(set(L.rows for L in patterns))
+    assert decorate(patterns[-1], lam) == list(decorated_crystal(r, lam))[-1]
 
 
 def test_monotone_inclusion_in_lambda():

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from crystalmds import (CartanSpec, build_root_system, character_dimension,
                         is_dominant, is_strongly_dominant, nice_long_word,
                         weyl_character, weyl_dimension)
+from crystalmds.roots import _divide_root_string
+from crystalmds.weightpoly import divide_terms
 from oracles import ModelRootSystem, freudenthal_multiplicities
 
 ALL_SPECS = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -177,6 +180,42 @@ def test_character_weyl_invariance(family, rank, lam):
     for k in range(1, rank + 1):
         reflected = {r.reflect(w, k): c for w, c in chi.terms.items()}
         assert reflected == chi.terms
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_root_string_division_matches_heap_division(family, rank):
+    # random exact products g * (1 - x^-alpha), divided back along the
+    # alpha-strings and by the general leading-term division; the strings are
+    # keyed on alpha's first nonzero coordinate, which is -2, -1, 1 or 2 and
+    # in D4 also sits behind a zero
+    r = rs(family, rank)
+    rng = random.Random(f"{family}{rank}")
+    zero = (0,) * rank
+    leads = set()
+    for alpha in r.positive_roots:
+        leads.add(next(a for a in alpha if a))
+        minus = tuple(-a for a in alpha)
+        for _ in range(6):
+            g = {tuple(rng.randrange(-3, 4) for _ in range(rank)): rng.choice((-2, -1, 1, 3))
+                 for _ in range(rng.randrange(1, 12))}
+            f = dict(g)
+            for w, c in g.items():
+                low = tuple(a + b for a, b in zip(w, minus))
+                f[low] = f.get(low, 0) - c
+            f = {w: c for w, c in f.items() if c}
+            heap, rem = divide_terms(r.height_vec, f, {zero: 1, minus: -1}, 1, 0)
+            assert not rem
+            assert _divide_root_string(f, alpha) == heap == g
+    assert min(leads) < 0 and 2 in leads
+
+
+def test_root_string_division_rejects_inexact_table():
+    alpha = rs("A", 2).positive_roots[0]
+    exact = {(0, 0): 1, tuple(-a for a in alpha): -1}  # 1 - x^-alpha
+    assert _divide_root_string(exact, alpha) == {(0, 0): 1}
+    for table in ({(0, 0): 1}, {**exact, (3, 1): 2}):
+        with pytest.raises(AssertionError, match="inexact character division"):
+            _divide_root_string(table, alpha)
 
 
 def test_dominance_predicates():

@@ -176,7 +176,7 @@ def test_tokuyama_quotient_lambda_independent():
     r = rs("A", 2)
     quotients = []
     for lam in [(1, 1), (2, 1), (1, 2), (2, 2)]:
-        res = tokuyama_quotient(r, lam, "minus_rho")
+        res = tokuyama_quotient(r, lam)
         assert res.ok, (lam, res.reason)
         quotients.append(res.quotient)
     assert all(q.terms == quotients[0].terms for q in quotients)
@@ -185,19 +185,14 @@ def test_tokuyama_quotient_lambda_independent():
 def test_tokuyama_quotient_times_divisor_reconstructs():
     r = rs("A", 2)
     lam = (2, 1)
-    res = tokuyama_quotient(r, lam, "minus_rho")
+    res = tokuyama_quotient(r, lam)
     product = res.quotient * twisted_character(r, (1, 0))
     P = specialize_poly_n1(p_part(r, lam, 1))
     assert product.terms == P.terms
 
 
-def test_tokuyama_wrong_shift_reports_failure():
-    res = tokuyama_quotient(rs("A", 1), (2,), "same")
-    assert not res.ok and res.remainder is not None and not res.remainder.is_zero()
-
-
 def test_tokuyama_rank_one_closed_form():
-    res = tokuyama_quotient(rs("A", 1), (3,), "minus_rho")
+    res = tokuyama_quotient(rs("A", 1), (3,))
     assert res.ok
     assert dict(res.quotient.terms) == {(1,): CoeffElement.from_int(1),
                                         (-1,): CoeffElement.from_int(-1)}
