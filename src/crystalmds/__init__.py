@@ -9,9 +9,9 @@ verification routes.
 """
 
 from .conventions import DEFAULT, Conventions
-from .coefficients import (CoeffElement, GaussSymbol, entry_factor, g_value,
-                           gauss_numeric, h_value, pattern_coefficient,
-                           sigma_component, sigma_entry, specialize_n1)
+from .coefficients import (CoeffElement, ComponentD, GaussSymbol, entry_factor,
+                           g_value, gauss_numeric, h_value, pattern_coefficient,
+                           row_components, sigma_entry, specialize_n1)
 from .roots import (CartanSpec, RootSystem, WeylWord, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
                     nice_long_word, weight_in_hull, weyl_character,
@@ -20,8 +20,8 @@ from .patterns import (LittelmannPattern, bzl_to_pattern, cone_satisfied,
                        column_letter, enumerate_patterns, pattern_shape,
                        pattern_to_bzl, pattern_weight, pattern_wt,
                        polytope_satisfied, polytope_upper_bound)
-from .decorations import (ComponentD, DecoratedPattern, build_components_D,
-                          circling_lower_bound, decorate, render)
+from .decorations import (DecoratedPattern, circling_lower_bound, decorate,
+                          render)
 from .series import (BranchDecomposition, BranchTerm, WeightPolynomial,
                      branch_decompose, character_via_patterns, p_part,
                      polynomial_json_obj, specialize_poly_n1,

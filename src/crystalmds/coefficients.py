@@ -1,4 +1,5 @@
-"""Symbolic coefficient ring over formal Gauss sums, and a numeric oracle.
+"""Symbolic coefficient ring over formal Gauss sums, a numeric oracle, and
+the coefficient rules of decorated patterns.
 
 Coefficients of crystal sums live in the commutative ring
 
@@ -17,6 +18,12 @@ residue ring by direct summation, providing the independent oracle used to
 pin these closed forms.  Under degree n = 1 every symbol evaluates to -1
 (``specialize_n1``).
 
+A decorated pattern's coefficient is a product of one factor per entry in
+types A, B and C (``entry_factor``).  In type D it is a product over the
+connected components of each row (``row_components``, ``_component_factor``);
+this module holds that whole rule, and it is the only reader of the
+``Conventions`` switches that leave the rule open.
+
 Everything here is immutable and safe to share between threads.
 """
 from __future__ import annotations
@@ -24,8 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .conventions import DEFAULT, Conventions
+
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from .decorations import ComponentD, DecoratedPattern
+    from .decorations import DecoratedPattern
+    from .roots import CartanSpec
 
 
 @dataclass(frozen=True, order=True)
@@ -139,17 +149,6 @@ class CoeffElement:
                 key = (e1 + e2, _merge_gauss(g1, g2))
                 acc[key] = acc.get(key, 0) + c1 * c2
         return CoeffElement(acc)
-
-    def __pow__(self, k: int) -> "CoeffElement":
-        if k < 0:
-            raise ValueError("negative powers are not defined in the ring")
-        out, base = _ONE, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoeffElement) and self._terms == other._terms
@@ -362,7 +361,7 @@ def entry_factor(family: str, a: int, circled: bool, boxed: bool,
     ``middle`` marks the central column of a B/C row; it selects the Gauss
     subscript (t = 1 at the middle in B, t = 2 at the middle in C, the other
     value elsewhere).  Type D contributions are per component, not per entry
-    (see ``sigma_component``).
+    (see ``_component_factor``).
     """
     if family == "A":
         if circled and boxed:
@@ -398,8 +397,9 @@ def sigma_entry(a: int, circled: bool, boxed: bool, n: int) -> CoeffElement:
 
     The published rule omits the circled-and-unboxed case; it is completed
     here as 1 (the q^a circling factor against the family's q^-a
-    normalization).  ``count_forced_sigma`` reports how often enumerated
-    crystals actually reach it.
+    normalization).  ``_component_factor`` evaluates it at the entries a
+    component's factor reads; ``count_forced_sigma`` reports how often
+    enumerated crystals actually reach the completed case.
     """
     if circled and boxed:
         return _ZERO
@@ -410,54 +410,108 @@ def sigma_entry(a: int, circled: bool, boxed: bool, n: int) -> CoeffElement:
     return h_value(1, a, n).times_unit(1, -a)
 
 
-def sigma_is_forced(a: int, circled: bool, boxed: bool) -> bool:
-    return circled and not boxed
+# ---------------------------------------------------------------------------
+# Type-D components
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ComponentD:
+    """Maximal run of equal entries in one type-D row.
+
+    ``kind`` is "generic", "ml" (spans the middle asymmetrically) or "sml"
+    (spans the middle symmetrically: j1 + j2 = 2r - 1).  ``length`` is half
+    the vertex count of a symmetric run; ``shorter_leg_col`` points at the
+    run end nearer the middle for an asymmetric one.
+    """
+
+    row: int
+    j1: int
+    j2: int
+    value: int
+    kind: str
+    length: int | None = None
+    shorter_leg_col: int | None = None
 
 
-def _component_factor(comp: "ComponentD", row, crow, brow, n: int) -> CoeffElement:
+def row_components(spec: CartanSpec, i: int, row, conv: Conventions = DEFAULT
+                   ) -> tuple[ComponentD, ...]:
+    """Partition row ``i`` of a type-D pattern, given as its values left to
+    right, into components."""
+    r = spec.rank
+    runs: list[tuple[int, int]] = []
+    start = 0
+    while start < len(row):
+        end = start
+        while end + 1 < len(row) and row[end + 1] == row[start]:
+            end += 1
+        runs.append((i + start, i + end))
+        start = end + 1
+    if conv.d_component_rule == "strict" and (r - 1, r) in runs:
+        # equal central pair with no shared equal neighbour
+        k = runs.index((r - 1, r))
+        runs[k:k + 1] = [(r - 1, r - 1), (r, r)]
+    return tuple(_classify(r, i, row[j1 - i], j1, j2, conv) for j1, j2 in runs)
+
+
+def _classify(r: int, i: int, value: int, j1: int, j2: int,
+              conv: Conventions) -> ComponentD:
+    if conv.ml_span_rule == "legs":
+        spans = j1 <= r - 2 and j2 >= r + 1
+    else:
+        spans = j1 <= r - 1 and j2 >= r
+    if not spans:
+        return ComponentD(i, j1, j2, value, "generic")
+    if j1 + j2 == 2 * r - 1:
+        return ComponentD(i, j1, j2, value, "sml", length=r - j1)
+    left, right = (r - 1) - j1, j2 - r
+    shorter = j1 if left < right else j2
+    return ComponentD(i, j1, j2, value, "ml", shorter_leg_col=shorter)
+
+
+def _component_factor(comp: ComponentD, row, crow, brow, n: int,
+                      _sigma=sigma_entry) -> CoeffElement:
     """sigma of one component, read off its row: the row's values and its
-    circled and boxed marks, each indexed by column minus the row index."""
+    circled and boxed marks, each indexed by column minus the row index.
+    The one place that knows which entries a component's sigma reads; each
+    read goes through ``_sigma``, the per-entry factor."""
     i = comp.row
     if any(crow[j - i] and brow[j - i] for j in range(comp.j1, comp.j2 + 1)):
         return _ZERO
     if comp.kind != "sml":
         off = (comp.shorter_leg_col if comp.kind == "ml" else comp.j2) - i
-        return sigma_entry(row[off], crow[off], brow[off], n)
+        return _sigma(row[off], crow[off], brow[off], n)
     # symmetric multiple leaner
     if comp.value == 0:
         return _ONE
     off = comp.j2 - i
-    right = sigma_entry(comp.value, crow[off], brow[off], n)
+    right = _sigma(comp.value, crow[off], brow[off], n)
     if brow[off]:
-        second = sigma_entry(row[off - 1], crow[off - 1], brow[off - 1], n)
+        second = _sigma(row[off - 1], crow[off - 1], brow[off - 1], n)
         return right * second * CoeffElement.q_power(1 - comp.length)
     return right * (_ONE - CoeffElement.q_power(-comp.length))
 
 
-def sigma_component(comp: "ComponentD", dp: "DecoratedPattern", n: int) -> CoeffElement:
-    """Contribution of one connected component of a type-D decorated row."""
-    k = comp.row - 1
-    return _component_factor(comp, dp.pattern.rows[k], dp.circled[k], dp.boxed[k], n)
-
-
-def row_factor_d(comps: "tuple[ComponentD, ...]", row, crow, brow, n: int) -> CoeffElement:
-    """Product of the factors of one complete type-D row's components."""
+def row_factor_d(spec: CartanSpec, i: int, row, crow, brow, n: int,
+                 conv: Conventions) -> CoeffElement:
+    """Product of the component factors of complete row ``i`` of a type-D
+    pattern, given as its values and its circled and boxed marks."""
     out = _ONE
-    for comp in comps:
+    for comp in row_components(spec, i, row, conv):
         out = out * _component_factor(comp, row, crow, brow, n)
         if out.is_zero():
             return _ZERO
     return out
 
 
-def pattern_coefficient(dp: "DecoratedPattern", n: int) -> CoeffElement:
+def pattern_coefficient(dp: DecoratedPattern, n: int,
+                        conv: Conventions = DEFAULT) -> CoeffElement:
     """Total coefficient of a decorated pattern: product over entries
-    (types A/B/C) or over decorated-graph components (type D)."""
+    (types A/B/C) or over the components of each row (type D)."""
     spec = dp.pattern.spec
     out = _ONE
     if spec.family == "D":
-        for comp in dp.components:
-            out = out * sigma_component(comp, dp, n)
+        for k, row in enumerate(dp.pattern.rows):
+            out = out * row_factor_d(spec, k + 1, row, dp.circled[k], dp.boxed[k], n, conv)
             if out.is_zero():
                 return _ZERO
         return out
@@ -470,24 +524,21 @@ def pattern_coefficient(dp: "DecoratedPattern", n: int) -> CoeffElement:
     return out
 
 
-def count_forced_sigma(dp: "DecoratedPattern") -> int:
+def count_forced_sigma(dp: DecoratedPattern, conv: Conventions = DEFAULT) -> int:
     """Number of sigma evaluations on a circled-and-unboxed entry for this
-    pattern (the case the published rule leaves open)."""
-    if dp.pattern.spec.family != "D":
+    pattern (the case the published rule leaves open), counted by running
+    every component's factor with a counting sigma."""
+    spec = dp.pattern.spec
+    if spec.family != "D":
         return 0
     forced = 0
-    for comp in dp.components:
-        i = comp.row
-        if any(dp.is_circled(i, j) and dp.is_boxed(i, j) for j in range(comp.j1, comp.j2 + 1)):
-            continue
-        probes: list[int] = []
-        if comp.kind == "generic":
-            probes = [comp.j2]
-        elif comp.kind == "ml":
-            probes = [comp.shorter_leg_col]
-        elif comp.value != 0:
-            probes = [comp.j2] if not dp.is_boxed(comp.row, comp.j2) else [comp.j2, comp.j2 - 1]
-        for j in probes:
-            if sigma_is_forced(dp.pattern.a(i, j), dp.is_circled(i, j), dp.is_boxed(i, j)):
-                forced += 1
+
+    def counting_sigma(a, circled, boxed, n):
+        nonlocal forced
+        forced += circled and not boxed
+        return sigma_entry(a, circled, boxed, n)
+
+    for k, row in enumerate(dp.pattern.rows):
+        for comp in row_components(spec, k + 1, row, conv):
+            _component_factor(comp, row, dp.circled[k], dp.boxed[k], 1, counting_sigma)
     return forced

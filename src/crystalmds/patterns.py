@@ -355,10 +355,9 @@ def pattern_wt(L: LittelmannPattern, lam: Weight) -> Weight:
 # ---------------------------------------------------------------------------
 
 def fill_slots(spec: CartanSpec) -> list[Position]:
-    """Slot order of the path bijection: bottom row first, left to right."""
-    return [(i, j)
-            for i in range(row_count(spec), 0, -1)
-            for j in range(i, row_end(spec, i) + 1)]
+    """Slot order of the path bijection: bottom row first, left to right,
+    which is the enumeration order reversed."""
+    return enumeration_slots(spec)[::-1]
 
 
 def bzl_to_pattern(spec: CartanSpec, string: tuple[int, ...]) -> LittelmannPattern:

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from .coefficients import (CoeffElement, entry_factor, pattern_coefficient,
                            row_factor_d, specialize_n1)
 from .conventions import DEFAULT, Conventions
-from .decorations import decorate, row_components
-from .patterns import (LittelmannPattern, _crystal_walk, enumerate_patterns,
-                       enumeration_slots, pattern_weight, pattern_wt)
+from .decorations import DecoratedPattern, decorate, decorated_crystal
+from .patterns import (LittelmannPattern, _crystal_walk, enumeration_slots,
+                       pattern_weight, pattern_wt)
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
 from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
@@ -84,7 +84,7 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
         if family != "D":
             f = entry_factor(family, row[off], crow[off], brow[off], j == r, n)
         elif j == i:  # a type-D row contributes once it is complete
-            f = row_factor_d(row_components(spec, i, row, conv), row, crow, brow, n)
+            f = row_factor_d(spec, i, row, crow, brow, n, conv)
         else:
             return coeff
         return None if f.is_zero() else coeff * f
@@ -132,8 +132,7 @@ def twisted_character(rs: RootSystem, lam_prime: Weight) -> WeightPolynomial:
     return WeightPolynomial(rs.height_vec, terms, chi.meta)
 
 
-def tokuyama_quotient(rs: RootSystem, lam: Weight,
-                      conv: Conventions = DEFAULT) -> TokuyamaResult:
+def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     """Exact division of the degree-1 sum by the q-twisted character of
     lam - rho.
 
@@ -145,7 +144,7 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight,
     lam = tuple(lam)
     if not is_strongly_dominant(lam):
         raise ValueError("need a strongly dominant highest weight")
-    P = specialize_poly_n1(p_part(rs, lam, 1, conv))
+    P = specialize_poly_n1(p_part(rs, lam, 1))
     divisor = twisted_character(rs, tuple(c - 1 for c in lam))
     quot, rem = P.divide(divisor)
     if rem.is_zero():
@@ -205,8 +204,9 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
     """Group the crystal by top row, recover each branch highest weight, and
     check that weights and coefficients factor through top-row deletion.
 
-    All checks are recorded per group rather than raised; the factorization
-    is a theorem in type A and an experiment elsewhere.
+    All checks are recorded per group rather than raised, a truncation
+    missing from the branch crystal included; the factorization is a theorem
+    in type A and checked on a fixed battery elsewhere.
     """
     lam = tuple(lam)
     spec = rs.spec
@@ -219,32 +219,35 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
     sub_rs = build_root_system(sub_spec)
     r = spec.rank
 
-    groups: dict[tuple[int, ...], list[LittelmannPattern]] = {}
-    for L in enumerate_patterns(rs, lam):
-        groups.setdefault(tuple(L.rows[0]), []).append(L)
+    groups: dict[tuple[int, ...], list[DecoratedPattern]] = {}
+    for dp in decorated_crystal(rs, lam):
+        groups.setdefault(dp.pattern.rows[0], []).append(dp)
 
     terms: list[BranchTerm] = []
     reports: list[BranchGroupReport] = []
     reconstructed: dict[Weight, CoeffElement] = {}
 
     for top, members in groups.items():
-        zero_shape = [tuple(top)] + [tuple([0] * len(row)) for row in members[0].rows[1:]]
-        top_only = LittelmannPattern(spec, tuple(zero_shape))
+        zero_rows = tuple(tuple([0] * len(row)) for row in members[0].pattern.rows[1:])
+        top_only = LittelmannPattern(spec, (top,) + zero_rows)
         s_top = pattern_weight(top_only)
         shift = pattern_wt(top_only, lam)
         mu = shift[:r - 1]
         if not is_dominant(mu):
             raise AssertionError(f"branch weight {mu} is not dominant")
-        scalar = pattern_coefficient(decorate(top_only, lam, conv), n)
+        scalar = pattern_coefficient(decorate(top_only, lam), n, conv)
 
-        sub_patterns = {L.rows for L in enumerate_patterns(sub_rs, mu)}
-        truncs = {_truncate(L, sub_spec).rows for L in members}
-        truncation_ok = sub_patterns == truncs and top_only.rows in {m.rows for m in members}
+        # the branch crystal's decorated leaves, keyed by rows
+        sub = {dp.pattern.rows: dp for dp in decorated_crystal(sub_rs, mu)}
+        truncs = {dp.pattern.rows[1:] for dp in members}
+        truncation_ok = (set(sub) == truncs
+                         and top_only.rows in {dp.pattern.rows for dp in members})
 
         s_add_ok = True
         fact_ok = True
         witness = None
-        for L in members:
+        for dp in members:
+            L = dp.pattern
             Lp = _truncate(L, sub_spec)
             s_full = pattern_weight(L)
             s_sub = pattern_weight(Lp)
@@ -252,15 +255,15 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
             if s_full != expect:
                 s_add_ok = False
                 witness = witness or L.to_text()
-            coeff_full = pattern_coefficient(decorate(L, lam, conv), n)
-            coeff_sub = pattern_coefficient(decorate(Lp, mu, conv), n)
-            if coeff_full != scalar * coeff_sub:
+            # a truncation missing from the branch crystal fails to factor
+            dp_sub = sub.get(Lp.rows)
+            if dp_sub is None or (pattern_coefficient(dp, n, conv)
+                                  != scalar * pattern_coefficient(dp_sub, n, conv)):
                 fact_ok = False
                 witness = witness or L.to_text()
 
-        zero_sub = LittelmannPattern(
-            sub_spec, tuple(tuple([0] * len(row)) for row in members[0].rows[1:]))
-        zero_ok = pattern_coefficient(decorate(zero_sub, mu, conv), n).is_one()
+        zero_sub = sub.get(zero_rows)
+        zero_ok = zero_sub is not None and pattern_coefficient(zero_sub, n, conv).is_one()
 
         terms.append(BranchTerm(mu=mu, shift=shift, scalar=scalar))
         reports.append(BranchGroupReport(

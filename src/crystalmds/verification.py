@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 
-from .coefficients import (count_forced_sigma, g_value, gauss_numeric, h_value,
-                           sigma_component, specialize_n1)
+from .coefficients import (_component_factor, count_forced_sigma, g_value,
+                           gauss_numeric, h_value, row_components, specialize_n1)
 from .conventions import DEFAULT, Conventions
-from .decorations import circling_lower_bound, decorate
+from .decorations import circling_lower_bound, decorate, decorated_crystal
 from .patterns import enumerate_patterns, polytope_upper_bound
 from .roots import (CartanSpec, build_root_system, character_dimension,
                     is_strongly_dominant, weight_in_hull, weyl_character,
@@ -29,6 +29,8 @@ def _case(name: str, ok: bool | None, **extra) -> dict:
 
 
 def _finish(suite: str, cases: list[dict]) -> dict:
+    if not cases:
+        raise ValueError(f"the {suite} suite selected no cases")
     return {"suite": suite,
             "ok": all(c["status"] != "fail" for c in cases),
             "cases": cases}
@@ -82,6 +84,8 @@ def run_gauss_suite(primes: tuple[int, ...] = (5, 7, 13),
                     degrees: tuple[int, ...] = (1, 2, 3, 4),
                     tol: float = 1e-6) -> dict:
     """Numeric character sums against the stored closed forms."""
+    if any(n < 1 for n in degrees):
+        raise ValueError(f"cover degrees must be >= 1, got {list(degrees)}")
     cases = []
     for n in degrees:
         for p in primes:
@@ -128,8 +132,8 @@ DEFAULT_TOKUYAMA_LAMBDAS: dict[int, tuple[tuple[int, ...], ...]] = {
 }
 
 
-def run_tokuyama_suite(lambdas: dict[int, tuple[tuple[int, ...], ...]] | None = None,
-                       conv: Conventions = DEFAULT) -> dict:
+def run_tokuyama_suite(lambdas: dict[int, tuple[tuple[int, ...], ...]] | None = None
+                       ) -> dict:
     """Degree-1 factorization: at each rank, every lambda's sum divides
     exactly by the twisted character of lambda - rho, with one quotient."""
     lambdas = lambdas or DEFAULT_TOKUYAMA_LAMBDAS
@@ -137,7 +141,7 @@ def run_tokuyama_suite(lambdas: dict[int, tuple[tuple[int, ...], ...]] | None = 
     res = None  # the first lambda's result at the smallest rank
     for rank, lams in sorted(lambdas.items()):
         rs = build_root_system(CartanSpec("A", rank))
-        results = [tokuyama_quotient(rs, lam, conv) for lam in lams]
+        results = [tokuyama_quotient(rs, lam) for lam in lams]
         divisible = all(r.ok for r in results)
         identical = divisible and all(r.quotient == results[0].quotient for r in results)
         cases.append(_case(f"rank={rank}: divisible and quotient identical",
@@ -165,29 +169,29 @@ def _coeff_vanishes_at_q0(coeff) -> bool:
 # Branching suite
 # ---------------------------------------------------------------------------
 
+# B, C and D beyond type A: the factorization is no theorem there, so it is
+# asserted on this fixed battery of (family, rank, lambda, cover degrees)
+_BRANCHING_BATTERY = (("B", 3, (1, 1, 1), (1, 2, 3)), ("C", 3, (1, 1, 1), (1, 2, 3)),
+                      ("D", 4, (1, 0, 0, 1), (1, 2, 3)), ("D", 4, (1, 1, 1, 1), (2,)))
+
+
 def run_branching_suite(conv: Conventions = DEFAULT) -> dict:
-    """Type A asserted (ranks 2..3, n in 1..3, coordinates in {1,2});
-    the other families run in report-only mode."""
+    """Top-row branching in every family: type A at ranks 2..3 with
+    coordinates in {1,2} and n in 1..3, then B3, C3 and D4 on
+    ``_BRANCHING_BATTERY``."""
+    battery = [("A", rank, lam, (1, 2, 3)) for rank in (2, 3)
+               for lam in itertools.product((1, 2), repeat=rank)]
     cases = []
-    for rank in (2, 3):
-        rs = build_root_system(CartanSpec("A", rank))
-        for lam in itertools.product((1, 2), repeat=rank):
-            for n in (1, 2, 3):
-                bd = branch_decompose(rs, lam, n, conv)
-                bad = [g for g in bd.groups
-                       if not (g.truncation_ok and g.s_additivity_ok and g.factorization_ok)]
-                cases.append(_case(
-                    f"A{rank} lambda={lam} n={n}", bd.all_ok,
-                    groups=len(bd.groups), identity=bd.identity_ok,
-                    witness=bad[0].witness if bad else None))
-    for family, rank, lam in (("B", 3, (1, 1, 1)), ("C", 3, (1, 1, 1)),
-                              ("D", 4, (1, 0, 0, 1))):
+    for family, rank, lam, degrees in battery + list(_BRANCHING_BATTERY):
         rs = build_root_system(CartanSpec(family, rank))
-        bd = branch_decompose(rs, lam, 1, conv)
-        cases.append(_case(
-            f"{family}{rank} lambda={lam} n=1 (report only): "
-            f"factorization={all(g.factorization_ok for g in bd.groups)}, "
-            f"identity={bd.identity_ok}", None))
+        for n in degrees:
+            bd = branch_decompose(rs, lam, n, conv)
+            bad = [g for g in bd.groups
+                   if not (g.truncation_ok and g.s_additivity_ok and g.factorization_ok)]
+            cases.append(_case(
+                f"{family}{rank} lambda={lam} n={n}", bd.all_ok,
+                groups=len(bd.groups), identity=bd.identity_ok,
+                witness=bad[0].witness if bad else None))
     return _finish("branching", cases)
 
 
@@ -205,8 +209,8 @@ def run_decorations_suite(conv: Conventions = DEFAULT) -> dict:
     for family, rank, lam in _DECORATION_BATTERY:
         rs = build_root_system(CartanSpec(family, rank))
         sound = True
-        for L in enumerate_patterns(rs, lam):
-            dp = decorate(L, lam, conv)
+        for dp in decorated_crystal(rs, lam):
+            L = dp.pattern
             for i, j, v in L.entries():
                 if dp.is_circled(i, j) != (v == circling_lower_bound(L, (i, j))):
                     sound = False
@@ -216,7 +220,7 @@ def run_decorations_suite(conv: Conventions = DEFAULT) -> dict:
 
         zero = next(iter(enumerate_patterns(rs, tuple([0] * rank))))
         if is_strongly_dominant(lam):
-            dzp = decorate(zero, lam, conv)
+            dzp = decorate(zero, lam)
             fully = all(dzp.is_circled(i, j) and not dzp.is_boxed(i, j)
                         for i, j, _ in zero.entries())
             cases.append(_case(f"{family}{rank} zero pattern fully circled, unboxed",
@@ -230,20 +234,21 @@ def run_decorations_suite(conv: Conventions = DEFAULT) -> dict:
         classified = True
         forced = 0
         P = p_part(rs4, lam, 1, conv, allow_dominant=True)
-        for L in enumerate_patterns(rs4, lam):
-            dp = decorate(L, lam, conv)
-            forced += count_forced_sigma(dp)
-            for comp in dp.components:
-                if comp.kind not in ("generic", "ml", "sml"):
-                    classified = False
-                has_cb = any(dp.is_circled(comp.row, j) and dp.is_boxed(comp.row, j)
-                             for j in range(comp.j1, comp.j2 + 1))
-                val = sigma_component(comp, dp, 1)
-                if has_cb and not val.is_zero():
-                    zeroing_ok = False
-                if (comp.kind == "sml" and comp.value == 0 and not has_cb
-                        and not val.is_one()):
-                    sml_zero_ok = False
+        for dp in decorated_crystal(rs4, lam):
+            forced += count_forced_sigma(dp, conv)
+            for i, row in enumerate(dp.pattern.rows, start=1):
+                for comp in row_components(rs4.spec, i, row, conv):
+                    if comp.kind not in ("generic", "ml", "sml"):
+                        classified = False
+                    has_cb = any(dp.is_circled(i, j) and dp.is_boxed(i, j)
+                                 for j in range(comp.j1, comp.j2 + 1))
+                    val = _component_factor(comp, row, dp.circled[i - 1],
+                                            dp.boxed[i - 1], 1)
+                    if has_cb and not val.is_zero():
+                        zeroing_ok = False
+                    if (comp.kind == "sml" and comp.value == 0 and not has_cb
+                            and not val.is_one()):
+                        sml_zero_ok = False
         in_hull = all(weight_in_hull(rs4, lam, w) for w in P.terms)
         cases.append(_case(f"D4 lambda={lam} zero-run sml components contribute 1",
                            sml_zero_ok))

@@ -94,6 +94,17 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert not json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--suite", "gauss", "--n", "0"], "cover degrees must be >= 1"),
+    (["--suite", "gauss", "--n", "5"], "gauss suite selected no cases"),
+    (["--suite", "character", "--max-dim", "0"], "character suite selected no cases"),
+], ids=["gauss-degree-0", "gauss-no-prime-fits", "character-max-dim-0"])
+def test_verify_empty_or_malformed_run_exits_two(capsys, argv, message):
+    # a run that checks nothing is invalid configuration, not a pass
+    code, out, err = run(capsys, ["verify", *argv])
+    assert code == 2 and out == "" and message in err
+
+
 def test_verify_unknown_suite_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "nonsense"])

@@ -86,12 +86,6 @@ def test_gauss_symbol_value_semantics():
         a.residue = 2
 
 
-def test_power():
-    x = Q(1) + ONE
-    assert x ** 3 == x * x * x
-    assert x ** 0 == ONE
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------

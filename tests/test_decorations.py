@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from crystalmds import (CartanSpec, DEFAULT, LittelmannPattern,
-                        build_components_D, build_root_system,
-                        circling_lower_bound, decorate, enumerate_patterns,
-                        pattern_shape, polytope_upper_bound, render,
-                        weyl_dimension)
+                        build_root_system, circling_lower_bound, decorate,
+                        enumerate_patterns, pattern_shape, polytope_upper_bound,
+                        render, row_components, weyl_dimension)
 from crystalmds.decorations import decorated_crystal
 from crystalmds.verification import CHARACTER_BATTERY
 
@@ -116,24 +115,23 @@ def test_walk_masks_match_decorate_and_definitions():
 # type-D components
 # ---------------------------------------------------------------------------
 
-def comps_for(rows, lam=(2, 2, 2), rank=3, conv=DEFAULT):
-    dp = decorate(P("D", rank, rows), lam, conv)
-    return [c for c in dp.components if c.row == 1], dp
+def comps_for(rows, rank=3, conv=DEFAULT):
+    """Components of the top row of a type-D pattern."""
+    return row_components(CartanSpec("D", rank), 1, rows[0], conv)
 
 
 def test_zero_row_is_sml():
-    comps, _ = comps_for([[0, 0, 0, 0], [0, 0]])
+    comps = comps_for([[0, 0, 0, 0], [0, 0]])
     assert len(comps) == 1
     c = comps[0]
     assert c.kind == "sml" and c.value == 0 and c.length == 2
     # bottom row of a type-D pattern consists of the two central columns
-    dp = decorate(zero_pattern("D", 3), (1, 1, 1))
-    bottom = [c for c in dp.components if c.row == 2]
+    bottom = row_components(CartanSpec("D", 3), 2, zero_pattern("D", 3).rows[1])
     assert len(bottom) == 1 and bottom[0].kind == "sml" and bottom[0].length == 1
 
 
 def test_central_pair_run_is_sml():
-    comps, _ = comps_for([[2, 1, 1, 0], [0, 0]])
+    comps = comps_for([[2, 1, 1, 0], [0, 0]])
     spans = {(c.j1, c.j2): c for c in comps}
     assert set(spans) == {(1, 1), (2, 3), (4, 4)}
     middle = spans[(2, 3)]
@@ -141,7 +139,7 @@ def test_central_pair_run_is_sml():
 
 
 def test_unequal_central_entries_stay_apart():
-    comps, _ = comps_for([[2, 1, 0, 0], [0, 0]])
+    comps = comps_for([[2, 1, 0, 0], [0, 0]])
     spans = sorted((c.j1, c.j2) for c in comps)
     assert spans == [(1, 1), (2, 2), (3, 4)]
     assert all(c.kind == "generic" for c in comps)
@@ -149,13 +147,13 @@ def test_unequal_central_entries_stay_apart():
 
 def test_strict_component_rule_splits_bare_pair():
     conv = DEFAULT.with_flags(d_component_rule="strict")
-    comps, _ = comps_for([[2, 1, 1, 0], [0, 0]], conv=conv)
+    comps = comps_for([[2, 1, 1, 0], [0, 0]], conv=conv)
     spans = sorted((c.j1, c.j2) for c in comps)
     assert spans == [(1, 1), (2, 2), (3, 3), (4, 4)]
 
 
 def test_asymmetric_multiple_leaner():
-    comps, _ = comps_for([[1, 1, 1, 0], [0, 0]], lam=(2, 2, 2))
+    comps = comps_for([[1, 1, 1, 0], [0, 0]])
     spans = {(c.j1, c.j2): c for c in comps}
     ml = spans[(1, 3)]
     assert ml.kind == "ml" and ml.shorter_leg_col == 3
@@ -163,7 +161,7 @@ def test_asymmetric_multiple_leaner():
 
 def test_legs_span_rule_demotes_central_run():
     conv = DEFAULT.with_flags(ml_span_rule="legs")
-    comps, _ = comps_for([[2, 1, 1, 0], [0, 0]], conv=conv)
+    comps = comps_for([[2, 1, 1, 0], [0, 0]], conv=conv)
     middle = next(c for c in comps if (c.j1, c.j2) == (2, 3))
     assert middle.kind == "generic"
 
@@ -173,25 +171,19 @@ def test_components_partition_rows():
     lam = (1, 1, 1, 1)
     count = 0
     for L in enumerate_patterns(rs, lam):
-        dp = decorate(L, lam)
         covered = {}
-        for c in dp.components:
-            if c.kind == "sml":
-                assert c.j1 + c.j2 == 2 * 4 - 1 and c.length >= 1
-            for j in range(c.j1, c.j2 + 1):
-                assert (c.row, j) not in covered
-                covered[(c.row, j)] = c
-                assert L.a(c.row, j) == c.value
+        for i, row in enumerate(L.rows, start=1):
+            for c in row_components(rs.spec, i, row):
+                if c.kind == "sml":
+                    assert c.j1 + c.j2 == 2 * 4 - 1 and c.length >= 1
+                for j in range(c.j1, c.j2 + 1):
+                    assert (c.row, j) not in covered
+                    covered[(c.row, j)] = c
+                    assert L.a(c.row, j) == c.value
         assert set(covered) == {(i, j) for i, j, _ in L.entries()}
         count += 1
         if count > 400:
             break
-
-
-def test_build_components_requires_type_d():
-    dp = decorate(P("A", 2, [[0, 0], [0]]), (1, 1))
-    with pytest.raises(ValueError):
-        build_components_D(dp)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ import json
 
 import pytest
 
-from crystalmds import cli
-from crystalmds import (DEFAULT, CartanSpec, CoeffElement, WeightPolynomial,
-                        build_root_system, branch_decompose,
+from crystalmds import cli, series
+from crystalmds import (DEFAULT, CartanSpec, CoeffElement, LittelmannPattern,
+                        WeightPolynomial, build_root_system, branch_decompose,
                         character_via_patterns, decorate, enumerate_patterns,
                         p_part, pattern_coefficient, pattern_wt,
                         polynomial_json_obj, specialize_n1, tokuyama_quotient,
                         twisted_character, weight_in_hull, weyl_character,
                         weyl_dimension)
+from crystalmds.decorations import decorated_crystal
 from crystalmds.series import specialize_poly_n1
 from crystalmds.verification import CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms
@@ -34,10 +35,10 @@ def per_leaf_p_part(r, lam, degrees, conv):
     decorated leaf at its weight, for every cover degree in ``degrees``."""
     acc = {n: {} for n in degrees}
     for L in enumerate_patterns(r, lam):
-        dp = decorate(L, lam, conv)
+        dp = decorate(L, lam)
         w = pattern_wt(L, lam)
         for n in degrees:
-            c = pattern_coefficient(dp, n)
+            c = pattern_coefficient(dp, n, conv)
             acc[n][w] = acc[n][w] + c if w in acc[n] else c
     return {n: WeightPolynomial(r.height_vec, terms).terms for n, terms in acc.items()}
 
@@ -240,8 +241,31 @@ def test_branch_identity_and_factorization_a2(n):
 
 
 def test_branch_report_only_families():
+    # asserted beyond type A too, as in the branching suite
     bd = branch_decompose(rs("D", 4), (1, 0, 0, 1), 1)
-    assert bd.identity_ok  # recorded finding: the split is exact here too
+    assert bd.identity_ok and bd.all_ok
+
+
+def test_branch_missing_truncation_is_recorded(monkeypatch):
+    # a truncation missing from the branch crystal fails to factor, with its
+    # pattern as witness, and raises nothing
+    dropped = {}
+
+    def lossy(r, lam):
+        leaves = list(decorated_crystal(r, lam))
+        if r.rank == 3:
+            return leaves
+        dropped[lam] = leaves[-1].pattern.rows
+        return leaves[:-1]
+
+    monkeypatch.setattr(series, "decorated_crystal", lossy)
+    bd = branch_decompose(rs("A", 3), (1, 1, 1), 1)
+    bad = [g for g in bd.groups if not g.factorization_ok]
+    assert bad and not bd.all_ok
+    for g in bad:
+        assert not g.truncation_ok and g.s_additivity_ok
+        L = LittelmannPattern.from_text(CartanSpec("A", 3), g.witness)
+        assert L.rows[1:] == dropped[g.mu]
 
 
 def test_branch_rank_restrictions():
