@@ -22,9 +22,8 @@ from .patterns import (LittelmannPattern, bzl_to_pattern, cone_satisfied,
                        polytope_satisfied, polytope_upper_bound)
 from .decorations import (DecoratedPattern, circling_lower_bound, decorate,
                           render)
-from .series import (BranchDecomposition, BranchTerm, WeightPolynomial,
-                     branch_decompose, character_via_patterns, p_part,
-                     polynomial_json_obj, specialize_poly_n1,
-                     tokuyama_quotient, twisted_character)
+from .series import (BranchDecomposition, WeightPolynomial, branch_decompose,
+                     character_via_patterns, p_part, polynomial_json_obj,
+                     specialize_poly_n1, tokuyama_quotient, twisted_character)
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-from .conventions import DEFAULT
 from .decorations import decorated_crystal, render
 from .roots import CartanSpec, build_root_system, is_strongly_dominant
 from .series import character_via_patterns, p_part, polynomial_json_obj
@@ -83,8 +82,7 @@ def _compute_poly(args):
         raise ValueError(
             "p-part semantics require a strongly dominant lambda; "
             "pass --allow-dominant to sum over a boundary crystal anyway")
-    return rs, p_part(rs, args.lam, args.n, DEFAULT,
-                      allow_dominant=args.allow_dominant)
+    return rs, p_part(rs, args.lam, args.n, allow_dominant=args.allow_dominant)
 
 
 def cmd_compute(args) -> int:

@@ -18,11 +18,14 @@ residue ring by direct summation, providing the independent oracle used to
 pin these closed forms.  Under degree n = 1 every symbol evaluates to -1
 (``specialize_n1``).
 
-A decorated pattern's coefficient is a product of one factor per entry in
-types A, B and C (``entry_factor``).  In type D it is a product over the
-connected components of each row (``row_components``, ``_component_factor``);
-this module holds that whole rule, and it is the only reader of the
-``Conventions`` switches that leave the rule open.
+A decorated pattern's coefficient is a product of local factors, one per
+slot (``slot_factor``), and each is read off the slot's own row: the entry's
+factor in types A, B and C (``entry_factor``), and in type D the product over
+the connected components of the row (``row_components``,
+``_component_factor``), placed at the row's last slot.  ``pattern_coefficient``
+and the prefix products of ``series.p_part`` both multiply these factors.
+This module holds the whole rule, and it is the only reader of the
+``Conventions`` switches that leave the type-D rule open.
 
 Everything here is immutable and safe to share between threads.
 """
@@ -491,10 +494,22 @@ def _component_factor(comp: ComponentD, row, crow, brow, n: int,
     return right * (_ONE - CoeffElement.q_power(-comp.length))
 
 
-def row_factor_d(spec: CartanSpec, i: int, row, crow, brow, n: int,
-                 conv: Conventions) -> CoeffElement:
-    """Product of the component factors of complete row ``i`` of a type-D
-    pattern, given as its values and its circled and boxed marks."""
+def slot_factor(spec: CartanSpec, i: int, j: int, row, crow, brow, n: int,
+                conv: Conventions = DEFAULT) -> CoeffElement:
+    """Factor of slot (i, j), read off row ``i`` alone: its values and its
+    circled and boxed marks, each indexed by column minus the row index.
+
+    In types A, B and C this is the entry's own factor.  In type D the row
+    contributes the product of its component factors at its last slot in
+    enumeration order (j == i, where the row is complete), and every other
+    slot contributes 1.
+    """
+    if spec.family != "D":
+        off = j - i
+        return entry_factor(spec.family, row[off], crow[off], brow[off],
+                            j == spec.rank, n)
+    if j != i:
+        return _ONE
     out = _ONE
     for comp in row_components(spec, i, row, conv):
         out = out * _component_factor(comp, row, crow, brow, n)
@@ -505,26 +520,20 @@ def row_factor_d(spec: CartanSpec, i: int, row, crow, brow, n: int,
 
 def pattern_coefficient(dp: DecoratedPattern, n: int,
                         conv: Conventions = DEFAULT) -> CoeffElement:
-    """Total coefficient of a decorated pattern: product over entries
-    (types A/B/C) or over the components of each row (type D)."""
-    spec = dp.pattern.spec
+    """Total coefficient of a decorated pattern: the product of its slot
+    factors."""
+    L = dp.pattern
     out = _ONE
-    if spec.family == "D":
-        for k, row in enumerate(dp.pattern.rows):
-            out = out * row_factor_d(spec, k + 1, row, dp.circled[k], dp.boxed[k], n, conv)
-            if out.is_zero():
-                return _ZERO
-        return out
-    r = spec.rank
-    for i, j, a in dp.pattern.entries():
-        out = out * entry_factor(spec.family, a, dp.is_circled(i, j),
-                                 dp.is_boxed(i, j), j == r, n)
+    for i, j in L.positions():
+        k = i - 1
+        out = out * slot_factor(L.spec, i, j, L.rows[k], dp.circled[k],
+                                dp.boxed[k], n, conv)
         if out.is_zero():
             return _ZERO
     return out
 
 
-def count_forced_sigma(dp: DecoratedPattern, conv: Conventions = DEFAULT) -> int:
+def count_forced_sigma(dp: DecoratedPattern) -> int:
     """Number of sigma evaluations on a circled-and-unboxed entry for this
     pattern (the case the published rule leaves open), counted by running
     every component's factor with a counting sigma."""
@@ -539,6 +548,6 @@ def count_forced_sigma(dp: DecoratedPattern, conv: Conventions = DEFAULT) -> int
         return sigma_entry(a, circled, boxed, n)
 
     for k, row in enumerate(dp.pattern.rows):
-        for comp in row_components(spec, k + 1, row, conv):
+        for comp in row_components(spec, k + 1, row):
             _component_factor(comp, row, dp.circled[k], dp.boxed[k], 1, counting_sigma)
     return forced

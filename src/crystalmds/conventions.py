@@ -8,7 +8,7 @@ defaults are the readings the package has used so far; the test suite runs
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,6 @@ class Conventions:
     #   "centrals": any maximal run covering both central columns qualifies.
     #   "legs":     the run must also contain at least one cell of each leg.
     ml_span_rule: str = "centrals"
-
-    def with_flags(self, **kwargs) -> "Conventions":
-        return replace(self, **kwargs)
 
 
 DEFAULT = Conventions()

@@ -24,7 +24,7 @@ def circling_lower_bound(L: LittelmannPattern, pos: Position) -> int | Fraction:
     i, j = pos
     if not (1 <= i <= len(L.rows) and i <= j <= row_end(L.spec, i)):
         raise ValueError(f"position {pos} is outside the {L.spec} shape")
-    return _chain_lower_bound(L.a, L.spec, i, j)
+    return _chain_lower_bound(L.rows[i - 1], L.spec, i, j)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ Enumeration walks slots row by row from the top, right to left inside each
 row.  Under that order the cone gives an exact lower bound and the polytope
 an exact upper bound for the next entry from already-placed entries alone,
 so the search prunes at the first violated constraint and every leaf is a
-crystal element.  The upper bound is one coordinate of the weight of the
-entries already placed, which the walk carries along.  The same walk marks
+crystal element.  The lower bound reads only the slot's own row, to its
+right; the upper bound is one coordinate of the weight of the entries
+already placed, which the walk carries along.  The same walk marks
 each entry that meets one of its bounds, which is all the circling and
 boxing masks need.
 """
@@ -62,22 +63,8 @@ def column_letter(spec: CartanSpec, j: int) -> int:
     return j - r + 2
 
 
-class _RowAccess:
-    """Entry access shared by finished patterns and the walk's buffer."""
-
-    __slots__ = ()
-
-    def a(self, i: int, j: int) -> int:
-        """Entry at row i, flat column j; 0 outside the shape."""
-        if not 1 <= i <= len(self.rows):
-            return 0
-        if not i <= j <= row_end(self.spec, i):
-            return 0
-        return self.rows[i - 1][j - i]
-
-
 @dataclass(frozen=True)
-class LittelmannPattern(_RowAccess):
+class LittelmannPattern:
     spec: CartanSpec
     rows: tuple[tuple[int, ...], ...]
 
@@ -87,6 +74,14 @@ class LittelmannPattern(_RowAccess):
             raise ValueError(f"rows do not fit the {self.spec} shape {shape}")
         if any(v < 0 for row in self.rows for v in row):
             raise ValueError("pattern entries must be nonnegative")
+
+    def a(self, i: int, j: int) -> int:
+        """Entry at row i, flat column j; 0 outside the shape."""
+        if not 1 <= i <= len(self.rows):
+            return 0
+        if not i <= j <= row_end(self.spec, i):
+            return 0
+        return self.rows[i - 1][j - i]
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
         for i, row in enumerate(self.rows, start=1):
@@ -111,29 +106,32 @@ class LittelmannPattern(_RowAccess):
 # Cone chain
 # ---------------------------------------------------------------------------
 
-def _chain_lower_bound(a, spec: CartanSpec, i: int, j: int):
-    """Lower bound imposed on slot (i, j) by the row chain; entries beyond the
-    row read 0.  Exact value (a Fraction for the halved case in type B)."""
+def _chain_lower_bound(row, spec: CartanSpec, i: int, j: int):
+    """Lower bound imposed on slot (i, j) by the chain of row ``i``, given as
+    its values left to right; entries past the row end read 0.  Exact value
+    (a Fraction for the halved case in type B)."""
     r = spec.rank
     fam = spec.family
+    off = j + 1 - i  # the right neighbour
+    scale = 1
     if fam == "B":
         if j == r - 1:
-            return Fraction(a(i, r), 2)
+            return Fraction(row[off], 2)
         if j == r:
-            return 2 * a(i, r + 1)
+            scale = 2
     elif fam == "D":
         if j == r - 2:
-            return max(a(i, r - 1), a(i, r))
+            return max(row[off], row[off + 1])
         if j == r - 1:
-            return a(i, r + 1)
-    return a(i, j + 1)
+            off += 1
+    return scale * row[off] if off < len(row) else 0
 
 
 def cone_satisfied(L: LittelmannPattern) -> bool:
     """Row chains hold: weakly decreasing with the family's central variants
     (doubled comparisons in B, incomparable central pair in D)."""
-    return all(L.a(i, j) >= _chain_lower_bound(L.a, L.spec, i, j)
-               for i, j in L.positions())
+    return all(v >= _chain_lower_bound(L.rows[i - 1], L.spec, i, j)
+               for i, j, v in L.entries())
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +182,6 @@ def polytope_satisfied(L: LittelmannPattern, lam: Weight) -> bool:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-class _Partial(_RowAccess):
-    """Mutable pattern under construction; quacks like LittelmannPattern for
-    the cone lower bound."""
-
-    __slots__ = ("spec", "rows")
-
-    def __init__(self, spec: CartanSpec, rows: list[list[int]]):
-        self.spec = spec
-        self.rows = rows
-
-
 def enumeration_slots(spec: CartanSpec) -> list[Position]:
     """Slot order used by the enumerator: rows top to bottom, right to left."""
     return [(i, j)
@@ -211,7 +198,8 @@ def _walk(spec: CartanSpec, lam: Weight,
     Slots are visited in ``enumeration_slots`` order, the reverse of the long
     word, and the walk carries the weight lam - sum v * alpha(letter) of the
     entries already placed.  Each node evaluates the slot's cone lower bound
-    from those entries and reads its polytope upper bound off that weight:
+    from the entries of its row buffer and reads its polytope upper bound
+    off that weight:
     the coordinate of the slot's column letter.  Every value placed there
     records its marks: circled when it equals the lower bound (in the halved
     B slot, when twice it equals a(i, r)), boxed when it equals the upper
@@ -237,7 +225,6 @@ def _walk(spec: CartanSpec, lam: Weight,
     rows = [[0] * n for n in shape]
     circled = [[False] * n for n in shape]
     boxed = [[False] * n for n in shape]
-    partial = _Partial(spec, rows)
     rs = build_root_system(spec)
     r = spec.rank
     halved = r - 1 if spec.family == "B" else 0  # column whose bound is a(i, r)/2
@@ -262,10 +249,10 @@ def _walk(spec: CartanSpec, lam: Weight,
         i, j, row, crow, brow, off, c, drop = frames[k]
         if tries[k] is None:  # first visit: evaluate the slot's bounds
             if j == halved:
-                twice = partial.a(i, r)
+                twice = row[r - i]
                 lo, tight = (twice + 1) // 2, (None if twice % 2 else twice // 2)
             else:
-                lo = tight = _chain_lower_bound(partial.a, spec, i, j)
+                lo = tight = _chain_lower_bound(row, spec, i, j)
             wt = wts[k]
             hi = wt[c]
             first = lo if pinned is None else pinned[i - 1][off]

@@ -186,8 +186,10 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
     ainv = _invert(cartan)
     d = _symmetrizer(spec)
 
-    # Reflection closure of the simple roots; positives have nonnegative
-    # root coordinates.
+    # Upward reflection closure of the simple roots: reflecting a positive
+    # root through a simple root it pairs negatively with adds a multiple of
+    # that root, so the closure stays positive, and every positive root is
+    # reached from a simple root this way.
     simple_wt = [tuple(cartan[i][k] for i in range(r)) for k in range(r)]
     seen: dict[Weight, tuple[int, ...]] = {}
     frontier = []
@@ -200,7 +202,7 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
         for wt, rc in frontier:
             for k in range(r):
                 c = wt[k]
-                if c == 0:
+                if c >= 0:
                     continue
                 nwt = tuple(wt[i] - c * cartan[i][k] for i in range(r))
                 if nwt in seen:
@@ -209,10 +211,7 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
                 seen[nwt] = nrc
                 nxt.append((nwt, nrc))
         frontier = nxt
-    positives = sorted(
-        ((wt, rc) for wt, rc in seen.items() if all(x >= 0 for x in rc)),
-        key=lambda p: (sum(p[1]), p[1]),
-    )
+    positives = sorted(seen.items(), key=lambda p: (sum(p[1]), p[1]))
     if len(positives) != spec.positive_root_count():
         raise AssertionError(
             f"positive-root closure produced {len(positives)} roots for {spec}, "

@@ -3,8 +3,8 @@
 ``p_part`` assembles the polynomial P over a highest-weight crystal: each
 pattern contributes its Gauss-sum coefficient at its weight.  The
 enumeration walk carries the weight, and the coefficient is built as a prefix
-product along it, so patterns sharing their top entries share those factors,
-and a zero factor skips its whole subtree.  With every coefficient replaced
+product of ``coefficients.slot_factor`` along it, so patterns sharing their
+top entries share those factors, and a zero factor skips its whole subtree.  With every coefficient replaced
 by 1 the same sum is the Weyl character, which gives the primary cross-check
 against the alternating-sum character.
 
@@ -15,14 +15,15 @@ weight; this is the variable normalization under which the factorization is
 exact in the weight-polynomial ring (see README notes).
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
-and verifies that both weights and coefficients factor through the split.
+and verifies that both weights and coefficients factor through the split;
+groups sharing a branch weight share one walk of its crystal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .coefficients import (CoeffElement, entry_factor, pattern_coefficient,
-                           row_factor_d, specialize_n1)
+from .coefficients import (CoeffElement, pattern_coefficient, slot_factor,
+                           specialize_n1)
 from .conventions import DEFAULT, Conventions
 from .decorations import DecoratedPattern, decorate, decorated_crystal
 from .patterns import (LittelmannPattern, _crystal_walk, enumeration_slots,
@@ -34,7 +35,7 @@ from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
 __all__ = [
     "WeightPolynomial", "character_via_patterns", "p_part",
     "TokuyamaResult", "tokuyama_quotient",
-    "BranchTerm", "BranchGroupReport", "BranchDecomposition", "branch_decompose",
+    "BranchGroupReport", "BranchDecomposition", "branch_decompose",
     "polynomial_json_obj",
 ]
 
@@ -71,22 +72,16 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
             "pass allow_dominant=True to sum anyway")
 
     # The walk carries the coefficient as a prefix product along the path: a
-    # value at slot k multiplies it by the slot's factor.  A zero factor
+    # value at slot k multiplies it by the slot's factor, read off the slot's
+    # row as the walk has filled it so far.  A zero factor
     # leaves only zero coefficients below, so the subtree is skipped.
     spec = rs.spec
-    family, r = spec.family, spec.rank
     slots = enumeration_slots(spec)
     one = CoeffElement.one()
 
     def fold(k, coeff, row, crow, brow):
         i, j = slots[k]
-        off = j - i
-        if family != "D":
-            f = entry_factor(family, row[off], crow[off], brow[off], j == r, n)
-        elif j == i:  # a type-D row contributes once it is complete
-            f = row_factor_d(spec, i, row, crow, brow, n, conv)
-        else:
-            return coeff
+        f = slot_factor(spec, i, j, row, crow, brow, n, conv)
         return None if f.is_zero() else coeff * f
 
     acc: dict[Weight, CoeffElement] = {}
@@ -157,26 +152,19 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BranchTerm:
-    """One monomial factor in P_lambda = sum over mu of p(mu) * P_mu:
-    a rank-(r-1) highest weight, a rank-r weight shift, and a scalar."""
+class BranchGroupReport:
+    """One top row of the crystal: its rank-(r-1) branch weight ``mu``, and
+    the rank-r weight shift and scalar with which P_mu enters P_lambda, as
+    in P_lambda = sum over groups of scalar * x^shift * P_mu; then the
+    group's checks."""
+    top_row: tuple[int, ...]
     mu: Weight
     shift: Weight
     scalar: CoeffElement
-
-
-@dataclass(frozen=True)
-class BranchGroupReport:
-    top_row: tuple[int, ...]
-    mu: Weight
     size: int
     truncation_ok: bool
     s_additivity_ok: bool
     factorization_ok: bool
-    # informational: true iff mu is far enough from the walls that the
-    # truncated zero pattern carries coefficient 1 (otherwise the group's
-    # scalar is 0 and the factorization is trivially consistent)
-    zero_coeff_is_one: bool
     witness: str | None = None
 
 
@@ -184,7 +172,6 @@ class BranchGroupReport:
 class BranchDecomposition:
     lam: Weight
     n: int
-    terms: tuple[BranchTerm, ...]
     groups: tuple[BranchGroupReport, ...]
     identity_ok: bool
 
@@ -199,14 +186,14 @@ def _truncate(L: LittelmannPattern, sub_spec: CartanSpec) -> LittelmannPattern:
     return LittelmannPattern(sub_spec, L.rows[1:])
 
 
-def branch_decompose(rs: RootSystem, lam: Weight, n: int,
-                     conv: Conventions = DEFAULT) -> BranchDecomposition:
+def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition:
     """Group the crystal by top row, recover each branch highest weight, and
     check that weights and coefficients factor through top-row deletion.
 
     All checks are recorded per group rather than raised, a truncation
     missing from the branch crystal included; the factorization is a theorem
-    in type A and checked on a fixed battery elsewhere.
+    in type A and checked on a fixed battery elsewhere.  Each distinct
+    branch crystal is walked, and its p-part computed, once.
     """
     lam = tuple(lam)
     spec = rs.spec
@@ -223,7 +210,9 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
     for dp in decorated_crystal(rs, lam):
         groups.setdefault(dp.pattern.rows[0], []).append(dp)
 
-    terms: list[BranchTerm] = []
+    # per branch weight: the coefficients of its crystal's leaves keyed by
+    # rows, and its p-part
+    branches: dict[Weight, tuple[dict, WeightPolynomial]] = {}
     reports: list[BranchGroupReport] = []
     reconstructed: dict[Weight, CoeffElement] = {}
 
@@ -235,10 +224,13 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
         mu = shift[:r - 1]
         if not is_dominant(mu):
             raise AssertionError(f"branch weight {mu} is not dominant")
-        scalar = pattern_coefficient(decorate(top_only, lam), n, conv)
+        scalar = pattern_coefficient(decorate(top_only, lam), n)
+        if mu not in branches:
+            branches[mu] = ({dp.pattern.rows: pattern_coefficient(dp, n)
+                             for dp in decorated_crystal(sub_rs, mu)},
+                            p_part(sub_rs, mu, n, allow_dominant=True))
+        sub, sub_poly = branches[mu]
 
-        # the branch crystal's decorated leaves, keyed by rows
-        sub = {dp.pattern.rows: dp for dp in decorated_crystal(sub_rs, mu)}
         truncs = {dp.pattern.rows[1:] for dp in members}
         truncation_ok = (set(sub) == truncs
                          and top_only.rows in {dp.pattern.rows for dp in members})
@@ -256,24 +248,17 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
                 s_add_ok = False
                 witness = witness or L.to_text()
             # a truncation missing from the branch crystal fails to factor
-            dp_sub = sub.get(Lp.rows)
-            if dp_sub is None or (pattern_coefficient(dp, n, conv)
-                                  != scalar * pattern_coefficient(dp_sub, n, conv)):
+            c_sub = sub.get(Lp.rows)
+            if c_sub is None or pattern_coefficient(dp, n) != scalar * c_sub:
                 fact_ok = False
                 witness = witness or L.to_text()
 
-        zero_sub = sub.get(zero_rows)
-        zero_ok = zero_sub is not None and pattern_coefficient(zero_sub, n, conv).is_one()
-
-        terms.append(BranchTerm(mu=mu, shift=shift, scalar=scalar))
         reports.append(BranchGroupReport(
-            top, mu=mu, size=len(members),
+            top, mu=mu, shift=shift, scalar=scalar, size=len(members),
             truncation_ok=truncation_ok, s_additivity_ok=s_add_ok,
-            factorization_ok=fact_ok, zero_coeff_is_one=zero_ok,
-            witness=witness))
+            factorization_ok=fact_ok, witness=witness))
 
         # accumulate p(mu) * P_mu embedded along the simple-root identification
-        sub_poly = p_part(sub_rs, mu, n, conv, allow_dominant=True)
         for wprime, c in sub_poly.terms.items():
             drop = sub_rs.root_coordinates(tuple(a - b for a, b in zip(mu, wprime)))
             if any(x.denominator != 1 for x in drop):
@@ -289,11 +274,11 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int,
             reconstructed[key] = reconstructed[key] + add if key in reconstructed else add
 
     total = WeightPolynomial(rs.height_vec, reconstructed)
-    direct = p_part(rs, lam, n, conv, allow_dominant=True)
+    direct = p_part(rs, lam, n, allow_dominant=True)
     identity_ok = total == WeightPolynomial(rs.height_vec, direct.terms)
 
-    return BranchDecomposition(lam=lam, n=n, terms=tuple(terms),
-                               groups=tuple(reports), identity_ok=identity_ok)
+    return BranchDecomposition(lam=lam, n=n, groups=tuple(reports),
+                               identity_ok=identity_ok)
 
 
 # ---------------------------------------------------------------------------

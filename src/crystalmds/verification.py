@@ -11,7 +11,6 @@ import itertools
 
 from .coefficients import (_component_factor, count_forced_sigma, g_value,
                            gauss_numeric, h_value, row_components, specialize_n1)
-from .conventions import DEFAULT, Conventions
 from .decorations import circling_lower_bound, decorate, decorated_crystal
 from .patterns import enumerate_patterns, polytope_upper_bound
 from .roots import (CartanSpec, build_root_system, character_dimension,
@@ -175,7 +174,7 @@ _BRANCHING_BATTERY = (("B", 3, (1, 1, 1), (1, 2, 3)), ("C", 3, (1, 1, 1), (1, 2,
                       ("D", 4, (1, 0, 0, 1), (1, 2, 3)), ("D", 4, (1, 1, 1, 1), (2,)))
 
 
-def run_branching_suite(conv: Conventions = DEFAULT) -> dict:
+def run_branching_suite() -> dict:
     """Top-row branching in every family: type A at ranks 2..3 with
     coordinates in {1,2} and n in 1..3, then B3, C3 and D4 on
     ``_BRANCHING_BATTERY``."""
@@ -185,7 +184,7 @@ def run_branching_suite(conv: Conventions = DEFAULT) -> dict:
     for family, rank, lam, degrees in battery + list(_BRANCHING_BATTERY):
         rs = build_root_system(CartanSpec(family, rank))
         for n in degrees:
-            bd = branch_decompose(rs, lam, n, conv)
+            bd = branch_decompose(rs, lam, n)
             bad = [g for g in bd.groups
                    if not (g.truncation_ok and g.s_additivity_ok and g.factorization_ok)]
             cases.append(_case(
@@ -203,7 +202,7 @@ _DECORATION_BATTERY = (("A", 2, (2, 1)), ("A", 3, (1, 1, 1)), ("B", 2, (1, 2)),
                        ("C", 2, (2, 1)), ("D", 3, (1, 1, 1)), ("D", 4, (1, 1, 1, 1)))
 
 
-def run_decorations_suite(conv: Conventions = DEFAULT) -> dict:
+def run_decorations_suite() -> dict:
     """Mask tightness, zero-pattern decoration, and the type-D component rules."""
     cases = []
     for family, rank, lam in _DECORATION_BATTERY:
@@ -231,15 +230,12 @@ def run_decorations_suite(conv: Conventions = DEFAULT) -> dict:
     for lam in ((1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 1, 1)):
         sml_zero_ok = True
         zeroing_ok = True
-        classified = True
         forced = 0
-        P = p_part(rs4, lam, 1, conv, allow_dominant=True)
+        P = p_part(rs4, lam, 1, allow_dominant=True)
         for dp in decorated_crystal(rs4, lam):
-            forced += count_forced_sigma(dp, conv)
+            forced += count_forced_sigma(dp)
             for i, row in enumerate(dp.pattern.rows, start=1):
-                for comp in row_components(rs4.spec, i, row, conv):
-                    if comp.kind not in ("generic", "ml", "sml"):
-                        classified = False
+                for comp in row_components(rs4.spec, i, row):
                     has_cb = any(dp.is_circled(i, j) and dp.is_boxed(i, j)
                                  for j in range(comp.j1, comp.j2 + 1))
                     val = _component_factor(comp, row, dp.circled[i - 1],
@@ -254,7 +250,6 @@ def run_decorations_suite(conv: Conventions = DEFAULT) -> dict:
                            sml_zero_ok))
         cases.append(_case(f"D4 lambda={lam} circled-and-boxed member zeroes component",
                            zeroing_ok))
-        cases.append(_case(f"D4 lambda={lam} all components classified", classified))
         cases.append(_case(f"D4 lambda={lam} support inside the orbit hull", in_hull,
                            terms=len(P.terms)))
         cases.append(_case(f"D4 lambda={lam} forced circled-unboxed sigma evaluations",

@@ -59,9 +59,6 @@ class WeightPolynomial:
                 and self.height_vec == other.height_vec
                 and self.terms == other.terms)
 
-    def __hash__(self):  # pragma: no cover - not used as a key in hot paths
-        return hash((self.height_vec, frozenset(self.terms.items())))
-
     def __repr__(self):
         bits = [f"({self.terms[w]!r})*x^{w}" for w in self.sorted_weights()]
         return " + ".join(bits) if bits else "0"
@@ -69,19 +66,6 @@ class WeightPolynomial:
     # -- arithmetic ----------------------------------------------------------
     def _like(self, terms: dict[Weight, CoeffElement]) -> "WeightPolynomial":
         return WeightPolynomial(self.height_vec, terms, self.meta)
-
-    def __add__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        self._check(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc[w] + c if w in acc else c
-        return self._like(acc)
-
-    def __neg__(self) -> "WeightPolynomial":
-        return self._like({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        return self + (-other)
 
     def __mul__(self, other: "WeightPolynomial") -> "WeightPolynomial":
         self._check(other)

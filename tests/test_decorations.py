@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from crystalmds import (CartanSpec, DEFAULT, LittelmannPattern,
+from crystalmds import (CartanSpec, DEFAULT, Conventions, LittelmannPattern,
                         build_root_system, circling_lower_bound, decorate,
                         enumerate_patterns, pattern_shape, polytope_upper_bound,
                         render, row_components, weyl_dimension)
@@ -146,7 +146,7 @@ def test_unequal_central_entries_stay_apart():
 
 
 def test_strict_component_rule_splits_bare_pair():
-    conv = DEFAULT.with_flags(d_component_rule="strict")
+    conv = Conventions(d_component_rule="strict")
     comps = comps_for([[2, 1, 1, 0], [0, 0]], conv=conv)
     spans = sorted((c.j1, c.j2) for c in comps)
     assert spans == [(1, 1), (2, 2), (3, 3), (4, 4)]
@@ -160,7 +160,7 @@ def test_asymmetric_multiple_leaner():
 
 
 def test_legs_span_rule_demotes_central_run():
-    conv = DEFAULT.with_flags(ml_span_rule="legs")
+    conv = Conventions(ml_span_rule="legs")
     comps = comps_for([[2, 1, 1, 0], [0, 0]], conv=conv)
     middle = next(c for c in comps if (c.j1, c.j2) == (2, 3))
     assert middle.kind == "generic"

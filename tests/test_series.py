@@ -6,8 +6,9 @@ import json
 import pytest
 
 from crystalmds import cli, series
-from crystalmds import (DEFAULT, CartanSpec, CoeffElement, LittelmannPattern,
-                        WeightPolynomial, build_root_system, branch_decompose,
+from crystalmds import (DEFAULT, CartanSpec, CoeffElement, Conventions,
+                        LittelmannPattern, WeightPolynomial, build_root_system,
+                        branch_decompose,
                         character_via_patterns, decorate, enumerate_patterns,
                         p_part, pattern_coefficient, pattern_wt,
                         polynomial_json_obj, specialize_n1, tokuyama_quotient,
@@ -43,7 +44,7 @@ def per_leaf_p_part(r, lam, degrees, conv):
     return {n: WeightPolynomial(r.height_vec, terms).terms for n, terms in acc.items()}
 
 
-D_FLAG_SETTINGS = [DEFAULT.with_flags(ml_span_rule=span, d_component_rule=rule)
+D_FLAG_SETTINGS = [Conventions(ml_span_rule=span, d_component_rule=rule)
                    for span in ("centrals", "legs") for rule in ("runs", "strict")]
 
 
@@ -230,8 +231,9 @@ def test_branch_terms_are_single_monomials():
     r = rs("A", 3)
     bd = branch_decompose(r, (1, 1, 1), 2)
     assert bd.all_ok
-    for term in bd.terms:
-        assert len(term.mu) == 2 and len(term.shift) == 3
+    for g in bd.groups:
+        assert len(g.mu) == 2 and len(g.shift) == 3
+        assert len(g.scalar.monomials()) <= 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
