@@ -21,7 +21,8 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterator
 
-from .roots import CartanSpec, RootSystem, build_root_system, is_dominant
+from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
+                    is_dominant)
 from .weightpoly import Weight
 
 Position = tuple[int, int]  # (row index, flat column index), both 1-based
@@ -138,14 +139,6 @@ def cone_satisfied(L: LittelmannPattern) -> bool:
 # Polytope bounds
 # ---------------------------------------------------------------------------
 
-def _highest_weight(spec: CartanSpec, lam: Weight) -> tuple[int, ...]:
-    lam = tuple(lam)
-    if len(lam) != spec.rank:
-        raise ValueError(f"highest weight {lam} has {len(lam)} coordinates, "
-                         f"rank is {spec.rank}")
-    return lam
-
-
 def polytope_upper_bound(L: LittelmannPattern, lam: Weight, pos: Position) -> int:
     """Right-hand side of the highest-weight inequality bounding the entry at
     ``pos`` (Littelmann's string-polytope inequality).
@@ -160,7 +153,7 @@ def polytope_upper_bound(L: LittelmannPattern, lam: Weight, pos: Position) -> in
     spec = L.spec
     if not (1 <= i <= len(L.rows) and i <= j <= row_end(spec, i)):
         raise ValueError(f"position {pos} is outside the {spec} shape")
-    lam = _highest_weight(spec, lam)
+    lam = _checked_weight(spec, lam)
     c = column_letter(spec, j) - 1
     pairing = build_root_system(spec).cartan[c]
     bound = lam[c]
@@ -173,7 +166,7 @@ def polytope_upper_bound(L: LittelmannPattern, lam: Weight, pos: Position) -> in
 def polytope_satisfied(L: LittelmannPattern, lam: Weight) -> bool:
     """Membership in the highest-weight polytope: the cone chain plus every
     entry at or under its upper bound."""
-    lam = _highest_weight(L.spec, lam)
+    lam = _checked_weight(L.spec, lam)
     return cone_satisfied(L) and all(v <= polytope_upper_bound(L, lam, (i, j))
                                      for i, j, v in L.entries())
 
@@ -220,7 +213,7 @@ def _walk(spec: CartanSpec, lam: Weight,
     each slot's remaining values, bounds, weight and accumulator, and every
     leaf is yielded once, directly.  So the rank meets no recursion limit.
     """
-    lam = _highest_weight(spec, lam)
+    lam = _checked_weight(spec, lam)
     shape = pattern_shape(spec)
     rows = [[0] * n for n in shape]
     circled = [[False] * n for n in shape]
@@ -292,7 +285,7 @@ def _walk(spec: CartanSpec, lam: Weight,
 def _crystal_walk(rs: RootSystem, lam: Weight, fold: Callable | None = None,
                   seed=None) -> Iterator[tuple[list, list, list, Weight, object]]:
     """``_walk`` over the whole crystal of highest weight ``lam``."""
-    lam = _highest_weight(rs.spec, lam)
+    lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"enumeration requires a dominant weight, got {lam}")
     return _walk(rs.spec, lam, fold=fold, seed=seed)

@@ -8,6 +8,10 @@ which is what makes top-row deletion of patterns a branching operation.
 
 Weights are plain integer tuples in the fundamental-weight basis throughout
 the package; all linear algebra is exact (integers and Fractions).
+
+The Weyl character comes from the Demazure character formula: the Demazure
+operators of ``nice_long_word``, the word the patterns are strings along,
+applied to x^lam.  It does not use the pattern walk, so it cross-checks it.
 """
 from __future__ import annotations
 
@@ -45,7 +49,6 @@ class CartanSpec:
 @dataclass(frozen=True)
 class WeylWord:
     letters: tuple[int, ...]
-    reduced: bool = True
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -109,6 +112,14 @@ class RootSystem:
         ainv = self.cartan_inverse
         return tuple(sum(ainv[k][i] * w[i] for i in range(self.rank))
                      for k in range(self.rank))
+
+
+def _checked_weight(spec: CartanSpec, w: Weight) -> Weight:
+    """``w`` as a tuple; a ValueError unless it has one coordinate per rank."""
+    w = tuple(w)
+    if len(w) != spec.rank:
+        raise ValueError(f"weight {w} has {len(w)} coordinates, rank is {spec.rank}")
+    return w
 
 
 def is_dominant(w: Weight) -> bool:
@@ -263,7 +274,7 @@ def nice_long_word(spec: CartanSpec) -> WeylWord:
             letters.extend(range(k, 2, -1))
             letters.extend((1, 2))
             letters.extend(range(3, k + 1))
-    word = WeylWord(tuple(letters), reduced=True)
+    word = WeylWord(tuple(letters))
     if len(word) != spec.positive_root_count():
         raise AssertionError(f"long word for {spec} has wrong length {len(word)}")
     return word
@@ -273,83 +284,47 @@ def nice_long_word(spec: CartanSpec) -> WeylWord:
 # Character and dimension (independent of the pattern enumerator)
 # ---------------------------------------------------------------------------
 
-def _signed_orbit(rs: RootSystem, v: Weight) -> dict[Weight, int]:
-    """x^{w(v)} summed over the Weyl group with sign (-1)^{length(w)}.
+def _demazure(rs: RootSystem, table: dict[Weight, int], k: int) -> dict[Weight, int]:
+    """Demazure operator D_k = (1 - x^-alpha_k s_k) / (1 - x^-alpha_k) on an
+    integer table.
 
-    ``v`` must be strongly dominant so the orbit is free and breadth-first
-    layers realize the length function.
+    With m = <mu, alpha_k^vee>, x^mu goes to its alpha_k-string
+    x^mu + x^(mu - alpha_k) + ... + x^(mu - m alpha_k) when m >= 0, to 0 when
+    m = -1, and to -(x^(mu + alpha_k) + ... + x^(mu + (-m - 1) alpha_k)) when
+    m <= -2.
     """
-    if not is_strongly_dominant(v):
-        raise ValueError("signed orbit needs a strongly dominant base point")
-    out = {tuple(v): 1}
-    frontier = [tuple(v)]
-    sign = 1
-    while frontier:
-        sign = -sign
-        nxt = []
-        for w in frontier:
-            for k in range(1, rs.rank + 1):
-                img = rs.reflect(w, k)
-                if img not in out:
-                    out[img] = sign
-                    nxt.append(img)
-        frontier = nxt
-    return out
-
-
-def _divide_root_string(table: dict[Weight, int], alpha: Weight) -> dict[Weight, int]:
-    """Exact quotient of an integer table by (1 - x^-alpha).
-
-    From f(w) = g(w) - g(w + alpha), the quotient is g(w) = sum over k >= 0
-    of f(w + k alpha): a suffix sum along each alpha-string.  A string is
-    keyed by its point whose coordinate p (the first nonzero one of alpha)
-    lies in the residue range of alpha[p]; q counts the steps from it.  The
-    division is exact iff every string sums to 0.
-    """
-    p = next(i for i, a in enumerate(alpha) if a)
-    ap = alpha[p]
-    strings: dict[Weight, dict[int, int]] = {}
-    for w, c in table.items():
-        q = w[p] // ap
-        base = tuple([x - q * a for x, a in zip(w, alpha)])
-        strings.setdefault(base, {})[q] = c
-    quot: dict[Weight, int] = {}
-    for base, string in strings.items():
-        total = 0
-        for q in range(max(string), min(string) - 1, -1):
-            total += string.get(q, 0)
-            if total:
-                quot[tuple([x + q * a for x, a in zip(base, alpha)])] = total
-        if total:
-            raise AssertionError("inexact character division")
-    return quot
+    alpha = rs.simple_root(k)
+    out: dict[Weight, int] = {}
+    for mu, c in table.items():
+        m = mu[k - 1]
+        if m >= 0:
+            steps, sign = range(-m, 1), c
+        else:
+            steps, sign = range(1, -m), -c
+        for s in steps:
+            w = tuple([x + s * a for x, a in zip(mu, alpha)])
+            out[w] = out.get(w, 0) + sign
+    return {w: c for w, c in out.items() if c}
 
 
 def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
-    """Highest-weight character via the alternating orbit sum divided exactly
-    by the Weyl denominator.
-
-    The denominator is taken in product form, x^rho times the product over
-    positive roots of (1 - x^-alpha), so the orbit sum is divided by one
-    factor at a time, as suffix sums along root strings, and finally
-    shifted by -rho.
-    """
-    lam = tuple(lam)
-    if len(lam) != rs.rank:
-        raise ValueError("weight has wrong rank")
+    """Highest-weight character by the Demazure character formula: the
+    Demazure operators of a reduced word for the long element, applied to
+    x^lam.  The long element is an involution, so the word may be read in
+    either direction.  The cost follows the size of the character, not |W|."""
+    lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
-    table = _signed_orbit(rs, tuple(c + 1 for c in lam))
-    for alpha in rs.positive_roots:
-        table = _divide_root_string(table, alpha)
-    table = {tuple(c - 1 for c in w): k for w, k in table.items()}
+    table = {lam: 1}
+    for k in nice_long_word(rs.spec).letters:
+        table = _demazure(rs, table, k)
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
     return poly_from_int_terms(rs.height_vec, table, meta)
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the highest-weight representation, exact product formula."""
-    lam = tuple(lam)
+    lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"dimension requires a dominant weight, got {lam}")
     d = rs.symmetrizer
@@ -380,6 +355,7 @@ def weight_in_hull(rs: RootSystem, lam: Weight, w: Weight) -> bool:
     """Membership of a lattice point in the convex hull of the Weyl orbit of
     a dominant weight: the dominant representative must sit under ``lam`` in
     the rational dominance order."""
-    dom = rs.dominant_representative(w)
+    lam = _checked_weight(rs.spec, lam)
+    dom = rs.dominant_representative(_checked_weight(rs.spec, w))
     diff = tuple(a - b for a, b in zip(lam, dom))
     return all(c >= 0 for c in rs.root_coordinates(diff))

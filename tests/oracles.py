@@ -4,8 +4,9 @@ Everything here is derived from classical coordinate models of the root
 systems (unit-vector realizations), not from the package's hard-coded Cartan
 data, so agreement is a genuine cross-check.  The greedy bound reconstructs
 polytope membership straight from the long word and the Cartan pairings.
-The full-denominator character keeps the one-shot Weyl character formula
-as a reference for the product-form division.
+The full-denominator character is the Weyl character formula itself, an
+alternating orbit sum divided by the Weyl denominator, as a reference for the
+package's Demazure-operator character.
 """
 from __future__ import annotations
 
@@ -216,11 +217,33 @@ def greedy_bound(family: str, rank: int, rows: list[list[int]],
     return bound
 
 
+def _signed_orbit(rs, v) -> dict:
+    """x^{w(v)} summed over the Weyl group with sign (-1)^{length(w)}.
+
+    ``v`` must be strongly dominant so the orbit is free and breadth-first
+    layers realize the length function.
+    """
+    assert all(c >= 1 for c in v), "signed orbit needs a strongly dominant base point"
+    out = {tuple(v): 1}
+    frontier = [tuple(v)]
+    sign = 1
+    while frontier:
+        sign = -sign
+        nxt = []
+        for w in frontier:
+            for k in range(1, rs.rank + 1):
+                img = rs.reflect(w, k)
+                if img not in out:
+                    out[img] = sign
+                    nxt.append(img)
+        frontier = nxt
+    return out
+
+
 def full_denominator_character(rs, lam) -> dict:
     """Weight -> multiplicity of the character of ``lam``: the alternating
     orbit sum of lam + rho divided in one step by the whole alternating
     orbit sum of rho (the Weyl denominator in sum form)."""
-    from crystalmds.roots import _signed_orbit
     from crystalmds.weightpoly import divide_terms
 
     numer = _signed_orbit(rs, tuple(c + 1 for c in lam))

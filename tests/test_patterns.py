@@ -7,8 +7,8 @@ from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
                         bzl_to_pattern, cone_satisfied, column_letter, decorate,
                         enumerate_patterns, pattern_shape, pattern_to_bzl,
                         pattern_weight, pattern_wt, polytope_satisfied,
-                        polytope_upper_bound, branch_decompose, weyl_character,
-                        weyl_dimension)
+                        polytope_upper_bound, branch_decompose, weight_in_hull,
+                        weyl_character, weyl_dimension)
 from crystalmds.decorations import decorated_crystal
 from crystalmds.patterns import row_count, row_end
 from oracles import greedy_bound
@@ -127,10 +127,14 @@ def test_bounds_match_string_oracle(family, rank):
     lambda L: decorate(L, (1,)),
     lambda L: polytope_upper_bound(L, (1,), (1, 1)),
     lambda L: polytope_satisfied(L, (1, 1, 7)),
-], ids=["decorate-long", "decorate-short", "upper-bound-short", "satisfied-long"])
+    lambda L: weyl_dimension(rs("A", 2), (1, 0, 7)),
+    lambda L: weyl_dimension(rs("A", 2), (1,)),
+    lambda L: weight_in_hull(rs("A", 2), (1, 0), (0, 0, 9)),
+], ids=["decorate-long", "decorate-short", "upper-bound-short", "satisfied-long",
+        "dimension-long", "dimension-short", "hull-point-long"])
 def test_wrong_rank_highest_weight_rejected(call):
-    # a highest weight with the wrong number of coordinates is an error, not
-    # a weight read short, padded or cut to the rank
+    # a weight with the wrong number of coordinates is an error, not a weight
+    # read short, padded or cut to the rank
     with pytest.raises(ValueError, match="coordinates, rank is 2"):
         call(P("A", 2, [[0, 0], [0]]))
 

@@ -6,7 +6,7 @@ import pytest
 from crystalmds import (CartanSpec, build_root_system, character_dimension,
                         is_dominant, is_strongly_dominant, nice_long_word,
                         weyl_character, weyl_dimension)
-from crystalmds.roots import _divide_root_string
+from crystalmds.roots import _demazure
 from crystalmds.weightpoly import divide_terms
 from oracles import ModelRootSystem, freudenthal_multiplicities
 
@@ -184,16 +184,12 @@ def test_character_weyl_invariance(family, rank, lam):
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_root_string_division_matches_heap_division(family, rank):
-    # random exact products g * (1 - x^-alpha), divided back along the
-    # alpha-strings and by the general leading-term division; the strings are
-    # keyed on alpha's first nonzero coordinate, which is -2, -1, 1 or 2 and
-    # in D4 also sits behind a zero
+    # random exact products g * (1 - x^-alpha) over every positive root,
+    # divided back by the leading-term division: g returns with no remainder
     r = rs(family, rank)
     rng = random.Random(f"{family}{rank}")
     zero = (0,) * rank
-    leads = set()
     for alpha in r.positive_roots:
-        leads.add(next(a for a in alpha if a))
         minus = tuple(-a for a in alpha)
         for _ in range(6):
             g = {tuple(rng.randrange(-3, 4) for _ in range(rank)): rng.choice((-2, -1, 1, 3))
@@ -203,19 +199,32 @@ def test_root_string_division_matches_heap_division(family, rank):
                 low = tuple(a + b for a, b in zip(w, minus))
                 f[low] = f.get(low, 0) - c
             f = {w: c for w, c in f.items() if c}
-            heap, rem = divide_terms(r.height_vec, f, {zero: 1, minus: -1}, 1, 0)
+            quot, rem = divide_terms(r.height_vec, f, {zero: 1, minus: -1}, 1, 0)
             assert not rem
-            assert _divide_root_string(f, alpha) == heap == g
-    assert min(leads) < 0 and 2 in leads
+            assert quot == g
 
 
 def test_root_string_division_rejects_inexact_table():
-    alpha = rs("A", 2).positive_roots[0]
-    exact = {(0, 0): 1, tuple(-a for a in alpha): -1}  # 1 - x^-alpha
-    assert _divide_root_string(exact, alpha) == {(0, 0): 1}
-    for table in ({(0, 0): 1}, {**exact, (3, 1): 2}):
-        with pytest.raises(AssertionError, match="inexact character division"):
-            _divide_root_string(table, alpha)
+    # tables that (1 - x^-alpha) does not divide leave a nonzero remainder
+    r = rs("A", 2)
+    alpha = r.positive_roots[0]
+    factor = {(0, 0): 1, tuple(-a for a in alpha): -1}  # 1 - x^-alpha
+    assert divide_terms(r.height_vec, factor, factor, 1, 0) == ({(0, 0): 1}, {})
+    for table in ({(0, 0): 1}, {**factor, (3, 1): 2}):
+        assert divide_terms(r.height_vec, table, factor, 1, 0)[1]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_demazure_operator_is_idempotent(family, rank):
+    # D_k o D_k = D_k on random integer tables, for every simple root
+    r = rs(family, rank)
+    rng = random.Random(f"demazure-{family}{rank}")
+    for k in range(1, rank + 1):
+        for _ in range(5):
+            table = {tuple(rng.randrange(-4, 5) for _ in range(rank)): rng.choice((-2, -1, 1, 3))
+                     for _ in range(rng.randrange(1, 10))}
+            once = _demazure(r, table, k)
+            assert _demazure(r, once, k) == once
 
 
 def test_dominance_predicates():

@@ -124,8 +124,12 @@ def test_p_part_support_constraints():
 
 
 def test_character_via_patterns_matches():
+    # the rank-8 and rank-10 cases have Weyl groups of 5 to 40 million
+    # elements, out of reach of an orbit sum but not of Demazure operators
     for family, rank, lam in [("A", 2, (1, 0)), ("D", 4, (1, 0, 0, 0)),
-                              ("B", 2, (0, 1)), ("C", 3, (1, 0, 0))]:
+                              ("B", 2, (0, 1)), ("C", 3, (1, 0, 0)),
+                              ("A", 10, (1,) + (0,) * 9), ("A", 10, (0, 1) + (0,) * 8),
+                              ("B", 8, (1,) + (0,) * 7), ("D", 8, (1,) + (0,) * 7)]:
         r = rs(family, rank)
         assert character_via_patterns(r, lam) == weyl_character(r, lam)
 
@@ -151,10 +155,11 @@ WEYL_POOL_CASES = [("A", 4, (2, 1, 1, 2)), ("A", 4, (2, 2, 2, 2)), ("B", 3, (2, 
 
 
 def test_weyl_character_matches_full_denominator():
-    # weyl_character divides by one factor (1 - x^-alpha) at a time; the
-    # quotient must equal the one-shot division by the whole alternating sum
-    # of rho, over the character battery (lambda in {0,1,2}^r, dimension
-    # <= 1000) and the benchmark's character cases.
+    # weyl_character applies Demazure operators along the long word; it must
+    # equal the Weyl character formula (the alternating orbit sum of
+    # lambda + rho divided by that of rho), over the character battery
+    # (lambda in {0,1,2}^r, dimension <= 1000) and the benchmark's character
+    # cases.
     cases = [(family, rank, lam) for family, rank in CHARACTER_BATTERY
              for lam in itertools.product((0, 1, 2), repeat=rank)
              if weyl_dimension(rs(family, rank), lam) <= 1000] + WEYL_POOL_CASES
