@@ -18,6 +18,18 @@ residue ring by direct summation, providing the independent oracle used to
 pin these closed forms.  Under degree n = 1 every symbol evaluates to -1
 (``specialize_n1``).
 
+``CoeffElement`` stores each monomial ``q^e * prod g_i^(m_i)`` as one int:
+``e`` in a low two's-complement field of 64 bits and each multiplicity
+``m_i`` in a 48-bit field of its own, one field per distinct ``GaussSymbol``
+in order of first use (symbols of every cover degree can mix).  The packing
+is linear, so a monomial product is an integer sum and a unit ``q^e`` shift
+adds ``e``.  Inputs are held to ``|e| < Q_EXP_LIMIT`` (2^31) and
+``1 <= m < POW_LIMIT`` (2^16), and anything outside raises ValueError; that
+leaves 32 bits of headroom in every field, so a product of up to 2^32 factors
+within those bounds cannot fill a field.  Keys are decoded to the canonical
+``(e, sorted ((GaussSymbol, m), ...))`` form only for ``monomials()``, JSON,
+``repr`` and ``specialize_n1``.
+
 A decorated pattern's coefficient is a product of local factors, one per
 slot (``slot_factor``), and each is read off the slot's own row: the entry's
 factor in types A, B and C (``entry_factor``), and in type D the product over
@@ -27,11 +39,14 @@ and the prefix products of ``series.p_part`` both multiply these factors.
 This module holds the whole rule, and it is the only reader of the
 ``Conventions`` switches that leave the type-D rule open.
 
-Everything here is immutable and safe to share between threads.
+Everything here is immutable and safe to share between threads; the table
+of symbol fields only grows, under a lock.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from operator import index
 from typing import TYPE_CHECKING
 
 from .conventions import DEFAULT, Conventions
@@ -56,28 +71,83 @@ class GaussSymbol:
             raise ValueError("cover degree must be >= 1")
         if not 0 <= self.residue < self.degree:
             raise ValueError("residue must be reduced modulo the degree")
-        # symbols key every monomial, so hash once rather than per product
-        object.__setattr__(self, "_hash", hash((self.t, self.residue, self.degree)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
-# A monomial key is (q_exponent, gauss_part) with gauss_part a sorted tuple
-# of (GaussSymbol, positive multiplicity) pairs.
+# Packed monomial layout (module docstring): e + sum_i m_i << (_Q_BITS +
+# i * _POW_BITS), decoded by adding back the borrow of a negative e.
+_Q_BITS = 64
+_POW_BITS = 48
+_Q_HALF = 1 << (_Q_BITS - 1)
+_Q_MASK = (1 << _Q_BITS) - 1
+_POW_MASK = (1 << _POW_BITS) - 1
+Q_EXP_LIMIT = 1 << 31
+POW_LIMIT = 1 << 16
+
+_symbols: list[GaussSymbol] = []        # field index -> symbol
+_offsets: dict[GaussSymbol, int] = {}   # symbol -> bit offset of its field
+_intern_lock = threading.Lock()
+
+# The canonical, unpacked form of a monomial: (q exponent, gauss part), with
+# the gauss part a sorted tuple of (GaussSymbol, positive multiplicity).
 _GaussPart = tuple[tuple[GaussSymbol, int], ...]
 _MonKey = tuple[int, _GaussPart]
 
 
-def _merge_gauss(g1: _GaussPart, g2: _GaussPart) -> _GaussPart:
-    if not g1:
-        return g2
-    if not g2:
-        return g1
-    acc: dict[GaussSymbol, int] = dict(g1)
-    for sym, k in g2:
-        acc[sym] = acc.get(sym, 0) + k
-    return tuple(sorted((s, k) for s, k in acc.items() if k != 0))
+def _offset(sym: GaussSymbol) -> int:
+    """Bit offset of the field of ``sym``; a new symbol gets the next one."""
+    off = _offsets.get(sym)
+    if off is None:
+        if not isinstance(sym, GaussSymbol):
+            raise TypeError(f"expected a GaussSymbol, got {sym!r}")
+        with _intern_lock:
+            off = _offsets.get(sym)
+            if off is None:
+                off = _Q_BITS + _POW_BITS * len(_symbols)
+                _symbols.append(sym)
+                _offsets[sym] = off
+    return off
+
+
+def _q_key(e: int) -> int:
+    e = index(e)
+    if not -Q_EXP_LIMIT < e < Q_EXP_LIMIT:
+        raise ValueError(f"q exponent {e} is outside the bound |e| < {Q_EXP_LIMIT}")
+    return e
+
+
+def _pack(e: int, gauss) -> int:
+    k = _q_key(e)
+    for sym, m in gauss:
+        m = index(m)
+        if not 0 < m < POW_LIMIT:
+            raise ValueError(f"power {m} of {sym} is outside the bound 1 <= m < {POW_LIMIT}")
+        k += m << _offset(sym)
+    return k
+
+
+def _unpack(k: int) -> tuple[int, list[tuple[GaussSymbol, int]]]:
+    """(q exponent, [(symbol, multiplicity), ...]) of a packed key, symbols
+    in field order."""
+    e = ((k + _Q_HALF) & _Q_MASK) - _Q_HALF
+    rest = (k - e) >> _Q_BITS
+    powers = []
+    i = 0
+    while rest:
+        m = rest & _POW_MASK
+        if m:
+            powers.append((_symbols[i], m))
+        rest >>= _POW_BITS
+        i += 1
+    return e, powers
+
+
+def _collect(pairs) -> dict[int, int]:
+    """Packed dict of (packed key, coefficient) pairs, repeats merged and
+    zeros dropped."""
+    acc: dict[int, int] = {}
+    for k, c in pairs:
+        acc[k] = acc.get(k, 0) + c
+    return {k: c for k, c in acc.items() if c}
 
 
 class CoeffElement:
@@ -85,14 +155,17 @@ class CoeffElement:
 
     Instances are immutable; arithmetic returns new elements with zero terms
     dropped and duplicate monomials merged, so structural equality is ring
-    equality.
+    equality.  ``terms`` maps canonical monomials (q exponent, sorted tuple
+    of (GaussSymbol, positive multiplicity)) to integers; internally each
+    monomial is one packed int (see ``Q_EXP_LIMIT`` and ``POW_LIMIT`` for
+    the bounds).
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[_MonKey, int] | None = None):
-        clean = {k: v for k, v in (terms or {}).items() if v != 0}
-        object.__setattr__(self, "_terms", clean)
+        packed = _collect((_pack(e, g), c) for (e, g), c in (terms or {}).items())
+        object.__setattr__(self, "_terms", packed)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("CoeffElement is immutable")
@@ -108,50 +181,75 @@ class CoeffElement:
 
     @staticmethod
     def from_int(k: int) -> "CoeffElement":
-        return CoeffElement({(0, ()): int(k)})
+        return _wrap({0: int(k)} if k else {})
 
     @staticmethod
     def q_power(e: int, coeff: int = 1) -> "CoeffElement":
-        return CoeffElement({(int(e), ()): int(coeff)})
+        return _wrap({_q_key(int(e)): int(coeff)} if coeff else {})
 
     @staticmethod
     def symbol(sym: GaussSymbol, q_exp: int = 0, coeff: int = 1) -> "CoeffElement":
-        return CoeffElement({(int(q_exp), ((sym, 1),)): int(coeff)})
+        return _wrap({_q_key(int(q_exp)) + (1 << _offset(sym)): int(coeff)} if coeff else {})
 
     # -- ring structure ----------------------------------------------------
     def __add__(self, other: "CoeffElement") -> "CoeffElement":
         if not isinstance(other, CoeffElement):
             return NotImplemented
-        if not self._terms:
-            return other
+        if len(self._terms) < len(other._terms):
+            self, other = other, self
         if not other._terms:
             return self
-        acc = dict(self._terms)
-        for k, v in other._terms.items():
-            acc[k] = acc.get(k, 0) + v
-        return CoeffElement(acc)
+        acc = self._terms.copy()
+        for k, c in other._terms.items():
+            s = acc.get(k, 0) + c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return _wrap(acc)
 
     def __neg__(self) -> "CoeffElement":
-        return CoeffElement({k: -v for k, v in self._terms.items()})
+        return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "CoeffElement") -> "CoeffElement":
-        return self + (-other)
+        if not isinstance(other, CoeffElement):
+            return NotImplemented
+        if not other._terms:
+            return self
+        acc = self._terms.copy()
+        for k, c in other._terms.items():
+            s = acc.get(k, 0) - c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return _wrap(acc)
 
     def __mul__(self, other: "CoeffElement") -> "CoeffElement":
         if not isinstance(other, CoeffElement):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _ZERO
         if self is _ONE:
             return other
         if other is _ONE:
             return self
-        acc: dict[_MonKey, int] = {}
-        for (e1, g1), c1 in self._terms.items():
-            for (e2, g2), c2 in other._terms.items():
-                key = (e1 + e2, _merge_gauss(g1, g2))
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return CoeffElement(acc)
+        a, b = self._terms, other._terms
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return _ZERO
+        if len(a) == 1:
+            # distinct keys stay distinct under one shift: nothing cancels
+            (k1, c1), = a.items()
+            return _wrap({k1 + k: c1 * c for k, c in b.items()})
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        if 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c}
+        return _wrap(acc)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoeffElement) and self._terms == other._terms
@@ -164,24 +262,33 @@ class CoeffElement:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0, ()): 1}
+        return self._terms == {0: 1}
 
     def monomials(self) -> list[tuple[int, int, _GaussPart]]:
         """Monomials as (int coeff, q exponent, gauss part), canonical order."""
-        return [(c, e, g) for (e, g), c in sorted(self._terms.items())]
+        mons = []
+        for k, c in self._terms.items():
+            e, powers = _unpack(k)
+            powers.sort()
+            mons.append(((e, tuple(powers)), c))
+        mons.sort()
+        return [(c, e, g) for (e, g), c in mons]
 
     def as_unit_monomial(self) -> tuple[int, int] | None:
         """Return (sign, q_exp) if the element is ±q^e with no symbols."""
         if len(self._terms) != 1:
             return None
-        (e, g), c = next(iter(self._terms.items()))
-        if g or c not in (1, -1):
+        (k, c), = self._terms.items()
+        if c not in (1, -1) or not -_Q_HALF <= k < _Q_HALF:
             return None
-        return c, e
+        return c, k
 
     def times_unit(self, sign: int, q_exp: int) -> "CoeffElement":
         """Multiply by ±q^e (a ring unit); used by exact division."""
-        return CoeffElement({(e + q_exp, g): sign * c for (e, g), c in self._terms.items()})
+        if sign not in (1, -1):
+            raise ValueError(f"unit sign must be 1 or -1, got {sign}")
+        e = _q_key(q_exp)
+        return _wrap({k + e: sign * c for k, c in self._terms.items()})
 
     def __repr__(self):
         if not self._terms:
@@ -210,15 +317,22 @@ class CoeffElement:
 
     @staticmethod
     def from_json_obj(obj: dict, degree: int) -> "CoeffElement":
-        terms: dict[_MonKey, int] = {}
-        for mon in obj["monomials"]:
-            g = tuple(sorted((GaussSymbol(d["t"], d["c"], degree), d["pow"]) for d in mon["gauss"]))
-            terms[(mon["q"], g)] = terms.get((mon["q"], g), 0) + mon["int"]
-        return CoeffElement(terms)
+        return _wrap(_collect(
+            (_pack(mon["q"], [(GaussSymbol(d["t"], d["c"], degree), d["pow"])
+                              for d in mon["gauss"]]), mon["int"])
+            for mon in obj["monomials"]))
 
 
-_ZERO = CoeffElement({})
-_ONE = CoeffElement({(0, ()): 1})
+def _wrap(packed: dict[int, int], _new=object.__new__,
+          _set=object.__setattr__) -> CoeffElement:
+    """Element over an already packed and zero-free dict, taken as is."""
+    el = _new(CoeffElement)
+    _set(el, "_terms", packed)
+    return el
+
+
+_ZERO = _wrap({})
+_ONE = _wrap({0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +349,7 @@ def h_value(t: int, a: int, n: int) -> CoeffElement:
     _check_ta(t, a, n)
     if (t * a) % n != 0:
         return _ZERO
-    return CoeffElement({(a, ()): 1, (a - 1, ()): -1})
+    return _wrap({_q_key(a): 1, a - 1: -1})
 
 
 def g_value(t: int, a: int, n: int) -> CoeffElement:
@@ -263,17 +377,16 @@ def specialize_n1(c: CoeffElement) -> CoeffElement:
     Rejects symbols carrying a cover degree larger than 1; the result is a
     pure Laurent element in q.
     """
-    terms: dict[_MonKey, int] = {}
-    for (e, g), coeff in c._terms.items():
-        sign = 1
-        for sym, k in g:
+    terms: dict[int, int] = {}
+    for k, coeff in c._terms.items():
+        e, powers = _unpack(k)
+        for sym, m in powers:
             if sym.degree != 1:
                 raise ValueError(f"cannot specialize symbol of degree {sym.degree} at n=1")
-            if k % 2:
-                sign = -sign
-        key = (e, ())
-        terms[key] = terms.get(key, 0) + sign * coeff
-    return CoeffElement(terms)
+            if m % 2:
+                coeff = -coeff
+        terms[e] = terms.get(e, 0) + coeff
+    return _wrap({e: c for e, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
 
 FAMILIES = ("A", "B", "C", "D")
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+# Largest rank accepted.  ``build_root_system`` grows with rank^3 to rank^4
+# (r^2 positive roots, each reflected through r simple roots with length-r
+# weights): under a second at rank 100 on one core, and without a cap a
+# hostile rank such as 3000 runs for minutes before any output.
+MAX_RANK = 100
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,8 @@ class CartanSpec:
         if self.rank < _MIN_RANK[self.family]:
             raise ValueError(
                 f"family {self.family} needs rank >= {_MIN_RANK[self.family]}, got {self.rank}")
+        if self.rank > MAX_RANK:
+            raise ValueError(f"rank {self.rank} exceeds the supported maximum {MAX_RANK}")
 
     def positive_root_count(self) -> int:
         r = self.rank
@@ -173,20 +180,36 @@ def _symmetrizer(spec: CartanSpec) -> tuple[Fraction, ...]:
     return (Fraction(1),) * r
 
 
-def _invert(mat: list[list[int]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(row for row in range(col, n) if aug[row][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for row in range(n):
-            if row != col and aug[row][col]:
-                f = aug[row][col]
-                aug[row] = [x - f * y for x, y in zip(aug[row], aug[col])]
-    return [row[n:] for row in aug]
+def _cartan_inverse(spec: CartanSpec) -> list[list[Fraction]]:
+    """Inverse Cartan matrix in closed form: entry [k][i] is the coefficient
+    of alpha_(k+1) in omega_(i+1).
+
+    ``coeff(a, b)`` is the coefficient of alpha_a in omega_b in Bourbaki's
+    numbering (Bourbaki, Lie groups, ch. VI, plates I-IV); ``bourbaki``
+    maps each index of this package to Bourbaki's.
+    """
+    r, fam = spec.rank, spec.family
+    if fam == "A":
+        bourbaki = list(range(1, r + 1))
+    elif fam in ("B", "C"):
+        bourbaki = [r + 1 - k for k in range(1, r + 1)]
+    else:  # D: the fork ends are Bourbaki's r - 1 and r
+        bourbaki = [r - 1, r] + [r + 1 - k for k in range(3, r + 1)]
+
+    def coeff(a: int, b: int) -> Fraction:
+        low = min(a, b)
+        if fam == "A":
+            return Fraction(low * (r + 1 - max(a, b)), r + 1)
+        if fam == "B":  # alpha_r short
+            return Fraction(low, 2 if b == r else 1)
+        if fam == "C":  # alpha_r long
+            return Fraction(low, 2 if a == r else 1)
+        spin = (r - 1, r)
+        if a in spin and b in spin:
+            return Fraction(r if a == b else r - 2, 4)
+        return Fraction(low, 2 if a in spin or b in spin else 1)
+
+    return [[coeff(bourbaki[k], bourbaki[i]) for i in range(r)] for k in range(r)]
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +217,7 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
     """Assemble the exact root system for a validated Cartan spec."""
     r = spec.rank
     cartan = _cartan_matrix(spec)
-    ainv = _invert(cartan)
+    ainv = _cartan_inverse(spec)
     d = _symmetrizer(spec)
 
     # Upward reflection closure of the simple roots: reflecting a positive

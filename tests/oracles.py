@@ -86,13 +86,15 @@ class ModelRootSystem:
     def gram(self) -> list[list[Fraction]]:
         """Inner products of the fundamental weights, from the model."""
         a = self.cartan_matrix()
-        ainv = _invert_fraction_matrix(a)
+        ainv = invert_fraction_matrix(a)
         half_norms = [_dot(s, s) / 2 for s in self.simple]
         r = self.rank
         return [[ainv[i][j] * half_norms[i] for j in range(r)] for i in range(r)]
 
 
-def _invert_fraction_matrix(mat):
+def invert_fraction_matrix(mat):
+    """Exact inverse by Fraction Gauss-Jordan elimination (the reference for
+    the closed-form Cartan inverses of ``roots``)."""
     n = len(mat)
     aug = [[Fraction(mat[i][j]) for j in range(n)]
            + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -135,7 +137,7 @@ def freudenthal_multiplicities(family: str, rank: int,
             if c > 0:
                 low = [low[j] - c * cartan[j][i] for j in range(r)]
                 break
-    ainv = _invert_fraction_matrix(cartan)
+    ainv = invert_fraction_matrix(cartan)
     diff = [lam[i] - low[i] for i in range(r)]
     depth_cap = sum(sum(ainv[k][i] * diff[i] for i in range(r)) for k in range(r))
     assert depth_cap.denominator == 1
@@ -251,3 +253,83 @@ def full_denominator_character(rs, lam) -> dict:
     table, rem = divide_terms(rs.height_vec, numer, denom, 1, 0)
     assert not rem, "inexact character division"
     return table
+
+
+# ---------------------------------------------------------------------------
+# Reference coefficient ring
+# ---------------------------------------------------------------------------
+
+class RefCoeff:
+    """Sum of monomials c * q^e * prod g^k, kept as a dict from
+    (e, sorted tuple of (symbol, k)) to c, with a symbol the tuple
+    (t, residue, degree).  The straightforward encoding, as a reference for
+    the package's packed monomials."""
+
+    def __init__(self, terms=None):
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def monomial(c, e, powers):
+        """c * q^e * prod sym^k over the (sym, k) pairs, repeats allowed."""
+        return RefCoeff({(e, ()): c}) * RefCoeff.product(powers)
+
+    @staticmethod
+    def product(powers):
+        out = RefCoeff({(0, ()): 1})
+        for sym, k in powers:
+            out = out * RefCoeff({(0, ((sym, k),)): 1})
+        return out
+
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            acc[key] = acc.get(key, 0) + c
+        return RefCoeff(acc)
+
+    def __neg__(self):
+        return RefCoeff({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        acc = {}
+        for (e1, g1), c1 in self.terms.items():
+            for (e2, g2), c2 in other.terms.items():
+                powers = dict(g1)
+                for sym, k in g2:
+                    powers[sym] = powers.get(sym, 0) + k
+                key = (e1 + e2, tuple(sorted(powers.items())))
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return RefCoeff(acc)
+
+    def times_unit(self, sign, e):
+        return RefCoeff({(q + e, g): sign * c for (q, g), c in self.terms.items()})
+
+    def specialize_n1(self):
+        """Every symbol becomes -1; ValueError for a symbol of degree > 1."""
+        acc = {}
+        for (e, g), c in self.terms.items():
+            for (t, residue, degree), k in g:
+                if degree != 1:
+                    raise ValueError("symbol of degree > 1")
+                c *= (-1) ** k
+            acc[(e, ())] = acc.get((e, ()), 0) + c
+        return RefCoeff(acc)
+
+    def monomials(self):
+        return [(c, e, g) for (e, g), c in sorted(self.terms.items())]
+
+    def as_unit_monomial(self):
+        """(sign, e) for ±q^e, else None."""
+        if len(self.terms) == 1:
+            ((e, g), c), = self.terms.items()
+            if not g and c in (1, -1):
+                return c, e
+        return None
+
+    def to_json_obj(self):
+        return {"monomials": [
+            {"int": c, "q": e,
+             "gauss": [{"t": t, "c": residue, "pow": k} for (t, residue, _), k in g]}
+            for c, e, g in self.monomials()]}

@@ -66,6 +66,17 @@ def test_compute_rank_mismatch(capsys):
     assert code == 2 and "coordinates" in err
 
 
+def test_compute_huge_rank_exits_two_at_once():
+    # without the rank cap this builds the A3000 root system for minutes
+    argv = [sys.executable, "-m", "crystalmds.cli", "compute", "--family", "A",
+            "--rank", "3000", "--lambda", ",".join(["1"] * 3000), "--json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(crystalmds.__file__).parents[1]))
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "rank 3000 exceeds the supported maximum" in done.stderr
+
+
 @pytest.mark.parametrize("command", ["compute", "export"])
 def test_rank_mismatch_checked_before_root_system(capsys, monkeypatch, tmp_path, command):
     # a large rank must not pay for its root system before the length check

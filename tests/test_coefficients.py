@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from crystalmds import (CoeffElement, GaussSymbol, entry_factor, g_value,
                         gauss_numeric, h_value, sigma_entry, specialize_n1)
+from crystalmds.coefficients import POW_LIMIT, Q_EXP_LIMIT
+from oracles import RefCoeff
 
 Q = CoeffElement.q_power
 ONE = CoeffElement.one()
@@ -66,6 +68,109 @@ def test_ring_laws_hypothesis(a, b, c):
     assert (a * ONE) == a and (a * ZERO).is_zero()
 
 
+def monomial_specs(degrees):
+    """Sums of c * q^e * symbol powers, as (c, e, [(t, residue, degree, k)])
+    lists, with q exponents of either sign and powers up to 3."""
+    symbol = st.tuples(st.sampled_from((1, 2)), st.integers(0, 3),
+                       st.sampled_from(degrees), st.integers(1, 3))
+    return st.lists(st.tuples(st.integers(-5, 5), st.integers(-40, 40),
+                              st.lists(symbol, max_size=3)), max_size=4)
+
+
+def build(spec):
+    """The same element built in the package's ring and in the reference."""
+    el, ref = ZERO, RefCoeff()
+    for c, e, powers in spec:
+        powers = [((t, r % d, d), k) for t, r, d, k in powers]
+        mon = CoeffElement.q_power(e, c)
+        for sym, k in powers:
+            for _ in range(k):
+                mon = mon * CoeffElement.symbol(GaussSymbol(*sym))
+        el = el + mon
+        ref = ref + RefCoeff.monomial(c, e, powers)
+    return el, ref
+
+
+def as_ref(el):
+    return [(c, e, tuple(((s.t, s.residue, s.degree), k) for s, k in g))
+            for c, e, g in el.monomials()]
+
+
+def from_ref(ref):
+    return CoeffElement({(e, tuple((GaussSymbol(*s), k) for s, k in g)): c
+                         for (e, g), c in ref.terms.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_specs((1, 2, 4)), monomial_specs((1, 2, 4)),
+       st.sampled_from((1, -1)), st.integers(-10 ** 6, 10 ** 6))
+def test_ring_matches_reference_ring(sa, sb, sign, e):
+    a, ra = build(sa)
+    b, rb = build(sb)
+    for got, want in [(a, ra), (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                      (-a, -ra), (a.times_unit(sign, e), ra.times_unit(sign, e))]:
+        assert as_ref(got) == want.monomials()
+        assert got.to_json_obj() == want.to_json_obj()
+        assert got.as_unit_monomial() == want.as_unit_monomial()
+        assert got == from_ref(want) and hash(got) == hash(from_ref(want))
+    try:
+        want = ra.specialize_n1()
+    except ValueError:
+        with pytest.raises(ValueError):
+            specialize_n1(a)
+    else:
+        assert as_ref(specialize_n1(a)) == want.monomials()
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_specs((1,)), monomial_specs((1,)))
+def test_specialize_matches_reference_ring(sa, sb):
+    a, ra = build(sa)
+    b, rb = build(sb)
+    assert as_ref(specialize_n1(a * b)) == (ra * rb).specialize_n1().monomials()
+
+
+def test_high_symbol_power_serializes():
+    sym = GaussSymbol(2, 1, 3)
+    el = ONE
+    for _ in range(200):
+        el = el * CoeffElement.symbol(sym)
+    assert el.to_json_obj() == {"monomials": [
+        {"int": 1, "q": 0, "gauss": [{"t": 2, "c": 1, "pow": 200}]}]}
+    assert el == CoeffElement({(0, ((sym, 200),)): 1})
+
+
+@pytest.mark.parametrize("e", [10 ** 6, -10 ** 6, Q_EXP_LIMIT - 1, 1 - Q_EXP_LIMIT])
+def test_large_q_exponents_round_trip(e):
+    sym = GaussSymbol(1, 3, 4)
+    el = Q(e, 2) + CoeffElement.symbol(sym, q_exp=e, coeff=-1)
+    obj = el.to_json_obj()
+    assert [m["q"] for m in obj["monomials"]] == [e, e]
+    assert CoeffElement.from_json_obj(obj, 4) == el
+    assert Q(e).as_unit_monomial() == (1, e)
+
+
+def test_inputs_outside_the_field_bounds_are_rejected():
+    sym = GaussSymbol(1, 1, 2)
+    for e in (Q_EXP_LIMIT, -Q_EXP_LIMIT):
+        with pytest.raises(ValueError):
+            Q(e)
+        with pytest.raises(ValueError):
+            CoeffElement.symbol(sym, q_exp=e)
+        with pytest.raises(ValueError):
+            ONE.times_unit(1, e)
+        with pytest.raises(ValueError):
+            CoeffElement.from_json_obj({"monomials": [{"int": 1, "q": e, "gauss": []}]}, 2)
+    for k in (0, -1, POW_LIMIT):
+        with pytest.raises(ValueError):
+            CoeffElement({(0, ((sym, k),)): 1})
+        with pytest.raises(ValueError):
+            CoeffElement.from_json_obj(
+                {"monomials": [{"int": 1, "q": 0, "gauss": [{"t": 1, "c": 1, "pow": k}]}]}, 2)
+    assert CoeffElement({(0, ((sym, POW_LIMIT - 1),)): 1}).monomials() == [
+        (1, 0, ((sym, POW_LIMIT - 1),))]
+
+
 def test_canonical_merging_and_zero_dropping():
     a = Q(2) + Q(2)
     assert a == Q(2, 2)
@@ -75,7 +180,7 @@ def test_canonical_merging_and_zero_dropping():
 
 
 def test_gauss_symbol_value_semantics():
-    # the hash is computed once per symbol; it must stay the value hash
+    # symbols are dict keys (the field of each symbol); the hash is the value hash
     a, b = GaussSymbol(2, 1, 3), GaussSymbol(2, 1, 3)
     assert a == b and a is not b and hash(a) == hash(b) == hash((2, 1, 3))
     assert {a: 1}[b] == 1

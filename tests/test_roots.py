@@ -6,9 +6,10 @@ import pytest
 from crystalmds import (CartanSpec, build_root_system, character_dimension,
                         is_dominant, is_strongly_dominant, nice_long_word,
                         weyl_character, weyl_dimension)
-from crystalmds.roots import _demazure
+from crystalmds.roots import MAX_RANK, _demazure
 from crystalmds.weightpoly import divide_terms
-from oracles import ModelRootSystem, freudenthal_multiplicities
+from oracles import (ModelRootSystem, freudenthal_multiplicities,
+                     invert_fraction_matrix)
 
 ALL_SPECS = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
              ("B", 2), ("B", 3), ("B", 4),
@@ -33,6 +34,17 @@ def test_rank_constraints_rejected():
         CartanSpec("C", 1)
     with pytest.raises(ValueError):
         CartanSpec("E", 6)
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        CartanSpec("A", MAX_RANK + 1)
+    assert CartanSpec("D", MAX_RANK).rank == MAX_RANK
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_closed_form_cartan_inverse_matches_gauss_jordan(family):
+    for rank in range(3 if family == "D" else 2, 13):
+        model = ModelRootSystem(family, rank)
+        want = invert_fraction_matrix(model.cartan_matrix())
+        assert [list(row) for row in rs(family, rank).cartan_inverse] == want, rank
 
 
 def test_a1_single_root_rho_is_fundamental():
