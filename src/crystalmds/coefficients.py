@@ -28,14 +28,23 @@ adds ``e``.  Inputs are held to ``|e| < Q_EXP_LIMIT`` (2^31) and
 leaves 32 bits of headroom in every field, so a product of up to 2^32 factors
 within those bounds cannot fill a field.  Keys are decoded to the canonical
 ``(e, sorted ((GaussSymbol, m), ...))`` form only for ``monomials()``, JSON,
-``repr`` and ``specialize_n1``.
+``repr`` and ``specialize_n1``: ``e`` by masking the low field, the Gauss
+part through ``_gauss_part``, a bounded cache keyed by the symbol bits
+``k - e``.  The cache is sound because the fields are append-only, so given
+bits decode the same way for the life of the process.  Monomials sort by plain
+int tuples ``(e, ((t, residue, degree, m), ...))``, which order exactly as the
+canonical form does.
 
 A decorated pattern's coefficient is a product of local factors, one per
 slot (``slot_factor``), and each is read off the slot's own row: the entry's
 factor in types A, B and C (``entry_factor``), and in type D the product over
 the connected components of the row (``row_components``,
-``_component_factor``), placed at the row's last slot.  ``pattern_coefficient``
-and the prefix products of ``series.p_part`` both multiply these factors.
+``_component_factor``), placed at the row's last slot.  A factor reads
+nothing but the slot's local state (``slot_key``), and there are few distinct
+states, so ``slot_table`` computes each once for a given (spec, n,
+conventions); the prefix products of ``series.p_part`` and the checks of
+``series.branch_decompose`` read their factors from one.
+``pattern_coefficient`` multiplies the factors of one pattern.
 This module holds the whole rule, and it is the only reader of the
 ``Conventions`` switches that leave the type-D rule open.
 
@@ -46,7 +55,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from operator import index
+from functools import lru_cache, partial
+from operator import index, itemgetter
 from typing import TYPE_CHECKING
 
 from .conventions import DEFAULT, Conventions
@@ -125,20 +135,28 @@ def _pack(e: int, gauss) -> int:
     return k
 
 
-def _unpack(k: int) -> tuple[int, list[tuple[GaussSymbol, int]]]:
-    """(q exponent, [(symbol, multiplicity), ...]) of a packed key, symbols
-    in field order."""
-    e = ((k + _Q_HALF) & _Q_MASK) - _Q_HALF
-    rest = (k - e) >> _Q_BITS
+# Distinct Gauss parts the decode cache keeps; one p_part of the perfbench
+# ppart pool decodes 7 to 75 of them.
+_DECODE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_DECODE_CACHE_SIZE)
+def _gauss_part(bits: int) -> tuple[tuple[tuple[int, int, int, int], ...], _GaussPart]:
+    """Sort key and canonical Gauss part of the symbol bits ``k - e`` of a
+    packed key: ``((t, residue, degree, m), ...)`` and ``((symbol, m), ...)``,
+    both in symbol order."""
+    rest = bits >> _Q_BITS
     powers = []
     i = 0
     while rest:
         m = rest & _POW_MASK
         if m:
-            powers.append((_symbols[i], m))
+            sym = _symbols[i]
+            powers.append(((sym.t, sym.residue, sym.degree, m), (sym, m)))
         rest >>= _POW_BITS
         i += 1
-    return e, powers
+    powers.sort(key=itemgetter(0))
+    return tuple(p[0] for p in powers), tuple(p[1] for p in powers)
 
 
 def _collect(pairs) -> dict[int, int]:
@@ -264,15 +282,21 @@ class CoeffElement:
     def is_one(self) -> bool:
         return self._terms == {0: 1}
 
-    def monomials(self) -> list[tuple[int, int, _GaussPart]]:
-        """Monomials as (int coeff, q exponent, gauss part), canonical order."""
+    def _decoded(self) -> list[tuple[int, tuple, _GaussPart, int]]:
+        """(q exponent, sort key, gauss part, int coeff) per monomial, in
+        canonical order."""
         mons = []
         for k, c in self._terms.items():
-            e, powers = _unpack(k)
-            powers.sort()
-            mons.append(((e, tuple(powers)), c))
+            e = ((k + _Q_HALF) & _Q_MASK) - _Q_HALF
+            key, g = _gauss_part(k - e)
+            mons.append((e, key, g, c))
+        # distinct monomials differ in (e, sort key): no symbol is compared
         mons.sort()
-        return [(c, e, g) for (e, g), c in mons]
+        return mons
+
+    def monomials(self) -> list[tuple[int, int, _GaussPart]]:
+        """Monomials as (int coeff, q exponent, gauss part), canonical order."""
+        return [(c, e, g) for e, _, g, c in self._decoded()]
 
     def as_unit_monomial(self) -> tuple[int, int] | None:
         """Return (sign, q_exp) if the element is ±q^e with no symbols."""
@@ -306,14 +330,11 @@ class CoeffElement:
 
     # -- serialization -----------------------------------------------------
     def to_json_obj(self) -> dict:
-        mons = []
-        for c, e, g in self.monomials():
-            mons.append({
-                "int": c,
-                "q": e,
-                "gauss": [{"t": s.t, "c": s.residue, "pow": k} for s, k in g],
-            })
-        return {"monomials": mons}
+        """Fresh dicts and lists on every call: callers may change them."""
+        return {"monomials": [
+            {"int": c, "q": e,
+             "gauss": [{"t": t, "c": r, "pow": m} for t, r, _, m in key]}
+            for e, key, _, c in self._decoded()]}
 
     @staticmethod
     def from_json_obj(obj: dict, degree: int) -> "CoeffElement":
@@ -379,8 +400,8 @@ def specialize_n1(c: CoeffElement) -> CoeffElement:
     """
     terms: dict[int, int] = {}
     for k, coeff in c._terms.items():
-        e, powers = _unpack(k)
-        for sym, m in powers:
+        e = ((k + _Q_HALF) & _Q_MASK) - _Q_HALF
+        for sym, m in _gauss_part(k - e)[1]:
             if sym.degree != 1:
                 raise ValueError(f"cannot specialize symbol of degree {sym.degree} at n=1")
             if m % 2:
@@ -631,16 +652,51 @@ def slot_factor(spec: CartanSpec, i: int, j: int, row, crow, brow, n: int,
     return out
 
 
+def slot_key(spec: CartanSpec, i: int, j: int, row, crow, brow):
+    """Everything ``slot_factor`` reads of slot (i, j) besides the spec, the
+    cover degree and the conventions, as a hashable key: the entry's value
+    and marks and whether it sits in the middle column in types A, B and C,
+    the row index and the whole row in type D.  None for a type-D slot
+    before its row's last slot, whose factor is 1."""
+    if spec.family != "D":
+        off = j - i
+        return j == spec.rank, row[off], crow[off], brow[off]
+    if j != i:
+        return None
+    return i, tuple(row), tuple(crow), tuple(brow)
+
+
+def slot_table(spec: CartanSpec, n: int, conv: Conventions = DEFAULT):
+    """``slot_factor`` at this spec, cover degree and conventions, as a
+    function of (i, j, row, crow, brow) that computes the factor of each
+    distinct ``slot_key`` once.  The factors live in a dict owned by the
+    returned function, so they last as long as the caller keeps it."""
+    factors: dict = {}
+
+    def factor(i, j, row, crow, brow) -> CoeffElement:
+        key = slot_key(spec, i, j, row, crow, brow)
+        if key is None:
+            return _ONE
+        f = factors.get(key)
+        if f is None:
+            f = factors[key] = slot_factor(spec, i, j, row, crow, brow, n, conv)
+        return f
+
+    return factor
+
+
 def pattern_coefficient(dp: DecoratedPattern, n: int,
-                        conv: Conventions = DEFAULT) -> CoeffElement:
+                        conv: Conventions = DEFAULT, factor=None) -> CoeffElement:
     """Total coefficient of a decorated pattern: the product of its slot
-    factors."""
+    factors, read from ``factor`` when given (a ``slot_table`` of the
+    pattern's spec at ``n`` and ``conv``), else from ``slot_factor``."""
     L = dp.pattern
+    if factor is None:
+        factor = partial(slot_factor, L.spec, n=n, conv=conv)
     out = _ONE
     for i, j in L.positions():
         k = i - 1
-        out = out * slot_factor(L.spec, i, j, L.rows[k], dp.circled[k],
-                                dp.boxed[k], n, conv)
+        out = out * factor(i, j, L.rows[k], dp.circled[k], dp.boxed[k])
         if out.is_zero():
             return _ZERO
     return out

@@ -3,10 +3,12 @@
 ``p_part`` assembles the polynomial P over a highest-weight crystal: each
 pattern contributes its Gauss-sum coefficient at its weight.  The
 enumeration walk carries the weight, and the coefficient is built as a prefix
-product of ``coefficients.slot_factor`` along it, so patterns sharing their
-top entries share those factors, and a zero factor skips its whole subtree.  With every coefficient replaced
-by 1 the same sum is the Weyl character, which gives the primary cross-check
-against the alternating-sum character.
+product of slot factors along it, each read from a ``coefficients.slot_table``
+that lives for the call, so every distinct local state is computed once,
+patterns sharing their top entries share those factors, and a zero factor
+skips its whole subtree.  With every coefficient replaced by 1 the same sum is
+the Weyl character, which gives the primary cross-check against the
+alternating-sum character.
 
 ``tokuyama_quotient`` factors the degree-1 specialization of P as a
 lambda-independent deformed denominator times a character.  The divisor is
@@ -16,13 +18,14 @@ exact in the weight-polynomial ring (see README notes).
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split;
-groups sharing a branch weight share one walk of its crystal.
+groups sharing a branch weight share one walk of its crystal, and every
+coefficient is read through one slot table per crystal spec.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coefficients import (CoeffElement, pattern_coefficient, slot_factor,
+from .coefficients import (CoeffElement, pattern_coefficient, slot_table,
                            specialize_n1)
 from .conventions import DEFAULT, Conventions
 from .decorations import DecoratedPattern, decorate, decorated_crystal
@@ -73,15 +76,15 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
 
     # The walk carries the coefficient as a prefix product along the path: a
     # value at slot k multiplies it by the slot's factor, read off the slot's
-    # row as the walk has filled it so far.  A zero factor
-    # leaves only zero coefficients below, so the subtree is skipped.
-    spec = rs.spec
-    slots = enumeration_slots(spec)
+    # row as the walk has filled it so far, from a table of this call.  A
+    # zero factor leaves only zero coefficients below, so the subtree is
+    # skipped.
+    slots = enumeration_slots(rs.spec)
+    factor = slot_table(rs.spec, n, conv)
     one = CoeffElement.one()
 
     def fold(k, coeff, row, crow, brow):
-        i, j = slots[k]
-        f = slot_factor(spec, i, j, row, crow, brow, n, conv)
+        f = factor(*slots[k], row, crow, brow)
         return None if f.is_zero() else coeff * f
 
     acc: dict[Weight, CoeffElement] = {}
@@ -206,6 +209,11 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     sub_rs = build_root_system(sub_spec)
     r = spec.rank
 
+    # every coefficient below is read through one slot table per crystal
+    # spec: slot factors do not depend on the highest weight
+    factor = slot_table(spec, n)
+    sub_factor = slot_table(sub_spec, n)
+
     groups: dict[tuple[int, ...], list[DecoratedPattern]] = {}
     for dp in decorated_crystal(rs, lam):
         groups.setdefault(dp.pattern.rows[0], []).append(dp)
@@ -224,9 +232,9 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
         mu = shift[:r - 1]
         if not is_dominant(mu):
             raise AssertionError(f"branch weight {mu} is not dominant")
-        scalar = pattern_coefficient(decorate(top_only, lam), n)
+        scalar = pattern_coefficient(decorate(top_only, lam), n, factor=factor)
         if mu not in branches:
-            branches[mu] = ({dp.pattern.rows: pattern_coefficient(dp, n)
+            branches[mu] = ({dp.pattern.rows: pattern_coefficient(dp, n, factor=sub_factor)
                              for dp in decorated_crystal(sub_rs, mu)},
                             p_part(sub_rs, mu, n, allow_dominant=True))
         sub, sub_poly = branches[mu]
@@ -249,7 +257,7 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
                 witness = witness or L.to_text()
             # a truncation missing from the branch crystal fails to factor
             c_sub = sub.get(Lp.rows)
-            if c_sub is None or pattern_coefficient(dp, n) != scalar * c_sub:
+            if c_sub is None or pattern_coefficient(dp, n, factor=factor) != scalar * c_sub:
                 fact_ok = False
                 witness = witness or L.to_text()
 

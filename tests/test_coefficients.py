@@ -130,6 +130,39 @@ def test_specialize_matches_reference_ring(sa, sb):
     assert as_ref(specialize_n1(a * b)) == (ra * rb).specialize_n1().monomials()
 
 
+@settings(max_examples=200, deadline=None)
+@given(monomial_specs((1, 5, 6, 7)), monomial_specs((5, 6, 7)))
+def test_decoding_survives_new_symbols(sa, sb):
+    # Decoding caches the sorted Gauss part of each packed symbol-bits
+    # value.  Symbols of degrees 5-7 interned after an element was decoded
+    # take new fields; the element must decode as before, and elements over
+    # old and new fields alike must match the reference ring.
+    a, ra = build(sa)
+    first = a.monomials(), a.to_json_obj()
+    b, rb = build(sb)
+    for got, want in [(a, ra), (b, rb), (a * b, ra * rb), (a + b, ra + rb)]:
+        assert as_ref(got) == want.monomials()
+        assert got.to_json_obj() == want.to_json_obj()
+    assert (a.monomials(), a.to_json_obj()) == first
+
+
+def test_json_obj_is_fresh_on_every_call():
+    el = (CoeffElement.symbol(GaussSymbol(2, 1, 5), q_exp=3, coeff=-2)
+          * CoeffElement.symbol(GaussSymbol(1, 4, 5)) + Q(1, 7))
+    want = {"monomials": [
+        {"int": 7, "q": 1, "gauss": []},
+        {"int": -2, "q": 3, "gauss": [{"t": 1, "c": 4, "pow": 1},
+                                      {"t": 2, "c": 1, "pow": 1}]}]}
+    obj = el.to_json_obj()
+    assert obj == want
+    obj["monomials"][1]["gauss"][0]["pow"] = 99
+    obj["monomials"][1]["gauss"].append({"t": 1, "c": 0, "pow": 1})
+    obj["monomials"][0]["gauss"].append({"t": 1, "c": 0, "pow": 1})
+    obj["monomials"][0]["q"] = -1
+    obj["monomials"].pop()
+    assert el.to_json_obj() == want
+
+
 def test_high_symbol_power_serializes():
     sym = GaussSymbol(2, 1, 3)
     el = ONE

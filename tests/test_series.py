@@ -49,19 +49,26 @@ D_FLAG_SETTINGS = [Conventions(ml_span_rule=span, d_component_rule=rule)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
-                                         ("B", 3), ("C", 2), ("C", 3), ("D", 3)])
+                                         ("B", 3), ("C", 2), ("C", 3), ("D", 3),
+                                         ("D", 4)])
 def test_p_part_matches_per_leaf_sum(family, rank):
-    # p_part folds the coefficient along the slot walk and skips subtrees
-    # under a zero factor; it must agree with the per-leaf definition.
-    # lambda in {1,2}^r with dimension <= 3000 (no D4 weight qualifies),
-    # n = 1..4, and every type-D component/span flag setting.
+    # p_part reads slot factors from a table keyed by each slot's local state
+    # and skips subtrees under a zero factor; it must agree with the
+    # per-leaf definition.  lambda in {1,2}^r with dimension <= 3000,
+    # n = 1..4, and every type-D component/span flag setting.  No D4 weight
+    # passes the cap, so D4 runs rho at n = 2 under the default flags and
+    # under strict components with leg spans.
     r = rs(family, rank)
-    degrees = (1, 2, 3, 4)
-    convs = D_FLAG_SETTINGS if family == "D" else [DEFAULT]
+    if (family, rank) == ("D", 4):
+        lams, degrees = [(1, 1, 1, 1)], (2,)
+        convs = [DEFAULT, Conventions(ml_span_rule="legs", d_component_rule="strict")]
+    else:
+        lams = [lam for lam in itertools.product((1, 2), repeat=rank)
+                if weyl_dimension(r, lam) <= 3000]
+        degrees = (1, 2, 3, 4)
+        convs = D_FLAG_SETTINGS if family == "D" else [DEFAULT]
     cases = 0
-    for lam in itertools.product((1, 2), repeat=rank):
-        if weyl_dimension(r, lam) > 3000:
-            continue
+    for lam in lams:
         for conv in convs:
             ref = per_leaf_p_part(r, lam, degrees, conv)
             for n in degrees:
@@ -70,9 +77,10 @@ def test_p_part_matches_per_leaf_sum(family, rank):
     assert cases == DIFFERENTIAL_CASES[family, rank]
 
 
-# (lambda, n, flags) cases per group above: 248 in all
+# (lambda, n, flags) cases per group above: 250 in all
 DIFFERENTIAL_CASES = {("A", 1): 8, ("A", 2): 16, ("A", 3): 32, ("B", 2): 16,
-                      ("B", 3): 16, ("C", 2): 16, ("C", 3): 16, ("D", 3): 128}
+                      ("B", 3): 16, ("C", 2): 16, ("C", 3): 16, ("D", 3): 128,
+                      ("D", 4): 2}
 
 
 def test_p_part_rank_one_by_hand():
