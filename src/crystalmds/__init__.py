@@ -16,12 +16,9 @@ from .roots import (CartanSpec, RootSystem, WeylWord, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
                     nice_long_word, weight_in_hull, weyl_character,
                     weyl_dimension)
-from .patterns import (LittelmannPattern, bzl_to_pattern, cone_satisfied,
-                       column_letter, enumerate_patterns, pattern_shape,
-                       pattern_to_bzl, pattern_weight, pattern_wt,
-                       polytope_satisfied, polytope_upper_bound)
-from .decorations import (DecoratedPattern, circling_lower_bound, decorate,
-                          render)
+from .patterns import (LittelmannPattern, column_letter, enumerate_patterns,
+                       pattern_shape, pattern_weight, pattern_wt)
+from .decorations import DecoratedPattern, decorate, render
 from .series import (BranchDecomposition, WeightPolynomial, branch_decompose,
                      character_via_patterns, p_part, polynomial_json_obj,
                      specialize_poly_n1, tokuyama_quotient, twisted_character)

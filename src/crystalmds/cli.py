@@ -21,15 +21,18 @@ from .series import character_via_patterns, p_part, polynomial_json_obj
 from .verification import SUITES
 
 
-def _parse_lambda(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers, such as ``2,1``."""
     try:
         return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad weight {text!r}: {exc}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _parse_weights(text: str) -> tuple[tuple[int, ...], ...]:
+    """Semicolon-separated weights, such as ``1,1;2,1``."""
+    return tuple(_parse_ints(part) for part in text.split(";"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--family", required=True, choices=("A", "B", "C", "D"))
         p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--lambda", dest="lam", required=True, type=_parse_lambda,
+        p.add_argument("--lambda", dest="lam", required=True, type=_parse_ints,
                        metavar="M1,M2,...", help="highest weight, fundamental-weight coordinates")
         p.add_argument("--n", type=int, default=1, help="metaplectic cover degree")
 
@@ -57,10 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=sorted(SUITES))
     pv.add_argument("--max-dim", type=int, default=5000)
-    pv.add_argument("--primes", type=_parse_int_list, default=(5, 7, 13))
-    pv.add_argument("--n", dest="degrees", type=_parse_int_list, default=(1, 2, 3, 4),
+    pv.add_argument("--primes", type=_parse_ints, default=(5, 7, 13))
+    pv.add_argument("--n", dest="degrees", type=_parse_ints, default=(1, 2, 3, 4),
                     help="cover degrees for the gauss suite, comma separated")
-    pv.add_argument("--lambdas", type=str, default=None,
+    pv.add_argument("--lambdas", type=_parse_weights, default=None,
                     help="semicolon-separated weights for the tokuyama suite, "
                          "e.g. '1,1;2,1;2,2'")
 
@@ -106,16 +109,14 @@ def cmd_verify(args) -> int:
     if args.suite == "character":
         report = suite(max_dim=args.max_dim)
     elif args.suite == "gauss":
-        report = suite(primes=tuple(args.primes), degrees=tuple(args.degrees))
+        report = suite(primes=args.primes, degrees=args.degrees)
     elif args.suite == "tokuyama":
         lambdas = None
         if args.lambdas:
-            lams = [tuple(int(x) for x in part.split(","))
-                    for part in args.lambdas.split(";")]
-            lambdas = {}
-            for lam in lams:
-                lambdas.setdefault(len(lam), []).append(lam)
-            lambdas = {r: tuple(v) for r, v in lambdas.items()}
+            by_rank = {}
+            for lam in args.lambdas:
+                by_rank.setdefault(len(lam), []).append(lam)
+            lambdas = {r: tuple(v) for r, v in by_rank.items()}
         report = suite(lambdas=lambdas)
     else:
         report = suite()
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
         # the interpreter flushes stdout again at exit; send that to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

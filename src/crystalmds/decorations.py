@@ -9,22 +9,11 @@ partition of each row into components, live in ``coefficients``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
-from .patterns import (LittelmannPattern, Position, _chain_lower_bound,
-                       _crystal_walk, _freeze, _walk, row_end)
+from .patterns import LittelmannPattern, _crystal_walk, _freeze, _walk
 from .roots import RootSystem
 from .weightpoly import Weight
-
-
-def circling_lower_bound(L: LittelmannPattern, pos: Position) -> int | Fraction:
-    """Cone lower bound for the entry at ``pos``; the halved middle case of
-    type B is returned as an exact Fraction."""
-    i, j = pos
-    if not (1 <= i <= len(L.rows) and i <= j <= row_end(L.spec, i)):
-        raise ValueError(f"position {pos} is outside the {L.spec} shape")
-    return _chain_lower_bound(L.rows[i - 1], L.spec, i, j)
 
 
 @dataclass(frozen=True)

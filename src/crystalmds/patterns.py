@@ -1,31 +1,30 @@
-"""Littelmann patterns: shapes, cone and polytope constraints, enumeration.
+"""Littelmann patterns: shapes, the slot walk, enumeration and weights.
 
 A pattern is a ragged array of nonnegative integers, one entry per letter of
 the family's distinguished long word.  Row i spans flat column indices
 ``i .. row_end(i)``; reads outside the shape return 0.
 
-Enumeration walks slots row by row from the top, right to left inside each
-row.  Under that order the cone gives an exact lower bound and the polytope
-an exact upper bound for the next entry from already-placed entries alone,
-so the search prunes at the first violated constraint and every leaf is a
-crystal element.  The lower bound reads only the slot's own row, to its
-right; the upper bound is one coordinate of the weight of the entries
-already placed, which the walk carries along.  The same walk marks
+The slot walk ``_walk`` is the one place that evaluates a pattern's cone and
+string-polytope bounds.  It visits slots row by row from the top, right to
+left inside each row.  Under that order the cone gives an exact lower bound
+and the polytope an exact upper bound for the next entry from already-placed
+entries alone, so the search prunes at the first violated constraint and
+every leaf is a crystal element.  The lower bound reads only the slot's own
+row, to its right; the upper bound is one coordinate of the weight of the
+entries already placed, which the walk carries along.  The same walk marks
 each entry that meets one of its bounds, which is all the circling and
-boxing masks need.
+boxing masks need.  Membership of a single pattern is the walk pinned to it
+(``decorations.decorate``), which raises at the first entry out of bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterator
 
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
                     is_dominant)
 from .weightpoly import Weight
-
-Position = tuple[int, int]  # (row index, flat column index), both 1-based
 
 
 def row_end(spec: CartanSpec, i: int) -> int:
@@ -89,7 +88,7 @@ class LittelmannPattern:
             for off, v in enumerate(row):
                 yield i, i + off, v
 
-    def positions(self) -> Iterator[Position]:
+    def positions(self) -> Iterator[tuple[int, int]]:
         for i, row in enumerate(self.rows, start=1):
             for off in range(len(row)):
                 yield i, i + off
@@ -107,19 +106,17 @@ class LittelmannPattern:
 # Cone chain
 # ---------------------------------------------------------------------------
 
-def _chain_lower_bound(row, spec: CartanSpec, i: int, j: int):
+def _chain_lower_bound(row, spec: CartanSpec, i: int, j: int) -> int:
     """Lower bound imposed on slot (i, j) by the chain of row ``i``, given as
-    its values left to right; entries past the row end read 0.  Exact value
-    (a Fraction for the halved case in type B)."""
+    its values left to right; entries past the row end read 0.  The halved
+    column of type B (j = r - 1, bounded by a(i, r)/2) is the walk's own
+    case."""
     r = spec.rank
     fam = spec.family
     off = j + 1 - i  # the right neighbour
     scale = 1
-    if fam == "B":
-        if j == r - 1:
-            return Fraction(row[off], 2)
-        if j == r:
-            scale = 2
+    if fam == "B" and j == r:
+        scale = 2
     elif fam == "D":
         if j == r - 2:
             return max(row[off], row[off + 1])
@@ -128,54 +125,11 @@ def _chain_lower_bound(row, spec: CartanSpec, i: int, j: int):
     return scale * row[off] if off < len(row) else 0
 
 
-def cone_satisfied(L: LittelmannPattern) -> bool:
-    """Row chains hold: weakly decreasing with the family's central variants
-    (doubled comparisons in B, incomparable central pair in D)."""
-    return all(v >= _chain_lower_bound(L.rows[i - 1], L.spec, i, j)
-               for i, j, v in L.entries())
-
-
-# ---------------------------------------------------------------------------
-# Polytope bounds
-# ---------------------------------------------------------------------------
-
-def polytope_upper_bound(L: LittelmannPattern, lam: Weight, pos: Position) -> int:
-    """Right-hand side of the highest-weight inequality bounding the entry at
-    ``pos`` (Littelmann's string-polytope inequality).
-
-    The bound pairs the slot's column letter with lam minus the simple root
-    of every entry before ``pos`` in ``enumeration_slots`` order, which are
-    the later letters of the long word.  So it depends only on entries above
-    the slot's row and to its right within the row, which is what makes
-    right-to-left, top-down enumeration prune exactly.
-    """
-    i, j = pos
-    spec = L.spec
-    if not (1 <= i <= len(L.rows) and i <= j <= row_end(spec, i)):
-        raise ValueError(f"position {pos} is outside the {spec} shape")
-    lam = _checked_weight(spec, lam)
-    c = column_letter(spec, j) - 1
-    pairing = build_root_system(spec).cartan[c]
-    bound = lam[c]
-    for slot in enumeration_slots(spec):
-        if slot == pos:
-            return bound
-        bound -= L.a(*slot) * pairing[column_letter(spec, slot[1]) - 1]
-
-
-def polytope_satisfied(L: LittelmannPattern, lam: Weight) -> bool:
-    """Membership in the highest-weight polytope: the cone chain plus every
-    entry at or under its upper bound."""
-    lam = _checked_weight(L.spec, lam)
-    return cone_satisfied(L) and all(v <= polytope_upper_bound(L, lam, (i, j))
-                                     for i, j, v in L.entries())
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def enumeration_slots(spec: CartanSpec) -> list[Position]:
+def enumeration_slots(spec: CartanSpec) -> list[tuple[int, int]]:
     """Slot order used by the enumerator: rows top to bottom, right to left."""
     return [(i, j)
             for i in range(1, row_count(spec) + 1)
@@ -328,29 +282,3 @@ def pattern_wt(L: LittelmannPattern, lam: Weight) -> Weight:
     lam = tuple(lam)
     return tuple(lam[i] - sum(s[k] * rs.cartan[i][k] for k in range(rs.rank))
                  for i in range(rs.rank))
-
-
-# ---------------------------------------------------------------------------
-# Path strings
-# ---------------------------------------------------------------------------
-
-def fill_slots(spec: CartanSpec) -> list[Position]:
-    """Slot order of the path bijection: bottom row first, left to right,
-    which is the enumeration order reversed."""
-    return enumeration_slots(spec)[::-1]
-
-
-def bzl_to_pattern(spec: CartanSpec, string: tuple[int, ...]) -> LittelmannPattern:
-    """Arrange a climbing string into the family shape."""
-    slots = fill_slots(spec)
-    if len(string) != len(slots):
-        raise ValueError(
-            f"string length {len(string)} does not match {spec} ({len(slots)} letters)")
-    rows: list[list[int]] = [[0] * n for n in pattern_shape(spec)]
-    for (i, j), v in zip(slots, string):
-        rows[i - 1][j - i] = v
-    return LittelmannPattern(spec, tuple(tuple(row) for row in rows))
-
-
-def pattern_to_bzl(L: LittelmannPattern) -> tuple[int, ...]:
-    return tuple(L.a(i, j) for i, j in fill_slots(L.spec))

@@ -15,6 +15,7 @@ applied to x^lam.  It does not use the pattern walk, so it cross-checks it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -252,9 +253,7 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
             f"expected {spec.positive_root_count()}")
 
     colsums = [sum(ainv[k][i] for k in range(r)) for i in range(r)]
-    scale = 1
-    for c in colsums:
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in colsums))
     height_vec = tuple(int(c * scale) for c in colsums)
 
     return RootSystem(
@@ -266,12 +265,6 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
         positive_roots_root_coords=tuple(rc for _, rc in positives),
         height_vec=height_vec,
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

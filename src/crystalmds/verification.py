@@ -11,8 +11,8 @@ import itertools
 
 from .coefficients import (_component_factor, count_forced_sigma, g_value,
                            gauss_numeric, h_value, row_components, specialize_n1)
-from .decorations import circling_lower_bound, decorate, decorated_crystal
-from .patterns import enumerate_patterns, polytope_upper_bound
+from .decorations import decorate, decorated_crystal
+from .patterns import enumerate_patterns
 from .roots import (CartanSpec, build_root_system, character_dimension,
                     is_strongly_dominant, weight_in_hull, weyl_character,
                     weyl_dimension)
@@ -75,8 +75,16 @@ def _rel_close(x: complex, y: complex, tol: float) -> bool:
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
-# largest c_exp with p**c_exp kept near 1e7 terms
-_EXP_CAP = {5: 10, 7: 8, 13: 6}
+# a numeric Gauss sum with modulus p**c_exp adds p**c_exp terms
+_TERM_BUDGET = 10 ** 7
+
+
+def _exp_cap(p: int) -> int:
+    """Largest c_exp with p**c_exp within ``_TERM_BUDGET`` (p >= 2)."""
+    c = 0
+    while p ** (c + 1) <= _TERM_BUDGET:
+        c += 1
+    return c
 
 
 def run_gauss_suite(primes: tuple[int, ...] = (5, 7, 13),
@@ -85,14 +93,17 @@ def run_gauss_suite(primes: tuple[int, ...] = (5, 7, 13),
     """Numeric character sums against the stored closed forms."""
     if any(n < 1 for n in degrees):
         raise ValueError(f"cover degrees must be >= 1, got {list(degrees)}")
+    if any(p < 2 for p in primes):
+        raise ValueError(f"primes must be >= 2, got {list(primes)}")
     cases = []
     for n in degrees:
         for p in primes:
             if (p - 1) % n:
                 continue
-            cap = _EXP_CAP.get(p, 6)
+            cap = _exp_cap(p)
+            exponents = range(1, min(cap, 6) + 1)
             for t in (1, 2):
-                for a in range(1, 7):
+                for a in exponents:
                     num = gauss_numeric(t, a, a, p, n)
                     sym = _eval_laurent_q(h_value(t, a, n), p)
                     cases.append(_case(f"h_{t}({a}) n={n} p={p}",
@@ -100,7 +111,7 @@ def run_gauss_suite(primes: tuple[int, ...] = (5, 7, 13),
                                        numeric=[num.real, num.imag],
                                        symbolic=[sym.real, sym.imag]))
             if n == 1:
-                for a in range(1, 7):
+                for a in exponents:
                     num = gauss_numeric(1, a - 1, a, p, 1)
                     sym = _eval_laurent_q(specialize_n1(g_value(1, a, 1)), p)
                     cases.append(_case(f"g({a}) n=1 p={p} specialization",
@@ -109,7 +120,7 @@ def run_gauss_suite(primes: tuple[int, ...] = (5, 7, 13),
                                        symbolic=[sym.real, sym.imag]))
             # residue-class dependence: unit-scale values repeat with period n
             for t in (1, 2):
-                for a in range(1, 7):
+                for a in exponents:
                     if a + n > cap:
                         continue
                     v1 = gauss_numeric(t, a - 1, a, p, n) / p ** (a - 1)
@@ -203,20 +214,10 @@ _DECORATION_BATTERY = (("A", 2, (2, 1)), ("A", 3, (1, 1, 1)), ("B", 2, (1, 2)),
 
 
 def run_decorations_suite() -> dict:
-    """Mask tightness, zero-pattern decoration, and the type-D component rules."""
+    """Zero-pattern decoration and the type-D component rules."""
     cases = []
     for family, rank, lam in _DECORATION_BATTERY:
         rs = build_root_system(CartanSpec(family, rank))
-        sound = True
-        for dp in decorated_crystal(rs, lam):
-            L = dp.pattern
-            for i, j, v in L.entries():
-                if dp.is_circled(i, j) != (v == circling_lower_bound(L, (i, j))):
-                    sound = False
-                if dp.is_boxed(i, j) != (v == polytope_upper_bound(L, lam, (i, j))):
-                    sound = False
-        cases.append(_case(f"{family}{rank} lambda={lam} mask tightness", sound))
-
         zero = next(iter(enumerate_patterns(rs, tuple([0] * rank))))
         if is_strongly_dominant(lam):
             dzp = decorate(zero, lam)

@@ -7,10 +7,16 @@ polytope membership straight from the long word and the Cartan pairings.
 The full-denominator character is the Weyl character formula itself, an
 alternating orbit sum divided by the Weyl denominator, as a reference for the
 package's Demazure-operator character.
+
+The pattern bounds are written out here from their definitions, apart from
+the package's slot walk: ``chain_lower_bound`` from each family's row-chain
+inequalities and ``greedy_bound`` from the long word, so the walk's masks and
+its membership verdicts can be checked against them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -190,33 +196,88 @@ def long_word_blocks(family: str, rank: int) -> list[int]:
     return letters
 
 
+def _row_spans(family: str, rank: int) -> dict[int, tuple[int, int]]:
+    """Row index -> (first, last) flat column of that row."""
+    if family == "A":
+        return {i: (i, rank) for i in range(1, rank + 1)}
+    if family in ("B", "C"):
+        return {i: (i, 2 * rank - i) for i in range(1, rank + 1)}
+    return {i: (i, 2 * rank - 1 - i) for i in range(1, rank)}
+
+
 def string_fill_slots(family: str, rank: int) -> list[tuple[int, int]]:
     """Slots in path order: bottom row first, left to right."""
-    if family == "A":
-        spans = {i: (i, rank) for i in range(1, rank + 1)}
-    elif family in ("B", "C"):
-        spans = {i: (i, 2 * rank - i) for i in range(1, rank + 1)}
-    else:
-        spans = {i: (i, 2 * rank - 1 - i) for i in range(1, rank)}
+    spans = _row_spans(family, rank)
     return [(i, j) for i in sorted(spans, reverse=True)
             for j in range(spans[i][0], spans[i][1] + 1)]
 
 
-def greedy_bound(family: str, rank: int, rows: list[list[int]],
-                 lam: tuple[int, ...], pos: tuple[int, int]) -> int:
+@lru_cache(maxsize=None)
+def _string_data(family: str, rank: int):
+    """Cartan matrix, long-word letters and slot -> path index, per type."""
+    slots = tuple(string_fill_slots(family, rank))
+    cartan = ModelRootSystem(family, rank).cartan_matrix()
+    return (tuple(map(tuple, cartan)), tuple(long_word_blocks(family, rank)),
+            slots, {slot: h for h, slot in enumerate(slots)})
+
+
+def greedy_bound(family: str, rank: int, rows, lam: tuple[int, ...],
+                 pos: tuple[int, int]) -> int:
     """Upper bound on the entry at ``pos``: the pairing of the head letter
     against the weight left after unwinding all later path segments."""
-    model = ModelRootSystem(family, rank)
-    cartan = model.cartan_matrix()
-    letters = long_word_blocks(family, rank)
-    slots = string_fill_slots(family, rank)
-    h = slots.index(pos)
+    cartan, letters, slots, index = _string_data(family, rank)
+    h = index[pos]
     c = letters[h]
     bound = lam[c - 1]
     for k in range(h + 1, len(slots)):
         i, j = slots[k]
         bound -= rows[i - 1][j - i] * cartan[c - 1][letters[k] - 1]
     return bound
+
+
+def chain_lower_bound(family: str, rank: int, rows,
+                      pos: tuple[int, int]) -> int | Fraction:
+    """Lower bound on the entry at ``pos`` from the chain inequalities of its
+    row, entries past the row end reading 0.  In types A and C a row weakly
+    decreases.  In type B the middle column r enters doubled:
+    a(r-1) >= a(r)/2 and a(r) >= 2 a(r+1), so the bound can be a half.  In
+    type D the central pair r-1, r is incomparable: a(r-2) >= both and each
+    is >= a(r+1)."""
+    i, j = pos
+    first, last = _row_spans(family, rank)[i]
+    if not first <= j <= last:
+        raise ValueError(f"column {j} is outside row {i}")
+    r = rank
+
+    def a(col):
+        return rows[i - 1][col - first] if col <= last else 0
+
+    if family == "B" and j == r - 1:
+        return Fraction(a(r), 2)
+    if family == "B" and j == r:
+        return 2 * a(r + 1)
+    if family == "D" and j == r - 2:
+        return max(a(r - 1), a(r))
+    if family == "D" and j == r - 1:
+        return a(r + 1)
+    return a(j + 1)
+
+
+def oracle_masks(family: str, rank: int, rows, lam: tuple[int, ...]):
+    """``(member, circled, boxed)``: whether every entry lies between its
+    chain and greedy bounds, and which entries meet each bound."""
+    member, circled, boxed = True, [], []
+    for i, row in enumerate(rows, start=1):
+        crow, brow = [], []
+        for j, v in enumerate(row, start=i):
+            lo = chain_lower_bound(family, rank, rows, (i, j))
+            hi = greedy_bound(family, rank, rows, lam, (i, j))
+            member = member and lo <= v <= hi
+            crow.append(v == lo)
+            brow.append(v == hi)
+        circled.append(tuple(crow))
+        boxed.append(tuple(brow))
+    return member, tuple(circled), tuple(boxed)
 
 
 def _signed_orbit(rs, v) -> dict:

@@ -109,11 +109,38 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     (["--suite", "gauss", "--n", "0"], "cover degrees must be >= 1"),
     (["--suite", "gauss", "--n", "5"], "gauss suite selected no cases"),
     (["--suite", "character", "--max-dim", "0"], "character suite selected no cases"),
-], ids=["gauss-degree-0", "gauss-no-prime-fits", "character-max-dim-0"])
+    # 10000019 is prime, but one of its Gauss sums is already past the
+    # 10**7-term budget, so no exponent is checked
+    (["--suite", "gauss", "--primes", "10000019"], "gauss suite selected no cases"),
+    (["--suite", "gauss", "--primes", "1,5"], "primes must be >= 2"),
+], ids=["gauss-degree-0", "gauss-no-prime-fits", "character-max-dim-0",
+        "gauss-prime-over-budget", "gauss-prime-below-two"])
 def test_verify_empty_or_malformed_run_exits_two(capsys, argv, message):
     # a run that checks nothing is invalid configuration, not a pass
     code, out, err = run(capsys, ["verify", *argv])
     assert code == 2 and out == "" and message in err
+
+
+def test_verify_gauss_large_prime_finishes(capsys):
+    # the exponents stop where p**c passes the term budget: c <= 3 at p=101
+    code, out, _ = run(capsys, ["verify", "--suite", "gauss", "--primes", "101",
+                                "--n", "1"])
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["cases"]]
+    assert "h_1(3) n=1 p=101" in names and "h_1(4) n=1 p=101" not in names
+    assert "g_1 residue period: a=2 vs 3, n=1 p=101" in names
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["--suite", "gauss", "--primes", "5,x"], "'5,x'"),
+    (["--suite", "tokuyama", "--lambdas", "1,x"], "'1,x'"),
+], ids=["primes", "lambdas"])
+def test_verify_malformed_int_list_exits_two(capsys, argv, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"expected comma-separated integers, got {text}" in err
 
 
 def test_verify_unknown_suite_exits_two(capsys):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from crystalmds import (CartanSpec, DEFAULT, Conventions, LittelmannPattern,
-                        build_root_system, circling_lower_bound, decorate,
-                        enumerate_patterns, pattern_shape, polytope_upper_bound,
-                        render, row_components, weyl_dimension)
+                        build_root_system, decorate, enumerate_patterns,
+                        pattern_shape, render, row_components, weyl_dimension)
 from crystalmds.decorations import decorated_crystal
 from crystalmds.verification import CHARACTER_BATTERY
+from oracles import chain_lower_bound, oracle_masks
 
 
 def P(family, rank, rows):
@@ -25,27 +25,37 @@ def zero_pattern(family, rank):
 # ---------------------------------------------------------------------------
 
 def test_row_end_bound_is_zero():
-    L = P("A", 2, [[3, 1], [2]])
-    assert circling_lower_bound(L, (1, 2)) == 0
-    assert circling_lower_bound(L, (2, 2)) == 0
+    rows = [[3, 1], [2]]
+    assert chain_lower_bound("A", 2, rows, (1, 2)) == 0
+    assert chain_lower_bound("A", 2, rows, (2, 2)) == 0
+    # the walk circles a row end exactly when it is 0
+    assert decorate(P("A", 2, rows), (1, 2)).circled == ((False, False), (False,))
+    assert decorate(P("A", 2, [[3, 0], [0]]), (1, 3)).circled == ((False, True), (True,))
 
 
 def test_b2_middle_bounds():
-    L = P("B", 2, [[0, 2, 1], [0]])
-    assert circling_lower_bound(L, (1, 2)) == 2       # doubled right neighbour
-    assert circling_lower_bound(L, (1, 1)) == Fraction(1)  # half the middle
+    rows = [[0, 2, 1], [0]]
+    assert chain_lower_bound("B", 2, rows, (1, 2)) == 2       # doubled right neighbour
+    assert chain_lower_bound("B", 2, rows, (1, 1)) == Fraction(1)  # half the middle
+    # 0 < 2/2, so the walk stops at (1, 1); raising it to the half circles it
+    with pytest.raises(ValueError, match=r"entry 0 at \(1, 1\) .*bounds 1\."):
+        decorate(P("B", 2, rows), (6, 6))
+    dp = decorate(P("B", 2, [[1, 2, 1], [0]]), (0, 1))
+    assert dp.is_circled(1, 2) and dp.is_circled(1, 1)
 
 
 def test_d3_fork_bound():
-    L = P("D", 3, [[3, 1, 2, 0], [0, 0]])
-    assert circling_lower_bound(L, (1, 1)) == 2       # max of the central pair
-    assert circling_lower_bound(L, (1, 2)) == 0       # skips over the other centre
-    assert circling_lower_bound(L, (1, 3)) == 0
-
-
-def test_bound_position_validation():
-    with pytest.raises(ValueError):
-        circling_lower_bound(P("A", 2, [[0, 0], [0]]), (2, 1))
+    rows = [[3, 1, 2, 0], [0, 0]]
+    assert chain_lower_bound("D", 3, rows, (1, 1)) == 2       # max of the central pair
+    assert chain_lower_bound("D", 3, rows, (1, 2)) == 0       # skips over the other centre
+    assert chain_lower_bound("D", 3, rows, (1, 3)) == 0
+    assert decorate(P("D", 3, rows), (1, 2, 0)).circled[0] == (False, False, False, True)
+    # (1, 1) meets the larger central entry; (1, 2) = 1 is not circled
+    # against (1, 3) = 2, which it is not compared with
+    dp = decorate(P("D", 3, [[2, 1, 2, 0], [0, 0]]), (1, 2, 0))
+    assert dp.circled[0] == (True, False, False, True)
+    with pytest.raises(ValueError, match=r"at \(1, 1\)"):
+        decorate(P("D", 3, [[1, 1, 2, 0], [0, 0]]), (6, 6, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +102,7 @@ def test_b_factor_two_circling():
 
 def test_walk_masks_match_decorate_and_definitions():
     # the masks p_part reads off the enumeration walk, against the pinned walk
-    # (decorate) and against the definitional bounds
+    # (decorate) and against the oracle bounds
     odd_halved = 0
     for family, rank in CHARACTER_BATTERY + (("D", 3),):
         rs = build_root_system(CartanSpec(family, rank))
@@ -103,9 +113,8 @@ def test_walk_masks_match_decorate_and_definitions():
                 L = dp.pattern
                 ref = decorate(L, lam)
                 assert (dp.circled, dp.boxed) == (ref.circled, ref.boxed), L.to_text()
-                for i, j, v in L.entries():
-                    assert dp.is_circled(i, j) == (v == circling_lower_bound(L, (i, j)))
-                    assert dp.is_boxed(i, j) == (v == polytope_upper_bound(L, lam, (i, j)))
+                assert oracle_masks(family, rank, L.rows, lam) == \
+                    (True, dp.circled, dp.boxed), L.to_text()
                 if family == "B":
                     odd_halved += sum(L.a(i, rank) % 2 for i in range(1, rank))
     assert odd_halved > 0

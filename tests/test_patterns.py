@@ -4,14 +4,12 @@ import random
 import pytest
 
 from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
-                        bzl_to_pattern, cone_satisfied, column_letter, decorate,
-                        enumerate_patterns, pattern_shape, pattern_to_bzl,
-                        pattern_weight, pattern_wt, polytope_satisfied,
-                        polytope_upper_bound, branch_decompose, weight_in_hull,
-                        weyl_character, weyl_dimension)
+                        column_letter, decorate, enumerate_patterns,
+                        pattern_shape, pattern_weight, pattern_wt,
+                        branch_decompose, weight_in_hull, weyl_character,
+                        weyl_dimension)
 from crystalmds.decorations import decorated_crystal
-from crystalmds.patterns import row_count, row_end
-from oracles import greedy_bound
+from oracles import chain_lower_bound, greedy_bound, oracle_masks
 
 SMALL_SPECS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
@@ -23,6 +21,20 @@ def rs(family, rank):
 
 def P(family, rank, rows):
     return LittelmannPattern(CartanSpec(family, rank), tuple(tuple(r) for r in rows))
+
+
+def walk_accepts(L, lam):
+    """Membership by the walk: decorate raises at the first entry outside
+    the polytope."""
+    try:
+        decorate(L, lam)
+    except ValueError:
+        return False
+    return True
+
+
+def oracle_member(L, lam):
+    return oracle_masks(L.spec.family, L.spec.rank, L.rows, lam)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +78,30 @@ def test_text_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_cone_examples():
-    assert cone_satisfied(P("A", 2, [[0, 0], [0]]))
-    assert not cone_satisfied(P("A", 2, [[1, 2], [0]]))
-    # doubled comparisons around the middle entry: 2*1 >= 2 and 2 >= 2*0
-    assert cone_satisfied(P("B", 2, [[1, 2, 0], [0]]))
-    assert not cone_satisfied(P("B", 2, [[1, 3, 0], [0]]))
-    # the two central entries of a type-D row are unconstrained against
-    # each other
-    assert cone_satisfied(P("D", 3, [[2, 0, 2, 0], [0, 1]]))
+    def cone(L):
+        return all(v >= chain_lower_bound(L.spec.family, L.spec.rank, L.rows, (i, j))
+                   for i, j, v in L.entries())
+
+    examples = [
+        (P("A", 2, [[0, 0], [0]]), True),
+        (P("A", 2, [[1, 2], [0]]), False),
+        # doubled comparisons around the middle entry: 2*1 >= 2 and 2 >= 2*0
+        (P("B", 2, [[1, 2, 0], [0]]), True),
+        (P("B", 2, [[1, 3, 0], [0]]), False),
+        # the two central entries of a type-D row are unconstrained against
+        # each other
+        (P("D", 3, [[2, 0, 2, 0], [0, 1]]), True),
+    ]
+    for L, holds in examples:
+        assert cone(L) == holds, L.to_text()
+        # no upper bound binds at this weight, so the walk rejects exactly
+        # the cone violations, at the first entry read
+        lam = (6,) * L.spec.rank
+        assert all(v <= greedy_bound(L.spec.family, L.spec.rank, L.rows, lam, (i, j))
+                   for i, j, v in L.entries())
+        assert walk_accepts(L, lam) == holds, L.to_text()
+    with pytest.raises(ValueError, match=r"entry 1 at \(1, 1\) .*bounds 2\.\.8"):
+        decorate(P("A", 2, [[1, 2], [0]]), (6, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -82,56 +110,66 @@ def test_cone_examples():
 
 def test_bound_rank_one():
     for m in (0, 1, 5):
-        L = P("A", 1, [[0]])
-        assert polytope_upper_bound(L, (m,), (1, 1)) == m
+        assert greedy_bound("A", 1, [[0]], (m,), (1, 1)) == m
+        assert decorate(P("A", 1, [[m]]), (m,)).is_boxed(1, 1)
+        with pytest.raises(ValueError, match=f"bounds 0\\.\\.{m}"):
+            decorate(P("A", 1, [[m + 1]]), (m,))
 
 
 def test_bound_a2_zero_pattern():
-    L = P("A", 2, [[0, 0], [0]])
-    assert polytope_upper_bound(L, (1, 1), (1, 2)) == 1
+    assert greedy_bound("A", 2, [[0, 0], [0]], (1, 1), (1, 2)) == 1
+    # (1, 2) is the first slot the walk reads, so its bound is lam's first
+    # coordinate whatever the other entries are
+    assert decorate(P("A", 2, [[1, 1], [0]]), (1, 1)).is_boxed(1, 2)
+    assert not decorate(P("A", 2, [[0, 0], [0]]), (1, 1)).is_boxed(1, 2)
+    with pytest.raises(ValueError, match=r"at \(1, 2\)"):
+        decorate(P("A", 2, [[2, 2], [0]]), (1, 1))
 
 
 def test_bound_d3_central_columns():
     # column r-1 carries the first fundamental coordinate, column r the
     # second (matching the letters of the long word)
-    L = P("D", 3, [[0, 0, 0, 0], [0, 0]])
-    lam = (1, 0, 0)
-    assert polytope_upper_bound(L, lam, (1, 2)) == 1
-    assert polytope_upper_bound(L, lam, (1, 3)) == 0
-    assert polytope_upper_bound(L, (0, 1, 0), (1, 2)) == 0
-    assert polytope_upper_bound(L, (0, 1, 0), (1, 3)) == 1
-
-
-def test_bound_invalid_position():
-    with pytest.raises(ValueError):
-        polytope_upper_bound(P("A", 2, [[0, 0], [0]]), (1, 1), (2, 1))
+    zero = [[0, 0, 0, 0], [0, 0]]
+    for lam, bounds in (((1, 0, 0), (1, 0)), ((0, 1, 0), (0, 1))):
+        got = tuple(greedy_bound("D", 3, zero, lam, (1, j)) for j in (2, 3))
+        assert got == bounds
+        dp = decorate(P("D", 3, zero), lam)
+        assert (dp.is_boxed(1, 2), dp.is_boxed(1, 3)) == (not bounds[0], not bounds[1])
+    assert decorate(P("D", 3, [[1, 1, 0, 0], [0, 0]]), (1, 0, 0)).is_boxed(1, 2)
+    with pytest.raises(ValueError, match=r"at \(1, 3\)"):
+        decorate(P("D", 3, [[0, 0, 1, 0], [0, 0]]), (1, 0, 0))
 
 
 @pytest.mark.parametrize("family,rank", SMALL_SPECS)
 def test_bounds_match_string_oracle(family, rank):
-    rng = random.Random(hash((family, rank)) & 0xFFFF)
+    # membership by the walk (decorate) against the oracle cone and greedy
+    # bounds, on random patterns and on members of the crystal
+    rng = random.Random(f"{family}{rank}")  # str seeds are not salted per process
     spec = CartanSpec(family, rank)
     shape = pattern_shape(spec)
+    outcomes = set()
     for _ in range(40):
         rows = [[rng.randrange(0, 5) for _ in range(n)] for n in shape]
         L = LittelmannPattern(spec, tuple(tuple(r) for r in rows))
         lam = tuple(rng.randrange(0, 4) for _ in range(rank))
-        for i in range(1, row_count(spec) + 1):
-            for j in range(i, row_end(spec, i) + 1):
-                assert polytope_upper_bound(L, lam, (i, j)) == \
-                    greedy_bound(family, rank, rows, lam, (i, j))
+        member = oracle_member(L, lam)
+        assert walk_accepts(L, lam) == member, (L.to_text(), lam)
+        outcomes.add(member)
+    lam = (1,) * rank
+    members = list(enumerate_patterns(rs(family, rank), lam))
+    for L in rng.sample(members, min(20, len(members))):
+        assert oracle_member(L, lam) and walk_accepts(L, lam), L.to_text()
+        outcomes.add(True)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("call", [
     lambda L: decorate(L, (1, 1, 5)),
     lambda L: decorate(L, (1,)),
-    lambda L: polytope_upper_bound(L, (1,), (1, 1)),
-    lambda L: polytope_satisfied(L, (1, 1, 7)),
     lambda L: weyl_dimension(rs("A", 2), (1, 0, 7)),
     lambda L: weyl_dimension(rs("A", 2), (1,)),
     lambda L: weight_in_hull(rs("A", 2), (1, 0), (0, 0, 9)),
-], ids=["decorate-long", "decorate-short", "upper-bound-short", "satisfied-long",
-        "dimension-long", "dimension-short", "hull-point-long"])
+], ids=["decorate-long", "decorate-short", "dimension-long", "dimension-short", "hull-point-long"])
 def test_wrong_rank_highest_weight_rejected(call):
     # a weight with the wrong number of coordinates is an error, not a weight
     # read short, padded or cut to the rank
@@ -140,12 +178,13 @@ def test_wrong_rank_highest_weight_rejected(call):
 
 
 def test_polytope_satisfied_examples():
-    assert polytope_satisfied(P("A", 1, [[2]]), (2,))
-    assert not polytope_satisfied(P("A", 1, [[3]]), (2,))
+    assert oracle_member(P("A", 1, [[2]]), (2,)) and walk_accepts(P("A", 1, [[2]]), (2,))
+    assert not oracle_member(P("A", 1, [[3]]), (2,))
+    assert not walk_accepts(P("A", 1, [[3]]), (2,))
     for family, rank in SMALL_SPECS:
         spec = CartanSpec(family, rank)
         zero = LittelmannPattern(spec, tuple(tuple([0] * n) for n in pattern_shape(spec)))
-        assert polytope_satisfied(zero, tuple([1] * rank))
+        assert oracle_member(zero, (1,) * rank) and walk_accepts(zero, (1,) * rank)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +217,7 @@ def test_enumeration_counts_and_membership(family, rank):
             continue
         seen = set()
         for L in enumerate_patterns(r, lam):
-            assert cone_satisfied(L)
-            assert polytope_satisfied(L, lam)
+            assert oracle_member(L, lam), (L.to_text(), lam)
             assert L.rows not in seen
             seen.add(L.rows)
         assert len(seen) == dim
@@ -274,32 +312,3 @@ def test_character_via_weights_small():
         table[w] = table.get(w, 0) + 1
     chi = weyl_character(r, lam)
     assert table == {w: c.monomials()[0][0] for w, c in chi.terms.items()}
-
-
-# ---------------------------------------------------------------------------
-# path strings
-# ---------------------------------------------------------------------------
-
-def test_bzl_fill_examples():
-    got = bzl_to_pattern(CartanSpec("A", 2), (5, 6, 7))
-    assert got.rows == ((6, 7), (5,))
-    got = bzl_to_pattern(CartanSpec("B", 2), (1, 2, 3, 4))
-    assert got.rows == ((2, 3, 4), (1,))
-
-
-def test_bzl_wrong_length():
-    with pytest.raises(ValueError):
-        bzl_to_pattern(CartanSpec("A", 2), (1, 2))
-
-
-@pytest.mark.parametrize("family,rank", SMALL_SPECS)
-def test_bzl_round_trip_random(family, rank):
-    rng = random.Random(hash((family, rank, "bzl")) & 0xFFFF)
-    spec = CartanSpec(family, rank)
-    n = spec.positive_root_count()
-    for _ in range(100):
-        string = tuple(rng.randrange(0, 9) for _ in range(n))
-        L = bzl_to_pattern(spec, string)
-        assert pattern_to_bzl(L) == string
-    for L in itertools.islice(enumerate_patterns(rs(family, rank), (1,) * rank), 25):
-        assert bzl_to_pattern(spec, pattern_to_bzl(L)) == L
