@@ -12,7 +12,7 @@ from .conventions import DEFAULT, Conventions
 from .coefficients import (CoeffElement, ComponentD, GaussSymbol, entry_factor,
                            g_value, gauss_numeric, h_value, pattern_coefficient,
                            row_components, sigma_entry, specialize_n1)
-from .roots import (CartanSpec, RootSystem, WeylWord, build_root_system,
+from .roots import (CartanSpec, RootSystem, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
                     nice_long_word, weight_in_hull, weyl_character,
                     weyl_dimension)

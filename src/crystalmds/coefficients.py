@@ -42,9 +42,9 @@ the connected components of the row (``row_components``,
 ``_component_factor``), placed at the row's last slot.  A factor reads
 nothing but the slot's local state (``slot_key``), and there are few distinct
 states, so ``slot_table`` computes each once for a given (spec, n,
-conventions); the prefix products of ``series.p_part`` and the checks of
-``series.branch_decompose`` read their factors from one.
-``pattern_coefficient`` multiplies the factors of one pattern.
+conventions); the walks of ``series`` fold factors read from one into prefix
+products.  ``pattern_coefficient``, the per-pattern definition they are
+checked against, multiplies one pattern's factors from ``slot_factor``.
 This module holds the whole rule, and it is the only reader of the
 ``Conventions`` switches that leave the type-D rule open.
 
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import index, itemgetter
 from typing import TYPE_CHECKING
 
@@ -686,17 +686,15 @@ def slot_table(spec: CartanSpec, n: int, conv: Conventions = DEFAULT):
 
 
 def pattern_coefficient(dp: DecoratedPattern, n: int,
-                        conv: Conventions = DEFAULT, factor=None) -> CoeffElement:
+                        conv: Conventions = DEFAULT) -> CoeffElement:
     """Total coefficient of a decorated pattern: the product of its slot
-    factors, read from ``factor`` when given (a ``slot_table`` of the
-    pattern's spec at ``n`` and ``conv``), else from ``slot_factor``."""
+    factors, straight from ``slot_factor``."""
     L = dp.pattern
-    if factor is None:
-        factor = partial(slot_factor, L.spec, n=n, conv=conv)
     out = _ONE
     for i, j in L.positions():
         k = i - 1
-        out = out * factor(i, j, L.rows[k], dp.circled[k], dp.boxed[k])
+        out = out * slot_factor(L.spec, i, j, L.rows[k], dp.circled[k], dp.boxed[k],
+                                n, conv)
         if out.is_zero():
             return _ZERO
     return out

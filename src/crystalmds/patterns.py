@@ -94,12 +94,17 @@ class LittelmannPattern:
                 yield i, i + off
 
     def to_text(self) -> str:
-        return ";".join(",".join(str(v) for v in row) for row in self.rows)
+        return _rows_text(self.rows)
 
     @staticmethod
     def from_text(spec: CartanSpec, text: str) -> "LittelmannPattern":
         rows = tuple(tuple(int(v) for v in part.split(",")) for part in text.strip().split(";"))
         return LittelmannPattern(spec, rows)
+
+
+def _rows_text(rows) -> str:
+    """Pattern text: rows separated by ';', entries by ','."""
+    return ";".join(",".join(map(str, row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +202,8 @@ def _walk(spec: CartanSpec, lam: Weight,
         if tries[k] is None:  # first visit: evaluate the slot's bounds
             if j == halved:
                 twice = row[r - i]
-                lo, tight = (twice + 1) // 2, (None if twice % 2 else twice // 2)
+                # with a(i, r) odd, tight falls below lo and circles nothing
+                lo, tight = (twice + 1) // 2, twice // 2
             else:
                 lo = tight = _chain_lower_bound(row, spec, i, j)
             wt = wts[k]

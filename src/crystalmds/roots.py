@@ -55,14 +55,6 @@ class CartanSpec:
 
 
 @dataclass(frozen=True)
-class WeylWord:
-    letters: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
 class RootSystem:
     """Cartan data plus derived exact structures.
 
@@ -271,7 +263,7 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
 # The distinguished reduced word for the long element
 # ---------------------------------------------------------------------------
 
-def nice_long_word(spec: CartanSpec) -> WeylWord:
+def nice_long_word(spec: CartanSpec) -> tuple[int, ...]:
     """The family's distinguished long word: rank r extends rank r-1 by one
     block of new letters, so the rank-(r-1) word is a prefix."""
     r = spec.rank
@@ -290,10 +282,9 @@ def nice_long_word(spec: CartanSpec) -> WeylWord:
             letters.extend(range(k, 2, -1))
             letters.extend((1, 2))
             letters.extend(range(3, k + 1))
-    word = WeylWord(tuple(letters))
-    if len(word) != spec.positive_root_count():
-        raise AssertionError(f"long word for {spec} has wrong length {len(word)}")
-    return word
+    if len(letters) != spec.positive_root_count():
+        raise AssertionError(f"long word for {spec} has wrong length {len(letters)}")
+    return tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +323,7 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
     table = {lam: 1}
-    for k in nice_long_word(rs.spec).letters:
+    for k in nice_long_word(rs.spec):
         table = _demazure(rs, table, k)
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
     return poly_from_int_terms(rs.height_vec, table, meta)

@@ -17,20 +17,20 @@ weight; this is the variable normalization under which the factorization is
 exact in the weight-polynomial ring (see README notes).
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
-and verifies that both weights and coefficients factor through the split;
-groups sharing a branch weight share one walk of its crystal, and every
-coefficient is read through one slot table per crystal spec.
+and verifies that both weights and coefficients factor through the split.
+Every weight and coefficient comes off ``p_part``'s walk left unpruned
+(``_leaves``), once over the crystal and once over each distinct branch
+crystal, which also gives that crystal's P.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
+from typing import Iterator
 
-from .coefficients import (CoeffElement, pattern_coefficient, slot_table,
-                           specialize_n1)
+from .coefficients import CoeffElement, slot_table, specialize_n1
 from .conventions import DEFAULT, Conventions
-from .decorations import DecoratedPattern, decorate, decorated_crystal
-from .patterns import (LittelmannPattern, _crystal_walk, enumeration_slots,
-                       pattern_weight, pattern_wt)
+from .patterns import _crystal_walk, _freeze, _rows_text, enumeration_slots
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
 from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
@@ -185,8 +185,17 @@ class BranchDecomposition:
             for g in self.groups)
 
 
-def _truncate(L: LittelmannPattern, sub_spec: CartanSpec) -> LittelmannPattern:
-    return LittelmannPattern(sub_spec, L.rows[1:])
+def _leaves(rs: RootSystem, lam: Weight, factor) -> Iterator[tuple[tuple, Weight, CoeffElement]]:
+    """Every leaf of the crystal as ``(rows, weight, coefficient)``, zero
+    coefficients included: ``p_part``'s prefix-product fold over the slot
+    table ``factor``, without its pruning."""
+    slots = enumeration_slots(rs.spec)
+
+    def fold(k, coeff, row, crow, brow):
+        return coeff * factor(*slots[k], row, crow, brow)
+
+    for rows, _, _, w, c in _crystal_walk(rs, lam, fold, CoeffElement.one()):
+        yield _freeze(rows), w, c
 
 
 def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition:
@@ -195,8 +204,7 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
 
     All checks are recorded per group rather than raised, a truncation
     missing from the branch crystal included; the factorization is a theorem
-    in type A and checked on a fixed battery elsewhere.  Each distinct
-    branch crystal is walked, and its p-part computed, once.
+    in type A and checked on a fixed battery elsewhere.
     """
     lam = tuple(lam)
     spec = rs.spec
@@ -208,82 +216,68 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     sub_spec = CartanSpec(spec.family, spec.rank - 1)
     sub_rs = build_root_system(sub_spec)
     r = spec.rank
-
-    # every coefficient below is read through one slot table per crystal
-    # spec: slot factors do not depend on the highest weight
-    factor = slot_table(spec, n)
+    # slot factors do not depend on the highest weight: one table per spec
     sub_factor = slot_table(sub_spec, n)
 
-    groups: dict[tuple[int, ...], list[DecoratedPattern]] = {}
-    for dp in decorated_crystal(rs, lam):
-        groups.setdefault(dp.pattern.rows[0], []).append(dp)
+    groups: dict[tuple[int, ...], list] = {}
+    for leaf in _leaves(rs, lam, slot_table(spec, n)):
+        groups.setdefault(leaf[0][0], []).append(leaf)
 
-    # per branch weight: the coefficients of its crystal's leaves keyed by
-    # rows, and its p-part
-    branches: dict[Weight, tuple[dict, WeightPolynomial]] = {}
+    # per branch weight, from one walk of its crystal: each leaf's offset and
+    # coefficient keyed by rows, and P_mu keyed by offset
+    branches: dict[Weight, tuple[dict, dict]] = {}
     reports: list[BranchGroupReport] = []
     reconstructed: dict[Weight, CoeffElement] = {}
 
     for top, members in groups.items():
-        zero_rows = tuple(tuple([0] * len(row)) for row in members[0].pattern.rows[1:])
-        top_only = LittelmannPattern(spec, (top,) + zero_rows)
-        s_top = pattern_weight(top_only)
-        shift = pattern_wt(top_only, lam)
+        # values ascend, so the first leaf is the top-only member if there
+        # is one; if not, the all-zero truncation is missing and fails below
+        _, shift, scalar = members[0]
         mu = shift[:r - 1]
         if not is_dominant(mu):
             raise AssertionError(f"branch weight {mu} is not dominant")
-        scalar = pattern_coefficient(decorate(top_only, lam), n, factor=factor)
         if mu not in branches:
-            branches[mu] = ({dp.pattern.rows: pattern_coefficient(dp, n, factor=sub_factor)
-                             for dp in decorated_crystal(sub_rs, mu)},
-                            p_part(sub_rs, mu, n, allow_dominant=True))
-        sub, sub_poly = branches[mu]
+            sub, poly = {}, {}
+            for rows, w, c in _leaves(sub_rs, mu, sub_factor):
+                # the offset is minus the simple roots by which w lies below
+                # mu, as a rank-r weight: the leaf's members should sit at
+                # shift + offset, and its term of P_mu enters P there
+                drop = sub_rs.root_coordinates(tuple(a - b for a, b in zip(mu, w)))
+                if any(x.denominator != 1 for x in drop):
+                    raise AssertionError("branch weight drop is not in the root lattice")
+                off = tuple(-sum(int(d) * row[k] for k, d in enumerate(drop))
+                            for row in rs.cartan)
+                sub[rows] = off, c
+                poly[off] = poly[off] + c if off in poly else c
+            branches[mu] = sub, poly
+        sub, poly = branches[mu]
 
-        truncs = {dp.pattern.rows[1:] for dp in members}
-        truncation_ok = (set(sub) == truncs
-                         and top_only.rows in {dp.pattern.rows for dp in members})
-
-        s_add_ok = True
-        fact_ok = True
+        truncation_ok = set(sub) == {rows[1:] for rows, _, _ in members}
+        s_add_ok = fact_ok = True
         witness = None
-        for dp in members:
-            L = dp.pattern
-            Lp = _truncate(L, sub_spec)
-            s_full = pattern_weight(L)
-            s_sub = pattern_weight(Lp)
-            expect = tuple(s_top[k] + s_sub[k] for k in range(r - 1)) + (s_top[r - 1],)
-            if s_full != expect:
-                s_add_ok = False
-                witness = witness or L.to_text()
+        for rows, w, c in members:
             # a truncation missing from the branch crystal fails to factor
-            c_sub = sub.get(Lp.rows)
-            if c_sub is None or pattern_coefficient(dp, n, factor=factor) != scalar * c_sub:
-                fact_ok = False
-                witness = witness or L.to_text()
+            leaf = sub.get(rows[1:])
+            add_ok = leaf is None or w == tuple(map(add, shift, leaf[0]))
+            factors = leaf is not None and c == scalar * leaf[1]
+            s_add_ok &= add_ok
+            fact_ok &= factors
+            if not (add_ok and factors):
+                witness = witness or _rows_text(rows)
 
         reports.append(BranchGroupReport(
             top, mu=mu, shift=shift, scalar=scalar, size=len(members),
             truncation_ok=truncation_ok, s_additivity_ok=s_add_ok,
             factorization_ok=fact_ok, witness=witness))
 
-        # accumulate p(mu) * P_mu embedded along the simple-root identification
-        for wprime, c in sub_poly.terms.items():
-            drop = sub_rs.root_coordinates(tuple(a - b for a, b in zip(mu, wprime)))
-            if any(x.denominator != 1 for x in drop):
-                raise AssertionError("branch weight drop is not in the root lattice")
-            w = list(shift)
-            for k in range(r - 1):
-                ck = int(drop[k])
-                if ck:
-                    for idx in range(r):
-                        w[idx] -= ck * rs.cartan[idx][k]
-            key = tuple(w)
-            add = c * scalar
-            reconstructed[key] = reconstructed[key] + add if key in reconstructed else add
+        # accumulate scalar * P_mu moved to the group's shift
+        for off, c in poly.items():
+            key = tuple(map(add, shift, off))
+            term = c * scalar
+            reconstructed[key] = reconstructed[key] + term if key in reconstructed else term
 
-    total = WeightPolynomial(rs.height_vec, reconstructed)
-    direct = p_part(rs, lam, n, allow_dominant=True)
-    identity_ok = total == WeightPolynomial(rs.height_vec, direct.terms)
+    identity_ok = (WeightPolynomial(rs.height_vec, reconstructed)
+                   == p_part(rs, lam, n, allow_dominant=True))
 
     return BranchDecomposition(lam=lam, n=n, groups=tuple(reports),
                                identity_ok=identity_ok)

@@ -88,9 +88,9 @@ def test_cartan_shape_and_rho_pairings(family, rank):
 # ---------------------------------------------------------------------------
 
 def test_nice_long_word_values():
-    assert nice_long_word(CartanSpec("A", 3)).letters == (1, 2, 1, 3, 2, 1)
-    assert nice_long_word(CartanSpec("B", 2)).letters == (1, 2, 1, 2)
-    assert nice_long_word(CartanSpec("D", 3)).letters == (1, 2, 3, 1, 2, 3)
+    assert nice_long_word(CartanSpec("A", 3)) == (1, 2, 1, 3, 2, 1)
+    assert nice_long_word(CartanSpec("B", 2)) == (1, 2, 1, 2)
+    assert nice_long_word(CartanSpec("D", 3)) == (1, 2, 3, 1, 2, 3)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SPECS)
@@ -105,8 +105,8 @@ def test_long_word_prefix_property(family, rank):
     from crystalmds.roots import _MIN_RANK
     if rank == _MIN_RANK[family]:
         return
-    sub = nice_long_word(CartanSpec(family, rank - 1)).letters
-    assert nice_long_word(spec).letters[:len(sub)] == sub
+    sub = nice_long_word(CartanSpec(family, rank - 1))
+    assert nice_long_word(spec)[:len(sub)] == sub
 
 
 @pytest.mark.parametrize("family,rank", ALL_SPECS)
@@ -119,7 +119,7 @@ def test_long_word_is_reduced(family, rank):
     flipped = 0
     for root in r.positive_roots:
         v = root
-        for k in reversed(word.letters):
+        for k in reversed(word):
             v = r.reflect(v, k)
         rc = r.root_coordinates(v)
         assert all(c <= 0 for c in rc) or all(c >= 0 for c in rc)

@@ -14,7 +14,6 @@ from crystalmds import (DEFAULT, CartanSpec, CoeffElement, Conventions,
                         polynomial_json_obj, specialize_n1, tokuyama_quotient,
                         twisted_character, weight_in_hull, weyl_character,
                         weyl_dimension)
-from crystalmds.decorations import decorated_crystal
 from crystalmds.series import specialize_poly_n1
 from crystalmds.verification import CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms
@@ -265,15 +264,16 @@ def test_branch_missing_truncation_is_recorded(monkeypatch):
     # a truncation missing from the branch crystal fails to factor, with its
     # pattern as witness, and raises nothing
     dropped = {}
+    leaves = series._leaves
 
-    def lossy(r, lam):
-        leaves = list(decorated_crystal(r, lam))
+    def lossy(r, lam, factor):
+        out = list(leaves(r, lam, factor))
         if r.rank == 3:
-            return leaves
-        dropped[lam] = leaves[-1].pattern.rows
-        return leaves[:-1]
+            return out
+        dropped[lam] = out[-1][0]
+        return out[:-1]
 
-    monkeypatch.setattr(series, "decorated_crystal", lossy)
+    monkeypatch.setattr(series, "_leaves", lossy)
     bd = branch_decompose(rs("A", 3), (1, 1, 1), 1)
     bad = [g for g in bd.groups if not g.factorization_ok]
     assert bad and not bd.all_ok
@@ -281,6 +281,65 @@ def test_branch_missing_truncation_is_recorded(monkeypatch):
         assert not g.truncation_ok and g.s_additivity_ok
         L = LittelmannPattern.from_text(CartanSpec("A", 3), g.witness)
         assert L.rows[1:] == dropped[g.mu]
+
+
+def test_branch_wrong_weight_breaks_additivity(monkeypatch):
+    # a branch-crystal leaf one simple root off its weight breaks weight
+    # additivity in the groups it truncates, with a member as witness, and
+    # raises nothing
+    corrupted = {}
+    leaves = series._leaves
+    spec = CartanSpec("A", 3)
+
+    def wrong(r, lam, factor):
+        out = list(leaves(r, lam, factor))
+        if r.rank == 3:
+            return out
+        rows, w, c = out[-1]
+        corrupted[lam] = rows
+        out[-1] = rows, tuple(a - b for a, b in zip(w, r.simple_root(1))), c
+        return out
+
+    monkeypatch.setattr(series, "_leaves", wrong)
+    bd = branch_decompose(rs("A", 3), (1, 1, 1), 1)
+    bad = [g for g in bd.groups if not g.s_additivity_ok]
+    assert bad and not bd.all_ok
+    for g in bad:
+        assert g.truncation_ok and g.factorization_ok
+        L = LittelmannPattern.from_text(spec, g.witness)
+        assert L.rows[0] == g.top_row and L.rows[1:] == corrupted[g.mu]
+    assert {g.mu for g in bad} == set(corrupted)
+
+
+# SHA-256 of each decomposition's groups (top row, mu, shift, scalar JSON,
+# size, the three checks, witness) and identity_ok, recorded while the checks
+# still rebuilt every pattern; a change must be deliberate and documented.
+BRANCH_SHA256 = {
+    "A3-212-n1": ("A", 3, (2, 1, 2), 1,
+                  "f3a20775e745c31453df2cec95d5a7c33961336a5ee376ccc4618fc18db61ae3"),
+    "A3-212-n2": ("A", 3, (2, 1, 2), 2,
+                  "6c1cf9ab69656db6aba196b42813679e781b68fcdd74cfdc903b3b9a0dc25437"),
+    "A3-212-n3": ("A", 3, (2, 1, 2), 3,
+                  "10bb5f35c04b8ee2b611e5d43d4b93cee7b71b2e856b40b0612d17c2abb25d8a"),
+    "B3-rho-n2": ("B", 3, (1, 1, 1), 2,
+                  "44c6a726b39e270f14a4bc7adebcbcfc0288ddb6188515808686928e87559f94"),
+    "C3-211-n3": ("C", 3, (2, 1, 1), 3,
+                  "93762bc5c4db72721c024fb30fb133eb3e5f9003ba12bee5cfc5b53540034050"),
+    "D4-rho-n2": ("D", 4, (1, 1, 1, 1), 2,
+                  "2aed76d6b4313e752ae10c31180591b871c47bb99596325ab0dfa0a2a89d7749"),
+}
+
+
+@pytest.mark.parametrize("case", BRANCH_SHA256)
+def test_branch_decomposition_bytes(case):
+    family, rank, lam, n, digest = BRANCH_SHA256[case]
+    bd = branch_decompose(rs(family, rank), lam, n)
+    obj = {"groups": [[list(g.top_row), list(g.mu), list(g.shift), g.scalar.to_json_obj(),
+                       g.size, g.truncation_ok, g.s_additivity_ok, g.factorization_ok,
+                       g.witness] for g in bd.groups],
+           "identity_ok": bd.identity_ok}
+    text = json.dumps(obj)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_branch_rank_restrictions():
@@ -292,7 +351,6 @@ def test_branch_rank_restrictions():
 
 def test_branch_s_additivity_entrywise():
     from crystalmds import pattern_weight
-    from crystalmds.series import _truncate
     r = rs("A", 3)
     lam = (1, 1, 1)
     sub = CartanSpec("A", 2)
@@ -306,7 +364,7 @@ def test_branch_s_additivity_entrywise():
         s_top = pattern_weight(toponly)
         for L in members:
             s_full = pattern_weight(L)
-            s_sub = pattern_weight(_truncate(L, sub))
+            s_sub = pattern_weight(LittelmannPattern(sub, L.rows[1:]))
             assert s_full[:2] == tuple(a + b for a, b in zip(s_top[:2], s_sub))
             assert s_full[2] == s_top[2]
 
