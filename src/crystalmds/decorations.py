@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .patterns import LittelmannPattern, _crystal_walk, _freeze, _walk
+from .patterns import LittelmannPattern, _freeze, _walk
 from .roots import RootSystem
 from .weightpoly import Weight
 
@@ -47,7 +47,7 @@ def decorated_crystal(rs: RootSystem, lam: Weight) -> Iterator[DecoratedPattern]
     evaluated."""
     lam = tuple(lam)
     spec = rs.spec
-    for rows, circled, boxed, _, _ in _crystal_walk(rs, lam):
+    for rows, circled, boxed, _, _ in _walk(spec, lam):
         yield DecoratedPattern(LittelmannPattern(spec, _freeze(rows)), lam,
                                _freeze(circled), _freeze(boxed))
 

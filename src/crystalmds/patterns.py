@@ -11,20 +11,20 @@ and the polytope an exact upper bound for the next entry from already-placed
 entries alone, so the search prunes at the first violated constraint and
 every leaf is a crystal element.  The lower bound reads only the slot's own
 row, to its right; the upper bound is one coordinate of the weight of the
-entries already placed, which the walk carries along.  The same walk marks
-each entry that meets one of its bounds, which is all the circling and
-boxing masks need.  Membership of a single pattern is the walk pinned to it
-(``decorations.decorate``), which raises at the first entry out of bounds.
+entries already placed, which the walk carries along as one packed int.
+The same walk marks each entry that meets one of its bounds, which is all the
+circling and boxing masks need.  Membership of a single pattern is the walk
+pinned to it (``decorations.decorate``), which raises at the first entry out
+of bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Callable, Iterator
 
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
                     is_dominant)
-from .weightpoly import Weight
+from .weightpoly import Weight, weight_codec
 
 
 def row_end(spec: CartanSpec, i: int) -> int:
@@ -144,20 +144,21 @@ def enumeration_slots(spec: CartanSpec) -> list[tuple[int, int]]:
 def _walk(spec: CartanSpec, lam: Weight,
           pinned: tuple[tuple[int, ...], ...] | None = None,
           fold: Callable | None = None, seed=None
-          ) -> Iterator[tuple[list, list, list, Weight, object]]:
+          ) -> Iterator[tuple[list, list, list, int, object]]:
     """The slot walk: the one place that evaluates the bounds of a slot.
 
     Slots are visited in ``enumeration_slots`` order, the reverse of the long
     word, and the walk carries the weight lam - sum v * alpha(letter) of the
-    entries already placed.  Each node evaluates the slot's cone lower bound
-    from the entries of its row buffer and reads its polytope upper bound
-    off that weight:
-    the coordinate of the slot's column letter.  Every value placed there
-    records its marks: circled when it equals the lower bound (in the halved
-    B slot, when twice it equals a(i, r)), boxed when it equals the upper
-    bound.  Each leaf yields the shared ``(rows, circled, boxed)`` buffers,
-    which change when the walk resumes, so a consumer copies what it keeps,
-    followed by the leaf's weight and accumulator.
+    entries already placed, packed into one int by ``weight_codec``: placing
+    a value subtracts its packed root.  Each node evaluates the slot's cone
+    lower bound from the entries of its row buffer and reads its polytope
+    upper bound off that weight: the field of the slot's column letter.
+    Every value placed there records its marks: circled when it equals the
+    lower bound (in the halved B slot, when twice it equals a(i, r)), boxed
+    when it equals the upper bound.  Each leaf yields the shared
+    ``(rows, circled, boxed)`` buffers, which change when the walk resumes,
+    so a consumer copies what it keeps, followed by the leaf's packed weight
+    (an int key; the codec's ``decode`` gives the weight) and accumulator.
 
     The accumulator starts as ``seed`` at the root.  With ``fold``, every
     value placed at slot k turns the parent's accumulator into the child's
@@ -165,14 +166,17 @@ def _walk(spec: CartanSpec, lam: Weight,
     (values, circled, boxed) with the value and its marks in place.  A None
     result skips the value and its whole subtree.
 
-    With ``pinned`` rows the walk follows that one pattern and raises
-    ValueError at the first entry outside its bounds.
+    ``lam`` must be dominant, as the codec's bound requires; otherwise the
+    walk raises ValueError.  With ``pinned`` rows the walk follows that one
+    pattern and raises ValueError at the first entry outside its bounds.
 
     The walk runs in one generator frame: an explicit per-slot stack holds
     each slot's remaining values, bounds, weight and accumulator, and every
     leaf is yielded once, directly.  So the rank meets no recursion limit.
     """
     lam = _checked_weight(spec, lam)
+    if not is_dominant(lam):
+        raise ValueError(f"enumeration requires a dominant weight, got {lam}")
     shape = pattern_shape(spec)
     rows = [[0] * n for n in shape]
     circled = [[False] * n for n in shape]
@@ -180,13 +184,15 @@ def _walk(spec: CartanSpec, lam: Weight,
     rs = build_root_system(spec)
     r = spec.rank
     halved = r - 1 if spec.family == "B" else 0  # column whose bound is a(i, r)/2
-    # per slot: position, its row's buffers, offset in the row, column letter
-    # and that letter's simple root
+    codec = weight_codec(lam, rs.cartan)
+    coord = codec.coord
+    # per slot: position, its row's buffers, offset in the row, and the field
+    # shift and packed simple root of its column letter
     frames = []
     for i, j in enumeration_slots(spec):
         c = column_letter(spec, j) - 1
-        frames.append((i, j, rows[i - 1], circled[i - 1], boxed[i - 1], j - i, c,
-                       rs.simple_root(c + 1)))
+        frames.append((i, j, rows[i - 1], circled[i - 1], boxed[i - 1], j - i,
+                       c * codec.width, codec.roots[c]))
     last = len(frames) - 1
     # the stack, one entry per slot of the current path: the values still to
     # try with the bounds they are marked against, and the weight and
@@ -194,11 +200,11 @@ def _walk(spec: CartanSpec, lam: Weight,
     # step by one root from wts[k + 1], which starts one step above the
     # first nonzero value at k.
     tries: list = [None] * len(frames)
-    wts = [lam] * (len(frames) + 1)
+    wts = [codec.pack(lam)] * (len(frames) + 1)
     accs = [seed] * len(frames)
     k = 0
     while k >= 0:
-        i, j, row, crow, brow, off, c, drop = frames[k]
+        i, j, row, crow, brow, off, shift, drop = frames[k]
         if tries[k] is None:  # first visit: evaluate the slot's bounds
             if j == halved:
                 twice = row[r - i]
@@ -207,15 +213,14 @@ def _walk(spec: CartanSpec, lam: Weight,
             else:
                 lo = tight = _chain_lower_bound(row, spec, i, j)
             wt = wts[k]
-            hi = wt[c]
+            hi = coord(wt, shift)
             first = lo if pinned is None else pinned[i - 1][off]
             if pinned is not None and not lo <= first <= hi:
                 raise ValueError(f"entry {first} at {(i, j)} lies outside the "
                                  f"highest-weight polytope (bounds {lo}..{hi})")
             top = hi if pinned is None else first
             tries[k] = iter(range(first, top + 1)), tight, hi
-            wts[k + 1] = wt if first <= 1 else tuple(
-                [w - (first - 1) * d for w, d in zip(wt, drop)])
+            wts[k + 1] = wt if first <= 1 else wt - (first - 1) * drop
         it, tight, hi = tries[k]
         acc, child_wt = accs[k], wts[k + 1]
         for v in it:
@@ -223,7 +228,7 @@ def _walk(spec: CartanSpec, lam: Weight,
             crow[off] = v == tight
             brow[off] = v == hi
             if v:
-                child_wt = tuple(map(sub, child_wt, drop))
+                child_wt -= drop
             if fold is None:
                 child = acc
             else:
@@ -242,15 +247,6 @@ def _walk(spec: CartanSpec, lam: Weight,
             k -= 1
 
 
-def _crystal_walk(rs: RootSystem, lam: Weight, fold: Callable | None = None,
-                  seed=None) -> Iterator[tuple[list, list, list, Weight, object]]:
-    """``_walk`` over the whole crystal of highest weight ``lam``."""
-    lam = _checked_weight(rs.spec, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"enumeration requires a dominant weight, got {lam}")
-    return _walk(rs.spec, lam, fold=fold, seed=seed)
-
-
 def _freeze(rows: list[list]) -> tuple[tuple, ...]:
     return tuple(tuple(row) for row in rows)
 
@@ -263,7 +259,7 @@ def enumerate_patterns(rs: RootSystem, lam: Weight) -> Iterator[LittelmannPatter
     ascending.
     """
     spec = rs.spec
-    for rows, _, _, _, _ in _crystal_walk(rs, lam):
+    for rows, _, _, _, _ in _walk(spec, lam):
         yield LittelmannPattern(spec, _freeze(rows))
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
+from .weightpoly import (Weight, WeightCodec, WeightPolynomial, poly_from_int_terms,
+                         weight_codec)
 
 FAMILIES = ("A", "B", "C", "D")
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -291,26 +292,26 @@ def nice_long_word(spec: CartanSpec) -> tuple[int, ...]:
 # Character and dimension (independent of the pattern enumerator)
 # ---------------------------------------------------------------------------
 
-def _demazure(rs: RootSystem, table: dict[Weight, int], k: int) -> dict[Weight, int]:
+def _demazure(codec: WeightCodec, table: dict[int, int], k: int) -> dict[int, int]:
     """Demazure operator D_k = (1 - x^-alpha_k s_k) / (1 - x^-alpha_k) on an
-    integer table.
+    integer table keyed by weights packed with ``codec``.
 
     With m = <mu, alpha_k^vee>, x^mu goes to its alpha_k-string
-    x^mu + x^(mu - alpha_k) + ... + x^(mu - m alpha_k) when m >= 0, to 0 when
+    x^(mu - m alpha_k) + ... + x^(mu - alpha_k) + x^mu when m >= 0, to 0 when
     m = -1, and to -(x^(mu + alpha_k) + ... + x^(mu + (-m - 1) alpha_k)) when
-    m <= -2.
+    m <= -2.  The string is walked by adding the packed root.
     """
-    alpha = rs.simple_root(k)
-    out: dict[Weight, int] = {}
+    alpha, shift, coord = codec.roots[k - 1], (k - 1) * codec.width, codec.coord
+    out: dict[int, int] = {}
     for mu, c in table.items():
-        m = mu[k - 1]
+        m = coord(mu, shift)
         if m >= 0:
-            steps, sign = range(-m, 1), c
+            w, count, sign = mu - m * alpha, m + 1, c
         else:
-            steps, sign = range(1, -m), -c
-        for s in steps:
-            w = tuple([x + s * a for x, a in zip(mu, alpha)])
+            w, count, sign = mu + alpha, -m - 1, -c
+        for _ in range(count):
             out[w] = out.get(w, 0) + sign
+            w += alpha
     return {w: c for w, c in out.items() if c}
 
 
@@ -318,15 +319,18 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Highest-weight character by the Demazure character formula: the
     Demazure operators of a reduced word for the long element, applied to
     x^lam.  The long element is an involution, so the word may be read in
-    either direction.  The cost follows the size of the character, not |W|."""
+    either direction.  The cost follows the size of the character, not |W|.
+    The tables hold packed weights, decoded once at the end."""
     lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
-    table = {lam: 1}
+    codec = weight_codec(lam, rs.cartan)
+    table = {codec.pack(lam): 1}
     for k in nice_long_word(rs.spec):
-        table = _demazure(rs, table, k)
+        table = _demazure(codec, table, k)
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
-    return poly_from_int_terms(rs.height_vec, table, meta)
+    return poly_from_int_terms(rs.height_vec,
+                               {codec.decode(w): c for w, c in table.items()}, meta)
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

@@ -8,7 +8,9 @@ that lives for the call, so every distinct local state is computed once,
 patterns sharing their top entries share those factors, and a zero factor
 skips its whole subtree.  With every coefficient replaced by 1 the same sum is
 the Weyl character, which gives the primary cross-check against the
-alternating-sum character.
+character that ``roots.weyl_character`` builds with Demazure operators.
+Both sums accumulate by the walk's packed weight and decode each distinct
+weight once.
 
 ``tokuyama_quotient`` factors the degree-1 specialization of P as a
 lambda-independent deformed denominator times a character.  The divisor is
@@ -25,15 +27,15 @@ crystal, which also gives that crystal's P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 from typing import Iterator
 
 from .coefficients import CoeffElement, slot_table, specialize_n1
 from .conventions import DEFAULT, Conventions
-from .patterns import _crystal_walk, _freeze, _rows_text, enumeration_slots
+from .patterns import _freeze, _rows_text, _walk, enumeration_slots
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
-from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
+from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms, weight_codec
 
 __all__ = [
     "WeightPolynomial", "character_via_patterns", "p_part",
@@ -49,11 +51,13 @@ def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     Counts the leaf weights that the slot walk carries along each path.
     """
     lam = tuple(lam)
-    table: dict[Weight, int] = {}
-    for _, _, _, w, _ in _crystal_walk(rs, lam):
+    table: dict[int, int] = {}
+    for _, _, _, w, _ in _walk(rs.spec, lam):
         table[w] = table.get(w, 0) + 1
+    decode = weight_codec(lam, rs.cartan).decode
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
-    return poly_from_int_terms(rs.height_vec, table, meta)
+    return poly_from_int_terms(rs.height_vec,
+                               {decode(w): c for w, c in table.items()}, meta)
 
 
 def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
@@ -87,11 +91,12 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
         f = factor(*slots[k], row, crow, brow)
         return None if f.is_zero() else coeff * f
 
-    acc: dict[Weight, CoeffElement] = {}
-    for _, _, _, w, c in _crystal_walk(rs, lam, fold, one):
+    acc: dict[int, CoeffElement] = {}
+    for _, _, _, w, c in _walk(rs.spec, lam, fold=fold, seed=one):
         acc[w] = acc[w] + c if w in acc else c
+    decode = weight_codec(lam, rs.cartan).decode
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
-    return WeightPolynomial(rs.height_vec, acc, meta)
+    return WeightPolynomial(rs.height_vec, {decode(w): c for w, c in acc.items()}, meta)
 
 
 def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:
@@ -118,15 +123,18 @@ class TokuyamaResult:
 
 def twisted_character(rs: RootSystem, lam_prime: Weight) -> WeightPolynomial:
     """Character of ``lam_prime`` with each coefficient multiplied by q to the
-    height of the drop from the highest weight."""
+    height of the drop from the highest weight: the height functional's value
+    on the drop over its value on a simple root."""
     chi = weyl_character(rs, lam_prime)
+    h = rs.height_vec
+    unit = sum(map(mul, h, rs.simple_root(1)))
+    top = sum(map(mul, h, lam_prime))
     terms: dict[Weight, CoeffElement] = {}
     for w, c in chi.terms.items():
-        drop = rs.root_coordinates(tuple(a - b for a, b in zip(lam_prime, w)))
-        ht = sum(drop)
-        if ht.denominator != 1:
+        ht, frac = divmod(top - sum(map(mul, h, w)), unit)
+        if frac:
             raise AssertionError("character weight outside the root lattice shift")
-        terms[w] = c * CoeffElement.q_power(int(ht))
+        terms[w] = c * CoeffElement.q_power(ht)
     return WeightPolynomial(rs.height_vec, terms, chi.meta)
 
 
@@ -194,8 +202,9 @@ def _leaves(rs: RootSystem, lam: Weight, factor) -> Iterator[tuple[tuple, Weight
     def fold(k, coeff, row, crow, brow):
         return coeff * factor(*slots[k], row, crow, brow)
 
-    for rows, _, _, w, c in _crystal_walk(rs, lam, fold, CoeffElement.one()):
-        yield _freeze(rows), w, c
+    decode = weight_codec(lam, rs.cartan).decode
+    for rows, _, _, w, c in _walk(rs.spec, lam, fold=fold, seed=CoeffElement.one()):
+        yield _freeze(rows), decode(w), c
 
 
 def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition:

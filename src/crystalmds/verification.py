@@ -40,8 +40,9 @@ def _finish(suite: str, cases: list[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_character_suite(max_dim: int = 5000) -> dict:
-    """Pattern enumeration against the alternating-sum character, all
-    families, weight coordinates in {0, 1, 2}, dimension capped."""
+    """Pattern enumeration against the Weyl character from Demazure
+    operators, all families, weight coordinates in {0, 1, 2}, dimension
+    capped."""
     cases = []
     for family, rank in CHARACTER_BATTERY:
         rs = build_root_system(CartanSpec(family, rank))

@@ -11,11 +11,49 @@ from __future__ import annotations
 
 import heapq
 from operator import add, mul, neg, sub
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .coefficients import CoeffElement
 
 Weight = tuple[int, ...]
+
+
+class WeightCodec(NamedTuple):
+    width: int                          # bits per coordinate field
+    pack: Callable[[Weight], int]
+    decode: Callable[[int], Weight]
+    coord: Callable[[int, int], int]    # (packed, field shift) -> coordinate
+    roots: tuple[int, ...]              # simple roots, packed without bias
+
+
+def weight_codec(lam: Weight, cartan) -> WeightCodec:
+    """Weights of the module of dominant highest weight ``lam`` as one int.
+
+    Coordinate i sits, biased, in the field of ``width`` bits at shift
+    i * width.  Packing is linear, so w - v * alpha_k packs to
+    pack(w) - v * roots[k - 1]; the simple roots are the columns of ``cartan``.
+
+    No field overflows into its neighbour.  Every weight the slot walk and the
+    Demazure tables reach lies in conv(W lam): the walk's prefix weights are
+    weights of crystal elements or points on a root string between two, the
+    tables hold weights of V(lam) and points on alpha-strings between them.
+    There |<w, alpha_i^vee>| is at most <lam, beta^vee> for a positive coroot
+    beta^vee, whose simple-coroot coefficients are at most 2 in types A-D, so
+    at most 2 * sum(lam).  A field holds -2^(width-1) .. 2^(width-1) - 1 with
+    2^(width-1) > 4 * sum(lam): twice the bound.
+    """
+    width = (4 * sum(lam) + 1).bit_length() + 1
+    bias, mask = 1 << (width - 1), (1 << width) - 1
+    shifts = range(0, len(lam) * width, width)
+    zero = sum(bias << s for s in shifts)
+
+    def linear(w):
+        return sum(x << s for x, s in zip(w, shifts))
+
+    return WeightCodec(width, lambda w: zero + linear(w),
+                       lambda x: tuple([(x >> s & mask) - bias for s in shifts]),
+                       lambda x, shift: (x >> shift & mask) - bias,
+                       tuple(map(linear, zip(*cartan))))
 
 
 class WeightPolynomial:

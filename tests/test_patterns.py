@@ -4,11 +4,14 @@ import random
 import pytest
 
 from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
-                        column_letter, decorate, enumerate_patterns,
-                        pattern_shape, pattern_weight, pattern_wt,
-                        branch_decompose, weight_in_hull, weyl_character,
-                        weyl_dimension)
+                        character_dimension, column_letter, decorate,
+                        enumerate_patterns, pattern_shape, pattern_weight,
+                        pattern_wt, branch_decompose, weight_in_hull,
+                        weyl_character, weyl_dimension)
 from crystalmds.decorations import decorated_crystal
+from crystalmds.patterns import _freeze, _walk
+from crystalmds.series import character_via_patterns
+from crystalmds.weightpoly import weight_codec
 from oracles import chain_lower_bound, greedy_bound, oracle_masks
 
 SMALL_SPECS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -177,6 +180,18 @@ def test_wrong_rank_highest_weight_rejected(call):
         call(P("A", 2, [[0, 0], [0]]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: decorate(P("A", 2, [[0, 0], [0]]), (2, -1)),
+    lambda: list(enumerate_patterns(rs("B", 2), (-1, 3))),
+    lambda: list(decorated_crystal(rs("D", 3), (0, 2, -1))),
+], ids=["decorate", "enumerate", "decorated-crystal"])
+def test_walk_rejects_non_dominant_highest_weight(call):
+    # the packed weights are proven to fit their fields for dominant lambda
+    # only, so the walk accepts no other
+    with pytest.raises(ValueError, match="dominant"):
+        call()
+
+
 def test_polytope_satisfied_examples():
     assert oracle_member(P("A", 1, [[2]]), (2,)) and walk_accepts(P("A", 1, [[2]]), (2,))
     assert not oracle_member(P("A", 1, [[3]]), (2,))
@@ -312,3 +327,50 @@ def test_character_via_weights_small():
         table[w] = table.get(w, 0) + 1
     chi = weyl_character(r, lam)
     assert table == {w: c.monomials()[0][0] for w, c in chi.terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# packed weights
+# ---------------------------------------------------------------------------
+
+# one lopsided highest weight per family: a single large coordinate puts the
+# walk's and the Demazure tables' weights far out along one field
+LOPSIDED = [("A", 1, (1000,)), ("A", 2, (40, 1)), ("B", 2, (1, 30)),
+            ("C", 2, (30, 1)), ("D", 3, (1, 1, 25))]
+
+
+@pytest.mark.parametrize("family,rank,lam", LOPSIDED)
+def test_weight_codec_round_trip_at_bound(family, rank, lam):
+    # every coordinate at -2 * sum(lam), 0 or 2 * sum(lam) packs and decodes
+    # back, reads back field by field, and steps by the packed simple roots
+    r = rs(family, rank)
+    codec = weight_codec(lam, r.cartan)
+    bound = 2 * sum(lam)
+    for w in itertools.product((-bound, -1, 0, 1, bound), repeat=rank):
+        x = codec.pack(w)
+        assert codec.decode(x) == w
+        assert [codec.coord(x, i * codec.width) for i in range(rank)] == list(w)
+        for k, root in enumerate(codec.roots, start=1):
+            step = tuple(a - b for a, b in zip(w, r.simple_root(k)))
+            if all(abs(c) <= bound for c in step):
+                assert codec.decode(x - root) == step
+
+
+@pytest.mark.parametrize("family,rank,lam", LOPSIDED)
+def test_walk_leaf_weights_decode_to_pattern_wt(family, rank, lam):
+    r = rs(family, rank)
+    decode = weight_codec(lam, r.cartan).decode
+    count = 0
+    for rows, _, _, w, _ in _walk(r.spec, lam):
+        L = LittelmannPattern(r.spec, _freeze(rows))
+        assert decode(w) == pattern_wt(L, lam), L.to_text()
+        count += 1
+    assert count == weyl_dimension(r, lam)
+
+
+@pytest.mark.parametrize("family,rank,lam", LOPSIDED)
+def test_lopsided_characters_agree(family, rank, lam):
+    r = rs(family, rank)
+    chi = weyl_character(r, lam)
+    assert chi == character_via_patterns(r, lam)
+    assert character_dimension(chi) == weyl_dimension(r, lam)

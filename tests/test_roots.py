@@ -7,7 +7,7 @@ from crystalmds import (CartanSpec, build_root_system, character_dimension,
                         is_dominant, is_strongly_dominant, nice_long_word,
                         weyl_character, weyl_dimension)
 from crystalmds.roots import MAX_RANK, _demazure
-from crystalmds.weightpoly import divide_terms
+from crystalmds.weightpoly import divide_terms, weight_codec
 from oracles import (ModelRootSystem, freudenthal_multiplicities,
                      invert_fraction_matrix)
 
@@ -228,15 +228,19 @@ def test_root_string_division_rejects_inexact_table():
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_demazure_operator_is_idempotent(family, rank):
-    # D_k o D_k = D_k on random integer tables, for every simple root
+    # D_k o D_k = D_k on random integer tables, for every simple root.  The
+    # tables' coordinates stay within 4 + 4 * 2 = 12 = 2 * sum(lam), inside
+    # the codec's bound.
     r = rs(family, rank)
+    codec = weight_codec((6,) + (0,) * (rank - 1), r.cartan)
     rng = random.Random(f"demazure-{family}{rank}")
     for k in range(1, rank + 1):
         for _ in range(5):
-            table = {tuple(rng.randrange(-4, 5) for _ in range(rank)): rng.choice((-2, -1, 1, 3))
+            table = {codec.pack([rng.randrange(-4, 5) for _ in range(rank)]):
+                     rng.choice((-2, -1, 1, 3))
                      for _ in range(rng.randrange(1, 10))}
-            once = _demazure(r, table, k)
-            assert _demazure(r, once, k) == once
+            once = _demazure(codec, table, k)
+            assert _demazure(codec, once, k) == once
 
 
 def test_dominance_predicates():
