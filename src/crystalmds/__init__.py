@@ -14,8 +14,7 @@ from .coefficients import (CoeffElement, ComponentD, GaussSymbol, entry_factor,
                            row_components, sigma_entry, specialize_n1)
 from .roots import (CartanSpec, RootSystem, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
-                    nice_long_word, weight_in_hull, weyl_character,
-                    weyl_dimension)
+                    nice_long_word, weyl_character, weyl_dimension)
 from .patterns import (LittelmannPattern, column_letter, enumerate_patterns,
                        pattern_shape, pattern_weight, pattern_wt)
 from .decorations import DecoratedPattern, decorate, render

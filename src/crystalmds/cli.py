@@ -104,22 +104,14 @@ def cmd_compute(args) -> int:
     return 0
 
 
+# the verify options each suite takes, by keyword; the others take none
+_SUITE_OPTIONS = {"character": ("max_dim",), "gauss": ("primes", "degrees"),
+                  "tokuyama": ("lambdas",)}
+
+
 def cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
-    if args.suite == "character":
-        report = suite(max_dim=args.max_dim)
-    elif args.suite == "gauss":
-        report = suite(primes=args.primes, degrees=args.degrees)
-    elif args.suite == "tokuyama":
-        lambdas = None
-        if args.lambdas:
-            by_rank = {}
-            for lam in args.lambdas:
-                by_rank.setdefault(len(lam), []).append(lam)
-            lambdas = {r: tuple(v) for r, v in by_rank.items()}
-        report = suite(lambdas=lambdas)
-    else:
-        report = suite()
+    kwargs = {k: getattr(args, k) for k in _SUITE_OPTIONS.get(args.suite, ())}
+    report = SUITES[args.suite](**kwargs)
     print(json.dumps(report))
     return 0 if report["ok"] else 1
 

@@ -308,7 +308,8 @@ class CoeffElement:
         return c, k
 
     def times_unit(self, sign: int, q_exp: int) -> "CoeffElement":
-        """Multiply by ±q^e (a ring unit); used by exact division."""
+        """Multiply by ±q^e (a ring unit); used by the type-B and sigma
+        normalizations in ``entry_factor`` and ``sigma_entry``."""
         if sign not in (1, -1):
             raise ValueError(f"unit sign must be 1 or -1, got {sign}")
         e = _q_key(q_exp)

@@ -7,7 +7,9 @@ the rank-(r-1) subsystem spanned by indices 1..r-1 is of the same family,
 which is what makes top-row deletion of patterns a branching operation.
 
 Weights are plain integer tuples in the fundamental-weight basis throughout
-the package; all linear algebra is exact (integers and Fractions).
+the package, and all weight arithmetic is integer.  Fractions appear only in
+the root data built here: the symmetrizer, the inverse Cartan matrix, root
+coordinates and the Weyl dimension product.
 
 The Weyl character comes from the Demazure character formula: the Demazure
 operators of ``nice_long_word``, the word the patterns are strings along,
@@ -81,35 +83,16 @@ class RootSystem:
     def family(self) -> str:
         return self.spec.family
 
-    @property
-    def rho(self) -> Weight:
-        return (1,) * self.rank
-
     def simple_root(self, k: int) -> Weight:
         """k-th simple root (1-based) in fundamental-weight coordinates."""
         return tuple(self.cartan[i][k - 1] for i in range(self.rank))
 
-    # -- weight operations ----------------------------------------------------
-    def reflect(self, w: Weight, k: int) -> Weight:
-        """Simple reflection through the k-th simple root (1-based)."""
-        c = w[k - 1]
-        if c == 0:
-            return tuple(w)
-        col = self.cartan
-        return tuple(w[i] - c * col[i][k - 1] for i in range(self.rank))
-
-    def dominant_representative(self, w: Weight) -> Weight:
-        v = tuple(w)
-        while True:
-            for i, c in enumerate(v):
-                if c < 0:
-                    v = self.reflect(v, i + 1)
-                    break
-            else:
-                return v
-
     def root_coordinates(self, w: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of a lattice point in the simple-root basis (exact)."""
+        """Coordinates of a lattice point in the simple-root basis (exact).
+
+        The package itself does not call this; the traced tokuyama workload
+        in ``perfbench/workloads.py`` does.  It goes when that workload times
+        the package's own twisted character (ROADMAP item 8)."""
         ainv = self.cartan_inverse
         return tuple(sum(ainv[k][i] * w[i] for i in range(self.rank))
                      for k in range(self.rank))
@@ -361,12 +344,3 @@ def character_dimension(poly: WeightPolynomial) -> int:
             total += c
     return total
 
-
-def weight_in_hull(rs: RootSystem, lam: Weight, w: Weight) -> bool:
-    """Membership of a lattice point in the convex hull of the Weyl orbit of
-    a dominant weight: the dominant representative must sit under ``lam`` in
-    the rational dominance order."""
-    lam = _checked_weight(rs.spec, lam)
-    dom = rs.dominant_representative(_checked_weight(rs.spec, w))
-    diff = tuple(a - b for a, b in zip(lam, dom))
-    return all(c >= 0 for c in rs.root_coordinates(diff))

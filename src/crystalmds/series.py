@@ -22,7 +22,9 @@ exact in the weight-polynomial ring (see README notes).
 and verifies that both weights and coefficients factor through the split.
 Every weight and coefficient comes off ``p_part``'s walk left unpruned
 (``_leaves``), once over the crystal and once over each distinct branch
-crystal, which also gives that crystal's P.
+crystal, which also gives that crystal's P.  A branch leaf's drop below its
+branch weight, in simple roots, is its column sums (``pattern_weight``), so
+the branch walk's own weights are checked against integers read off rows.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from typing import Iterator
 
 from .coefficients import CoeffElement, slot_table, specialize_n1
 from .conventions import DEFAULT, Conventions
-from .patterns import _freeze, _rows_text, _walk, enumeration_slots
+from .patterns import (LittelmannPattern, _freeze, _rows_text, _walk,
+                       enumeration_slots, pattern_weight)
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
 from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms, weight_codec
@@ -217,11 +220,8 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     """
     lam = tuple(lam)
     spec = rs.spec
-    # truncation must stay in-family: A_1 exists, B_1/C_1/D_2 do not
-    min_rank = {"A": 2, "B": 3, "C": 3, "D": 4}[spec.family]
-    if spec.rank < min_rank:
-        raise ValueError(
-            f"branching within family {spec.family} needs rank >= {min_rank}")
+    # truncation must stay in-family: A_1 exists, B_1/C_1/D_2 do not, and
+    # their spec raises ValueError
     sub_spec = CartanSpec(spec.family, spec.rank - 1)
     sub_rs = build_root_system(sub_spec)
     r = spec.rank
@@ -232,8 +232,8 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     for leaf in _leaves(rs, lam, slot_table(spec, n)):
         groups.setdefault(leaf[0][0], []).append(leaf)
 
-    # per branch weight, from one walk of its crystal: each leaf's offset and
-    # coefficient keyed by rows, and P_mu keyed by offset
+    # per branch weight, from one walk of its crystal: each leaf's offset,
+    # coefficient and walk-weight check keyed by rows, and P_mu keyed by offset
     branches: dict[Weight, tuple[dict, dict]] = {}
     reports: list[BranchGroupReport] = []
     reconstructed: dict[Weight, CoeffElement] = {}
@@ -248,15 +248,14 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
         if mu not in branches:
             sub, poly = {}, {}
             for rows, w, c in _leaves(sub_rs, mu, sub_factor):
-                # the offset is minus the simple roots by which w lies below
-                # mu, as a rank-r weight: the leaf's members should sit at
-                # shift + offset, and its term of P_mu enters P there
-                drop = sub_rs.root_coordinates(tuple(a - b for a, b in zip(mu, w)))
-                if any(x.denominator != 1 for x in drop):
-                    raise AssertionError("branch weight drop is not in the root lattice")
-                off = tuple(-sum(int(d) * row[k] for k, d in enumerate(drop))
-                            for row in rs.cartan)
-                sub[rows] = off, c
+                # the leaf lies below mu by its column sums in simple roots;
+                # the offset is minus that drop as a rank-r weight, over the
+                # first r-1 Cartan columns: the leaf's members should sit at
+                # shift + offset, and its term of P_mu enters P there.  Its
+                # first r-1 coordinates must also take mu to the walk's weight.
+                drop = pattern_weight(LittelmannPattern(sub_spec, rows))
+                off = tuple(-sum(map(mul, drop, row)) for row in rs.cartan)
+                sub[rows] = off, c, tuple(map(add, mu, off)) == w
                 poly[off] = poly[off] + c if off in poly else c
             branches[mu] = sub, poly
         sub, poly = branches[mu]
@@ -267,7 +266,7 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
         for rows, w, c in members:
             # a truncation missing from the branch crystal fails to factor
             leaf = sub.get(rows[1:])
-            add_ok = leaf is None or w == tuple(map(add, shift, leaf[0]))
+            add_ok = leaf is None or (leaf[2] and w == tuple(map(add, shift, leaf[0])))
             factors = leaf is not None and c == scalar * leaf[1]
             s_add_ok &= add_ok
             fact_ok &= factors

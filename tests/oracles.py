@@ -280,6 +280,42 @@ def oracle_masks(family: str, rank: int, rows, lam: tuple[int, ...]):
     return member, tuple(circled), tuple(boxed)
 
 
+# ---------------------------------------------------------------------------
+# Weyl group action on weights
+# ---------------------------------------------------------------------------
+
+def rho(rs) -> tuple[int, ...]:
+    """The Weyl vector: <rho, alpha_k^vee> = 1 for every k."""
+    return (1,) * rs.rank
+
+
+def reflect(rs, w, k: int) -> tuple[int, ...]:
+    """Simple reflection through the k-th simple root (1-based)."""
+    c = w[k - 1]
+    return tuple(w[i] - c * rs.cartan[i][k - 1] for i in range(rs.rank))
+
+
+def dominant_representative(rs, w) -> tuple[int, ...]:
+    """The dominant weight in the Weyl orbit of ``w``, reached by reflecting
+    away negative coordinates one at a time."""
+    v = tuple(w)
+    while True:
+        for i, c in enumerate(v):
+            if c < 0:
+                v = reflect(rs, v, i + 1)
+                break
+        else:
+            return v
+
+
+def weight_in_hull(rs, lam, w) -> bool:
+    """Membership of a lattice point in the convex hull of the Weyl orbit of
+    a dominant weight: the dominant representative must sit under ``lam`` in
+    the rational dominance order."""
+    dom = dominant_representative(rs, w)
+    return all(c >= 0 for c in rs.root_coordinates(tuple(a - b for a, b in zip(lam, dom))))
+
+
 def _signed_orbit(rs, v) -> dict:
     """x^{w(v)} summed over the Weyl group with sign (-1)^{length(w)}.
 
@@ -295,7 +331,7 @@ def _signed_orbit(rs, v) -> dict:
         nxt = []
         for w in frontier:
             for k in range(1, rs.rank + 1):
-                img = rs.reflect(w, k)
+                img = reflect(rs, w, k)
                 if img not in out:
                     out[img] = sign
                     nxt.append(img)
@@ -310,7 +346,7 @@ def full_denominator_character(rs, lam) -> dict:
     from crystalmds.weightpoly import divide_terms
 
     numer = _signed_orbit(rs, tuple(c + 1 for c in lam))
-    denom = _signed_orbit(rs, rs.rho)  # leads with +1 at x^rho
+    denom = _signed_orbit(rs, rho(rs))  # leads with +1 at x^rho
     table, rem = divide_terms(rs.height_vec, numer, denom, 1, 0)
     assert not rem, "inexact character division"
     return table

@@ -49,7 +49,7 @@ def test_criterion_2_gauss_oracle():
     # numeric sums against the closed forms at 1e-6 relative tolerance for
     # n in 1..4, primes 5/7/13, exponents to 6; residue-class periodicity
     rep = _suite("gauss", lambda: run_gauss_suite(primes=(5, 7, 13),
-                                                  degrees=(1, 2, 3, 4), tol=1e-6))
+                                                  degrees=(1, 2, 3, 4)))
     ok = rep["ok"]
     _verdict("criterion-2 gauss oracle", ok, f"{len(rep['cases'])} cases")
     assert ok, _failures(rep)[:5]

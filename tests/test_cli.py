@@ -97,6 +97,16 @@ def test_verify_tokuyama_passes(capsys):
     assert rep["ok"] and rep["suite"] == "tokuyama"
 
 
+def test_verify_tokuyama_groups_lambdas_by_rank(capsys):
+    # the ranks run in ascending order whatever the input order, and each
+    # rank keeps its lambdas in input order
+    _, grouped, _ = run(capsys, ["verify", "--suite", "tokuyama",
+                                 "--lambdas", "2;3;1,1;2,1"])
+    _, mixed, _ = run(capsys, ["verify", "--suite", "tokuyama",
+                               "--lambdas", "1,1;2;2,1;3"])
+    assert mixed == grouped
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(cli.SUITES, "tokuyama",
                         lambda **kw: {"suite": "tokuyama", "ok": False, "cases": []})

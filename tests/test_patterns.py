@@ -6,8 +6,8 @@ import pytest
 from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
                         character_dimension, column_letter, decorate,
                         enumerate_patterns, pattern_shape, pattern_weight,
-                        pattern_wt, branch_decompose, weight_in_hull,
-                        weyl_character, weyl_dimension)
+                        pattern_wt, branch_decompose, weyl_character,
+                        weyl_dimension)
 from crystalmds.decorations import decorated_crystal
 from crystalmds.patterns import _freeze, _walk
 from crystalmds.series import character_via_patterns
@@ -171,8 +171,7 @@ def test_bounds_match_string_oracle(family, rank):
     lambda L: decorate(L, (1,)),
     lambda L: weyl_dimension(rs("A", 2), (1, 0, 7)),
     lambda L: weyl_dimension(rs("A", 2), (1,)),
-    lambda L: weight_in_hull(rs("A", 2), (1, 0), (0, 0, 9)),
-], ids=["decorate-long", "decorate-short", "dimension-long", "dimension-short", "hull-point-long"])
+], ids=["decorate-long", "decorate-short", "dimension-long", "dimension-short"])
 def test_wrong_rank_highest_weight_rejected(call):
     # a weight with the wrong number of coordinates is an error, not a weight
     # read short, padded or cut to the rank

@@ -10,14 +10,14 @@ from crystalmds import (DEFAULT, CartanSpec, CoeffElement, Conventions,
                         LittelmannPattern, WeightPolynomial, build_root_system,
                         branch_decompose,
                         character_via_patterns, decorate, enumerate_patterns,
-                        p_part, pattern_coefficient, pattern_wt,
+                        p_part, pattern_coefficient, pattern_weight, pattern_wt,
                         polynomial_json_obj, specialize_n1, tokuyama_quotient,
-                        twisted_character, weight_in_hull, weyl_character,
-                        weyl_dimension)
+                        twisted_character, weyl_character, weyl_dimension)
+from crystalmds.patterns import _freeze, _walk
 from crystalmds.series import specialize_poly_n1
-from crystalmds.verification import CHARACTER_BATTERY
-from crystalmds.weightpoly import poly_from_int_terms
-from oracles import full_denominator_character
+from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
+from crystalmds.weightpoly import poly_from_int_terms, weight_codec
+from oracles import full_denominator_character, weight_in_hull
 
 Q = CoeffElement.q_power
 
@@ -367,6 +367,27 @@ def test_branch_s_additivity_entrywise():
             s_sub = pattern_weight(LittelmannPattern(sub, L.rows[1:]))
             assert s_full[:2] == tuple(a + b for a, b in zip(s_top[:2], s_sub))
             assert s_full[2] == s_top[2]
+
+
+def test_branch_leaf_drop_is_root_coordinates():
+    # every leaf of every branch crystal in the branching battery lies below
+    # its mu by its column sums, the drop branch_decompose reads: the walk's
+    # weight taken to simple-root coordinates by the Fraction inverse Cartan
+    # matrix must give the same integers
+    battery = [("A", rank, lam) for rank in (2, 3)
+               for lam in itertools.product((1, 2), repeat=rank)]
+    battery += [(family, rank, lam) for family, rank, lam, _ in _BRANCHING_BATTERY]
+    for family, rank, lam in battery:
+        sub = rs(family, rank - 1)
+        for mu in {g.mu for g in branch_decompose(rs(family, rank), lam, 1).groups}:
+            decode = weight_codec(mu, sub.cartan).decode
+            count = 0
+            for rows, _, _, w, _ in _walk(sub.spec, mu):
+                drop = pattern_weight(LittelmannPattern(sub.spec, _freeze(rows)))
+                want = sub.root_coordinates(tuple(a - b for a, b in zip(mu, decode(w))))
+                assert drop == want, (family, rank, mu, rows)
+                count += 1
+            assert count == weyl_dimension(sub, mu)
 
 
 # ---------------------------------------------------------------------------
