@@ -31,7 +31,10 @@ within those bounds cannot fill a field.  Keys are decoded to the canonical
 ``repr`` and ``specialize_n1``: ``e`` by masking the low field, the Gauss
 part through ``_gauss_part``, a bounded cache keyed by the symbol bits
 ``k - e``.  The cache is sound because the fields are append-only, so given
-bits decode the same way for the life of the process.  Monomials sort by plain
+bits decode the same way for the life of the process.  ``packed`` and
+``from_packed`` hand the packed dict over as it is: exact division in
+``weightpoly`` appends each key to its weight as one more coordinate, which
+is sound because the packing is linear.  Monomials sort by plain
 int tuples ``(e, ((t, residue, degree, m), ...))``, which order exactly as the
 canonical form does.
 
@@ -306,6 +309,17 @@ class CoeffElement:
         if c not in (1, -1) or not -_Q_HALF <= k < _Q_HALF:
             return None
         return c, k
+
+    def packed(self) -> dict[int, int]:
+        """Packed monomial key -> int coefficient; shared, so do not change it."""
+        return self._terms
+
+    @staticmethod
+    def from_packed(packed: dict[int, int]) -> "CoeffElement":
+        """Inverse of ``packed``, zero coefficients dropped.  Each key must
+        be a packed monomial within the bounds, as sums and differences of
+        packed keys that stay within them are."""
+        return _wrap({k: c for k, c in packed.items() if c})
 
     def times_unit(self, sign: int, q_exp: int) -> "CoeffElement":
         """Multiply by ±q^e (a ring unit); used by the type-B and sigma

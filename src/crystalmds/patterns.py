@@ -267,13 +267,20 @@ def enumerate_patterns(rs: RootSystem, lam: Weight) -> Iterator[LittelmannPatter
 # Weights of patterns
 # ---------------------------------------------------------------------------
 
-def pattern_weight(L: LittelmannPattern) -> tuple[int, ...]:
+def rows_weight(spec: CartanSpec, rows) -> tuple[int, ...]:
     """Column sums grouped by edge color: component k counts the climbing
-    steps along the k-th simple root."""
-    s = [0] * L.spec.rank
-    for _, j, v in L.entries():
-        s[column_letter(L.spec, j) - 1] += v
+    steps along the k-th simple root.  ``rows`` are taken as they are, with
+    row i starting at flat column i; nothing is validated."""
+    s = [0] * spec.rank
+    for i, row in enumerate(rows, start=1):
+        for j, v in enumerate(row, start=i):
+            s[column_letter(spec, j) - 1] += v
     return tuple(s)
+
+
+def pattern_weight(L: LittelmannPattern) -> tuple[int, ...]:
+    """``rows_weight`` of a validated pattern."""
+    return rows_weight(L.spec, L.rows)
 
 
 def pattern_wt(L: LittelmannPattern, lam: Weight) -> Weight:

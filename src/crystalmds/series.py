@@ -23,7 +23,7 @@ and verifies that both weights and coefficients factor through the split.
 Every weight and coefficient comes off ``p_part``'s walk left unpruned
 (``_leaves``), once over the crystal and once over each distinct branch
 crystal, which also gives that crystal's P.  A branch leaf's drop below its
-branch weight, in simple roots, is its column sums (``pattern_weight``), so
+branch weight, in simple roots, is its column sums (``rows_weight``), so
 the branch walk's own weights are checked against integers read off rows.
 """
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import Iterator
 
 from .coefficients import CoeffElement, slot_table, specialize_n1
 from .conventions import DEFAULT, Conventions
-from .patterns import (LittelmannPattern, _freeze, _rows_text, _walk,
-                       enumeration_slots, pattern_weight)
+from .patterns import _freeze, _rows_text, _walk, enumeration_slots, rows_weight
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
 from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms, weight_codec
@@ -253,7 +252,7 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
                 # first r-1 Cartan columns: the leaf's members should sit at
                 # shift + offset, and its term of P_mu enters P there.  Its
                 # first r-1 coordinates must also take mu to the walk's weight.
-                drop = pattern_weight(LittelmannPattern(sub_spec, rows))
+                drop = rows_weight(sub_spec, rows)
                 off = tuple(-sum(map(mul, drop, row)) for row in rs.cartan)
                 sub[rows] = off, c, tuple(map(add, mu, off)) == w
                 poly[off] = poly[off] + c if off in poly else c

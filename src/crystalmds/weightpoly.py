@@ -6,11 +6,15 @@ zero coefficients, and a fixed total order on weights (descending height,
 ties broken lexicographically) used for leading terms, serialization and
 exact division.  Height is evaluated through an integer-scaled functional
 supplied by the root system, so ordering never touches rationals.
+
+Exact division (``divide_terms``) runs on one int per (weight, monomial)
+term: the monomial's packed key is appended to the weight as a coordinate of
+height 0, which extends the order, and one linear map packs the whole key.
 """
 from __future__ import annotations
 
-import heapq
-from operator import add, mul, neg, sub
+from heapq import heapify, heappop, heappush
+from operator import mul, sub
 from typing import Callable, Iterator, NamedTuple
 
 from .coefficients import CoeffElement
@@ -123,20 +127,31 @@ class WeightPolynomial:
     def divide(self, divisor: "WeightPolynomial") -> tuple["WeightPolynomial", "WeightPolynomial"]:
         """Leading-term elimination under the fixed order (see ``divide_terms``).
 
-        The divisor's leading coefficient must be a ring unit (±q^e).  Returns
+        The divisor's leading coefficient must be a ring unit (±q^e).  Each
+        monomial of a term becomes one entry, its packed key appended to the
+        weight; the packing is linear (see ``coefficients``).  Returns
         (quotient, remainder); the division was exact iff the remainder is
         zero.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero weight polynomial")
-        unit = divisor.leading()[1].as_unit_monomial()
-        if unit is None:
+        if divisor.leading()[1].as_unit_monomial() is None:
             raise ValueError("divisor leading coefficient is not a unit monomial")
-        sign, e = unit
-        quot, rem = divide_terms(self.height_vec, self.terms, divisor.terms,
-                                 CoeffElement.q_power(-e, sign), CoeffElement.zero())
-        return self._like(quot), self._like(rem)
+        quot, rem = divide_terms(self.height_vec, _flatten(self.terms), _flatten(divisor.terms))
+        return self._like(_regroup(quot)), self._like(_regroup(rem))
+
+
+def _flatten(terms: dict[Weight, CoeffElement]) -> dict[tuple[int, ...], int]:
+    """One (weight + (packed monomial,)) -> int entry per monomial."""
+    return {w + (k,): c for w, el in terms.items() for k, c in el.packed().items()}
+
+
+def _regroup(flat: dict[tuple[int, ...], int]) -> dict[Weight, CoeffElement]:
+    by_weight: dict[Weight, dict[int, int]] = {}
+    for key, c in flat.items():
+        by_weight.setdefault(key[:-1], {})[key[-1]] = c
+    return {w: CoeffElement.from_packed(t) for w, t in by_weight.items()}
 
 
 def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
@@ -148,48 +163,97 @@ def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
     )
 
 
-def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict,
-                 inverse, zero) -> tuple[dict, dict]:
-    """Divide weight -> coefficient tables by leading-term elimination.
+def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple[dict, dict]:
+    """Divide key -> int coefficient tables by leading-term elimination.
 
-    Weights are taken in the fixed order (descending height, then
-    lexicographic) from a heap.  Coefficients are ints or CoeffElements;
-    ``inverse`` is the inverse of ``denom``'s leading coefficient, which must
-    be a ring unit, and ``zero`` is the ring's zero.  Returns (quotient,
-    remainder).  Divergence on inexact input is cut off by the trailing-key
-    floor: in an exact division every quotient weight key is at least
-    trailing(numer) - trailing(denom).
+    A key is a weight, optionally followed by coordinates of height 0, taken
+    in the fixed order extended to them: descending height, then
+    lexicographic.  ``denom``'s leading coefficient must be 1 or -1, its own
+    inverse.  Returns (quotient, remainder).
+
+    One linear map packs each key into one int: the height in the top field,
+    then coordinate k in a signed field as wide as the larger of numer's and
+    denom's ranges of it, coordinate 0 highest.  On numer's box, and on
+    denom's, the int order is the fixed order, negated so that the heap's
+    least int leads.  A quotient key is one subtraction, and each divisor
+    term costs one add and one dict update.
+
+    Stopping rule: an exact quotient Q has Newt(numer) = Newt(Q) +
+    Newt(denom), so its coordinate k lies in [min numer_k - min denom_k,
+    max numer_k - max denom_k].  The first popped key whose quotient key
+    leaves that box ends the division and stays in the remainder, so an
+    inexact division reports a nonzero remainder.  Invariant: while every
+    accepted quotient key lies in the box, every remainder key lies in
+    numer's box, so no field overflows.  Popped keys strictly decrease
+    inside a finite box, so the division ends.
     """
-    def rank(w: Weight):  # heap order: the leading weight comes first
-        return (-sum(map(mul, height_vec, w)), tuple(map(neg, w)), w)
-
+    if not denom:
+        raise ZeroDivisionError("division by the empty table")
     quot: dict = {}
-    rem = dict(numer)
-    if not rem:
-        return quot, rem
-    lead_w = min(denom, key=rank)
-    floor = rank(tuple(map(sub, max(rem, key=rank), max(denom, key=rank))))
-    heap = [rank(w) for w in rem]
-    heapq.heapify(heap)
+    if not numer:
+        return quot, {}
+    n_lo, n_hi = _box(numer)
+    d_lo, d_hi = _box(denom)
+    n_span, d_span = tuple(map(sub, n_hi, n_lo)), tuple(map(sub, d_hi, d_lo))
+    widths = [max(a, b).bit_length() for a, b in zip(n_span, d_span)]
+    shifts = [sum(widths[k + 1:]) for k in range(len(widths))]
+    masks = [(1 << b) - 1 for b in widths]
+    top = sum(widths)
+    heights = tuple(height_vec) + (0,) * (len(widths) - len(height_vec))
+    scale = [-((h << top) + (1 << s)) for h, s in zip(heights, shifts)]
+
+    def pack(key):
+        return sum(map(mul, scale, key))
+
+    def unpack(table, lo):
+        base = pack(lo)
+        return {tuple([((base - x) >> s & m) + b for s, m, b in zip(shifts, masks, lo)]): c
+                for x, c in table.items()}
+
+    lead_w = min(denom, key=pack)
+    unit = denom[lead_w]
+    if unit not in (1, -1):
+        raise ValueError(f"divisor leading coefficient {unit} is not 1 or -1")
+    lead = pack(lead_w)
+    den = [(pack(w), c) for w, c in denom.items() if w != lead_w]
+    # The quotient key of popped x is in the box iff field k of x, read from
+    # numer's corner, is in [lead_k - d_lo_k, n_span_k - (d_hi_k - lead_k)]:
+    # an empty range when the box is.  A coordinate constant over denom
+    # leaves the whole field allowed.
+    base = pack(n_lo)
+    checks = [(s, m, a, n - c) for s, m, a, c, n in
+              zip(shifts, masks, map(sub, lead_w, d_lo), map(sub, d_hi, lead_w), n_span)
+              if a or c]
+    rem = {pack(w): c for w, c in numer.items()}
+    heap = list(rem)
+    heapify(heap)
+    get = rem.get
     while heap:
-        w = heapq.heappop(heap)[2]
-        if w not in rem:
+        x = heappop(heap)
+        c = get(x)
+        if c is None:
             continue  # eliminated after it was pushed
-        gamma = tuple(map(sub, w, lead_w))
-        if rank(gamma) > floor:
+        off = base - x
+        if any(not a <= off >> s & m <= b for s, m, a, b in checks):
             break  # cannot belong to any exact quotient
-        qc = rem[w] * inverse
-        quot[gamma] = qc
-        for dw, dc in denom.items():
-            tw = tuple(map(add, gamma, dw))
-            old = rem.get(tw)
+        g = x - lead
+        qc = c * unit
+        quot[g] = qc
+        del rem[x]
+        for dk, dc in den:
+            t = g + dk
+            old = get(t)
             if old is None:
-                rem[tw] = -(qc * dc)
-                heapq.heappush(heap, rank(tw))
+                rem[t] = -qc * dc
+                heappush(heap, t)
+            elif old == qc * dc:
+                del rem[t]
             else:
-                upd = old - qc * dc
-                if upd == zero:
-                    del rem[tw]
-                else:
-                    rem[tw] = upd
-    return quot, rem
+                rem[t] = old - qc * dc
+    return unpack(quot, tuple(map(sub, n_lo, d_lo))), unpack(rem, n_lo)
+
+
+def _box(table: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Least and greatest value of each key coordinate over ``table``."""
+    cols = list(zip(*table))
+    return tuple(map(min, cols)), tuple(map(max, cols))

@@ -347,7 +347,7 @@ def full_denominator_character(rs, lam) -> dict:
 
     numer = _signed_orbit(rs, tuple(c + 1 for c in lam))
     denom = _signed_orbit(rs, rho(rs))  # leads with +1 at x^rho
-    table, rem = divide_terms(rs.height_vec, numer, denom, 1, 0)
+    table, rem = divide_terms(rs.height_vec, numer, denom)
     assert not rem, "inexact character division"
     return table
 

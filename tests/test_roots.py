@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from crystalmds import (CartanSpec, build_root_system, character_dimension,
+from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, WeightPolynomial,
+                        build_root_system, character_dimension,
                         is_dominant, is_strongly_dominant, nice_long_word,
                         weyl_character, weyl_dimension)
 from crystalmds.roots import MAX_RANK, _demazure
@@ -47,10 +48,17 @@ def test_closed_form_cartan_inverse_matches_gauss_jordan(family):
         assert [list(row) for row in rs(family, rank).cartan_inverse] == want, rank
 
 
+def _model_rho(family, rank):
+    """Half the sum of the model's positive roots, in fundamental-weight
+    coordinates: its pairings with the simple coroots."""
+    model = ModelRootSystem(family, rank)
+    return model.weight_coords([sum(col) / 2 for col in zip(*model.positive)])
+
+
 def test_a1_single_root_rho_is_fundamental():
     r = rs("A", 1)
     assert r.positive_roots == ((2,),)
-    assert rho(r) == (1,)
+    assert _model_rho("A", 1) == (1,) == rho(r)
 
 
 def test_a3_six_positive_roots():
@@ -79,8 +87,8 @@ def test_cartan_shape_and_rho_pairings(family, rank):
         for j in range(rank):
             if i != j:
                 assert r.cartan[i][j] <= 0
-    # <rho, alpha_k^vee> = 1 is the definition of rho in this basis
-    assert rho(r) == (1,) * rank
+    # half the sum of the positive roots pairs to 1 with every simple coroot
+    assert _model_rho(family, rank) == (1,) * rank == rho(r)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +219,7 @@ def test_root_string_division_matches_heap_division(family, rank):
                 low = tuple(a + b for a, b in zip(w, minus))
                 f[low] = f.get(low, 0) - c
             f = {w: c for w, c in f.items() if c}
-            quot, rem = divide_terms(r.height_vec, f, {zero: 1, minus: -1}, 1, 0)
+            quot, rem = divide_terms(r.height_vec, f, {zero: 1, minus: -1})
             assert not rem
             assert quot == g
 
@@ -221,9 +229,98 @@ def test_root_string_division_rejects_inexact_table():
     r = rs("A", 2)
     alpha = r.positive_roots[0]
     factor = {(0, 0): 1, tuple(-a for a in alpha): -1}  # 1 - x^-alpha
-    assert divide_terms(r.height_vec, factor, factor, 1, 0) == ({(0, 0): 1}, {})
+    assert divide_terms(r.height_vec, factor, factor) == ({(0, 0): 1}, {})
     for table in ({(0, 0): 1}, {**factor, (3, 1): 2}):
-        assert divide_terms(r.height_vec, table, factor, 1, 0)[1]
+        assert divide_terms(r.height_vec, table, factor)[1]
+
+
+def test_division_stops_at_once_outside_the_box():
+    # a single term over a two-term divisor: the Newton box of an exact
+    # quotient is empty, so the first popped key stops the division
+    r = rs("A", 2)
+    factor = {(0, 0): 1, (-1, 2): -1}
+    for w in [(0, 0), (5, -7), (-10**6, 10**6)]:
+        assert divide_terms(r.height_vec, {w: 3}, factor) == ({}, {w: 3})
+    # a stray term below an exact product is popped last, its quotient key
+    # leaves the box, and it alone stays in the remainder
+    numer = {(0, 0): 1, (-1, 2): -1, (-9, 1): 4}
+    assert divide_terms(r.height_vec, numer, factor) == ({(0, 0): 1}, {(-9, 1): 4})
+
+
+def test_division_rejects_a_non_unit_leading_coefficient():
+    r = rs("A", 2)
+    with pytest.raises(ValueError):
+        divide_terms(r.height_vec, {(0, 0): 4}, {(0, 0): 2, (-2, 1): 1})
+    one, two, q = CoeffElement.one(), CoeffElement.from_int(2), CoeffElement.q_power(1)
+    g = CoeffElement.symbol(GaussSymbol(1, 1, 2))
+    numer = WeightPolynomial(r.height_vec, {(0, 0): one})
+    for lead in (two, q + one, g, -g):
+        divisor = WeightPolynomial(r.height_vec, {(0, 0): lead, (-2, 1): one})
+        with pytest.raises(ValueError):
+            numer.divide(divisor)
+    with pytest.raises(ZeroDivisionError):
+        numer.divide(WeightPolynomial(r.height_vec, {}))
+
+
+_SYMBOLS = [GaussSymbol(t, c, d) for d in (2, 3) for t in (1, 2) for c in range(d)]
+
+
+def _random_coeff(rng: random.Random) -> CoeffElement:
+    """A sum of monomials with negative and positive q exponents and up to
+    three symbols of degree 2 and 3 to powers 1..3."""
+    return CoeffElement({
+        (rng.randrange(-6, 4), tuple((s, rng.randrange(1, 4))
+                                     for s in rng.sample(_SYMBOLS, rng.randrange(4)))):
+            rng.choice((-3, -1, 1, 2))
+        for _ in range(rng.randrange(1, 4))})
+
+
+def _random_poly(rng: random.Random, r, size: int, near: int) -> WeightPolynomial:
+    """Weights within 3 of a corner in {-near, 0, near}^rank."""
+    corners = [tuple(rng.choice((-near, 0, near)) for _ in range(r.rank)) for _ in range(2)]
+    return WeightPolynomial(r.height_vec, {
+        tuple(c + rng.randrange(-3, 4) for c in rng.choice(corners)): _random_coeff(rng)
+        for _ in range(size)})
+
+
+def _plus(a: WeightPolynomial, b: WeightPolynomial) -> WeightPolynomial:
+    terms = dict(a.terms)
+    for w, c in b.terms.items():
+        terms[w] = terms[w] + c if w in terms else c
+    return WeightPolynomial(a.height_vec, terms)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("D", 4)])
+def test_symbolic_division_round_trips_exact_products(family, rank):
+    # N = g * d for random symbolic g and d, d led by a unit +-q^e; the
+    # quotient is g again, and Q * D == N through the term-by-term product.
+    # Coordinates reach 10^6 from both sides, so the packed fields are wide.
+    r = rs(family, rank)
+    rng = random.Random(f"divide {family}{rank}")
+    for trial in range(8):
+        near = rng.choice((0, 10**6))
+        g = _random_poly(rng, r, rng.randrange(1, 8), near)
+        d = _random_poly(rng, r, rng.randrange(2, 6), near)
+        if len(d) < 2:
+            continue
+        lead = d.leading()[0]
+        d = WeightPolynomial(r.height_vec, {**d.terms, lead: CoeffElement.q_power(
+            rng.randrange(-5, 5), rng.choice((1, -1)))})
+        numer = g * d
+        quot, rem = numer.divide(d)
+        assert rem.is_zero(), trial
+        assert quot == g, trial
+        assert quot * d == numer, trial
+        # a perturbed numerator leaves a nonzero remainder, and still
+        # N == Q * D + R
+        w = rng.choice(list(numer.terms))
+        bumped = WeightPolynomial(r.height_vec, {**numer.terms,
+                                                 w: numer.terms[w] + _random_coeff(rng)})
+        if bumped == numer:
+            continue
+        quot, rem = bumped.divide(d)
+        assert not rem.is_zero(), trial
+        assert _plus(quot * d, rem) == bumped, trial
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])

@@ -212,6 +212,24 @@ def test_tokuyama_rank_one_closed_form():
                                         (-1,): CoeffElement.from_int(-1)}
 
 
+@pytest.mark.parametrize("where", ["top", "below"])
+def test_tokuyama_stray_term_is_an_inexact_division(monkeypatch, where):
+    # one stray term in P makes the division inexact, whether it changes the
+    # leading coefficient or sits below every weight of P
+    real_p_part = series.p_part
+
+    def p_part_with_stray(rs_, lam, n, *args, **kw):
+        P = real_p_part(rs_, lam, n, *args, **kw)
+        w = lam if where == "top" else tuple(c - 3 for c in P.sorted_weights()[-1])
+        return WeightPolynomial(P.height_vec, {**P.terms, w: P.coeff(w) + Q(2)}, P.meta)
+
+    monkeypatch.setattr(series, "p_part", p_part_with_stray)
+    res = tokuyama_quotient(rs("A", 2), (2, 1))
+    assert not res.ok and res.quotient is None
+    assert res.remainder is not None and not res.remainder.is_zero()
+    assert res.reason == "inexact division"
+
+
 def test_tokuyama_requires_type_a_and_strong_dominance():
     with pytest.raises(ValueError):
         tokuyama_quotient(rs("B", 2), (1, 1))
