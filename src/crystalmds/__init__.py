@@ -11,7 +11,7 @@ verification routes.
 from .conventions import DEFAULT, Conventions
 from .coefficients import (CoeffElement, ComponentD, GaussSymbol, entry_factor,
                            g_value, gauss_numeric, h_value, pattern_coefficient,
-                           row_components, sigma_entry, specialize_n1)
+                           row_components, sigma_entry)
 from .roots import (CartanSpec, RootSystem, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
                     nice_long_word, weyl_character, weyl_dimension)
@@ -20,6 +20,6 @@ from .patterns import (LittelmannPattern, column_letter, enumerate_patterns,
 from .decorations import DecoratedPattern, decorate, render
 from .series import (BranchDecomposition, WeightPolynomial, branch_decompose,
                      character_via_patterns, p_part, polynomial_json_obj,
-                     specialize_poly_n1, tokuyama_quotient, twisted_character)
+                     tokuyama_quotient, twisted_character)
 
 __version__ = "0.1.0"

@@ -11,12 +11,15 @@ of its argument modulo the cover degree ``n``.  The companion sum ``h_t(a)``
 always collapses to an explicit Laurent polynomial in ``q``::
 
     h_t(a) = (q - 1) * q^(a-1)   if n | t*a,      else 0
-    g_t(a) = q^(a-1) * <symbol (t, a mod n)>
+    g_t(a) = q^(a-1) * <symbol (t, a mod n)>      for n >= 2
+    g_t(a) = -q^(a-1)                             for n = 1
 
+At n = 1 the character is trivial: ``g_value`` returns -q^(a-1) itself and
+``GaussSymbol`` rejects degree 1, so every n = 1 coefficient is a Laurent
+polynomial in ``q``.
 ``gauss_numeric`` evaluates the defining character sums over an actual
 residue ring by direct summation, providing the independent oracle used to
-pin these closed forms.  Under degree n = 1 every symbol evaluates to -1
-(``specialize_n1``).
+pin these closed forms.
 
 ``CoeffElement`` stores each monomial ``q^e * prod g_i^(m_i)`` as one int:
 ``e`` in a low two's-complement field of 64 bits and each multiplicity
@@ -27,8 +30,8 @@ adds ``e``.  Inputs are held to ``|e| < Q_EXP_LIMIT`` (2^31) and
 ``1 <= m < POW_LIMIT`` (2^16), and anything outside raises ValueError; that
 leaves 32 bits of headroom in every field, so a product of up to 2^32 factors
 within those bounds cannot fill a field.  Keys are decoded to the canonical
-``(e, sorted ((GaussSymbol, m), ...))`` form only for ``monomials()``, JSON,
-``repr`` and ``specialize_n1``: ``e`` by masking the low field, the Gauss
+``(e, sorted ((GaussSymbol, m), ...))`` form only for ``monomials()``, JSON
+and ``repr``: ``e`` by masking the low field, the Gauss
 part through ``_gauss_part``, a bounded cache keyed by the symbol bits
 ``k - e``.  The cache is sound because the fields are append-only, so given
 bits decode the same way for the life of the process.  ``packed`` and
@@ -71,7 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 
 @dataclass(frozen=True, order=True)
 class GaussSymbol:
-    """Formal unit-scale Gauss sum g_t(residue), taken modulo ``degree``."""
+    """Formal unit-scale Gauss sum g_t(residue), taken modulo ``degree``.
+
+    The degree is at least 2: at degree 1 the sum is the number -1, which
+    ``g_value`` returns in place of a symbol.
+    """
 
     t: int
     residue: int
@@ -80,8 +87,8 @@ class GaussSymbol:
     def __post_init__(self):
         if self.t not in (1, 2):
             raise ValueError(f"symbol subscript t must be 1 or 2, got {self.t}")
-        if self.degree < 1:
-            raise ValueError("cover degree must be >= 1")
+        if self.degree < 2:
+            raise ValueError(f"a Gauss symbol needs cover degree >= 2, got {self.degree}")
         if not 0 <= self.residue < self.degree:
             raise ValueError("residue must be reduced modulo the degree")
 
@@ -389,12 +396,15 @@ def h_value(t: int, a: int, n: int) -> CoeffElement:
 
 
 def g_value(t: int, a: int, n: int) -> CoeffElement:
-    """The symbolic sum g_t(a) = q^(a-1) * <symbol (t, a mod n)>.
+    """The sum g_t(a): q^(a-1) * <symbol (t, a mod n)> for n >= 2.
 
-    The symbol is never expanded for n > 1 (no closed form exists in
-    general); the n = 1 specialization sends it to -1.
+    The symbol is never expanded (no closed form exists in general).  At
+    n = 1 the character is trivial and the sum is exactly -q^(a-1), which
+    is returned as is, so no degree-1 symbol is ever built.
     """
     _check_ta(t, a, n)
+    if n == 1:
+        return CoeffElement.q_power(a - 1, -1)
     return CoeffElement.symbol(GaussSymbol(t, a % n, n), q_exp=a - 1)
 
 
@@ -405,24 +415,6 @@ def _check_ta(t: int, a: int, n: int):
         raise ValueError("prime-power exponent a must be >= 1")
     if n < 1:
         raise ValueError("cover degree n must be >= 1")
-
-
-def specialize_n1(c: CoeffElement) -> CoeffElement:
-    """Evaluate a degree-1 element: every symbol becomes -1.
-
-    Rejects symbols carrying a cover degree larger than 1; the result is a
-    pure Laurent element in q.
-    """
-    terms: dict[int, int] = {}
-    for k, coeff in c._terms.items():
-        e = ((k + _Q_HALF) & _Q_MASK) - _Q_HALF
-        for sym, m in _gauss_part(k - e)[1]:
-            if sym.degree != 1:
-                raise ValueError(f"cannot specialize symbol of degree {sym.degree} at n=1")
-            if m % 2:
-                coeff = -coeff
-        terms[e] = terms.get(e, 0) + coeff
-    return _wrap({e: c for e, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ character that ``roots.weyl_character`` builds with Demazure operators.
 Both sums accumulate by the walk's packed weight and decode each distinct
 weight once.
 
-``tokuyama_quotient`` factors the degree-1 specialization of P as a
+``tokuyama_quotient`` factors P at degree 1, where every coefficient is a
+Laurent polynomial in q (``g_value`` evaluates g there), as a
 lambda-independent deformed denominator times a character.  The divisor is
 the character with each coefficient twisted by q to the height drop of its
 weight; this is the variable normalization under which the factorization is
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Iterator
 
-from .coefficients import CoeffElement, slot_table, specialize_n1
+from .coefficients import CoeffElement, slot_table
 from .conventions import DEFAULT, Conventions
 from .patterns import _freeze, _rows_text, _walk, enumeration_slots, rows_weight
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
@@ -102,11 +103,11 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
 
 
 def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:
-    return WeightPolynomial(
-        poly.height_vec,
-        {w: specialize_n1(c) for w, c in poly.terms.items()},
-        poly.meta,
-    )
+    """The identity.  Degree-1 coefficients carry no Gauss symbols (see
+    ``coefficients.g_value``), so there is nothing left to specialize; kept
+    only because ``perfbench/workloads.py`` imports it, and it goes when that
+    benchmark is rebuilt (ROADMAP item 8)."""
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     lam = tuple(lam)
     if not is_strongly_dominant(lam):
         raise ValueError("need a strongly dominant highest weight")
-    P = specialize_poly_n1(p_part(rs, lam, 1))
+    P = p_part(rs, lam, 1)
     divisor = twisted_character(rs, tuple(c - 1 for c in lam))
     quot, rem = P.divide(divisor)
     if rem.is_zero():

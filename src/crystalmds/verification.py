@@ -11,7 +11,7 @@ import itertools
 from typing import Sequence
 
 from .coefficients import (_component_factor, count_forced_sigma, g_value,
-                           gauss_numeric, h_value, row_components, specialize_n1)
+                           gauss_numeric, h_value, row_components)
 from .decorations import decorate, decorated_crystal
 from .patterns import enumerate_patterns
 from .roots import (CartanSpec, build_root_system, character_dimension,
@@ -115,13 +115,16 @@ def run_gauss_suite(primes: tuple[int, ...] = (5, 7, 13),
                                        numeric=[num.real, num.imag],
                                        symbolic=[sym.real, sym.imag]))
             if n == 1:
-                for a in exponents:
-                    num = gauss_numeric(1, a - 1, a, p, 1)
-                    sym = _eval_laurent_q(specialize_n1(g_value(1, a, 1)), p)
-                    cases.append(_case(f"g({a}) n=1 p={p} specialization",
-                                       _rel_close(num, sym),
-                                       numeric=[num.real, num.imag],
-                                       symbolic=[sym.real, sym.imag]))
+                # the character is trivial: g_value gives -q^(a-1) for t = 1, 2
+                for t, name in ((1, "g({a}) n=1 p={p} specialization"),
+                                (2, "g_2({a}) n=1 p={p}")):
+                    for a in exponents:
+                        num = gauss_numeric(t, a - 1, a, p, 1)
+                        sym = _eval_laurent_q(g_value(t, a, 1), p)
+                        cases.append(_case(name.format(a=a, p=p),
+                                           _rel_close(num, sym),
+                                           numeric=[num.real, num.imag],
+                                           symbolic=[sym.real, sym.imag]))
             # residue-class dependence: unit-scale values repeat with period n
             for t in (1, 2):
                 for a in exponents:

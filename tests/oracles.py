@@ -403,17 +403,6 @@ class RefCoeff:
     def times_unit(self, sign, e):
         return RefCoeff({(q + e, g): sign * c for (q, g), c in self.terms.items()})
 
-    def specialize_n1(self):
-        """Every symbol becomes -1; ValueError for a symbol of degree > 1."""
-        acc = {}
-        for (e, g), c in self.terms.items():
-            for (t, residue, degree), k in g:
-                if degree != 1:
-                    raise ValueError("symbol of degree > 1")
-                c *= (-1) ** k
-            acc[(e, ())] = acc.get((e, ()), 0) + c
-        return RefCoeff(acc)
-
     def monomials(self):
         return [(c, e, g) for (e, g), c in sorted(self.terms.items())]
 

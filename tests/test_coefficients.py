@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalmds import (CoeffElement, GaussSymbol, entry_factor, g_value,
-                        gauss_numeric, h_value, sigma_entry, specialize_n1)
+                        gauss_numeric, h_value, sigma_entry)
 from crystalmds.coefficients import POW_LIMIT, Q_EXP_LIMIT
 from oracles import RefCoeff
 
@@ -54,7 +54,7 @@ coeff_strategy = st.builds(
                                        if use_sym else ONE)
          for (e, k, t, r, n, use_sym) in picks), ZERO),
     st.lists(st.tuples(st.integers(-4, 4), st.integers(-5, 5), st.sampled_from((1, 2)),
-                       st.integers(0, 3), st.sampled_from((1, 2, 4)), st.booleans()),
+                       st.integers(0, 3), st.sampled_from((2, 3, 4)), st.booleans()),
              max_size=4))
 
 
@@ -102,7 +102,7 @@ def from_ref(ref):
 
 
 @settings(max_examples=300, deadline=None)
-@given(monomial_specs((1, 2, 4)), monomial_specs((1, 2, 4)),
+@given(monomial_specs((2, 3, 4)), monomial_specs((2, 3, 4)),
        st.sampled_from((1, -1)), st.integers(-10 ** 6, 10 ** 6))
 def test_ring_matches_reference_ring(sa, sb, sign, e):
     a, ra = build(sa)
@@ -113,25 +113,10 @@ def test_ring_matches_reference_ring(sa, sb, sign, e):
         assert got.to_json_obj() == want.to_json_obj()
         assert got.as_unit_monomial() == want.as_unit_monomial()
         assert got == from_ref(want) and hash(got) == hash(from_ref(want))
-    try:
-        want = ra.specialize_n1()
-    except ValueError:
-        with pytest.raises(ValueError):
-            specialize_n1(a)
-    else:
-        assert as_ref(specialize_n1(a)) == want.monomials()
-
-
-@settings(max_examples=100, deadline=None)
-@given(monomial_specs((1,)), monomial_specs((1,)))
-def test_specialize_matches_reference_ring(sa, sb):
-    a, ra = build(sa)
-    b, rb = build(sb)
-    assert as_ref(specialize_n1(a * b)) == (ra * rb).specialize_n1().monomials()
 
 
 @settings(max_examples=200, deadline=None)
-@given(monomial_specs((1, 5, 6, 7)), monomial_specs((5, 6, 7)))
+@given(monomial_specs((2, 5, 6, 7)), monomial_specs((5, 6, 7)))
 def test_decoding_survives_new_symbols(sa, sb):
     # Decoding caches the sorted Gauss part of each packed symbol-bits
     # value.  Symbols of degrees 5-7 interned after an element was decoded
@@ -238,20 +223,34 @@ def test_h_value_cases():
 
 
 def test_g_value_symbolic_and_specialized():
+    # symbolic from degree 2 on; at degree 1 the character is trivial and
+    # g_t(a) is the Laurent monomial -q^(a-1) itself
     g1 = g_value(1, 1, 2)
     assert g1 == CoeffElement.symbol(GaussSymbol(1, 1, 2))
-    assert specialize_n1(g_value(1, 1, 1)) == CoeffElement.from_int(-1)
-    for a in range(1, 7):
-        assert specialize_n1(g_value(1, a, 1)) == Q(a - 1, -1)
+    assert g_value(1, 1, 1) == CoeffElement.from_int(-1)
+    for t in (1, 2):
+        for a in range(1, 7):
+            assert g_value(t, a, 1) == Q(a - 1, -1)
 
 
 def test_specialize_product():
+    # a degree-1 product is a Laurent polynomial in q: (-q) * (q - 1)
     el = g_value(1, 2, 1) * h_value(1, 1, 1)
-    # (-q) * (q - 1)
-    assert specialize_n1(el) == (Q(1, -1)) * q_minus_one()
-    assert specialize_n1(ONE) == ONE
+    assert el == (Q(1, -1)) * q_minus_one()
+
+
+def test_degree_one_symbols_do_not_exist():
+    for t in (1, 2):
+        with pytest.raises(ValueError):
+            GaussSymbol(t, 0, 1)
     with pytest.raises(ValueError):
-        specialize_n1(g_value(1, 1, 2))
+        GaussSymbol(1, 0, 0)
+    # outside input cannot bring one in either
+    obj = {"monomials": [{"int": 1, "q": 0, "gauss": [{"t": 1, "c": 0, "pow": 1}]}]}
+    with pytest.raises(ValueError):
+        CoeffElement.from_json_obj(obj, 1)
+    assert CoeffElement.from_json_obj({"monomials": [{"int": -1, "q": 2, "gauss": []}]},
+                                      1) == Q(2, -1)
 
 
 def test_json_round_trip_and_order():

@@ -11,10 +11,9 @@ from crystalmds import (DEFAULT, CartanSpec, CoeffElement, Conventions,
                         branch_decompose,
                         character_via_patterns, decorate, enumerate_patterns,
                         p_part, pattern_coefficient, pattern_weight, pattern_wt,
-                        polynomial_json_obj, specialize_n1, tokuyama_quotient,
+                        polynomial_json_obj, tokuyama_quotient,
                         twisted_character, weyl_character, weyl_dimension)
 from crystalmds.patterns import _freeze, _walk
-from crystalmds.series import specialize_poly_n1
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, weight_codec
 from oracles import full_denominator_character, weight_in_hull
@@ -84,14 +83,25 @@ DIFFERENTIAL_CASES = {("A", 1): 8, ("A", 2): 16, ("A", 3): 32, ("B", 2): 16,
 
 def test_p_part_rank_one_by_hand():
     # two crystal elements: the highest (circled, factor 1) and the boxed
-    # extreme (a single unexpanded sum that degree-1 evaluation sends to -1)
-    P = specialize_poly_n1(p_part(rs("A", 1), (1,), 1))
+    # extreme (a single Gauss sum, which is -1 at degree 1)
+    P = p_part(rs("A", 1), (1,), 1)
     assert dict(P.terms) == {(1,): CoeffElement.from_int(1),
                              (-1,): CoeffElement.from_int(-1)}
 
 
+@pytest.mark.parametrize("family,rank,lam", [("A", 3, (2, 1, 2)), ("B", 3, (1, 1, 1)),
+                                             ("C", 3, (2, 1, 1)), ("D", 4, (1, 1, 1, 1))])
+def test_degree_one_coefficients_carry_no_symbols(family, rank, lam):
+    # g is evaluated at degree 1 where it is built: every coefficient of P
+    # is a Laurent polynomial in q
+    P = p_part(rs(family, rank), lam, 1)
+    assert P.terms
+    for c in P.terms.values():
+        assert all(not gauss for _, _, gauss in c.monomials())
+
+
 def test_p_part_interior_entries():
-    P = specialize_poly_n1(p_part(rs("A", 1), (3,), 1))
+    P = p_part(rs("A", 1), (3,), 1)
     assert P.coeff((3,)).is_one()
     assert P.coeff((1,)) == Q(1) - Q(0)      # q - 1
     assert P.coeff((-1,)) == Q(2) - Q(1)     # (q-1) q
@@ -201,7 +211,7 @@ def test_tokuyama_quotient_times_divisor_reconstructs():
     lam = (2, 1)
     res = tokuyama_quotient(r, lam)
     product = res.quotient * twisted_character(r, (1, 0))
-    P = specialize_poly_n1(p_part(r, lam, 1))
+    P = p_part(r, lam, 1)
     assert product.terms == P.terms
 
 
@@ -334,7 +344,7 @@ def test_branch_wrong_weight_breaks_additivity(monkeypatch):
 # still rebuilt every pattern; a change must be deliberate and documented.
 BRANCH_SHA256 = {
     "A3-212-n1": ("A", 3, (2, 1, 2), 1,
-                  "f3a20775e745c31453df2cec95d5a7c33961336a5ee376ccc4618fc18db61ae3"),
+                  "0b0631f2a0da2516ca1a2ddc159c42c83c74826c8a7d97aa22e7a383fd3fccba"),
     "A3-212-n2": ("A", 3, (2, 1, 2), 2,
                   "6c1cf9ab69656db6aba196b42813679e781b68fcdd74cfdc903b3b9a0dc25437"),
     "A3-212-n3": ("A", 3, (2, 1, 2), 3,
@@ -440,7 +450,7 @@ FIXED_CASE_SHA256 = {
     "D4-rho-n2": ("D", 4, (1, 1, 1, 1), 2,
                   "7f017bbc003c838294c7546fbd57258aab18f631c16a602ee984130b5dd31ee5"),
     "A3-333-n1": ("A", 3, (3, 3, 3), 1,
-                  "1b338399030047edce1e32278aa9991d526dd07b1434e65afc69c31e681e9992"),
+                  "ed7c7082b6b68444cde2817831af7e8008a58bb297ccbc304d39d26b47378ae6"),
     "D4-2111-n3": ("D", 4, (2, 1, 1, 1), 3,
                    "ab70ca0850ff48b31e2d452f97b9d316750337902368165a68da15015d2b26f8"),
 }
