@@ -8,7 +8,6 @@ Weyl-denominator factorization and top-row branching serve as independent
 verification routes.
 """
 
-from .conventions import DEFAULT, Conventions
 from .coefficients import (CoeffElement, ComponentD, GaussSymbol, entry_factor,
                            g_value, gauss_numeric, h_value, pattern_coefficient,
                            row_components, sigma_entry)
@@ -16,7 +15,7 @@ from .roots import (CartanSpec, RootSystem, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
                     nice_long_word, weyl_character, weyl_dimension)
 from .patterns import (LittelmannPattern, column_letter, enumerate_patterns,
-                       pattern_shape, pattern_weight, pattern_wt)
+                       pattern_shape, pattern_wt)
 from .decorations import DecoratedPattern, decorate, render
 from .series import (BranchDecomposition, WeightPolynomial, branch_decompose,
                      character_via_patterns, p_part, polynomial_json_obj,

@@ -47,12 +47,11 @@ factor in types A, B and C (``entry_factor``), and in type D the product over
 the connected components of the row (``row_components``,
 ``_component_factor``), placed at the row's last slot.  A factor reads
 nothing but the slot's local state (``slot_key``), and there are few distinct
-states, so ``slot_table`` computes each once for a given (spec, n,
-conventions); the walks of ``series`` fold factors read from one into prefix
-products.  ``pattern_coefficient``, the per-pattern definition they are
-checked against, multiplies one pattern's factors from ``slot_factor``.
-This module holds the whole rule, and it is the only reader of the
-``Conventions`` switches that leave the type-D rule open.
+states, so ``slot_table`` computes each once for a given (spec, n); the walks
+of ``series`` fold factors read from one into prefix products.
+``pattern_coefficient``, the per-pattern definition they are checked
+against, multiplies one pattern's factors from ``slot_factor``.  This module
+holds the whole rule.
 
 Everything here is immutable and safe to share between threads; the table
 of symbol fields only grows, under a lock.
@@ -64,8 +63,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import index, itemgetter
 from typing import TYPE_CHECKING
-
-from .conventions import DEFAULT, Conventions
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .decorations import DecoratedPattern
@@ -577,10 +574,9 @@ class ComponentD:
     shorter_leg_col: int | None = None
 
 
-def row_components(spec: CartanSpec, i: int, row, conv: Conventions = DEFAULT
-                   ) -> tuple[ComponentD, ...]:
+def row_components(spec: CartanSpec, i: int, row) -> tuple[ComponentD, ...]:
     """Partition row ``i`` of a type-D pattern, given as its values left to
-    right, into components."""
+    right, into components: each maximal run of equal entries is one."""
     r = spec.rank
     runs: list[tuple[int, int]] = []
     start = 0
@@ -590,20 +586,12 @@ def row_components(spec: CartanSpec, i: int, row, conv: Conventions = DEFAULT
             end += 1
         runs.append((i + start, i + end))
         start = end + 1
-    if conv.d_component_rule == "strict" and (r - 1, r) in runs:
-        # equal central pair with no shared equal neighbour
-        k = runs.index((r - 1, r))
-        runs[k:k + 1] = [(r - 1, r - 1), (r, r)]
-    return tuple(_classify(r, i, row[j1 - i], j1, j2, conv) for j1, j2 in runs)
+    return tuple(_classify(r, i, row[j1 - i], j1, j2) for j1, j2 in runs)
 
 
-def _classify(r: int, i: int, value: int, j1: int, j2: int,
-              conv: Conventions) -> ComponentD:
-    if conv.ml_span_rule == "legs":
-        spans = j1 <= r - 2 and j2 >= r + 1
-    else:
-        spans = j1 <= r - 1 and j2 >= r
-    if not spans:
+def _classify(r: int, i: int, value: int, j1: int, j2: int) -> ComponentD:
+    # a multiple leaner is a run covering both central columns r - 1 and r
+    if j1 > r - 1 or j2 < r:
         return ComponentD(i, j1, j2, value, "generic")
     if j1 + j2 == 2 * r - 1:
         return ComponentD(i, j1, j2, value, "sml", length=r - j1)
@@ -635,8 +623,8 @@ def _component_factor(comp: ComponentD, row, crow, brow, n: int,
     return right * (_ONE - CoeffElement.q_power(-comp.length))
 
 
-def slot_factor(spec: CartanSpec, i: int, j: int, row, crow, brow, n: int,
-                conv: Conventions = DEFAULT) -> CoeffElement:
+def slot_factor(spec: CartanSpec, i: int, j: int, row, crow, brow, n: int
+                ) -> CoeffElement:
     """Factor of slot (i, j), read off row ``i`` alone: its values and its
     circled and boxed marks, each indexed by column minus the row index.
 
@@ -652,7 +640,7 @@ def slot_factor(spec: CartanSpec, i: int, j: int, row, crow, brow, n: int,
     if j != i:
         return _ONE
     out = _ONE
-    for comp in row_components(spec, i, row, conv):
+    for comp in row_components(spec, i, row):
         out = out * _component_factor(comp, row, crow, brow, n)
         if out.is_zero():
             return _ZERO
@@ -660,11 +648,11 @@ def slot_factor(spec: CartanSpec, i: int, j: int, row, crow, brow, n: int,
 
 
 def slot_key(spec: CartanSpec, i: int, j: int, row, crow, brow):
-    """Everything ``slot_factor`` reads of slot (i, j) besides the spec, the
-    cover degree and the conventions, as a hashable key: the entry's value
-    and marks and whether it sits in the middle column in types A, B and C,
-    the row index and the whole row in type D.  None for a type-D slot
-    before its row's last slot, whose factor is 1."""
+    """Everything ``slot_factor`` reads of slot (i, j) besides the spec and
+    the cover degree, as a hashable key: the entry's value and marks and
+    whether it sits in the middle column in types A, B and C, the row index
+    and the whole row in type D.  None for a type-D slot before its row's
+    last slot, whose factor is 1."""
     if spec.family != "D":
         off = j - i
         return j == spec.rank, row[off], crow[off], brow[off]
@@ -673,11 +661,11 @@ def slot_key(spec: CartanSpec, i: int, j: int, row, crow, brow):
     return i, tuple(row), tuple(crow), tuple(brow)
 
 
-def slot_table(spec: CartanSpec, n: int, conv: Conventions = DEFAULT):
-    """``slot_factor`` at this spec, cover degree and conventions, as a
-    function of (i, j, row, crow, brow) that computes the factor of each
-    distinct ``slot_key`` once.  The factors live in a dict owned by the
-    returned function, so they last as long as the caller keeps it."""
+def slot_table(spec: CartanSpec, n: int):
+    """``slot_factor`` at this spec and cover degree, as a function of
+    (i, j, row, crow, brow) that computes the factor of each distinct
+    ``slot_key`` once.  The factors live in a dict owned by the returned
+    function, so they last as long as the caller keeps it."""
     factors: dict = {}
 
     def factor(i, j, row, crow, brow) -> CoeffElement:
@@ -686,22 +674,20 @@ def slot_table(spec: CartanSpec, n: int, conv: Conventions = DEFAULT):
             return _ONE
         f = factors.get(key)
         if f is None:
-            f = factors[key] = slot_factor(spec, i, j, row, crow, brow, n, conv)
+            f = factors[key] = slot_factor(spec, i, j, row, crow, brow, n)
         return f
 
     return factor
 
 
-def pattern_coefficient(dp: DecoratedPattern, n: int,
-                        conv: Conventions = DEFAULT) -> CoeffElement:
+def pattern_coefficient(dp: DecoratedPattern, n: int) -> CoeffElement:
     """Total coefficient of a decorated pattern: the product of its slot
     factors, straight from ``slot_factor``."""
     L = dp.pattern
     out = _ONE
     for i, j in L.positions():
         k = i - 1
-        out = out * slot_factor(L.spec, i, j, L.rows[k], dp.circled[k], dp.boxed[k],
-                                n, conv)
+        out = out * slot_factor(L.spec, i, j, L.rows[k], dp.circled[k], dp.boxed[k], n)
         if out.is_zero():
             return _ZERO
     return out

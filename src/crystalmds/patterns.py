@@ -278,16 +278,11 @@ def rows_weight(spec: CartanSpec, rows) -> tuple[int, ...]:
     return tuple(s)
 
 
-def pattern_weight(L: LittelmannPattern) -> tuple[int, ...]:
-    """``rows_weight`` of a validated pattern."""
-    return rows_weight(L.spec, L.rows)
-
-
 def pattern_wt(L: LittelmannPattern, lam: Weight) -> Weight:
     """Crystal weight of the pattern: lam minus the counted simple roots,
     in fundamental-weight coordinates."""
     rs = build_root_system(L.spec)
-    s = pattern_weight(L)
+    s = rows_weight(L.spec, L.rows)
     lam = tuple(lam)
     return tuple(lam[i] - sum(s[k] * rs.cartan[i][k] for k in range(rs.rank))
                  for i in range(rs.rank))

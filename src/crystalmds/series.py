@@ -34,7 +34,6 @@ from operator import add, mul
 from typing import Iterator
 
 from .coefficients import CoeffElement, slot_table
-from .conventions import DEFAULT, Conventions
 from .patterns import _freeze, _rows_text, _walk, enumeration_slots, rows_weight
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
@@ -63,7 +62,7 @@ def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
                                {decode(w): c for w, c in table.items()}, meta)
 
 
-def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
+def p_part(rs: RootSystem, lam: Weight, n: int, *,
            allow_dominant: bool = False) -> WeightPolynomial:
     """The prime-power-coefficient polynomial P at cover degree ``n``.
 
@@ -87,7 +86,7 @@ def p_part(rs: RootSystem, lam: Weight, n: int, conv: Conventions = DEFAULT,
     # zero factor leaves only zero coefficients below, so the subtree is
     # skipped.
     slots = enumeration_slots(rs.spec)
-    factor = slot_table(rs.spec, n, conv)
+    factor = slot_table(rs.spec, n)
     one = CoeffElement.one()
 
     def fold(k, coeff, row, crow, brow):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from crystalmds import (CartanSpec, DEFAULT, Conventions, LittelmannPattern,
+from crystalmds import (CartanSpec, LittelmannPattern,
                         build_root_system, decorate, enumerate_patterns,
                         pattern_shape, render, row_components, weyl_dimension)
 from crystalmds.decorations import decorated_crystal
@@ -124,9 +124,9 @@ def test_walk_masks_match_decorate_and_definitions():
 # type-D components
 # ---------------------------------------------------------------------------
 
-def comps_for(rows, rank=3, conv=DEFAULT):
+def comps_for(rows, rank=3):
     """Components of the top row of a type-D pattern."""
-    return row_components(CartanSpec("D", rank), 1, rows[0], conv)
+    return row_components(CartanSpec("D", rank), 1, rows[0])
 
 
 def test_zero_row_is_sml():
@@ -154,25 +154,11 @@ def test_unequal_central_entries_stay_apart():
     assert all(c.kind == "generic" for c in comps)
 
 
-def test_strict_component_rule_splits_bare_pair():
-    conv = Conventions(d_component_rule="strict")
-    comps = comps_for([[2, 1, 1, 0], [0, 0]], conv=conv)
-    spans = sorted((c.j1, c.j2) for c in comps)
-    assert spans == [(1, 1), (2, 2), (3, 3), (4, 4)]
-
-
 def test_asymmetric_multiple_leaner():
     comps = comps_for([[1, 1, 1, 0], [0, 0]])
     spans = {(c.j1, c.j2): c for c in comps}
     ml = spans[(1, 3)]
     assert ml.kind == "ml" and ml.shorter_leg_col == 3
-
-
-def test_legs_span_rule_demotes_central_run():
-    conv = Conventions(ml_span_rule="legs")
-    comps = comps_for([[2, 1, 1, 0], [0, 0]], conv=conv)
-    middle = next(c for c in comps if (c.j1, c.j2) == (2, 3))
-    assert middle.kind == "generic"
 
 
 def test_components_partition_rows():

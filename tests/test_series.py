@@ -6,14 +6,13 @@ import json
 import pytest
 
 from crystalmds import cli, series
-from crystalmds import (DEFAULT, CartanSpec, CoeffElement, Conventions,
-                        LittelmannPattern, WeightPolynomial, build_root_system,
-                        branch_decompose,
+from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
+                        WeightPolynomial, build_root_system, branch_decompose,
                         character_via_patterns, decorate, enumerate_patterns,
-                        p_part, pattern_coefficient, pattern_weight, pattern_wt,
+                        p_part, pattern_coefficient, pattern_wt,
                         polynomial_json_obj, tokuyama_quotient,
                         twisted_character, weyl_character, weyl_dimension)
-from crystalmds.patterns import _freeze, _walk
+from crystalmds.patterns import _walk, rows_weight
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, weight_codec
 from oracles import full_denominator_character, weight_in_hull
@@ -29,7 +28,7 @@ def rs(family, rank):
 # the crystal sum
 # ---------------------------------------------------------------------------
 
-def per_leaf_p_part(r, lam, degrees, conv):
+def per_leaf_p_part(r, lam, degrees):
     """Reference sum, one pattern at a time: the coefficient of each
     decorated leaf at its weight, for every cover degree in ``degrees``."""
     acc = {n: {} for n in degrees}
@@ -37,13 +36,9 @@ def per_leaf_p_part(r, lam, degrees, conv):
         dp = decorate(L, lam)
         w = pattern_wt(L, lam)
         for n in degrees:
-            c = pattern_coefficient(dp, n, conv)
+            c = pattern_coefficient(dp, n)
             acc[n][w] = acc[n][w] + c if w in acc[n] else c
     return {n: WeightPolynomial(r.height_vec, terms).terms for n, terms in acc.items()}
-
-
-D_FLAG_SETTINGS = [Conventions(ml_span_rule=span, d_component_rule=rule)
-                   for span in ("centrals", "legs") for rule in ("runs", "strict")]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
@@ -52,33 +47,28 @@ D_FLAG_SETTINGS = [Conventions(ml_span_rule=span, d_component_rule=rule)
 def test_p_part_matches_per_leaf_sum(family, rank):
     # p_part reads slot factors from a table keyed by each slot's local state
     # and skips subtrees under a zero factor; it must agree with the
-    # per-leaf definition.  lambda in {1,2}^r with dimension <= 3000,
-    # n = 1..4, and every type-D component/span flag setting.  No D4 weight
-    # passes the cap, so D4 runs rho at n = 2 under the default flags and
-    # under strict components with leg spans.
+    # per-leaf definition.  lambda in {1,2}^r with dimension <= 3000 and
+    # n = 1..4.  No D4 weight passes the cap, so D4 runs rho at n = 2.
     r = rs(family, rank)
     if (family, rank) == ("D", 4):
         lams, degrees = [(1, 1, 1, 1)], (2,)
-        convs = [DEFAULT, Conventions(ml_span_rule="legs", d_component_rule="strict")]
     else:
         lams = [lam for lam in itertools.product((1, 2), repeat=rank)
                 if weyl_dimension(r, lam) <= 3000]
         degrees = (1, 2, 3, 4)
-        convs = D_FLAG_SETTINGS if family == "D" else [DEFAULT]
     cases = 0
     for lam in lams:
-        for conv in convs:
-            ref = per_leaf_p_part(r, lam, degrees, conv)
-            for n in degrees:
-                assert p_part(r, lam, n, conv).terms == ref[n], (lam, n, conv)
-                cases += 1
+        ref = per_leaf_p_part(r, lam, degrees)
+        for n in degrees:
+            assert p_part(r, lam, n).terms == ref[n], (lam, n)
+            cases += 1
     assert cases == DIFFERENTIAL_CASES[family, rank]
 
 
-# (lambda, n, flags) cases per group above: 250 in all
+# (lambda, n) cases per group above: 153 in all
 DIFFERENTIAL_CASES = {("A", 1): 8, ("A", 2): 16, ("A", 3): 32, ("B", 2): 16,
-                      ("B", 3): 16, ("C", 2): 16, ("C", 3): 16, ("D", 3): 128,
-                      ("D", 4): 2}
+                      ("B", 3): 16, ("C", 2): 16, ("C", 3): 16, ("D", 3): 32,
+                      ("D", 4): 1}
 
 
 def test_p_part_rank_one_by_hand():
@@ -128,6 +118,12 @@ def test_p_part_preconditions():
     assert p_part(rs("A", 2), (1, 0), 1, allow_dominant=True) is not None
     with pytest.raises(ValueError):
         p_part(rs("A", 2), (1, 1), 0)
+
+
+def test_p_part_allow_dominant_is_keyword_only():
+    # a fourth positional argument must not land on allow_dominant
+    with pytest.raises(TypeError):
+        p_part(rs("A", 2), (1, 0), 1, True)
 
 
 def test_p_part_support_constraints():
@@ -378,7 +374,6 @@ def test_branch_rank_restrictions():
 
 
 def test_branch_s_additivity_entrywise():
-    from crystalmds import pattern_weight
     r = rs("A", 3)
     lam = (1, 1, 1)
     sub = CartanSpec("A", 2)
@@ -389,10 +384,10 @@ def test_branch_s_additivity_entrywise():
         from crystalmds import LittelmannPattern
         toponly = LittelmannPattern(
             r.spec, (top,) + tuple(tuple([0] * len(x)) for x in members[0].rows[1:]))
-        s_top = pattern_weight(toponly)
+        s_top = rows_weight(r.spec, toponly.rows)
         for L in members:
-            s_full = pattern_weight(L)
-            s_sub = pattern_weight(LittelmannPattern(sub, L.rows[1:]))
+            s_full = rows_weight(r.spec, L.rows)
+            s_sub = rows_weight(sub, L.rows[1:])
             assert s_full[:2] == tuple(a + b for a, b in zip(s_top[:2], s_sub))
             assert s_full[2] == s_top[2]
 
@@ -411,7 +406,7 @@ def test_branch_leaf_drop_is_root_coordinates():
             decode = weight_codec(mu, sub.cartan).decode
             count = 0
             for rows, _, _, w, _ in _walk(sub.spec, mu):
-                drop = pattern_weight(LittelmannPattern(sub.spec, _freeze(rows)))
+                drop = rows_weight(sub.spec, rows)
                 want = sub.root_coordinates(tuple(a - b for a, b in zip(mu, decode(w))))
                 assert drop == want, (family, rank, mu, rows)
                 count += 1
@@ -453,6 +448,8 @@ FIXED_CASE_SHA256 = {
                   "ed7c7082b6b68444cde2817831af7e8008a58bb297ccbc304d39d26b47378ae6"),
     "D4-2111-n3": ("D", 4, (2, 1, 1, 1), 3,
                    "ab70ca0850ff48b31e2d452f97b9d316750337902368165a68da15015d2b26f8"),
+    "D3-212-n2": ("D", 3, (2, 1, 2), 2,
+                  "cc0d58a326a76664666d296420b6aef46b51c7e7e9235215cb5d48a3cbb22e2a"),
 }
 
 
