@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .patterns import LittelmannPattern, _freeze, _walk
+from .patterns import LittelmannPattern, _freeze, _walk, walk_plan
 from .roots import RootSystem
 from .weightpoly import Weight
 
@@ -37,7 +37,7 @@ def decorate(L: LittelmannPattern, lam: Weight) -> DecoratedPattern:
     entry, and ValueError at the first entry outside the polytope.
     """
     lam = tuple(lam)
-    ((_, circled, boxed, _, _),) = _walk(L.spec, lam, pinned=L.rows)
+    ((_, circled, boxed, _, _),) = _walk(walk_plan(L.spec, lam), pinned=L.rows)
     return DecoratedPattern(L, lam, _freeze(circled), _freeze(boxed))
 
 
@@ -47,7 +47,7 @@ def decorated_crystal(rs: RootSystem, lam: Weight) -> Iterator[DecoratedPattern]
     evaluated."""
     lam = tuple(lam)
     spec = rs.spec
-    for rows, circled, boxed, _, _ in _walk(spec, lam):
+    for rows, circled, boxed, _, _ in _walk(walk_plan(spec, lam)):
         yield DecoratedPattern(LittelmannPattern(spec, _freeze(rows)), lam,
                                _freeze(circled), _freeze(boxed))
 

@@ -15,16 +15,19 @@ entries already placed, which the walk carries along as one packed int.
 The same walk marks each entry that meets one of its bounds, which is all the
 circling and boxing masks need.  Membership of a single pattern is the walk
 pinned to it (``decorations.decorate``), which raises at the first entry out
-of bounds.
+of bounds.  ``walk_plan`` builds the walk's set-up once per crystal, and the
+walk's one-row mode fills a single row from the packed weight of the rows
+above it, which is how ``series`` sums a crystal a row at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterator, NamedTuple
 
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
                     is_dominant)
-from .weightpoly import Weight, weight_codec
+from .weightpoly import Weight, WeightCodec, weight_codec
 
 
 def row_end(spec: CartanSpec, i: int) -> int:
@@ -141,39 +144,25 @@ def enumeration_slots(spec: CartanSpec) -> list[tuple[int, int]]:
             for j in range(row_end(spec, i), i - 1, -1)]
 
 
-def _walk(spec: CartanSpec, lam: Weight,
-          pinned: tuple[tuple[int, ...], ...] | None = None,
-          fold: Callable | None = None, seed=None
-          ) -> Iterator[tuple[list, list, list, int, object]]:
-    """The slot walk: the one place that evaluates the bounds of a slot.
+class WalkPlan(NamedTuple):
+    """The slot walk's set-up for one crystal, built once by ``walk_plan``
+    and shared by every walk over it.  Walks on one plan share its row
+    buffers, so two walks that place entries in the same row must not be
+    interleaved."""
+    spec: CartanSpec
+    codec: WeightCodec
+    top: int                          # the highest weight, packed
+    buffers: tuple[list, list, list]  # rows, circled and boxed marks
+    frames: list                      # one per slot, in enumeration order
+    starts: tuple[int, ...]           # row i's slots are frames[starts[i-1]:starts[i]]
+    reads: tuple[int, ...]            # reads[i]: the packed-weight bits read by rows > i
+    halved: int                       # column whose bound is a(i, r)/2, else 0
 
-    Slots are visited in ``enumeration_slots`` order, the reverse of the long
-    word, and the walk carries the weight lam - sum v * alpha(letter) of the
-    entries already placed, packed into one int by ``weight_codec``: placing
-    a value subtracts its packed root.  Each node evaluates the slot's cone
-    lower bound from the entries of its row buffer and reads its polytope
-    upper bound off that weight: the field of the slot's column letter.
-    Every value placed there records its marks: circled when it equals the
-    lower bound (in the halved B slot, when twice it equals a(i, r)), boxed
-    when it equals the upper bound.  Each leaf yields the shared
-    ``(rows, circled, boxed)`` buffers, which change when the walk resumes,
-    so a consumer copies what it keeps, followed by the leaf's packed weight
-    (an int key; the codec's ``decode`` gives the weight) and accumulator.
 
-    The accumulator starts as ``seed`` at the root.  With ``fold``, every
-    value placed at slot k turns the parent's accumulator into the child's
-    as ``fold(k, acc, row, crow, brow)``: the row buffers of the slot's row
-    (values, circled, boxed) with the value and its marks in place.  A None
-    result skips the value and its whole subtree.
-
-    ``lam`` must be dominant, as the codec's bound requires; otherwise the
-    walk raises ValueError.  With ``pinned`` rows the walk follows that one
-    pattern and raises ValueError at the first entry outside its bounds.
-
-    The walk runs in one generator frame: an explicit per-slot stack holds
-    each slot's remaining values, bounds, weight and accumulator, and every
-    leaf is yielded once, directly.  So the rank meets no recursion limit.
-    """
+def walk_plan(spec: CartanSpec, lam: Weight) -> WalkPlan:
+    """Codec, row buffers and per-slot frames of the walk over the crystal of
+    ``lam``, which must be dominant, as the codec's bound requires; otherwise
+    ValueError."""
     lam = _checked_weight(spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"enumeration requires a dominant weight, got {lam}")
@@ -181,11 +170,8 @@ def _walk(spec: CartanSpec, lam: Weight,
     rows = [[0] * n for n in shape]
     circled = [[False] * n for n in shape]
     boxed = [[False] * n for n in shape]
-    rs = build_root_system(spec)
-    r = spec.rank
-    halved = r - 1 if spec.family == "B" else 0  # column whose bound is a(i, r)/2
-    codec = weight_codec(lam, rs.cartan)
-    coord = codec.coord
+    codec = weight_codec(lam, build_root_system(spec).cartan)
+    field = (1 << codec.width) - 1
     # per slot: position, its row's buffers, offset in the row, and the field
     # shift and packed simple root of its column letter
     frames = []
@@ -193,6 +179,62 @@ def _walk(spec: CartanSpec, lam: Weight,
         c = column_letter(spec, j) - 1
         frames.append((i, j, rows[i - 1], circled[i - 1], boxed[i - 1], j - i,
                        c * codec.width, codec.roots[c]))
+    starts = tuple(accumulate(shape, initial=0))
+    # a slot's upper bound reads the field of its column letter, and nothing
+    # else of the weight: gather those fields from the bottom row up
+    reads = [0] * (len(shape) + 1)
+    for i, _, _, _, _, _, shift, _ in reversed(frames):
+        reads[i - 1] |= reads[i] | field << shift
+    return WalkPlan(spec, codec, codec.pack(lam), (rows, circled, boxed), frames,
+                    starts, tuple(reads), spec.rank - 1 if spec.family == "B" else 0)
+
+
+def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
+          fold: Callable | None = None, seed=None, row: int | None = None,
+          wt: int | None = None) -> Iterator[tuple[list, list, list, int, object]]:
+    """The slot walk: the one place that evaluates the bounds of a slot.
+
+    Slots are visited in ``enumeration_slots`` order, the reverse of the long
+    word, and the walk carries the weight lam - sum v * alpha(letter) of the
+    entries already placed, packed into one int by the plan's codec: placing
+    a value subtracts its packed root.  Each node evaluates the slot's cone
+    lower bound from the entries of its row buffer and reads its polytope
+    upper bound off that weight: the field of the slot's column letter.
+    Every value placed there records its marks: circled when it equals the
+    lower bound (in the halved B slot, when twice it equals a(i, r)), boxed
+    when it equals the upper bound.  Each leaf yields the plan's shared
+    ``(rows, circled, boxed)`` buffers, which change when the walk resumes,
+    so a consumer copies what it keeps, followed by the leaf's packed weight
+    (an int key; the codec's ``decode`` gives the weight) and accumulator.
+
+    The accumulator starts as ``seed`` at the root.  With ``fold``, every
+    value placed at slot (i, j) turns the parent's accumulator into the
+    child's as ``fold(i, j, acc, row, crow, brow)``: the row buffers of row i
+    (values, circled, boxed) with the value and its marks in place.  A None
+    result skips the value and its whole subtree.
+
+    With ``row`` the walk is one row's: it places the slots of that row only,
+    starting from the packed weight ``wt`` of the entries in the rows above,
+    and each leaf is a filling of the row; the buffers of the other rows are
+    not read.  A row's bounds and marks read its own entries and the weight
+    fields of its column letters only (``WalkPlan.reads``), so what lies
+    below a row depends on nothing else of the rows above.  Without ``row``
+    the walk runs over every row from the highest weight.  With ``pinned``
+    rows it follows that one pattern and raises ValueError at the first
+    entry outside its bounds.
+
+    The walk runs in one generator frame: an explicit per-slot stack holds
+    each slot's remaining values, bounds, weight and accumulator, and every
+    leaf is yielded once, directly.  So the rank meets no recursion limit.
+    """
+    r = plan.spec.rank
+    halved = plan.halved
+    coord = plan.codec.coord
+    if row is None:
+        frames, wt = plan.frames, plan.top
+    else:
+        frames = plan.frames[plan.starts[row - 1]:plan.starts[row]]
+    rows, circled, boxed = plan.buffers
     last = len(frames) - 1
     # the stack, one entry per slot of the current path: the values still to
     # try with the bounds they are marked against, and the weight and
@@ -200,18 +242,18 @@ def _walk(spec: CartanSpec, lam: Weight,
     # step by one root from wts[k + 1], which starts one step above the
     # first nonzero value at k.
     tries: list = [None] * len(frames)
-    wts = [codec.pack(lam)] * (len(frames) + 1)
+    wts = [wt] * (len(frames) + 1)
     accs = [seed] * len(frames)
     k = 0
     while k >= 0:
-        i, j, row, crow, brow, off, shift, drop = frames[k]
+        i, j, vals, crow, brow, off, shift, drop = frames[k]
         if tries[k] is None:  # first visit: evaluate the slot's bounds
             if j == halved:
-                twice = row[r - i]
+                twice = vals[r - i]
                 # with a(i, r) odd, tight falls below lo and circles nothing
                 lo, tight = (twice + 1) // 2, twice // 2
             else:
-                lo = tight = _chain_lower_bound(row, spec, i, j)
+                lo = tight = _chain_lower_bound(vals, plan.spec, i, j)
             wt = wts[k]
             hi = coord(wt, shift)
             first = lo if pinned is None else pinned[i - 1][off]
@@ -224,7 +266,7 @@ def _walk(spec: CartanSpec, lam: Weight,
         it, tight, hi = tries[k]
         acc, child_wt = accs[k], wts[k + 1]
         for v in it:
-            row[off] = v
+            vals[off] = v
             crow[off] = v == tight
             brow[off] = v == hi
             if v:
@@ -232,7 +274,7 @@ def _walk(spec: CartanSpec, lam: Weight,
             if fold is None:
                 child = acc
             else:
-                child = fold(k, acc, row, crow, brow)
+                child = fold(i, j, acc, vals, crow, brow)
                 if child is None:
                     continue
             if k == last:
@@ -242,7 +284,7 @@ def _walk(spec: CartanSpec, lam: Weight,
                 wts[k], accs[k] = child_wt, child
                 break
         else:  # every value tried: clear the slot and go back up
-            row[off] = 0
+            vals[off] = 0
             tries[k] = None
             k -= 1
 
@@ -259,7 +301,7 @@ def enumerate_patterns(rs: RootSystem, lam: Weight) -> Iterator[LittelmannPatter
     ascending.
     """
     spec = rs.spec
-    for rows, _, _, _, _ in _walk(spec, lam):
+    for rows, _, _, _, _ in _walk(walk_plan(spec, lam)):
         yield LittelmannPattern(spec, _freeze(rows))
 
 

@@ -2,15 +2,22 @@
 
 ``p_part`` assembles the polynomial P over a highest-weight crystal: each
 pattern contributes its Gauss-sum coefficient at its weight.  The
-enumeration walk carries the weight, and the coefficient is built as a prefix
-product of slot factors along it, each read from a ``coefficients.slot_table``
-that lives for the call, so every distinct local state is computed once,
-patterns sharing their top entries share those factors, and a zero factor
-skips its whole subtree.  With every coefficient replaced by 1 the same sum is
-the Weyl character, which gives the primary cross-check against the
-character that ``roots.weyl_character`` builds with Demazure operators.
-Both sums accumulate by the walk's packed weight and decode each distinct
-weight once.
+coefficient is a product of slot factors, each read from a
+``coefficients.slot_table`` that lives for the call, so every distinct local
+state is computed once, and a zero factor skips its whole subtree.  With
+every coefficient replaced by 1 the same sum is the Weyl character, which
+gives the primary cross-check against the character that
+``roots.weyl_character`` builds with Demazure operators.
+
+Both sums run one row at a time (``_below``).  Deleting the top rows of a
+pattern leaves a pattern of a smaller crystal, whose highest weight is read
+off the weight, and the coefficient splits the same way: a slot's bounds,
+marks and factor read its own row and the weight fields of its column
+letters, nothing else.  So the sum over the rows below a completed row
+depends only on the weight fields those rows read.  It is taken once per
+distinct set of them and kept for the call, not re-summed for every filling
+of the rows above that leads to it.  Sums are keyed by packed weight
+offsets and decoded once, at the end.
 
 ``tokuyama_quotient`` factors P at degree 1, where every coefficient is a
 Laurent polynomial in q (``g_value`` evaluates g there), as a
@@ -21,9 +28,10 @@ exact in the weight-polynomial ring (see README notes).
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
-Every weight and coefficient comes off ``p_part``'s walk left unpruned
-(``_leaves``), once over the crystal and once over each distinct branch
-crystal, which also gives that crystal's P.  A branch leaf's drop below its
+It needs every leaf's rows, so every weight and coefficient comes off the
+full slot walk under ``p_part``'s slot factors, left unpruned (``_leaves``),
+once over the crystal and once over each distinct branch crystal, which
+also gives that crystal's P.  A branch leaf's drop below its
 branch weight, in simple roots, is its column sums (``rows_weight``), so
 the branch walk's own weights are checked against integers read off rows.
 """
@@ -34,10 +42,10 @@ from operator import add, mul
 from typing import Iterator
 
 from .coefficients import CoeffElement, slot_table
-from .patterns import _freeze, _rows_text, _walk, enumeration_slots, rows_weight
+from .patterns import WalkPlan, _freeze, _rows_text, _walk, rows_weight, walk_plan
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
-from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms, weight_codec
+from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
 
 __all__ = [
     "WeightPolynomial", "character_via_patterns", "p_part",
@@ -47,19 +55,61 @@ __all__ = [
 ]
 
 
+def _below(plan: WalkPlan, i: int, wt: int, fold, one, memo: list[dict]) -> dict:
+    """The crystal sum from row i down, below placed rows of packed weight
+    ``wt``: over every filling of rows i.. that completes them, the product
+    of its slot values (``_walk``'s accumulator under ``fold``, from
+    ``one``), summed by the filling's packed weight offset from ``wt``.
+
+    Row i's fillings are summed by the weight they end at.  Each end's sum
+    multiplies the sum of the rows below it, shifted by the end's offset.
+    That sum is kept in ``memo[i]`` under ``plan.reads[i]``, the weight fields
+    that the rows below read: their bounds, marks and slot values read those
+    fields and their own entries, nothing else (see ``_walk``), so every end
+    that agrees on them shares it.  The recursion goes one level per row.
+    """
+    ends: dict = {}
+    for _, _, _, w, f in _walk(plan, fold=fold, seed=one, row=i, wt=wt):
+        ends[w] = ends[w] + f if w in ends else f
+    sums, reads = memo[i], plan.reads[i]
+    out: dict = {}
+    get = out.get
+    for w, f in ends.items():
+        key = w & reads
+        below = sums.get(key)
+        if below is None:
+            below = sums[key] = _below(plan, i + 1, w, fold, one, memo)
+        d = w - wt
+        for off, c in below.items():
+            term, prev = f * c, get(d + off)
+            out[d + off] = term if prev is None else prev + term
+    return out
+
+
+def _crystal_sum(spec: CartanSpec, lam: Weight, fold, one) -> dict[Weight, object]:
+    """Sum of the slot walk's leaf accumulators over the crystal of ``lam``,
+    by leaf weight.  ``fold`` is ``_walk``'s, and ``one``, its seed, is the
+    identity of the values' multiplication.  The memo of ``_below`` lives for
+    this call; below the last row lies only the empty filling."""
+    plan = walk_plan(spec, lam)
+    memo: list[dict] = [{} for _ in plan.reads]
+    memo[-1][0] = {0: one}
+    decode, top = plan.codec.decode, plan.top
+    return {decode(top + off): c
+            for off, c in _below(plan, 1, top, fold, one, memo).items()}
+
+
 def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Sum of x^wt over the crystal; must equal the Weyl character exactly.
 
-    Counts the leaf weights that the slot walk carries along each path.
+    Counts the leaf weights of the slot walk, one row at a time: every
+    filling of the rows below a completed row is counted once per distinct
+    set of weight fields they read (``_below``), not once per top-row prefix
+    that leads to it.
     """
     lam = tuple(lam)
-    table: dict[int, int] = {}
-    for _, _, _, w, _ in _walk(rs.spec, lam):
-        table[w] = table.get(w, 0) + 1
-    decode = weight_codec(lam, rs.cartan).decode
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
-    return poly_from_int_terms(rs.height_vec,
-                               {decode(w): c for w, c in table.items()}, meta)
+    return poly_from_int_terms(rs.height_vec, _crystal_sum(rs.spec, lam, None, 1), meta)
 
 
 def p_part(rs: RootSystem, lam: Weight, n: int, *,
@@ -69,6 +119,12 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
     ``lam`` is the crystal's highest weight.  It must be strongly dominant
     for p-part semantics; pass ``allow_dominant`` for exploratory sums over
     crystals with boundary weights.
+
+    A pattern's coefficient is the product of its slot factors, and a slot's
+    factor reads only its own row's values and marks.  So the coefficients
+    of the rows below a completed row, like their bounds, depend only on the
+    weight fields those rows read, and ``_below`` sums them once per such
+    set of fields.
     """
     lam = tuple(lam)
     if n < 1:
@@ -80,25 +136,20 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
             f"p-part semantics require a strongly dominant weight, got {lam}; "
             "pass allow_dominant=True to sum anyway")
 
-    # The walk carries the coefficient as a prefix product along the path: a
-    # value at slot k multiplies it by the slot's factor, read off the slot's
-    # row as the walk has filled it so far, from a table of this call.  A
-    # zero factor leaves only zero coefficients below, so the subtree is
-    # skipped.
-    slots = enumeration_slots(rs.spec)
+    # The row walk carries the coefficient as a prefix product along the
+    # row: a value at slot (i, j) multiplies it by the slot's factor, read
+    # off the row as the walk has filled it so far, from a table of this
+    # call.  A zero factor leaves only zero coefficients below, so the
+    # subtree is skipped.
     factor = slot_table(rs.spec, n)
-    one = CoeffElement.one()
 
-    def fold(k, coeff, row, crow, brow):
-        f = factor(*slots[k], row, crow, brow)
+    def fold(i, j, coeff, row, crow, brow):
+        f = factor(i, j, row, crow, brow)
         return None if f.is_zero() else coeff * f
 
-    acc: dict[int, CoeffElement] = {}
-    for _, _, _, w, c in _walk(rs.spec, lam, fold=fold, seed=one):
-        acc[w] = acc[w] + c if w in acc else c
-    decode = weight_codec(lam, rs.cartan).decode
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
-    return WeightPolynomial(rs.height_vec, {decode(w): c for w, c in acc.items()}, meta)
+    return WeightPolynomial(rs.height_vec,
+                            _crystal_sum(rs.spec, lam, fold, CoeffElement.one()), meta)
 
 
 def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:
@@ -198,14 +249,13 @@ class BranchDecomposition:
 def _leaves(rs: RootSystem, lam: Weight, factor) -> Iterator[tuple[tuple, Weight, CoeffElement]]:
     """Every leaf of the crystal as ``(rows, weight, coefficient)``, zero
     coefficients included: ``p_part``'s prefix-product fold over the slot
-    table ``factor``, without its pruning."""
-    slots = enumeration_slots(rs.spec)
+    table ``factor`` along the full walk, without its pruning."""
+    def fold(i, j, coeff, row, crow, brow):
+        return coeff * factor(i, j, row, crow, brow)
 
-    def fold(k, coeff, row, crow, brow):
-        return coeff * factor(*slots[k], row, crow, brow)
-
-    decode = weight_codec(lam, rs.cartan).decode
-    for rows, _, _, w, c in _walk(rs.spec, lam, fold=fold, seed=CoeffElement.one()):
+    plan = walk_plan(rs.spec, lam)
+    decode = plan.codec.decode
+    for rows, _, _, w, c in _walk(plan, fold=fold, seed=CoeffElement.one()):
         yield _freeze(rows), decode(w), c
 
 

@@ -33,14 +33,16 @@ def test_compute_character_text(capsys):
     assert "(8 terms)" in out
 
 
-def test_compute_character_large_rank(capsys):
-    # A50 has 1275 slots; the walk must not recurse once per slot
-    lam = ",".join(["1"] + ["0"] * 49)
-    code, out, _ = run(capsys, ["compute", "--family", "A", "--rank", "50",
+@pytest.mark.parametrize("rank", [50, 100])
+def test_compute_character_large_rank(capsys, rank):
+    # A50 has 1275 slots and A100 (MAX_RANK) 100 rows: the walk must not
+    # recurse once per slot, and the row sums at most once per row
+    lam = ",".join(["1"] + ["0"] * (rank - 1))
+    code, out, _ = run(capsys, ["compute", "--family", "A", "--rank", str(rank),
                                 "--character", "--lambda", lam, "--json"])
     assert code == 0
     terms = json.loads(out)["terms"]
-    assert len(terms) == 51
+    assert len(terms) == rank + 1
     one = crystalmds.CoeffElement.one().to_json_obj()
     assert all(t["coeff"] == one for t in terms)
 

@@ -8,7 +8,7 @@ from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
                         enumerate_patterns, pattern_shape, pattern_wt,
                         branch_decompose, weyl_character, weyl_dimension)
 from crystalmds.decorations import decorated_crystal
-from crystalmds.patterns import _freeze, _walk, rows_weight
+from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
 from crystalmds.series import character_via_patterns
 from crystalmds.weightpoly import weight_codec
 from oracles import chain_lower_bound, greedy_bound, oracle_masks
@@ -262,6 +262,26 @@ def test_walk_large_rank():
     assert decorate(patterns[-1], lam) == list(decorated_crystal(r, lam))[-1]
 
 
+@pytest.mark.parametrize("family,rank,lam", [("A", 3, (2, 1, 2)), ("B", 3, (1, 1, 1)),
+                                             ("C", 3, (2, 1, 1)), ("D", 4, (1, 1, 1, 1))])
+def test_row_walks_chain_to_the_full_walk(family, rank, lam):
+    # the one-row mode, started from the weight at which each filling of the
+    # row above ends, meets every leaf of the full walk in the same order,
+    # with the same entries, marks and weight
+    plan = walk_plan(CartanSpec(family, rank), lam)
+    last = len(plan.starts) - 1
+
+    def chain(i, wt, above):
+        for rows, circled, boxed, w, _ in _walk(plan, row=i, wt=wt):
+            here = above + ((tuple(rows[i - 1]), tuple(circled[i - 1]), tuple(boxed[i - 1])),)
+            yield from chain(i + 1, w, here) if i < last else [(here, w)]
+
+    full = [(tuple(zip(_freeze(rows), _freeze(circled), _freeze(boxed))), w)
+            for rows, circled, boxed, w, _ in _walk(plan)]
+    assert list(chain(1, plan.top, ())) == full
+    assert len(full) == weyl_dimension(rs(family, rank), lam)
+
+
 def test_monotone_inclusion_in_lambda():
     r = rs("B", 2)
     for lam in [(0, 0), (1, 0), (1, 1)]:
@@ -359,7 +379,7 @@ def test_walk_leaf_weights_decode_to_pattern_wt(family, rank, lam):
     r = rs(family, rank)
     decode = weight_codec(lam, r.cartan).decode
     count = 0
-    for rows, _, _, w, _ in _walk(r.spec, lam):
+    for rows, _, _, w, _ in _walk(walk_plan(r.spec, lam)):
         L = LittelmannPattern(r.spec, _freeze(rows))
         assert decode(w) == pattern_wt(L, lam), L.to_text()
         count += 1

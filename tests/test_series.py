@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import itertools
 import json
@@ -12,7 +13,7 @@ from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         p_part, pattern_coefficient, pattern_wt,
                         polynomial_json_obj, tokuyama_quotient,
                         twisted_character, weyl_character, weyl_dimension)
-from crystalmds.patterns import _walk, rows_weight
+from crystalmds.patterns import _walk, rows_weight, walk_plan
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, weight_codec
 from oracles import full_denominator_character, weight_in_hull
@@ -142,9 +143,32 @@ def test_character_via_patterns_matches():
     for family, rank, lam in [("A", 2, (1, 0)), ("D", 4, (1, 0, 0, 0)),
                               ("B", 2, (0, 1)), ("C", 3, (1, 0, 0)),
                               ("A", 10, (1,) + (0,) * 9), ("A", 10, (0, 1) + (0,) * 8),
-                              ("B", 8, (1,) + (0,) * 7), ("D", 8, (1,) + (0,) * 7)]:
+                              ("B", 8, (1,) + (0,) * 7), ("D", 8, (1,) + (0,) * 7),
+                              # 43,046,721 elements on 30,249 weights: a walk
+                              # over every leaf takes 38 s, the row sums share
+                              # the branch crystals below each row
+                              ("B", 4, (2, 2, 2, 2))]:
         r = rs(family, rank)
         assert character_via_patterns(r, lam) == weyl_character(r, lam)
+
+
+@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2), ("B", 3, (1, 1, 1), 3),
+                                               ("C", 3, (2, 1, 1), 3), ("D", 4, (1, 1, 1, 1), 2)])
+def test_crystal_sums_leave_no_cyclic_garbage(family, rank, lam, n):
+    # the memo of the row sums must die with the call, by reference counts
+    # alone: a reference cycle would keep it alive until the cyclic
+    # collector runs
+    r = rs(family, rank)
+    gc.collect()
+    gc.disable()
+    try:
+        p_part(r, lam, n)
+        after_p_part = gc.collect()
+        character_via_patterns(r, lam)
+        after_character = gc.collect()
+    finally:
+        gc.enable()
+    assert (after_p_part, after_character) == (0, 0)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
@@ -405,7 +429,7 @@ def test_branch_leaf_drop_is_root_coordinates():
         for mu in {g.mu for g in branch_decompose(rs(family, rank), lam, 1).groups}:
             decode = weight_codec(mu, sub.cartan).decode
             count = 0
-            for rows, _, _, w, _ in _walk(sub.spec, mu):
+            for rows, _, _, w, _ in _walk(walk_plan(sub.spec, mu)):
                 drop = rows_weight(sub.spec, rows)
                 want = sub.root_coordinates(tuple(a - b for a, b in zip(mu, decode(w))))
                 assert drop == want, (family, rank, mu, rows)
