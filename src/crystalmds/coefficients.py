@@ -35,9 +35,12 @@ and ``repr``: ``e`` by masking the low field, the Gauss
 part through ``_gauss_part``, a bounded cache keyed by the symbol bits
 ``k - e``.  The cache is sound because the fields are append-only, so given
 bits decode the same way for the life of the process.  ``packed`` and
-``from_packed`` hand the packed dict over as it is: exact division in
-``weightpoly`` appends each key to its weight as one more coordinate, which
-is sound because the packing is linear.  Monomials sort by plain
+``from_packed`` hand the packed dict over as it is, with no copy:
+``packed()`` is shared and read-only, and ``from_packed`` takes its dict
+over, dropping zero coefficients in place.  Exact division in ``weightpoly``
+appends each key to its weight as one more coordinate, and the row sums of
+``series`` multiply into dicts of their own by adding keys; both are sound
+because the packing is linear.  Monomials sort by plain
 int tuples ``(e, ((t, residue, degree, m), ...))``, which order exactly as the
 canonical form does.
 
@@ -320,10 +323,15 @@ class CoeffElement:
 
     @staticmethod
     def from_packed(packed: dict[int, int]) -> "CoeffElement":
-        """Inverse of ``packed``, zero coefficients dropped.  Each key must
-        be a packed monomial within the bounds, as sums and differences of
-        packed keys that stay within them are."""
-        return _wrap({k: c for k, c in packed.items() if c})
+        """Inverse of ``packed``: the element takes ``packed`` over without
+        a copy, so the caller must not change it afterwards.  Zero
+        coefficients are dropped from it in place.  Each key must be a packed
+        monomial within the bounds, as sums and differences of packed keys
+        that stay within them are."""
+        if 0 in packed.values():
+            for k in [k for k, c in packed.items() if not c]:
+                del packed[k]
+        return _wrap(packed)
 
     def times_unit(self, sign: int, q_exp: int) -> "CoeffElement":
         """Multiply by ±q^e (a ring unit); used by the type-B and sigma

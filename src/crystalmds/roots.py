@@ -92,7 +92,7 @@ class RootSystem:
 
         The package itself does not call this; the traced tokuyama workload
         in ``perfbench/workloads.py`` does.  It goes when that workload times
-        the package's own twisted character (ROADMAP item 8)."""
+        the package's own twisted character (ROADMAP item 9)."""
         ainv = self.cartan_inverse
         return tuple(sum(ainv[k][i] * w[i] for i in range(self.rank))
                      for k in range(self.rank))

@@ -16,8 +16,14 @@ marks and factor read its own row and the weight fields of its column
 letters, nothing else.  So the sum over the rows below a completed row
 depends only on the weight fields those rows read.  It is taken once per
 distinct set of them and kept for the call, not re-summed for every filling
-of the rows above that leads to it.  Sums are keyed by packed weight
-offsets and decoded once, at the end.
+of the rows above that leads to it; the sums below row 1 are read by one
+call only, and dropped as soon as it has used each.  Sums are keyed by
+packed weight offsets and decoded once, at the end.  ``p_part``'s sums
+hold packed monomial dicts (``CoeffElement.packed``), not ring elements: a
+merge adds each monomial product into the target dict in place, and the
+top wraps each dict as an element once, without a copy.  A level writes
+only the dicts it created; the memoized sums and the ``packed()`` dicts of
+slot values, which the slot table and the ring's one share, are read-only.
 
 ``tokuyama_quotient`` factors P at degree 1, where every coefficient is a
 Laurent polynomial in q (``g_value`` evaluates g there), as a
@@ -60,40 +66,96 @@ def _below(plan: WalkPlan, i: int, wt: int, fold, one, memo: list[dict]) -> dict
     ``wt``: over every filling of rows i.. that completes them, the product
     of its slot values (``_walk``'s accumulator under ``fold``, from
     ``one``), summed by the filling's packed weight offset from ``wt``.
+    Values are ints without ``fold``; with it, each offset maps to a packed
+    monomial dict (``CoeffElement.packed``) with no zero coefficient.
 
     Row i's fillings are summed by the weight they end at.  Each end's sum
     multiplies the sum of the rows below it, shifted by the end's offset.
     That sum is kept in ``memo[i]`` under ``plan.reads[i]``, the weight fields
     that the rows below read: their bounds, marks and slot values read those
     fields and their own entries, nothing else (see ``_walk``), so every end
-    that agrees on them shares it.  The recursion goes one level per row.
+    that agrees on them shares it.  Row 1's sums are read by its one call
+    alone, which takes its ends key by key and keeps one sum at a time.  The
+    recursion goes one level per row.
+
+    The packed products accumulate in place (``_merge_packed``).  A level
+    writes only the dicts it created itself; the memoized sums, and the
+    ``packed()`` dicts of the fillings' values, are read-only.  Zeros left by
+    cancellation are dropped when the level completes.
     """
     ends: dict = {}
     for _, _, _, w, f in _walk(plan, fold=fold, seed=one, row=i, wt=wt):
         ends[w] = ends[w] + f if w in ends else f
     sums, reads = memo[i], plan.reads[i]
+    if i == 1:
+        ends = dict(sorted(ends.items(), key=lambda e: e[0] & reads))
     out: dict = {}
     get = out.get
     for w, f in ends.items():
         key = w & reads
         below = sums.get(key)
         if below is None:
+            if i == 1:
+                sums.clear()
             below = sums[key] = _below(plan, i + 1, w, fold, one, memo)
         d = w - wt
+        if fold is not None:
+            _merge_packed(out, d, f.packed(), below)
+            continue
         for off, c in below.items():
             term, prev = f * c, get(d + off)
             out[d + off] = term if prev is None else prev + term
+    if fold is None:
+        return out
+    for off in [off for off, t in out.items() if 0 in t.values()]:
+        t = out[off]
+        for k in [k for k, c in t.items() if not c]:
+            del t[k]
+        if not t:
+            del out[off]
     return out
+
+
+def _merge_packed(out: dict, d: int, f: dict[int, int], below: dict):
+    """Add the packed coefficient ``f`` times ``below``, shifted by ``d``,
+    into ``out``, whose packed dicts the calling level created.  Each
+    monomial product is one ``get`` and one store into the target dict; a
+    single-monomial ``f`` builds a fresh offset's dict in one comprehension."""
+    get = out.get
+    if len(f) == 1:
+        (k0, c0), = f.items()
+        for off, c in below.items():
+            t = get(d + off)
+            if t is None:
+                out[d + off] = {k0 + k: c0 * v for k, v in c.items()}
+                continue
+            tget = t.get
+            for k, v in c.items():
+                k += k0
+                t[k] = tget(k, 0) + c0 * v
+        return
+    if not f:  # the end's fillings cancelled
+        return
+    for off, c in below.items():
+        t = get(d + off)
+        if t is None:
+            t = out[d + off] = {}
+        tget = t.get
+        for k1, c1 in f.items():
+            for k, v in c.items():
+                k += k1
+                t[k] = tget(k, 0) + c1 * v
 
 
 def _crystal_sum(spec: CartanSpec, lam: Weight, fold, one) -> dict[Weight, object]:
     """Sum of the slot walk's leaf accumulators over the crystal of ``lam``,
-    by leaf weight.  ``fold`` is ``_walk``'s, and ``one``, its seed, is the
-    identity of the values' multiplication.  The memo of ``_below`` lives for
-    this call; below the last row lies only the empty filling."""
+    by leaf weight: ints without ``fold``, packed monomial dicts, which the
+    caller owns, with it.  ``fold`` is ``_walk``'s, and ``one``, its seed, is
+    the identity of the values' multiplication.  The memo of ``_below``
+    lives for this call; below the last row lies only the empty filling."""
     plan = walk_plan(spec, lam)
     memo: list[dict] = [{} for _ in plan.reads]
-    memo[-1][0] = {0: one}
+    memo[-1][0] = {0: one if fold is None else one.packed()}
     decode, top = plan.codec.decode, plan.top
     return {decode(top + off): c
             for off, c in _below(plan, 1, top, fold, one, memo).items()}
@@ -147,16 +209,17 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
         f = factor(i, j, row, crow, brow)
         return None if f.is_zero() else coeff * f
 
+    sums = _crystal_sum(rs.spec, lam, fold, CoeffElement.one())
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
     return WeightPolynomial(rs.height_vec,
-                            _crystal_sum(rs.spec, lam, fold, CoeffElement.one()), meta)
+                            {w: CoeffElement.from_packed(t) for w, t in sums.items()}, meta)
 
 
 def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:
     """The identity.  Degree-1 coefficients carry no Gauss symbols (see
     ``coefficients.g_value``), so there is nothing left to specialize; kept
     only because ``perfbench/workloads.py`` imports it, and it goes when that
-    benchmark is rebuilt (ROADMAP item 8)."""
+    benchmark is rebuilt (ROADMAP item 9)."""
     return poly
 
 

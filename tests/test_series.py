@@ -13,6 +13,7 @@ from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         p_part, pattern_coefficient, pattern_wt,
                         polynomial_json_obj, tokuyama_quotient,
                         twisted_character, weyl_character, weyl_dimension)
+from crystalmds.coefficients import GaussSymbol, slot_table
 from crystalmds.patterns import _walk, rows_weight, walk_plan
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, weight_codec
@@ -42,17 +43,21 @@ def per_leaf_p_part(r, lam, degrees):
     return {n: WeightPolynomial(r.height_vec, terms).terms for n, terms in acc.items()}
 
 
-@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
-                                         ("B", 3), ("C", 2), ("C", 3), ("D", 3),
-                                         ("D", 4)])
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                         ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                                         ("D", 3), ("D", 4)])
 def test_p_part_matches_per_leaf_sum(family, rank):
     # p_part reads slot factors from a table keyed by each slot's local state
     # and skips subtrees under a zero factor; it must agree with the
     # per-leaf definition.  lambda in {1,2}^r with dimension <= 3000 and
-    # n = 1..4.  No D4 weight passes the cap, so D4 runs rho at n = 2.
+    # n = 1..4.  No D4 weight passes the cap, so D4 runs rho at n = 2.  A4
+    # runs the benchmark's densest case, (2,1,1,2) at n = 1 and 2, where
+    # most row-sum merges land on coefficients of several monomials.
     r = rs(family, rank)
     if (family, rank) == ("D", 4):
         lams, degrees = [(1, 1, 1, 1)], (2,)
+    elif (family, rank) == ("A", 4):
+        lams, degrees = [(2, 1, 1, 2)], (1, 2)
     else:
         lams = [lam for lam in itertools.product((1, 2), repeat=rank)
                 if weyl_dimension(r, lam) <= 3000]
@@ -66,10 +71,63 @@ def test_p_part_matches_per_leaf_sum(family, rank):
     assert cases == DIFFERENTIAL_CASES[family, rank]
 
 
-# (lambda, n) cases per group above: 153 in all
-DIFFERENTIAL_CASES = {("A", 1): 8, ("A", 2): 16, ("A", 3): 32, ("B", 2): 16,
-                      ("B", 3): 16, ("C", 2): 16, ("C", 3): 16, ("D", 3): 32,
-                      ("D", 4): 1}
+# (lambda, n) cases per group above: 155 in all
+DIFFERENTIAL_CASES = {("A", 1): 8, ("A", 2): 16, ("A", 3): 32, ("A", 4): 2,
+                      ("B", 2): 16, ("B", 3): 16, ("C", 2): 16, ("C", 3): 16,
+                      ("D", 3): 32, ("D", 4): 1}
+
+
+@pytest.mark.parametrize("family,rank,lam,other,n", [
+    ("A", 3, (3, 3, 3), (2, 2, 2), 1), ("B", 3, (1, 1, 1), (2, 1, 1), 2),
+    ("D", 4, (1, 1, 1, 1), (2, 1, 1, 1), 2)])
+def test_p_part_leaves_shared_dicts_alone(family, rank, lam, other, n):
+    # the row sums multiply into packed dicts of their own: the memoized
+    # lower sums and the packed() dicts of the slot values, the ring's one
+    # among them, are only read.  A write into any of them would show in a
+    # later call, the same lambda's or another's of the same (spec, n).
+    r = rs(family, rank)
+    first, second = p_part(r, lam, n), p_part(r, other, n)
+    assert p_part(r, lam, n) == first
+    assert p_part(r, other, n) == second
+    assert p_part(r, lam, n) == first
+    assert CoeffElement.one().packed() == {0: 1}
+
+
+@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (3, 3, 3), 1), ("B", 3, (1, 1, 1), 2),
+                                               ("C", 3, (2, 1, 1), 3), ("D", 3, (1, 1, 3), 2),
+                                               ("D", 4, (1, 1, 1, 2), 2)])
+def test_row_sums_hold_no_zero(family, rank, lam, n):
+    # a level of the row sums drops the zeros that cancellation leaves, and
+    # the offsets it empties, when it completes; the type-D cases cancel
+    # inside the merges of the row sums (see the witness below)
+    r = rs(family, rank)
+    factor = slot_table(r.spec, n)
+
+    def fold(i, j, coeff, *rows):
+        f = factor(i, j, *rows)
+        return None if f.is_zero() else coeff * f
+
+    sums = series._crystal_sum(r.spec, lam, fold, CoeffElement.one())
+    assert all(t and 0 not in t.values() for t in sums.values())
+    P = p_part(r, lam, n)
+    assert P.terms.keys() == sums.keys()
+    assert all(0 not in c.packed().values() for c in P.terms.values())
+
+
+def test_cancelled_monomial_leaves_p():
+    # pinned witness, found against per_leaf_p_part: at weight (-1,-1,1) of
+    # D3 (1,1,3) at n = 2, two of the three nonzero leaf coefficients hold
+    # -q^-5 g_1(1)^2 and +q^-5 g_1(1)^2, and the row sums add them in the
+    # same packed dict, where they cancel
+    r, lam, w, n = rs("D", 3), (1, 1, 3), (-1, -1, 1), 2
+    g = CoeffElement.symbol(GaussSymbol(1, 1, 2))
+    (k,) = (Q(-5) * g * g).packed()
+    leaves = [pattern_coefficient(decorate(L, lam), n) for L in enumerate_patterns(r, lam)
+              if pattern_wt(L, lam) == w]
+    assert sorted(c.packed()[k] for c in leaves if k in c.packed()) == [-1, 1]
+    P = p_part(r, lam, n)
+    assert P.coeff(w) == per_leaf_p_part(r, lam, (n,))[n][w]
+    assert k not in P.coeff(w).packed()
 
 
 def test_p_part_rank_one_by_hand():
