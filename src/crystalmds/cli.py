@@ -78,6 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _compute_poly(args):
     if len(args.lam) != args.rank:
         raise ValueError(f"lambda has {len(args.lam)} coordinates, rank is {args.rank}")
+    if args.n < 1:
+        # the character ignores n, but the JSON records it
+        raise ValueError(f"cover degree n must be >= 1, got {args.n}")
     rs = build_root_system(CartanSpec(args.family, args.rank))
     if args.character:
         return rs, character_via_patterns(rs, args.lam)

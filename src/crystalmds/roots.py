@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .weightpoly import (Weight, WeightCodec, WeightPolynomial, poly_from_int_terms,
+from .weightpoly import (Weight, WeightCodec, WeightPolynomial, poly_from_packed,
                          weight_codec)
 
 FAMILIES = ("A", "B", "C", "D")
@@ -303,7 +303,7 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     Demazure operators of a reduced word for the long element, applied to
     x^lam.  The long element is an involution, so the word may be read in
     either direction.  The cost follows the size of the character, not |W|.
-    The tables hold packed weights, decoded once at the end."""
+    The tables hold packed weights, decoded in one step at the end."""
     lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
@@ -312,8 +312,7 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     for k in nice_long_word(rs.spec):
         table = _demazure(codec, table, k)
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
-    return poly_from_int_terms(rs.height_vec,
-                               {codec.decode(w): c for w, c in table.items()}, meta)
+    return poly_from_packed(rs.height_vec, codec, table, meta)
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

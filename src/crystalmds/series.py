@@ -18,12 +18,15 @@ depends only on the weight fields those rows read.  It is taken once per
 distinct set of them and kept for the call, not re-summed for every filling
 of the rows above that leads to it; the sums below row 1 are read by one
 call only, and dropped as soon as it has used each.  Sums are keyed by
-packed weight offsets and decoded once, at the end.  ``p_part``'s sums
-hold packed monomial dicts (``CoeffElement.packed``), not ring elements: a
-merge adds each monomial product into the target dict in place, and the
-top wraps each dict as an element once, without a copy.  A level writes
-only the dicts it created; the memoized sums and the ``packed()`` dicts of
-slot values, which the slot table and the ring's one share, are read-only.
+packed weight offsets, and ``weightpoly.poly_from_packed`` turns the top
+sum into the polynomial in one step: all weights decoded a field at a
+time, and the values taken as they are, since no level keeps a zero.
+``p_part``'s sums hold packed monomial dicts (``CoeffElement.packed``), not
+ring elements: a merge adds each monomial product into the target dict in
+place, and the polynomial wraps each top dict as an element once, without
+a copy.  A level writes only the dicts it created; the memoized sums and
+the ``packed()`` dicts of slot values, which the slot table and the ring's
+one share, are read-only.
 
 ``tokuyama_quotient`` factors P at degree 1, where every coefficient is a
 Laurent polynomial in q (``g_value`` evaluates g there), as a
@@ -51,7 +54,7 @@ from .coefficients import CoeffElement, slot_table
 from .patterns import WalkPlan, _freeze, _rows_text, _walk, rows_weight, walk_plan
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character)
-from .weightpoly import Weight, WeightPolynomial, poly_from_int_terms
+from .weightpoly import Weight, WeightPolynomial, poly_from_packed
 
 __all__ = [
     "WeightPolynomial", "character_via_patterns", "p_part",
@@ -103,8 +106,9 @@ def _below(plan: WalkPlan, i: int, wt: int, fold, one, memo: list[dict]) -> dict
             _merge_packed(out, d, f.packed(), below)
             continue
         for off, c in below.items():
-            term, prev = f * c, get(d + off)
-            out[d + off] = term if prev is None else prev + term
+            off += d
+            term, prev = f * c, get(off)
+            out[off] = term if prev is None else prev + term
     if fold is None:
         return out
     for off in [off for off, t in out.items() if 0 in t.values()]:
@@ -147,18 +151,18 @@ def _merge_packed(out: dict, d: int, f: dict[int, int], below: dict):
                 t[k] = tget(k, 0) + c1 * v
 
 
-def _crystal_sum(spec: CartanSpec, lam: Weight, fold, one) -> dict[Weight, object]:
-    """Sum of the slot walk's leaf accumulators over the crystal of ``lam``,
-    by leaf weight: ints without ``fold``, packed monomial dicts, which the
-    caller owns, with it.  ``fold`` is ``_walk``'s, and ``one``, its seed, is
-    the identity of the values' multiplication.  The memo of ``_below``
-    lives for this call; below the last row lies only the empty filling."""
+def _crystal_sum(spec: CartanSpec, lam: Weight, fold, one) -> tuple[WalkPlan, dict]:
+    """The walk plan of ``lam``'s crystal, and the sum of the slot walk's
+    leaf accumulators over that crystal by packed leaf weight offset from
+    ``plan.top``: ints without ``fold``, packed monomial dicts, which the
+    caller owns, with it; no value is zero.  ``fold`` is ``_walk``'s, and
+    ``one``, its seed, is the identity of the values' multiplication.  The
+    memo of ``_below`` lives for this call; below the last row lies only the
+    empty filling."""
     plan = walk_plan(spec, lam)
     memo: list[dict] = [{} for _ in plan.reads]
     memo[-1][0] = {0: one if fold is None else one.packed()}
-    decode, top = plan.codec.decode, plan.top
-    return {decode(top + off): c
-            for off, c in _below(plan, 1, top, fold, one, memo).items()}
+    return plan, _below(plan, 1, plan.top, fold, one, memo)
 
 
 def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
@@ -171,7 +175,8 @@ def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """
     lam = tuple(lam)
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
-    return poly_from_int_terms(rs.height_vec, _crystal_sum(rs.spec, lam, None, 1), meta)
+    plan, sums = _crystal_sum(rs.spec, lam, None, 1)
+    return poly_from_packed(rs.height_vec, plan.codec, sums, meta, plan.top)
 
 
 def p_part(rs: RootSystem, lam: Weight, n: int, *,
@@ -209,10 +214,9 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
         f = factor(i, j, row, crow, brow)
         return None if f.is_zero() else coeff * f
 
-    sums = _crystal_sum(rs.spec, lam, fold, CoeffElement.one())
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
-    return WeightPolynomial(rs.height_vec,
-                            {w: CoeffElement.from_packed(t) for w, t in sums.items()}, meta)
+    plan, sums = _crystal_sum(rs.spec, lam, fold, CoeffElement.one())
+    return poly_from_packed(rs.height_vec, plan.codec, sums, meta, plan.top)
 
 
 def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:

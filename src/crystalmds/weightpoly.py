@@ -7,6 +7,12 @@ ties broken lexicographically) used for leading terms, serialization and
 exact division.  Height is evaluated through an integer-scaled functional
 supplied by the root system, so ordering never touches rationals.
 
+The engines finish in packed tables, keyed by ``WeightCodec`` ints, and
+``poly_from_packed`` turns such a table into a polynomial in one step: the
+codec decodes every key a field at a time (``decode_all``), each distinct
+integer coefficient becomes one shared element, and the terms go in without
+the constructor's copy and zero scan, since the engines keep no zeros.
+
 Exact division (``divide_terms``) runs on one int per (weight, monomial)
 term: the monomial's packed key is appended to the weight as a coordinate of
 height 0, which extends the order, and one linear map packs the whole key.
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from operator import mul, sub
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .coefficients import CoeffElement
 
@@ -27,6 +33,7 @@ class WeightCodec(NamedTuple):
     pack: Callable[[Weight], int]
     decode: Callable[[int], Weight]
     coord: Callable[[int, int], int]    # (packed, field shift) -> coordinate
+    decode_all: Callable[[Collection[int]], Iterator[Weight]]  # decode, a field at a time
     roots: tuple[int, ...]              # simple roots, packed without bias
 
 
@@ -54,10 +61,13 @@ def weight_codec(lam: Weight, cartan) -> WeightCodec:
     def linear(w):
         return sum(x << s for x, s in zip(w, shifts))
 
+    def decode_all(xs):
+        return zip(*[[(x >> s & mask) - bias for x in xs] for s in shifts])
+
     return WeightCodec(width, lambda w: zero + linear(w),
                        lambda x: tuple([(x >> s & mask) - bias for s in shifts]),
                        lambda x, shift: (x >> shift & mask) - bias,
-                       tuple(map(linear, zip(*cartan))))
+                       decode_all, tuple(map(linear, zip(*cartan))))
 
 
 class WeightPolynomial:
@@ -161,6 +171,27 @@ def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
         {w: CoeffElement.from_int(c) for w, c in table.items() if c != 0},
         meta,
     )
+
+
+def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec, table: dict,
+                     meta: dict, base: int = 0) -> WeightPolynomial:
+    """The polynomial of a packed table: ``base`` plus each key is a packed
+    weight, and each value a nonzero int or a zero-free packed monomial dict
+    (``CoeffElement.packed``), which the polynomial takes over.  Equal ints
+    share one element, made for this call.  Neither the table nor ``meta``
+    is copied."""
+    values = table.values()
+    if isinstance(next(iter(values), None), dict):
+        elements = map(CoeffElement.from_packed, values)
+    else:
+        shared = {c: CoeffElement.from_int(c) for c in set(values)}
+        elements = map(shared.__getitem__, values)
+    keys = [base + x for x in table] if base else table
+    # the terms are canonical already: skip the constructor's copy and scan
+    poly = object.__new__(WeightPolynomial)
+    poly.height_vec, poly.meta = height_vec, meta
+    poly.terms = dict(zip(codec.decode_all(keys), elements))
+    return poly
 
 
 def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple[dict, dict]:

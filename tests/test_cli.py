@@ -91,6 +91,22 @@ def test_rank_mismatch_checked_before_root_system(capsys, monkeypatch, tmp_path,
     assert code == 2 and "lambda has 1 coordinates, rank is 160" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--lambda", "1,1", "--n", "0"],
+    ["compute", "--lambda", "1,1", "--n", "0", "--character", "--json"],
+    ["compute", "--lambda", "1,1", "--n", "-3", "--character"],
+    ["export", "--lambda", "1,1", "--n", "0", "--character"],
+    ["export", "--lambda", "1,1", "--n", "-1"]])
+def test_cover_degree_below_one_exits_two(capsys, tmp_path, argv):
+    # the character ignores n but its JSON records it, so every compute and
+    # export command rejects it, before anything is written
+    outdir = tmp_path / "out"
+    extra = ["--out", str(outdir)] if argv[0] == "export" else []
+    code, out, err = run(capsys, [*argv, "--family", "A", "--rank", "2", *extra])
+    assert code == 2 and out == "" and not outdir.exists()
+    assert "invalid configuration: cover degree n must be >= 1" in err
+
+
 def test_verify_tokuyama_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "tokuyama",
                                 "--lambdas", "2;3;1,1;2,1"])

@@ -334,6 +334,27 @@ def test_g_residue_class_only():
     assert g_value(t, 4, n) == CoeffElement.symbol(GaussSymbol(t, 1, n), q_exp=3)
 
 
+def unit_gauss(t, c, p, n):
+    """g_t(c) at unit scale: the sum of modulus p^a over p^(a-1), for a the
+    least positive exponent of residue c mod n."""
+    a = c % n or n
+    return gauss_numeric(t, a - 1, a, p, n) / p ** (a - 1)
+
+
+@pytest.mark.parametrize("n,p", [(2, 13), (3, 13), (4, 17), (6, 13)])
+def test_gauss_relations_pinned_by_numeric_oracle(n, p):
+    # the relations a normal form of the ring would apply (ROADMAP item 1),
+    # for every residue; p = 1 mod 2n in each case
+    g = {(t, c): unit_gauss(t, c, p, n) for t in (1, 2) for c in range(n)}
+    for (t, c), v in g.items():
+        if t * c % n == 0:
+            assert abs(v + 1) < 1e-6, (t, c)
+        if t == 2:
+            assert abs(v - g[1, 2 * c % n]) < 1e-6 * p, c
+    for c in range(1, n):
+        assert abs(g[1, c] * g[1, -c % n] - p) < 1e-6 * p, c
+
+
 # ---------------------------------------------------------------------------
 # decorated-entry factors
 # ---------------------------------------------------------------------------

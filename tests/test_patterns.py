@@ -360,11 +360,14 @@ LOPSIDED = [("A", 1, (1000,)), ("A", 2, (40, 1)), ("B", 2, (1, 30)),
 @pytest.mark.parametrize("family,rank,lam", LOPSIDED)
 def test_weight_codec_round_trip_at_bound(family, rank, lam):
     # every coordinate at -2 * sum(lam), 0 or 2 * sum(lam) packs and decodes
-    # back, reads back field by field, and steps by the packed simple roots
+    # back, one at a time and all at once, reads back field by field, and
+    # steps by the packed simple roots
     r = rs(family, rank)
     codec = weight_codec(lam, r.cartan)
     bound = 2 * sum(lam)
-    for w in itertools.product((-bound, -1, 0, 1, bound), repeat=rank):
+    grid = list(itertools.product((-bound, -1, 0, 1, bound), repeat=rank))
+    assert list(codec.decode_all([codec.pack(w) for w in grid])) == grid
+    for w in grid:
         x = codec.pack(w)
         assert codec.decode(x) == w
         assert [codec.coord(x, i * codec.width) for i in range(rank)] == list(w)

@@ -17,7 +17,8 @@ from crystalmds.coefficients import GaussSymbol, slot_table
 from crystalmds.patterns import _walk, rows_weight, walk_plan
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, weight_codec
-from oracles import full_denominator_character, weight_in_hull
+from oracles import (dominant_representative, full_denominator_character, reflect,
+                     weight_in_hull)
 
 Q = CoeffElement.q_power
 
@@ -107,10 +108,11 @@ def test_row_sums_hold_no_zero(family, rank, lam, n):
         f = factor(i, j, *rows)
         return None if f.is_zero() else coeff * f
 
-    sums = series._crystal_sum(r.spec, lam, fold, CoeffElement.one())
+    plan, sums = series._crystal_sum(r.spec, lam, fold, CoeffElement.one())
     assert all(t and 0 not in t.values() for t in sums.values())
     P = p_part(r, lam, n)
-    assert P.terms.keys() == sums.keys()
+    decode = plan.codec.decode
+    assert P.terms.keys() == {decode(plan.top + off) for off in sums}
     assert all(0 not in c.packed().values() for c in P.terms.values())
 
 
@@ -128,6 +130,75 @@ def test_cancelled_monomial_leaves_p():
     P = p_part(r, lam, n)
     assert P.coeff(w) == per_leaf_p_part(r, lam, (n,))[n][w]
     assert k not in P.coeff(w).packed()
+
+
+def assert_canonical(poly, rank):
+    # tuple keys of length rank, no zero coefficient, and the same terms,
+    # each weight and element rebuilt, through the public constructor
+    assert all(type(w) is tuple and len(w) == rank and all(type(x) is int for x in w)
+               for w in poly.terms)
+    assert all(c.packed() and 0 not in c.packed().values() for c in poly.terms.values())
+    n = poly.meta.get("n", 1)
+    rebuilt = {tuple(map(int, w)): CoeffElement.from_json_obj(c.to_json_obj(), n)
+               for w, c in poly.terms.items()}
+    assert WeightPolynomial(poly.height_vec, rebuilt).terms == poly.terms
+
+
+@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2), ("B", 3, (2, 1, 1), 2),
+                                               ("C", 3, (2, 1, 1), 3), ("D", 4, (2, 1, 1, 1), 2)])
+def test_producers_return_canonical_terms(family, rank, lam, n):
+    # the engines' packed tables become polynomials without the
+    # constructor's zero scan, so each must arrive canonical
+    r = rs(family, rank)
+    P = p_part(r, lam, n)
+    chi, via = weyl_character(r, lam), character_via_patterns(r, lam)
+    twisted = twisted_character(r, tuple(c - 1 for c in lam))
+    quot, rem = P.divide(twisted)
+    for poly in (P, chi, via, twisted, quot, rem):
+        assert_canonical(poly, rank)
+    assert not quot.is_zero() and not rem.is_zero()
+    assert via == chi
+    # equal multiplicities of one character share one element
+    for poly in (chi, via):
+        assert len({id(c) for c in poly.terms.values()}) == len(set(poly.terms.values()))
+
+
+def weyl_orbit(r, lam):
+    orbit, todo = {lam}, [lam]
+    while todo:
+        w = todo.pop()
+        for k in range(1, r.rank + 1):
+            v = reflect(r, w, k)
+            if v not in orbit:
+                orbit.add(v)
+                todo.append(v)
+    return orbit
+
+
+_TYPE_D_STABLE = ("ROADMAP item 3: the type-D rule gives non-orbit terms in the "
+                  "stable range; witness pattern {} at weight {}")
+
+
+@pytest.mark.parametrize("family,rank,lam,order", [
+    ("A", 3, (1, 1, 1), 24), ("A", 3, (2, 1, 2), 24), ("A", 3, (3, 1, 2), 24),
+    ("B", 3, (1, 1, 1), 48), ("B", 3, (2, 1, 2), 48), ("B", 3, (3, 1, 2), 48),
+    ("C", 3, (1, 1, 1), 48), ("C", 3, (2, 1, 2), 48), ("C", 3, (3, 1, 2), 48),
+    pytest.param("D", 3, (2, 1, 2), 24, marks=pytest.mark.xfail(
+        strict=True, reason=_TYPE_D_STABLE.format("2,1,1,1;0,0", "(3,2,-2)"))),
+    pytest.param("D", 4, (1, 1, 1, 1), 192, marks=pytest.mark.xfail(
+        strict=True, reason=_TYPE_D_STABLE.format("1,0,0,0,0,0;2,1,1,1;0,0",
+                                                  "(2,2,-2,2)")))])
+def test_stable_case_support_is_the_orbit(family, rank, lam, order):
+    # Brubaker-Bump-Friedberg: for n above every <lam, alpha^vee>, P is
+    # supported on W.lam, a regular orbit of |W| points for strongly
+    # dominant lam, and each coefficient is one monomial
+    r = rs(family, rank)
+    P = p_part(r, lam, 60)
+    orbit = weyl_orbit(r, lam)
+    assert len(orbit) == order
+    assert all(dominant_representative(r, w) == lam for w in P.terms)
+    assert P.terms.keys() == orbit
+    assert all(len(c.packed()) == 1 for c in P.terms.values())
 
 
 def test_p_part_rank_one_by_hand():
