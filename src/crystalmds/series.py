@@ -37,23 +37,20 @@ exact in the weight-polynomial ring (see README notes).
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
-It needs every leaf's rows, so every weight and coefficient comes off the
-full slot walk under ``p_part``'s slot factors, left unpruned (``_leaves``),
-once over the crystal and once over each distinct branch crystal, which
-also gives that crystal's P.  A branch leaf's drop below its
-branch weight, in simple roots, is its column sums (``rows_weight``), so
-the branch walk's own weights are checked against integers read off rows.
+The split is the row sum's own: the sum ``_below`` takes under each filling
+of row 1 is the sum over that group's branch crystal, so each group's lower
+sum is compared with ``p_part`` of the branch crystal, and nothing is
+walked leaf by leaf.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
-from typing import Iterator
+from operator import mul
 
 from .coefficients import CoeffElement, slot_table
-from .patterns import WalkPlan, _freeze, _rows_text, _walk, rows_weight, walk_plan
+from .patterns import WalkPlan, _walk, walk_plan
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
-                    is_strongly_dominant, weyl_character)
+                    is_strongly_dominant, weyl_character, weyl_dimension)
 from .weightpoly import Weight, WeightPolynomial, poly_from_packed
 
 __all__ = [
@@ -160,9 +157,23 @@ def _crystal_sum(spec: CartanSpec, lam: Weight, fold, one) -> tuple[WalkPlan, di
     memo of ``_below`` lives for this call; below the last row lies only the
     empty filling."""
     plan = walk_plan(spec, lam)
+    return plan, _below(plan, 1, plan.top, fold, one, _below_memo(plan, fold, one))
+
+
+def _below_memo(plan: WalkPlan, fold, one) -> list[dict]:
+    """An empty memo for ``_below`` over ``plan``, one dict per row, seeded
+    with the sum below the last row: only the empty filling, at offset 0."""
     memo: list[dict] = [{} for _ in plan.reads]
     memo[-1][0] = {0: one if fold is None else one.packed()}
-    return plan, _below(plan, 1, plan.top, fold, one, memo)
+    return memo
+
+
+def _pruning_fold(factor):
+    """``p_part``'s ``_walk`` fold over the slot table ``factor``."""
+    def fold(i, j, coeff, row, crow, brow):
+        f = factor(i, j, row, crow, brow)
+        return None if f.is_zero() else coeff * f
+    return fold
 
 
 def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
@@ -208,12 +219,7 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
     # off the row as the walk has filled it so far, from a table of this
     # call.  A zero factor leaves only zero coefficients below, so the
     # subtree is skipped.
-    factor = slot_table(rs.spec, n)
-
-    def fold(i, j, coeff, row, crow, brow):
-        f = factor(i, j, row, crow, brow)
-        return None if f.is_zero() else coeff * f
-
+    fold = _pruning_fold(slot_table(rs.spec, n))
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
     plan, sums = _crystal_sum(rs.spec, lam, fold, CoeffElement.one())
     return poly_from_packed(rs.height_vec, plan.codec, sums, meta, plan.top)
@@ -287,7 +293,8 @@ class BranchGroupReport:
     """One top row of the crystal: its rank-(r-1) branch weight ``mu``, and
     the rank-r weight shift and scalar with which P_mu enters P_lambda, as
     in P_lambda = sum over groups of scalar * x^shift * P_mu; then the
-    group's checks."""
+    group's checks, and as witness the first rank-(r-1) weight at which its
+    lower sum and P_mu differ."""
     top_row: tuple[int, ...]
     mu: Weight
     shift: Weight
@@ -313,96 +320,76 @@ class BranchDecomposition:
             for g in self.groups)
 
 
-def _leaves(rs: RootSystem, lam: Weight, factor) -> Iterator[tuple[tuple, Weight, CoeffElement]]:
-    """Every leaf of the crystal as ``(rows, weight, coefficient)``, zero
-    coefficients included: ``p_part``'s prefix-product fold over the slot
-    table ``factor`` along the full walk, without its pruning."""
-    def fold(i, j, coeff, row, crow, brow):
-        return coeff * factor(i, j, row, crow, brow)
-
-    plan = walk_plan(rs.spec, lam)
-    decode = plan.codec.decode
-    for rows, _, _, w, c in _walk(plan, fold=fold, seed=CoeffElement.one()):
-        yield _freeze(rows), decode(w), c
-
-
 def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition:
     """Group the crystal by top row, recover each branch highest weight, and
     check that weights and coefficients factor through top-row deletion.
 
-    All checks are recorded per group rather than raised, a truncation
-    missing from the branch crystal included; the factorization is a theorem
-    in type A and checked on a fixed battery elsewhere.
+    A group is one filling of row 1, walked without pruning: its end weight
+    is the shift, its first r-1 coordinates the branch weight mu.  Its lower
+    sum is ``p_part``'s sum over the rows below that end (``_below``), keyed
+    by ``plan.reads[1]`` as there, and every group's is compared with P_mu.
+    All checks are recorded per group rather than raised; the factorization
+    is a theorem in type A and checked on a fixed battery elsewhere.
     """
     lam = tuple(lam)
     spec = rs.spec
+    r = spec.rank
     # truncation must stay in-family: A_1 exists, B_1/C_1/D_2 do not, and
     # their spec raises ValueError
-    sub_spec = CartanSpec(spec.family, spec.rank - 1)
-    sub_rs = build_root_system(sub_spec)
-    r = spec.rank
-    # slot factors do not depend on the highest weight: one table per spec
-    sub_factor = slot_table(sub_spec, n)
+    sub_rs = build_root_system(CartanSpec(spec.family, r - 1))
+    whole = p_part(rs, lam, n, allow_dominant=True)
+    factor = slot_table(spec, n)
+    fold, one = _pruning_fold(factor), CoeffElement.one()
+    plan = walk_plan(spec, lam)
+    memo = _below_memo(plan, fold, one)
+    lower, reads = memo[1], plan.reads[1]
+    # copy each top row before recursing: walks on one plan share the rows
+    tops = [(tuple(rows[0]), w, acc) for rows, _, _, w, acc in _walk(
+        plan, fold=lambda i, j, acc, *row: acc * factor(i, j, *row),
+        seed=one, row=1, wt=plan.top)]
 
-    groups: dict[tuple[int, ...], list] = {}
-    for leaf in _leaves(rs, lam, slot_table(spec, n)):
-        groups.setdefault(leaf[0][0], []).append(leaf)
-
-    # per branch weight, from one walk of its crystal: each leaf's offset,
-    # coefficient and walk-weight check keyed by rows, and P_mu keyed by offset
-    branches: dict[Weight, tuple[dict, dict]] = {}
+    branches: dict[Weight, tuple[dict, int]] = {}
     reports: list[BranchGroupReport] = []
-    reconstructed: dict[Weight, CoeffElement] = {}
-
-    for top, members in groups.items():
-        # values ascend, so the first leaf is the top-only member if there
-        # is one; if not, the all-zero truncation is missing and fails below
-        _, shift, scalar = members[0]
+    rebuilt: dict[Weight, CoeffElement] = {}
+    lifts_ok = True
+    for top, w, acc in tops:
+        shift = plan.codec.decode(w)
         mu = shift[:r - 1]
         if not is_dominant(mu):
             raise AssertionError(f"branch weight {mu} is not dominant")
         if mu not in branches:
-            sub, poly = {}, {}
-            for rows, w, c in _leaves(sub_rs, mu, sub_factor):
-                # the leaf lies below mu by its column sums in simple roots;
-                # the offset is minus that drop as a rank-r weight, over the
-                # first r-1 Cartan columns: the leaf's members should sit at
-                # shift + offset, and its term of P_mu enters P there.  Its
-                # first r-1 coordinates must also take mu to the walk's weight.
-                drop = rows_weight(sub_spec, rows)
-                off = tuple(-sum(map(mul, drop, row)) for row in rs.cartan)
-                sub[rows] = off, c, tuple(map(add, mu, off)) == w
-                poly[off] = poly[off] + c if off in poly else c
-            branches[mu] = sub, poly
-        sub, poly = branches[mu]
-
-        truncation_ok = set(sub) == {rows[1:] for rows, _, _ in members}
-        s_add_ok = fact_ok = True
-        witness = None
-        for rows, w, c in members:
-            # a truncation missing from the branch crystal fails to factor
-            leaf = sub.get(rows[1:])
-            add_ok = leaf is None or (leaf[2] and w == tuple(map(add, shift, leaf[0])))
-            factors = leaf is not None and c == scalar * leaf[1]
-            s_add_ok &= add_ok
-            fact_ok &= factors
-            if not (add_ok and factors):
-                witness = witness or _rows_text(rows)
-
+            branches[mu] = (p_part(sub_rs, mu, n, allow_dominant=True).terms,
+                            weyl_dimension(sub_rs, mu))
+        want, size = branches[mu]
+        key = w & reads
+        below = lower.get(key)
+        if below is None:
+            below = lower[key] = _below(plan, 2, w, fold, one, memo)
+        # the lower sum's rank-r weights by their first r-1 coordinates
+        lift, got, clash = {}, {}, []
+        for wt, c in poly_from_packed(rs.height_vec, plan.codec, below, {}, w).terms.items():
+            u = wt[:r - 1]
+            if u in lift:
+                clash.append(u)
+            lift[u], got[u] = wt, c
+        diff = sorted(u for u in got.keys() | want.keys() if got.get(u) != want.get(u))
+        witness = next(map(str, clash + diff), None)
+        scalar = acc * CoeffElement.from_packed(below[0]) if 0 in below else CoeffElement.zero()
         reports.append(BranchGroupReport(
-            top, mu=mu, shift=shift, scalar=scalar, size=len(members),
-            truncation_ok=truncation_ok, s_additivity_ok=s_add_ok,
-            factorization_ok=fact_ok, witness=witness))
+            top, mu=mu, shift=shift, scalar=scalar, size=size,
+            truncation_ok=got.keys() == want.keys(), s_additivity_ok=not clash,
+            factorization_ok=got == want, witness=witness))
 
-        # accumulate scalar * P_mu moved to the group's shift
-        for off, c in poly.items():
-            key = tuple(map(add, shift, off))
+        # accumulate scalar * P_mu, each weight lifted through the lower sum
+        for u, c in want.items():
+            wt = lift.get(u)
+            if wt is None:
+                lifts_ok = False
+                continue
             term = c * scalar
-            reconstructed[key] = reconstructed[key] + term if key in reconstructed else term
+            rebuilt[wt] = rebuilt[wt] + term if wt in rebuilt else term
 
-    identity_ok = (WeightPolynomial(rs.height_vec, reconstructed)
-                   == p_part(rs, lam, n, allow_dominant=True))
-
+    identity_ok = lifts_ok and WeightPolynomial(rs.height_vec, rebuilt) == whole
     return BranchDecomposition(lam=lam, n=n, groups=tuple(reports),
                                identity_ok=identity_ok)
 

@@ -68,9 +68,10 @@ def test_criterion_3_tokuyama_property():
 
 
 def test_criterion_4_branching():
-    # rigidity, additivity, one scalar per group, exact reassembly: type A
-    # ranks 2..3, n in 1..3, coords in {1,2}; B3 and C3 at (1,1,1) and D4 at
-    # (1,0,0,1), n in 1..3; D4 at (1,1,1,1), n=2
+    # each group's lower row sum equals P_mu on the same support, with its
+    # weights fixed by their first r-1 coordinates, and scalar * P_mu over the
+    # groups reassembles P: type A ranks 2..3, n in 1..3, coords in {1,2};
+    # B3 and C3 at (1,1,1) and D4 at (1,0,0,1), n in 1..3; D4 at (1,1,1,1), n=2
     rep = _suite("branching", run_branching_suite)
     ok = rep["ok"]
     _verdict("criterion-4 branching", ok, f"{len(rep['cases'])} cases")

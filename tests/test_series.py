@@ -433,59 +433,94 @@ def test_branch_identity_and_factorization_a2(n):
 
 def test_branch_report_only_families():
     # asserted beyond type A too, as in the branching suite
-    bd = branch_decompose(rs("D", 4), (1, 0, 0, 1), 1)
-    assert bd.identity_ok and bd.all_ok
+    for family, rank, lam, n in [("D", 4, (1, 0, 0, 1), 1), ("B", 4, (1, 2, 1, 1), 3),
+                                 ("D", 5, (1, 1, 1, 1, 1), 2)]:
+        bd = branch_decompose(rs(family, rank), lam, n)
+        assert bd.identity_ok and bd.all_ok, (family, rank, lam, n)
+
+
+def _corrupt_branch_parts(monkeypatch, corrupt, lam=(1, 1, 1), n=1):
+    """Make ``branch_decompose``'s nonzero P_mu of A3 ``lam`` pass through
+    ``corrupt``, which returns the new terms and the first weight at which
+    they differ, or a false value to leave them; returns the decomposition
+    and that weight per corrupted mu."""
+    changed = {}
+
+    def wrapped(r, mu, n, **kw):
+        P = p_part(r, mu, n, **kw)
+        new = r.rank == 2 and P.terms and corrupt(r, mu, dict(P.terms))
+        if not new:
+            return P
+        terms, changed[mu] = new
+        return WeightPolynomial(P.height_vec, terms, P.meta)
+
+    monkeypatch.setattr(series, "p_part", wrapped)
+    return branch_decompose(rs("A", 3), lam, n), changed
+
+
+def _assert_recorded(bd, changed):
+    # the groups of a corrupted P_mu fail truncation and factorization at the
+    # differing weight; the lower sums stay additive, and the other groups pass
+    bad = [g for g in bd.groups if g.mu in changed]
+    assert bad and not bd.all_ok and not bd.identity_ok
+    for g in bd.groups:
+        if g.mu in changed:
+            assert not g.truncation_ok and not g.factorization_ok and g.s_additivity_ok
+            assert g.witness == str(changed[g.mu])
+        else:
+            assert g.truncation_ok and g.factorization_ok and g.s_additivity_ok
+            assert g.witness is None
 
 
 def test_branch_missing_truncation_is_recorded(monkeypatch):
-    # a truncation missing from the branch crystal fails to factor, with its
-    # pattern as witness, and raises nothing
-    dropped = {}
-    leaves = series._leaves
+    # a P_mu that lost its lowest term misses a truncation of every group of
+    # that mu, and nothing is raised
+    def drop(r, lam, terms):
+        low = min(terms)
+        del terms[low]
+        return terms, low
 
-    def lossy(r, lam, factor):
-        out = list(leaves(r, lam, factor))
-        if r.rank == 3:
-            return out
-        dropped[lam] = out[-1][0]
-        return out[:-1]
-
-    monkeypatch.setattr(series, "_leaves", lossy)
-    bd = branch_decompose(rs("A", 3), (1, 1, 1), 1)
-    bad = [g for g in bd.groups if not g.factorization_ok]
-    assert bad and not bd.all_ok
-    for g in bad:
-        assert not g.truncation_ok and g.s_additivity_ok
-        L = LittelmannPattern.from_text(CartanSpec("A", 3), g.witness)
-        assert L.rows[1:] == dropped[g.mu]
+    _assert_recorded(*_corrupt_branch_parts(monkeypatch, drop))
 
 
-def test_branch_wrong_weight_breaks_additivity(monkeypatch):
-    # a branch-crystal leaf one simple root off its weight breaks weight
-    # additivity in the groups it truncates, with a member as witness, and
-    # raises nothing
-    corrupted = {}
-    leaves = series._leaves
-    spec = CartanSpec("A", 3)
+def test_branch_wrong_weight_is_recorded(monkeypatch):
+    # P_mu's top term moved up by a simple root lies at a weight that no
+    # truncation has, so it also has no lift into the crystal; the first
+    # differing weight is mu itself, and nothing is raised
+    def move(r, mu, terms):
+        up = tuple(a + b for a, b in zip(mu, r.simple_root(1)))
+        terms[up] = terms.pop(mu)
+        return terms, min(mu, up)
 
-    def wrong(r, lam, factor):
-        out = list(leaves(r, lam, factor))
-        if r.rank == 3:
-            return out
-        rows, w, c = out[-1]
-        corrupted[lam] = rows
-        out[-1] = rows, tuple(a - b for a, b in zip(w, r.simple_root(1))), c
-        return out
+    _assert_recorded(*_corrupt_branch_parts(monkeypatch, move))
+    # every group of mu = (2, 2) in A3 (1,2,1) n=2 has scalar 0, so moving
+    # its top term changes no sum: the missing lift alone breaks the identity
+    bd, changed = _corrupt_branch_parts(
+        monkeypatch, lambda r, mu, terms: mu == (2, 2) and move(r, mu, terms), (1, 2, 1), 2)
+    assert list(changed) == [(2, 2)]
+    assert all(g.scalar.is_zero() for g in bd.groups if g.mu == (2, 2))
+    _assert_recorded(bd, changed)
 
-    monkeypatch.setattr(series, "_leaves", wrong)
-    bd = branch_decompose(rs("A", 3), (1, 1, 1), 1)
-    bad = [g for g in bd.groups if not g.s_additivity_ok]
-    assert bad and not bd.all_ok
-    for g in bad:
-        assert g.truncation_ok and g.factorization_ok
-        L = LittelmannPattern.from_text(spec, g.witness)
-        assert L.rows[0] == g.top_row and L.rows[1:] == corrupted[g.mu]
-    assert {g.mu for g in bad} == set(corrupted)
+
+@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2),
+                                               ("B", 3, (1, 1, 1), 2)])
+def test_branch_coarse_memo_key_is_caught(monkeypatch, family, rank, lam, n):
+    # with the lower sums keyed by nothing, every group reads the first
+    # group's: the groups of another mu fail to factor, those of its mu pass
+    plan_of = series.walk_plan
+
+    def coarse(spec, mu):
+        plan = plan_of(spec, mu)
+        if spec.rank < rank:
+            return plan
+        return plan._replace(reads=(plan.reads[0], 0) + plan.reads[2:])
+
+    monkeypatch.setattr(series, "walk_plan", coarse)
+    groups = branch_decompose(rs(family, rank), lam, n).groups
+    first = groups[0].mu
+    assert any(g.mu != first for g in groups)
+    for g in groups:
+        assert g.factorization_ok == (g.mu == first), g
 
 
 # SHA-256 of each decomposition's groups (top row, mu, shift, scalar JSON,
@@ -524,6 +559,10 @@ def test_branch_rank_restrictions():
         branch_decompose(rs("B", 2), (1, 1), 1)
     with pytest.raises(ValueError):
         branch_decompose(rs("D", 3), (1, 1, 1), 1)
+    with pytest.raises(ValueError):
+        branch_decompose(rs("A", 3), (1, 1, 1), 0)
+    with pytest.raises(ValueError):
+        branch_decompose(rs("A", 3), (1, -1, 1), 1)
 
 
 def test_branch_s_additivity_entrywise():
@@ -534,7 +573,6 @@ def test_branch_s_additivity_entrywise():
     for L in enumerate_patterns(r, lam):
         by_top.setdefault(L.rows[0], []).append(L)
     for top, members in by_top.items():
-        from crystalmds import LittelmannPattern
         toponly = LittelmannPattern(
             r.spec, (top,) + tuple(tuple([0] * len(x)) for x in members[0].rows[1:]))
         s_top = rows_weight(r.spec, toponly.rows)
@@ -547,9 +585,9 @@ def test_branch_s_additivity_entrywise():
 
 def test_branch_leaf_drop_is_root_coordinates():
     # every leaf of every branch crystal in the branching battery lies below
-    # its mu by its column sums, the drop branch_decompose reads: the walk's
-    # weight taken to simple-root coordinates by the Fraction inverse Cartan
-    # matrix must give the same integers
+    # its mu by its column sums (``rows_weight``, which ``pattern_wt`` reads):
+    # the walk's weight taken to simple-root coordinates by the Fraction
+    # inverse Cartan matrix must give the same integers
     battery = [("A", rank, lam) for rank in (2, 3)
                for lam in itertools.product((1, 2), repeat=rank)]
     battery += [(family, rank, lam) for family, rank, lam, _ in _BRANCHING_BATTERY]
