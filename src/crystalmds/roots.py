@@ -282,20 +282,23 @@ def _demazure(codec: WeightCodec, table: dict[int, int], k: int) -> dict[int, in
     With m = <mu, alpha_k^vee>, x^mu goes to its alpha_k-string
     x^(mu - m alpha_k) + ... + x^(mu - alpha_k) + x^mu when m >= 0, to 0 when
     m = -1, and to -(x^(mu + alpha_k) + ... + x^(mu + (-m - 1) alpha_k)) when
-    m <= -2.  The string is walked by adding the packed root.
+    m <= -2.  m is read off field k - 1 of the key, and the string is a
+    ``range`` stepped by the packed root, whichever its sign.  Cancelled
+    entries stay in the result as zeros.
     """
-    alpha, shift, coord = codec.roots[k - 1], (k - 1) * codec.width, codec.coord
+    alpha, shift = codec.roots[k - 1], (k - 1) * codec.width
+    mask, bias = (1 << codec.width) - 1, 1 << (codec.width - 1)
     out: dict[int, int] = {}
+    get = out.get
     for mu, c in table.items():
-        m = coord(mu, shift)
+        m = (mu >> shift & mask) - bias
         if m >= 0:
-            w, count, sign = mu - m * alpha, m + 1, c
+            start, stop = mu - m * alpha, mu + alpha
         else:
-            w, count, sign = mu + alpha, -m - 1, -c
-        for _ in range(count):
-            out[w] = out.get(w, 0) + sign
-            w += alpha
-    return {w: c for w, c in out.items() if c}
+            start, stop, c = mu + alpha, mu - m * alpha, -c
+        for w in range(start, stop, alpha):
+            out[w] = get(w, 0) + c
+    return out
 
 
 def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
@@ -303,7 +306,8 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     Demazure operators of a reduced word for the long element, applied to
     x^lam.  The long element is an involution, so the word may be read in
     either direction.  The cost follows the size of the character, not |W|.
-    The tables hold packed weights, decoded in one step at the end."""
+    The tables hold packed weights; zeros are dropped once, after the last
+    letter, and the table is decoded in one step."""
     lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
@@ -312,7 +316,7 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     for k in nice_long_word(rs.spec):
         table = _demazure(codec, table, k)
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
-    return poly_from_packed(rs.height_vec, codec, table, meta)
+    return poly_from_packed(rs.height_vec, codec, {w: c for w, c in table.items() if c}, meta)
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

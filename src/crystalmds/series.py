@@ -33,14 +33,22 @@ Laurent polynomial in q (``g_value`` evaluates g there), as a
 lambda-independent deformed denominator times a character.  The divisor is
 the character with each coefficient twisted by q to the height drop of its
 weight; this is the variable normalization under which the factorization is
-exact in the weight-polynomial ring (see README notes).
+exact in the weight-polynomial ring (see README notes).  Both operands stay
+packed monomial dicts: the numerator is P's row sums (``_p_sums``, the one
+sum behind ``p_part`` too), each weight decoded once, and the divisor the
+character's terms twisted in place (``_twist``, shared with
+``twisted_character``); ``weightpoly.divide_terms`` divides them as they are,
+and only the quotient, or the remainder of a failed division, becomes ring
+elements.
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
 The split is the row sum's own: the sum ``_below`` takes under each filling
 of row 1 is the sum over that group's branch crystal, so each group's lower
-sum is compared with ``p_part`` of the branch crystal, and nothing is
-walked leaf by leaf.
+sum is compared with P of the branch crystal, and nothing is walked leaf by
+leaf.  Each rank has one slot table for the call: the whole crystal's sum
+and the walk of row 1 share one, and the branch crystals of every mu the
+other.
 """
 from __future__ import annotations
 
@@ -51,7 +59,8 @@ from .coefficients import CoeffElement, slot_table
 from .patterns import WalkPlan, _walk, walk_plan
 from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character, weyl_dimension)
-from .weightpoly import Weight, WeightPolynomial, poly_from_packed
+from .weightpoly import (Weight, WeightPolynomial, divide_terms, poly_from_packed,
+                         poly_from_packed_terms)
 
 __all__ = [
     "WeightPolynomial", "character_via_patterns", "p_part",
@@ -176,6 +185,15 @@ def _pruning_fold(factor):
     return fold
 
 
+def _p_sums(spec: CartanSpec, lam: Weight, factor) -> tuple[WalkPlan, dict]:
+    """``_crystal_sum`` of P over ``lam``'s crystal: the slot values come from
+    the slot table ``factor`` (``coefficients.slot_table``) under the pruning
+    fold, so each packed offset maps to a zero-free packed monomial dict,
+    which the caller owns.  The one sum behind ``p_part``, the Tokuyama
+    numerator and the sums that ``branch_decompose`` compares."""
+    return _crystal_sum(spec, lam, _pruning_fold(factor), CoeffElement.one())
+
+
 def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Sum of x^wt over the crystal; must equal the Weyl character exactly.
 
@@ -219,9 +237,8 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
     # off the row as the walk has filled it so far, from a table of this
     # call.  A zero factor leaves only zero coefficients below, so the
     # subtree is skipped.
-    fold = _pruning_fold(slot_table(rs.spec, n))
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
-    plan, sums = _crystal_sum(rs.spec, lam, fold, CoeffElement.one())
+    plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, n))
     return poly_from_packed(rs.height_vec, plan.codec, sums, meta, plan.top)
 
 
@@ -252,16 +269,22 @@ def twisted_character(rs: RootSystem, lam_prime: Weight) -> WeightPolynomial:
     height of the drop from the highest weight: the height functional's value
     on the drop over its value on a simple root."""
     chi = weyl_character(rs, lam_prime)
+    return poly_from_packed_terms(rs.height_vec, _twist(rs, lam_prime, chi.terms), chi.meta)
+
+
+def _twist(rs: RootSystem, lam_prime: Weight, terms: dict) -> dict[Weight, dict[int, int]]:
+    """The terms of ``lam_prime``'s character, twisted in place: each
+    multiplicity c at weight w becomes {ht: c}, the packed monomial dict of
+    c * q^ht for the height ht of the drop lam_prime - w.  Returns ``terms``."""
     h = rs.height_vec
     unit = sum(map(mul, h, rs.simple_root(1)))
     top = sum(map(mul, h, lam_prime))
-    terms: dict[Weight, CoeffElement] = {}
-    for w, c in chi.terms.items():
+    for w, c in terms.items():
         ht, frac = divmod(top - sum(map(mul, h, w)), unit)
         if frac:
             raise AssertionError("character weight outside the root lattice shift")
-        terms[w] = c * CoeffElement.q_power(ht)
-    return WeightPolynomial(rs.height_vec, terms, chi.meta)
+        terms[w] = {ht: c.packed()[0]}
+    return terms
 
 
 def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
@@ -270,18 +293,25 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
 
     On success the quotient is the deformed Weyl denominator and does not
     depend on ``lam``; a failed division returns the remainder as witness.
+    Both operands go to ``divide_terms`` as packed monomial dicts: the row
+    sums of P, each weight decoded once, and the twisted terms of the
+    character; only the result becomes ring elements.
     """
     if rs.family != "A":
         raise ValueError("the deformation factorization is asserted for type A only")
     lam = tuple(lam)
     if not is_strongly_dominant(lam):
         raise ValueError("need a strongly dominant highest weight")
-    P = p_part(rs, lam, 1)
-    divisor = twisted_character(rs, tuple(c - 1 for c in lam))
-    quot, rem = P.divide(divisor)
-    if rem.is_zero():
-        return TokuyamaResult(lam, "minus_rho", True, quot, None)
-    return TokuyamaResult(lam, "minus_rho", False, None, rem, reason="inexact division")
+    plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, 1))
+    numer = dict(zip(plan.codec.decode_all([plan.top + x for x in sums]), sums.values()))
+    lam_prime = tuple(c - 1 for c in lam)
+    divisor = _twist(rs, lam_prime, weyl_character(rs, lam_prime).terms)
+    quot, rem = divide_terms(rs.height_vec, numer, divisor)
+    meta = {"family": rs.family, "rank": rs.rank, "n": 1, "lambda": list(lam)}
+    poly = poly_from_packed_terms(rs.height_vec, rem or quot, meta)
+    if not rem:
+        return TokuyamaResult(lam, "minus_rho", True, poly, None)
+    return TokuyamaResult(lam, "minus_rho", False, None, poly, reason="inexact division")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +357,10 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     A group is one filling of row 1, walked without pruning: its end weight
     is the shift, its first r-1 coordinates the branch weight mu.  Its lower
     sum is ``p_part``'s sum over the rows below that end (``_below``), keyed
-    by ``plan.reads[1]`` as there, and every group's is compared with P_mu.
+    by ``plan.reads[1]`` as there, and every group's is compared with P_mu,
+    taken once per mu by ``_p_sums``.  The whole crystal's P and the walk
+    share one slot table, and every P_mu the rank-(r-1) one, so each distinct
+    slot state's factor is computed once per call.
     All checks are recorded per group rather than raised; the factorization
     is a theorem in type A and checked on a fixed battery elsewhere.
     """
@@ -337,10 +370,12 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     # truncation must stay in-family: A_1 exists, B_1/C_1/D_2 do not, and
     # their spec raises ValueError
     sub_rs = build_root_system(CartanSpec(spec.family, r - 1))
-    whole = p_part(rs, lam, n, allow_dominant=True)
-    factor = slot_table(spec, n)
+    if n < 1:
+        raise ValueError("cover degree n must be >= 1")
+    factor, sub_factor = slot_table(spec, n), slot_table(sub_rs.spec, n)
+    plan, sums = _p_sums(spec, lam, factor)
+    whole = poly_from_packed(rs.height_vec, plan.codec, sums, {}, plan.top)
     fold, one = _pruning_fold(factor), CoeffElement.one()
-    plan = walk_plan(spec, lam)
     memo = _below_memo(plan, fold, one)
     lower, reads = memo[1], plan.reads[1]
     # copy each top row before recursing: walks on one plan share the rows
@@ -358,8 +393,9 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
         if not is_dominant(mu):
             raise AssertionError(f"branch weight {mu} is not dominant")
         if mu not in branches:
-            branches[mu] = (p_part(sub_rs, mu, n, allow_dominant=True).terms,
-                            weyl_dimension(sub_rs, mu))
+            sub_plan, sub_sums = _p_sums(sub_rs.spec, mu, sub_factor)
+            branches[mu] = (poly_from_packed(sub_rs.height_vec, sub_plan.codec, sub_sums, {},
+                                             sub_plan.top).terms, weyl_dimension(sub_rs, mu))
         want, size = branches[mu]
         key = w & reads
         below = lower.get(key)

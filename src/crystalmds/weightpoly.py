@@ -13,9 +13,12 @@ codec decodes every key a field at a time (``decode_all``), each distinct
 integer coefficient becomes one shared element, and the terms go in without
 the constructor's copy and zero scan, since the engines keep no zeros.
 
-Exact division (``divide_terms``) runs on one int per (weight, monomial)
-term: the monomial's packed key is appended to the weight as a coordinate of
-height 0, which extends the order, and one linear map packs the whole key.
+Exact division (``divide_terms``) takes tables from weight to packed
+monomial dict, the form the engines' sums and ``CoeffElement.packed`` hold,
+and runs on one int per (weight, monomial) term: the monomial's key is a last
+coordinate of height 0, which extends the order, and one linear map packs
+the whole term.  The key's scale is -1, so each weight is packed once and
+each of its monomials is that int minus the key.
 """
 from __future__ import annotations
 
@@ -137,31 +140,21 @@ class WeightPolynomial:
     def divide(self, divisor: "WeightPolynomial") -> tuple["WeightPolynomial", "WeightPolynomial"]:
         """Leading-term elimination under the fixed order (see ``divide_terms``).
 
-        The divisor's leading coefficient must be a ring unit (±q^e).  Each
-        monomial of a term becomes one entry, its packed key appended to the
-        weight; the packing is linear (see ``coefficients``).  Returns
-        (quotient, remainder); the division was exact iff the remainder is
-        zero.
+        The divisor's leading coefficient must be a ring unit (±q^e).  Both
+        operands go in as their elements' packed monomial dicts, read only,
+        and each result dict becomes one element.  Returns (quotient,
+        remainder); the division was exact iff the remainder is zero.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero weight polynomial")
         if divisor.leading()[1].as_unit_monomial() is None:
             raise ValueError("divisor leading coefficient is not a unit monomial")
-        quot, rem = divide_terms(self.height_vec, _flatten(self.terms), _flatten(divisor.terms))
-        return self._like(_regroup(quot)), self._like(_regroup(rem))
-
-
-def _flatten(terms: dict[Weight, CoeffElement]) -> dict[tuple[int, ...], int]:
-    """One (weight + (packed monomial,)) -> int entry per monomial."""
-    return {w + (k,): c for w, el in terms.items() for k, c in el.packed().items()}
-
-
-def _regroup(flat: dict[tuple[int, ...], int]) -> dict[Weight, CoeffElement]:
-    by_weight: dict[Weight, dict[int, int]] = {}
-    for key, c in flat.items():
-        by_weight.setdefault(key[:-1], {})[key[-1]] = c
-    return {w: CoeffElement.from_packed(t) for w, t in by_weight.items()}
+        quot, rem = divide_terms(self.height_vec,
+                                 {w: el.packed() for w, el in self.terms.items()},
+                                 {w: el.packed() for w, el in divisor.terms.items()})
+        return (poly_from_packed_terms(self.height_vec, quot, self.meta),
+                poly_from_packed_terms(self.height_vec, rem, self.meta))
 
 
 def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
@@ -194,20 +187,34 @@ def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec, table: dic
     return poly
 
 
+def poly_from_packed_terms(height_vec: tuple[int, ...], terms: dict[Weight, dict[int, int]],
+                           meta: dict | None = None) -> WeightPolynomial:
+    """The polynomial of a weight -> packed monomial dict table, such as
+    ``divide_terms`` returns: each dict is taken over by one element
+    (``CoeffElement.from_packed``), so the caller must not change it."""
+    return WeightPolynomial(height_vec, {w: CoeffElement.from_packed(t) for w, t in terms.items()},
+                            meta)
+
+
 def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple[dict, dict]:
-    """Divide key -> int coefficient tables by leading-term elimination.
+    """Divide weight -> packed monomial dict tables by leading-term elimination.
 
-    A key is a weight, optionally followed by coordinates of height 0, taken
-    in the fixed order extended to them: descending height, then
-    lexicographic.  ``denom``'s leading coefficient must be 1 or -1, its own
-    inverse.  Returns (quotient, remainder).
+    A table maps each weight tuple to a nonempty, zero-free dict from packed
+    monomial key (``CoeffElement.packed``) to int coefficient; both tables are
+    only read.  The terms are the (weight, monomial) pairs, taken in the
+    fixed order extended by the monomial key as one more coordinate of
+    height 0: descending height, then lexicographic.  ``denom``'s leading
+    term must have coefficient 1 or -1, its own inverse.  Returns (quotient,
+    remainder) in the same form, with dicts of their own.
 
-    One linear map packs each key into one int: the height in the top field,
-    then coordinate k in a signed field as wide as the larger of numer's and
-    denom's ranges of it, coordinate 0 highest.  On numer's box, and on
-    denom's, the int order is the fixed order, negated so that the heap's
-    least int leads.  A quotient key is one subtraction, and each divisor
-    term costs one add and one dict update.
+    One linear map packs each term into one int: the height in the top
+    field, then weight coordinate k in a signed field as wide as the larger
+    of numer's and denom's ranges of it, coordinate 0 highest, and the
+    monomial key in the lowest field, with scale -1.  So a weight is packed
+    once, and each of its monomials is that int minus the key.  On numer's
+    box, and on denom's, the int order is the fixed order, negated so that
+    the heap's least int leads.  A quotient key is one subtraction, and each
+    divisor term costs one add and one dict update.
 
     Stopping rule: an exact quotient Q has Newt(numer) = Newt(Q) +
     Newt(denom), so its coordinate k lies in [min numer_k - min denom_k,
@@ -230,32 +237,39 @@ def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple
     shifts = [sum(widths[k + 1:]) for k in range(len(widths))]
     masks = [(1 << b) - 1 for b in widths]
     top = sum(widths)
-    heights = tuple(height_vec) + (0,) * (len(widths) - len(height_vec))
-    scale = [-((h << top) + (1 << s)) for h, s in zip(heights, shifts)]
+    scale = [-((h << top) + (1 << s)) for h, s in zip(height_vec, shifts)] + [-1]
 
-    def pack(key):
+    def pack(key):  # a bare weight packs as its term of monomial key 0
         return sum(map(mul, scale, key))
 
     def unpack(table, lo):
-        base = pack(lo)
-        return {tuple([((base - x) >> s & m) + b for s, m, b in zip(shifts, masks, lo)]): c
-                for x, c in table.items()}
+        # group by the weight fields, then decode each weight once
+        base, k_bits, k_mask, k_lo = pack(lo), widths[-1], masks[-1], lo[-1]
+        by_weight: dict[int, dict[int, int]] = {}
+        for x, c in table.items():
+            off = base - x
+            by_weight.setdefault(off >> k_bits, {})[(off & k_mask) + k_lo] = c
+        fields = [(s - k_bits, m, b) for s, m, b in zip(shifts, masks, lo[:-1])]
+        return {tuple([(f >> s & m) + b for s, m, b in fields]): t
+                for f, t in by_weight.items()}
 
     lead_w = min(denom, key=pack)
-    unit = denom[lead_w]
+    lead_key = lead_w + (max(denom[lead_w]),)
+    unit = denom[lead_w][lead_key[-1]]
     if unit not in (1, -1):
         raise ValueError(f"divisor leading coefficient {unit} is not 1 or -1")
-    lead = pack(lead_w)
-    den = [(pack(w), c) for w, c in denom.items() if w != lead_w]
+    lead = pack(lead_key)
+    den = [(x - k, c) for x, t in zip(map(pack, denom), denom.values())
+           for k, c in t.items() if x - k != lead]
     # The quotient key of popped x is in the box iff field k of x, read from
     # numer's corner, is in [lead_k - d_lo_k, n_span_k - (d_hi_k - lead_k)]:
     # an empty range when the box is.  A coordinate constant over denom
     # leaves the whole field allowed.
     base = pack(n_lo)
     checks = [(s, m, a, n - c) for s, m, a, c, n in
-              zip(shifts, masks, map(sub, lead_w, d_lo), map(sub, d_hi, lead_w), n_span)
+              zip(shifts, masks, map(sub, lead_key, d_lo), map(sub, d_hi, lead_key), n_span)
               if a or c]
-    rem = {pack(w): c for w, c in numer.items()}
+    rem = {x - k: c for x, t in zip(map(pack, numer), numer.values()) for k, c in t.items()}
     heap = list(rem)
     heapify(heap)
     get = rem.get
@@ -285,6 +299,9 @@ def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple
 
 
 def _box(table: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least and greatest value of each key coordinate over ``table``."""
+    """Least and greatest value of each weight coordinate over ``table``,
+    then of the monomial keys."""
     cols = list(zip(*table))
-    return tuple(map(min, cols)), tuple(map(max, cols))
+    keys = table.values()
+    return (tuple(map(min, cols)) + (min(map(min, keys)),),
+            tuple(map(max, cols)) + (max(map(max, keys)),))

@@ -6,7 +6,9 @@ data, so agreement is a genuine cross-check.  The greedy bound reconstructs
 polytope membership straight from the long word and the Cartan pairings.
 The full-denominator character is the Weyl character formula itself, an
 alternating orbit sum divided by the Weyl denominator, as a reference for the
-package's Demazure-operator character.
+package's Demazure-operator character; it divides with ``divide_terms``, the
+tuple-keyed, one-int-per-term division that is also the reference for the
+package's own.
 
 The pattern bounds are written out here from their definitions, apart from
 the package's slot walk: ``chain_lower_bound`` from each family's row-chain
@@ -17,7 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import mul, sub
 
 
 def _dot(u, v):
@@ -343,13 +347,116 @@ def full_denominator_character(rs, lam) -> dict:
     """Weight -> multiplicity of the character of ``lam``: the alternating
     orbit sum of lam + rho divided in one step by the whole alternating
     orbit sum of rho (the Weyl denominator in sum form)."""
-    from crystalmds.weightpoly import divide_terms
-
     numer = _signed_orbit(rs, tuple(c + 1 for c in lam))
     denom = _signed_orbit(rs, rho(rs))  # leads with +1 at x^rho
     table, rem = divide_terms(rs.height_vec, numer, denom)
     assert not rem, "inexact character division"
     return table
+
+
+# ---------------------------------------------------------------------------
+# Reference exact division
+# ---------------------------------------------------------------------------
+
+def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple[dict, dict]:
+    """Divide key -> int coefficient tables by leading-term elimination.
+
+    A key is a weight, optionally followed by coordinates of height 0, taken
+    in the fixed order extended to them: descending height, then
+    lexicographic.  ``denom``'s leading coefficient must be 1 or -1, its own
+    inverse.  Returns (quotient, remainder).
+
+    One linear map packs each key into one int: the height in the top field,
+    then coordinate k in a signed field as wide as the larger of numer's and
+    denom's ranges of it, coordinate 0 highest.  On numer's box, and on
+    denom's, the int order is the fixed order, negated so that the heap's
+    least int leads.  A quotient key is one subtraction, and each divisor
+    term costs one add and one dict update.
+
+    Stopping rule: an exact quotient Q has Newt(numer) = Newt(Q) +
+    Newt(denom), so its coordinate k lies in [min numer_k - min denom_k,
+    max numer_k - max denom_k].  The first popped key whose quotient key
+    leaves that box ends the division and stays in the remainder, so an
+    inexact division reports a nonzero remainder.  Invariant: while every
+    accepted quotient key lies in the box, every remainder key lies in
+    numer's box, so no field overflows.  Popped keys strictly decrease
+    inside a finite box, so the division ends.
+
+    The reference for ``weightpoly.divide_terms``, which packs each weight
+    once: with every packed monomial key appended to its weight as the last
+    coordinate, one (weight, monomial) term per key, both must give the same
+    quotient and remainder.
+    """
+    if not denom:
+        raise ZeroDivisionError("division by the empty table")
+    quot: dict = {}
+    if not numer:
+        return quot, {}
+    n_lo, n_hi = _box(numer)
+    d_lo, d_hi = _box(denom)
+    n_span, d_span = tuple(map(sub, n_hi, n_lo)), tuple(map(sub, d_hi, d_lo))
+    widths = [max(a, b).bit_length() for a, b in zip(n_span, d_span)]
+    shifts = [sum(widths[k + 1:]) for k in range(len(widths))]
+    masks = [(1 << b) - 1 for b in widths]
+    top = sum(widths)
+    heights = tuple(height_vec) + (0,) * (len(widths) - len(height_vec))
+    scale = [-((h << top) + (1 << s)) for h, s in zip(heights, shifts)]
+
+    def pack(key):
+        return sum(map(mul, scale, key))
+
+    def unpack(table, lo):
+        base = pack(lo)
+        return {tuple([((base - x) >> s & m) + b for s, m, b in zip(shifts, masks, lo)]): c
+                for x, c in table.items()}
+
+    lead_w = min(denom, key=pack)
+    unit = denom[lead_w]
+    if unit not in (1, -1):
+        raise ValueError(f"divisor leading coefficient {unit} is not 1 or -1")
+    lead = pack(lead_w)
+    den = [(pack(w), c) for w, c in denom.items() if w != lead_w]
+    # The quotient key of popped x is in the box iff field k of x, read from
+    # numer's corner, is in [lead_k - d_lo_k, n_span_k - (d_hi_k - lead_k)]:
+    # an empty range when the box is.  A coordinate constant over denom
+    # leaves the whole field allowed.
+    base = pack(n_lo)
+    checks = [(s, m, a, n - c) for s, m, a, c, n in
+              zip(shifts, masks, map(sub, lead_w, d_lo), map(sub, d_hi, lead_w), n_span)
+              if a or c]
+    rem = {pack(w): c for w, c in numer.items()}
+    heap = list(rem)
+    heapify(heap)
+    get = rem.get
+    while heap:
+        x = heappop(heap)
+        c = get(x)
+        if c is None:
+            continue  # eliminated after it was pushed
+        off = base - x
+        if any(not a <= off >> s & m <= b for s, m, a, b in checks):
+            break  # cannot belong to any exact quotient
+        g = x - lead
+        qc = c * unit
+        quot[g] = qc
+        del rem[x]
+        for dk, dc in den:
+            t = g + dk
+            old = get(t)
+            if old is None:
+                rem[t] = -qc * dc
+                heappush(heap, t)
+            elif old == qc * dc:
+                del rem[t]
+            else:
+                rem[t] = old - qc * dc
+    return unpack(quot, tuple(map(sub, n_lo, d_lo))), unpack(rem, n_lo)
+
+
+def _box(table: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Least and greatest value of each key coordinate over ``table``."""
+    cols = list(zip(*table))
+    return tuple(map(min, cols)), tuple(map(max, cols))
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,18 @@ import json
 
 import pytest
 
-from crystalmds import cli, series
+from crystalmds import cli, coefficients, series
 from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         WeightPolynomial, build_root_system, branch_decompose,
                         character_via_patterns, decorate, enumerate_patterns,
                         p_part, pattern_coefficient, pattern_wt,
                         polynomial_json_obj, tokuyama_quotient,
                         twisted_character, weyl_character, weyl_dimension)
-from crystalmds.coefficients import GaussSymbol, slot_table
+from crystalmds.coefficients import GaussSymbol, slot_factor, slot_table
 from crystalmds.patterns import _walk, rows_weight, walk_plan
+from crystalmds.series import _p_sums
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
-from crystalmds.weightpoly import poly_from_int_terms, weight_codec
+from crystalmds.weightpoly import poly_from_int_terms, poly_from_packed, weight_codec
 from oracles import (dominant_representative, full_denominator_character, reflect,
                      weight_in_hull)
 
@@ -371,18 +372,33 @@ def test_tokuyama_rank_one_closed_form():
                                         (-1,): CoeffElement.from_int(-1)}
 
 
+def _patch_p_sums(monkeypatch, change):
+    """Pass the terms of every sum that ``series._p_sums`` returns, as a
+    weight -> CoeffElement dict, through ``change(r, lam, terms)``, which
+    returns new terms or a false value to leave them."""
+    def wrapped(spec, lam, factor):
+        plan, sums = _p_sums(spec, lam, factor)
+        r = rs(spec.family, spec.rank)
+        terms = poly_from_packed(r.height_vec, plan.codec, sums, {}, plan.top).terms
+        new = change(r, lam, dict(terms))
+        if not new:
+            return plan, sums
+        return plan, {plan.codec.pack(w) - plan.top: c.packed() for w, c in new.items()}
+
+    monkeypatch.setattr(series, "_p_sums", wrapped)
+
+
 @pytest.mark.parametrize("where", ["top", "below"])
 def test_tokuyama_stray_term_is_an_inexact_division(monkeypatch, where):
-    # one stray term in P makes the division inexact, whether it changes the
-    # leading coefficient or sits below every weight of P
-    real_p_part = series.p_part
+    # one stray term in the numerator P makes the division inexact, whether
+    # it changes the leading coefficient or sits below every weight of P
+    def with_stray(r, lam, terms):
+        low = WeightPolynomial(r.height_vec, terms).sorted_weights()[-1]
+        w = lam if where == "top" else tuple(c - 3 for c in low)
+        terms[w] = terms.get(w, CoeffElement.zero()) + Q(2)
+        return terms
 
-    def p_part_with_stray(rs_, lam, n, *args, **kw):
-        P = real_p_part(rs_, lam, n, *args, **kw)
-        w = lam if where == "top" else tuple(c - 3 for c in P.sorted_weights()[-1])
-        return WeightPolynomial(P.height_vec, {**P.terms, w: P.coeff(w) + Q(2)}, P.meta)
-
-    monkeypatch.setattr(series, "p_part", p_part_with_stray)
+    _patch_p_sums(monkeypatch, with_stray)
     res = tokuyama_quotient(rs("A", 2), (2, 1))
     assert not res.ok and res.quotient is None
     assert res.remainder is not None and not res.remainder.is_zero()
@@ -446,15 +462,14 @@ def _corrupt_branch_parts(monkeypatch, corrupt, lam=(1, 1, 1), n=1):
     and that weight per corrupted mu."""
     changed = {}
 
-    def wrapped(r, mu, n, **kw):
-        P = p_part(r, mu, n, **kw)
-        new = r.rank == 2 and P.terms and corrupt(r, mu, dict(P.terms))
+    def change(r, mu, terms):
+        new = r.rank == 2 and terms and corrupt(r, mu, terms)
         if not new:
-            return P
+            return None
         terms, changed[mu] = new
-        return WeightPolynomial(P.height_vec, terms, P.meta)
+        return terms
 
-    monkeypatch.setattr(series, "p_part", wrapped)
+    _patch_p_sums(monkeypatch, change)
     return branch_decompose(rs("A", 3), lam, n), changed
 
 
@@ -552,6 +567,24 @@ def test_branch_decomposition_bytes(case):
            "identity_ok": bd.identity_ok}
     text = json.dumps(obj)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2), ("B", 3, (1, 1, 1), 2),
+                                               ("D", 4, (1, 1, 1, 1), 2)])
+def test_branch_computes_each_slot_factor_once(monkeypatch, family, rank, lam, n):
+    # one slot table per rank for the call: the whole crystal's P, the walk
+    # of row 1 and the P_mu of every branch crystal read their factors from
+    # it, so each distinct slot state's factor is computed once
+    calls, keys = [], set()
+
+    def counted(spec, i, j, row, crow, brow, n):
+        calls.append(spec)
+        keys.add((spec, coefficients.slot_key(spec, i, j, row, crow, brow)))
+        return slot_factor(spec, i, j, row, crow, brow, n)
+
+    monkeypatch.setattr(coefficients, "slot_factor", counted)
+    assert branch_decompose(rs(family, rank), lam, n).all_ok
+    assert len(calls) == len(keys) and {spec.rank for spec in calls} == {rank, rank - 1}
 
 
 def test_branch_rank_restrictions():
