@@ -18,7 +18,6 @@ from pathlib import Path
 from .decorations import decorated_crystal, render
 from .roots import CartanSpec, build_root_system, is_strongly_dominant
 from .series import character_via_patterns, p_part, polynomial_json_obj
-from .verification import SUITES
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -33,6 +32,11 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _parse_weights(text: str) -> tuple[tuple[int, ...], ...]:
     """Semicolon-separated weights, such as ``1,1;2,1``."""
     return tuple(_parse_ints(part) for part in text.split(";"))
+
+
+# every verification suite, with the verify options it takes by keyword
+_SUITE_OPTIONS = {"branching": (), "character": ("max_dim",), "decorations": (),
+                  "gauss": ("primes", "degrees"), "tokuyama": ("lambdas",)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accept dominant but not strongly dominant weights for the p-part")
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", required=True, choices=sorted(SUITES))
+    pv.add_argument("--suite", required=True, choices=sorted(_SUITE_OPTIONS))
     pv.add_argument("--max-dim", type=int, default=5000)
     pv.add_argument("--primes", type=_parse_ints, default=(5, 7, 13))
     pv.add_argument("--n", dest="degrees", type=_parse_ints, default=(1, 2, 3, 4),
@@ -107,13 +111,10 @@ def cmd_compute(args) -> int:
     return 0
 
 
-# the verify options each suite takes, by keyword; the others take none
-_SUITE_OPTIONS = {"character": ("max_dim",), "gauss": ("primes", "degrees"),
-                  "tokuyama": ("lambdas",)}
-
-
 def cmd_verify(args) -> int:
-    kwargs = {k: getattr(args, k) for k in _SUITE_OPTIONS.get(args.suite, ())}
+    from .verification import SUITES  # only verify needs the suites
+
+    kwargs = {k: getattr(args, k) for k in _SUITE_OPTIONS[args.suite]}
     report = SUITES[args.suite](**kwargs)
     print(json.dumps(report))
     return 0 if report["ok"] else 1

@@ -62,35 +62,43 @@ of symbol fields only grows, under a lock.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index, itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .decorations import DecoratedPattern
     from .roots import CartanSpec
 
 
-@dataclass(frozen=True, order=True)
-class GaussSymbol:
-    """Formal unit-scale Gauss sum g_t(residue), taken modulo ``degree``.
-
-    The degree is at least 2: at degree 1 the sum is the number -1, which
-    ``g_value`` returns in place of a symbol.
-    """
-
+class _GaussFields(NamedTuple):
     t: int
     residue: int
     degree: int
 
-    def __post_init__(self):
-        if self.t not in (1, 2):
-            raise ValueError(f"symbol subscript t must be 1 or 2, got {self.t}")
-        if self.degree < 2:
-            raise ValueError(f"a Gauss symbol needs cover degree >= 2, got {self.degree}")
-        if not 0 <= self.residue < self.degree:
+
+class GaussSymbol(_GaussFields):
+    """Formal unit-scale Gauss sum g_t(residue), taken modulo ``degree``;
+    symbols order as their (t, residue, degree) tuples.
+
+    The degree is at least 2: at degree 1 the sum is the number -1, which
+    ``g_value`` returns in place of a symbol.  The fields are checked on
+    every construction: by call, ``_make`` and ``_replace``.
+    """
+    __slots__ = ()
+
+    def __new__(cls, t: int, residue: int, degree: int):
+        if t not in (1, 2):
+            raise ValueError(f"symbol subscript t must be 1 or 2, got {t}")
+        if degree < 2:
+            raise ValueError(f"a Gauss symbol needs cover degree >= 2, got {degree}")
+        if not 0 <= residue < degree:
             raise ValueError("residue must be reduced modulo the degree")
+        return super().__new__(cls, t, residue, degree)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 # Packed monomial layout (module docstring): e + sum_i m_i << (_Q_BITS +
@@ -563,8 +571,7 @@ def sigma_entry(a: int, circled: bool, boxed: bool, n: int) -> CoeffElement:
 # Type-D components
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentD:
+class ComponentD(NamedTuple):
     """Maximal run of equal entries in one type-D row.
 
     ``kind`` is "generic", "ml" (spans the middle asymmetrically) or "sml"
@@ -655,15 +662,15 @@ def slot_factor(spec: CartanSpec, i: int, j: int, row, crow, brow, n: int
     return out
 
 
-def slot_key(spec: CartanSpec, i: int, j: int, row, crow, brow):
-    """Everything ``slot_factor`` reads of slot (i, j) besides the spec and
-    the cover degree, as a hashable key: the entry's value and marks and
-    whether it sits in the middle column in types A, B and C, the row index
-    and the whole row in type D.  None for a type-D slot before its row's
-    last slot, whose factor is 1."""
-    if spec.family != "D":
+def slot_key(family: str, rank: int, i: int, j: int, row, crow, brow):
+    """Everything ``slot_factor`` reads of slot (i, j) besides the spec, given
+    by its ``family`` and ``rank``, and the cover degree, as a hashable key:
+    the entry's value and marks and whether it sits in the middle column in
+    types A, B and C, the row index and the whole row in type D.  None for a
+    type-D slot before its row's last slot, whose factor is 1."""
+    if family != "D":
         off = j - i
-        return j == spec.rank, row[off], crow[off], brow[off]
+        return j == rank, row[off], crow[off], brow[off]
     if j != i:
         return None
     return i, tuple(row), tuple(crow), tuple(brow)
@@ -675,9 +682,10 @@ def slot_table(spec: CartanSpec, n: int):
     ``slot_key`` once.  The factors live in a dict owned by the returned
     function, so they last as long as the caller keeps it."""
     factors: dict = {}
+    family, rank = spec.family, spec.rank  # read once: no field read per slot
 
     def factor(i, j, row, crow, brow) -> CoeffElement:
-        key = slot_key(spec, i, j, row, crow, brow)
+        key = slot_key(family, rank, i, j, row, crow, brow)
         if key is None:
             return _ONE
         f = factors.get(key)

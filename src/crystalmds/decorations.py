@@ -8,16 +8,14 @@ partition of each row into components, live in ``coefficients``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .patterns import LittelmannPattern, _freeze, _walk, walk_plan
 from .roots import RootSystem
 from .weightpoly import Weight
 
 
-@dataclass(frozen=True)
-class DecoratedPattern:
+class DecoratedPattern(NamedTuple):
     pattern: LittelmannPattern
     lam: Weight
     circled: tuple[tuple[bool, ...], ...]

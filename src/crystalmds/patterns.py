@@ -21,7 +21,6 @@ above it, which is how ``series`` sums a crystal a row at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple
 
@@ -66,17 +65,27 @@ def column_letter(spec: CartanSpec, j: int) -> int:
     return j - r + 2
 
 
-@dataclass(frozen=True)
-class LittelmannPattern:
+class _PatternFields(NamedTuple):
     spec: CartanSpec
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        shape = pattern_shape(self.spec)
-        if [len(row) for row in self.rows] != shape:
-            raise ValueError(f"rows do not fit the {self.spec} shape {shape}")
-        if any(v < 0 for row in self.rows for v in row):
+
+class LittelmannPattern(_PatternFields):
+    """A pattern's rows, checked against the spec's shape on every
+    construction: by call, ``_make`` and ``_replace``."""
+    __slots__ = ()
+
+    def __new__(cls, spec: CartanSpec, rows: tuple[tuple[int, ...], ...]):
+        shape = pattern_shape(spec)
+        if [len(row) for row in rows] != shape:
+            raise ValueError(f"rows do not fit the {spec} shape {shape}")
+        if any(v < 0 for row in rows for v in row):
             raise ValueError("pattern entries must be nonnegative")
+        return super().__new__(cls, spec, rows)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def a(self, i: int, j: int) -> int:
         """Entry at row i, flat column j; 0 outside the shape."""

@@ -18,9 +18,9 @@ applied to x^lam.  It does not use the pattern walk, so it cross-checks it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .weightpoly import (Weight, WeightCodec, WeightPolynomial, poly_from_packed,
                          weight_codec)
@@ -34,19 +34,28 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 MAX_RANK = 100
 
 
-@dataclass(frozen=True)
-class CartanSpec:
+class _CartanFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.rank < _MIN_RANK[self.family]:
-            raise ValueError(
-                f"family {self.family} needs rank >= {_MIN_RANK[self.family]}, got {self.rank}")
-        if self.rank > MAX_RANK:
-            raise ValueError(f"rank {self.rank} exceeds the supported maximum {MAX_RANK}")
+
+class CartanSpec(_CartanFields):
+    """A Cartan family and rank, checked on every construction: by call,
+    ``_make`` and ``_replace``."""
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if rank < _MIN_RANK[family]:
+            raise ValueError(f"family {family} needs rank >= {_MIN_RANK[family]}, got {rank}")
+        if rank > MAX_RANK:
+            raise ValueError(f"rank {rank} exceeds the supported maximum {MAX_RANK}")
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def positive_root_count(self) -> int:
         r = self.rank
@@ -57,8 +66,7 @@ class CartanSpec:
         return r * r
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Cartan data plus derived exact structures.
 
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th

@@ -52,8 +52,8 @@ other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .coefficients import CoeffElement, slot_table
 from .patterns import WalkPlan, _walk, walk_plan
@@ -254,8 +254,7 @@ def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:
 # Deformed Weyl-denominator factorization (degree 1)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TokuyamaResult:
+class TokuyamaResult(NamedTuple):
     lam: Weight
     shift: str      # always "minus_rho" (divisor at lam - rho); kept for positional callers
     ok: bool
@@ -318,8 +317,7 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
 # Branching through the top row
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchGroupReport:
+class BranchGroupReport(NamedTuple):
     """One top row of the crystal: its rank-(r-1) branch weight ``mu``, and
     the rank-r weight shift and scalar with which P_mu enters P_lambda, as
     in P_lambda = sum over groups of scalar * x^shift * P_mu; then the
@@ -336,8 +334,7 @@ class BranchGroupReport:
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class BranchDecomposition:
+class BranchDecomposition(NamedTuple):
     lam: Weight
     n: int
     groups: tuple[BranchGroupReport, ...]

@@ -10,13 +10,14 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .coefficients import (_component_factor, count_forced_sigma, g_value,
+from .coefficients import (CoeffElement, _component_factor, count_forced_sigma, g_value,
                            gauss_numeric, h_value, row_components)
 from .decorations import decorate, decorated_crystal
 from .patterns import enumerate_patterns
 from .roots import (CartanSpec, build_root_system, character_dimension,
                     is_strongly_dominant, weyl_character, weyl_dimension)
 from .series import branch_decompose, character_via_patterns, p_part, tokuyama_quotient
+from .weightpoly import WeightPolynomial
 
 CHARACTER_BATTERY = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                      ("C", 2), ("C", 3), ("D", 4))
@@ -151,7 +152,9 @@ DEFAULT_TOKUYAMA_LAMBDAS: tuple[tuple[int, ...], ...] = (
 
 def run_tokuyama_suite(lambdas: Sequence[tuple[int, ...]] | None = None) -> dict:
     """Degree-1 factorization: at each rank, every lambda's sum divides
-    exactly by the twisted character of lambda - rho, with one quotient.
+    exactly by the twisted character of lambda - rho, with one quotient, and
+    that quotient is Tokuyama's deformed Weyl denominator
+    x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a).
 
     The lambdas are grouped by rank, the ranks run in ascending order, and
     each rank keeps the input order."""
@@ -159,7 +162,6 @@ def run_tokuyama_suite(lambdas: Sequence[tuple[int, ...]] | None = None) -> dict
     for lam in lambdas or DEFAULT_TOKUYAMA_LAMBDAS:
         by_rank.setdefault(len(lam), []).append(lam)
     cases = []
-    res = None  # the first lambda's result at the smallest rank
     for rank, lams in sorted(by_rank.items()):
         rs = build_root_system(CartanSpec("A", rank))
         results = [tokuyama_quotient(rs, lam) for lam in lams]
@@ -168,22 +170,21 @@ def run_tokuyama_suite(lambdas: Sequence[tuple[int, ...]] | None = None) -> dict
         cases.append(_case(f"rank={rank}: divisible and quotient identical",
                            identical, divisible=divisible,
                            failed=[list(r.lam) for r in results if not r.ok]))
-        res = res or results[0]
-    # leading behaviour of the computed quotient at the smallest rank
-    if res.ok:
-        lead_w, lead_c = res.quotient.leading()
-        dominant_terms = [w for w in res.quotient.terms
-                          if all(c >= 0 for c in w)
-                          and not _coeff_vanishes_at_q0(res.quotient.terms[w])]
-        cases.append(_case("quotient leading coefficient is 1", lead_c.is_one(),
-                           leading_weight=list(lead_w)))
-        cases.append(_case("single dominant term survives q -> 0",
-                           len(dominant_terms) == 1))
+        cases.append(_case(f"rank {rank}: quotient is the deformed Weyl denominator",
+                           divisible and results[0].quotient == _deformed_denominator(rs)))
     return _finish("tokuyama", cases)
 
 
-def _coeff_vanishes_at_q0(coeff) -> bool:
-    return all(e > 0 for _, e, _ in coeff.monomials())
+def _deformed_denominator(rs) -> WeightPolynomial:
+    """x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a), expanded from the positive
+    roots and their heights."""
+    one = CoeffElement.one()
+    out = WeightPolynomial(rs.height_vec, {(1,) * rs.rank: one})
+    for root, coords in zip(rs.positive_roots, rs.positive_roots_root_coords):
+        neg = tuple(-c for c in root)
+        out = out * WeightPolynomial(
+            rs.height_vec, {(0,) * rs.rank: one, neg: CoeffElement.q_power(sum(coords) - 1, -1)})
+    return out
 
 
 # ---------------------------------------------------------------------------

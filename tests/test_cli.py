@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import crystalmds
-from crystalmds import cli
+from crystalmds import cli, verification
 
 
 def run(capsys, argv):
@@ -126,11 +126,15 @@ def test_verify_tokuyama_groups_lambdas_by_rank(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli.SUITES, "tokuyama",
+    monkeypatch.setitem(verification.SUITES, "tokuyama",
                         lambda **kw: {"suite": "tokuyama", "ok": False, "cases": []})
     code, out, _ = run(capsys, ["verify", "--suite", "tokuyama"])
     assert code == 1
     assert not json.loads(out)["ok"]
+
+
+def test_suite_choices_name_every_suite():
+    assert set(cli._SUITE_OPTIONS) == set(verification.SUITES)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -221,6 +225,23 @@ def test_cli_import_leaves_numpy_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "7.0"  # |g|^2 = p for a nontrivial character
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_suites():
+    # a compute process pays only for what compute runs: the records are
+    # NamedTuples, and verify imports the suites itself
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import crystalmds.cli\n"
+            "added = sorted(set(sys.modules) - before)\n"
+            "print(crystalmds.cli.json.dumps(added))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(crystalmds.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    added = set(json.loads(done.stdout))
+    assert "crystalmds.cli" in added
+    assert not added & {"dataclasses", "inspect", "crystalmds.verification"}
 
 
 def test_closed_stdout_ends_quietly():

@@ -4,8 +4,8 @@ from operator import mul
 
 import pytest
 
-from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, WeightPolynomial,
-                        build_root_system, character_dimension,
+from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, LittelmannPattern,
+                        WeightPolynomial, build_root_system, character_dimension,
                         is_dominant, is_strongly_dominant, nice_long_word,
                         weyl_character, weyl_dimension)
 from crystalmds.roots import MAX_RANK, _demazure
@@ -40,6 +40,48 @@ def test_rank_constraints_rejected():
     with pytest.raises(ValueError, match="exceeds the supported maximum"):
         CartanSpec("A", MAX_RANK + 1)
     assert CartanSpec("D", MAX_RANK).rank == MAX_RANK
+
+
+# a valid record, a field to break, the bad value and the error it raises
+_VALIDATED = [
+    (CartanSpec("A", 3), "family", "E", "unknown family 'E'"),
+    (CartanSpec("B", 3), "rank", 1, "family B needs rank >= 2, got 1"),
+    (CartanSpec("A", 3), "rank", MAX_RANK + 1, "exceeds the supported maximum"),
+    (GaussSymbol(1, 2, 3), "t", 3, "symbol subscript t must be 1 or 2, got 3"),
+    (GaussSymbol(1, 2, 3), "degree", 1, "needs cover degree >= 2, got 1"),
+    (GaussSymbol(1, 2, 3), "residue", 3, "residue must be reduced modulo the degree"),
+    (LittelmannPattern(CartanSpec("A", 2), ((1, 0), (0,))), "rows", ((1,), (0,)),
+     r"rows do not fit the CartanSpec\(family='A', rank=2\) shape \[2, 1\]"),
+    (LittelmannPattern(CartanSpec("A", 2), ((1, 0), (0,))), "rows", ((1, -1), (0,)),
+     "pattern entries must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("record,field,bad,message", _VALIDATED)
+def test_validated_records_check_every_construction(record, field, bad, message):
+    # the call, by position or keyword, and _make and _replace run one check
+    fields = record._asdict()
+    fields[field] = bad
+    cls = type(record)
+    for build in (lambda: cls(*fields.values()), lambda: cls(**fields),
+                  lambda: cls._make(fields.values()), lambda: record._replace(**{field: bad})):
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert record._replace(**{field: getattr(record, field)}) == record
+
+
+def test_records_keep_repr_order_and_immutability():
+    spec = CartanSpec("A", 3)
+    assert repr(spec) == "CartanSpec(family='A', rank=3)"
+    assert repr(GaussSymbol(2, 1, 3)) == "GaussSymbol(t=2, residue=1, degree=3)"
+    symbols = [GaussSymbol(t, c, n) for n in (3, 2) for c in range(n) for t in (2, 1)]
+    assert sorted(symbols) == sorted(symbols, key=lambda s: (s.t, s.residue, s.degree))
+    assert sorted(symbols)[:3] == [GaussSymbol(1, 0, 2), GaussSymbol(1, 0, 3),
+                                   GaussSymbol(1, 1, 2)]
+    with pytest.raises(AttributeError):
+        spec.rank = 4
+    with pytest.raises(AttributeError):
+        spec.extra = 1
 
 
 @pytest.mark.parametrize("family", "ABCD")

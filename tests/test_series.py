@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from crystalmds import cli, coefficients, series
+from crystalmds import cli, coefficients, series, verification
 from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         WeightPolynomial, build_root_system, branch_decompose,
                         character_via_patterns, decorate, enumerate_patterns,
@@ -405,6 +405,23 @@ def test_tokuyama_stray_term_is_an_inexact_division(monkeypatch, where):
     assert res.reason == "inexact division"
 
 
+def test_tokuyama_suite_checks_the_quotient_against_the_closed_form(monkeypatch):
+    # one quotient shared by every lambda of a rank still fails the suite
+    # when it is not x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a)
+    def wrong(r, lam):
+        res = tokuyama_quotient(r, lam)
+        terms = dict(res.quotient.terms)
+        w = res.quotient.sorted_weights()[-1]
+        terms[w] = terms[w] * Q(1)
+        return res._replace(quotient=WeightPolynomial(r.height_vec, terms))
+
+    monkeypatch.setattr(verification, "tokuyama_quotient", wrong)
+    rep = verification.run_tokuyama_suite([(1, 1), (2, 1)])
+    assert [(c["name"], c["status"]) for c in rep["cases"]] == [
+        ("rank=2: divisible and quotient identical", "pass"),
+        ("rank 2: quotient is the deformed Weyl denominator", "fail")]
+
+
 def test_tokuyama_requires_type_a_and_strong_dominance():
     with pytest.raises(ValueError):
         tokuyama_quotient(rs("B", 2), (1, 1))
@@ -579,7 +596,7 @@ def test_branch_computes_each_slot_factor_once(monkeypatch, family, rank, lam, n
 
     def counted(spec, i, j, row, crow, brow, n):
         calls.append(spec)
-        keys.add((spec, coefficients.slot_key(spec, i, j, row, crow, brow)))
+        keys.add((spec, coefficients.slot_key(spec.family, spec.rank, i, j, row, crow, brow)))
         return slot_factor(spec, i, j, row, crow, brow, n)
 
     monkeypatch.setattr(coefficients, "slot_factor", counted)
