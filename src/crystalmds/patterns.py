@@ -17,7 +17,9 @@ circling and boxing masks need.  Membership of a single pattern is the walk
 pinned to it (``decorations.decorate``), which raises at the first entry out
 of bounds.  ``walk_plan`` builds the walk's set-up once per crystal, and the
 walk's one-row mode fills a single row from the packed weight of the rows
-above it, which is how ``series`` sums a crystal a row at a time.
+above it.  Its fillings depend on that weight only through the fields the
+row reads, which the plan records per row, so ``series`` sums a crystal
+forward a row at a time and walks each row once per distinct set of them.
 """
 from __future__ import annotations
 
@@ -108,11 +110,6 @@ class LittelmannPattern(_PatternFields):
     def to_text(self) -> str:
         return _rows_text(self.rows)
 
-    @staticmethod
-    def from_text(spec: CartanSpec, text: str) -> "LittelmannPattern":
-        rows = tuple(tuple(int(v) for v in part.split(",")) for part in text.strip().split(";"))
-        return LittelmannPattern(spec, rows)
-
 
 def _rows_text(rows) -> str:
     """Pattern text: rows separated by ';', entries by ','."""
@@ -157,14 +154,20 @@ class WalkPlan(NamedTuple):
     """The slot walk's set-up for one crystal, built once by ``walk_plan``
     and shared by every walk over it.  Walks on one plan share its row
     buffers, so two walks that place entries in the same row must not be
-    interleaved."""
+    interleaved.
+
+    ``reads[i - 1]`` masks the packed-weight fields that the slots of rows
+    i and below read, those of their column letters.  Row i reads letters
+    1..r-i+1 in every family, so that is row i's own fields: the key under
+    which ``series`` caches row i's fillings, and under which
+    ``branch_decompose`` shares the sum of the rows below row 1."""
     spec: CartanSpec
     codec: WeightCodec
     top: int                          # the highest weight, packed
     buffers: tuple[list, list, list]  # rows, circled and boxed marks
     frames: list                      # one per slot, in enumeration order
     starts: tuple[int, ...]           # row i's slots are frames[starts[i-1]:starts[i]]
-    reads: tuple[int, ...]            # reads[i]: the packed-weight bits read by rows > i
+    reads: tuple[int, ...]            # reads[i-1]: the weight fields rows >= i read
     halved: int                       # column whose bound is a(i, r)/2, else 0
 
 
@@ -195,7 +198,7 @@ def walk_plan(spec: CartanSpec, lam: Weight) -> WalkPlan:
     for i, _, _, _, _, _, shift, _ in reversed(frames):
         reads[i - 1] |= reads[i] | field << shift
     return WalkPlan(spec, codec, codec.pack(lam), (rows, circled, boxed), frames,
-                    starts, tuple(reads), spec.rank - 1 if spec.family == "B" else 0)
+                    starts, tuple(reads[:-1]), spec.rank - 1 if spec.family == "B" else 0)
 
 
 def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
@@ -226,11 +229,12 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     starting from the packed weight ``wt`` of the entries in the rows above,
     and each leaf is a filling of the row; the buffers of the other rows are
     not read.  A row's bounds and marks read its own entries and the weight
-    fields of its column letters only (``WalkPlan.reads``), so what lies
-    below a row depends on nothing else of the rows above.  Without ``row``
-    the walk runs over every row from the highest weight.  With ``pinned``
-    rows it follows that one pattern and raises ValueError at the first
-    entry outside its bounds.
+    fields of its column letters only (``WalkPlan.reads``), so its fillings,
+    their marks and the weight each drops depend on nothing else of ``wt``,
+    and ``series._row_sums`` walks it once per distinct set of those fields.
+    Without ``row`` the walk runs over every row from the highest weight.
+    With ``pinned`` rows it follows that one pattern and raises ValueError
+    at the first entry outside its bounds.
 
     The walk runs in one generator frame: an explicit per-slot stack holds
     each slot's remaining values, bounds, weight and accumulator, and every

@@ -9,24 +9,23 @@ every coefficient replaced by 1 the same sum is the Weyl character, which
 gives the primary cross-check against the character that
 ``roots.weyl_character`` builds with Demazure operators.
 
-Both sums run one row at a time (``_below``).  Deleting the top rows of a
-pattern leaves a pattern of a smaller crystal, whose highest weight is read
-off the weight, and the coefficient splits the same way: a slot's bounds,
-marks and factor read its own row and the weight fields of its column
-letters, nothing else.  So the sum over the rows below a completed row
-depends only on the weight fields those rows read.  It is taken once per
-distinct set of them and kept for the call, not re-summed for every filling
-of the rows above that leads to it; the sums below row 1 are read by one
-call only, and dropped as soon as it has used each.  Sums are keyed by
-packed weight offsets, and ``weightpoly.poly_from_packed`` turns the top
-sum into the polynomial in one step: all weights decoded a field at a
-time, and the values taken as they are, since no level keeps a zero.
-``p_part``'s sums hold packed monomial dicts (``CoeffElement.packed``), not
-ring elements: a merge adds each monomial product into the target dict in
-place, and the polynomial wraps each top dict as an element once, without
-a copy.  A level writes only the dicts it created; the memoized sums and
-the ``packed()`` dicts of slot values, which the slot table and the ring's
-one share, are read-only.
+Both sums run forward, one row at a time (``_row_sums``), as a row-transfer
+matrix does: a table maps each packed weight to the partial sum of every
+filling of the rows so far that ends there, and each row takes the table to
+the next.  A slot's bounds, marks and factor read its own row and the weight
+fields of its column letters, nothing else, so a row's fillings, summed by
+the weight they drop, depend only on the weight fields that row reads
+(``WalkPlan.reads``).  Each distinct set of them is walked once per row, and
+every prefix that reaches a weight is merged into one partial sum before the
+next row applies.  The last table is keyed by packed weight, and
+``weightpoly.poly_from_packed`` turns it into the polynomial in one step: all
+weights decoded a field at a time, and the values taken as they are, since
+no table keeps a zero.  ``p_part``'s tables hold packed monomial dicts
+(``CoeffElement.packed``), not ring elements: each product of a partial sum
+and a filling value is added into the next table's dict in place, and the
+polynomial wraps each last dict as an element once, without a copy.  A row
+writes only the dicts it created; the ``packed()`` dicts of slot values,
+which the slot table and the ring's one share, are read-only.
 
 ``tokuyama_quotient`` factors P at degree 1, where every coefficient is a
 Laurent polynomial in q (``g_value`` evaluates g there), as a
@@ -43,12 +42,12 @@ elements.
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
-The split is the row sum's own: the sum ``_below`` takes under each filling
-of row 1 is the sum over that group's branch crystal, so each group's lower
-sum is compared with P of the branch crystal, and nothing is walked leaf by
-leaf.  Each rank has one slot table for the call: the whole crystal's sum
-and the walk of row 1 share one, and the branch crystals of every mu the
-other.
+The split is the row loop's own: the rows below a filling of row 1 sum over
+that group's branch crystal, so each group's lower sum, the same loop started
+at row 2 from the group's end, is compared with P of the branch crystal, and
+nothing is walked leaf by leaf.  Each rank has one slot table for the call:
+the whole crystal's sum and the walk of row 1 share one, and the branch
+crystals of every mu the other.
 """
 from __future__ import annotations
 
@@ -70,111 +69,74 @@ __all__ = [
 ]
 
 
-def _below(plan: WalkPlan, i: int, wt: int, fold, one, memo: list[dict]) -> dict:
-    """The crystal sum from row i down, below placed rows of packed weight
-    ``wt``: over every filling of rows i.. that completes them, the product
-    of its slot values (``_walk``'s accumulator under ``fold``, from
-    ``one``), summed by the filling's packed weight offset from ``wt``.
-    Values are ints without ``fold``; with it, each offset maps to a packed
-    monomial dict (``CoeffElement.packed``) with no zero coefficient.
+def _row_sums(plan: WalkPlan, fold, one, row: int = 1, wt: int | None = None) -> dict:
+    """The crystal sum from row ``row`` down, below placed rows of packed
+    weight ``wt`` (by default the highest weight, above row 1): over every
+    filling of those rows, the product of its slot values (``_walk``'s
+    accumulator under ``fold``, from ``one``), summed by the packed weight it
+    ends at.  Values are ints without ``fold``; with it, zero-free packed
+    monomial dicts (``CoeffElement.packed``), which the caller owns.
 
-    Row i's fillings are summed by the weight they end at.  Each end's sum
-    multiplies the sum of the rows below it, shifted by the end's offset.
-    That sum is kept in ``memo[i]`` under ``plan.reads[i]``, the weight fields
-    that the rows below read: their bounds, marks and slot values read those
-    fields and their own entries, nothing else (see ``_walk``), so every end
-    that agrees on them shares it.  Row 1's sums are read by its one call
-    alone, which takes its ends key by key and keeps one sum at a time.  The
-    recursion goes one level per row.
-
-    The packed products accumulate in place (``_merge_packed``).  A level
-    writes only the dicts it created itself; the memoized sums, and the
-    ``packed()`` dicts of the fillings' values, are read-only.  Zeros left by
-    cancellation are dropped when the level completes.
+    The table of partial sums starts as ``{wt: one}``.  Row i pops each
+    (weight, partial sum) state as it consumes it and reads the row's
+    fillings from there, summed by weight drop, from a cache of the row
+    keyed by the weight fields the row reads (``WalkPlan.reads``), so each
+    distinct key is walked once.  The partial sum times each filling value
+    goes into the next table at the weight plus the drop.  Products of packed
+    dicts accumulate in place into dicts the next table created, and the
+    zeros that cancellation leaves are dropped once per row.
     """
+    packed = fold is not None
+    sums = {plan.top if wt is None else wt: dict(one.packed()) if packed else one}
+    for i in range(row, len(plan.starts)):
+        mask, cache, out = plan.reads[i - 1], {}, {}
+        get = out.get
+        while sums:
+            wt, s = sums.popitem()
+            key = wt & mask
+            fills = cache.get(key)
+            if fills is None:
+                fills = cache[key] = _row_fills(plan, i, wt, fold, one)
+            if not packed:
+                for d, c in fills:
+                    out[wt + d] = get(wt + d, 0) + s * c
+                continue
+            for d, f in fills:
+                x = wt + d
+                t = get(x)
+                if t is None:
+                    if len(f) == 1:  # nothing to merge: one shifted copy
+                        (k0, c0), = f.items()
+                        out[x] = {k0 + k: c0 * v for k, v in s.items()}
+                        continue
+                    t = out[x] = {}
+                tget = t.get
+                for k1, c1 in f.items():
+                    for k, v in s.items():
+                        k += k1
+                        t[k] = tget(k, 0) + c1 * v
+        if packed:
+            for x in [x for x, t in out.items() if 0 in t.values()]:
+                t = out[x]
+                for k in [k for k, c in t.items() if not c]:
+                    del t[k]
+                if not t:
+                    del out[x]
+        sums = out
+    return sums
+
+
+def _row_fills(plan: WalkPlan, i: int, wt: int, fold, one) -> list[tuple[int, object]]:
+    """Row i's fillings below placed rows of packed weight ``wt``, summed by
+    the weight they drop: (drop, value) pairs, the drop a packed offset and
+    the value the sum of the fillings' accumulators, an int without ``fold``
+    and a nonempty packed monomial dict, only to be read, with it."""
     ends: dict = {}
     for _, _, _, w, f in _walk(plan, fold=fold, seed=one, row=i, wt=wt):
         ends[w] = ends[w] + f if w in ends else f
-    sums, reads = memo[i], plan.reads[i]
-    if i == 1:
-        ends = dict(sorted(ends.items(), key=lambda e: e[0] & reads))
-    out: dict = {}
-    get = out.get
-    for w, f in ends.items():
-        key = w & reads
-        below = sums.get(key)
-        if below is None:
-            if i == 1:
-                sums.clear()
-            below = sums[key] = _below(plan, i + 1, w, fold, one, memo)
-        d = w - wt
-        if fold is not None:
-            _merge_packed(out, d, f.packed(), below)
-            continue
-        for off, c in below.items():
-            off += d
-            term, prev = f * c, get(off)
-            out[off] = term if prev is None else prev + term
     if fold is None:
-        return out
-    for off in [off for off, t in out.items() if 0 in t.values()]:
-        t = out[off]
-        for k in [k for k, c in t.items() if not c]:
-            del t[k]
-        if not t:
-            del out[off]
-    return out
-
-
-def _merge_packed(out: dict, d: int, f: dict[int, int], below: dict):
-    """Add the packed coefficient ``f`` times ``below``, shifted by ``d``,
-    into ``out``, whose packed dicts the calling level created.  Each
-    monomial product is one ``get`` and one store into the target dict; a
-    single-monomial ``f`` builds a fresh offset's dict in one comprehension."""
-    get = out.get
-    if len(f) == 1:
-        (k0, c0), = f.items()
-        for off, c in below.items():
-            t = get(d + off)
-            if t is None:
-                out[d + off] = {k0 + k: c0 * v for k, v in c.items()}
-                continue
-            tget = t.get
-            for k, v in c.items():
-                k += k0
-                t[k] = tget(k, 0) + c0 * v
-        return
-    if not f:  # the end's fillings cancelled
-        return
-    for off, c in below.items():
-        t = get(d + off)
-        if t is None:
-            t = out[d + off] = {}
-        tget = t.get
-        for k1, c1 in f.items():
-            for k, v in c.items():
-                k += k1
-                t[k] = tget(k, 0) + c1 * v
-
-
-def _crystal_sum(spec: CartanSpec, lam: Weight, fold, one) -> tuple[WalkPlan, dict]:
-    """The walk plan of ``lam``'s crystal, and the sum of the slot walk's
-    leaf accumulators over that crystal by packed leaf weight offset from
-    ``plan.top``: ints without ``fold``, packed monomial dicts, which the
-    caller owns, with it; no value is zero.  ``fold`` is ``_walk``'s, and
-    ``one``, its seed, is the identity of the values' multiplication.  The
-    memo of ``_below`` lives for this call; below the last row lies only the
-    empty filling."""
-    plan = walk_plan(spec, lam)
-    return plan, _below(plan, 1, plan.top, fold, one, _below_memo(plan, fold, one))
-
-
-def _below_memo(plan: WalkPlan, fold, one) -> list[dict]:
-    """An empty memo for ``_below`` over ``plan``, one dict per row, seeded
-    with the sum below the last row: only the empty filling, at offset 0."""
-    memo: list[dict] = [{} for _ in plan.reads]
-    memo[-1][0] = {0: one if fold is None else one.packed()}
-    return memo
+        return [(w - wt, c) for w, c in ends.items()]
+    return [(w - wt, f.packed()) for w, f in ends.items() if not f.is_zero()]
 
 
 def _pruning_fold(factor):
@@ -186,26 +148,28 @@ def _pruning_fold(factor):
 
 
 def _p_sums(spec: CartanSpec, lam: Weight, factor) -> tuple[WalkPlan, dict]:
-    """``_crystal_sum`` of P over ``lam``'s crystal: the slot values come from
-    the slot table ``factor`` (``coefficients.slot_table``) under the pruning
-    fold, so each packed offset maps to a zero-free packed monomial dict,
-    which the caller owns.  The one sum behind ``p_part``, the Tokuyama
-    numerator and the sums that ``branch_decompose`` compares."""
-    return _crystal_sum(spec, lam, _pruning_fold(factor), CoeffElement.one())
+    """The walk plan of ``lam``'s crystal and ``_row_sums`` of P over it: the
+    slot values come from the slot table ``factor``
+    (``coefficients.slot_table``) under the pruning fold, so each packed
+    weight maps to a zero-free packed monomial dict, which the caller owns.
+    The one sum behind ``p_part``, the Tokuyama numerator and the sums that
+    ``branch_decompose`` compares."""
+    plan = walk_plan(spec, lam)
+    return plan, _row_sums(plan, _pruning_fold(factor), CoeffElement.one())
 
 
 def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Sum of x^wt over the crystal; must equal the Weyl character exactly.
 
-    Counts the leaf weights of the slot walk, one row at a time: every
-    filling of the rows below a completed row is counted once per distinct
-    set of weight fields they read (``_below``), not once per top-row prefix
-    that leads to it.
+    Counts the leaf weights of the slot walk, one row at a time: the
+    fillings of each row are counted once per distinct set of weight fields
+    the row reads, and every prefix that reaches a weight once
+    (``_row_sums``), not once per leaf.
     """
     lam = tuple(lam)
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
-    plan, sums = _crystal_sum(rs.spec, lam, None, 1)
-    return poly_from_packed(rs.height_vec, plan.codec, sums, meta, plan.top)
+    plan = walk_plan(rs.spec, lam)
+    return poly_from_packed(rs.height_vec, plan.codec, _row_sums(plan, None, 1), meta)
 
 
 def p_part(rs: RootSystem, lam: Weight, n: int, *,
@@ -218,9 +182,8 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
 
     A pattern's coefficient is the product of its slot factors, and a slot's
     factor reads only its own row's values and marks.  So the coefficients
-    of the rows below a completed row, like their bounds, depend only on the
-    weight fields those rows read, and ``_below`` sums them once per such
-    set of fields.
+    of a row, like its bounds, depend only on the weight fields the row
+    reads, and ``_row_sums`` walks the row once per such set of fields.
     """
     lam = tuple(lam)
     if n < 1:
@@ -239,7 +202,7 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
     # subtree is skipped.
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
     plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, n))
-    return poly_from_packed(rs.height_vec, plan.codec, sums, meta, plan.top)
+    return poly_from_packed(rs.height_vec, plan.codec, sums, meta)
 
 
 def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:
@@ -302,7 +265,7 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     if not is_strongly_dominant(lam):
         raise ValueError("need a strongly dominant highest weight")
     plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, 1))
-    numer = dict(zip(plan.codec.decode_all([plan.top + x for x in sums]), sums.values()))
+    numer = dict(zip(plan.codec.decode_all(sums), sums.values()))
     lam_prime = tuple(c - 1 for c in lam)
     divisor = _twist(rs, lam_prime, weyl_character(rs, lam_prime).terms)
     quot, rem = divide_terms(rs.height_vec, numer, divisor)
@@ -353,9 +316,11 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
 
     A group is one filling of row 1, walked without pruning: its end weight
     is the shift, its first r-1 coordinates the branch weight mu.  Its lower
-    sum is ``p_part``'s sum over the rows below that end (``_below``), keyed
-    by ``plan.reads[1]`` as there, and every group's is compared with P_mu,
-    taken once per mu by ``_p_sums``.  The whole crystal's P and the walk
+    sum is ``p_part``'s row loop started at row 2 from that end
+    (``_row_sums``).  The rows below row 1 read only the weight fields in
+    ``plan.reads[1]``, so the sum is taken once per distinct set of them, as
+    offsets from the end, and every group's is compared with P_mu, taken
+    once per mu by ``_p_sums``.  The whole crystal's P and the walk
     share one slot table, and every P_mu the rank-(r-1) one, so each distinct
     slot state's factor is computed once per call.
     All checks are recorded per group rather than raised; the factorization
@@ -371,11 +336,10 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
         raise ValueError("cover degree n must be >= 1")
     factor, sub_factor = slot_table(spec, n), slot_table(sub_rs.spec, n)
     plan, sums = _p_sums(spec, lam, factor)
-    whole = poly_from_packed(rs.height_vec, plan.codec, sums, {}, plan.top)
+    whole = poly_from_packed(rs.height_vec, plan.codec, sums, {})
     fold, one = _pruning_fold(factor), CoeffElement.one()
-    memo = _below_memo(plan, fold, one)
-    lower, reads = memo[1], plan.reads[1]
-    # copy each top row before recursing: walks on one plan share the rows
+    lower: dict[int, dict] = {}
+    # copy each top row before the lower sums walk: walks on one plan share the rows
     tops = [(tuple(rows[0]), w, acc) for rows, _, _, w, acc in _walk(
         plan, fold=lambda i, j, acc, *row: acc * factor(i, j, *row),
         seed=one, row=1, wt=plan.top)]
@@ -391,16 +355,18 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
             raise AssertionError(f"branch weight {mu} is not dominant")
         if mu not in branches:
             sub_plan, sub_sums = _p_sums(sub_rs.spec, mu, sub_factor)
-            branches[mu] = (poly_from_packed(sub_rs.height_vec, sub_plan.codec, sub_sums, {},
-                                             sub_plan.top).terms, weyl_dimension(sub_rs, mu))
+            branches[mu] = (poly_from_packed(sub_rs.height_vec, sub_plan.codec, sub_sums,
+                                             {}).terms, weyl_dimension(sub_rs, mu))
         want, size = branches[mu]
-        key = w & reads
+        key = w & plan.reads[1]
         below = lower.get(key)
         if below is None:
-            below = lower[key] = _below(plan, 2, w, fold, one, memo)
+            below = lower[key] = {x - w: t for x, t in _row_sums(plan, fold, one, 2, w).items()}
         # the lower sum's rank-r weights by their first r-1 coordinates
         lift, got, clash = {}, {}, []
-        for wt, c in poly_from_packed(rs.height_vec, plan.codec, below, {}, w).terms.items():
+        lower_terms = poly_from_packed(rs.height_vec, plan.codec,
+                                       {w + x: t for x, t in below.items()}, {}).terms
+        for wt, c in lower_terms.items():
             u = wt[:r - 1]
             if u in lift:
                 clash.append(u)

@@ -167,9 +167,9 @@ def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
 
 
 def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec, table: dict,
-                     meta: dict, base: int = 0) -> WeightPolynomial:
-    """The polynomial of a packed table: ``base`` plus each key is a packed
-    weight, and each value a nonzero int or a zero-free packed monomial dict
+                     meta: dict) -> WeightPolynomial:
+    """The polynomial of a packed table: each key is a packed weight, and
+    each value a nonzero int or a zero-free packed monomial dict
     (``CoeffElement.packed``), which the polynomial takes over.  Equal ints
     share one element, made for this call.  Neither the table nor ``meta``
     is copied."""
@@ -179,11 +179,10 @@ def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec, table: dic
     else:
         shared = {c: CoeffElement.from_int(c) for c in set(values)}
         elements = map(shared.__getitem__, values)
-    keys = [base + x for x in table] if base else table
     # the terms are canonical already: skip the constructor's copy and scan
     poly = object.__new__(WeightPolynomial)
     poly.height_vec, poly.meta = height_vec, meta
-    poly.terms = dict(zip(codec.decode_all(keys), elements))
+    poly.terms = dict(zip(codec.decode_all(table), elements))
     return poly
 
 
@@ -204,8 +203,9 @@ def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple
     only read.  The terms are the (weight, monomial) pairs, taken in the
     fixed order extended by the monomial key as one more coordinate of
     height 0: descending height, then lexicographic.  ``denom``'s leading
-    term must have coefficient 1 or -1, its own inverse.  Returns (quotient,
-    remainder) in the same form, with dicts of their own.
+    weight must hold one monomial, of coefficient 1 or -1, its own inverse;
+    otherwise ValueError.  Returns (quotient, remainder) in the same form,
+    with dicts of their own.
 
     One linear map packs each term into one int: the height in the top
     field, then weight coordinate k in a signed field as wide as the larger
@@ -254,10 +254,13 @@ def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple
                 for f, t in by_weight.items()}
 
     lead_w = min(denom, key=pack)
-    lead_key = lead_w + (max(denom[lead_w]),)
-    unit = denom[lead_w][lead_key[-1]]
+    if len(denom[lead_w]) != 1:
+        raise ValueError(f"divisor leading weight {lead_w} holds {len(denom[lead_w])} "
+                         "monomials, not one")
+    ((k, unit),) = denom[lead_w].items()
     if unit not in (1, -1):
         raise ValueError(f"divisor leading coefficient {unit} is not 1 or -1")
+    lead_key = lead_w + (k,)
     lead = pack(lead_key)
     den = [(x - k, c) for x, t in zip(map(pack, denom), denom.values())
            for k, c in t.items() if x - k != lead]

@@ -14,6 +14,9 @@ The pattern bounds are written out here from their definitions, apart from
 the package's slot walk: ``chain_lower_bound`` from each family's row-chain
 inequalities and ``greedy_bound`` from the long word, so the walk's masks and
 its membership verdicts can be checked against them.
+
+``from_text``, the parser of pattern text, is the one helper built on the
+package: it reads ``LittelmannPattern.to_text`` back.
 """
 from __future__ import annotations
 
@@ -22,6 +25,13 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import mul, sub
+
+from crystalmds import CartanSpec, LittelmannPattern
+
+
+def from_text(spec: CartanSpec, text: str) -> "LittelmannPattern":
+    rows = tuple(tuple(int(v) for v in part.split(",")) for part in text.strip().split(";"))
+    return LittelmannPattern(spec, rows)
 
 
 def _dot(u, v):
@@ -363,8 +373,9 @@ def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple
 
     A key is a weight, optionally followed by coordinates of height 0, taken
     in the fixed order extended to them: descending height, then
-    lexicographic.  ``denom``'s leading coefficient must be 1 or -1, its own
-    inverse.  Returns (quotient, remainder).
+    lexicographic.  ``denom``'s leading key must be the only one of its
+    weight, and its coefficient 1 or -1, its own inverse; otherwise
+    ValueError.  Returns (quotient, remainder).
 
     One linear map packs each key into one int: the height in the top field,
     then coordinate k in a signed field as wide as the larger of numer's and
@@ -411,6 +422,9 @@ def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple
                 for x, c in table.items()}
 
     lead_w = min(denom, key=pack)
+    rank = len(height_vec)
+    if sum(w[:rank] == lead_w[:rank] for w in denom) > 1:
+        raise ValueError(f"divisor leading weight {lead_w[:rank]} holds more than one key")
     unit = denom[lead_w]
     if unit not in (1, -1):
         raise ValueError(f"divisor leading coefficient {unit} is not 1 or -1")

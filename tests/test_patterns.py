@@ -11,7 +11,7 @@ from crystalmds.decorations import decorated_crystal
 from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
 from crystalmds.series import character_via_patterns
 from crystalmds.weightpoly import weight_codec
-from oracles import chain_lower_bound, greedy_bound, oracle_masks
+from oracles import chain_lower_bound, from_text, greedy_bound, oracle_masks
 
 SMALL_SPECS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
@@ -72,7 +72,7 @@ def test_shape_validation():
 def test_text_round_trip():
     L = P("A", 2, [[1, 0], [0]])
     assert L.to_text() == "1,0;0"
-    assert LittelmannPattern.from_text(CartanSpec("A", 2), "1,0;0") == L
+    assert from_text(CartanSpec("A", 2), "1,0;0") == L
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,21 @@ def test_row_walks_chain_to_the_full_walk(family, rank, lam):
             for rows, circled, boxed, w, _ in _walk(plan)]
     assert list(chain(1, plan.top, ())) == full
     assert len(full) == weyl_dimension(rs(family, rank), lam)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_each_row_reads_the_fields_of_the_rows_below(family):
+    # row i reads the fields of letters 1..r-i+1 and no others, in every
+    # family: so rows i and below read exactly row i's own fields, the key
+    # of row i's fillings in the row sums
+    for rank in range(3, 9):
+        spec = CartanSpec(family, rank)
+        plan = walk_plan(spec, (1,) * rank)
+        w = plan.codec.width
+        for i, mask in enumerate(plan.reads, start=1):
+            own = {column_letter(spec, j) for j in range(i, i + pattern_shape(spec)[i - 1])}
+            assert own == set(range(1, rank - i + 2)), (rank, i)
+            assert mask == sum(((1 << w) - 1) << (c - 1) * w for c in own), (rank, i)
 
 
 def test_monotone_inclusion_in_lambda():

@@ -387,9 +387,10 @@ def _assert_divides_like_the_reference(height_vec, numer: dict, denom: dict):
 def test_division_matches_the_reference_division():
     # the division that packs each weight once and the tuple-keyed one of
     # ``oracles`` give the same quotient and remainder on exact and
-    # perturbed products, on plain integer tables, on symbolic coefficients
-    # of degree 2 and 3 with coordinates near 0 and +-10^6, and on divisors
-    # whose leading weight holds more monomials than the unit leading one
+    # perturbed products, on plain integer tables, and on symbolic
+    # coefficients of degree 2 and 3 with coordinates near 0 and +-10^6; a
+    # divisor whose leading weight holds more monomials than the unit
+    # leading one, both refuse
     rng = random.Random("reference division")
     for family, rank in [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
         r = rs(family, rank)
@@ -406,14 +407,12 @@ def test_division_matches_the_reference_division():
             d[lead][max(d[lead])] = rng.choice((1, -1))
             numer = g * WeightPolynomial(h, {w: CoeffElement.from_packed(dict(t))
                                              for w, t in d.items()})
-            tables = [numer]
-            if len(d[lead]) == 1:
-                # inexact divisions only by a lone leading monomial: beside
-                # others, the remainder can run down the whole monomial box
-                bumped = _plus(numer, WeightPolynomial(h, {rng.choice(list(g.terms)):
-                                                           _random_coeff(rng)}))
-                tables += [bumped, g]
-            for table in tables:
+            if len(d[lead]) > 1:
+                _assert_both_refuse(h, _packed(numer), d)
+                continue
+            bumped = _plus(numer, WeightPolynomial(h, {rng.choice(list(g.terms)):
+                                                       _random_coeff(rng)}))
+            for table in (numer, bumped, g):
                 _assert_divides_like_the_reference(h, _packed(table), d)
     # the stop-at-once cases: an empty quotient box, and a stray term below
     # an exact product
@@ -423,6 +422,22 @@ def test_division_matches_the_reference_division():
         _assert_divides_like_the_reference(h, {w: {0: 3}}, factor)
     _assert_divides_like_the_reference(
         h, {(0, 0): {0: 1}, (-1, 2): {0: -1}, (-9, 1): {0: 4}}, factor)
+
+
+def _assert_both_refuse(height_vec, numer: dict, denom: dict):
+    with pytest.raises(ValueError, match="leading weight"):
+        divide_terms(height_vec, numer, denom)
+    with pytest.raises(ValueError, match="leading weight"):
+        reference_divide_terms(height_vec, _flat(numer), _flat(denom))
+
+
+def test_division_refuses_a_leading_weight_of_several_monomials():
+    # the divisor's one weight holds g_1(1) and q^-1 g_1(1), each of
+    # coefficient 1; a check of the leading monomial's coefficient alone
+    # lets it through, and dividing 1 + g_1(1)^2 by it then runs on without
+    # end
+    kg, = CoeffElement.symbol(GaussSymbol(1, 1, 2)).packed()
+    _assert_both_refuse((1, 1), {(1, 0): {0: 1, 2 * kg: 1}}, {(1, 0): {kg: 1, kg - 1: 1}})
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])

@@ -99,9 +99,10 @@ def test_p_part_leaves_shared_dicts_alone(family, rank, lam, other, n):
                                                ("C", 3, (2, 1, 1), 3), ("D", 3, (1, 1, 3), 2),
                                                ("D", 4, (1, 1, 1, 2), 2)])
 def test_row_sums_hold_no_zero(family, rank, lam, n):
-    # a level of the row sums drops the zeros that cancellation leaves, and
-    # the offsets it empties, when it completes; the type-D cases cancel
-    # inside the merges of the row sums (see the witness below)
+    # each row of the row loop drops the zeros that cancellation leaves, and
+    # the weights it empties, when it completes: the table the loop returns
+    # after any number of rows holds none; the type-D cases cancel inside
+    # the merges of the row sums (see the witness below)
     r = rs(family, rank)
     factor = slot_table(r.spec, n)
 
@@ -109,12 +110,42 @@ def test_row_sums_hold_no_zero(family, rank, lam, n):
         f = factor(i, j, *rows)
         return None if f.is_zero() else coeff * f
 
-    plan, sums = series._crystal_sum(r.spec, lam, fold, CoeffElement.one())
-    assert all(t and 0 not in t.values() for t in sums.values())
+    plan = walk_plan(r.spec, lam)
+    for i in range(1, len(plan.starts)):
+        upto = plan._replace(starts=plan.starts[:i + 1])
+        sums = series._row_sums(upto, fold, CoeffElement.one())
+        assert sums and all(t and 0 not in t.values() for t in sums.values()), i
     P = p_part(r, lam, n)
-    decode = plan.codec.decode
-    assert P.terms.keys() == {decode(plan.top + off) for off in sums}
+    assert P.terms.keys() == set(plan.codec.decode_all(sums))
     assert all(0 not in c.packed().values() for c in P.terms.values())
+
+
+@pytest.mark.parametrize("coarsen", ["every field", "top field"])
+@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2),
+                                               ("B", 3, (1, 1, 1), 2)])
+def test_coarse_row_key_is_caught(monkeypatch, family, rank, lam, n, coarsen):
+    # each row's fillings are cached by the weight fields the row reads; a
+    # key without them, or without only the highest of them, hands some
+    # weights the fillings of another, and both crystal sums leave their
+    # references
+    r = rs(family, rank)
+    ref_p, ref_chi = per_leaf_p_part(r, lam, (n,))[n], weyl_character(r, lam).terms
+    assert p_part(r, lam, n).terms == ref_p
+    assert character_via_patterns(r, lam).terms == ref_chi
+    plan_of = series.walk_plan
+
+    def coarse(spec, mu):
+        plan = plan_of(spec, mu)
+        w = plan.codec.width
+        if coarsen == "every field":
+            return plan._replace(reads=(0,) * len(plan.reads))
+        # clear the field of the highest letter that each row reads
+        return plan._replace(reads=tuple(
+            m & ~(((1 << w) - 1) << (m.bit_length() - 1) // w * w) for m in plan.reads))
+
+    monkeypatch.setattr(series, "walk_plan", coarse)
+    assert p_part(r, lam, n).terms != ref_p
+    assert character_via_patterns(r, lam).terms != ref_chi
 
 
 def test_cancelled_monomial_leaves_p():
@@ -379,11 +410,11 @@ def _patch_p_sums(monkeypatch, change):
     def wrapped(spec, lam, factor):
         plan, sums = _p_sums(spec, lam, factor)
         r = rs(spec.family, spec.rank)
-        terms = poly_from_packed(r.height_vec, plan.codec, sums, {}, plan.top).terms
+        terms = poly_from_packed(r.height_vec, plan.codec, sums, {}).terms
         new = change(r, lam, dict(terms))
         if not new:
             return plan, sums
-        return plan, {plan.codec.pack(w) - plan.top: c.packed() for w, c in new.items()}
+        return plan, {plan.codec.pack(w): c.packed() for w, c in new.items()}
 
     monkeypatch.setattr(series, "_p_sums", wrapped)
 
@@ -537,8 +568,10 @@ def test_branch_wrong_weight_is_recorded(monkeypatch):
 @pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2),
                                                ("B", 3, (1, 1, 1), 2)])
 def test_branch_coarse_memo_key_is_caught(monkeypatch, family, rank, lam, n):
-    # with the lower sums keyed by nothing, every group reads the first
-    # group's: the groups of another mu fail to factor, those of its mu pass
+    # with row 2's key, which also keys the lower sums, set to nothing,
+    # every group reads the first group's lower sum, whose own row loop
+    # starts from one weight and so stays right: the groups of another mu
+    # fail to factor, those of its mu pass
     plan_of = series.walk_plan
 
     def coarse(spec, mu):
@@ -691,6 +724,9 @@ FIXED_CASE_SHA256 = {
                    "ab70ca0850ff48b31e2d452f97b9d316750337902368165a68da15015d2b26f8"),
     "D3-212-n2": ("D", 3, (2, 1, 2), 2,
                   "cc0d58a326a76664666d296420b6aef46b51c7e7e9235215cb5d48a3cbb22e2a"),
+    # the stretch case: 7,878 terms, recorded before the forward row loop
+    "D5-rho-n2": ("D", 5, (1, 1, 1, 1, 1), 2,
+                  "9152889e765e82972d8c4c7bd1463688ab2960b989112873a5dadbf569e544fc"),
 }
 
 
