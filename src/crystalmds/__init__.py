@@ -10,7 +10,7 @@ verification routes.
 
 from .coefficients import (CoeffElement, ComponentD, GaussSymbol, entry_factor,
                            g_value, gauss_numeric, h_value, pattern_coefficient,
-                           row_components, sigma_entry)
+                           row_components)
 from .roots import (CartanSpec, RootSystem, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
                     nice_long_word, weyl_character, weyl_dimension)

@@ -44,17 +44,17 @@ because the packing is linear.  Monomials sort by plain
 int tuples ``(e, ((t, residue, degree, m), ...))``, which order exactly as the
 canonical form does.
 
-A decorated pattern's coefficient is a product of local factors, one per
-slot (``slot_factor``), and each is read off the slot's own row: the entry's
-factor in types A, B and C (``entry_factor``), and in type D the product over
-the connected components of the row (``row_components``,
-``_component_factor``), placed at the row's last slot.  A factor reads
-nothing but the slot's local state (``slot_key``), and there are few distinct
-states, so ``slot_table`` computes each once for a given (spec, n); the walks
-of ``series`` fold factors read from one into prefix products.
-``pattern_coefficient``, the per-pattern definition they are checked
-against, multiplies one pattern's factors from ``slot_factor``.  This module
-holds the whole rule.
+A decorated pattern's coefficient is a product of slot factors, all from one
+entry rule (``entry_factor``): 0 for a circled and boxed entry a, else q^a,
+g_t(a) or h(a) as it is circled, boxed or neither, times q^-a in types B and
+D.  A slot's factor is its entry's in types A, B and C; in type D it is the
+product over the row's components (``row_components``, ``_component_factor``)
+at the row's last slot.  ``slot_key`` states all a factor reads, and
+``slot_factor`` computes it from the key alone, so ``slot_table`` computes
+each distinct key's once for a given (spec, n), and the walks of ``series``
+multiply its factors into prefix products.  ``pattern_coefficient``, the
+per-pattern definition they are checked against, goes from key to factor
+for one pattern.  This module holds the whole rule.
 
 Everything here is immutable and safe to share between threads; the table
 of symbol fields only grows, under a lock.
@@ -342,8 +342,8 @@ class CoeffElement:
         return _wrap(packed)
 
     def times_unit(self, sign: int, q_exp: int) -> "CoeffElement":
-        """Multiply by ±q^e (a ring unit); used by the type-B and sigma
-        normalizations in ``entry_factor`` and ``sigma_entry``."""
+        """Multiply by ±q^e (a ring unit); used by the type-B and type-D
+        normalization in ``entry_factor``."""
         if sign not in (1, -1):
             raise ValueError(f"unit sign must be 1 or -1, got {sign}")
         e = _q_key(q_exp)
@@ -513,58 +513,29 @@ def gauss_numeric(t: int, a_exp: int, c_exp: int, p: int, n: int) -> complex:
 
 def entry_factor(family: str, a: int, circled: bool, boxed: bool,
                  middle: bool, n: int) -> CoeffElement:
-    """Contribution of one decorated entry in types A, B, C.
-
-    ``middle`` marks the central column of a B/C row; it selects the Gauss
-    subscript (t = 1 at the middle in B, t = 2 at the middle in C, the other
-    value elsewhere).  Type D contributions are per component, not per entry
-    (see ``_component_factor``).
+    """Factor of one decorated entry ``a``, in every family: 0 if circled and
+    boxed, else u * q^a if circled, u * g_t(a) if boxed and u * h_s(a) if
+    neither.  The unit u is q^-a in types B and D, so a circled entry gives
+    the ring's one itself there, and 1 in A and C.  The subscript t is 2 off
+    the ``middle`` column in B and at it in C, and 1 elsewhere; s is t in B
+    and 1 in A, C and D.  Type D applies the rule to the entries a component
+    reads (``_component_factor``), and its circled-and-unboxed case, which
+    the published rule leaves open, is completed as 1, as in type B.
     """
-    if family == "A":
-        if circled and boxed:
-            return _ZERO
-        if circled:
-            return CoeffElement.q_power(a)
-        if boxed:
-            return g_value(1, a, n)
-        return h_value(1, a, n)
-    if family == "B":
-        t = 1 if middle else 2
-        if circled and boxed:
-            return _ZERO
-        if circled:
-            return _ONE
-        if boxed:
-            return g_value(t, a, n).times_unit(1, -a)
-        return h_value(t, a, n).times_unit(1, -a)
-    if family == "C":
-        t = 2 if middle else 1
-        if circled and boxed:
-            return _ZERO
-        if circled:
-            return CoeffElement.q_power(a)
-        if boxed:
-            return g_value(t, a, n)
-        return h_value(1, a, n)  # already zero unless n | a
-    raise ValueError(f"entry_factor does not apply to family {family!r}")
-
-
-def sigma_entry(a: int, circled: bool, boxed: bool, n: int) -> CoeffElement:
-    """Per-entry factor sigma(y) for type D.
-
-    The published rule omits the circled-and-unboxed case; it is completed
-    here as 1 (the q^a circling factor against the family's q^-a
-    normalization).  ``_component_factor`` evaluates it at the entries a
-    component's factor reads; ``count_forced_sigma`` reports how often
-    enumerated crystals actually reach the completed case.
-    """
+    if family not in ("A", "B", "C", "D"):
+        raise ValueError(f"entry_factor does not apply to family {family!r}")
     if circled and boxed:
         return _ZERO
+    normalized = family in ("B", "D")
     if circled:
-        return _ONE
-    if boxed:
-        return g_value(1, a, n).times_unit(1, -a)
-    return h_value(1, a, n).times_unit(1, -a)
+        return _ONE if normalized else CoeffElement.q_power(a)
+    t = 1
+    if family == "B" and not middle:
+        t = 2
+    elif family == "C" and middle:
+        t = 2
+    f = g_value(t, a, n) if boxed else h_value(t if family == "B" else 1, a, n)
+    return f.times_unit(1, -a) if normalized else f
 
 
 # ---------------------------------------------------------------------------
@@ -616,44 +587,52 @@ def _classify(r: int, i: int, value: int, j1: int, j2: int) -> ComponentD:
 
 
 def _component_factor(comp: ComponentD, row, crow, brow, n: int,
-                      _sigma=sigma_entry) -> CoeffElement:
+                      _entry=entry_factor) -> CoeffElement:
     """sigma of one component, read off its row: the row's values and its
     circled and boxed marks, each indexed by column minus the row index.
     The one place that knows which entries a component's sigma reads; each
-    read goes through ``_sigma``, the per-entry factor."""
+    read goes through ``_entry``, the per-entry factor, at family D."""
     i = comp.row
     if any(crow[j - i] and brow[j - i] for j in range(comp.j1, comp.j2 + 1)):
         return _ZERO
     if comp.kind != "sml":
         off = (comp.shorter_leg_col if comp.kind == "ml" else comp.j2) - i
-        return _sigma(row[off], crow[off], brow[off], n)
+        return _entry("D", row[off], crow[off], brow[off], False, n)
     # symmetric multiple leaner
     if comp.value == 0:
         return _ONE
     off = comp.j2 - i
-    right = _sigma(comp.value, crow[off], brow[off], n)
+    right = _entry("D", comp.value, crow[off], brow[off], False, n)
     if brow[off]:
-        second = _sigma(row[off - 1], crow[off - 1], brow[off - 1], n)
+        second = _entry("D", row[off - 1], crow[off - 1], brow[off - 1], False, n)
         return right * second * CoeffElement.q_power(1 - comp.length)
     return right * (_ONE - CoeffElement.q_power(-comp.length))
 
 
-def slot_factor(spec: CartanSpec, i: int, j: int, row, crow, brow, n: int
-                ) -> CoeffElement:
-    """Factor of slot (i, j), read off row ``i`` alone: its values and its
-    circled and boxed marks, each indexed by column minus the row index.
-
-    In types A, B and C this is the entry's own factor.  In type D the row
-    contributes the product of its component factors at its last slot in
-    enumeration order (j == i, where the row is complete), and every other
-    slot contributes 1.
-    """
-    if spec.family != "D":
+def slot_key(family: str, rank: int, i: int, j: int, row, crow, brow):
+    """All the factor of slot (i, j) reads besides the spec and the cover
+    degree, as a hashable key, from row ``i``'s values and circled and boxed
+    marks, each indexed by column minus the row index: in types A, B and C
+    the entry's ``entry_factor`` arguments (value, marks, middle column); in
+    type D the row index and the whole row at the row's last slot in
+    enumeration order (j == i, where the row is complete), else None."""
+    if family != "D":
         off = j - i
-        return entry_factor(spec.family, row[off], crow[off], brow[off],
-                            j == spec.rank, n)
+        return row[off], crow[off], brow[off], j == rank
     if j != i:
+        return None
+    return i, tuple(row), tuple(crow), tuple(brow)
+
+
+def slot_factor(spec: CartanSpec, key, n: int) -> CoeffElement:
+    """Factor of a slot from its ``slot_key`` alone: ``entry_factor`` of
+    the entry in types A, B and C; in type D the product of the row's
+    component factors at the row's last slot, and 1 (key None) elsewhere."""
+    if key is None:
         return _ONE
+    if spec.family != "D":
+        return entry_factor(spec.family, *key, n)
+    i, row, crow, brow = key
     out = _ONE
     for comp in row_components(spec, i, row):
         out = out * _component_factor(comp, row, crow, brow, n)
@@ -662,22 +641,8 @@ def slot_factor(spec: CartanSpec, i: int, j: int, row, crow, brow, n: int
     return out
 
 
-def slot_key(family: str, rank: int, i: int, j: int, row, crow, brow):
-    """Everything ``slot_factor`` reads of slot (i, j) besides the spec, given
-    by its ``family`` and ``rank``, and the cover degree, as a hashable key:
-    the entry's value and marks and whether it sits in the middle column in
-    types A, B and C, the row index and the whole row in type D.  None for a
-    type-D slot before its row's last slot, whose factor is 1."""
-    if family != "D":
-        off = j - i
-        return j == rank, row[off], crow[off], brow[off]
-    if j != i:
-        return None
-    return i, tuple(row), tuple(crow), tuple(brow)
-
-
 def slot_table(spec: CartanSpec, n: int):
-    """``slot_factor`` at this spec and cover degree, as a function of
+    """The slot factors at this spec and cover degree, as a function of
     (i, j, row, crow, brow) that computes the factor of each distinct
     ``slot_key`` once.  The factors live in a dict owned by the returned
     function, so they last as long as the caller keeps it."""
@@ -686,11 +651,9 @@ def slot_table(spec: CartanSpec, n: int):
 
     def factor(i, j, row, crow, brow) -> CoeffElement:
         key = slot_key(family, rank, i, j, row, crow, brow)
-        if key is None:
-            return _ONE
         f = factors.get(key)
         if f is None:
-            f = factors[key] = slot_factor(spec, i, j, row, crow, brow, n)
+            f = factors[key] = slot_factor(spec, key, n)
         return f
 
     return factor
@@ -698,12 +661,14 @@ def slot_table(spec: CartanSpec, n: int):
 
 def pattern_coefficient(dp: DecoratedPattern, n: int) -> CoeffElement:
     """Total coefficient of a decorated pattern: the product of its slot
-    factors, straight from ``slot_factor``."""
+    factors, each straight from its key by ``slot_factor``."""
     L = dp.pattern
+    spec = L.spec
     out = _ONE
     for i, j in L.positions():
         k = i - 1
-        out = out * slot_factor(L.spec, i, j, L.rows[k], dp.circled[k], dp.boxed[k], n)
+        key = slot_key(spec.family, spec.rank, i, j, L.rows[k], dp.circled[k], dp.boxed[k])
+        out = out * slot_factor(spec, key, n)
         if out.is_zero():
             return _ZERO
     return out
@@ -718,12 +683,12 @@ def count_forced_sigma(dp: DecoratedPattern) -> int:
         return 0
     forced = 0
 
-    def counting_sigma(a, circled, boxed, n):
+    def counting_entry(family, a, circled, boxed, middle, n):
         nonlocal forced
         forced += circled and not boxed
-        return sigma_entry(a, circled, boxed, n)
+        return entry_factor(family, a, circled, boxed, middle, n)
 
     for k, row in enumerate(dp.pattern.rows):
         for comp in row_components(spec, k + 1, row):
-            _component_factor(comp, row, dp.circled[k], dp.boxed[k], 1, counting_sigma)
+            _component_factor(comp, row, dp.circled[k], dp.boxed[k], 1, counting_entry)
     return forced

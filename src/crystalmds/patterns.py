@@ -26,6 +26,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple
 
+from .coefficients import CoeffElement
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
                     is_dominant)
 from .weightpoly import Weight, WeightCodec, weight_codec
@@ -202,7 +203,7 @@ def walk_plan(spec: CartanSpec, lam: Weight) -> WalkPlan:
 
 
 def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
-          fold: Callable | None = None, seed=None, row: int | None = None,
+          factor: Callable | None = None, row: int | None = None,
           wt: int | None = None) -> Iterator[tuple[list, list, list, int, object]]:
     """The slot walk: the one place that evaluates the bounds of a slot.
 
@@ -217,13 +218,15 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     when it equals the upper bound.  Each leaf yields the plan's shared
     ``(rows, circled, boxed)`` buffers, which change when the walk resumes,
     so a consumer copies what it keeps, followed by the leaf's packed weight
-    (an int key; the codec's ``decode`` gives the weight) and accumulator.
+    (an int key; the codec's ``decode`` gives the weight) and coefficient.
 
-    The accumulator starts as ``seed`` at the root.  With ``fold``, every
-    value placed at slot (i, j) turns the parent's accumulator into the
-    child's as ``fold(i, j, acc, row, crow, brow)``: the row buffers of row i
-    (values, circled, boxed) with the value and its marks in place.  A None
-    result skips the value and its whole subtree.
+    Without ``factor`` every leaf's coefficient is 1.  With it, a slot table
+    (``coefficients.slot_table``), the coefficient is the product of the
+    leaf's slot factors, carried as a prefix product: every value placed at
+    slot (i, j) multiplies the parent's product by ``factor(i, j, row, crow,
+    brow)``, read off the row buffers of row i (values, circled, boxed) with
+    the value and its marks in place.  A zero factor skips the value and its
+    whole subtree, so every leaf's coefficient is nonzero.
 
     With ``row`` the walk is one row's: it places the slots of that row only,
     starting from the packed weight ``wt`` of the entries in the rows above,
@@ -237,7 +240,7 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     at the first entry outside its bounds.
 
     The walk runs in one generator frame: an explicit per-slot stack holds
-    each slot's remaining values, bounds, weight and accumulator, and every
+    each slot's remaining values, bounds, weight and coefficient, and every
     leaf is yielded once, directly.  So the rank meets no recursion limit.
     """
     r = plan.spec.rank
@@ -251,12 +254,12 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     last = len(frames) - 1
     # the stack, one entry per slot of the current path: the values still to
     # try with the bounds they are marked against, and the weight and
-    # accumulator of the entries placed before the slot.  Sibling weights
+    # coefficient of the entries placed before the slot.  Sibling weights
     # step by one root from wts[k + 1], which starts one step above the
     # first nonzero value at k.
     tries: list = [None] * len(frames)
     wts = [wt] * (len(frames) + 1)
-    accs = [seed] * len(frames)
+    accs = [1 if factor is None else CoeffElement.one()] * len(frames)
     k = 0
     while k >= 0:
         i, j, vals, crow, brow, off, shift, drop = frames[k]
@@ -284,12 +287,13 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
             brow[off] = v == hi
             if v:
                 child_wt -= drop
-            if fold is None:
+            if factor is None:
                 child = acc
             else:
-                child = fold(i, j, acc, vals, crow, brow)
-                if child is None:
+                f = factor(i, j, vals, crow, brow)
+                if f.is_zero():
                     continue
+                child = acc * f
             if k == last:
                 yield rows, circled, boxed, child_wt, child
             else:

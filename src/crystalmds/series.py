@@ -46,12 +46,13 @@ The split is the row loop's own: the rows below a filling of row 1 sum over
 that group's branch crystal, so each group's lower sum, the same loop started
 at row 2 from the group's end, is compared with P of the branch crystal, and
 nothing is walked leaf by leaf.  Each rank has one slot table for the call:
-the whole crystal's sum and the walk of row 1 share one, and the branch
+the whole crystal's sum and the top rows' factors share one, and the branch
 crystals of every mu the other.
 """
 from __future__ import annotations
 
-from operator import mul
+from functools import reduce
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .coefficients import CoeffElement, slot_table
@@ -69,15 +70,16 @@ __all__ = [
 ]
 
 
-def _row_sums(plan: WalkPlan, fold, one, row: int = 1, wt: int | None = None) -> dict:
+def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) -> dict:
     """The crystal sum from row ``row`` down, below placed rows of packed
     weight ``wt`` (by default the highest weight, above row 1): over every
-    filling of those rows, the product of its slot values (``_walk``'s
-    accumulator under ``fold``, from ``one``), summed by the packed weight it
-    ends at.  Values are ints without ``fold``; with it, zero-free packed
-    monomial dicts (``CoeffElement.packed``), which the caller owns.
+    filling of those rows, its coefficient (``_walk``'s, the product of its
+    factors from the slot table ``factor``, or 1 without one), summed by the
+    packed weight it ends at.  Values are ints without ``factor``; with it,
+    zero-free packed monomial dicts (``CoeffElement.packed``), which the
+    caller owns.
 
-    The table of partial sums starts as ``{wt: one}``.  Row i pops each
+    The table of partial sums starts at ``wt`` with 1.  Row i pops each
     (weight, partial sum) state as it consumes it and reads the row's
     fillings from there, summed by weight drop, from a cache of the row
     keyed by the weight fields the row reads (``WalkPlan.reads``), so each
@@ -86,8 +88,8 @@ def _row_sums(plan: WalkPlan, fold, one, row: int = 1, wt: int | None = None) ->
     dicts accumulate in place into dicts the next table created, and the
     zeros that cancellation leaves are dropped once per row.
     """
-    packed = fold is not None
-    sums = {plan.top if wt is None else wt: dict(one.packed()) if packed else one}
+    packed = factor is not None
+    sums = {plan.top if wt is None else wt: dict(CoeffElement.one().packed()) if packed else 1}
     for i in range(row, len(plan.starts)):
         mask, cache, out = plan.reads[i - 1], {}, {}
         get = out.get
@@ -96,7 +98,7 @@ def _row_sums(plan: WalkPlan, fold, one, row: int = 1, wt: int | None = None) ->
             key = wt & mask
             fills = cache.get(key)
             if fills is None:
-                fills = cache[key] = _row_fills(plan, i, wt, fold, one)
+                fills = cache[key] = _row_fills(plan, i, wt, factor)
             if not packed:
                 for d, c in fills:
                     out[wt + d] = get(wt + d, 0) + s * c
@@ -126,36 +128,28 @@ def _row_sums(plan: WalkPlan, fold, one, row: int = 1, wt: int | None = None) ->
     return sums
 
 
-def _row_fills(plan: WalkPlan, i: int, wt: int, fold, one) -> list[tuple[int, object]]:
+def _row_fills(plan: WalkPlan, i: int, wt: int, factor) -> list[tuple[int, object]]:
     """Row i's fillings below placed rows of packed weight ``wt``, summed by
     the weight they drop: (drop, value) pairs, the drop a packed offset and
-    the value the sum of the fillings' accumulators, an int without ``fold``
-    and a nonempty packed monomial dict, only to be read, with it."""
+    the value the sum of the fillings' coefficients from ``_walk``, an int
+    without the slot table ``factor`` and a nonempty packed monomial dict,
+    only to be read, with it."""
     ends: dict = {}
-    for _, _, _, w, f in _walk(plan, fold=fold, seed=one, row=i, wt=wt):
+    for _, _, _, w, f in _walk(plan, factor=factor, row=i, wt=wt):
         ends[w] = ends[w] + f if w in ends else f
-    if fold is None:
+    if factor is None:
         return [(w - wt, c) for w, c in ends.items()]
     return [(w - wt, f.packed()) for w, f in ends.items() if not f.is_zero()]
 
 
-def _pruning_fold(factor):
-    """``p_part``'s ``_walk`` fold over the slot table ``factor``."""
-    def fold(i, j, coeff, row, crow, brow):
-        f = factor(i, j, row, crow, brow)
-        return None if f.is_zero() else coeff * f
-    return fold
-
-
 def _p_sums(spec: CartanSpec, lam: Weight, factor) -> tuple[WalkPlan, dict]:
-    """The walk plan of ``lam``'s crystal and ``_row_sums`` of P over it: the
-    slot values come from the slot table ``factor``
-    (``coefficients.slot_table``) under the pruning fold, so each packed
-    weight maps to a zero-free packed monomial dict, which the caller owns.
-    The one sum behind ``p_part``, the Tokuyama numerator and the sums that
-    ``branch_decompose`` compares."""
+    """The walk plan of ``lam``'s crystal and ``_row_sums`` of P over it,
+    with the factors of the slot table ``factor`` (``coefficients.slot_table``),
+    so each packed weight maps to a zero-free packed monomial dict, which the
+    caller owns.  The one sum behind ``p_part``, the Tokuyama numerator and
+    the sums that ``branch_decompose`` compares."""
     plan = walk_plan(spec, lam)
-    return plan, _row_sums(plan, _pruning_fold(factor), CoeffElement.one())
+    return plan, _row_sums(plan, factor)
 
 
 def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
@@ -169,7 +163,7 @@ def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     lam = tuple(lam)
     meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
     plan = walk_plan(rs.spec, lam)
-    return poly_from_packed(rs.height_vec, plan.codec, _row_sums(plan, None, 1), meta)
+    return poly_from_packed(rs.height_vec, plan.codec, _row_sums(plan), meta)
 
 
 def p_part(rs: RootSystem, lam: Weight, n: int, *,
@@ -194,12 +188,6 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
         raise ValueError(
             f"p-part semantics require a strongly dominant weight, got {lam}; "
             "pass allow_dominant=True to sum anyway")
-
-    # The row walk carries the coefficient as a prefix product along the
-    # row: a value at slot (i, j) multiplies it by the slot's factor, read
-    # off the row as the walk has filled it so far, from a table of this
-    # call.  A zero factor leaves only zero coefficients below, so the
-    # subtree is skipped.
     meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
     plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, n))
     return poly_from_packed(rs.height_vec, plan.codec, sums, meta)
@@ -314,15 +302,17 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     """Group the crystal by top row, recover each branch highest weight, and
     check that weights and coefficients factor through top-row deletion.
 
-    A group is one filling of row 1, walked without pruning: its end weight
-    is the shift, its first r-1 coordinates the branch weight mu.  Its lower
-    sum is ``p_part``'s row loop started at row 2 from that end
-    (``_row_sums``).  The rows below row 1 read only the weight fields in
-    ``plan.reads[1]``, so the sum is taken once per distinct set of them, as
-    offsets from the end, and every group's is compared with P_mu, taken
-    once per mu by ``_p_sums``.  The whole crystal's P and the walk
-    share one slot table, and every P_mu the rank-(r-1) one, so each distinct
-    slot state's factor is computed once per call.
+    A group is one filling of row 1, walked without a factor: its end
+    weight is the shift, its first r-1 coordinates the branch weight mu, and
+    the product of its slot factors, taken at the leaf, its part of the
+    scalar.  Its lower sum is ``p_part``'s row loop started at row 2 from
+    that end (``_row_sums``).  The rows below row 1 read only the weight
+    fields in ``plan.reads[1]``, so the sum is taken and decoded once per
+    distinct set of them, as weight offsets from the end, and every group's
+    is compared with P_mu, taken once per mu by ``_p_sums``.  The whole
+    crystal's P and the top rows share one slot table, and every P_mu the
+    rank-(r-1) one, so each distinct slot state's factor is computed once
+    per call.
     All checks are recorded per group rather than raised; the factorization
     is a theorem in type A and checked on a fixed battery elsewhere.
     """
@@ -337,18 +327,22 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     factor, sub_factor = slot_table(spec, n), slot_table(sub_rs.spec, n)
     plan, sums = _p_sums(spec, lam, factor)
     whole = poly_from_packed(rs.height_vec, plan.codec, sums, {})
-    fold, one = _pruning_fold(factor), CoeffElement.one()
-    lower: dict[int, dict] = {}
-    # copy each top row before the lower sums walk: walks on one plan share the rows
-    tops = [(tuple(rows[0]), w, acc) for rows, _, _, w, acc in _walk(
-        plan, fold=lambda i, j, acc, *row: acc * factor(i, j, *row),
-        seed=one, row=1, wt=plan.top)]
+    # each top row with the product of its slot factors, taken at the leaf,
+    # where the row is complete; copied before the lower sums walk, since
+    # walks on one plan share the rows
+    tops = []
+    for rows, circled, boxed, w, _ in _walk(plan, row=1, wt=plan.top):
+        row, crow, brow = rows[0], circled[0], boxed[0]
+        factors = [factor(1, j, row, crow, brow) for j in range(len(row), 0, -1)]
+        tops.append((tuple(row), w, reduce(mul, factors)))
 
     branches: dict[Weight, tuple[dict, int]] = {}
+    lower: dict[int, dict[Weight, CoeffElement]] = {}
     reports: list[BranchGroupReport] = []
     rebuilt: dict[Weight, CoeffElement] = {}
+    origin = (0,) * r
     lifts_ok = True
-    for top, w, acc in tops:
+    for top, w, top_scalar in tops:
         shift = plan.codec.decode(w)
         mu = shift[:r - 1]
         if not is_dominant(mu):
@@ -361,19 +355,21 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
         key = w & plan.reads[1]
         below = lower.get(key)
         if below is None:
-            below = lower[key] = {x - w: t for x, t in _row_sums(plan, fold, one, 2, w).items()}
+            # decoded once per key, as offsets from this group's shift
+            terms = poly_from_packed(rs.height_vec, plan.codec,
+                                     _row_sums(plan, factor, 2, w), {}).terms
+            below = lower[key] = {tuple(map(sub, x, shift)): c for x, c in terms.items()}
         # the lower sum's rank-r weights by their first r-1 coordinates
         lift, got, clash = {}, {}, []
-        lower_terms = poly_from_packed(rs.height_vec, plan.codec,
-                                       {w + x: t for x, t in below.items()}, {}).terms
-        for wt, c in lower_terms.items():
+        for off, c in below.items():
+            wt = tuple(map(add, shift, off))
             u = wt[:r - 1]
             if u in lift:
                 clash.append(u)
             lift[u], got[u] = wt, c
         diff = sorted(u for u in got.keys() | want.keys() if got.get(u) != want.get(u))
         witness = next(map(str, clash + diff), None)
-        scalar = acc * CoeffElement.from_packed(below[0]) if 0 in below else CoeffElement.zero()
+        scalar = top_scalar * below.get(origin, CoeffElement.zero())
         reports.append(BranchGroupReport(
             top, mu=mu, shift=shift, scalar=scalar, size=size,
             truncation_ok=got.keys() == want.keys(), s_additivity_ok=not clash,

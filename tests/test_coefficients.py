@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalmds import (CoeffElement, GaussSymbol, entry_factor, g_value,
-                        gauss_numeric, h_value, sigma_entry)
+                        gauss_numeric, h_value)
 from crystalmds.coefficients import POW_LIMIT, Q_EXP_LIMIT
 from oracles import RefCoeff
 
@@ -360,7 +360,7 @@ def test_gauss_relations_pinned_by_numeric_oracle(n, p):
 # ---------------------------------------------------------------------------
 
 def test_entry_factor_circled_and_boxed_is_zero():
-    for fam in "ABC":
+    for fam in "ABCD":
         assert entry_factor(fam, 2, True, True, False, 2).is_zero()
 
 
@@ -386,14 +386,24 @@ def test_entry_factor_type_c():
     assert entry_factor("C", 1, True, False, False, 4) == Q(1)
 
 
-def test_entry_factor_rejects_type_d():
-    with pytest.raises(ValueError):
-        entry_factor("D", 1, False, False, False, 1)
+def test_entry_factor_rejects_an_unknown_family():
+    for circled, boxed in ((False, False), (True, False), (False, True), (True, True)):
+        with pytest.raises(ValueError):
+            entry_factor("E", 1, circled, boxed, False, 1)
 
 
-def test_sigma_entry_cases():
-    assert sigma_entry(1, True, True, 1).is_zero()
-    assert sigma_entry(1, False, False, 1) == ONE - Q(-1)  # (q-1)/q
-    assert sigma_entry(2, False, True, 2) == g_value(1, 2, 2).times_unit(1, -2)
+def test_entry_factor_type_d():
+    # type D applies the rule to the entries a component reads (sigma)
+    assert entry_factor("D", 1, True, True, False, 1).is_zero()
+    assert entry_factor("D", 1, False, False, False, 1) == ONE - Q(-1)  # (q-1)/q
+    assert entry_factor("D", 2, False, True, False, 2) == g_value(1, 2, 2).times_unit(1, -2)
     # circled-and-unboxed: completed as the unit factor
-    assert sigma_entry(3, True, False, 2) == ONE
+    assert entry_factor("D", 3, True, False, False, 2) == ONE
+
+
+def test_circled_entry_is_the_rings_one_under_normalization():
+    # in types B and D a circled entry's q^a meets the q^-a normalization;
+    # the factor is the ring's one itself, which products pass through
+    for fam in "BD":
+        for middle in (False, True):
+            assert entry_factor(fam, 3, True, False, middle, 2) is ONE

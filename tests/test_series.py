@@ -14,7 +14,7 @@ from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         polynomial_json_obj, tokuyama_quotient,
                         twisted_character, weyl_character, weyl_dimension)
 from crystalmds.coefficients import GaussSymbol, slot_factor, slot_table
-from crystalmds.patterns import _walk, rows_weight, walk_plan
+from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
 from crystalmds.series import _p_sums
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, poly_from_packed, weight_codec
@@ -105,19 +105,37 @@ def test_row_sums_hold_no_zero(family, rank, lam, n):
     # the merges of the row sums (see the witness below)
     r = rs(family, rank)
     factor = slot_table(r.spec, n)
-
-    def fold(i, j, coeff, *rows):
-        f = factor(i, j, *rows)
-        return None if f.is_zero() else coeff * f
-
     plan = walk_plan(r.spec, lam)
     for i in range(1, len(plan.starts)):
         upto = plan._replace(starts=plan.starts[:i + 1])
-        sums = series._row_sums(upto, fold, CoeffElement.one())
+        sums = series._row_sums(upto, factor)
         assert sums and all(t and 0 not in t.values() for t in sums.values()), i
     P = p_part(r, lam, n)
     assert P.terms.keys() == set(plan.codec.decode_all(sums))
     assert all(0 not in c.packed().values() for c in P.terms.values())
+
+
+@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2), ("B", 3, (1, 1, 1), 2),
+                                               ("C", 3, (2, 1, 1), 2), ("D", 4, (1, 1, 1, 1), 2),
+                                               ("D", 3, (2, 1, 2), 60)])
+def test_walk_yields_each_nonzero_coefficient(family, rank, lam, n):
+    # the full walk over the slot table prunes under a zero factor and
+    # carries the prefix product: it must yield exactly the crystal elements
+    # of nonzero coefficient, each at its weight with pattern_coefficient's
+    # value.  D3 (2,1,2) at n = 60 is the type-D support witness (ROADMAP
+    # item 3).
+    r = rs(family, rank)
+    plan = walk_plan(r.spec, lam)
+    got = {_freeze(rows): (plan.codec.decode(w), c)
+           for rows, _, _, w, c in _walk(plan, factor=slot_table(r.spec, n))}
+    want, size = {}, 0
+    for L in enumerate_patterns(r, lam):
+        size += 1
+        c = pattern_coefficient(decorate(L, lam), n)
+        if not c.is_zero():
+            want[L.rows] = (pattern_wt(L, lam), c)
+    assert got == want
+    assert 0 < len(want) < size  # some subtree was pruned
 
 
 @pytest.mark.parametrize("coarsen", ["every field", "top field"])
@@ -627,10 +645,10 @@ def test_branch_computes_each_slot_factor_once(monkeypatch, family, rank, lam, n
     # it, so each distinct slot state's factor is computed once
     calls, keys = [], set()
 
-    def counted(spec, i, j, row, crow, brow, n):
+    def counted(spec, key, n):
         calls.append(spec)
-        keys.add((spec, coefficients.slot_key(spec.family, spec.rank, i, j, row, crow, brow)))
-        return slot_factor(spec, i, j, row, crow, brow, n)
+        keys.add((spec, key))
+        return slot_factor(spec, key, n)
 
     monkeypatch.setattr(coefficients, "slot_factor", counted)
     assert branch_decompose(rs(family, rank), lam, n).all_ok
