@@ -233,16 +233,7 @@ class CoeffElement:
             return NotImplemented
         if len(self._terms) < len(other._terms):
             self, other = other, self
-        if not other._terms:
-            return self
-        acc = self._terms.copy()
-        for k, c in other._terms.items():
-            s = acc.get(k, 0) + c
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-        return _wrap(acc)
+        return self._plus(other, 1)
 
     def __neg__(self) -> "CoeffElement":
         return _wrap({k: -c for k, c in self._terms.items()})
@@ -250,11 +241,15 @@ class CoeffElement:
     def __sub__(self, other: "CoeffElement") -> "CoeffElement":
         if not isinstance(other, CoeffElement):
             return NotImplemented
+        return self._plus(other, -1)
+
+    def _plus(self, other: "CoeffElement", sign: int) -> "CoeffElement":
+        """self + sign * other, merged into a copy of self's terms."""
         if not other._terms:
             return self
         acc = self._terms.copy()
         for k, c in other._terms.items():
-            s = acc.get(k, 0) - c
+            s = acc.get(k, 0) + sign * c
             if s:
                 acc[k] = s
             else:
@@ -340,14 +335,6 @@ class CoeffElement:
             for k in [k for k, c in packed.items() if not c]:
                 del packed[k]
         return _wrap(packed)
-
-    def times_unit(self, sign: int, q_exp: int) -> "CoeffElement":
-        """Multiply by ±q^e (a ring unit); used by the type-B and type-D
-        normalization in ``entry_factor``."""
-        if sign not in (1, -1):
-            raise ValueError(f"unit sign must be 1 or -1, got {sign}")
-        e = _q_key(q_exp)
-        return _wrap({k + e: sign * c for k, c in self._terms.items()})
 
     def __repr__(self):
         if not self._terms:
@@ -535,7 +522,7 @@ def entry_factor(family: str, a: int, circled: bool, boxed: bool,
     elif family == "C" and middle:
         t = 2
     f = g_value(t, a, n) if boxed else h_value(t if family == "B" else 1, a, n)
-    return f.times_unit(1, -a) if normalized else f
+    return f * CoeffElement.q_power(-a) if normalized else f
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Littelmann patterns: shapes, the slot walk, enumeration and weights.
 
 A pattern is a ragged array of nonnegative integers, one entry per letter of
-the family's distinguished long word.  Row i spans flat column indices
-``i .. row_end(i)``; reads outside the shape return 0.
+the family's distinguished long word.  The word comes in blocks, one per
+rank (``roots.long_word_blocks``), and row i holds the block i-th from the
+end: its length is row i's, and its letters are those of flat columns
+i, i+1, ... in turn, the same letter in every row that reaches a column.
+Reads outside the shape return 0.
 
 The slot walk ``_walk`` is the one place that evaluates a pattern's cone and
 string-polytope bounds.  It visits slots row by row from the top, right to
@@ -10,8 +13,9 @@ left inside each row.  Under that order the cone gives an exact lower bound
 and the polytope an exact upper bound for the next entry from already-placed
 entries alone, so the search prunes at the first violated constraint and
 every leaf is a crystal element.  The lower bound reads only the slot's own
-row, to its right; the upper bound is one coordinate of the weight of the
-entries already placed, which the walk carries along as one packed int.
+row, to its right, at offsets and a scale that ``walk_plan`` states once per
+slot; the upper bound is one coordinate of the weight of the entries already
+placed, which the walk carries along as one packed int.
 The same walk marks each entry that meets one of its bounds, which is all the
 circling and boxing masks need.  Membership of a single pattern is the walk
 pinned to it (``decorations.decorate``), which raises at the first entry out
@@ -28,44 +32,20 @@ from typing import Callable, Iterator, NamedTuple
 
 from .coefficients import CoeffElement
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
-                    is_dominant)
+                    is_dominant, long_word_blocks)
 from .weightpoly import Weight, WeightCodec, weight_codec
 
 
-def row_end(spec: CartanSpec, i: int) -> int:
-    r = spec.rank
-    if spec.family == "A":
-        return r
-    if spec.family == "D":
-        return 2 * r - 1 - i
-    return 2 * r - i
-
-
-def row_count(spec: CartanSpec) -> int:
-    return spec.rank - 1 if spec.family == "D" else spec.rank
-
-
 def pattern_shape(spec: CartanSpec) -> list[int]:
-    """Row lengths, top row first; the total is the positive-root count."""
-    lengths = [row_end(spec, i) - i + 1 for i in range(1, row_count(spec) + 1)]
-    assert sum(lengths) == spec.positive_root_count()
-    return lengths
+    """Row lengths, top row first: row i holds the strings along the block
+    i-th from the end of the long word."""
+    return [len(block) for block in reversed(long_word_blocks(spec))]
 
 
 def column_letter(spec: CartanSpec, j: int) -> int:
-    """Simple-root index whose climbing segments fill flat column j."""
-    r = spec.rank
-    if spec.family == "A":
-        return r - j + 1
-    if spec.family in ("B", "C"):
-        return r - j + 1 if j <= r else j - r + 1
-    if j <= r - 2:
-        return r - j + 1
-    if j == r - 1:
-        return 1
-    if j == r:
-        return 2
-    return j - r + 2
+    """Simple-root index whose climbing segments fill flat column j: the
+    j-th letter of the word's last block, which row 1 holds."""
+    return long_word_blocks(spec)[-1][j - 1]
 
 
 class _PatternFields(NamedTuple):
@@ -92,9 +72,7 @@ class LittelmannPattern(_PatternFields):
 
     def a(self, i: int, j: int) -> int:
         """Entry at row i, flat column j; 0 outside the shape."""
-        if not 1 <= i <= len(self.rows):
-            return 0
-        if not i <= j <= row_end(self.spec, i):
+        if not 1 <= i <= len(self.rows) or not i <= j < i + len(self.rows[i - 1]):
             return 0
         return self.rows[i - 1][j - i]
 
@@ -118,37 +96,38 @@ def _rows_text(rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Cone chain
-# ---------------------------------------------------------------------------
-
-def _chain_lower_bound(row, spec: CartanSpec, i: int, j: int) -> int:
-    """Lower bound imposed on slot (i, j) by the chain of row ``i``, given as
-    its values left to right; entries past the row end read 0.  The halved
-    column of type B (j = r - 1, bounded by a(i, r)/2) is the walk's own
-    case."""
-    r = spec.rank
-    fam = spec.family
-    off = j + 1 - i  # the right neighbour
-    scale = 1
-    if fam == "B" and j == r:
-        scale = 2
-    elif fam == "D":
-        if j == r - 2:
-            return max(row[off], row[off + 1])
-        if j == r - 1:
-            off += 1
-    return scale * row[off] if off < len(row) else 0
-
-
-# ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
 def enumeration_slots(spec: CartanSpec) -> list[tuple[int, int]]:
     """Slot order used by the enumerator: rows top to bottom, right to left."""
     return [(i, j)
-            for i in range(1, row_count(spec) + 1)
-            for j in range(row_end(spec, i), i - 1, -1)]
+            for i, n in enumerate(pattern_shape(spec), start=1)
+            for j in range(i + n - 1, i - 1, -1)]
+
+
+def _slot_cone(spec: CartanSpec, i: int, j: int, n: int) -> tuple[int, int, int, int]:
+    """The cone's lower bound on slot (i, j) of a row of n entries, as
+    ``(a, b, up, down)``: the larger of the row's entries at offsets a and b
+    times up/down.  The right neighbour bounds a slot, doubled at B's column
+    r and halved at B's column r-1; D's column r-2 takes the larger of the
+    central pair r-1, r, which are incomparable, so D's column r-1 is bounded
+    one entry over, by column r+1.  An entry past the row end reads 0, so
+    such a bound is (0, 0, 0, 1)."""
+    r, fam = spec.rank, spec.family
+    a = b = j + 1 - i
+    up, down = 1, 1
+    if fam == "B" and j == r:
+        up = 2
+    elif fam == "B" and j == r - 1:
+        down = 2
+    elif fam == "D" and j == r - 2:
+        b += 1
+    elif fam == "D" and j == r - 1:
+        a = b = a + 1
+    if b >= n:
+        return 0, 0, 0, 1
+    return a, b, up, down
 
 
 class WalkPlan(NamedTuple):
@@ -156,6 +135,10 @@ class WalkPlan(NamedTuple):
     and shared by every walk over it.  Walks on one plan share its row
     buffers, so two walks that place entries in the same row must not be
     interleaved.
+
+    Each frame holds a slot's position, its row's buffers and its offset in
+    the row, the field shift and packed root of its column letter, and its
+    cone ``(a, b, up, down)`` from ``_slot_cone``.
 
     ``reads[i - 1]`` masks the packed-weight fields that the slots of rows
     i and below read, those of their column letters.  Row i reads letters
@@ -169,7 +152,6 @@ class WalkPlan(NamedTuple):
     frames: list                      # one per slot, in enumeration order
     starts: tuple[int, ...]           # row i's slots are frames[starts[i-1]:starts[i]]
     reads: tuple[int, ...]            # reads[i-1]: the weight fields rows >= i read
-    halved: int                       # column whose bound is a(i, r)/2, else 0
 
 
 def walk_plan(spec: CartanSpec, lam: Weight) -> WalkPlan:
@@ -185,21 +167,20 @@ def walk_plan(spec: CartanSpec, lam: Weight) -> WalkPlan:
     boxed = [[False] * n for n in shape]
     codec = weight_codec(lam, build_root_system(spec).cartan)
     field = (1 << codec.width) - 1
-    # per slot: position, its row's buffers, offset in the row, and the field
-    # shift and packed simple root of its column letter
     frames = []
-    for i, j in enumeration_slots(spec):
-        c = column_letter(spec, j) - 1
-        frames.append((i, j, rows[i - 1], circled[i - 1], boxed[i - 1], j - i,
-                       c * codec.width, codec.roots[c]))
+    for i, block in enumerate(reversed(long_word_blocks(spec)), start=1):
+        for off in range(len(block) - 1, -1, -1):
+            c, j = block[off] - 1, i + off
+            frames.append((i, j, rows[i - 1], circled[i - 1], boxed[i - 1], off, c * codec.width,
+                           codec.roots[c], _slot_cone(spec, i, j, len(block))))
     starts = tuple(accumulate(shape, initial=0))
     # a slot's upper bound reads the field of its column letter, and nothing
     # else of the weight: gather those fields from the bottom row up
     reads = [0] * (len(shape) + 1)
-    for i, _, _, _, _, _, shift, _ in reversed(frames):
+    for i, _, _, _, _, _, shift, _, _ in reversed(frames):
         reads[i - 1] |= reads[i] | field << shift
     return WalkPlan(spec, codec, codec.pack(lam), (rows, circled, boxed), frames,
-                    starts, tuple(reads[:-1]), spec.rank - 1 if spec.family == "B" else 0)
+                    starts, tuple(reads[:-1]))
 
 
 def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
@@ -211,11 +192,12 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     word, and the walk carries the weight lam - sum v * alpha(letter) of the
     entries already placed, packed into one int by the plan's codec: placing
     a value subtracts its packed root.  Each node evaluates the slot's cone
-    lower bound from the entries of its row buffer and reads its polytope
-    upper bound off that weight: the field of the slot's column letter.
-    Every value placed there records its marks: circled when it equals the
-    lower bound (in the halved B slot, when twice it equals a(i, r)), boxed
-    when it equals the upper bound.  Each leaf yields the plan's shared
+    bound from its row buffer at the frame's offsets and scale, rounded up
+    to the lower bound, and reads its polytope upper bound off that weight:
+    the field of the slot's column letter.  Every value placed there records
+    its marks: circled when it equals the cone bound (so never under a
+    bound of a half, as B's column r-1 has when a(i, r) is odd), boxed when
+    it equals the upper bound.  Each leaf yields the plan's shared
     ``(rows, circled, boxed)`` buffers, which change when the walk resumes,
     so a consumer copies what it keeps, followed by the leaf's packed weight
     (an int key; the codec's ``decode`` gives the weight) and coefficient.
@@ -243,8 +225,6 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     each slot's remaining values, bounds, weight and coefficient, and every
     leaf is yielded once, directly.  So the rank meets no recursion limit.
     """
-    r = plan.spec.rank
-    halved = plan.halved
     coord = plan.codec.coord
     if row is None:
         frames, wt = plan.frames, plan.top
@@ -262,14 +242,13 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     accs = [1 if factor is None else CoeffElement.one()] * len(frames)
     k = 0
     while k >= 0:
-        i, j, vals, crow, brow, off, shift, drop = frames[k]
+        i, j, vals, crow, brow, off, shift, drop, (a, b, up, down) = frames[k]
         if tries[k] is None:  # first visit: evaluate the slot's bounds
-            if j == halved:
-                twice = vals[r - i]
-                # with a(i, r) odd, tight falls below lo and circles nothing
-                lo, tight = (twice + 1) // 2, twice // 2
-            else:
-                lo = tight = _chain_lower_bound(vals, plan.spec, i, j)
+            # the cone's bound, rounded up for lo; a half is tight for no
+            # integer, and its floor falls below lo, so it circles nothing
+            x, y = vals[a], vals[b]
+            bound = up * (x if x >= y else y)
+            lo, tight = -(-bound // down), bound // down
             wt = wts[k]
             hi = coord(wt, shift)
             first = lo if pinned is None else pinned[i - 1][off]
@@ -328,12 +307,12 @@ def enumerate_patterns(rs: RootSystem, lam: Weight) -> Iterator[LittelmannPatter
 
 def rows_weight(spec: CartanSpec, rows) -> tuple[int, ...]:
     """Column sums grouped by edge color: component k counts the climbing
-    steps along the k-th simple root.  ``rows`` are taken as they are, with
-    row i starting at flat column i; nothing is validated."""
+    steps along the k-th simple root.  ``rows`` are taken as they are, row i
+    read along the letters of its block; nothing is validated."""
     s = [0] * spec.rank
-    for i, row in enumerate(rows, start=1):
-        for j, v in enumerate(row, start=i):
-            s[column_letter(spec, j) - 1] += v
+    for row, block in zip(rows, reversed(long_word_blocks(spec))):
+        for v, c in zip(row, block):
+            s[c - 1] += v
     return tuple(s)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .weightpoly import (Weight, WeightCodec, WeightPolynomial, poly_from_packed,
@@ -255,28 +256,31 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
 # The distinguished reduced word for the long element
 # ---------------------------------------------------------------------------
 
-def nice_long_word(spec: CartanSpec) -> tuple[int, ...]:
-    """The family's distinguished long word: rank r extends rank r-1 by one
-    block of new letters, so the rank-(r-1) word is a prefix."""
+@lru_cache(maxsize=None)
+def long_word_blocks(spec: CartanSpec) -> tuple[tuple[int, ...], ...]:
+    """The blocks of the family's distinguished long word, one per rank in
+    increasing order (type D starts at rank 2): the block of rank k holds the
+    letters that rank k adds to the word of rank k-1.  Pattern row i holds
+    the strings along the block i-th from the end, one entry per letter, so
+    this is the one table of the pattern layout."""
     r = spec.rank
-    letters: list[int] = []
     if spec.family == "A":
-        for k in range(1, r + 1):
-            letters.extend(range(k, 0, -1))
-    elif spec.family in ("B", "C"):
-        letters.append(1)
-        for k in range(2, r + 1):
-            letters.extend(range(k, 0, -1))
-            letters.extend(range(2, k + 1))
-    else:
-        letters.extend((1, 2))
-        for k in range(3, r + 1):
-            letters.extend(range(k, 2, -1))
-            letters.extend((1, 2))
-            letters.extend(range(3, k + 1))
+        return tuple(tuple(range(k, 0, -1)) for k in range(1, r + 1))
+    if spec.family in ("B", "C"):
+        return ((1,),) + tuple(tuple(range(k, 0, -1)) + tuple(range(2, k + 1))
+                               for k in range(2, r + 1))
+    return ((1, 2),) + tuple(tuple(range(k, 2, -1)) + (1, 2) + tuple(range(3, k + 1))
+                             for k in range(3, r + 1))
+
+
+def nice_long_word(spec: CartanSpec) -> tuple[int, ...]:
+    """The family's distinguished long word, its blocks run together: rank r
+    extends rank r-1 by one block of new letters, so the rank-(r-1) word is a
+    prefix."""
+    letters = tuple(chain.from_iterable(long_word_blocks(spec)))
     if len(letters) != spec.positive_root_count():
         raise AssertionError(f"long word for {spec} has wrong length {len(letters)}")
-    return tuple(letters)
+    return letters
 
 
 # ---------------------------------------------------------------------------

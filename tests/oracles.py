@@ -194,7 +194,7 @@ def freudenthal_multiplicities(family: str, rank: int,
 # Adaptive-string membership bound
 # ---------------------------------------------------------------------------
 
-def long_word_blocks(family: str, rank: int) -> list[int]:
+def long_word(family: str, rank: int) -> list[int]:
     letters: list[int] = []
     if family == "A":
         for k in range(1, rank + 1):
@@ -231,7 +231,7 @@ def _string_data(family: str, rank: int):
     """Cartan matrix, long-word letters and slot -> path index, per type."""
     slots = tuple(string_fill_slots(family, rank))
     cartan = ModelRootSystem(family, rank).cartan_matrix()
-    return (tuple(map(tuple, cartan)), tuple(long_word_blocks(family, rank)),
+    return (tuple(map(tuple, cartan)), tuple(long_word(family, rank)),
             slots, {slot: h for h, slot in enumerate(slots)})
 
 

@@ -108,7 +108,7 @@ def test_ring_matches_reference_ring(sa, sb, sign, e):
     a, ra = build(sa)
     b, rb = build(sb)
     for got, want in [(a, ra), (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
-                      (-a, -ra), (a.times_unit(sign, e), ra.times_unit(sign, e))]:
+                      (-a, -ra), (a * Q(e, sign), ra.times_unit(sign, e))]:
         assert as_ref(got) == want.monomials()
         assert got.to_json_obj() == want.to_json_obj()
         assert got.as_unit_monomial() == want.as_unit_monomial()
@@ -176,7 +176,7 @@ def test_inputs_outside_the_field_bounds_are_rejected():
         with pytest.raises(ValueError):
             CoeffElement.symbol(sym, q_exp=e)
         with pytest.raises(ValueError):
-            ONE.times_unit(1, e)
+            ONE * Q(e, 1)
         with pytest.raises(ValueError):
             CoeffElement.from_json_obj({"monomials": [{"int": 1, "q": e, "gauss": []}]}, 2)
     for k in (0, -1, POW_LIMIT):
@@ -374,9 +374,9 @@ def test_entry_factor_type_a():
 def test_entry_factor_type_b_subscripts():
     # circled contributes 1; the middle column uses t=1, others t=2
     assert entry_factor("B", 3, True, False, True, 2) == ONE
-    assert entry_factor("B", 2, False, True, True, 3) == g_value(1, 2, 3).times_unit(1, -2)
-    assert entry_factor("B", 2, False, True, False, 3) == g_value(2, 2, 3).times_unit(1, -2)
-    assert entry_factor("B", 2, False, False, False, 2) == h_value(2, 2, 2).times_unit(1, -2)
+    assert entry_factor("B", 2, False, True, True, 3) == g_value(1, 2, 3) * Q(-2)
+    assert entry_factor("B", 2, False, True, False, 3) == g_value(2, 2, 3) * Q(-2)
+    assert entry_factor("B", 2, False, False, False, 2) == h_value(2, 2, 2) * Q(-2)
 
 
 def test_entry_factor_type_c():
@@ -396,7 +396,7 @@ def test_entry_factor_type_d():
     # type D applies the rule to the entries a component reads (sigma)
     assert entry_factor("D", 1, True, True, False, 1).is_zero()
     assert entry_factor("D", 1, False, False, False, 1) == ONE - Q(-1)  # (q-1)/q
-    assert entry_factor("D", 2, False, True, False, 2) == g_value(1, 2, 2).times_unit(1, -2)
+    assert entry_factor("D", 2, False, True, False, 2) == g_value(1, 2, 2) * Q(-2)
     # circled-and-unboxed: completed as the unit factor
     assert entry_factor("D", 3, True, False, False, 2) == ONE
 

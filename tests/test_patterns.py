@@ -1,17 +1,20 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
                         character_dimension, column_letter, decorate,
-                        enumerate_patterns, pattern_shape, pattern_wt,
+                        enumerate_patterns, nice_long_word, pattern_shape, pattern_wt,
                         branch_decompose, weyl_character, weyl_dimension)
 from crystalmds.decorations import decorated_crystal
-from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
+from crystalmds.patterns import _freeze, _walk, enumeration_slots, rows_weight, walk_plan
+from crystalmds.roots import _MIN_RANK
 from crystalmds.series import character_via_patterns
 from crystalmds.weightpoly import weight_codec
-from oracles import chain_lower_bound, from_text, greedy_bound, oracle_masks
+from oracles import (_row_spans, chain_lower_bound, from_text, greedy_bound, long_word,
+                     oracle_masks, string_fill_slots)
 
 SMALL_SPECS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
@@ -54,6 +57,29 @@ def test_shapes():
 def test_shape_total_is_positive_root_count(family, rank):
     spec = CartanSpec(family, rank)
     assert sum(pattern_shape(spec)) == spec.positive_root_count()
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_layout_matches_the_string_path(family):
+    # the oracle states the layout as row spans and a string path, bottom
+    # row first, whose h-th slot is the string along the h-th letter of its
+    # own copy of the long word
+    for rank in range(_MIN_RANK[family], 13):
+        spec = CartanSpec(family, rank)
+        spans = _row_spans(family, rank)
+        path = string_fill_slots(family, rank)
+        word = long_word(family, rank)
+        letter = dict(zip(path, word))
+        assert nice_long_word(spec) == tuple(word), rank
+        assert pattern_shape(spec) == [last - first + 1 for _, (first, last)
+                                       in sorted(spans.items())], rank
+        # a flat column has one letter, in row 1 and every row below
+        assert all(column_letter(spec, j) == c for (_, j), c in letter.items()), rank
+        assert enumeration_slots(spec) == path[::-1], rank
+        plan = walk_plan(spec, (1,) * rank)
+        assert [frame[:2] for frame in plan.frames] == path[::-1], rank
+        assert [frame[6] for frame in plan.frames] == \
+            [(letter[slot] - 1) * plan.codec.width for slot in path[::-1]], rank
 
 
 def test_zero_extension_reads():
@@ -104,6 +130,34 @@ def test_cone_examples():
         assert walk_accepts(L, lam) == holds, L.to_text()
     with pytest.raises(ValueError, match=r"entry 1 at \(1, 1\) .*bounds 2\.\.8"):
         decorate(P("A", 2, [[1, 2], [0]]), (6, 6))
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_plan_cone_is_the_chain_bound(family):
+    # each frame's cone, evaluated on random rows as the walk evaluates it:
+    # lo is the oracle's chain bound rounded up; tight is that bound when it
+    # is an integer, and lies below lo, circling nothing, when it is a half
+    rng = random.Random(28)
+    halves = {0: 0, 1: 0}
+    for rank in range(max(2, _MIN_RANK[family]), 9):
+        spec = CartanSpec(family, rank)
+        plan = walk_plan(spec, (1,) * rank)
+        for _ in range(30):
+            rows = [[rng.randrange(6) for _ in range(n)] for n in pattern_shape(spec)]
+            for i, j, _, _, _, _, _, _, (a, b, up, down) in plan.frames:
+                row = rows[i - 1]
+                bound = up * max(row[a], row[b])
+                lo, tight = -(-bound // down), bound // down
+                want = chain_lower_bound(family, rank, rows, (i, j))
+                assert lo == math.ceil(want), (rank, rows, i, j)
+                if want == int(want):
+                    assert tight == want, (rank, rows, i, j)
+                else:
+                    assert tight < lo, (rank, rows, i, j)
+                if family == "B" and j == rank - 1:
+                    halves[row[rank - i] % 2] += 1
+    if family == "B":
+        assert halves[0] and halves[1]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +293,6 @@ def test_enumeration_counts_and_membership(family, rank):
 def test_enumeration_deterministic_and_ordered():
     # branch_decompose groups and export's patterns.txt rely on this order:
     # lexicographic in the slot sequence, values ascending, no repeats
-    from crystalmds.patterns import enumeration_slots
     for family, rank, lam in [("C", 2, (2, 1)), ("A", 3, (1, 2, 1)),
                               ("B", 3, (1, 1, 1)), ("D", 4, (1, 1, 1, 1))]:
         r = rs(family, rank)
