@@ -47,14 +47,20 @@ canonical form does.
 A decorated pattern's coefficient is a product of slot factors, all from one
 entry rule (``entry_factor``): 0 for a circled and boxed entry a, else q^a,
 g_t(a) or h(a) as it is circled, boxed or neither, times q^-a in types B and
-D.  A slot's factor is its entry's in types A, B and C; in type D it is the
-product over the row's components (``row_components``, ``_component_factor``)
-at the row's last slot.  ``slot_key`` states all a factor reads, and
+D.  A slot's factor is its entry's in types A, B and C.  In type D a row
+splits into components, its runs of equal entries (``row_components``), and
+each component's factor (``_component_factor``) reads only its own run; a
+slot's factor is the product over the components that close there, in the
+walk's right-to-left order: the run to its right when the entries differ,
+and at the row's last slot the run holding it too.  So each component is
+taken once, at the first slot where it is complete, and a zero prunes the
+rest of its row.  ``slot_key`` states all a factor reads, and
 ``slot_factor`` computes it from the key alone, so ``slot_table`` computes
-each distinct key's once for a given (spec, n), and the walks of ``series``
-multiply its factors into prefix products.  ``pattern_coefficient``, the
-per-pattern definition they are checked against, goes from key to factor
-for one pattern.  This module holds the whole rule.
+each distinct key's once for a given (spec, n), along with each distinct
+entry's factor, and the walks of ``series`` multiply its factors into prefix
+products.  ``pattern_coefficient``, the per-pattern definition they are
+checked against, goes from key to factor for one pattern.  This module holds
+the whole rule.
 
 Everything here is immutable and safe to share between threads; the table
 of symbol fields only grows, under a lock.
@@ -530,15 +536,16 @@ def entry_factor(family: str, a: int, circled: bool, boxed: bool,
 # ---------------------------------------------------------------------------
 
 class ComponentD(NamedTuple):
-    """Maximal run of equal entries in one type-D row.
+    """Maximal run of equal entries in one type-D row, over flat columns
+    j1..j2.
 
     ``kind`` is "generic", "ml" (spans the middle asymmetrically) or "sml"
     (spans the middle symmetrically: j1 + j2 = 2r - 1).  ``length`` is half
     the vertex count of a symmetric run; ``shorter_leg_col`` points at the
-    run end nearer the middle for an asymmetric one.
+    run end nearer the middle for an asymmetric one.  Nothing here depends
+    on the row the run lies in.
     """
 
-    row: int
     j1: int
     j2: int
     value: int
@@ -547,100 +554,127 @@ class ComponentD(NamedTuple):
     shorter_leg_col: int | None = None
 
 
+def _run_end(row, start: int) -> int:
+    """End (exclusive) of the maximal run of equal entries from ``start``."""
+    v, end = row[start], start + 1
+    while end < len(row) and row[end] == v:
+        end += 1
+    return end
+
+
 def row_components(spec: CartanSpec, i: int, row) -> tuple[ComponentD, ...]:
     """Partition row ``i`` of a type-D pattern, given as its values left to
     right, into components: each maximal run of equal entries is one."""
-    r = spec.rank
-    runs: list[tuple[int, int]] = []
+    comps = []
     start = 0
     while start < len(row):
-        end = start
-        while end + 1 < len(row) and row[end + 1] == row[start]:
-            end += 1
-        runs.append((i + start, i + end))
-        start = end + 1
-    return tuple(_classify(r, i, row[j1 - i], j1, j2) for j1, j2 in runs)
+        end = _run_end(row, start)
+        comps.append(_classify(spec.rank, row[start], i + start, i + end - 1))
+        start = end
+    return tuple(comps)
 
 
-def _classify(r: int, i: int, value: int, j1: int, j2: int) -> ComponentD:
+def _classify(r: int, value: int, j1: int, j2: int) -> ComponentD:
     # a multiple leaner is a run covering both central columns r - 1 and r
     if j1 > r - 1 or j2 < r:
-        return ComponentD(i, j1, j2, value, "generic")
+        return ComponentD(j1, j2, value, "generic")
     if j1 + j2 == 2 * r - 1:
-        return ComponentD(i, j1, j2, value, "sml", length=r - j1)
+        return ComponentD(j1, j2, value, "sml", length=r - j1)
     left, right = (r - 1) - j1, j2 - r
     shorter = j1 if left < right else j2
-    return ComponentD(i, j1, j2, value, "ml", shorter_leg_col=shorter)
+    return ComponentD(j1, j2, value, "ml", shorter_leg_col=shorter)
 
 
-def _component_factor(comp: ComponentD, row, crow, brow, n: int,
-                      _entry=entry_factor) -> CoeffElement:
-    """sigma of one component, read off its row: the row's values and its
-    circled and boxed marks, each indexed by column minus the row index.
-    The one place that knows which entries a component's sigma reads; each
-    read goes through ``_entry``, the per-entry factor, at family D."""
-    i = comp.row
-    if any(crow[j - i] and brow[j - i] for j in range(comp.j1, comp.j2 + 1)):
+def _component_factor(comp: ComponentD, start: int, crow, brow, entry) -> CoeffElement:
+    """sigma of one component, read off circled and boxed marks ``crow`` and
+    ``brow`` that hold its columns, each indexed by column minus ``start``;
+    every entry of the run is ``comp.value``.  The one place that knows
+    which entries a component's sigma reads; each read goes through
+    ``entry(a, circled, boxed, middle)``, the per-entry factor at family D."""
+    if any(crow[j - start] and brow[j - start] for j in range(comp.j1, comp.j2 + 1)):
         return _ZERO
+    a = comp.value
     if comp.kind != "sml":
-        off = (comp.shorter_leg_col if comp.kind == "ml" else comp.j2) - i
-        return _entry("D", row[off], crow[off], brow[off], False, n)
+        off = (comp.shorter_leg_col if comp.kind == "ml" else comp.j2) - start
+        return entry(a, crow[off], brow[off], False)
     # symmetric multiple leaner
-    if comp.value == 0:
+    if a == 0:
         return _ONE
-    off = comp.j2 - i
-    right = _entry("D", comp.value, crow[off], brow[off], False, n)
+    off = comp.j2 - start
+    right = entry(a, crow[off], brow[off], False)
     if brow[off]:
-        second = _entry("D", row[off - 1], crow[off - 1], brow[off - 1], False, n)
+        second = entry(a, crow[off - 1], brow[off - 1], False)
         return right * second * CoeffElement.q_power(1 - comp.length)
     return right * (_ONE - CoeffElement.q_power(-comp.length))
+
+
+def _closing_run(j1: int, start: int, row, crow, brow):
+    """Key of the run of row offset ``start``, flat column ``j1``: all its
+    component factor reads."""
+    end = _run_end(row, start)
+    return j1, j1 + end - start - 1, row[start], tuple(crow[start:end]), tuple(brow[start:end])
 
 
 def slot_key(family: str, rank: int, i: int, j: int, row, crow, brow):
     """All the factor of slot (i, j) reads besides the spec and the cover
     degree, as a hashable key, from row ``i``'s values and circled and boxed
-    marks, each indexed by column minus the row index: in types A, B and C
-    the entry's ``entry_factor`` arguments (value, marks, middle column); in
-    type D the row index and the whole row at the row's last slot in
-    enumeration order (j == i, where the row is complete), else None."""
+    marks, each indexed by column minus the row index; only columns j and
+    up, placed before the slot in enumeration order, are read.  In types A,
+    B and C the key is the entry's ``entry_factor`` arguments (value, marks,
+    middle column).  In type D it is the components that close at the slot,
+    each as (j1, j2, value, circled marks, boxed marks): the run from column
+    j + 1 closes where a(i, j) differs from a(i, j + 1), and at the row's
+    last slot (j == i) the run holding column i closes too, so each
+    component closes at exactly one slot of its row."""
+    off = j - i
     if family != "D":
-        off = j - i
         return row[off], crow[off], brow[off], j == rank
-    if j != i:
-        return None
-    return i, tuple(row), tuple(crow), tuple(brow)
+    nxt = off + 1
+    if nxt == len(row) or row[nxt] == row[off]:
+        closing = ()
+    else:
+        closing = (_closing_run(j + 1, nxt, row, crow, brow),)
+    return closing + (_closing_run(j, 0, row, crow, brow),) if off == 0 else closing
 
 
-def slot_factor(spec: CartanSpec, key, n: int) -> CoeffElement:
-    """Factor of a slot from its ``slot_key`` alone: ``entry_factor`` of
-    the entry in types A, B and C; in type D the product of the row's
-    component factors at the row's last slot, and 1 (key None) elsewhere."""
-    if key is None:
-        return _ONE
+def slot_factor(spec: CartanSpec, key, entry) -> CoeffElement:
+    """Factor of a slot from its ``slot_key`` alone, with ``entry(a,
+    circled, boxed, middle)`` the spec's per-entry factor at the cover
+    degree: the entry's in types A, B and C; in type D the product of the
+    closing components' factors (``_component_factor``), 1 where none
+    closes."""
     if spec.family != "D":
-        return entry_factor(spec.family, *key, n)
-    i, row, crow, brow = key
+        return entry(*key)
     out = _ONE
-    for comp in row_components(spec, i, row):
-        out = out * _component_factor(comp, row, crow, brow, n)
-        if out.is_zero():
-            return _ZERO
+    for j1, j2, value, crow, brow in key:
+        out = out * _component_factor(_classify(spec.rank, value, j1, j2), j1, crow, brow, entry)
     return out
 
 
 def slot_table(spec: CartanSpec, n: int):
     """The slot factors at this spec and cover degree, as a function of
     (i, j, row, crow, brow) that computes the factor of each distinct
-    ``slot_key`` once.  The factors live in a dict owned by the returned
-    function, so they last as long as the caller keeps it."""
+    ``slot_key`` once.  Its one dict also holds each distinct entry's
+    ``entry_factor``, keyed (value, circled, boxed, middle), through which
+    ``slot_factor`` reads every entry, so a type-D entry's factor is built
+    once however many components read it; in types A, B and C a slot key is
+    that entry key.  The dict is owned by the returned function, so the
+    factors last as long as the caller keeps it."""
     factors: dict = {}
     family, rank = spec.family, spec.rank  # read once: no field read per slot
+
+    def entry(a, circled, boxed, middle) -> CoeffElement:
+        key = a, circled, boxed, middle
+        f = factors.get(key)
+        if f is None:
+            f = factors[key] = entry_factor(family, a, circled, boxed, middle, n)
+        return f
 
     def factor(i, j, row, crow, brow) -> CoeffElement:
         key = slot_key(family, rank, i, j, row, crow, brow)
         f = factors.get(key)
         if f is None:
-            f = factors[key] = slot_factor(spec, key, n)
+            f = factors[key] = slot_factor(spec, key, entry)
         return f
 
     return factor
@@ -648,14 +682,13 @@ def slot_table(spec: CartanSpec, n: int):
 
 def pattern_coefficient(dp: DecoratedPattern, n: int) -> CoeffElement:
     """Total coefficient of a decorated pattern: the product of its slot
-    factors, each straight from its key by ``slot_factor``."""
+    factors, each from its key by a ``slot_table`` of its own."""
     L = dp.pattern
-    spec = L.spec
+    factor = slot_table(L.spec, n)
     out = _ONE
     for i, j in L.positions():
         k = i - 1
-        key = slot_key(spec.family, spec.rank, i, j, L.rows[k], dp.circled[k], dp.boxed[k])
-        out = out * slot_factor(spec, key, n)
+        out = out * factor(i, j, L.rows[k], dp.circled[k], dp.boxed[k])
         if out.is_zero():
             return _ZERO
     return out
@@ -670,12 +703,12 @@ def count_forced_sigma(dp: DecoratedPattern) -> int:
         return 0
     forced = 0
 
-    def counting_entry(family, a, circled, boxed, middle, n):
+    def counting_entry(a, circled, boxed, middle):
         nonlocal forced
         forced += circled and not boxed
-        return entry_factor(family, a, circled, boxed, middle, n)
+        return entry_factor("D", a, circled, boxed, middle, 1)
 
     for k, row in enumerate(dp.pattern.rows):
         for comp in row_components(spec, k + 1, row):
-            _component_factor(comp, row, dp.circled[k], dp.boxed[k], 1, counting_entry)
+            _component_factor(comp, k + 1, dp.circled[k], dp.boxed[k], counting_entry)
     return forced

@@ -44,8 +44,12 @@ def pattern_shape(spec: CartanSpec) -> list[int]:
 
 def column_letter(spec: CartanSpec, j: int) -> int:
     """Simple-root index whose climbing segments fill flat column j: the
-    j-th letter of the word's last block, which row 1 holds."""
-    return long_word_blocks(spec)[-1][j - 1]
+    j-th letter of the word's last block, which row 1 holds.  A column
+    outside row 1 raises ValueError."""
+    letters = long_word_blocks(spec)[-1]
+    if not 1 <= j <= len(letters):
+        raise ValueError(f"column {j} lies outside row 1's columns 1..{len(letters)}")
+    return letters[j - 1]
 
 
 class _PatternFields(NamedTuple):

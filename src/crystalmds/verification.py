@@ -8,10 +8,11 @@ acceptance tests assert on them.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Sequence
 
-from .coefficients import (CoeffElement, _component_factor, count_forced_sigma, g_value,
-                           gauss_numeric, h_value, row_components)
+from .coefficients import (CoeffElement, _component_factor, count_forced_sigma,
+                           entry_factor, g_value, gauss_numeric, h_value, row_components)
 from .decorations import decorate, decorated_crystal
 from .patterns import enumerate_patterns
 from .roots import (CartanSpec, build_root_system, character_dimension,
@@ -240,6 +241,7 @@ def run_decorations_suite() -> dict:
 
     # type-D sigma rules over complete crystals
     rs4 = build_root_system(CartanSpec("D", 4))
+    d_entry = partial(entry_factor, "D", n=1)
     for lam in ((1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 1, 1)):
         sml_zero_ok = True
         zeroing_ok = True
@@ -251,8 +253,8 @@ def run_decorations_suite() -> dict:
                 for comp in row_components(rs4.spec, i, row):
                     has_cb = any(dp.is_circled(i, j) and dp.is_boxed(i, j)
                                  for j in range(comp.j1, comp.j2 + 1))
-                    val = _component_factor(comp, row, dp.circled[i - 1],
-                                            dp.boxed[i - 1], 1)
+                    val = _component_factor(comp, i, dp.circled[i - 1],
+                                            dp.boxed[i - 1], d_entry)
                     if has_cb and not val.is_zero():
                         zeroing_ok = False
                     if (comp.kind == "sml" and comp.value == 0 and not has_cb

@@ -1,12 +1,15 @@
 import cmath
 import random
+from functools import partial, reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalmds import (CoeffElement, GaussSymbol, entry_factor, g_value,
-                        gauss_numeric, h_value)
-from crystalmds.coefficients import POW_LIMIT, Q_EXP_LIMIT
+from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, entry_factor, g_value,
+                        gauss_numeric, h_value, pattern_shape, row_components)
+from crystalmds.coefficients import (POW_LIMIT, Q_EXP_LIMIT, _component_factor, slot_key,
+                                     slot_table)
 from oracles import RefCoeff
 
 Q = CoeffElement.q_power
@@ -407,3 +410,44 @@ def test_circled_entry_is_the_rings_one_under_normalization():
     for fam in "BD":
         for middle in (False, True):
             assert entry_factor(fam, 3, True, False, middle, 2) is ONE
+
+
+# ---------------------------------------------------------------------------
+# type-D slot factors, one per closing component
+# ---------------------------------------------------------------------------
+
+@st.composite
+def type_d_rows(draw):
+    """A type-D spec of rank 3..6, a row index of its shape, and random
+    values (few, so that runs form) and marks for that row.  A zero is
+    circled, as in every pattern: its cone bound is 0."""
+    spec = CartanSpec("D", draw(st.integers(3, 6)))
+    shape = pattern_shape(spec)
+    i = draw(st.integers(1, len(shape)))
+    width = shape[i - 1]
+    row = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+    crow = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    brow = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    return spec, i, row, [c or not v for c, v in zip(crow, row)], brow
+
+
+@settings(max_examples=300, deadline=None)
+@given(type_d_rows(), st.integers(1, 4))
+def test_type_d_slot_factors_are_the_row_components(case, n):
+    # each component closes at exactly one slot of its row, whose key names
+    # it as (j1, j2, value, circled marks, boxed marks); so the product of
+    # the row's slot factors, in walk order, is the product of the
+    # component factors over row_components
+    spec, i, row, crow, brow = case
+    columns = range(i + len(row) - 1, i - 1, -1)
+    keyed = [comp for j in columns
+             for comp in slot_key("D", spec.rank, i, j, row, crow, brow)]
+    comps = row_components(spec, i, row)
+    marks = [slice(c.j1 - i, c.j2 - i + 1) for c in comps]
+    assert sorted(keyed) == sorted((c.j1, c.j2, c.value, tuple(crow[s]), tuple(brow[s]))
+                                   for c, s in zip(comps, marks))
+    entry = partial(entry_factor, "D", n=n)
+    factor = slot_table(spec, n)
+    by_slot = reduce(mul, (factor(i, j, row, crow, brow) for j in columns), ONE)
+    by_component = reduce(mul, (_component_factor(c, i, crow, brow, entry) for c in comps), ONE)
+    assert by_slot == by_component

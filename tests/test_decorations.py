@@ -172,9 +172,9 @@ def test_components_partition_rows():
                 if c.kind == "sml":
                     assert c.j1 + c.j2 == 2 * 4 - 1 and c.length >= 1
                 for j in range(c.j1, c.j2 + 1):
-                    assert (c.row, j) not in covered
-                    covered[(c.row, j)] = c
-                    assert L.a(c.row, j) == c.value
+                    assert (i, j) not in covered
+                    covered[(i, j)] = c
+                    assert L.a(i, j) == c.value
         assert set(covered) == {(i, j) for i, j, _ in L.entries()}
         count += 1
         if count > 400:

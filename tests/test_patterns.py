@@ -404,6 +404,18 @@ def test_column_letters_match_weight_columns():
     assert [column_letter(spec, j) for j in (1, 2, 3, 4)] == [3, 1, 2, 3]
 
 
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_column_letter_rejects_a_column_outside_row_one(family):
+    # row 1 holds columns 1..width; 0 and -1 must not index the block from
+    # its other end
+    spec = CartanSpec(family, 3)
+    width = pattern_shape(spec)[0]
+    assert [column_letter(spec, j) for j in range(1, width + 1)]
+    for j in (0, -1, width + 1):
+        with pytest.raises(ValueError, match="outside row 1"):
+            column_letter(spec, j)
+
+
 def test_character_via_weights_small():
     r = rs("C", 2)
     lam = (1, 1)

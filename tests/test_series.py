@@ -13,7 +13,7 @@ from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         p_part, pattern_coefficient, pattern_wt,
                         polynomial_json_obj, tokuyama_quotient,
                         twisted_character, weyl_character, weyl_dimension)
-from crystalmds.coefficients import GaussSymbol, slot_factor, slot_table
+from crystalmds.coefficients import GaussSymbol, entry_factor, slot_factor, slot_table
 from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
 from crystalmds.series import _p_sums
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
@@ -645,14 +645,32 @@ def test_branch_computes_each_slot_factor_once(monkeypatch, family, rank, lam, n
     # it, so each distinct slot state's factor is computed once
     calls, keys = [], set()
 
-    def counted(spec, key, n):
+    def counted(spec, key, entry):
         calls.append(spec)
         keys.add((spec, key))
-        return slot_factor(spec, key, n)
+        return slot_factor(spec, key, entry)
 
     monkeypatch.setattr(coefficients, "slot_factor", counted)
     assert branch_decompose(rs(family, rank), lam, n).all_ok
     assert len(calls) == len(keys) and {spec.rank for spec in calls} == {rank, rank - 1}
+
+
+def test_slot_table_builds_each_entry_factor_once(monkeypatch):
+    # a slot table holds each distinct entry's factor, and type-D component
+    # factors read their entries through it: one entry_factor call per
+    # distinct (value, circled, boxed, middle) per table, so per p_part call
+    calls = []
+
+    def counted(family, a, circled, boxed, middle, n):
+        calls.append((a, circled, boxed, middle))
+        return entry_factor(family, a, circled, boxed, middle, n)
+
+    monkeypatch.setattr(coefficients, "entry_factor", counted)
+    r = rs("D", 4)
+    for _ in range(2):
+        calls.clear()
+        p_part(r, (1, 1, 1, 1), 2)
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_branch_rank_restrictions():
@@ -745,6 +763,12 @@ FIXED_CASE_SHA256 = {
     # the stretch case: 7,878 terms, recorded before the forward row loop
     "D5-rho-n2": ("D", 5, (1, 1, 1, 1, 1), 2,
                   "9152889e765e82972d8c4c7bd1463688ab2960b989112873a5dadbf569e544fc"),
+    # many ml and sml components (1.20 per pattern) at an odd degree: 457 terms
+    "D4-1121-n3": ("D", 4, (1, 1, 2, 1), 3,
+                   "769f2ac8d69724f82e4d8e8939d9061ea4401a5f40d0cfb974b0ad97e38d6bfb"),
+    # the stable-range witness crystal of ROADMAP item 3: 28 terms, 4 off the orbit
+    "D3-212-n60": ("D", 3, (2, 1, 2), 60,
+                   "de0eadb4d0285a528a4eabc1fd456b3799d1a03dffe22e3748f6f2c243c9ed97"),
 }
 
 
