@@ -40,9 +40,8 @@ bits decode the same way for the life of the process.  ``packed`` and
 over, dropping zero coefficients in place.  Exact division in ``weightpoly``
 appends each key to its weight as one more coordinate, and the row sums of
 ``series`` multiply into dicts of their own by adding keys; both are sound
-because the packing is linear.  Monomials sort by plain
-int tuples ``(e, ((t, residue, degree, m), ...))``, which order exactly as the
-canonical form does.
+because the packing is linear.  Monomials sort by their canonical form, in
+which a ``GaussSymbol`` compares as its (t, residue, degree) fields.
 
 A decorated pattern's coefficient is a product of slot factors, all from one
 entry rule (``entry_factor``): 0 for a circled and boxed entry a, else q^a,
@@ -50,17 +49,17 @@ g_t(a) or h(a) as it is circled, boxed or neither, times q^-a in types B and
 D.  A slot's factor is its entry's in types A, B and C.  In type D a row
 splits into components, its runs of equal entries (``row_components``), and
 each component's factor (``_component_factor``) reads only its own run; a
-slot's factor is the product over the components that close there, in the
-walk's right-to-left order: the run to its right when the entries differ,
-and at the row's last slot the run holding it too.  So each component is
-taken once, at the first slot where it is complete, and a zero prunes the
-rest of its row.  ``slot_key`` states all a factor reads, and
-``slot_factor`` computes it from the key alone, so ``slot_table`` computes
-each distinct key's once for a given (spec, n), along with each distinct
-entry's factor, and the walks of ``series`` multiply its factors into prefix
-products.  ``pattern_coefficient``, the per-pattern definition they are
-checked against, goes from key to factor for one pattern.  This module holds
-the whole rule.
+slot's factor is the product over the runs that close there, in the walk's
+right-to-left order: the run to its right when the entries differ, and at
+the row's last slot the run holding it too.  So each component is taken
+once, at the first slot where it is complete, and a zero prunes the rest of
+its row.  ``slot_table`` keys each factor by exactly what it reads, an entry
+by (value, circled, boxed, middle) and a run by (j1, value, circled marks,
+boxed marks), and computes each distinct key's once for a given (spec, n);
+the walks of ``series`` multiply its factors into prefix products.
+``pattern_coefficient``, the per-pattern definition they are checked
+against, multiplies one pattern's slot factors.  This module holds the
+whole rule.
 
 Everything here is immutable and safe to share between threads; the table
 of symbol fields only grows, under a lock.
@@ -69,7 +68,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from operator import index, itemgetter
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -165,22 +164,20 @@ _DECODE_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_DECODE_CACHE_SIZE)
-def _gauss_part(bits: int) -> tuple[tuple[tuple[int, int, int, int], ...], _GaussPart]:
-    """Sort key and canonical Gauss part of the symbol bits ``k - e`` of a
-    packed key: ``((t, residue, degree, m), ...)`` and ``((symbol, m), ...)``,
-    both in symbol order."""
+def _gauss_part(bits: int) -> _GaussPart:
+    """Canonical Gauss part ``((symbol, m), ...)`` of the symbol bits
+    ``k - e`` of a packed key, in symbol order."""
     rest = bits >> _Q_BITS
     powers = []
     i = 0
     while rest:
         m = rest & _POW_MASK
         if m:
-            sym = _symbols[i]
-            powers.append(((sym.t, sym.residue, sym.degree, m), (sym, m)))
+            powers.append((_symbols[i], m))
         rest >>= _POW_BITS
         i += 1
-    powers.sort(key=itemgetter(0))
-    return tuple(p[0] for p in powers), tuple(p[1] for p in powers)
+    powers.sort()
+    return tuple(powers)
 
 
 def _collect(pairs) -> dict[int, int]:
@@ -301,21 +298,19 @@ class CoeffElement:
     def is_one(self) -> bool:
         return self._terms == {0: 1}
 
-    def _decoded(self) -> list[tuple[int, tuple, _GaussPart, int]]:
-        """(q exponent, sort key, gauss part, int coeff) per monomial, in
-        canonical order."""
+    def _decoded(self) -> list[tuple[int, _GaussPart, int]]:
+        """(q exponent, gauss part, int coeff) per monomial, in canonical
+        order."""
         mons = []
         for k, c in self._terms.items():
             e = ((k + _Q_HALF) & _Q_MASK) - _Q_HALF
-            key, g = _gauss_part(k - e)
-            mons.append((e, key, g, c))
-        # distinct monomials differ in (e, sort key): no symbol is compared
+            mons.append((e, _gauss_part(k - e), c))
         mons.sort()
         return mons
 
     def monomials(self) -> list[tuple[int, int, _GaussPart]]:
         """Monomials as (int coeff, q exponent, gauss part), canonical order."""
-        return [(c, e, g) for e, _, g, c in self._decoded()]
+        return [(c, e, g) for e, g, c in self._decoded()]
 
     def as_unit_monomial(self) -> tuple[int, int] | None:
         """Return (sign, q_exp) if the element is ±q^e with no symbols."""
@@ -361,8 +356,8 @@ class CoeffElement:
         """Fresh dicts and lists on every call: callers may change them."""
         return {"monomials": [
             {"int": c, "q": e,
-             "gauss": [{"t": t, "c": r, "pow": m} for t, r, _, m in key]}
-            for e, key, _, c in self._decoded()]}
+             "gauss": [{"t": t, "c": r, "pow": m} for (t, r, _), m in g]}
+            for e, g, c in self._decoded()]}
 
     @staticmethod
     def from_json_obj(obj: dict, degree: int) -> "CoeffElement":
@@ -585,22 +580,23 @@ def _classify(r: int, value: int, j1: int, j2: int) -> ComponentD:
     return ComponentD(j1, j2, value, "ml", shorter_leg_col=shorter)
 
 
-def _component_factor(comp: ComponentD, start: int, crow, brow, entry) -> CoeffElement:
-    """sigma of one component, read off circled and boxed marks ``crow`` and
-    ``brow`` that hold its columns, each indexed by column minus ``start``;
-    every entry of the run is ``comp.value``.  The one place that knows
-    which entries a component's sigma reads; each read goes through
-    ``entry(a, circled, boxed, middle)``, the per-entry factor at family D."""
-    if any(crow[j - start] and brow[j - start] for j in range(comp.j1, comp.j2 + 1)):
+def _component_factor(comp: ComponentD, i: int, crow, brow, entry) -> CoeffElement:
+    """sigma of one component, read off the circled and boxed marks ``crow``
+    and ``brow`` of its row ``i``, each indexed by column minus ``i``; every
+    entry of the run is ``comp.value``.  The one place that knows which
+    entries a component's sigma reads, all inside its own run; each read
+    goes through ``entry(a, circled, boxed, middle)``, the per-entry factor
+    at family D."""
+    if any(crow[j - i] and brow[j - i] for j in range(comp.j1, comp.j2 + 1)):
         return _ZERO
     a = comp.value
     if comp.kind != "sml":
-        off = (comp.shorter_leg_col if comp.kind == "ml" else comp.j2) - start
+        off = (comp.shorter_leg_col if comp.kind == "ml" else comp.j2) - i
         return entry(a, crow[off], brow[off], False)
     # symmetric multiple leaner
     if a == 0:
         return _ONE
-    off = comp.j2 - start
+    off = comp.j2 - i
     right = entry(a, crow[off], brow[off], False)
     if brow[off]:
         second = entry(a, crow[off - 1], brow[off - 1], False)
@@ -608,58 +604,22 @@ def _component_factor(comp: ComponentD, start: int, crow, brow, entry) -> CoeffE
     return right * (_ONE - CoeffElement.q_power(-comp.length))
 
 
-def _closing_run(j1: int, start: int, row, crow, brow):
-    """Key of the run of row offset ``start``, flat column ``j1``: all its
-    component factor reads."""
-    end = _run_end(row, start)
-    return j1, j1 + end - start - 1, row[start], tuple(crow[start:end]), tuple(brow[start:end])
-
-
-def slot_key(family: str, rank: int, i: int, j: int, row, crow, brow):
-    """All the factor of slot (i, j) reads besides the spec and the cover
-    degree, as a hashable key, from row ``i``'s values and circled and boxed
-    marks, each indexed by column minus the row index; only columns j and
-    up, placed before the slot in enumeration order, are read.  In types A,
-    B and C the key is the entry's ``entry_factor`` arguments (value, marks,
-    middle column).  In type D it is the components that close at the slot,
-    each as (j1, j2, value, circled marks, boxed marks): the run from column
-    j + 1 closes where a(i, j) differs from a(i, j + 1), and at the row's
-    last slot (j == i) the run holding column i closes too, so each
-    component closes at exactly one slot of its row."""
-    off = j - i
-    if family != "D":
-        return row[off], crow[off], brow[off], j == rank
-    nxt = off + 1
-    if nxt == len(row) or row[nxt] == row[off]:
-        closing = ()
-    else:
-        closing = (_closing_run(j + 1, nxt, row, crow, brow),)
-    return closing + (_closing_run(j, 0, row, crow, brow),) if off == 0 else closing
-
-
-def slot_factor(spec: CartanSpec, key, entry) -> CoeffElement:
-    """Factor of a slot from its ``slot_key`` alone, with ``entry(a,
-    circled, boxed, middle)`` the spec's per-entry factor at the cover
-    degree: the entry's in types A, B and C; in type D the product of the
-    closing components' factors (``_component_factor``), 1 where none
-    closes."""
-    if spec.family != "D":
-        return entry(*key)
-    out = _ONE
-    for j1, j2, value, crow, brow in key:
-        out = out * _component_factor(_classify(spec.rank, value, j1, j2), j1, crow, brow, entry)
-    return out
-
-
 def slot_table(spec: CartanSpec, n: int):
     """The slot factors at this spec and cover degree, as a function of
-    (i, j, row, crow, brow) that computes the factor of each distinct
-    ``slot_key`` once.  Its one dict also holds each distinct entry's
-    ``entry_factor``, keyed (value, circled, boxed, middle), through which
-    ``slot_factor`` reads every entry, so a type-D entry's factor is built
-    once however many components read it; in types A, B and C a slot key is
-    that entry key.  The dict is owned by the returned function, so the
-    factors last as long as the caller keeps it."""
+    (i, j, row, crow, brow): row ``i``'s values and circled and boxed marks,
+    each indexed by column minus ``i``, of which only columns j and up,
+    placed before the slot in enumeration order, are read.  A slot's factor
+    is its entry's ``entry_factor`` in types A, B and C.  In type D it is
+    the product of the factors of the runs that close at the slot: the run
+    from column j + 1 where a(i, j) differs from a(i, j + 1), and at the
+    row's last slot (j == i) the run holding column i too, so each component
+    closes at exactly one slot of its row; 1 where none closes.  One dict,
+    owned by the returned function, holds every factor computed, keyed by
+    all it reads: an entry's by (value, circled, boxed, middle), a run's
+    ``_component_factor`` by (j1, value, circled marks, boxed marks), with
+    no row index, so rows share it.  Component factors read their entries
+    through the same dict, so each distinct key is computed once for as
+    long as the caller keeps the function."""
     factors: dict = {}
     family, rank = spec.family, spec.rank  # read once: no field read per slot
 
@@ -670,19 +630,33 @@ def slot_table(spec: CartanSpec, n: int):
             f = factors[key] = entry_factor(family, a, circled, boxed, middle, n)
         return f
 
-    def factor(i, j, row, crow, brow) -> CoeffElement:
-        key = slot_key(family, rank, i, j, row, crow, brow)
+    if family != "D":
+        def factor(i, j, row, crow, brow) -> CoeffElement:
+            off = j - i
+            return entry(row[off], crow[off], brow[off], j == rank)
+        return factor
+
+    def run(i, start, row, crow, brow) -> CoeffElement:
+        end = _run_end(row, start)
+        key = i + start, row[start], tuple(crow[start:end]), tuple(brow[start:end])
         f = factors.get(key)
         if f is None:
-            f = factors[key] = slot_factor(spec, key, entry)
+            comp = _classify(rank, row[start], i + start, i + end - 1)
+            f = factors[key] = _component_factor(comp, i, crow, brow, entry)
         return f
 
-    return factor
+    def closing(i, j, row, crow, brow) -> CoeffElement:
+        off = j - i
+        nxt = off + 1
+        f = run(i, nxt, row, crow, brow) if nxt < len(row) and row[nxt] != row[off] else _ONE
+        return f * run(i, 0, row, crow, brow) if off == 0 else f
+
+    return closing
 
 
 def pattern_coefficient(dp: DecoratedPattern, n: int) -> CoeffElement:
     """Total coefficient of a decorated pattern: the product of its slot
-    factors, each from its key by a ``slot_table`` of its own."""
+    factors, from a ``slot_table`` of its own."""
     L = dp.pattern
     factor = slot_table(L.spec, n)
     out = _ONE

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, entry_factor, g_value,
                         gauss_numeric, h_value, pattern_shape, row_components)
-from crystalmds.coefficients import (POW_LIMIT, Q_EXP_LIMIT, _component_factor, slot_key,
-                                     slot_table)
+from crystalmds import coefficients
+from crystalmds.coefficients import POW_LIMIT, Q_EXP_LIMIT, _component_factor, slot_table
 from oracles import RefCoeff
 
 Q = CoeffElement.q_power
@@ -434,20 +434,42 @@ def type_d_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(type_d_rows(), st.integers(1, 4))
 def test_type_d_slot_factors_are_the_row_components(case, n):
-    # each component closes at exactly one slot of its row, whose key names
-    # it as (j1, j2, value, circled marks, boxed marks); so the product of
-    # the row's slot factors, in walk order, is the product of the
-    # component factors over row_components
+    # each component closes at exactly one slot of its row: walking the row
+    # in slot order, right to left, with columns left of the slot not yet
+    # placed, a fresh table per slot hands _component_factor exactly the
+    # row_components with their mark slices, each once; so the product of
+    # the row's slot factors is the product of the component factors
     spec, i, row, crow, brow = case
-    columns = range(i + len(row) - 1, i - 1, -1)
-    keyed = [comp for j in columns
-             for comp in slot_key("D", spec.rank, i, j, row, crow, brow)]
+
+    def marks(comp, start, crow, brow):
+        cols = slice(comp.j1 - start, comp.j2 - start + 1)
+        return comp, tuple(crow[cols]), tuple(brow[cols])
+
+    handed = []
+
+    def recording(comp, start, crow, brow, entry):
+        handed.append(marks(comp, start, crow, brow))
+        return _component_factor(comp, start, crow, brow, entry)
+
+    def walk(table):
+        # the row's slot factors in slot order, each from table(), over
+        # columns placed so far
+        width = len(row)
+        vals, cmarks, bmarks = [None] * width, [None] * width, [None] * width
+        out = ONE
+        for j in range(i + width - 1, i - 1, -1):
+            off = j - i
+            vals[off], cmarks[off], bmarks[off] = row[off], crow[off], brow[off]
+            out = out * table()(i, j, vals, cmarks, bmarks)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coefficients, "_component_factor", recording)
+        by_fresh_slot = walk(lambda: slot_table(spec, n))
     comps = row_components(spec, i, row)
-    marks = [slice(c.j1 - i, c.j2 - i + 1) for c in comps]
-    assert sorted(keyed) == sorted((c.j1, c.j2, c.value, tuple(crow[s]), tuple(brow[s]))
-                                   for c, s in zip(comps, marks))
+    assert sorted(handed, key=lambda m: m[0].j1) == [marks(c, i, crow, brow) for c in comps]
+    shared = slot_table(spec, n)
+    by_slot = walk(lambda: shared)
     entry = partial(entry_factor, "D", n=n)
-    factor = slot_table(spec, n)
-    by_slot = reduce(mul, (factor(i, j, row, crow, brow) for j in columns), ONE)
     by_component = reduce(mul, (_component_factor(c, i, crow, brow, entry) for c in comps), ONE)
-    assert by_slot == by_component
+    assert by_slot == by_fresh_slot == by_component

@@ -13,7 +13,7 @@ from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         p_part, pattern_coefficient, pattern_wt,
                         polynomial_json_obj, tokuyama_quotient,
                         twisted_character, weyl_character, weyl_dimension)
-from crystalmds.coefficients import GaussSymbol, entry_factor, slot_factor, slot_table
+from crystalmds.coefficients import GaussSymbol, _component_factor, entry_factor, slot_table
 from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
 from crystalmds.series import _p_sums
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
@@ -642,17 +642,51 @@ def test_branch_decomposition_bytes(case):
 def test_branch_computes_each_slot_factor_once(monkeypatch, family, rank, lam, n):
     # one slot table per rank for the call: the whole crystal's P, the walk
     # of row 1 and the P_mu of every branch crystal read their factors from
-    # it, so each distinct slot state's factor is computed once
-    calls, keys = [], set()
+    # it, so each distinct entry key and run key is computed once per table
+    tables, entries, runs, table = [], [], [], [None]
 
-    def counted(spec, key, entry):
-        calls.append(spec)
-        keys.add((spec, key))
-        return slot_factor(spec, key, entry)
+    def counted_table(spec, n):
+        tables.append(spec)
+        factor = slot_table(spec, n)
 
-    monkeypatch.setattr(coefficients, "slot_factor", counted)
+        def tagged(*slot):
+            table[0] = spec
+            return factor(*slot)
+        return tagged
+
+    def counted_entry(family, a, circled, boxed, middle, n):
+        entries.append((table[0], a, circled, boxed, middle))
+        return entry_factor(family, a, circled, boxed, middle, n)
+
+    def counted_run(comp, i, crow, brow, entry):
+        cols = slice(comp.j1 - i, comp.j2 - i + 1)
+        runs.append((table[0], comp.j1, comp.value, tuple(crow[cols]), tuple(brow[cols])))
+        return _component_factor(comp, i, crow, brow, entry)
+
+    monkeypatch.setattr(series, "slot_table", counted_table)
+    monkeypatch.setattr(coefficients, "entry_factor", counted_entry)
+    monkeypatch.setattr(coefficients, "_component_factor", counted_run)
     assert branch_decompose(rs(family, rank), lam, n).all_ok
-    assert len(calls) == len(keys) and {spec.rank for spec in calls} == {rank, rank - 1}
+    assert sorted(spec.rank for spec in tables) == [rank - 1, rank]
+    assert len(entries) == len(set(entries)) and len(runs) == len(set(runs))
+    assert {spec.rank for spec, *_ in entries} == {rank, rank - 1}
+    assert bool(runs) == (family == "D")
+
+
+def test_p_part_computes_each_run_factor_once(monkeypatch):
+    # a type-D table keys each run's factor by the run alone, with no row
+    # index and no partner run: one D4 rho p_part call computes each distinct
+    # run's factor once, 160 of them
+    runs = []
+
+    def counted(comp, i, crow, brow, entry):
+        cols = slice(comp.j1 - i, comp.j2 - i + 1)
+        runs.append((comp, tuple(crow[cols]), tuple(brow[cols])))
+        return _component_factor(comp, i, crow, brow, entry)
+
+    monkeypatch.setattr(coefficients, "_component_factor", counted)
+    p_part(rs("D", 4), (1, 1, 1, 1), 2)
+    assert len(runs) == len(set(runs)) == 160
 
 
 def test_slot_table_builds_each_entry_factor_once(monkeypatch):
