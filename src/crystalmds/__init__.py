@@ -3,14 +3,13 @@
 Patterns parameterize highest-weight crystal elements; decorated patterns
 carry Gauss-sum coefficients; their weighted sum is the prime-power part of a
 Weyl group multiple Dirichlet series (equivalently a metaplectic Whittaker
-value).  Characters, dimensions, a numeric Gauss-sum oracle, the deformed
-Weyl-denominator factorization and top-row branching serve as independent
-verification routes.
+value).  Characters, dimensions, exact Gauss sums in a prime field, the
+deformed Weyl-denominator factorization and top-row branching serve as
+independent verification routes.
 """
 
 from .coefficients import (CoeffElement, ComponentD, GaussSymbol, entry_factor,
-                           g_value, gauss_numeric, h_value, pattern_coefficient,
-                           row_components)
+                           g_value, h_value, pattern_coefficient, row_components)
 from .roots import (CartanSpec, RootSystem, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
                     nice_long_word, weyl_character, weyl_dimension)

@@ -1,5 +1,5 @@
-"""Symbolic coefficient ring over formal Gauss sums, a numeric oracle, and
-the coefficient rules of decorated patterns.
+"""Symbolic coefficient ring over formal Gauss sums and the coefficient rules
+of decorated patterns.
 
 Coefficients of crystal sums live in the commutative ring
 
@@ -16,10 +16,8 @@ always collapses to an explicit Laurent polynomial in ``q``::
 
 At n = 1 the character is trivial: ``g_value`` returns -q^(a-1) itself and
 ``GaussSymbol`` rejects degree 1, so every n = 1 coefficient is a Laurent
-polynomial in ``q``.
-``gauss_numeric`` evaluates the defining character sums over an actual
-residue ring by direct summation, providing the independent oracle used to
-pin these closed forms.
+polynomial in ``q``.  The gauss suite of ``verification`` pins these closed
+forms against the defining character sums, summed exactly in a prime field.
 
 ``CoeffElement`` stores each monomial ``q^e * prod g_i^(m_i)`` as one int:
 ``e`` in a low two's-complement field of 64 bits and each multiplicity
@@ -61,12 +59,10 @@ the walks of ``series`` multiply its factors into prefix products.
 against, multiplies one pattern's slot factors.  This module holds the
 whole rule.
 
-Everything here is immutable and safe to share between threads; the table
-of symbol fields only grows, under a lock.
+Everything here is immutable; the table of symbol fields only grows.
 """
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple
@@ -118,7 +114,6 @@ POW_LIMIT = 1 << 16
 
 _symbols: list[GaussSymbol] = []        # field index -> symbol
 _offsets: dict[GaussSymbol, int] = {}   # symbol -> bit offset of its field
-_intern_lock = threading.Lock()
 
 # The canonical, unpacked form of a monomial: (q exponent, gauss part), with
 # the gauss part a sorted tuple of (GaussSymbol, positive multiplicity).
@@ -132,12 +127,8 @@ def _offset(sym: GaussSymbol) -> int:
     if off is None:
         if not isinstance(sym, GaussSymbol):
             raise TypeError(f"expected a GaussSymbol, got {sym!r}")
-        with _intern_lock:
-            off = _offsets.get(sym)
-            if off is None:
-                off = _Q_BITS + _POW_BITS * len(_symbols)
-                _symbols.append(sym)
-                _offsets[sym] = off
+        off = _offsets[sym] = _Q_BITS + _POW_BITS * len(_symbols)
+        _symbols.append(sym)
     return off
 
 
@@ -388,7 +379,8 @@ def h_value(t: int, a: int, n: int) -> CoeffElement:
 
     The unit count of the length-a residue ring is (q-1)q^(a-1); the sum
     picks it up exactly when the character t*a is trivial.  Pinned against
-    ``gauss_numeric`` for a wide (t, a, n, p) battery.
+    the exact sums of ``verification.gauss_exact`` for a wide (t, a, n, p)
+    battery.
     """
     _check_ta(t, a, n)
     if (t * a) % n != 0:
@@ -416,83 +408,6 @@ def _check_ta(t: int, a: int, n: int):
         raise ValueError("prime-power exponent a must be >= 1")
     if n < 1:
         raise ValueError("cover degree n must be >= 1")
-
-
-# ---------------------------------------------------------------------------
-# Numeric oracle: direct character-sum evaluation over Z / p^c
-# ---------------------------------------------------------------------------
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _primitive_root(p: int) -> int:
-    fac, m = [], p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in fac):
-            return g
-    raise ArithmeticError(f"no primitive root mod {p}")  # unreachable for prime p
-
-
-_CHUNK = 1 << 20
-
-
-def gauss_numeric(t: int, a_exp: int, c_exp: int, p: int, n: int) -> complex:
-    """Direct summation of the Gauss sum with modulus p^c_exp.
-
-    Sums chi(d)^(t*c_exp) * exp(2*pi*i * d * p^a_exp / p^c_exp) over units d
-    modulo p^c_exp, where chi is a fixed power-residue character of order n
-    modulo p (extended by zero to non-units); the power t*c_exp realises the
-    order-n residue symbol of the full modulus applied t times.  Floating
-    point; error budget 1e-9 per term.
-    """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if (p - 1) % n != 0:
-        raise ValueError(f"need p = 1 mod n, got p={p}, n={n}")
-    if c_exp < 1 or a_exp < 0:
-        raise ValueError("need c_exp >= 1 and a_exp >= 0")
-    if t not in (1, 2):
-        raise ValueError("subscript t must be 1 or 2")
-    import numpy as np  # only this oracle needs it; keeps the CLI start light
-
-    # chi(g^k) = exp(2*pi*i*k/n) for a fixed primitive root g.
-    ind = np.zeros(p, dtype=np.int64)
-    g = _primitive_root(p)
-    acc = 1
-    for k in range(p - 1):
-        ind[acc] = k
-        acc = (acc * g) % p
-    chi_exp = (ind * (((p - 1) // n) * t * c_exp)) % (p - 1)  # exponent of zeta_(p-1)
-
-    mod = p ** c_exp
-    shift = p ** a_exp
-    total = 0.0 + 0.0j
-    two_pi = 2.0 * np.pi
-    for start in range(0, mod, _CHUNK):
-        d = np.arange(start, min(start + _CHUNK, mod), dtype=np.int64)
-        d = d[(d % p) != 0]
-        if d.size == 0:
-            continue
-        ang = two_pi * (chi_exp[d % p] / float(p - 1) + ((d * shift) % mod) / float(mod))
-        total += complex(np.cos(ang).sum(), np.sin(ang).sum())
-    return total
 
 
 # ---------------------------------------------------------------------------

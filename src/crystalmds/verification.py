@@ -8,11 +8,11 @@ acceptance tests assert on them.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .coefficients import (CoeffElement, _component_factor, count_forced_sigma,
-                           entry_factor, g_value, gauss_numeric, h_value, row_components)
+                           entry_factor, g_value, h_value, row_components)
 from .decorations import decorate, decorated_crystal
 from .patterns import enumerate_patterns
 from .roots import (CartanSpec, build_root_system, character_dimension,
@@ -65,24 +65,101 @@ def run_character_suite(max_dim: int = 5000) -> dict:
 # Gauss suite
 # ---------------------------------------------------------------------------
 
-def _eval_laurent_q(coeff, q: int) -> complex:
-    total = 0.0
-    for c, e, gauss in coeff.monomials():
-        if gauss:
-            raise ValueError("cannot evaluate an unexpanded symbol numerically")
-        total += c * float(q) ** e
-    return complex(total)
+# Every modulus p^c of an exact sum is below 2^32.  Miller-Rabin with the
+# bases 2..41 decides primality of every m < 3.3 * 10^24.
+_MODULUS_LIMIT = 1 << 32
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-# relative tolerance of a numeric Gauss sum against its closed form
-_REL_TOL = 1e-6
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin with the bases ``_MR_BASES``."""
+    if m < 2 or any(m % b == 0 for b in _MR_BASES):
+        return m in _MR_BASES
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s with d odd
+    for b in _MR_BASES:
+        x = pow(b, (m - 1) >> s, m)
+        if x != 1 and m - 1 not in (pow(x, 1 << i, m) for i in range(s)):
+            return False
+    return True
 
 
-def _rel_close(x: complex, y: complex) -> bool:
-    return abs(x - y) <= _REL_TOL * max(1.0, abs(x), abs(y))
+def _element_of_order(order: int, modulus: int, factors: list[int]) -> int:
+    """The first x^((modulus - 1) / order), x = 1, 2, ..., of multiplicative
+    order exactly ``order`` mod the prime ``modulus``; ``factors`` are the
+    primes dividing ``order``.  At order modulus - 1: the least primitive
+    root."""
+    for x in itertools.count(1):
+        y = pow(x, (modulus - 1) // order, modulus)
+        if all(pow(y, order // f, modulus) != 1 for f in factors):
+            return y
 
 
-# a numeric Gauss sum with modulus p**c_exp adds p**c_exp terms
+@lru_cache(maxsize=None)
+def gauss_field(p: int) -> tuple[int, int, int, int]:
+    """The field of every exact Gauss sum at the prime p, as (ell, z, top, g):
+    top = p^C is the largest power of p below 2^32, ell the first prime above
+    2^61 with ell = 1 mod (p-1) * top, z an element of order (p-1) * top in
+    F_ell and g the least primitive root mod p.  z^top has order p - 1 and
+    z^((p-1) * top / p^c) order p^c, so the characters of every modulus p^c,
+    c <= C, take their values in this one field."""
+    if not 2 <= p < _MODULUS_LIMIT or not _is_prime(p):
+        raise ValueError(f"{p} is not a prime below 2^32")
+    top = p
+    while top * p < _MODULUS_LIMIT:
+        top *= p
+    order = (p - 1) * top
+    ell = ((1 << 61) // order + 1) * order + 1
+    while not _is_prime(ell):
+        ell += order
+    factors, m, d = [], p - 1, 2  # the primes dividing p - 1, by trial division
+    while d * d <= m:
+        if m % d == 0:
+            factors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        factors.append(m)
+    return (ell, _element_of_order(order, ell, factors + [p]), top,
+            _element_of_order(p - 1, p, factors))
+
+
+def gauss_exact(t: int, a_exp: int, c_exp: int, p: int, n: int) -> int:
+    """The Gauss sum with modulus p^c_exp as a residue in the field of
+    ``gauss_field(p)``: the image of the complex sum under the ring map that
+    sends e^(2 pi i / ((p-1) * top)) to z.
+
+    Sums chi(d)^(t*c_exp) * psi(d * p^a_exp) over units d mod p^c_exp, with
+    chi(g) = z^(top * (p-1) / n) the order-n character mod p and
+    psi(1) = z^((p-1) * top / p^c_exp); the power t*c_exp realises the
+    order-n residue symbol of the full modulus applied t times.  With
+    d = u + p*k, chi reads u alone and psi is additive, so the sum is
+    sum_u chi(u)^(t*c_exp) psi(u p^a_exp) times sum_k psi(k p^(a_exp+1)),
+    k < p^(c_exp-1), each summed term by term.
+    """
+    if t not in (1, 2) or c_exp < 1 or a_exp < 0 or n < 1:
+        raise ValueError("need t in (1, 2), c_exp >= 1, a_exp >= 0 and n >= 1")
+    if c_exp >= 32 or p ** c_exp >= _MODULUS_LIMIT:
+        raise ValueError(f"need p^c_exp < 2^32, got p={p}, c_exp={c_exp}")
+    if (p - 1) % n != 0:
+        raise ValueError(f"need p = 1 mod n, got p={p}, n={n}")
+    ell, z, top, g = gauss_field(p)
+    mod = p ** c_exp
+    chi = pow(z, top * ((p - 1) // n) * t * c_exp, ell)  # chi(g)^(t*c_exp)
+    psi = pow(z, (p - 1) * (top // mod), ell)             # psi(1)
+    shift = pow(p, a_exp, mod)
+    outer, u, chi_u = 0, 1, 1
+    for _ in range(p - 1):
+        outer += chi_u * pow(psi, u * shift % mod, ell)
+        u, chi_u = u * g % p, chi_u * chi % ell
+    step, inner, x = pow(psi, shift * p % mod, ell), 0, 1
+    for _ in range(mod // p):
+        inner += x
+        x = x * step % ell
+    return outer * inner % ell
+
+
+# the cases stop at moduli p**c_exp within this budget
 _TERM_BUDGET = 10 ** 7
 
 
@@ -96,7 +173,15 @@ def _exp_cap(p: int) -> int:
 
 def run_gauss_suite(primes: tuple[int, ...] = (5, 7, 13),
                     degrees: tuple[int, ...] = (1, 2, 3, 4)) -> dict:
-    """Numeric character sums against the stored closed forms."""
+    """Exact character sums (``gauss_exact``) against the stored closed forms.
+
+    The h and the n = 1 g cases are integer-exact: chi^(t*c) or psi is
+    trivial there, so the sum is a rational integer of absolute value at
+    most p^c < ell/2, and its residue lifted to (-ell/2, ell/2] is the
+    integer itself, which ``numeric`` reports beside the closed form's
+    ``symbolic`` value.  The residue-period and relation cases are
+    equalities in F_ell, under ``gauss_exact``'s one ring map from Z[zeta].
+    """
     if any(n < 1 for n in degrees):
         raise ValueError(f"cover degrees must be >= 1, got {list(degrees)}")
     if any(p < 2 for p in primes):
@@ -106,38 +191,56 @@ def run_gauss_suite(primes: tuple[int, ...] = (5, 7, 13),
         for p in primes:
             if (p - 1) % n:
                 continue
+            ell = gauss_field(p)[0]
             cap = _exp_cap(p)
             exponents = range(1, min(cap, 6) + 1)
-            for t in (1, 2):
-                for a in exponents:
-                    num = gauss_numeric(t, a, a, p, n)
-                    sym = _eval_laurent_q(h_value(t, a, n), p)
-                    cases.append(_case(f"h_{t}({a}) n={n} p={p}",
-                                       _rel_close(num, sym),
-                                       numeric=[num.real, num.imag],
-                                       symbolic=[sym.real, sym.imag]))
+            exact = [(f"h_{t}({a}) n={n} p={p}", t, a, a, h_value(t, a, n))
+                     for t in (1, 2) for a in exponents]
             if n == 1:
                 # the character is trivial: g_value gives -q^(a-1) for t = 1, 2
-                for t, name in ((1, "g({a}) n=1 p={p} specialization"),
-                                (2, "g_2({a}) n=1 p={p}")):
-                    for a in exponents:
-                        num = gauss_numeric(t, a - 1, a, p, 1)
-                        sym = _eval_laurent_q(g_value(t, a, 1), p)
-                        cases.append(_case(name.format(a=a, p=p),
-                                           _rel_close(num, sym),
-                                           numeric=[num.real, num.imag],
-                                           symbolic=[sym.real, sym.imag]))
+                exact += [(name.format(a=a, p=p), t, a - 1, a, g_value(t, a, 1))
+                          for t, name in ((1, "g({a}) n=1 p={p} specialization"),
+                                          (2, "g_2({a}) n=1 p={p}"))
+                          for a in exponents]
+            for name, t, a_exp, c_exp, closed in exact:
+                num = gauss_exact(t, a_exp, c_exp, p, n)
+                num -= ell if 2 * num > ell else 0  # lifted to (-ell/2, ell/2]
+                mons = closed.monomials()
+                if any(gauss or e < 0 for _, e, gauss in mons):
+                    raise ValueError(f"{name}: the closed form is no polynomial in q")
+                sym = sum(c * p ** e for c, e, _ in mons)
+                cases.append(_case(name, num == sym, numeric=num, symbolic=sym))
             # residue-class dependence: unit-scale values repeat with period n
             for t in (1, 2):
                 for a in exponents:
                     if a + n > cap:
                         continue
-                    v1 = gauss_numeric(t, a - 1, a, p, n) / p ** (a - 1)
-                    v2 = gauss_numeric(t, a + n - 1, a + n, p, n) / p ** (a + n - 1)
+                    v1 = gauss_exact(t, a - 1, a, p, n)
+                    v2 = gauss_exact(t, a + n - 1, a + n, p, n)
                     cases.append(_case(
                         f"g_{t} residue period: a={a} vs {a + n}, n={n} p={p}",
-                        _rel_close(v1, v2)))
+                        v1 * p ** n % ell == v2))
+            if n <= cap:
+                cases += _gauss_relations(p, n, ell)
     return _finish("gauss", cases)
+
+
+def _gauss_relations(p: int, n: int, ell: int) -> list[dict]:
+    """The relations a normal form of the ring would apply, on unit-scale
+    values g_t(c) = G(t, a-1, a) / p^(a-1), a the least positive exponent of
+    residue c: g_t(c) = -1 when n | t*c, g_2(c) = g_1(2c mod n), and
+    g(c) g(-c) = q for c != 0, which needs chi(-1) = 1, so it is asserted
+    only for p = 1 mod 2n."""
+    g = {(t, c): gauss_exact(t, a - 1, a, p, n) * pow(p, 1 - a, ell) % ell
+         for t in (1, 2) for c in range(n) for a in (c or n,)}
+    cases = [_case(f"g_{t}({c}) = -1 as n | {t}*{c}, n={n} p={p}", v == ell - 1)
+             for (t, c), v in g.items() if t * c % n == 0]
+    cases += [_case(f"g_2({c}) = g_1({2 * c % n}), n={n} p={p}",
+                    g[2, c] == g[1, 2 * c % n]) for c in range(n)]
+    if (p - 1) % (2 * n) == 0:
+        cases += [_case(f"g({c}) g({n - c}) = q as p = 1 mod 2n, n={n} p={p}",
+                        g[1, c] * g[1, n - c] % ell == p) for c in range(1, n)]
+    return cases
 
 
 # ---------------------------------------------------------------------------

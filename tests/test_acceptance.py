@@ -46,8 +46,9 @@ def test_criterion_1_character_oracle():
 
 
 def test_criterion_2_gauss_oracle():
-    # numeric sums against the closed forms at 1e-6 relative tolerance for
-    # n in 1..4, primes 5/7/13, exponents to 6; residue-class periodicity
+    # exact sums in a prime field against the closed forms for n in 1..4,
+    # primes 5/7/13, exponents to 6; residue-class periodicity and the
+    # relations g_t(c) = -1 (n | tc), g_2(c) = g_1(2c), g(c) g(-c) = q
     rep = _suite("gauss", lambda: run_gauss_suite(primes=(5, 7, 13),
                                                   degrees=(1, 2, 3, 4)))
     ok = rep["ok"]

@@ -215,16 +215,26 @@ def test_export_unwritable_path(tmp_path, capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only the numeric Gauss-sum oracle needs numpy, and it imports it itself
-    code = ("import sys, crystalmds.cli\n"
-            "assert 'numpy' not in sys.modules, 'numpy imported with the CLI'\n"
-            "from crystalmds.coefficients import gauss_numeric\n"
-            "print(round(abs(gauss_numeric(1, 0, 1, 7, 3)) ** 2, 9))\n")
+    # nothing in the package needs numpy: with every numpy import made to
+    # fail, the CLI loads and the gauss suite runs its exact sums
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import crystalmds.cli\n"
+            "code = crystalmds.cli.main(['verify', '--suite', 'gauss', '--primes', '5,7',\n"
+            "                            '--n', '1,2'])\n"
+            "assert sys.modules['numpy'] is None\n"
+            "from crystalmds.verification import gauss_exact, gauss_field\n"
+            "ell = gauss_field(7)[0]\n"
+            "g1, g2 = gauss_exact(1, 0, 1, 7, 3), gauss_exact(1, 1, 2, 7, 3) * pow(7, -1, ell)\n"
+            "print(code, g1 * g2 % ell)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(crystalmds.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "7.0"  # |g|^2 = p for a nontrivial character
+    report, last = done.stdout.strip().splitlines()
+    assert json.loads(report)["ok"]
+    # g_1(1) g_1(2) = p for a nontrivial cubic character mod 7
+    assert last == "0 7"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_suites():

@@ -1,5 +1,5 @@
-import cmath
 import random
+import time
 from functools import partial, reduce
 from operator import mul
 
@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, entry_factor, g_value,
-                        gauss_numeric, h_value, pattern_shape, row_components)
+                        h_value, pattern_shape, row_components)
 from crystalmds import coefficients
 from crystalmds.coefficients import POW_LIMIT, Q_EXP_LIMIT, _component_factor, slot_table
+from crystalmds.verification import gauss_exact, gauss_field
 from oracles import RefCoeff
 
 Q = CoeffElement.q_power
@@ -265,7 +266,7 @@ def test_json_round_trip_and_order():
 
 
 # ---------------------------------------------------------------------------
-# numeric oracle
+# exact oracle: Gauss sums in the prime field of gauss_field(p)
 # ---------------------------------------------------------------------------
 
 def _prime(x):
@@ -273,8 +274,11 @@ def _prime(x):
 
 
 def direct_sum(t, a_exp, c_exp, p, n):
-    """Independent evaluator: chi(g^k) = exp(2 pi i k / n) for the smallest
-    primitive root g, residue symbol of the full modulus = chi^(c_exp)."""
+    """Independent evaluator in the same field, term by term over every unit
+    d mod p^c_exp with no grouping: chi(g^k) = zeta_n^k for the smallest
+    primitive root g, residue symbol of the full modulus = chi^(c_exp), and
+    psi(x) = zeta_(p^c_exp)^x, both roots powers of the field's z."""
+    ell, z, top, _ = gauss_field(p)
     facts = {f for f in range(2, p) if (p - 1) % f == 0 and _prime(f)}
     g = next(g for g in range(2, p) if all(pow(g, (p - 1) // f, p) != 1 for f in facts))
     ind, acc = {}, 1
@@ -282,36 +286,48 @@ def direct_sum(t, a_exp, c_exp, p, n):
         ind[acc] = k
         acc = acc * g % p
     mod = p ** c_exp
-    tot = 0j
+    zeta_n = pow(z, top * (p - 1) // n, ell)
+    zeta_mod = pow(z, (p - 1) * top // mod, ell)
+    tot = 0
     for d in range(1, mod):
         if d % p == 0:
             continue
-        tot += cmath.exp(2j * cmath.pi * (ind[d % p] * t * c_exp / n + d * p ** a_exp / mod))
-    return tot
+        tot += pow(zeta_n, ind[d % p] * t * c_exp, ell) * pow(zeta_mod, d * p ** a_exp, ell)
+    return tot % ell
+
+
+def lifted(x, p):
+    ell = gauss_field(p)[0]
+    return x - ell if 2 * x > ell else x
 
 
 def test_gauss_numeric_spot_values():
-    assert abs(gauss_numeric(1, 0, 1, 5, 1) - (-1)) < 1e-9
-    assert abs(gauss_numeric(1, 1, 1, 5, 1) - 4) < 1e-9
-    assert abs(abs(gauss_numeric(1, 0, 1, 5, 2)) - 5 ** 0.5) < 1e-9
+    assert lifted(gauss_exact(1, 0, 1, 5, 1), 5) == -1
+    assert lifted(gauss_exact(1, 1, 1, 5, 1), 5) == 4
+    # the quadratic character mod 5 is even and real: g^2 = |g|^2 = 5
+    assert gauss_exact(1, 0, 1, 5, 2) ** 2 % gauss_field(5)[0] == 5
+    # p = 2 has the primitive root 1: the one unit mod 2 gives psi(1) = -1
+    assert lifted(gauss_exact(1, 0, 1, 2, 1), 2) == -1
 
 
 def test_gauss_numeric_matches_independent_sum():
     for (t, a, c, p, n) in [(1, 0, 1, 7, 3), (1, 2, 2, 5, 2), (2, 1, 2, 13, 4), (1, 3, 3, 5, 1)]:
-        got = gauss_numeric(t, a, c, p, n)
-        want = direct_sum(t, a, c, p, n)
-        assert abs(got - want) < 1e-6 * max(1.0, abs(want))
+        assert gauss_exact(t, a, c, p, n) == direct_sum(t, a, c, p, n)
 
 
 def test_gauss_numeric_validates_input():
     with pytest.raises(ValueError):
-        gauss_numeric(1, 0, 1, 6, 1)
+        gauss_exact(1, 0, 1, 6, 1)
     with pytest.raises(ValueError):
-        gauss_numeric(1, 0, 1, 7, 4)  # 7 != 1 mod 4
+        gauss_exact(1, 0, 1, 7, 4)  # 7 != 1 mod 4
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        gauss_exact(1, 0, 1, 2 ** 61 - 1, 1)  # p^c >= 2^32, refused before any factoring
+    assert time.perf_counter() - start < 1.0
 
 
 def eval_q(el, q):
-    tot = 0.0
+    tot = 0
     for c, e, gauss in el.monomials():
         assert not gauss
         tot += c * (q ** e)
@@ -322,40 +338,42 @@ def eval_q(el, q):
 def test_h_pinned_by_numeric_oracle(n, p):
     for t in (1, 2):
         for a in range(1, 5):
-            num = gauss_numeric(t, a, a, p, n)
+            num = gauss_exact(t, a, a, p, n)
             sym = eval_q(h_value(t, a, n), p)
-            assert abs(num - sym) < 1e-6 * max(1.0, abs(sym))
+            assert lifted(num, p) == sym
 
 
 def test_g_residue_class_only():
     # unit-scale values agree for arguments congruent mod n
     n, p, t = 3, 7, 1
-    v1 = gauss_numeric(t, 0, 1, p, n)
-    v2 = gauss_numeric(t, 3, 4, p, n) / p ** 3
-    assert abs(v1 - v2) < 1e-6 * max(1.0, abs(v1))
+    v1 = gauss_exact(t, 0, 1, p, n)
+    v2 = gauss_exact(t, 3, 4, p, n)
+    assert v1 * p ** 3 % gauss_field(p)[0] == v2
     assert g_value(t, 1, n) == CoeffElement.symbol(GaussSymbol(t, 1, n))
     assert g_value(t, 4, n) == CoeffElement.symbol(GaussSymbol(t, 1, n), q_exp=3)
 
 
 def unit_gauss(t, c, p, n):
-    """g_t(c) at unit scale: the sum of modulus p^a over p^(a-1), for a the
-    least positive exponent of residue c mod n."""
+    """g_t(c) at unit scale in the field: the sum of modulus p^a over
+    p^(a-1), for a the least positive exponent of residue c mod n."""
     a = c % n or n
-    return gauss_numeric(t, a - 1, a, p, n) / p ** (a - 1)
+    ell = gauss_field(p)[0]
+    return gauss_exact(t, a - 1, a, p, n) * pow(p, 1 - a, ell) % ell
 
 
 @pytest.mark.parametrize("n,p", [(2, 13), (3, 13), (4, 17), (6, 13)])
 def test_gauss_relations_pinned_by_numeric_oracle(n, p):
     # the relations a normal form of the ring would apply (ROADMAP item 1),
-    # for every residue; p = 1 mod 2n in each case
+    # for every residue, as equalities in F_ell; p = 1 mod 2n in each case
+    ell = gauss_field(p)[0]
     g = {(t, c): unit_gauss(t, c, p, n) for t in (1, 2) for c in range(n)}
     for (t, c), v in g.items():
         if t * c % n == 0:
-            assert abs(v + 1) < 1e-6, (t, c)
+            assert v == ell - 1, (t, c)
         if t == 2:
-            assert abs(v - g[1, 2 * c % n]) < 1e-6 * p, c
+            assert v == g[1, 2 * c % n], c
     for c in range(1, n):
-        assert abs(g[1, c] * g[1, -c % n] - p) < 1e-6 * p, c
+        assert g[1, c] * g[1, -c % n] % ell == p, c
 
 
 # ---------------------------------------------------------------------------
