@@ -72,6 +72,15 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .roots import CartanSpec
 
 
+def _integer(name: str, v) -> int:
+    """``v`` as an int (``operator.index``): a ValueError naming ``name`` for
+    anything that is not an integer, such as a float."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
+
+
 class _GaussFields(NamedTuple):
     t: int
     residue: int
@@ -89,6 +98,8 @@ class GaussSymbol(_GaussFields):
     __slots__ = ()
 
     def __new__(cls, t: int, residue: int, degree: int):
+        t, residue, degree = (_integer(f"symbol {name}", v)
+                              for name, v in zip(cls._fields, (t, residue, degree)))
         if t not in (1, 2):
             raise ValueError(f"symbol subscript t must be 1 or 2, got {t}")
         if degree < 2:
@@ -402,6 +413,8 @@ def g_value(t: int, a: int, n: int) -> CoeffElement:
 
 
 def _check_ta(t: int, a: int, n: int):
+    for name, v in (("subscript t", t), ("prime-power exponent a", a), ("cover degree n", n)):
+        _integer(name, v)
     if t not in (1, 2):
         raise ValueError("subscript t must be 1 or 2")
     if a < 1:

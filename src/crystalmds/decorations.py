@@ -17,7 +17,6 @@ from .weightpoly import Weight
 
 class DecoratedPattern(NamedTuple):
     pattern: LittelmannPattern
-    lam: Weight
     circled: tuple[tuple[bool, ...], ...]
     boxed: tuple[tuple[bool, ...], ...]
 
@@ -34,20 +33,18 @@ def decorate(L: LittelmannPattern, lam: Weight) -> DecoratedPattern:
     Runs the enumeration walk pinned to ``L``: one bound evaluation per
     entry, and ValueError at the first entry outside the polytope.
     """
-    lam = tuple(lam)
     ((_, circled, boxed, _, _),) = _walk(walk_plan(L.spec, lam), pinned=L.rows)
-    return DecoratedPattern(L, lam, _freeze(circled), _freeze(boxed))
+    return DecoratedPattern(L, _freeze(circled), _freeze(boxed))
 
 
 def decorated_crystal(rs: RootSystem, lam: Weight) -> Iterator[DecoratedPattern]:
     """Every pattern of the highest-weight crystal, decorated, in enumeration
     order; the masks are read off the bounds the enumeration walk already
     evaluated."""
-    lam = tuple(lam)
     spec = rs.spec
     for rows, circled, boxed, _, _ in _walk(walk_plan(spec, lam)):
-        yield DecoratedPattern(LittelmannPattern(spec, _freeze(rows)), lam,
-                               _freeze(circled), _freeze(boxed))
+        yield DecoratedPattern(LittelmannPattern(spec, _freeze(rows)), _freeze(circled),
+                               _freeze(boxed))
 
 
 def render(dp: DecoratedPattern) -> str:

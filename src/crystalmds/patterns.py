@@ -5,7 +5,6 @@ the family's distinguished long word.  The word comes in blocks, one per
 rank (``roots.long_word_blocks``), and row i holds the block i-th from the
 end: its length is row i's, and its letters are those of flat columns
 i, i+1, ... in turn, the same letter in every row that reaches a column.
-Reads outside the shape return 0.
 
 The slot walk ``_walk`` is the one place that evaluates a pattern's cone and
 string-polytope bounds.  It visits slots row by row from the top, right to
@@ -27,7 +26,8 @@ forward a row at a time and walks each row once per distinct set of them.
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import index
 from typing import Callable, Iterator, NamedTuple
 
 from .coefficients import CoeffElement
@@ -42,43 +42,32 @@ def pattern_shape(spec: CartanSpec) -> list[int]:
     return [len(block) for block in reversed(long_word_blocks(spec))]
 
 
-def column_letter(spec: CartanSpec, j: int) -> int:
-    """Simple-root index whose climbing segments fill flat column j: the
-    j-th letter of the word's last block, which row 1 holds.  A column
-    outside row 1 raises ValueError."""
-    letters = long_word_blocks(spec)[-1]
-    if not 1 <= j <= len(letters):
-        raise ValueError(f"column {j} lies outside row 1's columns 1..{len(letters)}")
-    return letters[j - 1]
-
-
 class _PatternFields(NamedTuple):
     spec: CartanSpec
     rows: tuple[tuple[int, ...], ...]
 
 
 class LittelmannPattern(_PatternFields):
-    """A pattern's rows, checked against the spec's shape on every
-    construction: by call, ``_make`` and ``_replace``."""
+    """A pattern's rows, checked against the spec's shape, and for integer,
+    nonnegative entries, on every construction: by call, ``_make`` and
+    ``_replace``."""
     __slots__ = ()
 
     def __new__(cls, spec: CartanSpec, rows: tuple[tuple[int, ...], ...]):
         shape = pattern_shape(spec)
         if [len(row) for row in rows] != shape:
             raise ValueError(f"rows do not fit the {spec} shape {shape}")
-        if any(v < 0 for row in rows for v in row):
+        try:
+            low = min(map(index, chain.from_iterable(rows)), default=0)
+        except TypeError:
+            raise ValueError("pattern entries must be integers") from None
+        if low < 0:
             raise ValueError("pattern entries must be nonnegative")
         return super().__new__(cls, spec, rows)
 
     @classmethod
     def _make(cls, fields):
         return cls(*fields)
-
-    def a(self, i: int, j: int) -> int:
-        """Entry at row i, flat column j; 0 outside the shape."""
-        if not 1 <= i <= len(self.rows) or not i <= j < i + len(self.rows[i - 1]):
-            return 0
-        return self.rows[i - 1][j - i]
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
         for i, row in enumerate(self.rows, start=1):
@@ -102,13 +91,6 @@ def _rows_text(rows) -> str:
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
-
-def enumeration_slots(spec: CartanSpec) -> list[tuple[int, int]]:
-    """Slot order used by the enumerator: rows top to bottom, right to left."""
-    return [(i, j)
-            for i, n in enumerate(pattern_shape(spec), start=1)
-            for j in range(i + n - 1, i - 1, -1)]
-
 
 def _slot_cone(spec: CartanSpec, i: int, j: int, n: int) -> tuple[int, int, int, int]:
     """The cone's lower bound on slot (i, j) of a row of n entries, as
@@ -149,7 +131,6 @@ class WalkPlan(NamedTuple):
     1..r-i+1 in every family, so that is row i's own fields: the key under
     which ``series`` caches row i's fillings, and under which
     ``branch_decompose`` shares the sum of the rows below row 1."""
-    spec: CartanSpec
     codec: WeightCodec
     top: int                          # the highest weight, packed
     buffers: tuple[list, list, list]  # rows, circled and boxed marks
@@ -183,8 +164,8 @@ def walk_plan(spec: CartanSpec, lam: Weight) -> WalkPlan:
     reads = [0] * (len(shape) + 1)
     for i, _, _, _, _, _, shift, _, _ in reversed(frames):
         reads[i - 1] |= reads[i] | field << shift
-    return WalkPlan(spec, codec, codec.pack(lam), (rows, circled, boxed), frames,
-                    starts, tuple(reads[:-1]))
+    return WalkPlan(codec, codec.pack(lam), (rows, circled, boxed), frames, starts,
+                    tuple(reads[:-1]))
 
 
 def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
@@ -192,8 +173,8 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
           wt: int | None = None) -> Iterator[tuple[list, list, list, int, object]]:
     """The slot walk: the one place that evaluates the bounds of a slot.
 
-    Slots are visited in ``enumeration_slots`` order, the reverse of the long
-    word, and the walk carries the weight lam - sum v * alpha(letter) of the
+    Slots are visited in frame order, the reverse of the long word, and
+    the walk carries the weight lam - sum v * alpha(letter) of the
     entries already placed, packed into one int by the plan's codec: placing
     a value subtracts its packed root.  Each node evaluates the slot's cone
     bound from its row buffer at the frame's offsets and scale, rounded up
@@ -296,9 +277,8 @@ def _freeze(rows: list[list]) -> tuple[tuple, ...]:
 def enumerate_patterns(rs: RootSystem, lam: Weight) -> Iterator[LittelmannPattern]:
     """All patterns of the highest-weight crystal, each exactly once.
 
-    Deterministic order: lexicographic in the slot sequence of
-    ``enumeration_slots`` (rows top to bottom, right to left), values
-    ascending.
+    Deterministic order: lexicographic in the slot sequence of the walk
+    plan's frames (rows top to bottom, right to left), values ascending.
     """
     spec = rs.spec
     for rows, _, _, _, _ in _walk(walk_plan(spec, lam)):

@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
+from .coefficients import _integer
 from .weightpoly import (Weight, WeightCodec, WeightPolynomial, poly_from_packed,
                          weight_codec)
 
@@ -46,6 +47,7 @@ class CartanSpec(_CartanFields):
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int):
+        rank = _integer("rank", rank)
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
         if rank < _MIN_RANK[family]:
@@ -108,8 +110,9 @@ class RootSystem(NamedTuple):
 
 
 def _checked_weight(spec: CartanSpec, w: Weight) -> Weight:
-    """``w`` as a tuple; a ValueError unless it has one coordinate per rank."""
-    w = tuple(w)
+    """``w`` as a tuple of ints; a ValueError unless it has one integer
+    coordinate per rank."""
+    w = tuple(_integer("weight coordinate", c) for c in w)
     if len(w) != spec.rank:
         raise ValueError(f"weight {w} has {len(w)} coordinates, rank is {spec.rank}")
     return w
@@ -327,8 +330,7 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     table = {codec.pack(lam): 1}
     for k in nice_long_word(rs.spec):
         table = _demazure(codec, table, k)
-    meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
-    return poly_from_packed(rs.height_vec, codec, {w: c for w, c in table.items() if c}, meta)
+    return poly_from_packed(rs.height_vec, codec, {w: c for w, c in table.items() if c})
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

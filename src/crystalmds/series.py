@@ -55,9 +55,9 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .coefficients import CoeffElement, slot_table
+from .coefficients import CoeffElement, _integer, slot_table
 from .patterns import WalkPlan, _walk, walk_plan
-from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
+from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character, weyl_dimension)
 from .weightpoly import (Weight, WeightPolynomial, divide_terms, poly_from_packed,
                          poly_from_packed_terms)
@@ -160,10 +160,8 @@ def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     the row reads, and every prefix that reaches a weight once
     (``_row_sums``), not once per leaf.
     """
-    lam = tuple(lam)
-    meta = {"family": rs.family, "rank": rs.rank, "lambda": list(lam)}
     plan = walk_plan(rs.spec, lam)
-    return poly_from_packed(rs.height_vec, plan.codec, _row_sums(plan), meta)
+    return poly_from_packed(rs.height_vec, plan.codec, _row_sums(plan))
 
 
 def p_part(rs: RootSystem, lam: Weight, n: int, *,
@@ -179,18 +177,17 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
     of a row, like its bounds, depend only on the weight fields the row
     reads, and ``_row_sums`` walks the row once per such set of fields.
     """
-    lam = tuple(lam)
-    if n < 1:
+    if _integer("cover degree n", n) < 1:
         raise ValueError("cover degree n must be >= 1")
+    lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"highest weight must be dominant, got {lam}")
     if not is_strongly_dominant(lam) and not allow_dominant:
         raise ValueError(
             f"p-part semantics require a strongly dominant weight, got {lam}; "
             "pass allow_dominant=True to sum anyway")
-    meta = {"family": rs.family, "rank": rs.rank, "n": n, "lambda": list(lam)}
     plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, n))
-    return poly_from_packed(rs.height_vec, plan.codec, sums, meta)
+    return poly_from_packed(rs.height_vec, plan.codec, sums)
 
 
 def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:
@@ -219,7 +216,7 @@ def twisted_character(rs: RootSystem, lam_prime: Weight) -> WeightPolynomial:
     height of the drop from the highest weight: the height functional's value
     on the drop over its value on a simple root."""
     chi = weyl_character(rs, lam_prime)
-    return poly_from_packed_terms(rs.height_vec, _twist(rs, lam_prime, chi.terms), chi.meta)
+    return poly_from_packed_terms(rs.height_vec, _twist(rs, lam_prime, chi.terms))
 
 
 def _twist(rs: RootSystem, lam_prime: Weight, terms: dict) -> dict[Weight, dict[int, int]]:
@@ -251,14 +248,13 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
         raise ValueError("the deformation factorization is asserted for type A only")
     lam = tuple(lam)
     if not is_strongly_dominant(lam):
-        raise ValueError("need a strongly dominant highest weight")
+        raise ValueError(f"need a strongly dominant highest weight, got {lam}")
     plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, 1))
     numer = dict(zip(plan.codec.decode_all(sums), sums.values()))
     lam_prime = tuple(c - 1 for c in lam)
     divisor = _twist(rs, lam_prime, weyl_character(rs, lam_prime).terms)
     quot, rem = divide_terms(rs.height_vec, numer, divisor)
-    meta = {"family": rs.family, "rank": rs.rank, "n": 1, "lambda": list(lam)}
-    poly = poly_from_packed_terms(rs.height_vec, rem or quot, meta)
+    poly = poly_from_packed_terms(rs.height_vec, rem or quot)
     if not rem:
         return TokuyamaResult(lam, "minus_rho", True, poly, None)
     return TokuyamaResult(lam, "minus_rho", False, None, poly, reason="inexact division")
@@ -322,42 +318,40 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     # truncation must stay in-family: A_1 exists, B_1/C_1/D_2 do not, and
     # their spec raises ValueError
     sub_rs = build_root_system(CartanSpec(spec.family, r - 1))
-    if n < 1:
+    if _integer("cover degree n", n) < 1:
         raise ValueError("cover degree n must be >= 1")
     factor, sub_factor = slot_table(spec, n), slot_table(sub_rs.spec, n)
     plan, sums = _p_sums(spec, lam, factor)
-    whole = poly_from_packed(rs.height_vec, plan.codec, sums, {})
-    # each top row with the product of its slot factors, taken at the leaf,
-    # where the row is complete; copied before the lower sums walk, since
-    # walks on one plan share the rows
-    tops = []
-    for rows, circled, boxed, w, _ in _walk(plan, row=1, wt=plan.top):
-        row, crow, brow = rows[0], circled[0], boxed[0]
-        factors = [factor(1, j, row, crow, brow) for j in range(len(row), 0, -1)]
-        tops.append((tuple(row), w, reduce(mul, factors)))
-
+    whole = poly_from_packed(rs.height_vec, plan.codec, sums)
     branches: dict[Weight, tuple[dict, int]] = {}
     lower: dict[int, dict[Weight, CoeffElement]] = {}
     reports: list[BranchGroupReport] = []
     rebuilt: dict[Weight, CoeffElement] = {}
     origin = (0,) * r
     lifts_ok = True
-    for top, w, top_scalar in tops:
+    # each top row, walked alone: the lower sums walk rows 2 and below only,
+    # so they leave row 1's buffers as this walk placed them
+    for rows, circled, boxed, w, _ in _walk(plan, row=1, wt=plan.top):
+        # the product of the row's slot factors, taken at the leaf, where
+        # the row is complete
+        row, crow, brow = rows[0], circled[0], boxed[0]
+        top_scalar = reduce(mul, [factor(1, j, row, crow, brow)
+                                  for j in range(len(row), 0, -1)])
         shift = plan.codec.decode(w)
         mu = shift[:r - 1]
         if not is_dominant(mu):
             raise AssertionError(f"branch weight {mu} is not dominant")
         if mu not in branches:
             sub_plan, sub_sums = _p_sums(sub_rs.spec, mu, sub_factor)
-            branches[mu] = (poly_from_packed(sub_rs.height_vec, sub_plan.codec, sub_sums,
-                                             {}).terms, weyl_dimension(sub_rs, mu))
+            branches[mu] = (poly_from_packed(sub_rs.height_vec, sub_plan.codec, sub_sums).terms,
+                            weyl_dimension(sub_rs, mu))
         want, size = branches[mu]
         key = w & plan.reads[1]
         below = lower.get(key)
         if below is None:
             # decoded once per key, as offsets from this group's shift
             terms = poly_from_packed(rs.height_vec, plan.codec,
-                                     _row_sums(plan, factor, 2, w), {}).terms
+                                     _row_sums(plan, factor, 2, w)).terms
             below = lower[key] = {tuple(map(sub, x, shift)): c for x, c in terms.items()}
         # the lower sum's rank-r weights by their first r-1 coordinates
         lift, got, clash = {}, {}, []
@@ -371,7 +365,7 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
         witness = next(map(str, clash + diff), None)
         scalar = top_scalar * below.get(origin, CoeffElement.zero())
         reports.append(BranchGroupReport(
-            top, mu=mu, shift=shift, scalar=scalar, size=size,
+            tuple(row), mu=mu, shift=shift, scalar=scalar, size=size,
             truncation_ok=got.keys() == want.keys(), s_additivity_ok=not clash,
             factorization_ok=got == want, witness=witness))
 

@@ -74,6 +74,9 @@ def weight_codec(lam: Weight, cartan) -> WeightCodec:
 
 
 class WeightPolynomial:
+    """``meta`` is a free-form dict that nothing in the package fills or
+    reads; it stays only because ``perfbench/workloads.py`` passes one, and
+    goes when that benchmark is rebuilt (ROADMAP item 9)."""
     __slots__ = ("terms", "height_vec", "meta")
 
     def __init__(self, height_vec: tuple[int, ...],
@@ -119,9 +122,6 @@ class WeightPolynomial:
         return " + ".join(bits) if bits else "0"
 
     # -- arithmetic ----------------------------------------------------------
-    def _like(self, terms: dict[Weight, CoeffElement]) -> "WeightPolynomial":
-        return WeightPolynomial(self.height_vec, terms, self.meta)
-
     def __mul__(self, other: "WeightPolynomial") -> "WeightPolynomial":
         self._check(other)
         acc: dict[Weight, CoeffElement] = {}
@@ -130,7 +130,7 @@ class WeightPolynomial:
                 w = tuple(a + b for a, b in zip(w1, w2))
                 prod = c1 * c2
                 acc[w] = acc[w] + prod if w in acc else prod
-        return self._like(acc)
+        return WeightPolynomial(self.height_vec, acc)
 
     def _check(self, other: "WeightPolynomial"):
         if self.height_vec != other.height_vec:
@@ -153,8 +153,8 @@ class WeightPolynomial:
         quot, rem = divide_terms(self.height_vec,
                                  {w: el.packed() for w, el in self.terms.items()},
                                  {w: el.packed() for w, el in divisor.terms.items()})
-        return (poly_from_packed_terms(self.height_vec, quot, self.meta),
-                poly_from_packed_terms(self.height_vec, rem, self.meta))
+        return (poly_from_packed_terms(self.height_vec, quot),
+                poly_from_packed_terms(self.height_vec, rem))
 
 
 def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
@@ -166,13 +166,12 @@ def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
     )
 
 
-def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec, table: dict,
-                     meta: dict) -> WeightPolynomial:
+def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec,
+                     table: dict) -> WeightPolynomial:
     """The polynomial of a packed table: each key is a packed weight, and
     each value a nonzero int or a zero-free packed monomial dict
     (``CoeffElement.packed``), which the polynomial takes over.  Equal ints
-    share one element, made for this call.  Neither the table nor ``meta``
-    is copied."""
+    share one element, made for this call.  The table is not copied."""
     values = table.values()
     if isinstance(next(iter(values), None), dict):
         elements = map(CoeffElement.from_packed, values)
@@ -181,18 +180,17 @@ def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec, table: dic
         elements = map(shared.__getitem__, values)
     # the terms are canonical already: skip the constructor's copy and scan
     poly = object.__new__(WeightPolynomial)
-    poly.height_vec, poly.meta = height_vec, meta
+    poly.height_vec, poly.meta = height_vec, {}
     poly.terms = dict(zip(codec.decode_all(table), elements))
     return poly
 
 
-def poly_from_packed_terms(height_vec: tuple[int, ...], terms: dict[Weight, dict[int, int]],
-                           meta: dict | None = None) -> WeightPolynomial:
+def poly_from_packed_terms(height_vec: tuple[int, ...],
+                           terms: dict[Weight, dict[int, int]]) -> WeightPolynomial:
     """The polynomial of a weight -> packed monomial dict table, such as
     ``divide_terms`` returns: each dict is taken over by one element
     (``CoeffElement.from_packed``), so the caller must not change it."""
-    return WeightPolynomial(height_vec, {w: CoeffElement.from_packed(t) for w, t in terms.items()},
-                            meta)
+    return WeightPolynomial(height_vec, {w: CoeffElement.from_packed(t) for w, t in terms.items()})
 
 
 def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple[dict, dict]:

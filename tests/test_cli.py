@@ -115,6 +115,12 @@ def test_verify_tokuyama_passes(capsys):
     assert rep["ok"] and rep["suite"] == "tokuyama"
 
 
+def test_verify_tokuyama_names_the_refused_lambda(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "tokuyama", "--lambdas", "1,1;0,1"])
+    assert code == 2 and out == ""
+    assert "need a strongly dominant highest weight, got (0, 1)" in err
+
+
 def test_verify_tokuyama_groups_lambdas_by_rank(capsys):
     # the ranks run in ascending order whatever the input order, and each
     # rank keeps its lambdas in input order

@@ -224,6 +224,11 @@ def test_h_value_cases():
     assert h_value(1, 3, 3) == Q(3) - Q(2)
     with pytest.raises(ValueError):
         h_value(1, 0, 1)
+    # an integral float is still no integer, in any argument of either sum
+    for t, a, n in ((1.0, 1, 2), (1, 2.0, 3), (1, 1, 2.0)):
+        for value in (h_value, g_value):
+            with pytest.raises(ValueError, match="must be an integer"):
+                value(t, a, n)
 
 
 def test_g_value_symbolic_and_specialized():

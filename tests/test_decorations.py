@@ -116,7 +116,7 @@ def test_walk_masks_match_decorate_and_definitions():
                 assert oracle_masks(family, rank, L.rows, lam) == \
                     (True, dp.circled, dp.boxed), L.to_text()
                 if family == "B":
-                    odd_halved += sum(L.a(i, rank) % 2 for i in range(1, rank))
+                    odd_halved += sum(L.rows[i - 1][rank - i] % 2 for i in range(1, rank))
     assert odd_halved > 0
 
 
@@ -174,7 +174,7 @@ def test_components_partition_rows():
                 for j in range(c.j1, c.j2 + 1):
                     assert (i, j) not in covered
                     covered[(i, j)] = c
-                    assert L.a(i, j) == c.value
+                    assert L.rows[i - 1][j - i] == c.value
         assert set(covered) == {(i, j) for i, j, _ in L.entries()}
         count += 1
         if count > 400:

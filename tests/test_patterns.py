@@ -5,11 +5,11 @@ import random
 import pytest
 
 from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
-                        character_dimension, column_letter, decorate,
+                        character_dimension, decorate,
                         enumerate_patterns, nice_long_word, pattern_shape, pattern_wt,
                         branch_decompose, weyl_character, weyl_dimension)
 from crystalmds.decorations import decorated_crystal
-from crystalmds.patterns import _freeze, _walk, enumeration_slots, rows_weight, walk_plan
+from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
 from crystalmds.roots import _MIN_RANK
 from crystalmds.series import character_via_patterns
 from crystalmds.weightpoly import weight_codec
@@ -74,18 +74,10 @@ def test_layout_matches_the_string_path(family):
         assert pattern_shape(spec) == [last - first + 1 for _, (first, last)
                                        in sorted(spans.items())], rank
         # a flat column has one letter, in row 1 and every row below
-        assert all(column_letter(spec, j) == c for (_, j), c in letter.items()), rank
-        assert enumeration_slots(spec) == path[::-1], rank
         plan = walk_plan(spec, (1,) * rank)
         assert [frame[:2] for frame in plan.frames] == path[::-1], rank
         assert [frame[6] for frame in plan.frames] == \
             [(letter[slot] - 1) * plan.codec.width for slot in path[::-1]], rank
-
-
-def test_zero_extension_reads():
-    L = P("B", 2, [[1, 2, 3], [4]])
-    assert L.a(1, 1) == 1 and L.a(1, 3) == 3 and L.a(2, 2) == 4
-    assert L.a(1, 0) == 0 and L.a(1, 4) == 0 and L.a(2, 1) == 0 and L.a(3, 2) == 0
 
 
 def test_shape_validation():
@@ -298,9 +290,8 @@ def test_enumeration_deterministic_and_ordered():
         r = rs(family, rank)
         runs = [[L.rows for L in enumerate_patterns(r, lam)] for _ in range(2)]
         assert runs[0] == runs[1]
-        slots = enumeration_slots(r.spec)
-        keys = [tuple(LittelmannPattern(r.spec, rows).a(i, j) for i, j in slots)
-                for rows in runs[0]]
+        slots = [frame[:2] for frame in walk_plan(r.spec, lam).frames]
+        keys = [tuple(rows[i - 1][j - i] for i, j in slots) for rows in runs[0]]
         assert keys == sorted(set(keys)), (family, rank, lam)
         assert len(keys) == weyl_dimension(r, lam)
 
@@ -345,7 +336,8 @@ def test_each_row_reads_the_fields_of_the_rows_below(family):
         plan = walk_plan(spec, (1,) * rank)
         w = plan.codec.width
         for i, mask in enumerate(plan.reads, start=1):
-            own = {column_letter(spec, j) for j in range(i, i + pattern_shape(spec)[i - 1])}
+            frames = plan.frames[plan.starts[i - 1]:plan.starts[i]]
+            own = {frame[6] // w + 1 for frame in frames}
             assert own == set(range(1, rank - i + 2)), (rank, i)
             assert mask == sum(((1 << w) - 1) << (c - 1) * w for c in own), (rank, i)
 
@@ -394,26 +386,6 @@ def test_pattern_weight_a2():
 def test_pattern_weight_d3():
     L = P("D", 3, [[0, 1, 0, 0], [0, 0]])
     assert rows_weight(L.spec, L.rows) == (1, 0, 0)
-
-
-def test_column_letters_match_weight_columns():
-    # type B: middle column is the short root's; mirrored pairs elsewhere
-    spec = CartanSpec("B", 2)
-    assert [column_letter(spec, j) for j in (1, 2, 3)] == [2, 1, 2]
-    spec = CartanSpec("D", 3)
-    assert [column_letter(spec, j) for j in (1, 2, 3, 4)] == [3, 1, 2, 3]
-
-
-@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
-def test_column_letter_rejects_a_column_outside_row_one(family):
-    # row 1 holds columns 1..width; 0 and -1 must not index the block from
-    # its other end
-    spec = CartanSpec(family, 3)
-    width = pattern_shape(spec)[0]
-    assert [column_letter(spec, j) for j in range(1, width + 1)]
-    for j in (0, -1, width + 1):
-        with pytest.raises(ValueError, match="outside row 1"):
-            column_letter(spec, j)
 
 
 def test_character_via_weights_small():

@@ -54,6 +54,13 @@ _VALIDATED = [
      r"rows do not fit the CartanSpec\(family='A', rank=2\) shape \[2, 1\]"),
     (LittelmannPattern(CartanSpec("A", 2), ((1, 0), (0,))), "rows", ((1, -1), (0,)),
      "pattern entries must be nonnegative"),
+    # integer fields take integers only, not floats of integral value
+    (CartanSpec("A", 2), "rank", 2.0, "rank must be an integer, got 2.0"),
+    (GaussSymbol(1, 1, 2), "t", 1.0, "symbol t must be an integer, got 1.0"),
+    (GaussSymbol(1, 1, 2), "residue", 0.5, "symbol residue must be an integer, got 0.5"),
+    (GaussSymbol(1, 1, 2), "degree", 2.0, "symbol degree must be an integer, got 2.0"),
+    (LittelmannPattern(CartanSpec("A", 2), ((1, 0), (0,))), "rows", ((1.0, 0), (0,)),
+     "pattern entries must be integers"),
 ]
 
 

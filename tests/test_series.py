@@ -115,6 +115,29 @@ def test_row_sums_hold_no_zero(family, rank, lam, n):
     assert all(0 not in c.packed().values() for c in P.terms.values())
 
 
+@pytest.mark.parametrize("family,rank,lam,n,leaves", [("B", 3, (1, 1, 1), 2, 22),
+                                                      ("D", 4, (1, 1, 1, 1), 2, 52),
+                                                      ("A", 3, (2, 1, 2), 3, 18)])
+def test_lower_sums_leave_a_row_one_walk_alone(family, rank, lam, n, leaves):
+    # branch_decompose sums rows 2 and below at each leaf of a row-1 walk on
+    # the same plan: those sums must leave row 1's values and marks, the
+    # leaf's weight and the walk's course as they were
+    r = rs(family, rank)
+    factor, plan = slot_table(r.spec, n), walk_plan(r.spec, lam)
+
+    def leaf(rows, circled, boxed, w):
+        return tuple(rows[0]), tuple(circled[0]), tuple(boxed[0]), w
+
+    plain = [leaf(*x[:4]) for x in _walk(plan, row=1, wt=plan.top)]
+    interleaved = []
+    for rows, circled, boxed, w, _ in _walk(plan, row=1, wt=plan.top):
+        before = leaf(rows, circled, boxed, w)
+        series._row_sums(plan, factor, 2, w)
+        assert leaf(rows, circled, boxed, w) == before
+        interleaved.append(before)
+    assert interleaved == plain and len(plain) == leaves
+
+
 @pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2), ("B", 3, (1, 1, 1), 2),
                                                ("C", 3, (2, 1, 1), 2), ("D", 4, (1, 1, 1, 1), 2),
                                                ("D", 3, (2, 1, 2), 60)])
@@ -182,13 +205,13 @@ def test_cancelled_monomial_leaves_p():
     assert k not in P.coeff(w).packed()
 
 
-def assert_canonical(poly, rank):
+def assert_canonical(poly, rank, n):
     # tuple keys of length rank, no zero coefficient, and the same terms,
-    # each weight and element rebuilt, through the public constructor
+    # each weight and element rebuilt, through the public constructor; n is
+    # the degree of the Gauss symbols, which symbol-free terms never read
     assert all(type(w) is tuple and len(w) == rank and all(type(x) is int for x in w)
                for w in poly.terms)
     assert all(c.packed() and 0 not in c.packed().values() for c in poly.terms.values())
-    n = poly.meta.get("n", 1)
     rebuilt = {tuple(map(int, w)): CoeffElement.from_json_obj(c.to_json_obj(), n)
                for w, c in poly.terms.items()}
     assert WeightPolynomial(poly.height_vec, rebuilt).terms == poly.terms
@@ -205,7 +228,7 @@ def test_producers_return_canonical_terms(family, rank, lam, n):
     twisted = twisted_character(r, tuple(c - 1 for c in lam))
     quot, rem = P.divide(twisted)
     for poly in (P, chi, via, twisted, quot, rem):
-        assert_canonical(poly, rank)
+        assert_canonical(poly, rank, n)
     assert not quot.is_zero() and not rem.is_zero()
     assert via == chi
     # equal multiplicities of one character share one element
@@ -298,6 +321,11 @@ def test_p_part_preconditions():
     assert p_part(rs("A", 2), (1, 0), 1, allow_dominant=True) is not None
     with pytest.raises(ValueError):
         p_part(rs("A", 2), (1, 1), 0)
+    # a float is no integer: not a degree of its symbols, nor a coordinate
+    with pytest.raises(ValueError, match="cover degree n must be an integer, got 2.0"):
+        p_part(rs("A", 2), (1, 1), 2.0)
+    with pytest.raises(ValueError, match="weight coordinate must be an integer, got 1.0"):
+        p_part(rs("A", 2), (1.0, 1), 2)
 
 
 def test_p_part_allow_dominant_is_keyword_only():
@@ -428,7 +456,7 @@ def _patch_p_sums(monkeypatch, change):
     def wrapped(spec, lam, factor):
         plan, sums = _p_sums(spec, lam, factor)
         r = rs(spec.family, spec.rank)
-        terms = poly_from_packed(r.height_vec, plan.codec, sums, {}).terms
+        terms = poly_from_packed(r.height_vec, plan.codec, sums).terms
         new = change(r, lam, dict(terms))
         if not new:
             return plan, sums
