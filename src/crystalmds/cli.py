@@ -61,13 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--allow-dominant", action="store_true",
                     help="accept dominant but not strongly dominant weights for the p-part")
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    # an option left out stays out of args, so the suite's keyword default applies
+    pv = sub.add_parser("verify", help="run a verification suite",
+                        argument_default=argparse.SUPPRESS)
     pv.add_argument("--suite", required=True, choices=sorted(_SUITE_OPTIONS))
-    pv.add_argument("--max-dim", type=int, default=5000)
-    pv.add_argument("--primes", type=_parse_ints, default=(5, 7, 13))
-    pv.add_argument("--n", dest="degrees", type=_parse_ints, default=(1, 2, 3, 4),
+    pv.add_argument("--max-dim", type=int)
+    pv.add_argument("--primes", type=_parse_ints)
+    pv.add_argument("--n", dest="degrees", type=_parse_ints,
                     help="cover degrees for the gauss suite, comma separated")
-    pv.add_argument("--lambdas", type=_parse_weights, default=None,
+    pv.add_argument("--lambdas", type=_parse_weights,
                     help="semicolon-separated weights for the tokuyama suite, "
                          "e.g. '1,1;2,1;2,2'")
 
@@ -114,7 +116,12 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     from .verification import SUITES  # only verify needs the suites
 
-    kwargs = {k: getattr(args, k) for k in _SUITE_OPTIONS[args.suite]}
+    kwargs = {k: v for k, v in vars(args).items() if k not in ("command", "suite")}
+    stray = sorted(kwargs.keys() - _SUITE_OPTIONS[args.suite])
+    if stray:
+        flags = ", ".join("--n" if k == "degrees" else "--" + k.replace("_", "-")
+                          for k in stray)
+        raise ValueError(f"the {args.suite} suite takes no {flags}")
     report = SUITES[args.suite](**kwargs)
     print(json.dumps(report))
     return 0 if report["ok"] else 1

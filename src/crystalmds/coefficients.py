@@ -273,10 +273,6 @@ class CoeffElement:
             a, b = b, a
         if not a:
             return _ZERO
-        if len(a) == 1:
-            # distinct keys stay distinct under one shift: nothing cancels
-            (k1, c1), = a.items()
-            return _wrap({k1 + k: c1 * c for k, c in b.items()})
         acc: dict[int, int] = {}
         get = acc.get
         for k1, c1 in a.items():

@@ -129,8 +129,7 @@ class WalkPlan(NamedTuple):
     ``reads[i - 1]`` masks the packed-weight fields that the slots of rows
     i and below read, those of their column letters.  Row i reads letters
     1..r-i+1 in every family, so that is row i's own fields: the key under
-    which ``series`` caches row i's fillings, and under which
-    ``branch_decompose`` shares the sum of the rows below row 1."""
+    which ``series`` caches row i's fillings."""
     codec: WeightCodec
     top: int                          # the highest weight, packed
     buffers: tuple[list, list, list]  # rows, circled and boxed marks

@@ -43,11 +43,14 @@ elements.
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
 The split is the row loop's own: the rows below a filling of row 1 sum over
-that group's branch crystal, so each group's lower sum, the same loop started
+that group's branch crystal, so a group's lower sum, the same loop started
 at row 2 from the group's end, is compared with P of the branch crystal, and
-nothing is walked leaf by leaf.  Each rank has one slot table for the call:
-the whole crystal's sum and the top rows' factors share one, and the branch
-crystals of every mu the other.
+nothing is walked leaf by leaf.  Those rows read only the weight fields of
+letters 1..r-1, which hold the branch weight mu, so the lower sum, as
+offsets from the group's end, and every verdict on it depend on mu alone and
+are taken once per mu.  Each rank has one slot table for the call: the whole
+crystal's sum and the top rows' factors share one, and the branch crystals
+of every mu the other.
 """
 from __future__ import annotations
 
@@ -85,8 +88,8 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
     keyed by the weight fields the row reads (``WalkPlan.reads``), so each
     distinct key is walked once.  The partial sum times each filling value
     goes into the next table at the weight plus the drop.  Products of packed
-    dicts accumulate in place into dicts the next table created, and the
-    zeros that cancellation leaves are dropped once per row.
+    dicts accumulate in place, through one merge loop, into dicts the next
+    table created; the zeros that cancellation leaves go once per row.
     """
     packed = factor is not None
     sums = {plan.top if wt is None else wt: dict(CoeffElement.one().packed()) if packed else 1}
@@ -107,10 +110,6 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
                 x = wt + d
                 t = get(x)
                 if t is None:
-                    if len(f) == 1:  # nothing to merge: one shifted copy
-                        (k0, c0), = f.items()
-                        out[x] = {k0 + k: c0 * v for k, v in s.items()}
-                        continue
                     t = out[x] = {}
                 tget = t.get
                 for k1, c1 in f.items():
@@ -269,7 +268,8 @@ class BranchGroupReport(NamedTuple):
     the rank-r weight shift and scalar with which P_mu enters P_lambda, as
     in P_lambda = sum over groups of scalar * x^shift * P_mu; then the
     group's checks, and as witness the first rank-(r-1) weight at which its
-    lower sum and P_mu differ."""
+    lower sum and P_mu differ.  The fields from ``size`` on depend on ``mu``
+    alone, and every group of one mu shares them."""
     top_row: tuple[int, ...]
     mu: Weight
     shift: Weight
@@ -299,16 +299,16 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     check that weights and coefficients factor through top-row deletion.
 
     A group is one filling of row 1, walked without a factor: its end
-    weight is the shift, its first r-1 coordinates the branch weight mu, and
-    the product of its slot factors, taken at the leaf, its part of the
-    scalar.  Its lower sum is ``p_part``'s row loop started at row 2 from
-    that end (``_row_sums``).  The rows below row 1 read only the weight
-    fields in ``plan.reads[1]``, so the sum is taken and decoded once per
-    distinct set of them, as weight offsets from the end, and every group's
-    is compared with P_mu, taken once per mu by ``_p_sums``.  The whole
-    crystal's P and the top rows share one slot table, and every P_mu the
-    rank-(r-1) one, so each distinct slot state's factor is computed once
-    per call.
+    weight is the shift, its first r-1 coordinates the branch weight mu.
+    Its lower sum is ``p_part``'s row loop started at row 2 from that end
+    (``_row_sums``).  Rows 2 and below read only the fields of letters
+    1..r-1, which hold mu, so the first group of each mu takes the lower
+    sum, as weight offsets from the shift, P_mu (``_p_sums``) and the
+    verdicts, and the other groups of that mu share them.  A group's scalar
+    is the product of its slot factors, taken at the leaf, times the lower
+    sum's coefficient at the shift.  The whole crystal's P and the top rows
+    share one slot table, and every P_mu the rank-(r-1) one, so each
+    distinct slot state's factor is computed once per call.
     All checks are recorded per group rather than raised; the factorization
     is a theorem in type A and checked on a fixed battery elsewhere.
     """
@@ -323,58 +323,48 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     factor, sub_factor = slot_table(spec, n), slot_table(sub_rs.spec, n)
     plan, sums = _p_sums(spec, lam, factor)
     whole = poly_from_packed(rs.height_vec, plan.codec, sums)
-    branches: dict[Weight, tuple[dict, int]] = {}
-    lower: dict[int, dict[Weight, CoeffElement]] = {}
+    # per mu: P_mu's terms paired with their lower-sum offsets, the lower
+    # sum's coefficient at the shift, and the report's fields from size on
+    branches: dict[Weight, tuple[list, CoeffElement, tuple]] = {}
     reports: list[BranchGroupReport] = []
     rebuilt: dict[Weight, CoeffElement] = {}
-    origin = (0,) * r
     lifts_ok = True
     # each top row, walked alone: the lower sums walk rows 2 and below only,
     # so they leave row 1's buffers as this walk placed them
     for rows, circled, boxed, w, _ in _walk(plan, row=1, wt=plan.top):
-        # the product of the row's slot factors, taken at the leaf, where
-        # the row is complete
-        row, crow, brow = rows[0], circled[0], boxed[0]
-        top_scalar = reduce(mul, [factor(1, j, row, crow, brow)
-                                  for j in range(len(row), 0, -1)])
         shift = plan.codec.decode(w)
         mu = shift[:r - 1]
-        if not is_dominant(mu):
-            raise AssertionError(f"branch weight {mu} is not dominant")
         if mu not in branches:
+            if not is_dominant(mu):
+                raise AssertionError(f"branch weight {mu} is not dominant")
             sub_plan, sub_sums = _p_sums(sub_rs.spec, mu, sub_factor)
-            branches[mu] = (poly_from_packed(sub_rs.height_vec, sub_plan.codec, sub_sums).terms,
-                            weyl_dimension(sub_rs, mu))
-        want, size = branches[mu]
-        key = w & plan.reads[1]
-        below = lower.get(key)
-        if below is None:
-            # decoded once per key, as offsets from this group's shift
-            terms = poly_from_packed(rs.height_vec, plan.codec,
+            want = poly_from_packed(sub_rs.height_vec, sub_plan.codec, sub_sums).terms
+            below = poly_from_packed(rs.height_vec, plan.codec,
                                      _row_sums(plan, factor, 2, w)).terms
-            below = lower[key] = {tuple(map(sub, x, shift)): c for x, c in terms.items()}
-        # the lower sum's rank-r weights by their first r-1 coordinates
-        lift, got, clash = {}, {}, []
-        for off, c in below.items():
-            wt = tuple(map(add, shift, off))
-            u = wt[:r - 1]
-            if u in lift:
-                clash.append(u)
-            lift[u], got[u] = wt, c
-        diff = sorted(u for u in got.keys() | want.keys() if got.get(u) != want.get(u))
-        witness = next(map(str, clash + diff), None)
-        scalar = top_scalar * below.get(origin, CoeffElement.zero())
-        reports.append(BranchGroupReport(
-            tuple(row), mu=mu, shift=shift, scalar=scalar, size=size,
-            truncation_ok=got.keys() == want.keys(), s_additivity_ok=not clash,
-            factorization_ok=got == want, witness=witness))
-
+            # the lower sum's rank-r weights by their first r-1 coordinates
+            lift, got, clash = {}, {}, []
+            for x, c in below.items():
+                u = x[:r - 1]
+                if u in lift:
+                    clash.append(u)
+                lift[u], got[u] = tuple(map(sub, x, shift)), c
+            diff = sorted(u for u in got.keys() | want.keys() if got.get(u) != want.get(u))
+            lifts_ok = lifts_ok and want.keys() <= lift.keys()
+            branches[mu] = (
+                [(lift[u], c) for u, c in want.items() if u in lift],
+                below.get(shift, CoeffElement.zero()),
+                (weyl_dimension(sub_rs, mu), got.keys() == want.keys(), not clash,
+                 got == want, next(map(str, clash + diff), None)))
+        lifted, at_shift, checks = branches[mu]
+        # the product of the row's slot factors, taken at the leaf, where
+        # the row is complete, times the lower sum's coefficient at the shift
+        row, crow, brow = rows[0], circled[0], boxed[0]
+        scalar = reduce(mul, [factor(1, j, row, crow, brow)
+                              for j in range(len(row), 0, -1)]) * at_shift
+        reports.append(BranchGroupReport(tuple(row), mu, shift, scalar, *checks))
         # accumulate scalar * P_mu, each weight lifted through the lower sum
-        for u, c in want.items():
-            wt = lift.get(u)
-            if wt is None:
-                lifts_ok = False
-                continue
+        for off, c in lifted:
+            wt = tuple(map(add, shift, off))
             term = c * scalar
             rebuilt[wt] = rebuilt[wt] + term if wt in rebuilt else term
 

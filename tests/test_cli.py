@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -140,7 +141,23 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_suite_choices_name_every_suite():
+    # each suite's verify options are exactly its keyword parameters
     assert set(cli._SUITE_OPTIONS) == set(verification.SUITES)
+    for name, suite in verification.SUITES.items():
+        params = tuple(inspect.signature(suite).parameters)
+        assert cli._SUITE_OPTIONS[name] == params, name
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["--suite", "branching", "--n", "0"], ["--n"]),
+    (["--suite", "tokuyama", "--primes", "3", "--max-dim", "1"], ["--max-dim", "--primes"]),
+    (["--suite", "character", "--lambdas", "1,1"], ["--lambdas"]),
+], ids=["branching-n", "tokuyama-primes-max-dim", "character-lambdas"])
+def test_verify_option_the_suite_does_not_take_exits_two(capsys, argv, flags):
+    # an option the suite would ignore is refused by name, before any case runs
+    code, out, err = run(capsys, ["verify", *argv])
+    assert code == 2 and out == ""
+    assert all(flag in err for flag in flags), err
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -611,13 +611,13 @@ def test_branch_wrong_weight_is_recorded(monkeypatch):
     _assert_recorded(bd, changed)
 
 
-@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2),
-                                               ("B", 3, (1, 1, 1), 2)])
+@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2), ("B", 3, (1, 1, 1), 2),
+                                               ("D", 4, (1, 1, 1, 1), 2)])
 def test_branch_coarse_memo_key_is_caught(monkeypatch, family, rank, lam, n):
-    # with row 2's key, which also keys the lower sums, set to nothing,
-    # every group reads the first group's lower sum, whose own row loop
-    # starts from one weight and so stays right: the groups of another mu
-    # fail to factor, those of its mu pass
+    # with row 2's key set to nothing, the whole crystal's row loop reads
+    # every row-2 state's fillings from the first one's, so its P is wrong;
+    # each lower sum starts from one weight and so stays right, and every
+    # group factors: the identity alone catches it
     plan_of = series.walk_plan
 
     def coarse(spec, mu):
@@ -627,11 +627,47 @@ def test_branch_coarse_memo_key_is_caught(monkeypatch, family, rank, lam, n):
         return plan._replace(reads=(plan.reads[0], 0) + plan.reads[2:])
 
     monkeypatch.setattr(series, "walk_plan", coarse)
-    groups = branch_decompose(rs(family, rank), lam, n).groups
-    first = groups[0].mu
-    assert any(g.mu != first for g in groups)
-    for g in groups:
-        assert g.factorization_ok == (g.mu == first), g
+    bd = branch_decompose(rs(family, rank), lam, n)
+    assert len({g.mu for g in bd.groups}) > 1
+    assert all(g.factorization_ok for g in bd.groups)
+    assert not bd.identity_ok
+
+
+@pytest.mark.parametrize("family,rank,lam", [("A", 3, (2, 1, 2)), ("B", 3, (1, 1, 1)),
+                                             ("D", 4, (1, 1, 1, 1))])
+def test_lower_sums_depend_on_the_branch_weight_alone(monkeypatch, family, rank, lam):
+    # rows 2 and below read only the fields of letters 1..r-1, which hold
+    # mu: every top row's lower sum, as offsets from its shift, is the first
+    # top row's of the same mu, so branch_decompose takes it, P_mu and the
+    # dimension of mu's crystal once per mu
+    r, n = rs(family, rank), 2
+    factor, plan = slot_table(r.spec, n), walk_plan(r.spec, lam)
+    first, tops = {}, 0
+    for *_, w, _ in _walk(plan, row=1, wt=plan.top):
+        shift = plan.codec.decode(w)
+        terms = series._row_sums(plan, factor, 2, w)
+        offsets = {tuple(a - b for a, b in zip(x, shift)): t
+                   for x, t in zip(plan.codec.decode_all(terms), terms.values())}
+        assert first.setdefault(shift[:rank - 1], offsets) == offsets, shift
+        tops += 1
+    assert tops > len(first) > 1
+
+    calls = []
+
+    def counted(name, key):
+        fn = getattr(series, name)
+
+        def wrapped(*args):
+            calls.append((name, key(*args)))
+            return fn(*args)
+        monkeypatch.setattr(series, name, wrapped)
+
+    counted("_row_sums", lambda plan, factor=None, row=1, wt=None: row)
+    counted("_p_sums", lambda spec, lam, factor: spec.rank)
+    counted("weyl_dimension", lambda r, mu: r.rank)
+    assert branch_decompose(r, lam, n).all_ok
+    for call in [("_row_sums", 2), ("_p_sums", rank - 1), ("weyl_dimension", rank - 1)]:
+        assert calls.count(call) == len(first), call
 
 
 # SHA-256 of each decomposition's groups (top row, mu, shift, scalar JSON,
