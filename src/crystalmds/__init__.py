@@ -13,8 +13,8 @@ from .coefficients import (CoeffElement, ComponentD, GaussSymbol, entry_factor,
 from .roots import (CartanSpec, RootSystem, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant,
                     nice_long_word, weyl_character, weyl_dimension)
-from .patterns import LittelmannPattern, enumerate_patterns, pattern_shape, pattern_wt
-from .decorations import DecoratedPattern, decorate, render
+from .patterns import (DecoratedPattern, LittelmannPattern, decorate, enumerate_patterns,
+                       pattern_shape, pattern_wt, render)
 from .series import (BranchDecomposition, WeightPolynomial, branch_decompose,
                      character_via_patterns, p_part, polynomial_json_obj,
                      tokuyama_quotient, twisted_character)

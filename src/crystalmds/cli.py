@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .decorations import decorated_crystal, render
+from .patterns import decorated_crystal, render
 from .roots import CartanSpec, build_root_system, is_strongly_dominant
 from .series import character_via_patterns, p_part, polynomial_json_obj
 
@@ -52,14 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", required=True, type=_parse_ints,
                        metavar="M1,M2,...", help="highest weight, fundamental-weight coordinates")
         p.add_argument("--n", type=int, default=1, help="metaplectic cover degree")
+        p.add_argument("--character", action="store_true",
+                       help="sum with unit coefficients (the character) instead of the p-part")
+        p.add_argument("--allow-dominant", action="store_true",
+                       help="accept dominant but not strongly dominant weights for the p-part")
 
     pc = sub.add_parser("compute", help="print a crystal polynomial")
     add_common(pc)
-    pc.add_argument("--character", action="store_true",
-                    help="sum with unit coefficients (the character) instead of the p-part")
     pc.add_argument("--json", action="store_true", help="JSON output (default: text table)")
-    pc.add_argument("--allow-dominant", action="store_true",
-                    help="accept dominant but not strongly dominant weights for the p-part")
 
     # an option left out stays out of args, so the suite's keyword default applies
     pv = sub.add_parser("verify", help="run a verification suite",
@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("export", help="write pattern/decoration/polynomial fixtures")
     add_common(pe)
-    pe.add_argument("--character", action="store_true")
-    pe.add_argument("--allow-dominant", action="store_true")
     pe.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -98,15 +96,15 @@ def _compute_poly(args):
 
 
 def cmd_compute(args) -> int:
-    rs, poly = _compute_poly(args)
-    obj = polynomial_json_obj(poly, args.family, args.rank, args.n, args.lam)
+    _, poly = _compute_poly(args)
     if args.json:
-        out = json.dumps(obj)
+        out = json.dumps(polynomial_json_obj(poly, args.family, args.rank, args.n, args.lam))
     else:
         lines = [f"family {args.family} rank {args.rank} n {args.n} "
                  f"lambda {','.join(map(str, args.lam))} ({len(poly)} terms)"]
-        width = max((len(str(list(w))) for w in poly.sorted_weights()), default=4)
-        for w in poly.sorted_weights():
+        weights = poly.sorted_weights()
+        width = max((len(str(list(w))) for w in weights), default=4)
+        for w in weights:
             lines.append(f"  {str(list(w)):<{width}}  {poly.terms[w]!r}")
         out = "\n".join(lines)
     print(out)

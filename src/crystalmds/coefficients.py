@@ -68,7 +68,7 @@ from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from .decorations import DecoratedPattern
+    from .patterns import DecoratedPattern
     from .roots import CartanSpec
 
 
@@ -144,7 +144,7 @@ def _offset(sym: GaussSymbol) -> int:
 
 
 def _q_key(e: int) -> int:
-    e = index(e)
+    e = _integer("q exponent", e)
     if not -Q_EXP_LIMIT < e < Q_EXP_LIMIT:
         raise ValueError(f"q exponent {e} is outside the bound |e| < {Q_EXP_LIMIT}")
     return e
@@ -153,7 +153,7 @@ def _q_key(e: int) -> int:
 def _pack(e: int, gauss) -> int:
     k = _q_key(e)
     for sym, m in gauss:
-        m = index(m)
+        m = _integer("symbol power", m)
         if not 0 < m < POW_LIMIT:
             raise ValueError(f"power {m} of {sym} is outside the bound 1 <= m < {POW_LIMIT}")
         k += m << _offset(sym)
@@ -187,7 +187,7 @@ def _collect(pairs) -> dict[int, int]:
     zeros dropped."""
     acc: dict[int, int] = {}
     for k, c in pairs:
-        acc[k] = acc.get(k, 0) + c
+        acc[k] = acc.get(k, 0) + _integer("coefficient", c)
     return {k: c for k, c in acc.items() if c}
 
 
@@ -222,15 +222,15 @@ class CoeffElement:
 
     @staticmethod
     def from_int(k: int) -> "CoeffElement":
-        return _wrap({0: int(k)} if k else {})
+        return CoeffElement.q_power(0, k)
 
     @staticmethod
     def q_power(e: int, coeff: int = 1) -> "CoeffElement":
-        return _wrap({_q_key(int(e)): int(coeff)} if coeff else {})
+        return _wrap(_collect([(_q_key(e), coeff)]))
 
     @staticmethod
     def symbol(sym: GaussSymbol, q_exp: int = 0, coeff: int = 1) -> "CoeffElement":
-        return _wrap({_q_key(int(q_exp)) + (1 << _offset(sym)): int(coeff)} if coeff else {})
+        return _wrap(_collect([(_q_key(q_exp) + (1 << _offset(sym)), coeff)]))
 
     # -- ring structure ----------------------------------------------------
     def __add__(self, other: "CoeffElement") -> "CoeffElement":
@@ -584,7 +584,7 @@ def pattern_coefficient(dp: DecoratedPattern, n: int) -> CoeffElement:
     L = dp.pattern
     factor = slot_table(L.spec, n)
     out = _ONE
-    for i, j in L.positions():
+    for i, j, _ in L.entries():
         k = i - 1
         out = out * factor(i, j, L.rows[k], dp.circled[k], dp.boxed[k])
         if out.is_zero():

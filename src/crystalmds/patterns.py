@@ -1,4 +1,5 @@
-"""Littelmann patterns: shapes, the slot walk, enumeration and weights.
+"""Littelmann patterns: shapes, the slot walk, enumeration, decorations and
+weights.
 
 A pattern is a ragged array of nonnegative integers, one entry per letter of
 the family's distinguished long word.  The word comes in blocks, one per
@@ -17,12 +18,19 @@ slot; the upper bound is one coordinate of the weight of the entries already
 placed, which the walk carries along as one packed int.
 The same walk marks each entry that meets one of its bounds, which is all the
 circling and boxing masks need.  Membership of a single pattern is the walk
-pinned to it (``decorations.decorate``), which raises at the first entry out
-of bounds.  ``walk_plan`` builds the walk's set-up once per crystal, and the
-walk's one-row mode fills a single row from the packed weight of the rows
-above it.  Its fillings depend on that weight only through the fields the
-row reads, which the plan records per row, so ``series`` sums a crystal
-forward a row at a time and walks each row once per distinct set of them.
+pinned to it (``decorate``), which raises at the first entry out of bounds.
+``walk_plan`` builds the walk's set-up once per crystal, and the walk's
+one-row mode fills a single row from the packed weight of the rows above it.
+Its fillings depend on that weight only through the fields the row reads,
+which the plan records per row, so ``series`` sums a crystal forward a row
+at a time and walks each row once per distinct set of them.
+
+A decorated pattern is a pattern with its masks.  An entry is circled when it
+sits on its cone hyperplane (the row-chain lower bound is tight) and boxed
+when it sits on its polytope hyperplane (the highest-weight upper bound is
+tight).  An entry may carry both marks; the coefficient rules send that case
+to zero.  Those rules, including the type-D partition of each row into
+components, live in ``coefficients``.
 """
 from __future__ import annotations
 
@@ -73,11 +81,6 @@ class LittelmannPattern(_PatternFields):
         for i, row in enumerate(self.rows, start=1):
             for off, v in enumerate(row):
                 yield i, i + off, v
-
-    def positions(self) -> Iterator[tuple[int, int]]:
-        for i, row in enumerate(self.rows, start=1):
-            for off in range(len(row)):
-                yield i, i + off
 
     def to_text(self) -> str:
         return _rows_text(self.rows)
@@ -150,7 +153,6 @@ def walk_plan(spec: CartanSpec, lam: Weight) -> WalkPlan:
     circled = [[False] * n for n in shape]
     boxed = [[False] * n for n in shape]
     codec = weight_codec(lam, build_root_system(spec).cartan)
-    field = (1 << codec.width) - 1
     frames = []
     for i, block in enumerate(reversed(long_word_blocks(spec)), start=1):
         for off in range(len(block) - 1, -1, -1):
@@ -162,7 +164,7 @@ def walk_plan(spec: CartanSpec, lam: Weight) -> WalkPlan:
     # else of the weight: gather those fields from the bottom row up
     reads = [0] * (len(shape) + 1)
     for i, _, _, _, _, _, shift, _, _ in reversed(frames):
-        reads[i - 1] |= reads[i] | field << shift
+        reads[i - 1] |= reads[i] | codec.mask << shift
     return WalkPlan(codec, codec.pack(lam), (rows, circled, boxed), frames, starts,
                     tuple(reads[:-1]))
 
@@ -175,13 +177,13 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     Slots are visited in frame order, the reverse of the long word, and
     the walk carries the weight lam - sum v * alpha(letter) of the
     entries already placed, packed into one int by the plan's codec: placing
-    a value subtracts its packed root.  Each node evaluates the slot's cone
+    v subtracts v times its packed root.  Each node evaluates the slot's cone
     bound from its row buffer at the frame's offsets and scale, rounded up
     to the lower bound, and reads its polytope upper bound off that weight:
-    the field of the slot's column letter.  Every value placed there records
-    its marks: circled when it equals the cone bound (so never under a
-    bound of a half, as B's column r-1 has when a(i, r) is odd), boxed when
-    it equals the upper bound.  Each leaf yields the plan's shared
+    the field of the slot's column letter, through the codec's mask and
+    bias.  Every value placed there records its marks: circled when it
+    equals the cone bound (so never under a bound of a half, as B's column
+    r-1 has when a(i, r) is odd), boxed when it equals the upper bound.  Each leaf yields the plan's shared
     ``(rows, circled, boxed)`` buffers, which change when the walk resumes,
     so a consumer copies what it keeps, followed by the leaf's packed weight
     (an int key; the codec's ``decode`` gives the weight) and coefficient.
@@ -209,7 +211,7 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     each slot's remaining values, bounds, weight and coefficient, and every
     leaf is yielded once, directly.  So the rank meets no recursion limit.
     """
-    coord = plan.codec.coord
+    mask, bias = plan.codec.mask, plan.codec.bias
     if row is None:
         frames, wt = plan.frames, plan.top
     else:
@@ -218,38 +220,35 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     last = len(frames) - 1
     # the stack, one entry per slot of the current path: the values still to
     # try with the bounds they are marked against, and the weight and
-    # coefficient of the entries placed before the slot.  Sibling weights
-    # step by one root from wts[k + 1], which starts one step above the
-    # first nonzero value at k.
+    # coefficient of the entries placed before the slot
     tries: list = [None] * len(frames)
-    wts = [wt] * (len(frames) + 1)
+    wts = [wt] * len(frames)
     accs = [1 if factor is None else CoeffElement.one()] * len(frames)
     k = 0
     while k >= 0:
         i, j, vals, crow, brow, off, shift, drop, (a, b, up, down) = frames[k]
+        wt = wts[k]
         if tries[k] is None:  # first visit: evaluate the slot's bounds
             # the cone's bound, rounded up for lo; a half is tight for no
             # integer, and its floor falls below lo, so it circles nothing
             x, y = vals[a], vals[b]
             bound = up * (x if x >= y else y)
             lo, tight = -(-bound // down), bound // down
-            wt = wts[k]
-            hi = coord(wt, shift)
-            first = lo if pinned is None else pinned[i - 1][off]
-            if pinned is not None and not lo <= first <= hi:
-                raise ValueError(f"entry {first} at {(i, j)} lies outside the "
-                                 f"highest-weight polytope (bounds {lo}..{hi})")
-            top = hi if pinned is None else first
+            hi = (wt >> shift & mask) - bias
+            if pinned is None:
+                first, top = lo, hi
+            else:
+                first = top = pinned[i - 1][off]
+                if not lo <= first <= hi:
+                    raise ValueError(f"entry {first} at {(i, j)} lies outside the "
+                                     f"highest-weight polytope (bounds {lo}..{hi})")
             tries[k] = iter(range(first, top + 1)), tight, hi
-            wts[k + 1] = wt if first <= 1 else wt - (first - 1) * drop
         it, tight, hi = tries[k]
-        acc, child_wt = accs[k], wts[k + 1]
+        acc = accs[k]
         for v in it:
             vals[off] = v
             crow[off] = v == tight
             brow[off] = v == hi
-            if v:
-                child_wt -= drop
             if factor is None:
                 child = acc
             else:
@@ -258,10 +257,10 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
                     continue
                 child = acc * f
             if k == last:
-                yield rows, circled, boxed, child_wt, child
+                yield rows, circled, boxed, wt - v * drop, child
             else:
                 k += 1
-                wts[k], accs[k] = child_wt, child
+                wts[k], accs[k] = wt - v * drop, child
                 break
         else:  # every value tried: clear the slot and go back up
             vals[off] = 0
@@ -282,6 +281,64 @@ def enumerate_patterns(rs: RootSystem, lam: Weight) -> Iterator[LittelmannPatter
     spec = rs.spec
     for rows, _, _, _, _ in _walk(walk_plan(spec, lam)):
         yield LittelmannPattern(spec, _freeze(rows))
+
+
+# ---------------------------------------------------------------------------
+# Decorations
+# ---------------------------------------------------------------------------
+
+class DecoratedPattern(NamedTuple):
+    pattern: LittelmannPattern
+    circled: tuple[tuple[bool, ...], ...]
+    boxed: tuple[tuple[bool, ...], ...]
+
+    def is_circled(self, i: int, j: int) -> bool:
+        return self.circled[i - 1][j - i]
+
+    def is_boxed(self, i: int, j: int) -> bool:
+        return self.boxed[i - 1][j - i]
+
+
+def decorate(L: LittelmannPattern, lam: Weight) -> DecoratedPattern:
+    """Attach circling/boxing masks for a pattern inside the ``lam`` polytope.
+
+    Runs the enumeration walk pinned to ``L``: one bound evaluation per
+    entry, and ValueError at the first entry outside the polytope.
+    """
+    ((_, circled, boxed, _, _),) = _walk(walk_plan(L.spec, lam), pinned=L.rows)
+    return DecoratedPattern(L, _freeze(circled), _freeze(boxed))
+
+
+def decorated_crystal(rs: RootSystem, lam: Weight) -> Iterator[DecoratedPattern]:
+    """Every pattern of the highest-weight crystal, decorated, in enumeration
+    order; the masks are read off the bounds the enumeration walk already
+    evaluated."""
+    spec = rs.spec
+    for rows, circled, boxed, _, _ in _walk(walk_plan(spec, lam)):
+        yield DecoratedPattern(LittelmannPattern(spec, _freeze(rows)), _freeze(circled),
+                               _freeze(boxed))
+
+
+def render(dp: DecoratedPattern) -> str:
+    """Fixed-width grid with (x) for circled, [x] for boxed, [(x)] for both."""
+    cells: list[list[str]] = []
+    for i, row in enumerate(dp.pattern.rows, start=1):
+        line = []
+        for off, v in enumerate(row):
+            j = i + off
+            tok = str(v)
+            if dp.is_circled(i, j):
+                tok = f"({tok})"
+            if dp.is_boxed(i, j):
+                tok = f"[{tok}]"
+            line.append(tok)
+        cells.append(line)
+    width = max(len(tok) for line in cells for tok in line)
+    lines = []
+    for i, line in enumerate(cells):
+        pad = " " * (i * (width + 1))
+        lines.append(pad + " ".join(tok.rjust(width) for tok in line))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

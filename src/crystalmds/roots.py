@@ -302,7 +302,7 @@ def _demazure(codec: WeightCodec, table: dict[int, int], k: int) -> dict[int, in
     entries stay in the result as zeros.
     """
     alpha, shift = codec.roots[k - 1], (k - 1) * codec.width
-    mask, bias = (1 << codec.width) - 1, 1 << (codec.width - 1)
+    mask, bias = codec.mask, codec.bias
     out: dict[int, int] = {}
     get = out.get
     for mu, c in table.items():

@@ -13,8 +13,7 @@ from typing import Sequence
 
 from .coefficients import (CoeffElement, _component_factor, count_forced_sigma,
                            entry_factor, g_value, h_value, row_components)
-from .decorations import decorate, decorated_crystal
-from .patterns import enumerate_patterns
+from .patterns import decorate, decorated_crystal, enumerate_patterns
 from .roots import (CartanSpec, build_root_system, character_dimension,
                     is_strongly_dominant, weyl_character, weyl_dimension)
 from .series import branch_decompose, character_via_patterns, p_part, tokuyama_quotient

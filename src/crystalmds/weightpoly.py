@@ -32,10 +32,11 @@ Weight = tuple[int, ...]
 
 
 class WeightCodec(NamedTuple):
-    width: int                          # bits per coordinate field
+    width: int                          # bits per weight field
+    mask: int                           # the field at a shift reads as
+    bias: int                           # (packed >> shift & mask) - bias
     pack: Callable[[Weight], int]
     decode: Callable[[int], Weight]
-    coord: Callable[[int, int], int]    # (packed, field shift) -> coordinate
     decode_all: Callable[[Collection[int]], Iterator[Weight]]  # decode, a field at a time
     roots: tuple[int, ...]              # simple roots, packed without bias
 
@@ -67,9 +68,8 @@ def weight_codec(lam: Weight, cartan) -> WeightCodec:
     def decode_all(xs):
         return zip(*[[(x >> s & mask) - bias for x in xs] for s in shifts])
 
-    return WeightCodec(width, lambda w: zero + linear(w),
+    return WeightCodec(width, mask, bias, lambda w: zero + linear(w),
                        lambda x: tuple([(x >> s & mask) - bias for s in shifts]),
-                       lambda x, shift: (x >> shift & mask) - bias,
                        decode_all, tuple(map(linear, zip(*cartan))))
 
 

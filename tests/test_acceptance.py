@@ -8,7 +8,7 @@ import json
 import pytest
 
 from crystalmds import CartanSpec, build_root_system, cli, p_part
-from crystalmds.decorations import decorated_crystal
+from crystalmds.patterns import decorated_crystal
 from crystalmds.verification import (_DECORATION_BATTERY, run_branching_suite,
                                      run_character_suite, run_decorations_suite,
                                      run_gauss_suite, run_tokuyama_suite)

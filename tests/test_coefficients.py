@@ -193,6 +193,35 @@ def test_inputs_outside_the_field_bounds_are_rejected():
         (1, 0, ((sym, POW_LIMIT - 1),))]
 
 
+_SYM = GaussSymbol(1, 1, 2)
+
+
+def _json_monomial(q=0, coeff=1, power=1):
+    return CoeffElement.from_json_obj({"monomials": [
+        {"int": coeff, "q": q, "gauss": [{"t": 1, "c": 1, "pow": power}]}]}, 2)
+
+
+@pytest.mark.parametrize("make,field", [
+    (partial(CoeffElement.from_int, 0.5), "coefficient"),
+    (partial(CoeffElement.from_int, 2.0), "coefficient"),
+    (partial(Q, 2, 0.5), "coefficient"),
+    (partial(Q, 1.5), "q exponent"),
+    (partial(CoeffElement.symbol, _SYM, q_exp=0.9), "q exponent"),
+    (partial(CoeffElement.symbol, _SYM, coeff=3.9), "coefficient"),
+    (partial(CoeffElement, {(1.5, ()): 1}), "q exponent"),
+    (partial(CoeffElement, {(0, ()): 1.0}), "coefficient"),
+    (partial(CoeffElement, {(0, ((_SYM, 1.0),)): 1}), "symbol power"),
+    (partial(_json_monomial, coeff=1.5), "coefficient"),
+    (partial(_json_monomial, q=1.5), "q exponent"),
+    (partial(_json_monomial, power=1.0), "symbol power"),
+])
+def test_the_ring_takes_integers_only(make, field):
+    # a float exponent, power or coefficient, even an integral one, is a
+    # ValueError naming its field in every constructor and in JSON
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        make()
+
+
 def test_canonical_merging_and_zero_dropping():
     a = Q(2) + Q(2)
     assert a == Q(2, 2)

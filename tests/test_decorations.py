@@ -6,7 +6,7 @@ import pytest
 from crystalmds import (CartanSpec, LittelmannPattern,
                         build_root_system, decorate, enumerate_patterns,
                         pattern_shape, render, row_components, weyl_dimension)
-from crystalmds.decorations import decorated_crystal
+from crystalmds.patterns import decorated_crystal
 from crystalmds.verification import CHARACTER_BATTERY
 from oracles import chain_lower_bound, oracle_masks
 
@@ -85,9 +85,12 @@ def test_circled_and_boxed_possible():
 
 
 def test_decorate_rejects_outside_polytope():
-    with pytest.raises(ValueError):
+    # the walk names the first entry out of bounds, in frame order
+    with pytest.raises(ValueError, match=r"^entry 3 at \(1, 1\) .* \(bounds 0\.\.2\)$"):
         decorate(P("A", 1, [[3]]), (2,))
-    with pytest.raises(ValueError):  # cone: 1 < 3/2, half the middle entry
+    # the middle entry leaves the polytope (3 > 2) before (1, 1) fails its
+    # cone (1 < 3/2)
+    with pytest.raises(ValueError, match=r"^entry 3 at \(1, 2\) "):
         decorate(P("B", 2, [[1, 3, 0], [0]]), (2, 2))
 
 
