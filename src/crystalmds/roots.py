@@ -322,7 +322,8 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     x^lam.  The long element is an involution, so the word may be read in
     either direction.  The cost follows the size of the character, not |W|.
     The tables hold packed weights; zeros are dropped once, after the last
-    letter, and the table is decoded in one step."""
+    letter, and the polynomial keeps the last table, to decode it when its
+    terms are first read."""
     lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
@@ -351,13 +352,20 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
 
 
 def character_dimension(poly: WeightPolynomial) -> int:
-    """Sum of integer coefficients (evaluation at the all-ones point)."""
+    """Sum of integer coefficients (evaluation at the all-ones point).  An
+    undecoded packed table is read as it is: an int table's values are
+    summed, and each packed monomial dict must be a constant's, {0: c}."""
+    if poly._packed is None:
+        values = (c.packed() for c in poly.terms.values())
+    else:
+        _, table, dicts = poly._packed
+        values = table.values()
+        if not dicts:
+            return sum(values)
     total = 0
-    for _, coeff in poly.terms.items():
-        mons = coeff.monomials()
-        for c, e, g in mons:
-            if g or e != 0:
-                raise ValueError("character polynomial has non-constant coefficients")
-            total += c
+    for t in values:
+        if t.keys() != {0}:
+            raise ValueError("character polynomial has non-constant coefficients")
+        total += t[0]
     return total
 

@@ -18,14 +18,14 @@ the weight they drop, depend only on the weight fields that row reads
 (``WalkPlan.reads``).  Each distinct set of them is walked once per row, and
 every prefix that reaches a weight is merged into one partial sum before the
 next row applies.  The last table is keyed by packed weight, and
-``weightpoly.poly_from_packed`` turns it into the polynomial in one step: all
-weights decoded a field at a time, and the values taken as they are, since
-no table keeps a zero.  ``p_part``'s tables hold packed monomial dicts
-(``CoeffElement.packed``), not ring elements: each product of a partial sum
-and a filling value is added into the next table's dict in place, and the
-polynomial wraps each last dict as an element once, without a copy.  A row
-writes only the dicts it created; the ``packed()`` dicts of slot values,
-which the slot table and the ring's one share, are read-only.
+``weightpoly.poly_from_packed`` keeps it as the polynomial; the first read of
+its terms decodes all weights a field at a time, and takes the values as
+they are, since no table keeps a zero.  ``p_part``'s tables hold packed
+monomial dicts (``CoeffElement.packed``), not ring elements: each product of
+a partial sum and a filling value is added into the next table's dict in
+place, and the polynomial wraps each last dict as an element once, without a
+copy.  A row writes only the dicts it created; the ``packed()`` dicts of slot
+values, which the slot table and the ring's one share, are read-only.
 
 ``tokuyama_quotient`` factors P at degree 1, where every coefficient is a
 Laurent polynomial in q (``g_value`` evaluates g there), as a
@@ -380,11 +380,12 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
 def polynomial_json_obj(poly: WeightPolynomial, family: str, rank: int,
                         n: int, lam: Weight) -> dict:
     """Schema: family, rank, n, lambda, then terms in the fixed weight order."""
+    terms = poly.terms
     return {
         "family": family,
         "rank": rank,
         "n": n,
         "lambda": list(lam),
-        "terms": [{"wt": list(w), "coeff": poly.terms[w].to_json_obj()}
+        "terms": [{"wt": list(w), "coeff": terms[w].to_json_obj()}
                   for w in poly.sorted_weights()],
     }

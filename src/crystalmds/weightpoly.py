@@ -8,10 +8,16 @@ exact division.  Height is evaluated through an integer-scaled functional
 supplied by the root system, so ordering never touches rationals.
 
 The engines finish in packed tables, keyed by ``WeightCodec`` ints, and
-``poly_from_packed`` turns such a table into a polynomial in one step: the
-codec decodes every key a field at a time (``decode_all``), each distinct
-integer coefficient becomes one shared element, and the terms go in without
-the constructor's copy and zero scan, since the engines keep no zeros.
+``poly_from_packed`` keeps such a table, with its codec, as the polynomial.
+The first read of ``terms`` decodes it, once: the codec decodes every key a
+field at a time (``decode_all``), each distinct integer coefficient becomes
+one shared element, and the terms go in without the constructor's copy and
+zero scan, since the engines keep no zeros.  From then on the polynomial
+holds only the decoded terms.  Until then ``len``, ``is_zero`` and ``==``
+read the table: two tables over the same packing (equal height functional,
+codec width and packed simple roots) with the same kind of value are equal
+exactly when their polynomials are, since the codec is injective on every
+weight its fields hold.
 
 Exact division (``divide_terms``) takes tables from weight to packed
 monomial dict, the form the engines' sums and ``CoeffElement.packed`` hold,
@@ -74,17 +80,36 @@ def weight_codec(lam: Weight, cartan) -> WeightCodec:
 
 
 class WeightPolynomial:
-    """``meta`` is a free-form dict that nothing in the package fills or
+    """Until ``terms`` is first read, a polynomial from ``poly_from_packed``
+    holds None in ``_terms`` and in ``_packed`` (codec, packed table, whether
+    its values are packed monomial dicts rather than ints).
+
+    ``meta`` is a free-form dict that nothing in the package fills or
     reads; it stays only because ``perfbench/workloads.py`` passes one, and
     goes when that benchmark is rebuilt (ROADMAP item 9)."""
-    __slots__ = ("terms", "height_vec", "meta")
+    __slots__ = ("_terms", "_packed", "height_vec", "meta")
 
     def __init__(self, height_vec: tuple[int, ...],
                  terms: dict[Weight, CoeffElement] | None = None,
                  meta: dict | None = None):
         self.height_vec = tuple(height_vec)
-        self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
+        self._terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
+        self._packed = None
         self.meta = dict(meta) if meta else {}
+
+    @property
+    def terms(self) -> dict[Weight, CoeffElement]:
+        if self._terms is None:
+            codec, table, dicts = self._packed
+            values = table.values()
+            if dicts:
+                elements = map(CoeffElement.from_packed, values)
+            else:
+                shared = {c: CoeffElement.from_int(c) for c in set(values)}
+                elements = map(shared.__getitem__, values)
+            self._terms = dict(zip(codec.decode_all(table), elements))
+            self._packed = None
+        return self._terms
 
     # -- ordering ----------------------------------------------------------
     def order_key(self, w: Weight):
@@ -100,10 +125,10 @@ class WeightPolynomial:
 
     # -- basic structure ----------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._terms if self._packed is None else self._packed[1])
 
     def __iter__(self) -> Iterator[tuple[Weight, CoeffElement]]:
         for w in self.sorted_weights():
@@ -113,9 +138,13 @@ class WeightPolynomial:
         return self.terms.get(tuple(w), CoeffElement.zero())
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, WeightPolynomial)
-                and self.height_vec == other.height_vec
-                and self.terms == other.terms)
+        if not isinstance(other, WeightPolynomial) or self.height_vec != other.height_vec:
+            return False
+        if self._packed is not None and other._packed is not None:
+            (a, ta, da), (b, tb, db) = self._packed, other._packed
+            if a.width == b.width and a.roots == b.roots and da == db:
+                return ta == tb
+        return self.terms == other.terms
 
     def __repr__(self):
         bits = [f"({self.terms[w]!r})*x^{w}" for w in self.sorted_weights()]
@@ -170,18 +199,13 @@ def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec,
                      table: dict) -> WeightPolynomial:
     """The polynomial of a packed table: each key is a packed weight, and
     each value a nonzero int or a zero-free packed monomial dict
-    (``CoeffElement.packed``), which the polynomial takes over.  Equal ints
-    share one element, made for this call.  The table is not copied."""
-    values = table.values()
-    if isinstance(next(iter(values), None), dict):
-        elements = map(CoeffElement.from_packed, values)
-    else:
-        shared = {c: CoeffElement.from_int(c) for c in set(values)}
-        elements = map(shared.__getitem__, values)
+    (``CoeffElement.packed``), which the polynomial takes over.  The table
+    is kept, not copied, so the caller must not change it; the first read
+    of ``terms`` decodes it, and there equal ints share one element."""
     # the terms are canonical already: skip the constructor's copy and scan
     poly = object.__new__(WeightPolynomial)
-    poly.height_vec, poly.meta = height_vec, {}
-    poly.terms = dict(zip(codec.decode_all(table), elements))
+    poly.height_vec, poly.meta, poly._terms = height_vec, {}, None
+    poly._packed = (codec, table, isinstance(next(iter(table.values()), None), dict))
     return poly
 
 

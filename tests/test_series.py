@@ -9,8 +9,8 @@ import pytest
 from crystalmds import cli, coefficients, series, verification
 from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         WeightPolynomial, build_root_system, branch_decompose,
-                        character_via_patterns, decorate, enumerate_patterns,
-                        p_part, pattern_coefficient, pattern_wt,
+                        character_dimension, character_via_patterns, decorate,
+                        enumerate_patterns, p_part, pattern_coefficient, pattern_wt,
                         polynomial_json_obj, tokuyama_quotient,
                         twisted_character, weyl_character, weyl_dimension)
 from crystalmds.coefficients import GaussSymbol, _component_factor, entry_factor, slot_table
@@ -417,6 +417,87 @@ def test_weyl_character_matches_full_denominator():
 def test_character_d4_spinor_has_eight_unit_terms():
     chi = character_via_patterns(rs("D", 4), (1, 0, 0, 0))
     assert len(chi) == 8 and all(c.is_one() for _, c in chi)
+
+
+def undecoded(poly):
+    return poly._packed is not None
+
+
+def test_character_check_compares_packed_tables():
+    # the two character sums over one codec compare as packed tables: the
+    # check decodes neither side
+    for family, rank, lam in WEYL_POOL_CASES:
+        r = rs(family, rank)
+        via, chi = character_via_patterns(r, lam), weyl_character(r, lam)
+        assert via == chi and undecoded(via) and undecoded(chi), (family, rank, lam)
+        assert via.terms == chi.terms
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+def test_packed_equality_agrees_with_terms_across_weights(family, rank):
+    # different lambda whose codecs share a width share the packing too: the
+    # packed comparison must give the answer the decoded terms give
+    r = rs(family, rank)
+    lams = list(itertools.product((0, 1, 2), repeat=rank))
+    width = {lam: weight_codec(lam, r.cartan).width for lam in lams}
+    pairs = [(a, b) for a in lams for b in lams if a != b and width[a] == width[b]]
+    assert pairs
+    for a, b in pairs:
+        via, chi = character_via_patterns(r, a), weyl_character(r, b)
+        packed = via == chi
+        assert undecoded(via) and undecoded(chi), (a, b)
+        assert packed == (via.terms == chi.terms), (a, b)
+
+
+@pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2), ("B", 3, (1, 1, 1), 3),
+                                               ("C", 2, (2, 1), 4), ("D", 4, (1, 1, 1, 1), 2)])
+def test_p_part_equality_packed_and_decoded(family, rank, lam, n):
+    r = rs(family, rank)
+    P, again = p_part(r, lam, n), p_part(r, lam, n)
+    assert P == again and undecoded(P) and undecoded(again)
+    # a packed monomial table against an int table, and against tuple terms,
+    # compares the terms
+    assert P != character_via_patterns(r, lam)
+    assert P == WeightPolynomial(r.height_vec, P.terms)
+    assert not undecoded(P)
+
+
+@pytest.mark.parametrize("make", [
+    lambda r: character_via_patterns(r, (2, 1, 1)),
+    lambda r: weyl_character(r, (1, 2, 1)),
+    lambda r: p_part(r, (2, 1, 1), 2),
+    lambda r: p_part(r, (1, 1, 1), 1),
+    lambda r: poly_from_packed(r.height_vec, weight_codec((1, 1, 1), r.cartan), {}),
+])
+def test_structure_reads_the_same_before_and_after_decoding(make):
+    # each comparison against a fresh operand: one of the same packing and
+    # kind, one of each kind of packed table, and the zero polynomial
+    r = rs("B", 3)
+    others = [make, lambda r: character_via_patterns(r, (2, 1, 1)),
+              lambda r: p_part(r, (2, 1, 1), 2), WeightPolynomial]
+    poly = make(r)
+    before = (len(poly), poly.is_zero(), [make(r) == o(r) for o in others])
+    assert undecoded(poly) and before[2][0]
+    assert len(poly.terms) == before[0] and not undecoded(poly)
+    assert (len(poly), poly.is_zero(), [poly == o(r) for o in others]) == before
+
+
+def test_character_dimension_reads_either_table_kind():
+    r = rs("B", 2)
+    chi = weyl_character(r, (1, 1))
+    assert character_dimension(chi) == 16 and undecoded(chi)
+    _, table, _ = chi._packed
+    codec = weight_codec((1, 1), r.cartan)
+    constants = poly_from_packed(r.height_vec, codec, {w: {0: c} for w, c in table.items()})
+    assert character_dimension(constants) == 16 and undecoded(constants)
+    assert constants == chi and not undecoded(constants) and character_dimension(constants) == 16
+    assert character_dimension(chi) == 16 and chi.terms and character_dimension(chi) == 16
+    P = p_part(r, (1, 1), 2)
+    with pytest.raises(ValueError, match="non-constant coefficients"):
+        character_dimension(P)
+    assert undecoded(P) and P.terms
+    with pytest.raises(ValueError, match="non-constant coefficients"):
+        character_dimension(P)
 
 
 # ---------------------------------------------------------------------------
