@@ -35,10 +35,10 @@ part through ``_gauss_part``, a bounded cache keyed by the symbol bits
 bits decode the same way for the life of the process.  ``packed`` and
 ``from_packed`` hand the packed dict over as it is, with no copy:
 ``packed()`` is shared and read-only, and ``from_packed`` takes its dict
-over, dropping zero coefficients in place.  Exact division in ``weightpoly``
-appends each key to its weight as one more coordinate, and the row sums of
-``series`` multiply into dicts of their own by adding keys; both are sound
-because the packing is linear.  Monomials sort by their canonical form, in
+over, dropping zero coefficients in place.  The row sums of ``series``
+multiply into dicts of their own by adding keys, and its Tokuyama check
+multiplies by q^e by adding e to each key; both are sound because the
+packing is linear.  Monomials sort by their canonical form, in
 which a ``GaussSymbol`` compares as its (t, residue, degree) fields.
 
 A decorated pattern's coefficient is a product of slot factors, all from one

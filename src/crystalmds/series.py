@@ -27,18 +27,16 @@ place, and the polynomial wraps each last dict as an element once, without a
 copy.  A row writes only the dicts it created; the ``packed()`` dicts of slot
 values, which the slot table and the ring's one share, are read-only.
 
-``tokuyama_quotient`` factors P at degree 1, where every coefficient is a
-Laurent polynomial in q (``g_value`` evaluates g there), as a
-lambda-independent deformed denominator times a character.  The divisor is
-the character with each coefficient twisted by q to the height drop of its
-weight; this is the variable normalization under which the factorization is
-exact in the weight-polynomial ring (see README notes).  Both operands stay
-packed monomial dicts: the numerator is P's row sums (``_p_sums``, the one
-sum behind ``p_part`` too), each weight decoded once, and the divisor the
-character's terms twisted in place (``_twist``, shared with
-``twisted_character``); ``weightpoly.divide_terms`` divides them as they are,
-and only the quotient, or the remainder of a failed division, becomes ring
-elements.
+``tokuyama_quotient`` checks Tokuyama's factorization of P at degree 1,
+where every coefficient is a Laurent polynomial in q (``g_value`` evaluates g
+there): P is the lambda-independent deformed Weyl denominator D times the
+character of lambda - rho with each coefficient twisted by q to the height
+drop of its weight, the variable normalization under which the
+factorization is exact (see README notes).  Nothing is divided.  The twisted
+character (``_twist``, shared with ``twisted_character``), times x^rho, is
+packed with the codec of P's walk plan and multiplied by D's binomials one at
+a time, and the product is compared with P's row sums (``_p_sums``, the one
+sum behind ``p_part`` too) as packed tables; neither side is decoded.
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
@@ -62,8 +60,7 @@ from .coefficients import CoeffElement, _integer, slot_table
 from .patterns import WalkPlan, _walk, walk_plan
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system, is_dominant,
                     is_strongly_dominant, weyl_character, weyl_dimension)
-from .weightpoly import (Weight, WeightPolynomial, divide_terms, poly_from_packed,
-                         poly_from_packed_terms)
+from .weightpoly import Weight, WeightPolynomial, poly_from_packed
 
 __all__ = [
     "WeightPolynomial", "character_via_patterns", "p_part",
@@ -145,8 +142,8 @@ def _p_sums(spec: CartanSpec, lam: Weight, factor) -> tuple[WalkPlan, dict]:
     """The walk plan of ``lam``'s crystal and ``_row_sums`` of P over it,
     with the factors of the slot table ``factor`` (``coefficients.slot_table``),
     so each packed weight maps to a zero-free packed monomial dict, which the
-    caller owns.  The one sum behind ``p_part``, the Tokuyama numerator and
-    the sums that ``branch_decompose`` compares."""
+    caller owns.  The one sum behind ``p_part``, the Tokuyama check and the
+    sums that ``branch_decompose`` compares."""
     plan = walk_plan(spec, lam)
     return plan, _row_sums(plan, factor)
 
@@ -203,7 +200,7 @@ def specialize_poly_n1(poly: WeightPolynomial) -> WeightPolynomial:
 
 class TokuyamaResult(NamedTuple):
     lam: Weight
-    shift: str      # always "minus_rho" (divisor at lam - rho); kept for positional callers
+    shift: str      # always "minus_rho" (chi~ at lam - rho); kept for positional callers
     ok: bool
     quotient: WeightPolynomial | None
     remainder: WeightPolynomial | None
@@ -214,8 +211,9 @@ def twisted_character(rs: RootSystem, lam_prime: Weight) -> WeightPolynomial:
     """Character of ``lam_prime`` with each coefficient multiplied by q to the
     height of the drop from the highest weight: the height functional's value
     on the drop over its value on a simple root."""
-    chi = weyl_character(rs, lam_prime)
-    return poly_from_packed_terms(rs.height_vec, _twist(rs, lam_prime, chi.terms))
+    twisted = _twist(rs, lam_prime, weyl_character(rs, lam_prime).terms)
+    return WeightPolynomial(rs.height_vec, {w: CoeffElement.from_packed(t)
+                                            for w, t in twisted.items()})
 
 
 def _twist(rs: RootSystem, lam_prime: Weight, terms: dict) -> dict[Weight, dict[int, int]]:
@@ -234,14 +232,22 @@ def _twist(rs: RootSystem, lam_prime: Weight, terms: dict) -> dict[Weight, dict[
 
 
 def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
-    """Exact division of the degree-1 sum by the q-twisted character of
-    lam - rho.
+    """Tokuyama's factorization P = D * chi~ of the degree-1 sum, checked by
+    multiplying out.  D = x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a) is the
+    deformed Weyl denominator, the same for every ``lam``, and chi~ the
+    twisted character of lam - rho (``_twist``).
 
-    On success the quotient is the deformed Weyl denominator and does not
-    depend on ``lam``; a failed division returns the remainder as witness.
-    Both operands go to ``divide_terms`` as packed monomial dicts: the row
-    sums of P, each weight decoded once, and the twisted terms of the
-    character; only the result becomes ring elements.
+    x^rho * chi~ is packed with the codec of P's walk plan, multiplied by
+    each binomial in turn (``_times_denominator``) and compared with P's row
+    sums (``_p_sums``) as packed tables.  On success the quotient is D,
+    built by the same loop from x^rho.  On failure the remainder is
+    P - D * chi~, and the reason names its leading weight.
+
+    No field overflows.  In type A every weight of every partial product
+    lies in conv(W lam), where |<w, alpha_i^vee>| <= <lam, theta^vee> =
+    sum(lam), inside the codec's 4 * sum(lam): it is a weight of chi~, in
+    conv(W(lam - rho)), plus rho minus distinct positive roots, a weight of
+    V(rho), whose character is prod_(a>0) (x^(a/2) + x^(-a/2)).
     """
     if rs.family != "A":
         raise ValueError("the deformation factorization is asserted for type A only")
@@ -249,14 +255,52 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     if not is_strongly_dominant(lam):
         raise ValueError(f"need a strongly dominant highest weight, got {lam}")
     plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, 1))
-    numer = dict(zip(plan.codec.decode_all(sums), sums.values()))
-    lam_prime = tuple(c - 1 for c in lam)
-    divisor = _twist(rs, lam_prime, weyl_character(rs, lam_prime).terms)
-    quot, rem = divide_terms(rs.height_vec, numer, divisor)
-    poly = poly_from_packed_terms(rs.height_vec, rem or quot)
-    if not rem:
-        return TokuyamaResult(lam, "minus_rho", True, poly, None)
-    return TokuyamaResult(lam, "minus_rho", False, None, poly, reason="inexact division")
+    codec = plan.codec
+    rho = (1,) * rs.rank
+    lam_prime = tuple(map(sub, lam, rho))
+    chi = _twist(rs, lam_prime, weyl_character(rs, lam_prime).terms)
+    product = _times_denominator(
+        rs, codec, {codec.pack(tuple(map(add, w, rho))): t for w, t in chi.items()})
+    if product == sums:
+        quot = _times_denominator(rs, codec, {codec.pack(rho): {0: 1}})
+        return TokuyamaResult(lam, "minus_rho", True,
+                              poly_from_packed(rs.height_vec, codec, quot), None)
+    rem = poly_from_packed(rs.height_vec, codec, _minus(sums, product))
+    return TokuyamaResult(lam, "minus_rho", False, None, rem,
+                          reason=f"P - D * chi~ is nonzero; its leading weight is "
+                                 f"{list(rem.sorted_weights()[0])}")
+
+
+def _times_denominator(rs: RootSystem, codec, table: dict) -> dict:
+    """``table`` times (1 - q^(ht a - 1) x^-a) for each positive root a, one
+    factor at a time, each a ``_minus`` of the table and its shifted self."""
+    for coords in rs.positive_roots_root_coords:
+        table = _minus(table, table, sum(map(mul, coords, codec.roots)), sum(coords) - 1)
+    return table
+
+
+def _minus(a: dict, b: dict, drop: int = 0, e: int = 0) -> dict:
+    """a - q^e x^-drop * b, for tables from packed weight to zero-free packed
+    monomial dict and a packed offset ``drop``: a new table of that form,
+    which shares the dicts of ``a`` that ``b`` leaves alone.  ``a`` and
+    ``b`` are only read."""
+    out = dict(a)
+    for x, t in b.items():
+        y = x - drop
+        s = out.get(y)
+        u = s.copy() if s else {}
+        for k, c in t.items():
+            k += e
+            v = u.get(k, 0) - c
+            if v:
+                u[k] = v
+            else:
+                del u[k]
+        if u:
+            out[y] = u
+        else:
+            del out[y]
+    return out
 
 
 # ---------------------------------------------------------------------------

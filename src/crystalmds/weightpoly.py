@@ -4,7 +4,7 @@ A ``WeightPolynomial`` maps lattice points (integer tuples in the
 fundamental-weight basis) to ring elements.  Terms are kept canonical: no
 zero coefficients, and a fixed total order on weights (descending height,
 ties broken lexicographically) used for leading terms, serialization and
-exact division.  Height is evaluated through an integer-scaled functional
+division.  Height is evaluated through an integer-scaled functional
 supplied by the root system, so ordering never touches rationals.
 
 The engines finish in packed tables, keyed by ``WeightCodec`` ints, and
@@ -19,17 +19,13 @@ codec width and packed simple roots) with the same kind of value are equal
 exactly when their polynomials are, since the codec is injective on every
 weight its fields hold.
 
-Exact division (``divide_terms``) takes tables from weight to packed
-monomial dict, the form the engines' sums and ``CoeffElement.packed`` hold,
-and runs on one int per (weight, monomial) term: the monomial's key is a last
-coordinate of height 0, which extends the order, and one linear map packs
-the whole term.  The key's scale is -1, so each weight is packed once and
-each of its monomials is that int minus the key.
+No engine path divides.  ``WeightPolynomial.divide`` is a short
+leading-term elimination over whole weights and their elements, kept for
+callers outside the package; the Tokuyama check of ``series`` multiplies
+instead.
 """
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from operator import mul, sub
 from typing import Callable, Collection, Iterator, NamedTuple
 
 from .coefficients import CoeffElement
@@ -165,25 +161,45 @@ class WeightPolynomial:
         if self.height_vec != other.height_vec:
             raise ValueError("weight polynomials live over different root systems")
 
-    # -- exact division -------------------------------------------------------
+    # -- division ------------------------------------------------------------
     def divide(self, divisor: "WeightPolynomial") -> tuple["WeightPolynomial", "WeightPolynomial"]:
-        """Leading-term elimination under the fixed order (see ``divide_terms``).
+        """Leading-term elimination under the fixed order.  Returns
+        (quotient, remainder) with self = quotient * divisor + remainder; the
+        division was exact iff the remainder is zero.
 
-        The divisor's leading coefficient must be a ring unit (±q^e).  Both
-        operands go in as their elements' packed monomial dicts, read only,
-        and each result dict becomes one element.  Returns (quotient,
-        remainder); the division was exact iff the remainder is zero.
+        The divisor's leading coefficient must be a unit +-q^e.  Each step
+        takes the remainder's leading weight w to the quotient weight
+        g = w - lead(divisor).  An exact quotient has Newt(self) =
+        Newt(quotient) + Newt(divisor), so its coordinate k lies in
+        [min self_k - min divisor_k, max self_k - max divisor_k]; the first g
+        outside that box ends the division, and w stays in the remainder.
+        Leading weights strictly decrease inside self's box, so it ends.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero weight polynomial")
-        if divisor.leading()[1].as_unit_monomial() is None:
+        lead, unit = divisor.leading()
+        unit = unit.as_unit_monomial()
+        if unit is None:
             raise ValueError("divisor leading coefficient is not a unit monomial")
-        quot, rem = divide_terms(self.height_vec,
-                                 {w: el.packed() for w, el in self.terms.items()},
-                                 {w: el.packed() for w, el in divisor.terms.items()})
-        return (poly_from_packed_terms(self.height_vec, quot),
-                poly_from_packed_terms(self.height_vec, rem))
+        inverse = CoeffElement.q_power(-unit[1], unit[0])
+        rest = [(w, c) for w, c in divisor.terms.items() if w != lead]
+        box = [(min(a) - min(b), max(a) - max(b))
+               for a, b in zip(zip(*self.terms), zip(*divisor.terms))]
+        rem, quot = dict(self.terms), {}
+        while rem:
+            w = max(rem, key=self.order_key)
+            g = tuple(a - b for a, b in zip(w, lead))
+            if any(not lo <= x <= hi for x, (lo, hi) in zip(g, box)):
+                break  # cannot belong to any exact quotient
+            c = quot[g] = rem.pop(w) * inverse
+            for dw, dc in rest:
+                t = tuple(a + b for a, b in zip(g, dw))
+                v = rem.pop(t, CoeffElement.zero()) - c * dc
+                if not v.is_zero():
+                    rem[t] = v
+        return (WeightPolynomial(self.height_vec, quot),
+                WeightPolynomial(self.height_vec, rem))
 
 
 def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
@@ -207,126 +223,3 @@ def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec,
     poly.height_vec, poly.meta, poly._terms = height_vec, {}, None
     poly._packed = (codec, table, isinstance(next(iter(table.values()), None), dict))
     return poly
-
-
-def poly_from_packed_terms(height_vec: tuple[int, ...],
-                           terms: dict[Weight, dict[int, int]]) -> WeightPolynomial:
-    """The polynomial of a weight -> packed monomial dict table, such as
-    ``divide_terms`` returns: each dict is taken over by one element
-    (``CoeffElement.from_packed``), so the caller must not change it."""
-    return WeightPolynomial(height_vec, {w: CoeffElement.from_packed(t) for w, t in terms.items()})
-
-
-def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple[dict, dict]:
-    """Divide weight -> packed monomial dict tables by leading-term elimination.
-
-    A table maps each weight tuple to a nonempty, zero-free dict from packed
-    monomial key (``CoeffElement.packed``) to int coefficient; both tables are
-    only read.  The terms are the (weight, monomial) pairs, taken in the
-    fixed order extended by the monomial key as one more coordinate of
-    height 0: descending height, then lexicographic.  ``denom``'s leading
-    weight must hold one monomial, of coefficient 1 or -1, its own inverse;
-    otherwise ValueError.  Returns (quotient, remainder) in the same form,
-    with dicts of their own.
-
-    One linear map packs each term into one int: the height in the top
-    field, then weight coordinate k in a signed field as wide as the larger
-    of numer's and denom's ranges of it, coordinate 0 highest, and the
-    monomial key in the lowest field, with scale -1.  So a weight is packed
-    once, and each of its monomials is that int minus the key.  On numer's
-    box, and on denom's, the int order is the fixed order, negated so that
-    the heap's least int leads.  A quotient key is one subtraction, and each
-    divisor term costs one add and one dict update.
-
-    Stopping rule: an exact quotient Q has Newt(numer) = Newt(Q) +
-    Newt(denom), so its coordinate k lies in [min numer_k - min denom_k,
-    max numer_k - max denom_k].  The first popped key whose quotient key
-    leaves that box ends the division and stays in the remainder, so an
-    inexact division reports a nonzero remainder.  Invariant: while every
-    accepted quotient key lies in the box, every remainder key lies in
-    numer's box, so no field overflows.  Popped keys strictly decrease
-    inside a finite box, so the division ends.
-    """
-    if not denom:
-        raise ZeroDivisionError("division by the empty table")
-    quot: dict = {}
-    if not numer:
-        return quot, {}
-    n_lo, n_hi = _box(numer)
-    d_lo, d_hi = _box(denom)
-    n_span, d_span = tuple(map(sub, n_hi, n_lo)), tuple(map(sub, d_hi, d_lo))
-    widths = [max(a, b).bit_length() for a, b in zip(n_span, d_span)]
-    shifts = [sum(widths[k + 1:]) for k in range(len(widths))]
-    masks = [(1 << b) - 1 for b in widths]
-    top = sum(widths)
-    scale = [-((h << top) + (1 << s)) for h, s in zip(height_vec, shifts)] + [-1]
-
-    def pack(key):  # a bare weight packs as its term of monomial key 0
-        return sum(map(mul, scale, key))
-
-    def unpack(table, lo):
-        # group by the weight fields, then decode each weight once
-        base, k_bits, k_mask, k_lo = pack(lo), widths[-1], masks[-1], lo[-1]
-        by_weight: dict[int, dict[int, int]] = {}
-        for x, c in table.items():
-            off = base - x
-            by_weight.setdefault(off >> k_bits, {})[(off & k_mask) + k_lo] = c
-        fields = [(s - k_bits, m, b) for s, m, b in zip(shifts, masks, lo[:-1])]
-        return {tuple([(f >> s & m) + b for s, m, b in fields]): t
-                for f, t in by_weight.items()}
-
-    lead_w = min(denom, key=pack)
-    if len(denom[lead_w]) != 1:
-        raise ValueError(f"divisor leading weight {lead_w} holds {len(denom[lead_w])} "
-                         "monomials, not one")
-    ((k, unit),) = denom[lead_w].items()
-    if unit not in (1, -1):
-        raise ValueError(f"divisor leading coefficient {unit} is not 1 or -1")
-    lead_key = lead_w + (k,)
-    lead = pack(lead_key)
-    den = [(x - k, c) for x, t in zip(map(pack, denom), denom.values())
-           for k, c in t.items() if x - k != lead]
-    # The quotient key of popped x is in the box iff field k of x, read from
-    # numer's corner, is in [lead_k - d_lo_k, n_span_k - (d_hi_k - lead_k)]:
-    # an empty range when the box is.  A coordinate constant over denom
-    # leaves the whole field allowed.
-    base = pack(n_lo)
-    checks = [(s, m, a, n - c) for s, m, a, c, n in
-              zip(shifts, masks, map(sub, lead_key, d_lo), map(sub, d_hi, lead_key), n_span)
-              if a or c]
-    rem = {x - k: c for x, t in zip(map(pack, numer), numer.values()) for k, c in t.items()}
-    heap = list(rem)
-    heapify(heap)
-    get = rem.get
-    while heap:
-        x = heappop(heap)
-        c = get(x)
-        if c is None:
-            continue  # eliminated after it was pushed
-        off = base - x
-        if any(not a <= off >> s & m <= b for s, m, a, b in checks):
-            break  # cannot belong to any exact quotient
-        g = x - lead
-        qc = c * unit
-        quot[g] = qc
-        del rem[x]
-        for dk, dc in den:
-            t = g + dk
-            old = get(t)
-            if old is None:
-                rem[t] = -qc * dc
-                heappush(heap, t)
-            elif old == qc * dc:
-                del rem[t]
-            else:
-                rem[t] = old - qc * dc
-    return unpack(quot, tuple(map(sub, n_lo, d_lo))), unpack(rem, n_lo)
-
-
-def _box(table: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least and greatest value of each weight coordinate over ``table``,
-    then of the monomial keys."""
-    cols = list(zip(*table))
-    keys = table.values()
-    return (tuple(map(min, cols)) + (min(map(min, keys)),),
-            tuple(map(max, cols)) + (max(map(max, keys)),))

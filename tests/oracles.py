@@ -7,8 +7,10 @@ polytope membership straight from the long word and the Cartan pairings.
 The full-denominator character is the Weyl character formula itself, an
 alternating orbit sum divided by the Weyl denominator, as a reference for the
 package's Demazure-operator character; it divides with ``divide_terms``, the
-tuple-keyed, one-int-per-term division that is also the reference for the
-package's own.
+tuple-keyed, one-int-per-term division that is also the reference for
+``WeightPolynomial.divide``.  ``deformed_denominator`` expands Tokuyama's
+deformed Weyl denominator from the model's positive roots, as a reference
+for the quotient of ``series.tokuyama_quotient``.
 
 The pattern bounds are written out here from their definitions, apart from
 the package's slot walk: ``chain_lower_bound`` from each family's row-chain
@@ -26,7 +28,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import mul, sub
 
-from crystalmds import CartanSpec, LittelmannPattern
+from crystalmds import CartanSpec, CoeffElement, LittelmannPattern, WeightPolynomial
 
 
 def from_text(spec: CartanSpec, text: str) -> "LittelmannPattern":
@@ -364,6 +366,23 @@ def full_denominator_character(rs, lam) -> dict:
     return table
 
 
+def deformed_denominator(rs, bump: tuple[int, ...] | None = None):
+    """Tokuyama's deformed Weyl denominator of type A,
+    x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a), expanded one factor at a time
+    through ``WeightPolynomial.__mul__`` on tuple weights.  The positive
+    roots are the model's e_i - e_j, i < j, of height j - i.  The factor of
+    the root ``bump`` (weight coordinates), if given, takes q^(ht a)."""
+    model = ModelRootSystem("A", rs.rank)
+    one = CoeffElement.one()
+    out = WeightPolynomial(rs.height_vec, {rho(rs): one})
+    for (i, j), vec in zip(combinations(range(rs.rank + 1), 2), model.positive):
+        root = tuple(int(c) for c in model.weight_coords(vec))
+        e = j - i - 1 + (root == bump)
+        out = out * WeightPolynomial(rs.height_vec, {
+            (0,) * rs.rank: one, tuple(-c for c in root): CoeffElement.q_power(e, -1)})
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Reference exact division
 # ---------------------------------------------------------------------------
@@ -393,10 +412,10 @@ def divide_terms(height_vec: tuple[int, ...], numer: dict, denom: dict) -> tuple
     numer's box, so no field overflows.  Popped keys strictly decrease
     inside a finite box, so the division ends.
 
-    The reference for ``weightpoly.divide_terms``, which packs each weight
-    once: with every packed monomial key appended to its weight as the last
-    coordinate, one (weight, monomial) term per key, both must give the same
-    quotient and remainder.
+    The reference for ``WeightPolynomial.divide``, which eliminates whole
+    weights: with every packed monomial key appended to its weight as the
+    last coordinate, one (weight, monomial) term per key, both give the same
+    quotient and remainder on exact products and on integer tables.
     """
     if not denom:
         raise ZeroDivisionError("division by the empty table")

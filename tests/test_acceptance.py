@@ -57,15 +57,15 @@ def test_criterion_2_gauss_oracle():
 
 
 def test_criterion_3_tokuyama_property():
-    # degree-1 sums divide exactly by the twisted character of lambda - rho,
-    # with a quotient independent of lambda at each of ranks 1..3
+    # every degree-1 sum is the deformed Weyl denominator D times the
+    # twisted character of lambda - rho, one case for each of ranks 1..3
     rep = _suite("tokuyama", run_tokuyama_suite)
     ok = rep["ok"]
     ranks = [c for c in rep["cases"] if c["name"].startswith("rank=")]
     _verdict("criterion-3 tokuyama factorization", ok, f"{len(ranks)} ranks")
     assert ok, _failures(rep)[:5]
-    assert [(c["name"], c["status"]) for c in ranks] == [
-        (f"rank={k}: divisible and quotient identical", "pass") for k in (1, 2, 3)]
+    assert [(c["name"], c["status"]) for c in rep["cases"]] == [
+        (f"rank={k}: P = D * chi~ for every lambda", "pass") for k in (1, 2, 3)]
 
 
 def test_criterion_4_branching():

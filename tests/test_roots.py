@@ -9,7 +9,7 @@ from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, LittelmannPattern
                         is_dominant, is_strongly_dominant, nice_long_word,
                         weyl_character, weyl_dimension)
 from crystalmds.roots import MAX_RANK, _demazure
-from crystalmds.weightpoly import divide_terms, weight_codec
+from crystalmds.weightpoly import weight_codec
 from oracles import (ModelRootSystem, freudenthal_multiplicities,
                      invert_fraction_matrix, reflect, rho)
 from oracles import divide_terms as reference_divide_terms
@@ -253,6 +253,10 @@ def test_character_weyl_invariance(family, rank, lam):
         assert reflected == chi.terms
 
 
+def _ints(r, table: dict) -> WeightPolynomial:
+    return WeightPolynomial(r.height_vec, {w: CoeffElement.from_int(c) for w, c in table.items()})
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_root_string_division_matches_heap_division(family, rank):
     # random exact products g * (1 - x^-alpha) over every positive root,
@@ -269,39 +273,38 @@ def test_root_string_division_matches_heap_division(family, rank):
             for w, c in g.items():
                 low = tuple(a + b for a, b in zip(w, minus))
                 f[low] = f.get(low, 0) - c
-            f = {w: {0: c} for w, c in f.items() if c}
-            quot, rem = divide_terms(r.height_vec, f, {zero: {0: 1}, minus: {0: -1}})
-            assert not rem
-            assert quot == {w: {0: c} for w, c in g.items()}
+            quot, rem = _ints(r, f).divide(_ints(r, {zero: 1, minus: -1}))
+            assert rem.is_zero()
+            assert quot == _ints(r, g)
 
 
 def test_root_string_division_rejects_inexact_table():
     # tables that (1 - x^-alpha) does not divide leave a nonzero remainder
     r = rs("A", 2)
-    alpha = r.positive_roots[0]
-    factor = {(0, 0): {0: 1}, tuple(-a for a in alpha): {0: -1}}  # 1 - x^-alpha
-    assert divide_terms(r.height_vec, factor, factor) == ({(0, 0): {0: 1}}, {})
-    for table in ({(0, 0): {0: 1}}, {**factor, (3, 1): {0: 2}}):
-        assert divide_terms(r.height_vec, table, factor)[1]
+    minus = tuple(-a for a in r.positive_roots[0])
+    factor = _ints(r, {(0, 0): 1, minus: -1})  # 1 - x^-alpha
+    quot, rem = factor.divide(factor)
+    assert quot == _ints(r, {(0, 0): 1}) and rem.is_zero()
+    for table in ({(0, 0): 1}, {(0, 0): 1, minus: -1, (3, 1): 2}):
+        assert not _ints(r, table).divide(factor)[1].is_zero()
 
 
 def test_division_stops_at_once_outside_the_box():
     # a single term over a two-term divisor: the Newton box of an exact
-    # quotient is empty, so the first popped key stops the division
+    # quotient is empty, so the first leading weight stops the division
     r = rs("A", 2)
-    factor = {(0, 0): {0: 1}, (-1, 2): {0: -1}}
+    factor = _ints(r, {(0, 0): 1, (-1, 2): -1})
     for w in [(0, 0), (5, -7), (-10**6, 10**6)]:
-        assert divide_terms(r.height_vec, {w: {0: 3}}, factor) == ({}, {w: {0: 3}})
-    # a stray term below an exact product is popped last, its quotient key
-    # leaves the box, and it alone stays in the remainder
-    numer = {(0, 0): {0: 1}, (-1, 2): {0: -1}, (-9, 1): {0: 4}}
-    assert divide_terms(r.height_vec, numer, factor) == ({(0, 0): {0: 1}}, {(-9, 1): {0: 4}})
+        quot, rem = _ints(r, {w: 3}).divide(factor)
+        assert quot.is_zero() and rem == _ints(r, {w: 3})
+    # a stray term below an exact product is taken last, its quotient
+    # weight leaves the box, and it alone stays in the remainder
+    quot, rem = _ints(r, {(0, 0): 1, (-1, 2): -1, (-9, 1): 4}).divide(factor)
+    assert quot == _ints(r, {(0, 0): 1}) and rem == _ints(r, {(-9, 1): 4})
 
 
 def test_division_rejects_a_non_unit_leading_coefficient():
     r = rs("A", 2)
-    with pytest.raises(ValueError):
-        divide_terms(r.height_vec, {(0, 0): {0: 4}}, {(0, 0): {0: 2}, (-2, 1): {0: 1}})
     one, two, q = CoeffElement.one(), CoeffElement.from_int(2), CoeffElement.q_power(1)
     g = CoeffElement.symbol(GaussSymbol(1, 1, 2))
     numer = WeightPolynomial(r.height_vec, {(0, 0): one})
@@ -384,18 +387,22 @@ def _packed(poly: WeightPolynomial) -> dict:
     return {w: dict(c.packed()) for w, c in poly.terms.items()}
 
 
+def _poly(height_vec, table: dict) -> WeightPolynomial:
+    return WeightPolynomial(height_vec, {w: CoeffElement.from_packed(dict(t))
+                                         for w, t in table.items()})
+
+
 def _assert_divides_like_the_reference(height_vec, numer: dict, denom: dict):
-    quot, rem = divide_terms(height_vec, numer, denom)
-    assert all(t and 0 not in t.values() for t in (*quot.values(), *rem.values()))
-    assert (_flat(quot), _flat(rem)) == reference_divide_terms(height_vec, _flat(numer),
-                                                               _flat(denom))
+    quot, rem = _poly(height_vec, numer).divide(_poly(height_vec, denom))
+    assert (_flat(_packed(quot)), _flat(_packed(rem))) == reference_divide_terms(
+        height_vec, _flat(numer), _flat(denom))
 
 
 def test_division_matches_the_reference_division():
-    # the division that packs each weight once and the tuple-keyed one of
-    # ``oracles`` give the same quotient and remainder on exact and
-    # perturbed products, on plain integer tables, and on symbolic
-    # coefficients of degree 2 and 3 with coordinates near 0 and +-10^6; a
+    # ``WeightPolynomial.divide`` and the term-level division of ``oracles``
+    # give the same quotient and remainder on exact products with symbolic
+    # coefficients of degree 2 and 3, and on plain integer tables, exact,
+    # perturbed or not divisible, with coordinates near 0 and +-10^6; a
     # divisor whose leading weight holds more monomials than the unit
     # leading one, both refuse
     rng = random.Random("reference division")
@@ -410,16 +417,21 @@ def test_division_matches_the_reference_division():
                 g = WeightPolynomial(h, {w: CoeffElement.from_int(c.monomials()[0][0])
                                          for w, c in g.terms.items()})
                 d = {w: {0: t[max(t)]} for w, t in d.items()}
+            # a unit +-q^e leads d, alone or, every third trial, beside the
+            # leading weight's own monomials
             lead = max(d, key=lambda w: (sum(map(mul, h, w)), w))
-            d[lead][max(d[lead])] = rng.choice((1, -1))
-            numer = g * WeightPolynomial(h, {w: CoeffElement.from_packed(dict(t))
-                                             for w, t in d.items()})
+            unit = {rng.randrange(-5, 5) if trial % 2 == 0 else 0: rng.choice((1, -1))}
+            d[lead] = {**d[lead], **unit} if trial % 3 == 0 else unit
+            numer = g * _poly(h, d)
             if len(d[lead]) > 1:
                 _assert_both_refuse(h, _packed(numer), d)
                 continue
             bumped = _plus(numer, WeightPolynomial(h, {rng.choice(list(g.terms)):
                                                        _random_coeff(rng)}))
-            for table in (numer, bumped, g):
+            # the weight-level elimination and the reference's term-level one
+            # agree on exact products, and on integer tables whatever the
+            # remainder
+            for table in (numer, bumped, g) if trial % 2 else (numer,):
                 _assert_divides_like_the_reference(h, _packed(table), d)
     # the stop-at-once cases: an empty quotient box, and a stray term below
     # an exact product
@@ -432,8 +444,8 @@ def test_division_matches_the_reference_division():
 
 
 def _assert_both_refuse(height_vec, numer: dict, denom: dict):
-    with pytest.raises(ValueError, match="leading weight"):
-        divide_terms(height_vec, numer, denom)
+    with pytest.raises(ValueError, match="unit monomial"):
+        _poly(height_vec, numer).divide(_poly(height_vec, denom))
     with pytest.raises(ValueError, match="leading weight"):
         reference_divide_terms(height_vec, _flat(numer), _flat(denom))
 

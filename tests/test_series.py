@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import json
+from operator import mul
 
 import pytest
 
@@ -18,8 +19,8 @@ from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
 from crystalmds.series import _p_sums
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, poly_from_packed, weight_codec
-from oracles import (dominant_representative, full_denominator_character, reflect,
-                     weight_in_hull)
+from oracles import (deformed_denominator, dominant_representative,
+                     full_denominator_character, reflect, weight_in_hull)
 
 Q = CoeffElement.q_power
 
@@ -505,13 +506,15 @@ def test_character_dimension_reads_either_table_kind():
 # ---------------------------------------------------------------------------
 
 def test_tokuyama_quotient_lambda_independent():
+    # one D, expanded from the model's roots, factors every P of the rank:
+    # P = D * chi~ through the term-by-term product, and D is the quotient
     r = rs("A", 2)
-    quotients = []
+    D = deformed_denominator(r)
     for lam in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         res = tokuyama_quotient(r, lam)
         assert res.ok, (lam, res.reason)
-        quotients.append(res.quotient)
-    assert all(q.terms == quotients[0].terms for q in quotients)
+        assert res.quotient == D
+        assert D * twisted_character(r, tuple(c - 1 for c in lam)) == p_part(r, lam, 1)
 
 
 def test_tokuyama_quotient_times_divisor_reconstructs():
@@ -530,6 +533,43 @@ def test_tokuyama_rank_one_closed_form():
                                         (-1,): CoeffElement.from_int(-1)}
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, rank):
+    # every packed partial product, of x^rho * chi~ and then of x^rho alone
+    # with D's binomials, decodes to the same product on tuple weights, whose
+    # coordinates <w, alpha_i^vee> stay within sum(lam), a quarter of the
+    # codec's field bound; the quotient is the model's D
+    r = rs("A", rank)
+    tables, minus = [], series._minus
+
+    def recording(a, b, drop=0, e=0):
+        tables.append(minus(a, b, drop, e))
+        return tables[-1]
+
+    monkeypatch.setattr(series, "_minus", recording)
+    binomials = [WeightPolynomial(r.height_vec, {(0,) * rank: CoeffElement.one(),
+                                                 tuple(-c for c in root): Q(sum(coords) - 1, -1)})
+                 for root, coords in zip(r.positive_roots, r.positive_roots_root_coords)]
+    rho = (1,) * rank
+    for lam in {rho, (2,) + rho[1:], rho[:-1] + (2,)}:
+        tables.clear()
+        res = tokuyama_quotient(r, lam)
+        assert res.ok and res.quotient == deformed_denominator(r)
+        codec = walk_plan(r.spec, lam).codec
+        assert 4 * sum(lam) < codec.bias
+        chi = twisted_character(r, tuple(c - 1 for c in lam))
+        want = []
+        for start in (chi * WeightPolynomial(r.height_vec, {rho: CoeffElement.one()}),
+                      WeightPolynomial(r.height_vec, {rho: CoeffElement.one()})):
+            for binomial in binomials:
+                start = start * binomial
+                want.append(start)
+        assert len(tables) == len(want)
+        for table, poly in zip(tables, want):
+            assert poly_from_packed(r.height_vec, codec, table) == poly
+            assert all(abs(c) <= sum(lam) for w in poly.terms for c in w)
+
+
 def _patch_p_sums(monkeypatch, change):
     """Pass the terms of every sum that ``series._p_sums`` returns, as a
     weight -> CoeffElement dict, through ``change(r, lam, terms)``, which
@@ -546,38 +586,108 @@ def _patch_p_sums(monkeypatch, change):
     monkeypatch.setattr(series, "_p_sums", wrapped)
 
 
+def _first_difference(a: WeightPolynomial, b: WeightPolynomial):
+    """The leading weight of a - b."""
+    return max((w for w in a.terms.keys() | b.terms.keys() if a.coeff(w) != b.coeff(w)),
+               key=a.order_key)
+
+
 @pytest.mark.parametrize("where", ["top", "below"])
 def test_tokuyama_stray_term_is_an_inexact_division(monkeypatch, where):
-    # one stray term in the numerator P makes the division inexact, whether
-    # it changes the leading coefficient or sits below every weight of P
+    # one stray term in P, whether it changes the leading coefficient or
+    # sits below every weight of P, is all of P - D * chi~
+    stray = {}
+
     def with_stray(r, lam, terms):
         low = WeightPolynomial(r.height_vec, terms).sorted_weights()[-1]
         w = lam if where == "top" else tuple(c - 3 for c in low)
+        stray[lam] = w
         terms[w] = terms.get(w, CoeffElement.zero()) + Q(2)
         return terms
 
     _patch_p_sums(monkeypatch, with_stray)
-    res = tokuyama_quotient(rs("A", 2), (2, 1))
+    r = rs("A", 2)
+    res = tokuyama_quotient(r, (2, 1))
     assert not res.ok and res.quotient is None
-    assert res.remainder is not None and not res.remainder.is_zero()
-    assert res.reason == "inexact division"
+    w = stray[(2, 1)]
+    assert res.remainder == WeightPolynomial(r.height_vec, {w: Q(2)})
+    assert res.reason.endswith(f"leading weight is {list(w)}")
+
+
+def _drop_term(r, lam, terms):
+    w = WeightPolynomial(r.height_vec, terms).sorted_weights()[len(terms) // 2]
+    del terms[w]
+    return terms
+
+
+def _move_q_exponent(r, lam, terms):
+    w = WeightPolynomial(r.height_vec, terms).sorted_weights()[len(terms) // 2]
+    c, e, _ = terms[w].monomials()[0]
+    terms[w] = terms[w] - Q(e, c) + Q(e + 1, c)
+    return terms
+
+
+_TOKUYAMA_MUTANT_LAMBDAS = [(1, 1), (2, 1), (1, 1, 1), (2, 1, 2)]
+
+
+def _leading_differences(mutate_p, denominator) -> dict:
+    """Per lambda of ``_TOKUYAMA_MUTANT_LAMBDAS``, the leading weight of
+    P' - D' * chi~ on tuple weights: P' is P's terms passed through
+    ``mutate_p(r, lam, terms)``, and D' is ``denominator(r)``.  Taken before
+    any patch."""
+    out = {}
+    for lam in _TOKUYAMA_MUTANT_LAMBDAS:
+        r = rs("A", len(lam))
+        P = WeightPolynomial(r.height_vec, mutate_p(r, lam, dict(p_part(r, lam, 1).terms)))
+        out[lam] = _first_difference(
+            P, denominator(r) * twisted_character(r, tuple(c - 1 for c in lam)))
+    return out
+
+
+def _assert_mutant_fails(want: dict):
+    """Each lambda's result fails with its leading difference ``want[lam]``
+    named, and so does the suite's case of its rank, with the first one's
+    reason as witness."""
+    rep = verification.run_tokuyama_suite(list(want))
+    assert not rep["ok"]
+    for case in rep["cases"]:
+        mine = [lam for lam in want if case["name"].startswith(f"rank={len(lam)}:")]
+        assert case["status"] == "fail" and case["failed"] == [list(lam) for lam in mine]
+        for lam in mine:
+            res = tokuyama_quotient(rs("A", len(lam)), lam)
+            assert not res.ok and res.quotient is None
+            assert res.reason.endswith(f"leading weight is {list(want[lam])}")
+        assert case["witness"] == tokuyama_quotient(rs("A", len(mine[0])), mine[0]).reason
+    assert len(rep["cases"]) == 2
+
+
+@pytest.mark.parametrize("mutate", [_drop_term, _move_q_exponent], ids=["drop", "move-q"])
+def test_tokuyama_mutated_p_fails_with_its_first_differing_weight(monkeypatch, mutate):
+    want = _leading_differences(mutate, deformed_denominator)
+    _patch_p_sums(monkeypatch, mutate)
+    _assert_mutant_fails(want)
 
 
 def test_tokuyama_suite_checks_the_quotient_against_the_closed_form(monkeypatch):
-    # one quotient shared by every lambda of a rank still fails the suite
-    # when it is not x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a)
-    def wrong(r, lam):
-        res = tokuyama_quotient(r, lam)
-        terms = dict(res.quotient.terms)
-        w = res.quotient.sorted_weights()[-1]
-        terms[w] = terms[w] * Q(1)
-        return res._replace(quotient=WeightPolynomial(r.height_vec, terms))
+    # D with the highest root's binomial at q^(ht a), not q^(ht a - 1),
+    # factors no P, and every rank's case fails with its witness
+    def shifted(r, codec, table):
+        for coords in r.positive_roots_root_coords:
+            e = sum(coords) - 1 + (coords == r.positive_roots_root_coords[-1])
+            table = series._minus(table, table, sum(map(mul, coords, codec.roots)), e)
+        return table
 
-    monkeypatch.setattr(verification, "tokuyama_quotient", wrong)
-    rep = verification.run_tokuyama_suite([(1, 1), (2, 1)])
-    assert [(c["name"], c["status"]) for c in rep["cases"]] == [
-        ("rank=2: divisible and quotient identical", "pass"),
-        ("rank 2: quotient is the deformed Weyl denominator", "fail")]
+    want = _leading_differences(lambda r, lam, terms: terms,
+                                lambda r: deformed_denominator(r, r.positive_roots[-1]))
+    monkeypatch.setattr(series, "_times_denominator", shifted)
+    _assert_mutant_fails(want)
+
+
+def test_tokuyama_suite_refuses_an_empty_selection():
+    # None runs the defaults; an empty list selects no case, as in every suite
+    with pytest.raises(ValueError, match="selected no cases"):
+        verification.run_tokuyama_suite([])
+    assert len(verification.run_tokuyama_suite(None)["cases"]) == 3
 
 
 def test_tokuyama_requires_type_a_and_strong_dominance():
