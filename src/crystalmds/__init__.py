@@ -17,6 +17,6 @@ from .patterns import (DecoratedPattern, LittelmannPattern, decorate, enumerate_
                        pattern_shape, pattern_wt, render)
 from .series import (BranchDecomposition, WeightPolynomial, branch_decompose,
                      character_via_patterns, p_part, polynomial_json_obj,
-                     tokuyama_quotient, twisted_character)
+                     tokuyama_quotient)
 
 __version__ = "0.1.0"

@@ -36,10 +36,16 @@ bits decode the same way for the life of the process.  ``packed`` and
 ``from_packed`` hand the packed dict over as it is, with no copy:
 ``packed()`` is shared and read-only, and ``from_packed`` takes its dict
 over, dropping zero coefficients in place.  The row sums of ``series``
-multiply into dicts of their own by adding keys, and its Tokuyama check
-multiplies by q^e by adding e to each key; both are sound because the
+multiply into dicts of their own by adding keys, which is sound because the
 packing is linear.  Monomials sort by their canonical form, in
 which a ``GaussSymbol`` compares as its (t, residue, degree) fields.
+
+A polynomial in q, with no Gauss symbol and no negative exponent, also
+has a value at q = 2^B: ``kronecker_encode`` sends sum c * q^e to
+sum c * 2^(B * e), and ``kronecker_decode`` reads such an int back as signed
+base-2^B digits, which recovers every polynomial whose coefficients lie
+strictly inside +-2^(B-1).  ``series`` checks Tokuyama's factorization on
+these values, one bigint per coefficient.
 
 A decorated pattern's coefficient is a product of slot factors, all from one
 entry rule (``entry_factor``): 0 for a circled and boxed entry a, else q^a,
@@ -54,7 +60,9 @@ once, at the first slot where it is complete, and a zero prunes the rest of
 its row.  ``slot_table`` keys each factor by exactly what it reads, an entry
 by (value, circled, boxed, middle) and a run by (j1, value, circled marks,
 boxed marks), and computes each distinct key's once for a given (spec, n);
-the walks of ``series`` multiply its factors into prefix products.
+the walks of ``series`` multiply its factors into prefix products.  Given
+a map, the table hands out each factor's image instead, so the same walks
+multiply in the map's ring.
 ``pattern_coefficient``, the per-pattern definition they are checked
 against, multiplies one pattern's slot factors.  This module holds the
 whole rule.
@@ -65,7 +73,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import index
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .patterns import DecoratedPattern
@@ -293,6 +301,9 @@ class CoeffElement:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
     def is_one(self) -> bool:
         return self._terms == {0: 1}
 
@@ -375,6 +386,38 @@ def _wrap(packed: dict[int, int], _new=object.__new__,
 
 _ZERO = _wrap({})
 _ONE = _wrap({0: 1})
+
+
+def kronecker_encode(packed: dict[int, int], bits: int) -> int:
+    """The value at q = 2^bits of a packed monomial dict that holds a
+    polynomial in q: sum c * 2^(bits * e).  A negative exponent or a Gauss
+    symbol has no such value, and raises ValueError."""
+    v = 0
+    for k, c in packed.items():
+        if not 0 <= k < Q_EXP_LIMIT:
+            raise ValueError(f"q = 2^{bits} takes polynomials in q only: monomial key {k} "
+                             "has a negative q exponent or a Gauss symbol")
+        v += c << bits * k
+    return v
+
+
+def kronecker_decode(v: int, bits: int) -> dict[int, int]:
+    """The packed monomial dict of the polynomial whose value at q = 2^bits
+    is ``v`` and whose coefficients lie strictly inside +-2^(bits-1):
+    ``v`` read as signed base-2^bits digits, low digit first, without the
+    zero ones.  The inverse of ``kronecker_encode`` on such polynomials."""
+    base, half = 1 << bits, 1 << (bits - 1)
+    out = {}
+    e = 0
+    while v:
+        d = v & (base - 1)
+        if d >= half:
+            d -= base
+        if d:
+            out[e] = d
+        v = (v - d) >> bits
+        e += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +571,7 @@ def _component_factor(comp: ComponentD, i: int, crow, brow, entry) -> CoeffEleme
     return right * (_ONE - CoeffElement.q_power(-comp.length))
 
 
-def slot_table(spec: CartanSpec, n: int):
+def slot_table(spec: CartanSpec, n: int, ring_map: Callable | None = None):
     """The slot factors at this spec and cover degree, as a function of
     (i, j, row, crow, brow): row ``i``'s values and circled and boxed marks,
     each indexed by column minus ``i``, of which only columns j and up,
@@ -543,9 +586,29 @@ def slot_table(spec: CartanSpec, n: int):
     ``_component_factor`` by (j1, value, circled marks, boxed marks), with
     no row index, so rows share it.  Component factors read their entries
     through the same dict, so each distinct key is computed once for as
-    long as the caller keeps the function."""
+    long as the caller keeps the function.
+
+    ``ring_map``, if given, is a ring map from ``CoeffElement``: the function
+    then returns each slot factor's image, applied once per factor it
+    computes, and its ``one`` attribute, the ring's one that a product of
+    factors starts from, is the image of 1 (1 for ``kronecker_encode``'s
+    ints).  In type D a run's factor is the image of its product: the
+    entries it reads stay elements, under keys that no run's key equals."""
     factors: dict = {}
     family, rank = spec.family, spec.rank  # read once: no field read per slot
+    image = ring_map or (lambda f: f)
+    one = image(_ONE)
+
+    if family != "D":
+        def factor(i, j, row, crow, brow):
+            off = j - i
+            key = row[off], crow[off], brow[off], j == rank
+            f = factors.get(key)
+            if f is None:
+                f = factors[key] = image(entry_factor(family, *key, n))
+            return f
+        factor.one = one
+        return factor
 
     def entry(a, circled, boxed, middle) -> CoeffElement:
         key = a, circled, boxed, middle
@@ -554,27 +617,22 @@ def slot_table(spec: CartanSpec, n: int):
             f = factors[key] = entry_factor(family, a, circled, boxed, middle, n)
         return f
 
-    if family != "D":
-        def factor(i, j, row, crow, brow) -> CoeffElement:
-            off = j - i
-            return entry(row[off], crow[off], brow[off], j == rank)
-        return factor
-
-    def run(i, start, row, crow, brow) -> CoeffElement:
+    def run(i, start, row, crow, brow):
         end = _run_end(row, start)
         key = i + start, row[start], tuple(crow[start:end]), tuple(brow[start:end])
         f = factors.get(key)
         if f is None:
             comp = _classify(rank, row[start], i + start, i + end - 1)
-            f = factors[key] = _component_factor(comp, i, crow, brow, entry)
+            f = factors[key] = image(_component_factor(comp, i, crow, brow, entry))
         return f
 
-    def closing(i, j, row, crow, brow) -> CoeffElement:
+    def closing(i, j, row, crow, brow):
         off = j - i
         nxt = off + 1
-        f = run(i, nxt, row, crow, brow) if nxt < len(row) and row[nxt] != row[off] else _ONE
+        f = run(i, nxt, row, crow, brow) if nxt < len(row) and row[nxt] != row[off] else one
         return f * run(i, 0, row, crow, brow) if off == 0 else f
 
+    closing.one = one
     return closing
 
 

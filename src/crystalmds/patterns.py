@@ -38,7 +38,6 @@ from itertools import accumulate, chain
 from operator import index
 from typing import Callable, Iterator, NamedTuple
 
-from .coefficients import CoeffElement
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
                     is_dominant, long_word_blocks)
 from .weightpoly import Weight, WeightCodec, weight_codec
@@ -190,7 +189,8 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
 
     Without ``factor`` every leaf's coefficient is 1.  With it, a slot table
     (``coefficients.slot_table``), the coefficient is the product of the
-    leaf's slot factors, carried as a prefix product: every value placed at
+    leaf's slot factors in the table's ring, carried as a prefix product
+    from the table's ``one``: every value placed at
     slot (i, j) multiplies the parent's product by ``factor(i, j, row, crow,
     brow)``, read off the row buffers of row i (values, circled, boxed) with
     the value and its marks in place.  A zero factor skips the value and its
@@ -223,7 +223,7 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
     # coefficient of the entries placed before the slot
     tries: list = [None] * len(frames)
     wts = [wt] * len(frames)
-    accs = [1 if factor is None else CoeffElement.one()] * len(frames)
+    accs = [1 if factor is None else factor.one] * len(frames)
     k = 0
     while k >= 0:
         i, j, vals, crow, brow, off, shift, drop, (a, b, up, down) = frames[k]
@@ -253,7 +253,7 @@ def _walk(plan: WalkPlan, pinned: tuple[tuple[int, ...], ...] | None = None,
                 child = acc
             else:
                 f = factor(i, j, vals, crow, brow)
-                if f.is_zero():
+                if not f:
                     continue
                 child = acc * f
             if k == last:

@@ -27,16 +27,25 @@ place, and the polynomial wraps each last dict as an element once, without a
 copy.  A row writes only the dicts it created; the ``packed()`` dicts of slot
 values, which the slot table and the ring's one share, are read-only.
 
+The walk and the row loop take their ring from the slot table: its
+``one`` seeds every product, and a table mapped into the ints
+(``coefficients.slot_table``'s ``ring_map``) runs on the int path, the
+character's, where each product is one int multiply.
+
 ``tokuyama_quotient`` checks Tokuyama's factorization of P at degree 1,
 where every coefficient is a Laurent polynomial in q (``g_value`` evaluates g
 there): P is the lambda-independent deformed Weyl denominator D times the
 character of lambda - rho with each coefficient twisted by q to the height
 drop of its weight, the variable normalization under which the
-factorization is exact (see README notes).  Nothing is divided.  The twisted
-character (``_twist``, shared with ``twisted_character``), times x^rho, is
-packed with the codec of P's walk plan and multiplied by D's binomials one at
-a time, and the product is compared with P's row sums (``_p_sums``, the one
-sum behind ``p_part`` too) as packed tables; neither side is decoded.
+factorization is exact (see README notes).  Nothing is divided.  In type A
+both sides are polynomials in q, so the check evaluates them at q = 2^B
+(Kronecker substitution), with B wide enough that the evaluation is
+injective on every coefficient either side can have; the proof is in
+``tokuyama_quotient``.  P's row sums (``_p_sums``, the one sum behind
+``p_part`` too) run on the int path, the twisted character, times x^rho, is
+packed with the codec of P's walk plan and multiplied by D's binomials one
+at a time, and the two int tables are compared; only the quotient or the
+remainder that is returned is decoded.
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
@@ -56,10 +65,12 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .coefficients import CoeffElement, _integer, slot_table
+from .coefficients import (CoeffElement, _integer, kronecker_decode, kronecker_encode,
+                           slot_table)
 from .patterns import WalkPlan, _walk, walk_plan
-from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system, is_dominant,
-                    is_strongly_dominant, weyl_character, weyl_dimension)
+from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
+                    character_dimension, is_dominant, is_strongly_dominant, weyl_character,
+                    weyl_dimension)
 from .weightpoly import Weight, WeightPolynomial, poly_from_packed
 
 __all__ = [
@@ -75,21 +86,25 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
     weight ``wt`` (by default the highest weight, above row 1): over every
     filling of those rows, its coefficient (``_walk``'s, the product of its
     factors from the slot table ``factor``, or 1 without one), summed by the
-    packed weight it ends at.  Values are ints without ``factor``; with it,
+    packed weight it ends at, without zeros.  Values are ints without
+    ``factor`` or with a table whose ring is the ints (one mapped by
+    ``coefficients.kronecker_encode``); with a table of ring elements,
     zero-free packed monomial dicts (``CoeffElement.packed``), which the
     caller owns.
 
-    The table of partial sums starts at ``wt`` with 1.  Row i pops each
-    (weight, partial sum) state as it consumes it and reads the row's
-    fillings from there, summed by weight drop, from a cache of the row
-    keyed by the weight fields the row reads (``WalkPlan.reads``), so each
-    distinct key is walked once.  The partial sum times each filling value
-    goes into the next table at the weight plus the drop.  Products of packed
-    dicts accumulate in place, through one merge loop, into dicts the next
-    table created; the zeros that cancellation leaves go once per row.
-    """
-    packed = factor is not None
-    sums = {plan.top if wt is None else wt: dict(CoeffElement.one().packed()) if packed else 1}
+    The table of partial sums starts at ``wt`` with the ring's one.  Row i
+    pops each (weight, partial sum) state as it consumes it and reads the
+    row's fillings from there, summed by weight drop, from a cache of the
+    row keyed by the weight fields the row reads (``WalkPlan.reads``), so
+    each distinct key is walked once.  The partial sum times each filling
+    value goes into the next table at the weight plus the drop.  Products of
+    packed dicts accumulate in place, through one merge loop, into dicts the
+    next table created; the zeros that cancellation leaves go once per row.
+    Ints go once, after the last row, so a count, which never cancels,
+    scans no row."""
+    one = 1 if factor is None else factor.one
+    packed = isinstance(one, CoeffElement)
+    sums = {plan.top if wt is None else wt: dict(one.packed()) if packed else one}
     for i in range(row, len(plan.starts)):
         mask, cache, out = plan.reads[i - 1], {}, {}
         get = out.get
@@ -98,7 +113,7 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
             key = wt & mask
             fills = cache.get(key)
             if fills is None:
-                fills = cache[key] = _row_fills(plan, i, wt, factor)
+                fills = cache[key] = _row_fills(plan, i, wt, factor, packed)
             if not packed:
                 for d, c in fills:
                     out[wt + d] = get(wt + d, 0) + s * c
@@ -121,21 +136,21 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
                 if not t:
                     del out[x]
         sums = out
+    if not packed and 0 in sums.values():
+        sums = {x: c for x, c in sums.items() if c}
     return sums
 
 
-def _row_fills(plan: WalkPlan, i: int, wt: int, factor) -> list[tuple[int, object]]:
+def _row_fills(plan: WalkPlan, i: int, wt: int, factor, packed: bool) -> list[tuple[int, object]]:
     """Row i's fillings below placed rows of packed weight ``wt``, summed by
     the weight they drop: (drop, value) pairs, the drop a packed offset and
-    the value the sum of the fillings' coefficients from ``_walk``, an int
-    without the slot table ``factor`` and a nonempty packed monomial dict,
-    only to be read, with it."""
+    the value the nonzero sum of the fillings' coefficients from ``_walk``,
+    in the ring of the slot table ``factor`` (ints without one), as a
+    packed monomial dict, only to be read, if ``packed``."""
     ends: dict = {}
     for _, _, _, w, f in _walk(plan, factor=factor, row=i, wt=wt):
         ends[w] = ends[w] + f if w in ends else f
-    if factor is None:
-        return [(w - wt, c) for w, c in ends.items()]
-    return [(w - wt, f.packed()) for w, f in ends.items() if not f.is_zero()]
+    return [(w - wt, f.packed() if packed else f) for w, f in ends.items() if f]
 
 
 def _p_sums(spec: CartanSpec, lam: Weight, factor) -> tuple[WalkPlan, dict]:
@@ -207,41 +222,37 @@ class TokuyamaResult(NamedTuple):
     reason: str = ""
 
 
-def twisted_character(rs: RootSystem, lam_prime: Weight) -> WeightPolynomial:
-    """Character of ``lam_prime`` with each coefficient multiplied by q to the
-    height of the drop from the highest weight: the height functional's value
-    on the drop over its value on a simple root."""
-    twisted = _twist(rs, lam_prime, weyl_character(rs, lam_prime).terms)
-    return WeightPolynomial(rs.height_vec, {w: CoeffElement.from_packed(t)
-                                            for w, t in twisted.items()})
-
-
-def _twist(rs: RootSystem, lam_prime: Weight, terms: dict) -> dict[Weight, dict[int, int]]:
-    """The terms of ``lam_prime``'s character, twisted in place: each
-    multiplicity c at weight w becomes {ht: c}, the packed monomial dict of
-    c * q^ht for the height ht of the drop lam_prime - w.  Returns ``terms``."""
-    h = rs.height_vec
-    unit = sum(map(mul, h, rs.simple_root(1)))
-    top = sum(map(mul, h, lam_prime))
-    for w, c in terms.items():
-        ht, frac = divmod(top - sum(map(mul, h, w)), unit)
-        if frac:
-            raise AssertionError("character weight outside the root lattice shift")
-        terms[w] = {ht: c.packed()[0]}
-    return terms
-
-
 def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     """Tokuyama's factorization P = D * chi~ of the degree-1 sum, checked by
-    multiplying out.  D = x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a) is the
-    deformed Weyl denominator, the same for every ``lam``, and chi~ the
-    twisted character of lam - rho (``_twist``).
+    multiplying out at q = 2^B.  D = x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a)
+    is the deformed Weyl denominator, the same for every ``lam``, and chi~
+    the character of lam - rho with each multiplicity c at weight w twisted
+    to c * q^ht, ht the height of the drop lam - rho - w.
 
-    x^rho * chi~ is packed with the codec of P's walk plan, multiplied by
-    each binomial in turn (``_times_denominator``) and compared with P's row
-    sums (``_p_sums``) as packed tables.  On success the quotient is D,
-    built by the same loop from x^rho.  On failure the remainder is
-    P - D * chi~, and the reason names its leading weight.
+    Both sides are int tables on the packed weights of P's walk plan.  P's
+    row sums (``_p_sums``) run on a slot table mapped by
+    ``coefficients.kronecker_encode``, so every factor, partial sum and
+    coefficient is its value at q = 2^B, and x^rho * chi~, with c * q^ht as
+    c << B * ht, is multiplied by each binomial in turn
+    (``_times_denominator``).  Only what is returned is decoded, as signed
+    base-2^B digits (``coefficients.kronecker_decode``): on success the
+    quotient D, built by the same loop from x^rho, and on failure the
+    remainder P - D * chi~, whose leading weight the reason names.
+
+    The evaluation is injective.  In type A at n = 1 every coefficient of
+    either side is a polynomial in q with nonnegative exponents, and with
+    N positive roots and d = dim V(lam - rho), B = (d * 4^N).bit_length() + 2
+    (``_q_bits``):
+    - a pattern has N slots, each factor of 1-norm at most 2, so
+      ||P_mu||_1 <= mult_lam(mu) * 2^N <= dim V(lam) * 2^N;
+    - dim V(lam) <= dim V(lam - rho) * dim V(rho), as V(lam) is a summand
+      of V(lam - rho) (x) V(rho), and dim V(rho) = 2^N, so
+      ||P_mu||_1 <= d * 4^N;
+    - D's coefficients have 1-norms summing to at most 2^N, so
+      ||(D * chi~)_mu||_1 <= d * 2^N, and so is every partial product;
+    - so every coefficient of either side, and of their difference, is
+      below 2 * d * 4^N < 2^(B - 1) in size, and two polynomials with the
+      same value at 2^B are equal, digit by digit.
 
     No field overflows.  In type A every weight of every partial product
     lies in conv(W lam), where |<w, alpha_i^vee>| <= <lam, theta^vee> =
@@ -254,53 +265,69 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     lam = tuple(lam)
     if not is_strongly_dominant(lam):
         raise ValueError(f"need a strongly dominant highest weight, got {lam}")
-    plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, 1))
-    codec = plan.codec
     rho = (1,) * rs.rank
     lam_prime = tuple(map(sub, lam, rho))
-    chi = _twist(rs, lam_prime, weyl_character(rs, lam_prime).terms)
-    product = _times_denominator(
-        rs, codec, {codec.pack(tuple(map(add, w, rho))): t for w, t in chi.items()})
+    chi = weyl_character(rs, lam_prime)
+    bits = _q_bits(rs, character_dimension(chi))
+    plan, sums = _p_sums(rs.spec, lam, slot_table(
+        rs.spec, 1, lambda f: kronecker_encode(f.packed(), bits)))
+    codec, h = plan.codec, rs.height_vec
+    unit = sum(map(mul, h, rs.simple_root(1)))
+    top = sum(map(mul, h, lam_prime))
+    twisted = {}
+    for w, c in chi.terms.items():
+        ht, frac = divmod(top - sum(map(mul, h, w)), unit)
+        if frac:
+            raise AssertionError("character weight outside the root lattice shift")
+        twisted[codec.pack(tuple(map(add, w, rho)))] = c.packed()[0] << bits * ht
+    product = _times_denominator(rs, codec, bits, twisted)
     if product == sums:
-        quot = _times_denominator(rs, codec, {codec.pack(rho): {0: 1}})
-        return TokuyamaResult(lam, "minus_rho", True,
-                              poly_from_packed(rs.height_vec, codec, quot), None)
-    rem = poly_from_packed(rs.height_vec, codec, _minus(sums, product))
+        quot = _times_denominator(rs, codec, bits, {codec.pack(rho): 1})
+        return TokuyamaResult(lam, "minus_rho", True, _decoded(h, codec, bits, quot), None)
+    rem = _decoded(h, codec, bits, _minus(sums, product))
     return TokuyamaResult(lam, "minus_rho", False, None, rem,
                           reason=f"P - D * chi~ is nonzero; its leading weight is "
                                  f"{list(rem.sorted_weights()[0])}")
 
 
-def _times_denominator(rs: RootSystem, codec, table: dict) -> dict:
+def _q_bits(rs: RootSystem, dim: int) -> int:
+    """B = (dim * 4^N).bit_length() + 2 for the N positive roots of ``rs``:
+    the digit width at which ``tokuyama_quotient`` evaluates q, given the
+    dimension ``dim`` of V(lam - rho)."""
+    return (dim << 2 * len(rs.positive_roots)).bit_length() + 2
+
+
+def _times_denominator(rs: RootSystem, codec, bits: int, table: dict) -> dict:
     """``table`` times (1 - q^(ht a - 1) x^-a) for each positive root a, one
-    factor at a time, each a ``_minus`` of the table and its shifted self."""
+    factor at a time, at q = 2^``bits``: each a ``_minus`` of the table and
+    its shifted self."""
     for coords in rs.positive_roots_root_coords:
-        table = _minus(table, table, sum(map(mul, coords, codec.roots)), sum(coords) - 1)
+        table = _minus(table, table, sum(map(mul, coords, codec.roots)),
+                       bits * (sum(coords) - 1))
     return table
 
 
-def _minus(a: dict, b: dict, drop: int = 0, e: int = 0) -> dict:
-    """a - q^e x^-drop * b, for tables from packed weight to zero-free packed
-    monomial dict and a packed offset ``drop``: a new table of that form,
-    which shares the dicts of ``a`` that ``b`` leaves alone.  ``a`` and
+def _minus(a: dict, b: dict, drop: int = 0, shift: int = 0) -> dict:
+    """a - 2^shift x^-drop * b, for tables from packed weight to nonzero int
+    and a packed offset ``drop``: a new table of that form.  ``a`` and
     ``b`` are only read."""
     out = dict(a)
+    get = out.get
     for x, t in b.items():
         y = x - drop
-        s = out.get(y)
-        u = s.copy() if s else {}
-        for k, c in t.items():
-            k += e
-            v = u.get(k, 0) - c
-            if v:
-                u[k] = v
-            else:
-                del u[k]
-        if u:
-            out[y] = u
+        v = get(y, 0) - (t << shift)
+        if v:
+            out[y] = v
         else:
             del out[y]
     return out
+
+
+def _decoded(height_vec, codec, bits: int, table: dict) -> WeightPolynomial:
+    """The polynomial of an int table at q = 2^``bits``, each value read
+    back by ``coefficients.kronecker_decode``."""
+    return poly_from_packed(height_vec, codec,
+                            {x: kronecker_decode(v, bits) for x, v in table.items()})
 
 
 # ---------------------------------------------------------------------------

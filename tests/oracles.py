@@ -10,7 +10,8 @@ package's Demazure-operator character; it divides with ``divide_terms``, the
 tuple-keyed, one-int-per-term division that is also the reference for
 ``WeightPolynomial.divide``.  ``deformed_denominator`` expands Tokuyama's
 deformed Weyl denominator from the model's positive roots, as a reference
-for the quotient of ``series.tokuyama_quotient``.
+for the quotient of ``series.tokuyama_quotient``, and ``twisted_character``
+the q-twisted character that it multiplies.
 
 The pattern bounds are written out here from their definitions, apart from
 the package's slot walk: ``chain_lower_bound`` from each family's row-chain
@@ -364,6 +365,20 @@ def full_denominator_character(rs, lam) -> dict:
     table, rem = divide_terms(rs.height_vec, numer, denom)
     assert not rem, "inexact character division"
     return table
+
+
+def twisted_character(rs, lam_prime) -> WeightPolynomial:
+    """The character of ``lam_prime``, from the model's Freudenthal
+    multiplicities, with each multiplicity c at weight w taken to c * q^ht,
+    ht the height of the drop lam_prime - w in simple roots: the chi~ of
+    Tokuyama's factorization P = D * chi~ at lam = lam_prime + rho."""
+    ainv = invert_fraction_matrix(ModelRootSystem(rs.family, rs.rank).cartan_matrix())
+    terms = {}
+    for w, c in freudenthal_multiplicities(rs.family, rs.rank, tuple(lam_prime)).items():
+        ht = sum(_dot(row, map(sub, lam_prime, w)) for row in ainv)
+        assert ht.denominator == 1, "character weight outside the root lattice shift"
+        terms[w] = CoeffElement.q_power(int(ht), c)
+    return WeightPolynomial(rs.height_vec, terms)
 
 
 def deformed_denominator(rs, bump: tuple[int, ...] | None = None):

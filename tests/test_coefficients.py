@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, entry_factor, g_value,
                         h_value, pattern_shape, row_components)
 from crystalmds import coefficients
-from crystalmds.coefficients import POW_LIMIT, Q_EXP_LIMIT, _component_factor, slot_table
+from crystalmds.coefficients import (POW_LIMIT, Q_EXP_LIMIT, _component_factor, kronecker_decode,
+                                     kronecker_encode, slot_table)
 from crystalmds.verification import gauss_exact, gauss_field
 from oracles import RefCoeff
 
@@ -70,6 +71,46 @@ def test_ring_laws_hypothesis(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a - a).is_zero()
     assert (a * ONE) == a and (a * ZERO).is_zero()
+
+
+@st.composite
+def digit_polynomials(draw):
+    """(B, packed dict) of a polynomial in q whose coefficients, of either
+    sign, lie within +-(2^(B-1) - 1), the extremes drawn often."""
+    bits = draw(st.integers(2, 140))
+    top = (1 << (bits - 1)) - 1
+    coeff = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top).filter(bool))
+    return bits, draw(st.dictionaries(st.integers(0, 30), coeff, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_polynomials(), digit_polynomials())
+def test_kronecker_digits_round_trip(a, b):
+    # encode is evaluation at q = 2^B, a ring map on polynomials in q; decode
+    # reads the signed base-2^B digits back, exactly while every coefficient
+    # stays strictly inside +-2^(B-1)
+    bits, packed = a
+    v = kronecker_encode(packed, bits)
+    assert v == sum(c * 2 ** (bits * e) for e, c in packed.items())
+    assert kronecker_decode(v, bits) == packed
+    assert kronecker_decode(-v, bits) == (-CoeffElement.from_packed(dict(packed))).packed()
+    x, y = CoeffElement.from_packed(dict(packed)), CoeffElement.from_packed(dict(b[1]))
+    ex, ey = kronecker_encode(x.packed(), bits), kronecker_encode(y.packed(), bits)
+    assert kronecker_encode((x + y).packed(), bits) == ex + ey
+    assert kronecker_encode((x * y).packed(), bits) == ex * ey
+
+
+def test_kronecker_map_refuses_what_is_no_polynomial_in_q():
+    # a negative q exponent, alone or beside others, and a Gauss symbol have
+    # no value at q = 2^B
+    for el in (Q(-1), Q(3) + Q(-2, 5), CoeffElement.symbol(GaussSymbol(1, 1, 2))):
+        with pytest.raises(ValueError, match="negative q exponent or a Gauss symbol"):
+            kronecker_encode(el.packed(), 8)
+    # the slot table's map raises where a factor has one: type B divides by q^a
+    factor = slot_table(CartanSpec("B", 2), 1, lambda f: kronecker_encode(f.packed(), 8))
+    with pytest.raises(ValueError, match="negative q exponent"):
+        factor(1, 2, [1, 1, 0], [False, False, False], [False, False, False])
+    assert not ZERO and ONE and Q(-3) and not (Q(1) - Q(1))
 
 
 def monomial_specs(degrees):

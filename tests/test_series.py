@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -12,15 +13,16 @@ from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         WeightPolynomial, build_root_system, branch_decompose,
                         character_dimension, character_via_patterns, decorate,
                         enumerate_patterns, p_part, pattern_coefficient, pattern_wt,
-                        polynomial_json_obj, tokuyama_quotient,
-                        twisted_character, weyl_character, weyl_dimension)
-from crystalmds.coefficients import GaussSymbol, _component_factor, entry_factor, slot_table
+                        polynomial_json_obj, tokuyama_quotient, weyl_character,
+                        weyl_dimension)
+from crystalmds.coefficients import (GaussSymbol, _component_factor, entry_factor,
+                                     kronecker_decode, kronecker_encode, slot_table)
 from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
 from crystalmds.series import _p_sums
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, poly_from_packed, weight_codec
 from oracles import (deformed_denominator, dominant_representative,
-                     full_denominator_character, reflect, weight_in_hull)
+                     full_denominator_character, reflect, twisted_character, weight_in_hull)
 
 Q = CoeffElement.q_power
 
@@ -114,6 +116,49 @@ def test_row_sums_hold_no_zero(family, rank, lam, n):
     P = p_part(r, lam, n)
     assert P.terms.keys() == set(plan.codec.decode_all(sums))
     assert all(0 not in c.packed().values() for c in P.terms.values())
+
+
+def _at_two(el) -> Fraction:
+    return sum(c * Fraction(2) ** e for e, c in el.packed().items())
+
+
+@pytest.mark.parametrize("family,rank,lam", [("A", 3, (2, 1, 2)), ("B", 3, (1, 1, 1)),
+                                             ("C", 3, (2, 1, 1)), ("D", 4, (1, 1, 1, 1)),
+                                             ("D", 3, (2, 1, 2))])
+def test_row_sums_run_in_the_ring_of_a_mapped_slot_table(family, rank, lam):
+    # a slot table mapped into another ring, here the rationals by q = 2,
+    # runs the walk and the row loop's int path there: its products start
+    # from the map's one, type D's closing products too, and the sums are
+    # P's coefficients at q = 2, weight by weight, without the zeros
+    r = rs(family, rank)
+    plan = walk_plan(r.spec, lam)
+    factor = slot_table(r.spec, 1, _at_two)
+    assert factor.one == 1 and isinstance(factor.one, Fraction)
+    sums = series._row_sums(plan, factor)
+    want = {w: _at_two(c) for w, c in p_part(r, lam, 1, allow_dominant=True).terms.items()}
+    assert dict(zip(plan.codec.decode_all(sums), sums.values())) == \
+        {w: v for w, v in want.items() if v}
+    assert 0 not in sums.values()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_tokuyama_int_path_decodes_to_p_part(rank):
+    # P at q = 2^B from the row loop's int path decodes, digit by digit, to
+    # p_part's terms; B bounds every coefficient of P and of D * chi~ from
+    # the oracles with room to spare
+    r = rs("A", rank)
+    rho = (1,) * rank
+    lams = {rho, (2,) + rho[1:]} | ({(3, 3, 3)} if rank == 3 else set())
+    for lam in lams:
+        bits = _q_bits(r, lam)
+        plan, sums = _p_sums(r.spec, lam, slot_table(
+            r.spec, 1, lambda f: kronecker_encode(f.packed(), bits)))
+        assert all(isinstance(v, int) and v for v in sums.values())
+        P = p_part(r, lam, 1)
+        assert _digits_poly(r, plan.codec, bits, sums).terms == P.terms
+        product = deformed_denominator(r) * twisted_character(r, tuple(c - 1 for c in lam))
+        assert product == P
+        assert max(_largest_coefficient(P), _largest_coefficient(product)) < 1 << (bits - 1)
 
 
 @pytest.mark.parametrize("family,rank,lam,n,leaves", [("B", 3, (1, 1, 1), 2, 22),
@@ -533,17 +578,34 @@ def test_tokuyama_rank_one_closed_form():
                                         (-1,): CoeffElement.from_int(-1)}
 
 
+def _q_bits(r, lam):
+    """The digit width of ``tokuyama_quotient`` at ``lam``, from the Weyl
+    dimension of lam - rho."""
+    return series._q_bits(r, weyl_dimension(r, tuple(c - 1 for c in lam)))
+
+
+def _digits_poly(r, codec, bits, table):
+    """The polynomial of an int table at q = 2^bits, read back digit by digit."""
+    return poly_from_packed(r.height_vec, codec,
+                            {x: kronecker_decode(v, bits) for x, v in table.items()})
+
+
+def _largest_coefficient(poly) -> int:
+    return max(abs(c) for el in poly.terms.values() for c, _, _ in el.monomials())
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
 def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, rank):
-    # every packed partial product, of x^rho * chi~ and then of x^rho alone
-    # with D's binomials, decodes to the same product on tuple weights, whose
-    # coordinates <w, alpha_i^vee> stay within sum(lam), a quarter of the
-    # codec's field bound; the quotient is the model's D
+    # every partial product, of x^rho * chi~ and then of x^rho alone with D's
+    # binomials, an int table at q = 2^B, decodes to the same product on tuple
+    # weights: its coefficients stay below 2^(B-1), inside the digit codec,
+    # and its coordinates <w, alpha_i^vee> within sum(lam), a quarter of the
+    # weight codec's field bound; the quotient is the model's D
     r = rs("A", rank)
     tables, minus = [], series._minus
 
-    def recording(a, b, drop=0, e=0):
-        tables.append(minus(a, b, drop, e))
+    def recording(a, b, drop=0, shift=0):
+        tables.append(minus(a, b, drop, shift))
         return tables[-1]
 
     monkeypatch.setattr(series, "_minus", recording)
@@ -555,7 +617,7 @@ def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, rank):
         tables.clear()
         res = tokuyama_quotient(r, lam)
         assert res.ok and res.quotient == deformed_denominator(r)
-        codec = walk_plan(r.spec, lam).codec
+        codec, bits = walk_plan(r.spec, lam).codec, _q_bits(r, lam)
         assert 4 * sum(lam) < codec.bias
         chi = twisted_character(r, tuple(c - 1 for c in lam))
         want = []
@@ -566,21 +628,32 @@ def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, rank):
                 want.append(start)
         assert len(tables) == len(want)
         for table, poly in zip(tables, want):
-            assert poly_from_packed(r.height_vec, codec, table) == poly
+            assert all(isinstance(v, int) and v for v in table.values())
+            assert _digits_poly(r, codec, bits, table) == poly
+            assert _largest_coefficient(poly) < 1 << (bits - 1)
             assert all(abs(c) <= sum(lam) for w in poly.terms for c in w)
 
 
 def _patch_p_sums(monkeypatch, change):
     """Pass the terms of every sum that ``series._p_sums`` returns, as a
     weight -> CoeffElement dict, through ``change(r, lam, terms)``, which
-    returns new terms or a false value to leave them."""
+    returns new terms or a false value to leave them.  An int table, the
+    Tokuyama check's values at q = 2^B, is decoded and encoded again with
+    that check's B."""
     def wrapped(spec, lam, factor):
         plan, sums = _p_sums(spec, lam, factor)
         r = rs(spec.family, spec.rank)
-        terms = poly_from_packed(r.height_vec, plan.codec, sums).terms
+        if isinstance(factor.one, int):
+            bits = _q_bits(r, lam)
+            terms = _digits_poly(r, plan.codec, bits, sums).terms
+        else:
+            terms = poly_from_packed(r.height_vec, plan.codec, sums).terms
         new = change(r, lam, dict(terms))
         if not new:
             return plan, sums
+        if isinstance(factor.one, int):
+            return plan, {plan.codec.pack(w): kronecker_encode(c.packed(), bits)
+                          for w, c in new.items()}
         return plan, {plan.codec.pack(w): c.packed() for w, c in new.items()}
 
     monkeypatch.setattr(series, "_p_sums", wrapped)
@@ -671,10 +744,10 @@ def test_tokuyama_mutated_p_fails_with_its_first_differing_weight(monkeypatch, m
 def test_tokuyama_suite_checks_the_quotient_against_the_closed_form(monkeypatch):
     # D with the highest root's binomial at q^(ht a), not q^(ht a - 1),
     # factors no P, and every rank's case fails with its witness
-    def shifted(r, codec, table):
+    def shifted(r, codec, bits, table):
         for coords in r.positive_roots_root_coords:
             e = sum(coords) - 1 + (coords == r.positive_roots_root_coords[-1])
-            table = series._minus(table, table, sum(map(mul, coords, codec.roots)), e)
+            table = series._minus(table, table, sum(map(mul, coords, codec.roots)), bits * e)
         return table
 
     want = _leading_differences(lambda r, lam, terms: terms,
@@ -907,6 +980,7 @@ def test_branch_computes_each_slot_factor_once(monkeypatch, family, rank, lam, n
         def tagged(*slot):
             table[0] = spec
             return factor(*slot)
+        tagged.one = factor.one
         return tagged
 
     def counted_entry(family, a, circled, boxed, middle, n):
