@@ -15,6 +15,7 @@ import os
 import sys
 from pathlib import Path
 
+from .coefficients import CoeffElement
 from .patterns import decorated_crystal, render
 from .roots import CartanSpec, build_root_system, is_strongly_dominant
 from .series import character_via_patterns, p_part, polynomial_json_obj
@@ -102,10 +103,10 @@ def cmd_compute(args) -> int:
     else:
         lines = [f"family {args.family} rank {args.rank} n {args.n} "
                  f"lambda {','.join(map(str, args.lam))} ({len(poly)} terms)"]
-        weights = poly.sorted_weights()
-        width = max((len(str(list(w))) for w in weights), default=4)
-        for w in weights:
-            lines.append(f"  {str(list(w)):<{width}}  {poly.terms[w]!r}")
+        items = [(str(list(w)), v) for w, v in poly.packed_items()]
+        width = max((len(w) for w, _ in items), default=4)
+        for w, v in items:
+            lines.append(f"  {w:<{width}}  {CoeffElement.from_packed(v)!r}")
         out = "\n".join(lines)
     print(out)
     return 0
@@ -130,19 +131,21 @@ def cmd_export(args) -> int:
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        decorated = list(decorated_crystal(rs, args.lam))
-        (outdir / "patterns.txt").write_text(
-            "".join(dp.pattern.to_text() + "\n" for dp in decorated), encoding="utf-8")
-        blocks = [render(dp) for dp in decorated]
-        (outdir / "decorated.txt").write_text(
-            "\n\n".join(blocks) + "\n", encoding="utf-8")
+        count = 0
+        with open(outdir / "patterns.txt", "w", encoding="utf-8") as patterns, \
+                open(outdir / "decorated.txt", "w", encoding="utf-8") as decorated:
+            for dp in decorated_crystal(rs, args.lam):
+                patterns.write(dp.pattern.to_text() + "\n")
+                decorated.write(("\n\n" if count else "") + render(dp))
+                count += 1
+            decorated.write("\n")
         obj = polynomial_json_obj(poly, args.family, args.rank, args.n, args.lam)
         (outdir / "polynomial.json").write_text(json.dumps(obj) + "\n", encoding="utf-8")
     except OSError as exc:
         print(f"export failed at {exc.filename or outdir}: {exc.strerror or exc}",
               file=sys.stderr)
         return 1
-    print(f"wrote {len(decorated)} patterns to {outdir}")
+    print(f"wrote {count} patterns to {outdir}")
     return 0
 
 

@@ -31,7 +31,11 @@ within those bounds cannot fill a field.  Keys are decoded to the canonical
 ``(e, sorted ((GaussSymbol, m), ...))`` form only for ``monomials()``, JSON
 and ``repr``: ``e`` by masking the low field, the Gauss
 part through ``_gauss_part``, a bounded cache keyed by the symbol bits
-``k - e``.  The cache is sound because the fields are append-only, so given
+``k - e``.  It holds each part in its three output forms: the canonical
+tuple, the JSON list of ``{"t", "c", "pow"}`` dicts and the ``repr``
+factors, so each distinct part is rendered once.  ``json_monomials`` renders
+a packed dict with the cached lists shared, read-only, and ``to_json_obj``
+copies them.  The cache is sound because the fields are append-only, so given
 bits decode the same way for the life of the process.  ``packed`` and
 ``from_packed`` hand the packed dict over as it is, with no copy:
 ``packed()`` is shared and read-only, and ``from_packed`` takes its dict
@@ -174,9 +178,11 @@ _DECODE_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_DECODE_CACHE_SIZE)
-def _gauss_part(bits: int) -> _GaussPart:
-    """Canonical Gauss part ``((symbol, m), ...)`` of the symbol bits
-    ``k - e`` of a packed key, in symbol order."""
+def _gauss_part(bits: int) -> tuple[_GaussPart, list[dict], tuple[str, ...]]:
+    """The Gauss part of the symbol bits ``k - e`` of a packed key in its
+    three output forms: canonical ``((symbol, m), ...)`` in symbol order,
+    its JSON list of ``{"t", "c", "pow"}`` dicts, which every caller shares,
+    so it is read-only, and its ``repr`` factors."""
     rest = bits >> _Q_BITS
     powers = []
     i = 0
@@ -187,7 +193,31 @@ def _gauss_part(bits: int) -> _GaussPart:
         rest >>= _POW_BITS
         i += 1
     powers.sort()
-    return tuple(powers)
+    text = (f"g_{t}({r} mod {d})" + (f"^{m}" if m != 1 else "") for (t, r, d), m in powers)
+    return (tuple(powers), [{"t": t, "c": r, "pow": m} for (t, r, _), m in powers],
+            tuple(text))
+
+
+def _monomials(packed: dict[int, int], form: int) -> list[tuple]:
+    """(q exponent, gauss part, int coeff, the part's form ``form`` of
+    ``_gauss_part``) per monomial of a packed dict, in canonical order.  No
+    two monomials share a (q exponent, gauss part), so the sort never
+    compares further."""
+    mons = []
+    for k, c in packed.items():
+        e = ((k + _Q_HALF) & _Q_MASK) - _Q_HALF
+        forms = _gauss_part(k - e)
+        mons.append((e, forms[0], c, forms[form]))
+    mons.sort()
+    return mons
+
+
+def json_monomials(packed: dict[int, int]) -> list[dict]:
+    """The JSON ``monomials`` list of a packed monomial dict, in canonical
+    order.  Each monomial is a fresh dict, but its ``gauss`` list is the
+    decode cache's own, shared by every monomial of that Gauss part: do not
+    change it."""
+    return [{"int": c, "q": e, "gauss": g} for e, _, c, g in _monomials(packed, 1)]
 
 
 def _collect(pairs) -> dict[int, int]:
@@ -307,19 +337,9 @@ class CoeffElement:
     def is_one(self) -> bool:
         return self._terms == {0: 1}
 
-    def _decoded(self) -> list[tuple[int, _GaussPart, int]]:
-        """(q exponent, gauss part, int coeff) per monomial, in canonical
-        order."""
-        mons = []
-        for k, c in self._terms.items():
-            e = ((k + _Q_HALF) & _Q_MASK) - _Q_HALF
-            mons.append((e, _gauss_part(k - e), c))
-        mons.sort()
-        return mons
-
     def monomials(self) -> list[tuple[int, int, _GaussPart]]:
         """Monomials as (int coeff, q exponent, gauss part), canonical order."""
-        return [(c, e, g) for e, g, c in self._decoded()]
+        return [(c, e, g) for e, g, c, _ in _monomials(self._terms, 0)]
 
     def as_unit_monomial(self) -> tuple[int, int] | None:
         """Return (sign, q_exp) if the element is ±q^e with no symbols."""
@@ -350,23 +370,19 @@ class CoeffElement:
         if not self._terms:
             return "0"
         bits = []
-        for c, e, g in self.monomials():
+        for e, g, c, text in _monomials(self._terms, 2):
             part = [str(c)] if (c != 1 or (e == 0 and not g)) else []
             if e:
                 part.append(f"q^{e}" if e != 1 else "q")
-            for sym, k in g:
-                s = f"g_{sym.t}({sym.residue} mod {sym.degree})"
-                part.append(s if k == 1 else f"{s}^{k}")
+            part.extend(text)
             bits.append("*".join(part) if part else "1")
         return " + ".join(bits)
 
     # -- serialization -----------------------------------------------------
     def to_json_obj(self) -> dict:
         """Fresh dicts and lists on every call: callers may change them."""
-        return {"monomials": [
-            {"int": c, "q": e,
-             "gauss": [{"t": t, "c": r, "pow": m} for (t, r, _), m in g]}
-            for e, g, c in self._decoded()]}
+        return {"monomials": [{**mon, "gauss": [dict(d) for d in mon["gauss"]]}
+                              for mon in json_monomials(self._terms)]}
 
     @staticmethod
     def from_json_obj(obj: dict, degree: int) -> "CoeffElement":

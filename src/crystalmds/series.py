@@ -65,8 +65,8 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .coefficients import (CoeffElement, _integer, kronecker_decode, kronecker_encode,
-                           slot_table)
+from .coefficients import (CoeffElement, _integer, json_monomials, kronecker_decode,
+                           kronecker_encode, slot_table)
 from .patterns import WalkPlan, _walk, walk_plan
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
                     character_dimension, is_dominant, is_strongly_dominant, weyl_character,
@@ -450,13 +450,18 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
 
 def polynomial_json_obj(poly: WeightPolynomial, family: str, rank: int,
                         n: int, lam: Weight) -> dict:
-    """Schema: family, rank, n, lambda, then terms in the fixed weight order."""
-    terms = poly.terms
+    """Schema: family, rank, n, lambda, then terms in the fixed weight order.
+
+    Read straight from the polynomial's packed values
+    (``WeightPolynomial.packed_items``), so an undecoded polynomial stays
+    undecoded.  The tree is read-only: every monomial of one Gauss part
+    shares that part's ``gauss`` list, the decode cache's own
+    (``coefficients.json_monomials``)."""
     return {
         "family": family,
         "rank": rank,
         "n": n,
         "lambda": list(lam),
-        "terms": [{"wt": list(w), "coeff": terms[w].to_json_obj()}
-                  for w in poly.sorted_weights()],
+        "terms": [{"wt": list(w), "coeff": {"monomials": json_monomials(v)}}
+                  for w, v in poly.packed_items()],
     }

@@ -13,8 +13,9 @@ The first read of ``terms`` decodes it, once: the codec decodes every key a
 field at a time (``decode_all``), each distinct integer coefficient becomes
 one shared element, and the terms go in without the constructor's copy and
 zero scan, since the engines keep no zeros.  From then on the polynomial
-holds only the decoded terms.  Until then ``len``, ``is_zero`` and ``==``
-read the table: two tables over the same packing (equal height functional,
+holds only the decoded terms.  Until then ``len``, ``is_zero``, ``==``
+and ``packed_items``, the ordered reader behind JSON and text output, read
+the table: two tables over the same packing (equal height functional,
 codec width and packed simple roots) with the same kind of value are equal
 exactly when their polynomials are, since the codec is injective on every
 weight its fields hold.
@@ -26,6 +27,7 @@ instead.
 """
 from __future__ import annotations
 
+from operator import mul
 from typing import Callable, Collection, Iterator, NamedTuple
 
 from .coefficients import CoeffElement
@@ -109,11 +111,29 @@ class WeightPolynomial:
 
     # -- ordering ----------------------------------------------------------
     def order_key(self, w: Weight):
-        return (sum(h * c for h, c in zip(self.height_vec, w)), w)
+        """The fixed order's key: height, then the weight itself."""
+        return sum(map(mul, self.height_vec, w)), w
+
+    def packed_items(self) -> list[tuple[Weight, dict[int, int]]]:
+        """(weight, packed monomial dict) per term, in the fixed order,
+        leading (highest ``order_key``) first, read without decoding the
+        terms: an int table's value c reads as ``{0: c}``, a dict table's as
+        it is, a decoded term's as its element's ``packed()``.  The dicts
+        are shared: do not change them."""
+        if self._packed is None:
+            pairs = [(w, c.packed()) for w, c in self._terms.items()]
+        else:
+            codec, table, dicts = self._packed
+            values = table.values() if dicts else [{0: c} for c in table.values()]
+            pairs = zip(codec.decode_all(table), values)
+        h = self.height_vec
+        # order_key inline; weights are distinct, so no dict is compared
+        keyed = sorted([(sum(map(mul, h, w)), w, v) for w, v in pairs], reverse=True)
+        return [(w, v) for _, w, v in keyed]
 
     def sorted_weights(self) -> list[Weight]:
         """Weights in the fixed order, leading (highest) first."""
-        return sorted(self.terms, key=self.order_key, reverse=True)
+        return [w for w, _ in self.packed_items()]
 
     def leading(self) -> tuple[Weight, CoeffElement]:
         w = max(self.terms, key=self.order_key)

@@ -11,7 +11,9 @@ tuple-keyed, one-int-per-term division that is also the reference for
 ``WeightPolynomial.divide``.  ``deformed_denominator`` expands Tokuyama's
 deformed Weyl denominator from the model's positive roots, as a reference
 for the quotient of ``series.tokuyama_quotient``, and ``twisted_character``
-the q-twisted character that it multiplies.
+the q-twisted character that it multiplies.  ``polynomial_json_obj`` and
+``coeff_text`` render a polynomial's JSON object and an element's text from
+the decoded terms, as references for the renderers that read packed values.
 
 The pattern bounds are written out here from their definitions, apart from
 the package's slot walk: ``chain_lower_bound`` from each family's row-chain
@@ -574,3 +576,39 @@ class RefCoeff:
             {"int": c, "q": e,
              "gauss": [{"t": t, "c": residue, "pow": k} for (t, residue, _), k in g]}
             for c, e, g in self.monomials()]}
+
+
+def polynomial_json_obj(poly: WeightPolynomial, family: str, rank: int,
+                        n: int, lam) -> dict:
+    """The JSON object of ``series.polynomial_json_obj``, built as the package
+    built it before it read packed tables: every term decoded through
+    ``terms``, the weights sorted by height, then weight, descending, and
+    each coefficient rendered from its canonical ``monomials()`` through
+    ``RefCoeff``, so every dict and list is fresh."""
+    terms = poly.terms
+    height = dict(zip(terms, (_dot(poly.height_vec, w) for w in terms)))
+    return {
+        "family": family,
+        "rank": rank,
+        "n": n,
+        "lambda": list(lam),
+        "terms": [{"wt": list(w), "coeff": RefCoeff(
+                       {(e, g): c for c, e, g in terms[w].monomials()}).to_json_obj()}
+                  for w in sorted(terms, key=lambda w: (height[w], w), reverse=True)],
+    }
+
+
+def coeff_text(el: CoeffElement) -> str:
+    """``repr`` of a ring element, written out from its canonical
+    ``monomials()``: terms joined by " + ", each the coefficient (left out
+    when it is 1 beside a q power or a symbol), q^e and g_t(r mod d)^m
+    factors joined by "*"."""
+    bits = []
+    for c, e, g in el.monomials():
+        part = [str(c)] if c != 1 or (e == 0 and not g) else []
+        if e:
+            part.append("q" if e == 1 else f"q^{e}")
+        for (t, r, d), m in g:
+            part.append(f"g_{t}({r} mod {d})" + ("" if m == 1 else f"^{m}"))
+        bits.append("*".join(part))
+    return " + ".join(bits) or "0"

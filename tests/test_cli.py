@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -226,6 +227,25 @@ def test_export_pattern_count_matches_dimension(tmp_path, capsys):
     from crystalmds import CartanSpec, build_root_system, weyl_dimension
     dim = weyl_dimension(build_root_system(CartanSpec("A", 2)), (2, 1))
     assert len(files["patterns.txt"].decode().splitlines()) == dim
+
+
+# SHA-256 of each file of the D3 (2,1,2) n=2 export tree, recorded while
+# export still held every pattern and rendered block before writing.
+EXPORT_SHA256 = {
+    "decorated.txt": "383ad7e82ba6c47be7467f01eed35da256e000deb479eca0f78b239a3e02461e",
+    "patterns.txt": "4e7f71532202a20f3afb4de8a19952411ffe826741fa66a238ad52182decd99c",
+    "polynomial.json": "da4cea35bd94dfe83cfaa1d3cc23d8023c7903758ab79f047b33b0618c877502",
+}
+
+
+def test_export_bytes(tmp_path, capsys):
+    outdir = tmp_path / "d3"
+    code, out, err = run(capsys, ["export", "--family", "D", "--rank", "3",
+                                  "--lambda", "2,1,2", "--n", "2", "--out", str(outdir)])
+    assert code == 0, err
+    assert out == f"wrote 360 patterns to {outdir}\n"
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in outdir.iterdir()} == EXPORT_SHA256
 
 
 def test_export_unwritable_path(tmp_path, capsys):

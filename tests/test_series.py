@@ -7,6 +7,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalmds import cli, coefficients, series, verification
 from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
@@ -21,6 +22,7 @@ from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
 from crystalmds.series import _p_sums
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, poly_from_packed, weight_codec
+import oracles
 from oracles import (deformed_denominator, dominant_representative,
                      full_denominator_character, reflect, twisted_character, weight_in_hull)
 
@@ -1106,6 +1108,55 @@ def test_polynomial_json_schema():
         assert mono == sorted(mono, key=lambda m: (m["q"], json.dumps(m["gauss"])))
 
 
+# monomials: q exponents of either sign, symbols of degrees 2..5 with powers
+# up to 3, several to an element
+element_strategy = st.dictionaries(
+    st.tuples(st.integers(-6, 6),
+              st.lists(st.tuples(st.sampled_from((1, 2)), st.integers(0, 4),
+                                 st.integers(2, 5), st.integers(1, 3)), max_size=3).map(tuple)),
+    st.integers(-5, 5).filter(bool), min_size=1, max_size=4).map(
+    lambda mons: CoeffElement({(e, tuple((GaussSymbol(t, r % d, d), m) for t, r, d, m in g)): c
+                               for (e, g), c in mons.items()})).filter(bool)
+
+
+@st.composite
+def polynomials(draw):
+    """(polynomial, kind): an undecoded int or packed-dict table, or decoded
+    terms, over C2's weights within [-6, 6]^2; possibly empty."""
+    r = rs("C", 2)
+    kind = draw(st.sampled_from(("int", "dict", "decoded")))
+    value = st.integers(-10**20, 10**20).filter(bool) if kind == "int" else element_strategy
+    terms = draw(st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), value,
+                                 max_size=10))
+    if kind == "decoded":
+        return WeightPolynomial(r.height_vec, terms), kind
+    codec = weight_codec((3, 3), r.cartan)
+    return poly_from_packed(r.height_vec, codec, {
+        codec.pack(w): c if kind == "int" else dict(c.packed()) for w, c in terms.items()}), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials())
+def test_polynomial_json_matches_the_decoded_reference(drawn):
+    # the packed reader and the per-part cache against the terms decoded and
+    # rendered one fresh dict at a time; an undecoded table stays undecoded
+    poly, kind = drawn
+    text = json.dumps(polynomial_json_obj(poly, "C", 2, 3, (2, 1)))
+    assert undecoded(poly) == (kind != "decoded")
+    assert text == json.dumps(oracles.polynomial_json_obj(poly, "C", 2, 3, (2, 1)))
+    for c in poly.terms.values():
+        assert repr(c) == oracles.coeff_text(c)
+
+
+def test_json_leaves_engine_results_undecoded():
+    r = rs("B", 3)
+    for poly, n, lam in [(p_part(r, (1, 1, 1), 2), 2, (1, 1, 1)),
+                         (character_via_patterns(r, (2, 1, 1)), 1, (2, 1, 1))]:
+        assert undecoded(poly)
+        polynomial_json_obj(poly, "B", 3, n, lam)
+        assert undecoded(poly)
+
+
 # SHA-256 of json.dumps(polynomial_json_obj(p_part(...))) on the fixed case
 # set; a change here must be a deliberate, documented change of the output.
 FIXED_CASE_SHA256 = {
@@ -1157,5 +1208,28 @@ def test_character_json_bytes(case, capsys):
     family, rank, lam, digest = CHARACTER_JSON_SHA256[case]
     assert cli.main(["compute", "--family", family, "--rank", str(rank),
                      "--lambda", lam, "--character", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the stdout of `crystalmds compute` (text) on the fixed case set,
+# recorded before the text read packed values.
+TEXT_SHA256 = {
+    "A3-222-n3": ("A", 3, "2,2,2", 3,
+                  "1c3177fd7dcf74c68c98f2a6157102513cfb6cb52ba5d39c32f525f49706fa8b"),
+    "C3-211-n3": ("C", 3, "2,1,1", 3,
+                  "2242e8b1f0b4a0ce6498c62b926a583cab2e817d28a36e459c431fb5f954144c"),
+    "B3-rho-n2": ("B", 3, "1,1,1", 2,
+                  "a5dc4070cda66c2c316e147745e95514978e98cc71ac6235723f30ba30273597"),
+    "D4-rho-n2": ("D", 4, "1,1,1,1", 2,
+                  "1f892a47e34a290861ab62309a83913606f55e170188dfed01c77fdc3f292c1f"),
+}
+
+
+@pytest.mark.parametrize("case", TEXT_SHA256)
+def test_fixed_case_text_bytes(case, capsys):
+    family, rank, lam, n, digest = TEXT_SHA256[case]
+    assert cli.main(["compute", "--family", family, "--rank", str(rank),
+                     "--lambda", lam, "--n", str(n)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
