@@ -664,23 +664,3 @@ def pattern_coefficient(dp: DecoratedPattern, n: int) -> CoeffElement:
         if out.is_zero():
             return _ZERO
     return out
-
-
-def count_forced_sigma(dp: DecoratedPattern) -> int:
-    """Number of sigma evaluations on a circled-and-unboxed entry for this
-    pattern (the case the published rule leaves open), counted by running
-    every component's factor with a counting sigma."""
-    spec = dp.pattern.spec
-    if spec.family != "D":
-        return 0
-    forced = 0
-
-    def counting_entry(a, circled, boxed, middle):
-        nonlocal forced
-        forced += circled and not boxed
-        return entry_factor("D", a, circled, boxed, middle, 1)
-
-    for k, row in enumerate(dp.pattern.rows):
-        for comp in row_components(spec, k + 1, row):
-            _component_factor(comp, k + 1, dp.circled[k], dp.boxed[k], counting_entry)
-    return forced

@@ -322,16 +322,11 @@ def decorated_crystal(rs: RootSystem, lam: Weight) -> Iterator[DecoratedPattern]
 def render(dp: DecoratedPattern) -> str:
     """Fixed-width grid with (x) for circled, [x] for boxed, [(x)] for both."""
     cells: list[list[str]] = []
-    for i, row in enumerate(dp.pattern.rows, start=1):
+    for row, crow, brow in zip(dp.pattern.rows, dp.circled, dp.boxed):
         line = []
-        for off, v in enumerate(row):
-            j = i + off
-            tok = str(v)
-            if dp.is_circled(i, j):
-                tok = f"({tok})"
-            if dp.is_boxed(i, j):
-                tok = f"[{tok}]"
-            line.append(tok)
+        for v, circled, boxed in zip(row, crow, brow):
+            tok = f"({v})" if circled else str(v)
+            line.append(f"[{tok}]" if boxed else tok)
         cells.append(line)
     width = max(len(tok) for line in cells for tok in line)
     lines = []

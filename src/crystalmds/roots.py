@@ -134,29 +134,29 @@ def _cartan_matrix(spec: CartanSpec) -> list[list[int]]:
     r = spec.rank
     a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
 
-    def chain(i, j):
+    def bond(i, j):
         a[i][j] = a[j][i] = -1
 
     if spec.family == "A":
         for i in range(r - 1):
-            chain(i, i + 1)
+            bond(i, i + 1)
     elif spec.family == "B":
         # index 1 short: its coroot pairs -2 against the long neighbour
         a[0][1] = -2
         a[1][0] = -1
         for i in range(1, r - 1):
-            chain(i, i + 1)
+            bond(i, i + 1)
     elif spec.family == "C":
         # index 1 long: the short neighbour's coroot pairs -2 against it
         a[0][1] = -1
         a[1][0] = -2
         for i in range(1, r - 1):
-            chain(i, i + 1)
+            bond(i, i + 1)
     else:  # D: fork ends first, both attached to index 3
-        chain(0, 2)
-        chain(1, 2)
+        bond(0, 2)
+        bond(1, 2)
         for i in range(2, r - 1):
-            chain(i, i + 1)
+            bond(i, i + 1)
     return a
 
 

@@ -3,17 +3,17 @@
 Each suite returns ``{"suite": name, "ok": bool, "cases": [...]}`` where a
 case carries ``status`` "pass"/"fail" for asserted checks or "info" for
 recorded findings.  The command-line front end prints these reports; the
-acceptance tests assert on them.
+acceptance tests assert on them.  The decorations suite reads each crystal
+in one ``decorated_crystal`` walk and evaluates each type-D component once.
 """
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
-from .coefficients import (_component_factor, count_forced_sigma, entry_factor, g_value,
-                           h_value, row_components)
-from .patterns import decorate, decorated_crystal, enumerate_patterns
+from .coefficients import _component_factor, entry_factor, g_value, h_value, row_components
+from .patterns import decorated_crystal
 from .roots import (CartanSpec, build_root_system, character_dimension,
                     is_strongly_dominant, weyl_character, weyl_dimension)
 from .series import branch_decompose, character_via_patterns, p_part, tokuyama_quotient
@@ -315,34 +315,42 @@ _DECORATION_BATTERY = (("A", 2, (2, 1)), ("A", 3, (1, 1, 1)), ("B", 2, (1, 2)),
 
 
 def run_decorations_suite() -> dict:
-    """Zero-pattern decoration and the type-D component rules."""
+    """Zero-pattern decoration and the type-D component rules, each crystal
+    read in one walk and each component evaluated once."""
     cases = []
     for family, rank, lam in _DECORATION_BATTERY:
-        rs = build_root_system(CartanSpec(family, rank))
-        zero = next(iter(enumerate_patterns(rs, tuple([0] * rank))))
         if is_strongly_dominant(lam):
-            dzp = decorate(zero, lam)
-            fully = all(dzp.is_circled(i, j) and not dzp.is_boxed(i, j)
-                        for i, j, _ in zero.entries())
+            # the walk's first leaf takes every lower bound: the zero pattern
+            dzp = next(decorated_crystal(build_root_system(CartanSpec(family, rank)), lam))
+            fully = (not any(map(any, dzp.pattern.rows))
+                     and all(all(crow) and not any(brow)
+                             for crow, brow in zip(dzp.circled, dzp.boxed)))
             cases.append(_case(f"{family}{rank} zero pattern fully circled, unboxed",
                                fully))
 
-    # type-D sigma rules over complete crystals
+    # type-D sigma rules over complete crystals; one entry rule, cached for
+    # the call, counts the circled-and-unboxed reads the published rule
+    # leaves open
     rs4 = build_root_system(CartanSpec("D", 4))
-    d_entry = partial(entry_factor, "D", n=1)
+    cached_entry = lru_cache(maxsize=None)(entry_factor)
+
+    def d_entry(a, circled, boxed, middle):
+        nonlocal forced
+        forced += circled and not boxed
+        return cached_entry("D", a, circled, boxed, middle, 1)
+
     for lam in ((1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 1, 1)):
         sml_zero_ok = True
         zeroing_ok = True
         forced = 0
         P = p_part(rs4, lam, 1, allow_dominant=True)
         for dp in decorated_crystal(rs4, lam):
-            forced += count_forced_sigma(dp)
-            for i, row in enumerate(dp.pattern.rows, start=1):
+            for i, (row, crow, brow) in enumerate(zip(dp.pattern.rows, dp.circled,
+                                                      dp.boxed), start=1):
                 for comp in row_components(rs4.spec, i, row):
-                    has_cb = any(dp.is_circled(i, j) and dp.is_boxed(i, j)
+                    has_cb = any(crow[j - i] and brow[j - i]
                                  for j in range(comp.j1, comp.j2 + 1))
-                    val = _component_factor(comp, i, dp.circled[i - 1],
-                                            dp.boxed[i - 1], d_entry)
+                    val = _component_factor(comp, i, crow, brow, d_entry)
                     if has_cb and not val.is_zero():
                         zeroing_ok = False
                     if (comp.kind == "sml" and comp.value == 0 and not has_cb

@@ -3,11 +3,13 @@
 Each test prints a single PASS/FAIL line (run pytest with -s to stream
 them); the assertions pin the tolerances stated in the package contract.
 """
+import hashlib
 import json
 
 import pytest
 
-from crystalmds import CartanSpec, build_root_system, cli, p_part
+from crystalmds import CartanSpec, build_root_system, cli, coefficients, p_part, verification
+from crystalmds.coefficients import row_components
 from crystalmds.patterns import decorated_crystal
 from crystalmds.verification import (_DECORATION_BATTERY, run_branching_suite,
                                      run_character_suite, run_decorations_suite,
@@ -114,6 +116,45 @@ def test_criterion_6_type_d_sigma_rules():
     assert forced == {f"D4 lambda={lam} forced circled-unboxed sigma evaluations": count
                       for lam, count in (((1, 0, 0, 0), 0), ((0, 0, 0, 1), 2),
                                          ((1, 0, 0, 1), 22), ((1, 1, 1, 1), 8461))}
+
+
+# the whole report: every case name, its order, status and fields
+DECORATIONS_REPORT_SHA256 = "c6cabbb4fb5eafebdae79f4b12a2856496e4201573a296d1902253cd6db5df18"
+
+
+def test_decorations_report_is_pinned():
+    rep = json.dumps(_suite("decorations", run_decorations_suite))
+    assert hashlib.sha256(rep.encode()).hexdigest() == DECORATIONS_REPORT_SHA256
+
+
+def test_decorations_suite_evaluates_each_component_once(monkeypatch):
+    # wrapped wherever the suite or a coefficients helper looks it up; the
+    # calls p_part's own slot table makes are the engine's, not the suite's
+    calls, in_engine = [], [False]
+    component_factor, engine = coefficients._component_factor, verification.p_part
+
+    def counted(comp, *rest):
+        if not in_engine[0]:
+            calls.append(comp)
+        return component_factor(comp, *rest)
+
+    def p_part(*args, **kwargs):
+        in_engine[0] = True
+        try:
+            return engine(*args, **kwargs)
+        finally:
+            in_engine[0] = False
+
+    for module in (coefficients, verification):
+        monkeypatch.setattr(module, "_component_factor", counted)
+    monkeypatch.setattr(verification, "p_part", p_part)
+    assert run_decorations_suite()["ok"]
+    rs4 = build_root_system(CartanSpec("D", 4))
+    components = sum(len(row_components(rs4.spec, i, row))
+                     for lam in ((1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 1, 1))
+                     for dp in decorated_crystal(rs4, lam)
+                     for i, row in enumerate(dp.pattern.rows, start=1))
+    assert len(calls) == components
 
 
 def test_criterion_7_determinism_and_round_trips(tmp_path, capsys):
