@@ -14,6 +14,9 @@ coordinates and the Weyl dimension product.
 The Weyl character comes from the Demazure character formula: the Demazure
 operators of ``nice_long_word``, the word the patterns are strings along,
 applied to x^lam.  It does not use the pattern walk, so it cross-checks it.
+``packed_character`` runs that loop on a codec the caller passes and returns
+the packed int table; ``weyl_character`` is it on the codec of lam, kept as a
+polynomial.
 """
 from __future__ import annotations
 
@@ -316,22 +319,30 @@ def _demazure(codec: WeightCodec, table: dict[int, int], k: int) -> dict[int, in
     return out
 
 
+def packed_character(rs: RootSystem, lam: Weight, codec: WeightCodec) -> dict[int, int]:
+    """The character of the dominant weight ``lam`` as a zero-free table from
+    weight, packed with ``codec``, to multiplicity: the Demazure operators of
+    ``nice_long_word`` applied to x^lam, zeros dropped once, after the last
+    letter.  ``codec`` must hold conv(W lam), as that of any dominant weight
+    above ``lam`` does (see ``weightpoly.weight_codec``)."""
+    table = {codec.pack(lam): 1}
+    for k in nice_long_word(rs.spec):
+        table = _demazure(codec, table, k)
+    return {w: c for w, c in table.items() if c}
+
+
 def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Highest-weight character by the Demazure character formula: the
     Demazure operators of a reduced word for the long element, applied to
     x^lam.  The long element is an involution, so the word may be read in
     either direction.  The cost follows the size of the character, not |W|.
-    The tables hold packed weights; zeros are dropped once, after the last
-    letter, and the polynomial keeps the last table, to decode it when its
-    terms are first read."""
+    ``packed_character`` builds the table on the codec of ``lam``, and the
+    polynomial keeps it, to decode it when its terms are first read."""
     lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")
     codec = weight_codec(lam, rs.cartan)
-    table = {codec.pack(lam): 1}
-    for k in nice_long_word(rs.spec):
-        table = _demazure(codec, table, k)
-    return poly_from_packed(rs.height_vec, codec, {w: c for w, c in table.items() if c})
+    return poly_from_packed(rs.height_vec, codec, packed_character(rs, lam, codec))
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

@@ -42,10 +42,11 @@ both sides are polynomials in q, so the check evaluates them at q = 2^B
 (Kronecker substitution), with B wide enough that the evaluation is
 injective on every coefficient either side can have; the proof is in
 ``tokuyama_quotient``.  P's row sums (``_p_sums``, the one sum behind
-``p_part`` too) run on the int path, the twisted character, times x^rho, is
-packed with the codec of P's walk plan and multiplied by D's binomials one
-at a time, and the two int tables are compared; only the quotient or the
-remainder that is returned is decoded.
+``p_part`` too) run on the int path; the character of lambda - rho is built
+by the Demazure operators on the codec of P's walk plan and twisted key by
+key, times x^rho, then multiplied by D's binomials one at a time, and the two
+int tables are compared; only the quotient or the remainder that is returned
+is decoded.
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
@@ -68,10 +69,9 @@ from typing import NamedTuple
 from .coefficients import (CoeffElement, _integer, json_monomials, kronecker_decode,
                            kronecker_encode, slot_table)
 from .patterns import WalkPlan, _walk, walk_plan
-from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
-                    character_dimension, is_dominant, is_strongly_dominant, weyl_character,
-                    weyl_dimension)
-from .weightpoly import Weight, WeightPolynomial, poly_from_packed
+from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system, is_dominant,
+                    is_strongly_dominant, packed_character, weyl_dimension)
+from .weightpoly import Weight, WeightPolynomial, poly_from_packed, weight_codec
 
 __all__ = [
     "WeightPolynomial", "character_via_patterns", "p_part",
@@ -116,7 +116,8 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
                 fills = cache[key] = _row_fills(plan, i, wt, factor, packed)
             if not packed:
                 for d, c in fills:
-                    out[wt + d] = get(wt + d, 0) + s * c
+                    x = wt + d
+                    out[x] = get(x, 0) + s * c
                 continue
             for d, f in fills:
                 x = wt + d
@@ -254,6 +255,17 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
       below 2 * d * 4^N < 2^(B - 1) in size, and two polynomials with the
       same value at 2^B are equal, digit by digit.
 
+    The character is built on P's codec, and nothing between the Demazure
+    loop and the comparison decodes or re-packs a weight.  lam - rho <= lam
+    and both are dominant, so conv(W(lam - rho)) lies in conv(W lam), and
+    every Demazure table of lam - rho (``roots.packed_character``) stays
+    inside the margin of lam's codec (``weightpoly.weight_codec``).
+    ``walk_plan`` packs with the same ``weight_codec(lam, cartan)``, and the
+    two codecs' widths and packed roots are checked to agree.  Each key's
+    height is read off its fields, h . w as sum h_i * field_i less the
+    biases' share, and the shift by rho, packing being linear, is one
+    addition of rho's packed offset.
+
     No field overflows.  In type A every weight of every partial product
     lies in conv(W lam), where |<w, alpha_i^vee>| <= <lam, theta^vee> =
     sum(lam), inside the codec's 4 * sum(lam): it is a weight of chi~, in
@@ -262,24 +274,30 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     """
     if rs.family != "A":
         raise ValueError("the deformation factorization is asserted for type A only")
-    lam = tuple(lam)
+    lam = _checked_weight(rs.spec, lam)
     if not is_strongly_dominant(lam):
         raise ValueError(f"need a strongly dominant highest weight, got {lam}")
     rho = (1,) * rs.rank
     lam_prime = tuple(map(sub, lam, rho))
-    chi = weyl_character(rs, lam_prime)
-    bits = _q_bits(rs, character_dimension(chi))
+    codec = weight_codec(lam, rs.cartan)
+    chi = packed_character(rs, lam_prime, codec)
+    bits = _q_bits(rs, sum(chi.values()))
     plan, sums = _p_sums(rs.spec, lam, slot_table(
         rs.spec, 1, lambda f: kronecker_encode(f.packed(), bits)))
-    codec, h = plan.codec, rs.height_vec
+    if (plan.codec.width, plan.codec.roots) != (codec.width, codec.roots):
+        raise AssertionError("P's walk plan packs weights unlike the character's codec")
+    h, mask = rs.height_vec, codec.mask
+    fields = list(zip(h, range(0, rs.rank * codec.width, codec.width)))
     unit = sum(map(mul, h, rs.simple_root(1)))
-    top = sum(map(mul, h, lam_prime))
+    # h . (lam - rho) less h . w, with h . w = sum h_i * field_i - bias * sum(h)
+    top = sum(map(mul, h, lam_prime)) + codec.bias * sum(h)
+    offset = codec.pack(rho) - codec.pack((0,) * rs.rank)
     twisted = {}
-    for w, c in chi.terms.items():
-        ht, frac = divmod(top - sum(map(mul, h, w)), unit)
+    for x, c in chi.items():
+        ht, frac = divmod(top - sum([a * (x >> s & mask) for a, s in fields]), unit)
         if frac:
             raise AssertionError("character weight outside the root lattice shift")
-        twisted[codec.pack(tuple(map(add, w, rho)))] = c.packed()[0] << bits * ht
+        twisted[x + offset] = c << bits * ht
     product = _times_denominator(rs, codec, bits, twisted)
     if product == sums:
         quot = _times_denominator(rs, codec, bits, {codec.pack(rho): 1})

@@ -8,8 +8,8 @@ from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, LittelmannPattern
                         WeightPolynomial, build_root_system, character_dimension,
                         is_dominant, is_strongly_dominant, nice_long_word,
                         weyl_character, weyl_dimension)
-from crystalmds.roots import MAX_RANK, _demazure
-from crystalmds.weightpoly import weight_codec
+from crystalmds.roots import MAX_RANK, _demazure, packed_character
+from crystalmds.weightpoly import poly_from_packed, weight_codec
 from oracles import (ModelRootSystem, freudenthal_multiplicities,
                      invert_fraction_matrix, reflect, rho)
 from oracles import divide_terms as reference_divide_terms
@@ -251,6 +251,24 @@ def test_character_weyl_invariance(family, rank, lam):
     for k in range(1, rank + 1):
         reflected = {reflect(r, w, k): c for w, c in chi.terms.items()}
         assert reflected == chi.terms
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 3, (2, 1, 2)), ("B", 3, (2, 1, 1)), ("C", 3, (1, 2, 1)), ("D", 4, (1, 2, 1, 1)),
+])
+def test_packed_character_on_a_wider_codec(family, rank, lam):
+    # the table of a dominant mu <= lam on lam's codec is zero-free and, kept
+    # as a polynomial, is mu's character: mu runs over lam - rho and the
+    # dominant weights of V(lam), the dominant mu <= lam of lam's coset
+    r = rs(family, rank)
+    codec = weight_codec(lam, r.cartan)
+    mus = {tuple(c - 1 for c in lam)} | {w for w in weyl_character(r, lam).terms
+                                         if is_dominant(w)}
+    assert len(mus) > 2
+    for mu in mus:
+        table = packed_character(r, mu, codec)
+        assert table and 0 not in table.values()
+        assert poly_from_packed(r.height_vec, codec, table) == weyl_character(r, mu)
 
 
 def _ints(r, table: dict) -> WeightPolynomial:

@@ -770,6 +770,29 @@ def test_tokuyama_requires_type_a_and_strong_dominance():
         tokuyama_quotient(rs("B", 2), (1, 1))
     with pytest.raises(ValueError):
         tokuyama_quotient(rs("A", 2), (1, 0))
+    # lambda is checked before anything packs it, and the error names
+    # lambda, not lambda - rho
+    with pytest.raises(ValueError, match="weight coordinate must be an integer, got 2.0"):
+        tokuyama_quotient(rs("A", 3), (2.0, 2, 2))
+    with pytest.raises(ValueError, match=r"weight \(2, 2\) has 2 coordinates, rank is 3"):
+        tokuyama_quotient(rs("A", 3), (2, 2))
+
+
+def test_tokuyama_check_decodes_no_weight(monkeypatch):
+    # nothing reads a polynomial's terms on the success path: the character
+    # stays a packed table from the Demazure loop to the comparison with P,
+    # and the quotient comes back undecoded, still the model's D
+    reads = []
+    terms = WeightPolynomial.terms
+    monkeypatch.setattr(WeightPolynomial, "terms",
+                        property(lambda poly: reads.append(poly) or terms.fget(poly)))
+    results = [tokuyama_quotient(rs("A", len(lam)), lam)
+               for lam in [(2, 1), (3, 3, 3), (2, 1, 1, 2)]]
+    assert not reads
+    monkeypatch.undo()
+    for res in results:
+        assert res.ok and undecoded(res.quotient)
+        assert res.quotient == deformed_denominator(rs("A", len(res.lam)))
 
 
 # ---------------------------------------------------------------------------
