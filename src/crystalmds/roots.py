@@ -7,9 +7,12 @@ the rank-(r-1) subsystem spanned by indices 1..r-1 is of the same family,
 which is what makes top-row deletion of patterns a branching operation.
 
 Weights are plain integer tuples in the fundamental-weight basis throughout
-the package, and all weight arithmetic is integer.  Fractions appear only in
-the root data built here: the symmetrizer, the inverse Cartan matrix, root
-coordinates and the Weyl dimension product.
+the package, and all weight arithmetic is integer.  So is the root data
+built here: one reflection closure gives every positive root with its
+coroot, and the height functional and the Weyl dimension are read off the
+coroots.  Fractions appear only in the inverse Cartan matrix and
+``root_coordinates``, which nothing in the package calls;
+``_cartan_inverse`` imports them itself.
 
 The Weyl character comes from the Demazure character formula: the Demazure
 operators of ``nice_long_word``, the word the patterns are strings along,
@@ -20,10 +23,9 @@ polynomial.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 from typing import NamedTuple
 
 from .coefficients import _integer
@@ -32,10 +34,10 @@ from .weightpoly import (Weight, WeightCodec, WeightPolynomial, poly_from_packed
 
 FAMILIES = ("A", "B", "C", "D")
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
-# Largest rank accepted.  ``build_root_system`` grows with rank^3 to rank^4
-# (r^2 positive roots, each reflected through r simple roots with length-r
-# weights): under a second at rank 100 on one core, and without a cap a
-# hostile rank such as 3000 runs for minutes before any output.
+# Largest rank accepted.  ``build_root_system`` grows with rank^3 (r^2
+# positive roots, each read against r simple roots, and each new one copied
+# as three length-r tuples): about 0.2 s at rank 100 on one core, and without
+# a cap a hostile rank such as 3000 runs for minutes before any output.
 MAX_RANK = 100
 
 
@@ -78,15 +80,18 @@ class RootSystem(NamedTuple):
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
     simple coroot (0-based storage, 1-based indices in the API).  Columns of
     the Cartan matrix are the simple roots in fundamental-weight coordinates.
+
+    ``positive_coroots[j]`` is the coroot of ``positive_roots[j]`` in
+    simple-coroot coordinates, and ``height_vec``, their sum, is
+    <omega_i, 2 rho^vee>: h . w is twice the height of a root-lattice w.
     """
 
     spec: CartanSpec
     cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Fraction, ...]
-    cartan_inverse: tuple[tuple[Fraction, ...], ...]
     positive_roots: tuple[Weight, ...]                  # fundamental-weight coords
     positive_roots_root_coords: tuple[tuple[int, ...], ...]
-    height_vec: tuple[int, ...]                          # integer-scaled height functional
+    positive_coroots: tuple[tuple[int, ...], ...]       # simple-coroot coords
+    height_vec: tuple[int, ...]                          # <omega_i, 2 rho^vee>
 
     # -- basic data ---------------------------------------------------------
     @property
@@ -101,8 +106,14 @@ class RootSystem(NamedTuple):
         """k-th simple root (1-based) in fundamental-weight coordinates."""
         return tuple(self.cartan[i][k - 1] for i in range(self.rank))
 
-    def root_coordinates(self, w: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of a lattice point in the simple-root basis (exact).
+    @property
+    def cartan_inverse(self) -> tuple[tuple, ...]:
+        """The inverse Cartan matrix, as Fractions (``_cartan_inverse``)."""
+        return _cartan_inverse(self.spec)
+
+    def root_coordinates(self, w: Weight) -> tuple:
+        """Coordinates of a lattice point in the simple-root basis, as
+        Fractions (exact).
 
         The package itself does not call this; the traced tokuyama workload
         in ``perfbench/workloads.py`` does.  It goes when that workload times
@@ -163,45 +174,25 @@ def _cartan_matrix(spec: CartanSpec) -> list[list[int]]:
     return a
 
 
-def _symmetrizer(spec: CartanSpec) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _cartan_inverse(spec: CartanSpec) -> tuple[tuple, ...]:
+    """Inverse Cartan matrix by exact Gauss-Jordan elimination over the
+    rationals: entry [k][i] is the coefficient of alpha_(k+1) in
+    omega_(i+1).  Every leading principal minor of a finite-type Cartan
+    matrix is positive, so no pivot is zero and no row is swapped."""
+    from fractions import Fraction
     r = spec.rank
-    if spec.family == "B":
-        return (Fraction(1),) + (Fraction(2),) * (r - 1)
-    if spec.family == "C":
-        return (Fraction(2),) + (Fraction(1),) * (r - 1)
-    return (Fraction(1),) * r
-
-
-def _cartan_inverse(spec: CartanSpec) -> list[list[Fraction]]:
-    """Inverse Cartan matrix in closed form: entry [k][i] is the coefficient
-    of alpha_(k+1) in omega_(i+1).
-
-    ``coeff(a, b)`` is the coefficient of alpha_a in omega_b in Bourbaki's
-    numbering (Bourbaki, Lie groups, ch. VI, plates I-IV); ``bourbaki``
-    maps each index of this package to Bourbaki's.
-    """
-    r, fam = spec.rank, spec.family
-    if fam == "A":
-        bourbaki = list(range(1, r + 1))
-    elif fam in ("B", "C"):
-        bourbaki = [r + 1 - k for k in range(1, r + 1)]
-    else:  # D: the fork ends are Bourbaki's r - 1 and r
-        bourbaki = [r - 1, r] + [r + 1 - k for k in range(3, r + 1)]
-
-    def coeff(a: int, b: int) -> Fraction:
-        low = min(a, b)
-        if fam == "A":
-            return Fraction(low * (r + 1 - max(a, b)), r + 1)
-        if fam == "B":  # alpha_r short
-            return Fraction(low, 2 if b == r else 1)
-        if fam == "C":  # alpha_r long
-            return Fraction(low, 2 if a == r else 1)
-        spin = (r - 1, r)
-        if a in spin and b in spin:
-            return Fraction(r if a == b else r - 2, 4)
-        return Fraction(low, 2 if a in spin or b in spin else 1)
-
-    return [[coeff(bourbaki[k], bourbaki[i]) for i in range(r)] for k in range(r)]
+    rows = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(r)]
+            for i, row in enumerate(_cartan_matrix(spec))]
+    for k in range(r):
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        pivot = [(j, y) for j, y in enumerate(rows[k]) if y]
+        for i, row in enumerate(rows):
+            f = row[k]
+            if i != k and f:
+                for j, y in pivot:
+                    row[j] -= f * y
+    return tuple(tuple(row[r:]) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -209,52 +200,54 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
     """Assemble the exact root system for a validated Cartan spec."""
     r = spec.rank
     cartan = _cartan_matrix(spec)
-    ainv = _cartan_inverse(spec)
-    d = _symmetrizer(spec)
+    # column k of the Cartan matrix, the simple root alpha_k in
+    # fundamental-weight coordinates, as its nonzero (i, <alpha_k, alpha_i^vee>)
+    columns = [[(i, row[k]) for i, row in enumerate(cartan) if row[k]] for k in range(r)]
 
     # Upward reflection closure of the simple roots: reflecting a positive
-    # root through a simple root it pairs negatively with adds a multiple of
-    # that root, so the closure stays positive, and every positive root is
-    # reached from a simple root this way.
-    simple_wt = [tuple(cartan[i][k] for i in range(r)) for k in range(r)]
-    seen: dict[Weight, tuple[int, ...]] = {}
+    # root b through a simple root it pairs negatively with, c = <b, alpha_k^vee>
+    # < 0, adds -c alpha_k, so the closure stays positive, and every positive
+    # root is reached from a simple root this way.  Its coroot moves alike,
+    # by -<alpha_k, b^vee> alpha_k^vee, the pairing read off column k.
+    seen: dict[Weight, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     frontier = []
     for k in range(r):
-        rc = tuple(int(i == k) for i in range(r))
-        seen[simple_wt[k]] = rc
-        frontier.append((simple_wt[k], rc))
+        unit = tuple(int(i == k) for i in range(r))
+        wt = tuple(row[k] for row in cartan)
+        seen[wt] = unit, unit
+        frontier.append((wt, unit, unit))
     while frontier:
         nxt = []
-        for wt, rc in frontier:
-            for k in range(r):
-                c = wt[k]
+        for wt, rc, cc in frontier:
+            for k, c in enumerate(wt):
                 if c >= 0:
                     continue
-                nwt = tuple(wt[i] - c * cartan[i][k] for i in range(r))
+                nwt = list(wt)
+                for i, a in columns[k]:
+                    nwt[i] -= c * a
+                nwt = tuple(nwt)
                 if nwt in seen:
                     continue
-                nrc = tuple(rc[i] - c * int(i == k) for i in range(r))
-                seen[nwt] = nrc
-                nxt.append((nwt, nrc))
+                d = sum([cc[i] * a for i, a in columns[k]])
+                nrc = rc[:k] + (rc[k] - c,) + rc[k + 1:]
+                ncc = cc[:k] + (cc[k] - d,) + cc[k + 1:]
+                seen[nwt] = nrc, ncc
+                nxt.append((nwt, nrc, ncc))
         frontier = nxt
-    positives = sorted(seen.items(), key=lambda p: (sum(p[1]), p[1]))
+    positives = sorted(seen.items(), key=lambda p: (sum(p[1][0]), p[1][0]))
     if len(positives) != spec.positive_root_count():
         raise AssertionError(
             f"positive-root closure produced {len(positives)} roots for {spec}, "
             f"expected {spec.positive_root_count()}")
-
-    colsums = [sum(ainv[k][i] for k in range(r)) for i in range(r)]
-    scale = math.lcm(*(c.denominator for c in colsums))
-    height_vec = tuple(int(c * scale) for c in colsums)
+    coroots = tuple(cc for _, (_, cc) in positives)
 
     return RootSystem(
         spec=spec,
         cartan=tuple(tuple(row) for row in cartan),
-        symmetrizer=d,
-        cartan_inverse=tuple(tuple(row) for row in ainv),
         positive_roots=tuple(wt for wt, _ in positives),
-        positive_roots_root_coords=tuple(rc for _, rc in positives),
-        height_vec=height_vec,
+        positive_roots_root_coords=tuple(rc for _, (rc, _) in positives),
+        positive_coroots=coroots,
+        height_vec=tuple(map(sum, zip(*coroots))),
     )
 
 
@@ -350,16 +343,15 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"dimension requires a dominant weight, got {lam}")
-    d = rs.symmetrizer
-    num = Fraction(1)
     shifted = tuple(c + 1 for c in lam)
-    for rc in rs.positive_roots_root_coords:
-        top = sum(rc[k] * d[k] * shifted[k] for k in range(rs.rank))
-        bot = sum(rc[k] * d[k] for k in range(rs.rank))
-        num *= Fraction(top, bot)
-    if num.denominator != 1:
+    num = den = 1
+    for coroot in rs.positive_coroots:
+        num *= sum(map(mul, shifted, coroot))
+        den *= sum(coroot)
+    dim, rest = divmod(num, den)
+    if rest:
         raise AssertionError("Weyl dimension did not reduce to an integer")
-    return int(num)
+    return dim
 
 
 def character_dimension(poly: WeightPolynomial) -> int:

@@ -71,7 +71,7 @@ from .coefficients import (CoeffElement, _integer, json_monomials, kronecker_dec
 from .patterns import WalkPlan, _walk, walk_plan
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system, is_dominant,
                     is_strongly_dominant, packed_character, weyl_dimension)
-from .weightpoly import Weight, WeightPolynomial, poly_from_packed, weight_codec
+from .weightpoly import Weight, WeightPolynomial, poly_from_packed
 
 __all__ = [
     "WeightPolynomial", "character_via_patterns", "p_part",
@@ -242,8 +242,8 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
 
     The evaluation is injective.  In type A at n = 1 every coefficient of
     either side is a polynomial in q with nonnegative exponents, and with
-    N positive roots and d = dim V(lam - rho), B = (d * 4^N).bit_length() + 2
-    (``_q_bits``):
+    N positive roots and d = dim V(lam - rho) (``roots.weyl_dimension``),
+    B = (d * 4^N).bit_length() + 2 (``_q_bits``):
     - a pattern has N slots, each factor of 1-norm at most 2, so
       ||P_mu||_1 <= mult_lam(mu) * 2^N <= dim V(lam) * 2^N;
     - dim V(lam) <= dim V(lam - rho) * dim V(rho), as V(lam) is a summand
@@ -255,13 +255,12 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
       below 2 * d * 4^N < 2^(B - 1) in size, and two polynomials with the
       same value at 2^B are equal, digit by digit.
 
-    The character is built on P's codec, and nothing between the Demazure
-    loop and the comparison decodes or re-packs a weight.  lam - rho <= lam
-    and both are dominant, so conv(W(lam - rho)) lies in conv(W lam), and
-    every Demazure table of lam - rho (``roots.packed_character``) stays
-    inside the margin of lam's codec (``weightpoly.weight_codec``).
-    ``walk_plan`` packs with the same ``weight_codec(lam, cartan)``, and the
-    two codecs' widths and packed roots are checked to agree.  Each key's
+    The character is built on the codec of P's walk plan, and nothing
+    between the Demazure loop and the comparison decodes or re-packs a
+    weight.  lam - rho <= lam and both are dominant, so conv(W(lam - rho))
+    lies in conv(W lam), and every Demazure table of lam - rho
+    (``roots.packed_character``) stays inside the margin of lam's codec
+    (``weightpoly.weight_codec``), the one the plan packs with.  Each key's
     height is read off its fields, h . w as sum h_i * field_i less the
     biases' share, and the shift by rho, packing being linear, is one
     addition of rho's packed offset.
@@ -279,13 +278,11 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
         raise ValueError(f"need a strongly dominant highest weight, got {lam}")
     rho = (1,) * rs.rank
     lam_prime = tuple(map(sub, lam, rho))
-    codec = weight_codec(lam, rs.cartan)
-    chi = packed_character(rs, lam_prime, codec)
-    bits = _q_bits(rs, sum(chi.values()))
+    bits = _q_bits(rs, weyl_dimension(rs, lam_prime))
     plan, sums = _p_sums(rs.spec, lam, slot_table(
         rs.spec, 1, lambda f: kronecker_encode(f.packed(), bits)))
-    if (plan.codec.width, plan.codec.roots) != (codec.width, codec.roots):
-        raise AssertionError("P's walk plan packs weights unlike the character's codec")
+    codec = plan.codec
+    chi = packed_character(rs, lam_prime, codec)
     h, mask = rs.height_vec, codec.mask
     fields = list(zip(h, range(0, rs.rank * codec.width, codec.width)))
     unit = sum(map(mul, h, rs.simple_root(1)))

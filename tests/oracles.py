@@ -119,7 +119,7 @@ class ModelRootSystem:
 
 def invert_fraction_matrix(mat):
     """Exact inverse by Fraction Gauss-Jordan elimination (the reference for
-    the closed-form Cartan inverses of ``roots``)."""
+    the inverse Cartan matrix of ``roots``)."""
     n = len(mat)
     aug = [[Fraction(mat[i][j]) for j in range(n)]
            + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]

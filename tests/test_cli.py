@@ -297,6 +297,19 @@ def test_cli_import_loads_no_dataclasses_inspect_or_suites():
     assert not added & {"dataclasses", "inspect", "crystalmds.verification"}
 
 
+def test_cli_import_loads_no_fractions_or_decimal():
+    # the root data is integer: only the inverse Cartan matrix, which no
+    # command reads, imports fractions, and then only when first built
+    code = ("import sys\n"
+            "import crystalmds.cli\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(crystalmds.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_closed_stdout_ends_quietly():
     # the reader takes 10 bytes of a ~250 kB answer and closes the pipe: no
     # traceback, and the documented exit status for a closed stdout

@@ -8,7 +8,7 @@ from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, LittelmannPattern
                         WeightPolynomial, build_root_system, character_dimension,
                         is_dominant, is_strongly_dominant, nice_long_word,
                         weyl_character, weyl_dimension)
-from crystalmds.roots import MAX_RANK, _demazure, packed_character
+from crystalmds.roots import _MIN_RANK, MAX_RANK, _demazure, packed_character
 from crystalmds.weightpoly import poly_from_packed, weight_codec
 from oracles import (ModelRootSystem, freudenthal_multiplicities,
                      invert_fraction_matrix, reflect, rho)
@@ -97,6 +97,47 @@ def test_closed_form_cartan_inverse_matches_gauss_jordan(family):
         model = ModelRootSystem(family, rank)
         want = invert_fraction_matrix(model.cartan_matrix())
         assert [list(row) for row in rs(family, rank).cartan_inverse] == want, rank
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_coroots_heights_and_dimensions_match_the_model(family):
+    # the coroot 2b/(b, b) of each model root b, in simple-coroot coordinates
+    # c, from its pairings p_j = <alpha_j, b^vee> = sum_i c_i A[i][j]
+    for rank in range(_MIN_RANK[family], 9):
+        model, r = ModelRootSystem(family, rank), rs(family, rank)
+        ainv = invert_fraction_matrix(model.cartan_matrix())
+        want = set()
+        for b in model.positive:
+            norm = sum(map(mul, b, b))
+            p = [2 * sum(map(mul, b, a)) / norm for a in model.simple]
+            c = [sum(p[j] * ainv[j][i] for j in range(rank)) for i in range(rank)]
+            assert all(x.denominator == 1 for x in c)
+            want.add(tuple(int(x) for x in c))
+        assert len(r.positive_coroots) == len(want) and set(r.positive_coroots) == want
+        # positive_coroots[j] belongs to positive_roots[j]: <b, b^vee> = 2
+        for b, coroot in zip(r.positive_roots, r.positive_coroots):
+            assert sum(map(mul, b, coroot)) == 2
+        if family in "BC":
+            dual = rs("C" if family == "B" else "B", rank)
+            assert set(r.positive_coroots) == set(dual.positive_roots_root_coords)
+        # h_i = <omega_i, 2 rho^vee>, rho^vee = sum_j 2 omega_j / (alpha_j, alpha_j)
+        gram = model.gram()
+        half_norms = [sum(map(mul, a, a)) / 2 for a in model.simple]
+        rho_vee = [sum(gram[i][j] / half_norms[j] for j in range(rank)) for i in range(rank)]
+        assert all(h > 0 for h in r.height_vec)
+        assert [2 * x for x in rho_vee] == list(r.height_vec), rank
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 2, (2, 1)), ("A", 3, (1, 1, 1)), ("A", 4, (1, 0, 0, 1)),
+    ("B", 2, (2, 1)), ("B", 3, (1, 0, 1)), ("B", 4, (1, 0, 0, 0)),
+    ("C", 2, (1, 2)), ("C", 3, (0, 1, 1)), ("C", 4, (0, 0, 0, 1)),
+    ("D", 3, (1, 1, 0)), ("D", 4, (1, 0, 0, 1)),
+])
+def test_weyl_dimension_is_the_freudenthal_sum(family, rank, lam):
+    dim = weyl_dimension(rs(family, rank), lam)
+    assert type(dim) is int
+    assert dim == sum(freudenthal_multiplicities(family, rank, lam).values())
 
 
 def _model_rho(family, rank):
