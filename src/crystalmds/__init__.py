@@ -10,13 +10,13 @@ independent verification routes.
 
 from .coefficients import (CoeffElement, ComponentD, GaussSymbol, entry_factor,
                            g_value, h_value, pattern_coefficient, row_components)
-from .roots import (CartanSpec, RootSystem, build_root_system,
-                    character_dimension, is_dominant, is_strongly_dominant,
-                    nice_long_word, weyl_character, weyl_dimension)
+from .roots import (CartanSpec, RootSystem, build_root_system, is_dominant,
+                    is_strongly_dominant, nice_long_word, weyl_character, weyl_dimension)
 from .patterns import (DecoratedPattern, LittelmannPattern, decorate, enumerate_patterns,
                        pattern_shape, pattern_wt, render)
 from .series import (BranchDecomposition, WeightPolynomial, branch_decompose,
                      character_via_patterns, p_part, polynomial_json_obj,
                      tokuyama_quotient)
+from .weightpoly import character_dimension
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ operators of ``nice_long_word``, the word the patterns are strings along,
 applied to x^lam.  It does not use the pattern walk, so it cross-checks it.
 ``packed_character`` runs that loop on a codec the caller passes and returns
 the packed int table; ``weyl_character`` is it on the codec of lam, kept as a
-polynomial.
+polynomial, whose table ``weightpoly.character_dimension`` sums.
 """
 from __future__ import annotations
 
@@ -82,8 +82,8 @@ class RootSystem(NamedTuple):
     the Cartan matrix are the simple roots in fundamental-weight coordinates.
 
     ``positive_coroots[j]`` is the coroot of ``positive_roots[j]`` in
-    simple-coroot coordinates, and ``height_vec``, their sum, is
-    <omega_i, 2 rho^vee>: h . w is twice the height of a root-lattice w.
+    simple-coroot coordinates.  ``height_vec``, their sum <omega_i, 2 rho^vee>,
+    pairs every simple root to 2: h . w is twice the height of a root-lattice w.
     """
 
     spec: CartanSpec
@@ -101,10 +101,6 @@ class RootSystem(NamedTuple):
     @property
     def family(self) -> str:
         return self.spec.family
-
-    def simple_root(self, k: int) -> Weight:
-        """k-th simple root (1-based) in fundamental-weight coordinates."""
-        return tuple(self.cartan[i][k - 1] for i in range(self.rank))
 
     @property
     def cartan_inverse(self) -> tuple[tuple, ...]:
@@ -352,23 +348,4 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     if rest:
         raise AssertionError("Weyl dimension did not reduce to an integer")
     return dim
-
-
-def character_dimension(poly: WeightPolynomial) -> int:
-    """Sum of integer coefficients (evaluation at the all-ones point).  An
-    undecoded packed table is read as it is: an int table's values are
-    summed, and each packed monomial dict must be a constant's, {0: c}."""
-    if poly._packed is None:
-        values = (c.packed() for c in poly.terms.values())
-    else:
-        _, table, dicts = poly._packed
-        values = table.values()
-        if not dicts:
-            return sum(values)
-    total = 0
-    for t in values:
-        if t.keys() != {0}:
-            raise ValueError("character polynomial has non-constant coefficients")
-        total += t[0]
-    return total
 

@@ -44,9 +44,9 @@ injective on every coefficient either side can have; the proof is in
 ``tokuyama_quotient``.  P's row sums (``_p_sums``, the one sum behind
 ``p_part`` too) run on the int path; the character of lambda - rho is built
 by the Demazure operators on the codec of P's walk plan and twisted key by
-key, times x^rho, then multiplied by D's binomials one at a time, and the two
-int tables are compared; only the quotient or the remainder that is returned
-is decoded.
+key, at heights read through that codec, times x^rho, then multiplied by D's
+binomials one at a time, and the two int tables are compared; only the
+quotient or the remainder that is returned becomes a polynomial.
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
@@ -255,14 +255,14 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
       below 2 * d * 4^N < 2^(B - 1) in size, and two polynomials with the
       same value at 2^B are equal, digit by digit.
 
-    The character is built on the codec of P's walk plan, and nothing
-    between the Demazure loop and the comparison decodes or re-packs a
-    weight.  lam - rho <= lam and both are dominant, so conv(W(lam - rho))
-    lies in conv(W lam), and every Demazure table of lam - rho
-    (``roots.packed_character``) stays inside the margin of lam's codec
-    (``weightpoly.weight_codec``), the one the plan packs with.  Each key's
-    height is read off its fields, h . w as sum h_i * field_i less the
-    biases' share, and the shift by rho, packing being linear, is one
+    The character is built on the codec of P's walk plan, and its keys stay
+    packed up to the comparison.  lam - rho <= lam and both are dominant, so
+    conv(W(lam - rho)) lies in conv(W lam), and every Demazure table of
+    lam - rho (``roots.packed_character``) stays inside the margin of lam's
+    codec (``weightpoly.weight_codec``), the one the plan packs with.  The
+    codec decodes each key to its weight w (``decode_all``), and
+    h = ``rs.height_vec`` pairs every simple root to 2, so ht is
+    h . (lam - rho - w) / 2; the shift by rho, packing being linear, is one
     addition of rho's packed offset.
 
     No field overflows.  In type A every weight of every partial product
@@ -283,16 +283,13 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
         rs.spec, 1, lambda f: kronecker_encode(f.packed(), bits)))
     codec = plan.codec
     chi = packed_character(rs, lam_prime, codec)
-    h, mask = rs.height_vec, codec.mask
-    fields = list(zip(h, range(0, rs.rank * codec.width, codec.width)))
-    unit = sum(map(mul, h, rs.simple_root(1)))
-    # h . (lam - rho) less h . w, with h . w = sum h_i * field_i - bias * sum(h)
-    top = sum(map(mul, h, lam_prime)) + codec.bias * sum(h)
+    h = rs.height_vec
+    top = sum(map(mul, h, lam_prime))
     offset = codec.pack(rho) - codec.pack((0,) * rs.rank)
     twisted = {}
-    for x, c in chi.items():
-        ht, frac = divmod(top - sum([a * (x >> s & mask) for a, s in fields]), unit)
-        if frac:
+    for (x, c), w in zip(chi.items(), codec.decode_all(chi)):
+        ht, odd = divmod(top - sum(map(mul, h, w)), 2)
+        if odd:
             raise AssertionError("character weight outside the root lattice shift")
         twisted[x + offset] = c << bits * ht
     product = _times_denominator(rs, codec, bits, twisted)

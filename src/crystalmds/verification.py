@@ -14,9 +14,10 @@ from typing import Sequence
 
 from .coefficients import _component_factor, entry_factor, g_value, h_value, row_components
 from .patterns import decorated_crystal
-from .roots import (CartanSpec, build_root_system, character_dimension,
-                    is_strongly_dominant, weyl_character, weyl_dimension)
+from .roots import (CartanSpec, build_root_system, is_strongly_dominant, weyl_character,
+                    weyl_dimension)
 from .series import branch_decompose, character_via_patterns, p_part, tokuyama_quotient
+from .weightpoly import character_dimension
 
 CHARACTER_BATTERY = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                      ("C", 2), ("C", 3), ("D", 4))

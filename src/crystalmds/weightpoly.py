@@ -13,12 +13,12 @@ The first read of ``terms`` decodes it, once: the codec decodes every key a
 field at a time (``decode_all``), each distinct integer coefficient becomes
 one shared element, and the terms go in without the constructor's copy and
 zero scan, since the engines keep no zeros.  From then on the polynomial
-holds only the decoded terms.  Until then ``len``, ``is_zero``, ``==``
-and ``packed_items``, the ordered reader behind JSON and text output, read
-the table: two tables over the same packing (equal height functional,
-codec width and packed simple roots) with the same kind of value are equal
-exactly when their polynomials are, since the codec is injective on every
-weight its fields hold.
+holds only the decoded terms.  Until then ``len``, ``is_zero``, ``==``,
+``character_dimension`` and ``packed_items``, the ordered reader behind
+JSON and text output, read the table: two tables over the same packing
+(equal height functional, codec width and packed simple roots) with the
+same kind of value are equal exactly when their polynomials are, since the
+codec is injective on every weight its fields hold.
 
 No engine path divides.  ``WeightPolynomial.divide`` is a short
 leading-term elimination over whole weights and their elements, kept for
@@ -243,3 +243,22 @@ def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec,
     poly.height_vec, poly.meta, poly._terms = height_vec, {}, None
     poly._packed = (codec, table, isinstance(next(iter(table.values()), None), dict))
     return poly
+
+
+def character_dimension(poly: WeightPolynomial) -> int:
+    """Sum of integer coefficients (evaluation at the all-ones point).  An
+    undecoded packed table is read as it is: an int table's values are
+    summed, and each packed monomial dict must be a constant's, {0: c}."""
+    if poly._packed is None:
+        values = (c.packed() for c in poly.terms.values())
+    else:
+        _, table, dicts = poly._packed
+        values = table.values()
+        if not dicts:
+            return sum(values)
+    total = 0
+    for t in values:
+        if t.keys() != {0}:
+            raise ValueError("character polynomial has non-constant coefficients")
+        total += t[0]
+    return total

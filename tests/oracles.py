@@ -192,6 +192,9 @@ def freudenthal_multiplicities(family: str, rank: int,
             assert m.denominator == 1
             if m:
                 mults[mu] = int(m)
+        # only weights go to the next depth: every weight mu != lam of the
+        # module has a simple root alpha with mu + alpha a weight
+        level = [mu for mu in level if mu in mults]
     return mults
 
 

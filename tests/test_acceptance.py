@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from crystalmds import CartanSpec, build_root_system, cli, coefficients, p_part, verification
+from crystalmds import (CartanSpec, CoeffElement, build_root_system, cli, coefficients, p_part,
+                        verification)
 from crystalmds.coefficients import row_components
 from crystalmds.patterns import decorated_crystal
 from crystalmds.verification import (_DECORATION_BATTERY, run_branching_suite,
@@ -155,6 +156,33 @@ def test_decorations_suite_evaluates_each_component_once(monkeypatch):
                      for dp in decorated_crystal(rs4, lam)
                      for i, row in enumerate(dp.pattern.rows, start=1))
     assert len(calls) == components
+
+
+def _decorations_failures(monkeypatch, corrupt):
+    """The decorations suite's verdict and failing case names with the
+    suite's own ``_component_factor`` passed through ``corrupt``; p_part's
+    slot tables keep the real one."""
+    component_factor = verification._component_factor
+    monkeypatch.setattr(verification, "_component_factor",
+                        lambda comp, *rest: corrupt(comp, component_factor(comp, *rest)))
+    rep = run_decorations_suite()
+    return rep["ok"], [c["name"] for c in rep["cases"] if c["status"] == "fail"]
+
+
+def test_decorations_suite_fails_a_circled_and_boxed_leak(monkeypatch):
+    one = CoeffElement.one()
+    ok, failed = _decorations_failures(monkeypatch, lambda comp, v: one if v.is_zero() else v)
+    assert not ok and failed == [
+        f"D4 lambda={lam} circled-and-boxed member zeroes component"
+        for lam in ((1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 1, 1))]
+
+
+def test_decorations_suite_fails_a_zero_run_sml_factor_other_than_one(monkeypatch):
+    ok, failed = _decorations_failures(
+        monkeypatch, lambda comp, v: v + v if comp.kind == "sml" and comp.value == 0 else v)
+    assert not ok and failed == [
+        f"D4 lambda={lam} zero-run sml components contribute 1"
+        for lam in ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 1, 1))]
 
 
 def test_criterion_7_determinism_and_round_trips(tmp_path, capsys):

@@ -133,6 +133,30 @@ def test_verify_tokuyama_groups_lambdas_by_rank(capsys):
     assert mixed == grouped
 
 
+# SHA-256 of the stdout of verify commands the CI console-script step runs
+VERIFY_STDOUT_SHA256 = {
+    "--suite tokuyama":
+        "678e0aa6ec550f8eba99909f83fa4d37a2b0d33d8bae645e940065a87a41ae81",
+    "--suite tokuyama --lambdas 1,1,1,1;2,1,1,2":
+        "2cba156e53729f18041b2f7efab1cd4408ac76423d1f44219d213c80c5790102",
+    "--suite tokuyama --lambdas 1,1,1,1,1;2,1,1,1,2":
+        "1d5039cd2c9288f6ba61f7be77dda7ed22a3c9f69980ca30331b0e1b3717bd53",
+    "--suite tokuyama --lambdas 3,3,3,3;4,3,4":
+        "db2460431d8d08bdc4e9e3c897300dfe3e795cf1e84c568a3634fdd702028639",
+    "--suite tokuyama --lambdas 1,1,1,1,1,1":
+        "ae0363a42fb6ad0f62e21d52a788330659fb2f7cab3c147ecd717c0bd3281477",
+    "--suite character --max-dim 60000":
+        "684eaffe2b3ead46fccac1503f672ac474d40430fba6d15e4f8a6fd585f57652",
+}
+
+
+@pytest.mark.parametrize("args", list(VERIFY_STDOUT_SHA256))
+def test_verify_stdout_is_pinned(capsys, args):
+    code, out, _ = run(capsys, ["verify", *args.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[args]
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(verification.SUITES, "tokuyama",
                         lambda **kw: {"suite": "tokuyama", "ok": False, "cases": []})

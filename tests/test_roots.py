@@ -128,11 +128,21 @@ def test_coroots_heights_and_dimensions_match_the_model(family):
         assert [2 * x for x in rho_vee] == list(r.height_vec), rank
 
 
+@pytest.mark.parametrize("family", "ABCD")
+def test_height_vec_pairs_every_simple_root_to_two(family):
+    # h . alpha_k = <alpha_k, 2 rho^vee> = 2, the unit in which the Tokuyama
+    # check reads a drop's height; alpha_k is column k of the Cartan matrix
+    for rank in range(_MIN_RANK[family], 9):
+        r = rs(family, rank)
+        assert [sum(map(mul, r.height_vec, alpha)) for alpha in zip(*r.cartan)] == [2] * rank
+
+
 @pytest.mark.parametrize("family,rank,lam", [
     ("A", 2, (2, 1)), ("A", 3, (1, 1, 1)), ("A", 4, (1, 0, 0, 1)),
     ("B", 2, (2, 1)), ("B", 3, (1, 0, 1)), ("B", 4, (1, 0, 0, 0)),
     ("C", 2, (1, 2)), ("C", 3, (0, 1, 1)), ("C", 4, (0, 0, 0, 1)),
-    ("D", 3, (1, 1, 0)), ("D", 4, (1, 0, 0, 1)),
+    ("D", 3, (1, 1, 0)), ("D", 4, (1, 0, 0, 1)), ("D", 5, (1, 0, 0, 0, 0)),
+    ("A", 5, (0, 0, 1, 0, 0)),
 ])
 def test_weyl_dimension_is_the_freudenthal_sum(family, rank, lam):
     dim = weyl_dimension(rs(family, rank), lam)
@@ -246,6 +256,7 @@ def test_character_a1_string():
 @pytest.mark.parametrize("family,rank,lam", [
     ("A", 2, (1, 1)), ("A", 1, (3,)), ("B", 2, (1, 1)), ("B", 2, (0, 1)),
     ("C", 2, (1, 0)), ("D", 3, (0, 0, 1)), ("A", 3, (1, 0, 1)),
+    ("D", 5, (1, 0, 0, 0, 0)), ("A", 5, (0, 0, 1, 0, 0)), ("D", 4, (1, 0, 0, 1)),
 ])
 def test_character_matches_freudenthal(family, rank, lam):
     chi = weyl_character(rs(family, rank), lam)

@@ -376,6 +376,13 @@ def test_p_part_preconditions():
         p_part(rs("A", 2), (1.0, 1), 2)
 
 
+def test_p_part_rejects_a_non_dominant_weight():
+    # allow_dominant admits boundary weights, never a negative coordinate
+    for kwargs in ({}, {"allow_dominant": True}):
+        with pytest.raises(ValueError, match=r"highest weight must be dominant, got \(1, -1\)"):
+            p_part(rs("A", 2), (1, -1), 2, **kwargs)
+
+
 def test_p_part_allow_dominant_is_keyword_only():
     # a fourth positional argument must not land on allow_dominant
     with pytest.raises(TypeError):
@@ -886,7 +893,7 @@ def test_branch_wrong_weight_is_recorded(monkeypatch):
     # truncation has, so it also has no lift into the crystal; the first
     # differing weight is mu itself, and nothing is raised
     def move(r, mu, terms):
-        up = tuple(a + b for a, b in zip(mu, r.simple_root(1)))
+        up = tuple(a + b for a, b in zip(mu, (row[0] for row in r.cartan)))
         terms[up] = terms.pop(mu)
         return terms, min(mu, up)
 
@@ -898,6 +905,32 @@ def test_branch_wrong_weight_is_recorded(monkeypatch):
     assert list(changed) == [(2, 2)]
     assert all(g.scalar.is_zero() for g in bd.groups if g.mu == (2, 2))
     _assert_recorded(bd, changed)
+
+
+def test_branch_lower_sum_clash_is_recorded(monkeypatch):
+    # a lower sum with two weights of one prefix (first r - 1 coordinates)
+    # is no sum over the branch crystal: every group of that mu records it,
+    # with the prefix as witness, and nothing is raised
+    row_sums, clashed = series._row_sums, {}
+
+    def with_clash(plan, factor=None, row=1, wt=None):
+        sums = row_sums(plan, factor, row, wt)
+        if row == 2 and sums:
+            codec = plan.codec
+            x, c = next(iter(sums.items()))
+            *prefix, _ = codec.decode(x)
+            clashed[codec.decode(wt)[:-1]] = tuple(prefix)
+            # the same prefix, one more in the last coordinate
+            sums[x + (1 << len(prefix) * codec.width)] = c
+        return sums
+
+    monkeypatch.setattr(series, "_row_sums", with_clash)
+    bd = branch_decompose(rs("A", 3), (1, 1, 1), 1)
+    assert clashed and not bd.all_ok
+    for g in bd.groups:
+        assert g.truncation_ok and g.factorization_ok
+        assert g.s_additivity_ok == (g.mu not in clashed)
+        assert g.witness == (str(clashed[g.mu]) if g.mu in clashed else None)
 
 
 @pytest.mark.parametrize("family,rank,lam,n", [("A", 3, (2, 1, 2), 2), ("B", 3, (1, 1, 1), 2),
