@@ -81,12 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _compute_poly(args):
+    # the spec checks the rank, and builds no root system
+    spec = CartanSpec(args.family, args.rank)
     if len(args.lam) != args.rank:
         raise ValueError(f"lambda has {len(args.lam)} coordinates, rank is {args.rank}")
     if args.n < 1:
         # the character ignores n, but the JSON records it
         raise ValueError(f"cover degree n must be >= 1, got {args.n}")
-    rs = build_root_system(CartanSpec(args.family, args.rank))
+    rs = build_root_system(spec)
     if args.character:
         return rs, character_via_patterns(rs, args.lam)
     if not is_strongly_dominant(args.lam) and not args.allow_dominant:

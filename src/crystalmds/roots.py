@@ -17,9 +17,11 @@ coroots.  Fractions appear only in the inverse Cartan matrix and
 The Weyl character comes from the Demazure character formula: the Demazure
 operators of ``nice_long_word``, the word the patterns are strings along,
 applied to x^lam.  It does not use the pattern walk, so it cross-checks it.
-``packed_character`` runs that loop on a codec the caller passes and returns
-the packed int table; ``weyl_character`` is it on the codec of lam, kept as a
-polynomial, whose table ``weightpoly.character_dimension`` sums.
+Each operator makes one pass per alpha_k-string, its terms' images being
+nested intervals of the string, and keeps no zeros.  ``packed_character``
+runs that loop on a codec the caller passes and returns the packed int
+table; ``weyl_character`` is it on the codec of lam, kept as a polynomial,
+whose table ``weightpoly.character_dimension`` sums.
 """
 from __future__ import annotations
 
@@ -284,49 +286,76 @@ def nice_long_word(spec: CartanSpec) -> tuple[int, ...]:
 
 def _demazure(codec: WeightCodec, table: dict[int, int], k: int) -> dict[int, int]:
     """Demazure operator D_k = (1 - x^-alpha_k s_k) / (1 - x^-alpha_k) on an
-    integer table keyed by weights packed with ``codec``.
+    integer table keyed by weights packed with ``codec``, in one pass per
+    alpha_k-string; the result holds no zeros.
 
-    With m = <mu, alpha_k^vee>, x^mu goes to its alpha_k-string
-    x^(mu - m alpha_k) + ... + x^(mu - alpha_k) + x^mu when m >= 0, to 0 when
-    m = -1, and to -(x^(mu + alpha_k) + ... + x^(mu + (-m - 1) alpha_k)) when
-    m <= -2.  m is read off field k - 1 of the key, and the string is a
-    ``range`` stepped by the packed root, whichever its sign.  Cancelled
-    entries stay in the result as zeros.
+    With m = <mu, alpha_k^vee>, read off field k - 1 of the key, x^mu goes to
+    +x^nu for the points nu of its alpha_k-string of pairing m, m - 2, ..., -m
+    when m >= 0, to 0 when m = -1, and to -x^nu for the pairings -m - 2, ...,
+    m + 2 when m <= -2.  Each image is symmetric about the string's centre,
+    the point of pairing 0 or -1, which is mu - ((m + 1) >> 1) alpha_k, so the
+    images on one string are nested.  Level i of the string with centre z and
+    e = 1 if z pairs to -1, else 0, is its pair of points z + i alpha_k and
+    z + (e - i) alpha_k, for i >= e; the image of x^mu is its coefficient,
+    signed, on levels e .. (m + 1) >> 1 (e .. (-m - 1) >> 1 when m <= -2).
+    So each term is bucketed at its centre and outer level, and each string
+    is walked from its outermost level inward with a running sum, which is
+    written at the level's two points when it is not zero, so each point is
+    written once, not once per term whose image holds it.
     """
     alpha, shift = codec.roots[k - 1], (k - 1) * codec.width
     mask, bias = codec.mask, codec.bias
-    out: dict[int, int] = {}
-    get = out.get
+    strings: dict[int, dict[int, int]] = {}     # centre -> {outer level: coefficient}
+    get = strings.get
     for mu, c in table.items():
         m = (mu >> shift & mask) - bias
         if m >= 0:
-            start, stop = mu - m * alpha, mu + alpha
+            level = (m + 1) >> 1
+            centre = mu - level * alpha
+        elif m == -1:
+            continue
         else:
-            start, stop, c = mu + alpha, mu - m * alpha, -c
-        for w in range(start, stop, alpha):
-            out[w] = get(w, 0) + c
+            level, c = (-m - 1) >> 1, -c
+            centre = mu - ((m + 1) >> 1) * alpha
+        levels = get(centre)
+        if levels is None:
+            strings[centre] = {level: c}
+        else:
+            levels[level] = levels.get(level, 0) + c
+    out: dict[int, int] = {}
+    for centre, levels in strings.items():
+        e = (centre >> shift & mask) != bias
+        top = max(levels)
+        hi, lo, s = centre + top * alpha, centre + (e - top) * alpha, 0
+        for i in range(top, e - 1, -1):
+            s += levels.get(i, 0)
+            if s:
+                out[hi] = out[lo] = s
+            hi -= alpha
+            lo += alpha
     return out
 
 
 def packed_character(rs: RootSystem, lam: Weight, codec: WeightCodec) -> dict[int, int]:
     """The character of the dominant weight ``lam`` as a zero-free table from
     weight, packed with ``codec``, to multiplicity: the Demazure operators of
-    ``nice_long_word`` applied to x^lam, zeros dropped once, after the last
-    letter.  ``codec`` must hold conv(W lam), as that of any dominant weight
-    above ``lam`` does (see ``weightpoly.weight_codec``)."""
+    ``nice_long_word`` applied to x^lam, each of which keeps no zeros.
+    ``codec`` must hold conv(W lam), as that of any dominant weight above
+    ``lam`` does (see ``weightpoly.weight_codec``)."""
     table = {codec.pack(lam): 1}
     for k in nice_long_word(rs.spec):
         table = _demazure(codec, table, k)
-    return {w: c for w, c in table.items() if c}
+    return table
 
 
 def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     """Highest-weight character by the Demazure character formula: the
     Demazure operators of a reduced word for the long element, applied to
     x^lam.  The long element is an involution, so the word may be read in
-    either direction.  The cost follows the size of the character, not |W|.
-    ``packed_character`` builds the table on the codec of ``lam``, and the
-    polynomial keeps it, to decode it when its terms are first read."""
+    either direction.  The cost follows the size of the character, not |W|:
+    each operator writes each point of each alpha-string it reaches once.
+    ``packed_character`` builds the zero-free table on the codec of ``lam``,
+    and the polynomial keeps it, to decode it when its terms are first read."""
     lam = _checked_weight(rs.spec, lam)
     if not is_dominant(lam):
         raise ValueError(f"character requires a dominant weight, got {lam}")

@@ -11,9 +11,12 @@ tuple-keyed, one-int-per-term division that is also the reference for
 ``WeightPolynomial.divide``.  ``deformed_denominator`` expands Tokuyama's
 deformed Weyl denominator from the model's positive roots, as a reference
 for the quotient of ``series.tokuyama_quotient``, and ``twisted_character``
-the q-twisted character that it multiplies.  ``polynomial_json_obj`` and
-``coeff_text`` render a polynomial's JSON object and an element's text from
-the decoded terms, as references for the renderers that read packed values.
+the q-twisted character that it multiplies.  ``demazure_by_terms`` is the
+Demazure operator that writes each term's whole interval of its alpha-string,
+as the reference for ``roots._demazure``'s one pass per string.
+``polynomial_json_obj`` and ``coeff_text`` render a polynomial's JSON object
+and an element's text from the decoded terms, as references for the
+renderers that read packed values.
 
 The pattern bounds are written out here from their definitions, apart from
 the package's slot walk: ``chain_lower_bound`` from each family's row-chain
@@ -32,6 +35,7 @@ from itertools import combinations
 from operator import mul, sub
 
 from crystalmds import CartanSpec, CoeffElement, LittelmannPattern, WeightPolynomial
+from crystalmds.weightpoly import WeightCodec
 
 
 def from_text(spec: CartanSpec, text: str) -> "LittelmannPattern":
@@ -400,6 +404,36 @@ def deformed_denominator(rs, bump: tuple[int, ...] | None = None):
         e = j - i - 1 + (root == bump)
         out = out * WeightPolynomial(rs.height_vec, {
             (0,) * rs.rank: one, tuple(-c for c in root): CoeffElement.q_power(e, -1)})
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference Demazure operator
+# ---------------------------------------------------------------------------
+
+def demazure_by_terms(codec: WeightCodec, table: dict[int, int], k: int) -> dict[int, int]:
+    """Demazure operator D_k = (1 - x^-alpha_k s_k) / (1 - x^-alpha_k) on an
+    integer table keyed by weights packed with ``codec``.
+
+    With m = <mu, alpha_k^vee>, x^mu goes to its alpha_k-string
+    x^(mu - m alpha_k) + ... + x^(mu - alpha_k) + x^mu when m >= 0, to 0 when
+    m = -1, and to -(x^(mu + alpha_k) + ... + x^(mu + (-m - 1) alpha_k)) when
+    m <= -2.  m is read off field k - 1 of the key, and the string is a
+    ``range`` stepped by the packed root, whichever its sign.  Cancelled
+    entries stay in the result as zeros.
+    """
+    alpha, shift = codec.roots[k - 1], (k - 1) * codec.width
+    mask, bias = codec.mask, codec.bias
+    out: dict[int, int] = {}
+    get = out.get
+    for mu, c in table.items():
+        m = (mu >> shift & mask) - bias
+        if m >= 0:
+            start, stop = mu - m * alpha, mu + alpha
+        else:
+            start, stop, c = mu + alpha, mu - m * alpha, -c
+        for w in range(start, stop, alpha):
+            out[w] = get(w, 0) + c
     return out
 
 

@@ -83,14 +83,21 @@ def test_compute_huge_rank_exits_two_at_once():
 
 @pytest.mark.parametrize("command", ["compute", "export"])
 def test_rank_mismatch_checked_before_root_system(capsys, monkeypatch, tmp_path, command):
-    # a large rank must not pay for its root system before the length check
+    # a large rank must not pay for its root system before the rank and
+    # length checks; the rank is checked first, so a rank out of range is
+    # named as such, not as a lambda of the wrong length
     def fail(spec):
         raise RuntimeError(f"root system of {spec} built before the lambda check")
     monkeypatch.setattr(cli, "build_root_system", fail)
-    extra = ["--out", str(tmp_path / "out")] if command == "export" else []
-    code, _, err = run(capsys, [command, "--family", "A", "--rank", "160",
-                                "--lambda", "1", *extra])
-    assert code == 2 and "lambda has 1 coordinates, rank is 160" in err
+    outdir = tmp_path / "out"
+    extra = ["--out", str(outdir)] if command == "export" else []
+    for rank, message in ((160, "rank 160 exceeds the supported maximum 100"),
+                          (0, "family A needs rank >= 1, got 0"),
+                          (90, "lambda has 1 coordinates, rank is 90")):
+        code, out, err = run(capsys, [command, "--family", "A", "--rank", str(rank),
+                                      "--lambda", "1", *extra])
+        assert code == 2 and out == "" and not outdir.exists()
+        assert f"invalid configuration: {message}" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,7 @@ from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, LittelmannPattern
                         weyl_character, weyl_dimension)
 from crystalmds.roots import _MIN_RANK, MAX_RANK, _demazure, packed_character
 from crystalmds.weightpoly import poly_from_packed, weight_codec
-from oracles import (ModelRootSystem, freudenthal_multiplicities,
+from oracles import (ModelRootSystem, demazure_by_terms, freudenthal_multiplicities,
                      invert_fraction_matrix, reflect, rho)
 from oracles import divide_terms as reference_divide_terms
 
@@ -257,6 +257,8 @@ def test_character_a1_string():
     ("A", 2, (1, 1)), ("A", 1, (3,)), ("B", 2, (1, 1)), ("B", 2, (0, 1)),
     ("C", 2, (1, 0)), ("D", 3, (0, 0, 1)), ("A", 3, (1, 0, 1)),
     ("D", 5, (1, 0, 0, 0, 0)), ("A", 5, (0, 0, 1, 0, 0)), ("D", 4, (1, 0, 0, 1)),
+    # alpha-strings of up to 22 points (14 in B2 and C2), many terms on each
+    ("A", 2, (12, 9)), ("B", 2, (5, 4)), ("C", 2, (4, 5)),
 ])
 def test_character_matches_freudenthal(family, rank, lam):
     chi = weyl_character(rs(family, rank), lam)
@@ -283,6 +285,10 @@ def test_weyl_dimension_values():
     # 2^(number of positive roots) at the Weyl vector
     assert weyl_dimension(rs("B", 2), (1, 1)) == 16
     assert character_dimension(weyl_character(rs("B", 2), (1, 1))) == 16
+    # alpha-strings of up to 801 points: writing each term's whole interval
+    # of its string takes about 17 s (2 vCPUs), one pass per string 0.4 s
+    r = rs("A", 2)
+    assert character_dimension(weyl_character(r, (400, 400))) == weyl_dimension(r, (400, 400))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
@@ -531,13 +537,9 @@ def test_division_refuses_a_leading_weight_of_several_monomials():
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_demazure_operator_is_idempotent(family, rank):
-    # D_k o D_k = D_k on random integer tables, for every simple root,
-    # compared without the zeros that D_k leaves where terms cancel.  The
+    # D_k o D_k = D_k on random integer tables, for every simple root.  The
     # tables' coordinates stay within 4 + 4 * 2 = 12 = 2 * sum(lam), inside
     # the codec's bound.
-    def nonzero(table):
-        return {w: c for w, c in table.items() if c}
-
     r = rs(family, rank)
     codec = weight_codec((6,) + (0,) * (rank - 1), r.cartan)
     rng = random.Random(f"demazure-{family}{rank}")
@@ -546,8 +548,49 @@ def test_demazure_operator_is_idempotent(family, rank):
             table = {codec.pack([rng.randrange(-4, 5) for _ in range(rank)]):
                      rng.choice((-2, -1, 1, 3))
                      for _ in range(rng.randrange(1, 10))}
-            once = nonzero(_demazure(codec, table, k))
-            assert nonzero(_demazure(codec, once, k)) == once
+            once = _demazure(codec, table, k)
+            assert _demazure(codec, once, k) == once
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_demazure_matches_the_per_term_operator(family, rank):
+    # Random tables of a few alpha_k-strings each, for every k: several terms
+    # on one string, at pairings of every sign from -19 to 17, so -1 and long
+    # strings, and terms whose images cancel, wholly (x^mu beside
+    # x^(mu - (m + 1) alpha_k), whose image is the opposite) or on the inner
+    # levels (x^mu beside -x^(mu -+ alpha_k), one step nearer the centre).
+    # The one pass per string equals the per-term operator with its zeros
+    # dropped, and keeps no zero itself.  Every point lies on a string through
+    # a base point of coordinates within 5, at most 12 steps from it, so
+    # within 5 + 2 * 12 = 29 < 4 * 20, inside the codec's fields.
+    def nonzero(table):
+        return {w: c for w, c in table.items() if c}
+
+    r = rs(family, rank)
+    codec = weight_codec((20,) + (0,) * (rank - 1), r.cartan)
+    rng = random.Random(f"demazure-strings-{family}{rank}")
+    cancelled = 0
+    for k in range(1, rank + 1):
+        alpha = codec.roots[k - 1]
+        for _ in range(40):
+            table = {}
+            for _ in range(rng.randrange(1, 5)):
+                base = codec.pack([rng.randrange(-5, 6) for _ in range(rank)])
+                string = [base + j * alpha for j in rng.sample(range(-6, 7), rng.randrange(1, 6))]
+                for mu in string:
+                    table[mu] = rng.choice((-3, -1, 1, 2, 5))
+                mu = rng.choice(string)
+                m = codec.decode(mu)[k - 1]
+                if rng.random() < 0.5:
+                    table[mu - (m + 1) * alpha] = table[mu]
+                elif m >= 1 or m <= -3:
+                    table[mu - alpha if m > 0 else mu + alpha] = -table[mu]
+            reference = demazure_by_terms(codec, table, k)
+            out = _demazure(codec, table, k)
+            assert out == nonzero(reference)
+            assert 0 not in out.values()
+            cancelled += len(reference) > len(out)
+    assert cancelled > 20 * rank
 
 
 def test_dominance_predicates():
