@@ -4,8 +4,9 @@ suites, export fixtures.
 Exit codes: 0 success, 1 assertion or verification failure, 2 invalid
 configuration, 141 (128 + SIGPIPE, as a shell reports a writer killed by a
 closed pipe) when the reader closes stdout before the output is written;
-that last case prints nothing to stderr.  Output is fully assembled before
-printing, so a failure never leaves partial JSON on stdout.
+that last case prints nothing to stderr.  JSON is assembled before its first
+byte is printed, so a failure never leaves partial JSON on stdout; the text
+table is written line by line, after every engine error could be raised.
 """
 from __future__ import annotations
 
@@ -101,16 +102,14 @@ def _compute_poly(args):
 def cmd_compute(args) -> int:
     _, poly = _compute_poly(args)
     if args.json:
-        out = json.dumps(polynomial_json_obj(poly, args.family, args.rank, args.n, args.lam))
-    else:
-        lines = [f"family {args.family} rank {args.rank} n {args.n} "
-                 f"lambda {','.join(map(str, args.lam))} ({len(poly)} terms)"]
-        items = [(str(list(w)), v) for w, v in poly.packed_items()]
-        width = max((len(w) for w, _ in items), default=4)
-        for w, v in items:
-            lines.append(f"  {w:<{width}}  {CoeffElement.from_packed(v)!r}")
-        out = "\n".join(lines)
-    print(out)
+        print(json.dumps(polynomial_json_obj(poly, args.family, args.rank, args.n, args.lam)))
+        return 0
+    print(f"family {args.family} rank {args.rank} n {args.n} "
+          f"lambda {','.join(map(str, args.lam))} ({len(poly)} terms)")
+    items = poly.packed_items()
+    width = max((len(str(list(w))) for w, _ in items), default=4)
+    for w, v in items:
+        print(f"  {str(list(w)):<{width}}  {CoeffElement.from_packed(v)!r}")
     return 0
 
 

@@ -23,19 +23,30 @@ the package's slot walk: ``chain_lower_bound`` from each family's row-chain
 inequalities and ``greedy_bound`` from the long word, so the walk's masks and
 its membership verdicts can be checked against them.
 
-``from_text``, the parser of pattern text, is the one helper built on the
-package: it reads ``LittelmannPattern.to_text`` back.
+``gauss_normal_form`` brings a coefficient to the normal form of the Gauss
+relations, read off its ``monomials()`` alone, and ``first_mixed_weight``
+finds the first weight of a polynomial with more than one Gauss part there.
+
+``from_text``, the parser of pattern text, is built on the package: it reads
+``LittelmannPattern.to_text`` back.  So are the Demazure prefixes, which set
+two parts of the package against each other: ``prefix_weights`` counts the
+enumerated patterns that use only the first k letters of the long word, by
+``word_positions``, and ``demazure_product`` applies ``roots._demazure``
+along a word.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import mul, sub
 
-from crystalmds import CartanSpec, CoeffElement, LittelmannPattern, WeightPolynomial
-from crystalmds.weightpoly import WeightCodec
+from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern, WeightPolynomial,
+                        enumerate_patterns, pattern_wt)
+from crystalmds.roots import _demazure, long_word_blocks
+from crystalmds.weightpoly import WeightCodec, weight_codec
 
 
 def from_text(spec: CartanSpec, text: str) -> "LittelmannPattern":
@@ -649,3 +660,87 @@ def coeff_text(el: CoeffElement) -> str:
             part.append(f"g_{t}({r} mod {d})" + ("" if m == 1 else f"^{m}"))
         bits.append("*".join(part))
     return " + ".join(bits) or "0"
+
+
+# ---------------------------------------------------------------------------
+# Gauss-part normal form
+# ---------------------------------------------------------------------------
+
+def gauss_normal_form(el: CoeffElement, n: int) -> dict:
+    """The ring element ``el`` at cover degree ``n`` in the normal form of the
+    Gauss relations, which hold for p = 1 mod 2n: a zero-free map from a
+    Gauss key, the sorted (c, exponent) pairs of g_1(c) over 0 < c < n/2, to
+    a Laurent polynomial in sqrt(q), a zero-free map from exponent to int.
+
+    Read off ``monomials()`` alone, with g_t(r) = -1 when n | t*r,
+    g_2(r) = g_1(2r mod n), g_1(n/2) = sqrt(q) for even n, and
+    g_1(r) = q * g_1(n - r)^-1 when 2r > n.
+    """
+    out: dict = {}
+    for c, e, g in el.monomials():
+        half, powers = 2 * e, {}
+        for (t, r, degree), m in g:
+            assert degree == n, f"symbol of degree {degree} at n = {n}"
+            r = t * r % n
+            if r == 0:
+                c = -c if m % 2 else c
+            elif 2 * r == n:
+                half += m
+            elif 2 * r > n:
+                half += 2 * m
+                powers[n - r] = powers.get(n - r, 0) - m
+            else:
+                powers[r] = powers.get(r, 0) + m
+        part = out.setdefault(tuple(sorted((r, m) for r, m in powers.items() if m)), {})
+        part[half] = part.get(half, 0) + c
+    out = {key: {h: c for h, c in part.items() if c} for key, part in out.items()}
+    return {key: part for key, part in out.items() if part}
+
+
+def first_mixed_weight(poly: WeightPolynomial, n: int):
+    """The first weight in the fixed order (``sorted_weights``) whose
+    coefficient has more than one Gauss key in ``gauss_normal_form``, with
+    its keys sorted; None when every weight has at most one."""
+    for w in poly.sorted_weights():
+        keys = gauss_normal_form(poly.coeff(w), n)
+        if len(keys) > 1:
+            return w, tuple(sorted(keys))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Demazure prefixes of the long word
+# ---------------------------------------------------------------------------
+
+def word_positions(spec: CartanSpec) -> list[range]:
+    """Word position of each pattern entry, per row from the top: row i
+    holds the block i-th from the end of ``long_word_blocks``, and its entry
+    ``off`` is letter ``off`` of that block, at position (lengths of the
+    earlier blocks) + ``off`` of ``nice_long_word``."""
+    blocks = long_word_blocks(spec)
+    starts = [0, *accumulate(map(len, blocks))]
+    return [range(starts[b], starts[b + 1]) for b in reversed(range(len(blocks)))]
+
+
+def prefix_weights(rs, lam) -> list[Counter]:
+    """For k = 0..N, the weights, by ``pattern_wt`` and with multiplicity,
+    of the patterns of ``enumerate_patterns`` with no nonzero entry at a
+    word position >= k."""
+    positions = word_positions(rs.spec)
+    by_end = [Counter() for _ in range(rs.spec.positive_root_count() + 1)]
+    for L in enumerate_patterns(rs, lam):
+        end = max((p + 1 for row, span in zip(L.rows, positions)
+                   for v, p in zip(row, span) if v), default=0)
+        by_end[end][pattern_wt(L, lam)] += 1
+    return list(accumulate(by_end))
+
+
+def demazure_product(rs, lam, letters) -> Counter:
+    """pi_{l_m}(...pi_{l_1}(x^lam)) for ``letters`` = l_1 .. l_m, the first
+    letter applied first, by ``roots._demazure`` on the codec of ``lam``,
+    as weight -> multiplicity."""
+    codec = weight_codec(lam, rs.cartan)
+    table = {codec.pack(lam): 1}
+    for k in letters:
+        table = _demazure(codec, table, k)
+    return Counter({codec.decode(x): c for x, c in table.items()})

@@ -1,5 +1,7 @@
+import fcntl
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import crystalmds
-from crystalmds import cli, verification
+from crystalmds import CoeffElement, cli, verification
 
 
 def run(capsys, argv):
@@ -342,15 +344,47 @@ def test_cli_import_loads_no_fractions_or_decimal():
 
 
 def test_closed_stdout_ends_quietly():
-    # the reader takes 10 bytes of a ~250 kB answer and closes the pipe: no
-    # traceback, and the documented exit status for a closed stdout
-    argv = [sys.executable, "-m", "crystalmds.cli", "compute", "--family", "A",
-            "--rank", "4", "--lambda", "2,2,2,2", "--character", "--json"]
+    # the reader takes 10 bytes of the answer (~250 kB of JSON, ~19 kB of
+    # text) and closes the pipe: no traceback, and the documented exit status
+    # for a closed stdout.  The pipe holds one page, so the writer is still
+    # writing when the reader closes it, however small the answer.
     env = dict(os.environ, PYTHONPATH=str(Path(crystalmds.__file__).parents[1]))
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    head = proc.stdout.read(10)
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert head == b'{"family":'
-    assert err == b""
-    assert proc.returncode == 141
+    for args, first in [("--family A --rank 4 --lambda 2,2,2,2 --character --json",
+                         b'{"family":'),
+                        ("--family B --rank 3 --lambda 1,1,1 --n 2", b"family B r")]:
+        argv = [sys.executable, "-m", "crystalmds.cli", "compute", *args.split()]
+        r, w = os.pipe()
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(argv, env=env, stdout=w, stderr=subprocess.PIPE)
+        os.close(w)
+        head = os.read(r, 10)
+        os.close(r)
+        _, err = proc.communicate(timeout=120)
+        assert head == first, args
+        assert err == b"", args
+        assert proc.returncode == 141, args
+
+
+def test_text_table_is_written_as_it_is_rendered(monkeypatch):
+    # the header reaches stdout before the last coefficient is rendered
+    events = []
+    render = CoeffElement.__repr__
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            events.append("write")
+            return super().write(text)
+
+    def spy(self):
+        events.append("render")
+        return render(self)
+
+    monkeypatch.setattr(CoeffElement, "__repr__", spy)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert cli.main(["compute", "--family", "B", "--rank", "3", "--lambda", "1,1,1",
+                     "--n", "2"]) == 0
+    out = sys.stdout.getvalue()
+    assert out.startswith("family B rank 3 n 2 lambda 1,1,1 (128 terms)\n")
+    assert events.count("render") == 128
+    last_render = len(events) - 1 - events[::-1].index("render")
+    assert events.index("write") < last_render

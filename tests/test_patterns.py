@@ -9,11 +9,11 @@ from crystalmds import (CartanSpec, LittelmannPattern, build_root_system,
                         enumerate_patterns, nice_long_word, pattern_shape, pattern_wt,
                         branch_decompose, weyl_character, weyl_dimension)
 from crystalmds.patterns import _freeze, _walk, decorated_crystal, rows_weight, walk_plan
-from crystalmds.roots import _MIN_RANK
+from crystalmds.roots import _MIN_RANK, long_word_blocks
 from crystalmds.series import character_via_patterns
 from crystalmds.weightpoly import weight_codec
-from oracles import (_row_spans, chain_lower_bound, from_text, greedy_bound, long_word,
-                     oracle_masks, string_fill_slots)
+from oracles import (_row_spans, chain_lower_bound, demazure_product, from_text, greedy_bound,
+                     long_word, oracle_masks, prefix_weights, string_fill_slots, word_positions)
 
 SMALL_SPECS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
@@ -396,6 +396,45 @@ def test_character_via_weights_small():
         table[w] = table.get(w, 0) + 1
     chi = weyl_character(r, lam)
     assert table == {w: c.monomials()[0][0] for w, c in chi.terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# Demazure prefixes of the long word (ROADMAP item 20)
+# ---------------------------------------------------------------------------
+
+def test_word_positions_cover_the_long_word():
+    for family, rank in SMALL_SPECS:
+        spec = CartanSpec(family, rank)
+        positions = word_positions(spec)
+        assert list(map(len, positions)) == pattern_shape(spec)
+        assert sorted(p for span in positions for p in span) == list(
+            range(len(nice_long_word(spec))))
+        for span, block in zip(positions, reversed(long_word_blocks(spec))):
+            assert tuple(nice_long_word(spec)[p] for p in span) == block
+
+
+def _first_difference(a, b):
+    return min(w for w in a.keys() | b.keys() if a[w] != b[w])
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 3, (2, 1, 2)), ("A", 4, (1, 2, 1, 1)), ("B", 2, (2, 3)), ("B", 3, (1, 1, 1)),
+    ("C", 3, (2, 1, 1)), ("D", 3, (2, 1, 2)), ("D", 4, (1, 1, 1, 1)),
+    ("D", 4, (2, 1, 1, 1))])
+def test_prefix_patterns_are_demazure_crystals(family, rank, lam):
+    # Littelmann's string parametrization along i_1 ... i_N: the patterns
+    # with no nonzero entry past the first k letters are the Demazure crystal
+    # of s_{i_1} ... s_{i_k} (Kashiwara), whose character is
+    # pi_{i_1}(...pi_{i_k}(x^lam)) by the Demazure character formula
+    r = rs(family, rank)
+    word = nice_long_word(r.spec)
+    prefixes = prefix_weights(r, lam)
+    for k, found in enumerate(prefixes):
+        expected = demazure_product(r, lam, word[:k][::-1])
+        assert found == expected, (k, _first_difference(found, expected))
+    # the check has teeth: with i_1 applied first, an interior k disagrees
+    assert any(prefixes[k] != demazure_product(r, lam, word[:k])
+               for k in range(1, len(word)))
 
 
 # ---------------------------------------------------------------------------

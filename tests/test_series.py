@@ -322,6 +322,77 @@ def test_stable_case_support_is_the_orbit(family, rank, lam, order):
     assert all(len(c.packed()) == 1 for c in P.terms.values())
 
 
+# ---------------------------------------------------------------------------
+# Gauss parts in the normal form of the Gauss relations (ROADMAP item 19)
+# ---------------------------------------------------------------------------
+
+def test_gauss_normal_form_by_hand():
+    # each relation on its own at n = 4, and g(c) g(-c) = q
+    def sym(t, r, e=0, c=1):
+        return CoeffElement.symbol(GaussSymbol(t, r, 4), q_exp=e, coeff=c)
+
+    nf = oracles.gauss_normal_form
+    assert nf(sym(1, 0, 1, 3), 4) == {(): {2: -3}}            # g_1(0) = -1
+    assert nf(sym(2, 2), 4) == {(): {0: -1}}                  # 4 | 2 * 2
+    assert nf(sym(2, 1), 4) == nf(sym(1, 2), 4) == {(): {1: 1}}  # g_1(2) = sqrt q
+    assert nf(sym(1, 3, -1), 4) == {((1, -1),): {0: 1}}       # q g_1(1)^-1
+    assert nf(sym(1, 1) * sym(1, 3) - Q(1), 4) == {}
+    assert nf(sym(1, 1) * sym(1, 1) + sym(1, 1, 2), 4) == {((1, 1),): {4: 1},
+                                                            ((1, 2),): {0: 1}}
+
+
+@pytest.mark.parametrize("family,rank,lam,n,count", [
+    ("B", 3, (1, 1, 1), 2, 112), ("C", 3, (2, 1, 1), 3, 108),
+    ("D", 4, (1, 1, 1, 1), 2, 343), ("A", 3, (2, 2, 2), 3, 64)])
+def test_gauss_normal_form_term_counts(family, rank, lam, n, count):
+    # ROADMAP item 1's counts of the weights whose coefficient is not zero
+    # under the relations
+    P = p_part(rs(family, rank), lam, n)
+    assert sum(1 for w in P.sorted_weights()
+               if oracles.gauss_normal_form(P.coeff(w), n)) == count
+
+
+def test_one_gauss_part_per_weight():
+    # measured, not proved: in types A, B and C every weight's coefficient
+    # is one Gauss monomial times a Laurent polynomial in sqrt(q)
+    cases = [(family, rank, lam, n) for family in "ABC" for rank in (2, 3)
+             for lam in itertools.product((1, 2), repeat=rank) for n in range(3, 7)]
+    assert len(cases) == 144
+    mixed = {}
+    for family, rank, lam, n in cases:
+        found = oracles.first_mixed_weight(p_part(rs(family, rank), lam, n), n)
+        if found:
+            mixed[family, lam, n] = found
+    assert not mixed
+
+
+class MixedGaussParts(AssertionError):
+    """A weight whose coefficient has two Gauss keys in the normal form."""
+
+
+def _type_d_mixed(rank, lam, n, weight, keys, names):
+    reason = (f"ROADMAP item 19: D{rank} {lam} n={n} gives weight {weight} "
+              f"the Gauss parts {names}")
+    return pytest.param(rank, lam, n, weight, keys, marks=pytest.mark.xfail(
+        strict=True, raises=MixedGaussParts, reason=reason))
+
+
+@pytest.mark.parametrize("rank,lam,n,weight,keys", [
+    _type_d_mixed(3, (1, 1, 2), 3, (2, 2, -2), ((((1, -1),), ((1, 2),))),
+                  "g_1(1)^-1 and g_1(1)^2"),
+    _type_d_mixed(3, (2, 1, 2), 4, (-3, 2, 1), ((), ((1, -1),)), "1 and g_1(1)^-1"),
+    _type_d_mixed(3, (1, 2, 2), 4, (2, -3, 1), ((), ((1, -1),)), "1 and g_1(1)^-1"),
+    _type_d_mixed(4, (1, 1, 1, 1), 3, (2, 2, -2, 2), ((), ((1, 3),)), "1 and g_1(1)^3")])
+def test_type_d_one_gauss_part_per_weight(rank, lam, n, weight, keys):
+    # D3 = A3 says these are defects: D3 (1,1,2)'s partner A3 (1,2,1) has
+    # one Gauss part per weight at n = 3.  A first mixed weight other than
+    # the recorded one fails outright, since the defect has changed.
+    found = oracles.first_mixed_weight(p_part(rs("D", rank), lam, n), n)
+    if found:
+        assert found == (weight, keys)
+        raise MixedGaussParts(f"weight {weight} has Gauss keys {keys}")
+
+
 def test_p_part_rank_one_by_hand():
     # two crystal elements: the highest (circled, factor 1) and the boxed
     # extreme (a single Gauss sum, which is -1 at degree 1)
