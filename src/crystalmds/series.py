@@ -45,8 +45,8 @@ injective on every coefficient either side can have; the proof is in
 ``p_part`` too) run on the int path; the character of lambda - rho is built
 by the Demazure operators on the codec of P's walk plan and twisted key by
 key, at heights read through that codec, times x^rho, then multiplied by D's
-binomials one at a time, and the two int tables are compared; only the
-quotient or the remainder that is returned becomes a polynomial.
+binomials one at a time, and the two int tables are compared; the quotient
+or remainder that is returned is its table, decoded on first read.
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
@@ -66,8 +66,7 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .coefficients import (CoeffElement, _integer, json_monomials, kronecker_decode,
-                           kronecker_encode, slot_table)
+from .coefficients import CoeffElement, _integer, json_monomials, kronecker_encode, slot_table
 from .patterns import WalkPlan, _walk, walk_plan
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system, is_dominant,
                     is_strongly_dominant, packed_character, weyl_dimension)
@@ -235,10 +234,10 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     ``coefficients.kronecker_encode``, so every factor, partial sum and
     coefficient is its value at q = 2^B, and x^rho * chi~, with c * q^ht as
     c << B * ht, is multiplied by each binomial in turn
-    (``_times_denominator``).  Only what is returned is decoded, as signed
-    base-2^B digits (``coefficients.kronecker_decode``): on success the
-    quotient D, built by the same loop from x^rho, and on failure the
-    remainder P - D * chi~, whose leading weight the reason names.
+    (``_times_denominator``).  What is returned is returned undecoded,
+    decoded on first read as signed base-2^B digits (``poly_from_packed``):
+    on success the quotient D, built by the same loop from x^rho, and on
+    failure the remainder P - D * chi~, whose leading weight the reason names.
 
     The evaluation is injective.  In type A at n = 1 every coefficient of
     either side is a polynomial in q with nonnegative exponents, and with
@@ -295,8 +294,8 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     product = _times_denominator(rs, codec, bits, twisted)
     if product == sums:
         quot = _times_denominator(rs, codec, bits, {codec.pack(rho): 1})
-        return TokuyamaResult(lam, "minus_rho", True, _decoded(h, codec, bits, quot), None)
-    rem = _decoded(h, codec, bits, _minus(sums, product))
+        return TokuyamaResult(lam, "minus_rho", True, poly_from_packed(h, codec, quot, bits), None)
+    rem = poly_from_packed(h, codec, _minus(sums, product), bits)
     return TokuyamaResult(lam, "minus_rho", False, None, rem,
                           reason=f"P - D * chi~ is nonzero; its leading weight is "
                                  f"{list(rem.sorted_weights()[0])}")
@@ -333,13 +332,6 @@ def _minus(a: dict, b: dict, drop: int = 0, shift: int = 0) -> dict:
         else:
             del out[y]
     return out
-
-
-def _decoded(height_vec, codec, bits: int, table: dict) -> WeightPolynomial:
-    """The polynomial of an int table at q = 2^``bits``, each value read
-    back by ``coefficients.kronecker_decode``."""
-    return poly_from_packed(height_vec, codec,
-                            {x: kronecker_decode(v, bits) for x, v in table.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,18 @@ ties broken lexicographically) used for leading terms, serialization and
 division.  Height is evaluated through an integer-scaled functional
 supplied by the root system, so ordering never touches rationals.
 
-The engines finish in packed tables, keyed by ``WeightCodec`` ints, and
-``poly_from_packed`` keeps such a table, with its codec, as the polynomial.
+Every engine finishes in a packed table, keyed by ``WeightCodec`` ints, and
+``poly_from_packed`` keeps it, with its codec (and B, for ints at q = 2^B,
+which its first read reads back as packed monomial dicts), as the polynomial.
 The first read of ``terms`` decodes it, once: the codec decodes every key a
 field at a time (``decode_all``), each distinct integer coefficient becomes
 one shared element, and the terms go in without the constructor's copy and
-zero scan, since the engines keep no zeros.  From then on the polynomial
-holds only the decoded terms.  Until then ``len``, ``is_zero``, ``==``,
-``character_dimension`` and ``packed_items``, the ordered reader behind
-JSON and text output, read the table: two tables over the same packing
-(equal height functional, codec width and packed simple roots) with the
-same kind of value are equal exactly when their polynomials are, since the
-codec is injective on every weight its fields hold.
+zero scan, since the engines keep no zeros; from then on they are all it
+holds.  Until then ``len``, ``is_zero``, ``==``, ``character_dimension`` and
+``packed_items``, the ordered reader behind JSON and text output, read the
+table: two tables over one packing (equal height functional, codec width and
+packed simple roots) with one kind of value are equal exactly when their
+polynomials are, the codec being injective on every weight its fields hold.
 
 No engine path divides.  ``WeightPolynomial.divide`` is a short
 leading-term elimination over whole weights and their elements, kept for
@@ -30,7 +30,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Callable, Collection, Iterator, NamedTuple
 
-from .coefficients import CoeffElement
+from .coefficients import CoeffElement, kronecker_decode
 
 Weight = tuple[int, ...]
 
@@ -79,8 +79,8 @@ def weight_codec(lam: Weight, cartan) -> WeightCodec:
 
 class WeightPolynomial:
     """Until ``terms`` is first read, a polynomial from ``poly_from_packed``
-    holds None in ``_terms`` and in ``_packed`` (codec, packed table, whether
-    its values are packed monomial dicts rather than ints).
+    holds None in ``_terms`` and in ``_packed`` (codec, packed table, B, the
+    digit width of a table of ints at q = 2^B, else 0), read by ``_table``.
 
     ``meta`` is a free-form dict that nothing in the package fills or
     reads; it stays only because ``perfbench/workloads.py`` passes one, and
@@ -95,10 +95,18 @@ class WeightPolynomial:
         self._packed = None
         self.meta = dict(meta) if meta else {}
 
+    def _table(self) -> tuple[WeightCodec, dict, bool]:
+        """``_packed`` as (codec, table, whether its values are dicts), read back from 2^B once."""
+        codec, table, bits = self._packed
+        if bits:
+            table = {x: kronecker_decode(v, bits) for x, v in table.items()}
+            self._packed = codec, table, 0
+        return codec, table, isinstance(next(iter(table.values()), None), dict)
+
     @property
     def terms(self) -> dict[Weight, CoeffElement]:
         if self._terms is None:
-            codec, table, dicts = self._packed
+            codec, table, dicts = self._table()
             values = table.values()
             if dicts:
                 elements = map(CoeffElement.from_packed, values)
@@ -123,7 +131,7 @@ class WeightPolynomial:
         if self._packed is None:
             pairs = [(w, c.packed()) for w, c in self._terms.items()]
         else:
-            codec, table, dicts = self._packed
+            codec, table, dicts = self._table()
             values = table.values() if dicts else [{0: c} for c in table.values()]
             pairs = zip(codec.decode_all(table), values)
         h = self.height_vec
@@ -157,7 +165,7 @@ class WeightPolynomial:
         if not isinstance(other, WeightPolynomial) or self.height_vec != other.height_vec:
             return False
         if self._packed is not None and other._packed is not None:
-            (a, ta, da), (b, tb, db) = self._packed, other._packed
+            (a, ta, da), (b, tb, db) = self._table(), other._table()
             if a.width == b.width and a.roots == b.roots and da == db:
                 return ta == tb
         return self.terms == other.terms
@@ -232,16 +240,16 @@ def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
 
 
 def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec,
-                     table: dict) -> WeightPolynomial:
-    """The polynomial of a packed table: each key is a packed weight, and
-    each value a nonzero int or a zero-free packed monomial dict
-    (``CoeffElement.packed``), which the polynomial takes over.  The table
-    is kept, not copied, so the caller must not change it; the first read
-    of ``terms`` decodes it, and there equal ints share one element."""
+                     table: dict, bits: int = 0) -> WeightPolynomial:
+    """The polynomial of a packed table: each key a packed weight, each value
+    a nonzero int (with ``bits``, one at q = 2^bits, inside the digits of
+    ``kronecker_decode``) or a zero-free packed monomial dict, which the
+    polynomial takes over.  The table is kept, not copied, so the caller
+    must not change it; the first read of ``terms`` decodes it."""
     # the terms are canonical already: skip the constructor's copy and scan
     poly = object.__new__(WeightPolynomial)
     poly.height_vec, poly.meta, poly._terms = height_vec, {}, None
-    poly._packed = (codec, table, isinstance(next(iter(table.values()), None), dict))
+    poly._packed = codec, table, bits
     return poly
 
 
@@ -252,7 +260,7 @@ def character_dimension(poly: WeightPolynomial) -> int:
     if poly._packed is None:
         values = (c.packed() for c in poly.terms.values())
     else:
-        _, table, dicts = poly._packed
+        _, table, dicts = poly._table()
         values = table.values()
         if not dicts:
             return sum(values)

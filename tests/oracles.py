@@ -26,6 +26,12 @@ its membership verdicts can be checked against them.
 ``gauss_normal_form`` brings a coefficient to the normal form of the Gauss
 relations, read off its ``monomials()`` alone, and ``first_mixed_weight``
 finds the first weight of a polynomial with more than one Gauss part there.
+``GaussInts`` is that normal form as a ring, one int per Gauss key at
+sqrt(q) = 2^B, and ``gauss_ints_map`` maps a slot factor into it, so the
+package's row loop can run on it.
+
+``levi_multiplicities`` splits a character into the characters of the Levi
+on nodes 1..r-1, from the characters alone.
 
 ``from_text``, the parser of pattern text, is built on the package: it reads
 ``LittelmannPattern.to_text`` back.  So are the Demazure prefixes, which set
@@ -44,7 +50,8 @@ from itertools import accumulate, combinations
 from operator import mul, sub
 
 from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern, WeightPolynomial,
-                        enumerate_patterns, pattern_wt)
+                        enumerate_patterns, pattern_wt, weyl_character)
+from crystalmds.coefficients import kronecker_encode
 from crystalmds.roots import _demazure, long_word_blocks
 from crystalmds.weightpoly import WeightCodec, weight_codec
 
@@ -697,6 +704,56 @@ def gauss_normal_form(el: CoeffElement, n: int) -> dict:
     return {key: part for key, part in out.items() if part}
 
 
+class GaussInts:
+    """A coefficient in ``gauss_normal_form``, each Gauss key's Laurent
+    polynomial in sqrt(q) evaluated at sqrt(q) = 2^B: a zero-free map from
+    key to int.  It has what the int path of ``series._row_sums`` asks of a
+    value: +, 0 + x, *, truth and == 0."""
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: dict):
+        self.parts = {key: v for key, v in parts.items() if v}
+
+    def __add__(self, other):
+        parts = dict(self.parts)
+        for key, v in other.parts.items():
+            parts[key] = parts.get(key, 0) + v
+        return GaussInts(parts)
+
+    def __radd__(self, other):
+        assert other == 0, other  # a sum's start
+        return self
+
+    def __mul__(self, other):
+        parts = {}
+        for k1, v1 in self.parts.items():
+            for k2, v2 in other.parts.items():
+                powers = Counter(dict(k1))
+                powers.update(dict(k2))
+                key = tuple(sorted((c, m) for c, m in powers.items() if m))
+                parts[key] = parts.get(key, 0) + v1 * v2
+        return GaussInts(parts)
+
+    def __bool__(self):
+        return bool(self.parts)
+
+    def __eq__(self, other):
+        if isinstance(other, GaussInts):
+            return self.parts == other.parts
+        return other == 0 and not self.parts
+
+
+def gauss_ints_map(n: int, bits: int):
+    """The ring map from a ring element at cover degree ``n`` to its
+    ``GaussInts`` at sqrt(q) = 2^``bits``, for a ``slot_table``'s
+    ``ring_map``; an element whose normal form has a negative power of
+    sqrt(q) raises ValueError (``kronecker_encode``)."""
+    def image(el: CoeffElement) -> GaussInts:
+        return GaussInts({key: kronecker_encode(part, bits)
+                          for key, part in gauss_normal_form(el, n).items()})
+    return image
+
+
 def first_mixed_weight(poly: WeightPolynomial, n: int):
     """The first weight in the fixed order (``sorted_weights``) whose
     coefficient has more than one Gauss key in ``gauss_normal_form``, with
@@ -706,6 +763,32 @@ def first_mixed_weight(poly: WeightPolynomial, n: int):
         if len(keys) > 1:
             return w, tuple(sorted(keys))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Levi branching from characters
+# ---------------------------------------------------------------------------
+
+def levi_multiplicities(rs, sub_rs, lam) -> Counter:
+    """mu -> the multiplicity of the Levi's V(mu) in V(lam), for the Levi on
+    nodes 1..r-1, whose root system is ``sub_rs``: ``weyl_character(lam)``
+    restricted to the first r-1 coordinates, less m * ``weyl_character`` of
+    ``sub_rs`` at the highest remaining weight, in ``sub_rs``' fixed order
+    (by its ``height_vec``), until nothing remains.  Raises AssertionError
+    if a multiplicity goes negative."""
+    rest = Counter()
+    for w, v in weyl_character(rs, lam).packed_items():
+        rest[w[:-1]] += v[0]
+    out = Counter()
+    while rest:
+        mu = max(rest, key=lambda w: (sum(map(mul, sub_rs.height_vec, w)), w))
+        m = out[mu] = rest[mu]
+        for w, v in weyl_character(sub_rs, mu).packed_items():
+            rest[w] -= m * v[0]
+            assert rest[w] >= 0, (mu, w, rest[w])
+            if not rest[w]:
+                del rest[w]
+    return out
 
 
 # ---------------------------------------------------------------------------

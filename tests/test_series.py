@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalmds import cli, coefficients, series, verification
+from crystalmds import cli, coefficients, series, verification, weightpoly
 from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         WeightPolynomial, build_root_system, branch_decompose,
                         character_dimension, character_via_patterns, decorate,
@@ -354,16 +354,40 @@ def test_gauss_normal_form_term_counts(family, rank, lam, n, count):
 
 def test_one_gauss_part_per_weight():
     # measured, not proved: in types A, B and C every weight's coefficient
-    # is one Gauss monomial times a Laurent polynomial in sqrt(q)
-    cases = [(family, rank, lam, n) for family in "ABC" for rank in (2, 3)
-             for lam in itertools.product((1, 2), repeat=rank) for n in range(3, 7)]
-    assert len(cases) == 144
+    # is one Gauss monomial times a Laurent polynomial in sqrt(q), on every
+    # crystal of dimension at most 60,000 in the grid
+    crystals = [(family, rank, lam) for family in "ABC" for rank in (2, 3)
+                for lam in itertools.product((1, 2, 3), repeat=rank)]
+    crystals += [("A", 4, lam) for lam in itertools.product((1, 2), repeat=4)]
+    crystals = [c for c in crystals if weyl_dimension(rs(*c[:2]), c[2]) <= 60_000]
+    cases = [(*c, n) for c in crystals for n in range(3, 8)]
+    assert len(cases) == 570
     mixed = {}
     for family, rank, lam, n in cases:
         found = oracles.first_mixed_weight(p_part(rs(family, rank), lam, n), n)
         if found:
             mixed[family, lam, n] = found
     assert not mixed
+
+
+@pytest.mark.parametrize("family,rank,lam,n,count", [
+    ("A", 3, (2, 2, 2), 3, 64), ("A", 3, (2, 1, 2), 5, 24), ("A", 4, (2, 1, 1, 2), 4, 130),
+    ("C", 3, (2, 1, 1), 3, 108), ("C", 3, (1, 2, 1), 6, 72), ("C", 4, (1, 2, 1, 1), 5, 624)])
+def test_row_sums_run_in_the_gauss_normal_form(family, rank, lam, n, count):
+    # ROADMAP item 18 stage A: each slot factor mapped to its normal form,
+    # one int per Gauss key at sqrt(q) = 2^B, runs on the row loop's int
+    # path unchanged, and decodes to the normal form of P, weight by weight.
+    # Types A and C have no negative power of sqrt(q) to shift away.  The
+    # counts are of the weights whose normal form is not zero.
+    r = rs(family, rank)
+    bits = (weyl_dimension(r, lam) << len(r.positive_roots) + 2).bit_length() + 2
+    plan = walk_plan(r.spec, lam)
+    sums = series._row_sums(plan, slot_table(r.spec, n, oracles.gauss_ints_map(n, bits)))
+    got = {w: {key: kronecker_decode(v, bits) for key, v in c.parts.items()}
+           for w, c in zip(plan.codec.decode_all(sums), sums.values())}
+    want = {w: oracles.gauss_normal_form(c, n) for w, c in p_part(r, lam, n).terms.items()}
+    assert got == {w: nf for w, nf in want.items() if nf}
+    assert len(got) == count
 
 
 class MixedGaussParts(AssertionError):
@@ -856,6 +880,42 @@ def test_tokuyama_requires_type_a_and_strong_dominance():
         tokuyama_quotient(rs("A", 3), (2, 2))
 
 
+def test_tokuyama_results_are_decoded_on_first_read(monkeypatch):
+    # the check decodes no value: the quotient comes back as its table at
+    # q = 2^B, and the first read of its terms decodes each of D's values
+    # once, to the quotient that a decode of every value gives; a failing
+    # check reads its remainder only to name the leading weight
+    assert not hasattr(series, "_decoded") and not hasattr(series, "kronecker_decode")
+    calls, decode = [], weightpoly.kronecker_decode
+    monkeypatch.setattr(weightpoly, "kronecker_decode",
+                        lambda v, bits: calls.append(v) or decode(v, bits))
+    r, lam = rs("A", 3), (3, 3, 3)
+    res = tokuyama_quotient(r, lam)
+    assert res.ok and not calls
+    codec, table, bits = res.quotient._packed
+    assert bits == _q_bits(r, lam) and all(isinstance(v, int) for v in table.values())
+    want = _digits_poly(r, codec, bits, dict(table))
+    assert res.quotient.terms == want.terms == deformed_denominator(r).terms
+    assert sorted(calls) == sorted(table.values()) and len(calls) == len(want)
+    res.quotient.packed_items()
+    assert len(calls) == len(want)
+
+    calls.clear()
+    stray = []
+
+    def with_stray(r, lam, terms):
+        low = WeightPolynomial(r.height_vec, terms).sorted_weights()[-1]
+        stray.append(tuple(c - 3 for c in low))
+        terms[stray[0]] = Q(2)
+        return terms
+
+    _patch_p_sums(monkeypatch, with_stray)
+    res = tokuyama_quotient(rs("A", 2), (2, 1))
+    assert not res.ok and res.reason.endswith(f"leading weight is {list(stray[0])}")
+    assert len(calls) == 1
+    assert res.remainder.terms == {stray[0]: Q(2)} and len(calls) == 1
+
+
 def test_tokuyama_check_decodes_no_weight(monkeypatch):
     # nothing reads a polynomial's terms on the success path: the character
     # stays a packed table from the Demazure loop to the comparison with P,
@@ -882,6 +942,22 @@ def test_branch_groups_cover_the_crystal():
     bd = branch_decompose(r, (1, 0), 1)
     assert sum(g.size for g in bd.groups) == 3
     assert bd.all_ok
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 3, (1, 1, 1)), ("A", 3, (2, 1, 3)), ("B", 3, (1, 1, 1)), ("B", 3, (2, 1, 1)),
+    ("C", 3, (1, 1, 1)), ("C", 3, (1, 2, 1)), ("D", 4, (1, 1, 1, 1)), ("D", 4, (2, 1, 1, 1)),
+    ("B", 4, (1, 1, 1, 1)), ("C", 4, (2, 1, 1, 1)), ("D", 5, (1, 1, 1, 1, 1))])
+def test_top_rows_count_the_levi_components(family, rank, lam):
+    # ROADMAP item 23 stage 1: B(lam) restricted to the Levi on nodes
+    # 1..r-1 splits into crystals B(mu), one per filling of row 1 with
+    # branch weight mu (Kashiwara), so the fillings of each mu number the
+    # multiplicity of the Levi's V(mu) in V(lam), read off the characters
+    r = rs(family, rank)
+    plan = walk_plan(r.spec, lam)
+    tops = collections.Counter(plan.codec.decode(w)[:-1]
+                               for _, _, _, w, _ in _walk(plan, row=1, wt=plan.top))
+    assert tops == oracles.levi_multiplicities(r, rs(family, rank - 1), lam)
 
 
 def test_branch_zero_top_row_group():
