@@ -93,14 +93,14 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
 
     The table of partial sums starts at ``wt`` with the ring's one.  Row i
     pops each (weight, partial sum) state as it consumes it and reads the
-    row's fillings from there, summed by weight drop, from a cache of the
-    row keyed by the weight fields the row reads (``WalkPlan.reads``), so
-    each distinct key is walked once.  The partial sum times each filling
-    value goes into the next table at the weight plus the drop.  Products of
-    packed dicts accumulate in place, through one merge loop, into dicts the
-    next table created; the zeros that cancellation leaves go once per row.
-    Ints go once, after the last row, so a count, which never cancels,
-    scans no row."""
+    row's fillings from there (``_walk``), summed by weight drop, from a
+    cache of the row keyed by the weight fields the row reads
+    (``WalkPlan.reads``), so each distinct key is walked once.  The partial
+    sum times each filling value goes into the next table at the weight
+    plus the drop.  Products of packed dicts accumulate in place, through
+    one merge loop, into dicts the next table created; the zeros that
+    cancellation leaves go once per row.  Ints go once, after the last row,
+    so a count, which never cancels, scans no row."""
     one = 1 if factor is None else factor.one
     packed = isinstance(one, CoeffElement)
     sums = {plan.top if wt is None else wt: dict(one.packed()) if packed else one}
@@ -112,7 +112,11 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
             key = wt & mask
             fills = cache.get(key)
             if fills is None:
-                fills = cache[key] = _row_fills(plan, i, wt, factor, packed)
+                ends: dict = {}
+                for _, _, _, w, f in _walk(plan, factor=factor, row=i, wt=wt):
+                    ends[w] = ends[w] + f if w in ends else f
+                fills = cache[key] = [(w - wt, f.packed() if packed else f)
+                                      for w, f in ends.items() if f]
             if not packed:
                 for d, c in fills:
                     x = wt + d
@@ -139,18 +143,6 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
     if not packed and 0 in sums.values():
         sums = {x: c for x, c in sums.items() if c}
     return sums
-
-
-def _row_fills(plan: WalkPlan, i: int, wt: int, factor, packed: bool) -> list[tuple[int, object]]:
-    """Row i's fillings below placed rows of packed weight ``wt``, summed by
-    the weight they drop: (drop, value) pairs, the drop a packed offset and
-    the value the nonzero sum of the fillings' coefficients from ``_walk``,
-    in the ring of the slot table ``factor`` (ints without one), as a
-    packed monomial dict, only to be read, if ``packed``."""
-    ends: dict = {}
-    for _, _, _, w, f in _walk(plan, factor=factor, row=i, wt=wt):
-        ends[w] = ends[w] + f if w in ends else f
-    return [(w - wt, f.packed() if packed else f) for w, f in ends.items() if f]
 
 
 def _p_sums(spec: CartanSpec, lam: Weight, factor) -> tuple[WalkPlan, dict]:
@@ -237,7 +229,7 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     (``_times_denominator``).  What is returned is returned undecoded,
     decoded on first read as signed base-2^B digits (``poly_from_packed``):
     on success the quotient D, built by the same loop from x^rho, and on
-    failure the remainder P - D * chi~, whose leading weight the reason names.
+    failure the remainder P - D * chi~, whose keys name the leading weight.
 
     The evaluation is injective.  In type A at n = 1 every coefficient of
     either side is a polynomial in q with nonnegative exponents, and with

@@ -14,11 +14,12 @@ The first read of ``terms`` decodes it, once: the codec decodes every key a
 field at a time (``decode_all``), each distinct integer coefficient becomes
 one shared element, and the terms go in without the constructor's copy and
 zero scan, since the engines keep no zeros; from then on they are all it
-holds.  Until then ``len``, ``is_zero``, ``==``, ``character_dimension`` and
-``packed_items``, the ordered reader behind JSON and text output, read the
-table: two tables over one packing (equal height functional, codec width and
-packed simple roots) with one kind of value are equal exactly when their
-polynomials are, the codec being injective on every weight its fields hold.
+holds.  Until then ``len``, ``is_zero``, ``==``, ``character_dimension``,
+``sorted_weights`` (the keys alone) and ``packed_items``, the ordered reader
+behind JSON and text output, read the table: two tables over one packing
+(equal height functional, codec width and packed simple roots) with one kind
+of value are equal exactly when their polynomials are, the codec being
+injective on every weight its fields hold.
 
 No engine path divides.  ``WeightPolynomial.divide`` is a short
 leading-term elimination over whole weights and their elements, kept for
@@ -140,8 +141,10 @@ class WeightPolynomial:
         return [(w, v) for _, w, v in keyed]
 
     def sorted_weights(self) -> list[Weight]:
-        """Weights in the fixed order, leading (highest) first."""
-        return [w for w, _ in self.packed_items()]
+        """Weights in the fixed order, leading (highest) first; no value is read."""
+        packed = self._packed
+        weights = self._terms if packed is None else packed[0].decode_all(packed[1])
+        return sorted(weights, key=self.order_key, reverse=True)
 
     def leading(self) -> tuple[Weight, CoeffElement]:
         w = max(self.terms, key=self.order_key)

@@ -372,22 +372,60 @@ def test_one_gauss_part_per_weight():
 
 @pytest.mark.parametrize("family,rank,lam,n,count", [
     ("A", 3, (2, 2, 2), 3, 64), ("A", 3, (2, 1, 2), 5, 24), ("A", 4, (2, 1, 1, 2), 4, 130),
-    ("C", 3, (2, 1, 1), 3, 108), ("C", 3, (1, 2, 1), 6, 72), ("C", 4, (1, 2, 1, 1), 5, 624)])
-def test_row_sums_run_in_the_gauss_normal_form(family, rank, lam, n, count):
+    ("C", 3, (2, 1, 1), 3, 108), ("C", 3, (1, 2, 1), 6, 72), ("C", 4, (1, 2, 1, 1), 5, 624),
+    ("B", 2, (2, 3), 5, 10), ("B", 3, (1, 1, 1), 2, 112), ("B", 3, (1, 1, 1), 3, 62),
+    ("B", 3, (1, 1, 1), 4, 64), ("B", 3, (1, 1, 1), 6, 56), ("B", 4, (2, 1, 1, 1), 3, 1216),
+    ("D", 3, (1, 1, 2), 3, 28), ("D", 3, (2, 1, 2), 4, 30), ("D", 4, (1, 1, 1, 1), 2, 343),
+    ("D", 4, (1, 1, 1, 1), 3, 216), ("D", 4, (1, 1, 1, 1), 5, 200),
+    ("D", 5, (1, 1, 1, 1, 1), 3, 3835)])
+def test_row_sums_run_in_the_gauss_normal_form(monkeypatch, family, rank, lam, n, count):
     # ROADMAP item 18 stage A: each slot factor mapped to its normal form,
     # one int per Gauss key at sqrt(q) = 2^B, runs on the row loop's int
     # path unchanged, and decodes to the normal form of P, weight by weight.
-    # Types A and C have no negative power of sqrt(q) to shift away.  The
-    # counts are of the weights whose normal form is not zero.
+    # Types A and C have no negative power of sqrt(q) to shift away.  B and
+    # D, whose factors carry q^-a, are shifted in the factors, not in the
+    # ring map, which would shift the ring's one too: each type-B entry
+    # factor times q, each type-D run of L entries times q^L.  Every pattern
+    # has N entries, so each coefficient then carries q^N, sqrt(q)^(2N),
+    # which the decode takes off.  The counts are of the weights whose
+    # normal form is not zero.
     r = rs(family, rank)
+    want = {w: oracles.gauss_normal_form(c, n) for w, c in p_part(r, lam, n).terms.items()}
+    entry, component = coefficients.entry_factor, coefficients._component_factor
+    shift = 0 if family in "AC" else 2 * len(r.positive_roots)
+    if family == "B":
+        monkeypatch.setattr(coefficients, "entry_factor",
+                            lambda family, *args: entry(family, *args) * Q(1))
+    elif family == "D":
+        monkeypatch.setattr(coefficients, "_component_factor",
+                            lambda comp, *args: component(comp, *args) * Q(comp.j2 - comp.j1 + 1))
     bits = (weyl_dimension(r, lam) << len(r.positive_roots) + 2).bit_length() + 2
     plan = walk_plan(r.spec, lam)
     sums = series._row_sums(plan, slot_table(r.spec, n, oracles.gauss_ints_map(n, bits)))
-    got = {w: {key: kronecker_decode(v, bits) for key, v in c.parts.items()}
+    got = {w: {key: {e - shift: x for e, x in kronecker_decode(v, bits).items()}
+               for key, v in c.parts.items()}
            for w, c in zip(plan.codec.decode_all(sums), sums.values())}
-    want = {w: oracles.gauss_normal_form(c, n) for w, c in p_part(r, lam, n).terms.items()}
     assert got == {w: nf for w, nf in want.items() if nf}
     assert len(got) == count
+
+
+def test_a3_flip_reverses_every_weight():
+    # ROADMAP item 2: the diagram automorphism of A3 reverses the simple
+    # roots, so P of reversed lambda is P of lambda with every weight
+    # reversed, in the normal form of the Gauss relations.  The raw ring
+    # tells equal numbers apart, and there the two agree on 10 pairs only.
+    r = rs("A", 3)
+    cases = [(lam, n) for lam in itertools.product((1, 2, 3), repeat=3)
+             if lam < lam[::-1] for n in range(1, 5)]
+    assert len(cases) == 36
+
+    def normal_form(lam, n, flip):
+        return {w[::-1] if flip else w: nf for w, c in p_part(r, lam, n).terms.items()
+                if (nf := oracles.gauss_normal_form(c, n))}
+
+    differ = [(lam, n) for lam, n in cases
+              if normal_form(lam, n, True) != normal_form(lam[::-1], n, False)]
+    assert not differ
 
 
 class MixedGaussParts(AssertionError):
@@ -883,18 +921,23 @@ def test_tokuyama_requires_type_a_and_strong_dominance():
 def test_tokuyama_results_are_decoded_on_first_read(monkeypatch):
     # the check decodes no value: the quotient comes back as its table at
     # q = 2^B, and the first read of its terms decodes each of D's values
-    # once, to the quotient that a decode of every value gives; a failing
-    # check reads its remainder only to name the leading weight
+    # once, to the quotient that a decode of every value gives; its weights
+    # in the fixed order are read off the keys alone, and so is the leading
+    # weight that a failing check names, so its remainder decodes nothing
+    # until its terms are read
     assert not hasattr(series, "_decoded") and not hasattr(series, "kronecker_decode")
     calls, decode = [], weightpoly.kronecker_decode
     monkeypatch.setattr(weightpoly, "kronecker_decode",
                         lambda v, bits: calls.append(v) or decode(v, bits))
     r, lam = rs("A", 3), (3, 3, 3)
     res = tokuyama_quotient(r, lam)
+    order = res.quotient.sorted_weights()
     assert res.ok and not calls
     codec, table, bits = res.quotient._packed
     assert bits == _q_bits(r, lam) and all(isinstance(v, int) for v in table.values())
     want = _digits_poly(r, codec, bits, dict(table))
+    # the order that the weights of packed_items, which reads every value, give
+    assert order == [w for w, _ in want.packed_items()]
     assert res.quotient.terms == want.terms == deformed_denominator(r).terms
     assert sorted(calls) == sorted(table.values()) and len(calls) == len(want)
     res.quotient.packed_items()
@@ -903,17 +946,19 @@ def test_tokuyama_results_are_decoded_on_first_read(monkeypatch):
     calls.clear()
     stray = []
 
-    def with_stray(r, lam, terms):
+    def with_strays(r, lam, terms):
         low = WeightPolynomial(r.height_vec, terms).sorted_weights()[-1]
-        stray.append(tuple(c - 3 for c in low))
-        terms[stray[0]] = Q(2)
+        stray.extend(tuple(c - k for c in low) for k in (4, 3))
+        terms.update(zip(stray, (Q(2), Q(1, -1))))
         return terms
 
-    _patch_p_sums(monkeypatch, with_stray)
+    _patch_p_sums(monkeypatch, with_strays)
     res = tokuyama_quotient(rs("A", 2), (2, 1))
-    assert not res.ok and res.reason.endswith(f"leading weight is {list(stray[0])}")
-    assert len(calls) == 1
-    assert res.remainder.terms == {stray[0]: Q(2)} and len(calls) == 1
+    order = res.remainder.sorted_weights()
+    assert not res.ok and not calls
+    assert res.remainder.terms == dict(zip(stray, (Q(2), Q(1, -1)))) and len(calls) == 2
+    assert order == [w for w, _ in res.remainder.packed_items()] == stray[::-1]
+    assert res.reason.endswith(f"leading weight is {list(order[0])}")
 
 
 def test_tokuyama_check_decodes_no_weight(monkeypatch):
