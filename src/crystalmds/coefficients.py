@@ -24,25 +24,26 @@ forms against the defining character sums, summed exactly in a prime field.
 ``m_i`` in a 48-bit field of its own, one field per distinct ``GaussSymbol``
 in order of first use (symbols of every cover degree can mix).  The packing
 is linear, so a monomial product is an integer sum and a unit ``q^e`` shift
-adds ``e``.  Inputs are held to ``|e| < Q_EXP_LIMIT`` (2^31) and
-``1 <= m < POW_LIMIT`` (2^16), and anything outside raises ValueError; that
-leaves 32 bits of headroom in every field, so a product of up to 2^32 factors
-within those bounds cannot fill a field.  Keys are decoded to the canonical
-``(e, sorted ((GaussSymbol, m), ...))`` form only for ``monomials()``, JSON
-and ``repr``: ``e`` by masking the low field, the Gauss
-part through ``_gauss_part``, a bounded cache keyed by the symbol bits
-``k - e``.  It holds each part in its three output forms: the canonical
-tuple, the JSON list of ``{"t", "c", "pow"}`` dicts and the ``repr``
-factors, so each distinct part is rendered once.  ``json_monomials`` renders
-a packed dict with the cached lists shared, read-only, and ``to_json_obj``
-copies them.  The cache is sound because the fields are append-only, so given
-bits decode the same way for the life of the process.  ``packed`` and
+adds ``e``.  Elements are built only by ``zero``, ``one``, ``from_int``,
+``q_power``, ``symbol`` and ``from_packed``, and ``CoeffElement(...)`` raises
+TypeError.  ``q_power`` and ``symbol`` take integers only, hold
+``|e| < Q_EXP_LIMIT`` (2^31) and raise ValueError otherwise, and give each
+symbol power 1, so a product of up to 2^32 such factors cannot fill a field.
+Keys are decoded to the canonical ``(e, sorted ((GaussSymbol, m), ...))`` form
+only for ``monomials()``, JSON and ``repr``: ``e`` by masking the low field,
+the Gauss part through ``_gauss_part``, a bounded cache keyed by the symbol
+bits ``k - e``.  It holds each part in its three output forms: the canonical
+tuple, the JSON list of ``{"t", "c", "pow"}`` dicts and the ``repr`` factors,
+so each distinct part is rendered once.  ``json_monomials`` renders a packed
+dict with the cached lists shared, read-only, and ``to_json_obj`` copies
+them.  The cache is sound because the fields are append-only, so given bits
+decode the same way for the life of the process.  ``packed`` and
 ``from_packed`` hand the packed dict over as it is, with no copy:
 ``packed()`` is shared and read-only, and ``from_packed`` takes its dict
 over, dropping zero coefficients in place.  The row sums of ``series``
 multiply into dicts of their own by adding keys, which is sound because the
-packing is linear.  Monomials sort by their canonical form, in
-which a ``GaussSymbol`` compares as its (t, residue, degree) fields.
+packing is linear.  Monomials sort by their canonical form, in which a
+``GaussSymbol`` compares as its (t, residue, degree) fields.
 
 A polynomial in q, with no Gauss symbol and no negative exponent, also
 has a value at q = 2^B: ``kronecker_encode`` sends sum c * q^e to
@@ -133,15 +134,13 @@ _Q_HALF = 1 << (_Q_BITS - 1)
 _Q_MASK = (1 << _Q_BITS) - 1
 _POW_MASK = (1 << _POW_BITS) - 1
 Q_EXP_LIMIT = 1 << 31
-POW_LIMIT = 1 << 16
 
 _symbols: list[GaussSymbol] = []        # field index -> symbol
 _offsets: dict[GaussSymbol, int] = {}   # symbol -> bit offset of its field
 
-# The canonical, unpacked form of a monomial: (q exponent, gauss part), with
-# the gauss part a sorted tuple of (GaussSymbol, positive multiplicity).
+# The canonical, unpacked Gauss part of a monomial: a sorted tuple of
+# (GaussSymbol, positive multiplicity).
 _GaussPart = tuple[tuple[GaussSymbol, int], ...]
-_MonKey = tuple[int, _GaussPart]
 
 
 def _offset(sym: GaussSymbol) -> int:
@@ -160,16 +159,6 @@ def _q_key(e: int) -> int:
     if not -Q_EXP_LIMIT < e < Q_EXP_LIMIT:
         raise ValueError(f"q exponent {e} is outside the bound |e| < {Q_EXP_LIMIT}")
     return e
-
-
-def _pack(e: int, gauss) -> int:
-    k = _q_key(e)
-    for sym, m in gauss:
-        m = _integer("symbol power", m)
-        if not 0 < m < POW_LIMIT:
-            raise ValueError(f"power {m} of {sym} is outside the bound 1 <= m < {POW_LIMIT}")
-        k += m << _offset(sym)
-    return k
 
 
 # Distinct Gauss parts the decode cache keeps; one p_part of the perfbench
@@ -220,13 +209,10 @@ def json_monomials(packed: dict[int, int]) -> list[dict]:
     return [{"int": c, "q": e, "gauss": g} for e, _, c, g in _monomials(packed, 1)]
 
 
-def _collect(pairs) -> dict[int, int]:
-    """Packed dict of (packed key, coefficient) pairs, repeats merged and
-    zeros dropped."""
-    acc: dict[int, int] = {}
-    for k, c in pairs:
-        acc[k] = acc.get(k, 0) + _integer("coefficient", c)
-    return {k: c for k, c in acc.items() if c}
+def _monomial(key: int, coeff) -> "CoeffElement":
+    """The element ``coeff`` times the monomial of packed ``key``."""
+    coeff = _integer("coefficient", coeff)
+    return _wrap({key: coeff} if coeff else {})
 
 
 class CoeffElement:
@@ -234,17 +220,15 @@ class CoeffElement:
 
     Instances are immutable; arithmetic returns new elements with zero terms
     dropped and duplicate monomials merged, so structural equality is ring
-    equality.  ``terms`` maps canonical monomials (q exponent, sorted tuple
-    of (GaussSymbol, positive multiplicity)) to integers; internally each
-    monomial is one packed int (see ``Q_EXP_LIMIT`` and ``POW_LIMIT`` for
-    the bounds).
+    equality.  Each monomial is one packed int (module docstring); build
+    elements with the static constructors below, since calling the class
+    itself raises TypeError.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[_MonKey, int] | None = None):
-        packed = _collect((_pack(e, g), c) for (e, g), c in (terms or {}).items())
-        object.__setattr__(self, "_terms", packed)
+    def __init__(self, *a, **k):
+        raise TypeError("build elements with zero, one, from_int, q_power, symbol or from_packed")
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("CoeffElement is immutable")
@@ -264,11 +248,11 @@ class CoeffElement:
 
     @staticmethod
     def q_power(e: int, coeff: int = 1) -> "CoeffElement":
-        return _wrap(_collect([(_q_key(e), coeff)]))
+        return _monomial(_q_key(e), coeff)
 
     @staticmethod
     def symbol(sym: GaussSymbol, q_exp: int = 0, coeff: int = 1) -> "CoeffElement":
-        return _wrap(_collect([(_q_key(q_exp) + (1 << _offset(sym)), coeff)]))
+        return _monomial(_q_key(q_exp) + (1 << _offset(sym)), coeff)
 
     # -- ring structure ----------------------------------------------------
     def __add__(self, other: "CoeffElement") -> "CoeffElement":
@@ -334,9 +318,6 @@ class CoeffElement:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
-
     def monomials(self) -> list[tuple[int, int, _GaussPart]]:
         """Monomials as (int coeff, q exponent, gauss part), canonical order."""
         return [(c, e, g) for e, g, c, _ in _monomials(self._terms, 0)]
@@ -383,13 +364,6 @@ class CoeffElement:
         """Fresh dicts and lists on every call: callers may change them."""
         return {"monomials": [{**mon, "gauss": [dict(d) for d in mon["gauss"]]}
                               for mon in json_monomials(self._terms)]}
-
-    @staticmethod
-    def from_json_obj(obj: dict, degree: int) -> "CoeffElement":
-        return _wrap(_collect(
-            (_pack(mon["q"], [(GaussSymbol(d["t"], d["c"], degree), d["pow"])
-                              for d in mon["gauss"]]), mon["int"])
-            for mon in obj["monomials"]))
 
 
 def _wrap(packed: dict[int, int], _new=object.__new__,

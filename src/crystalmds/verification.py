@@ -12,7 +12,8 @@ import itertools
 from functools import lru_cache
 from typing import Sequence
 
-from .coefficients import _component_factor, entry_factor, g_value, h_value, row_components
+from .coefficients import (CoeffElement, _component_factor, entry_factor, g_value, h_value,
+                           row_components)
 from .patterns import decorated_crystal
 from .roots import (CartanSpec, build_root_system, is_strongly_dominant, weyl_character,
                     weyl_dimension)
@@ -355,7 +356,7 @@ def run_decorations_suite() -> dict:
                     if has_cb and not val.is_zero():
                         zeroing_ok = False
                     if (comp.kind == "sml" and comp.value == 0 and not has_cb
-                            and not val.is_one()):
+                            and val != CoeffElement.one()):
                         sml_zero_ok = False
         # every crystal weight lies in lam + Q, where the orbit hull's lattice
         # points are exactly the character's support

@@ -1,7 +1,8 @@
 """Measured findings as code: each function regenerates one table that
 ROADMAP reports, as rows of (check, family, lambda, n, status,
-differing-weight count, first differing weight).  A row's status is
+differing-weight count, first differing weight, sigma).  A row's status is
 "agree" or "differ"; an agreeing row has count 0 and no first weight.
+``sigma`` names the map a row applies, for the checks that take one.
 
 ``d3_a3_rows`` is ROADMAP item 17's first table, the D3 = A3 arbiter for
 the type-D rule (item 3).  The index map D(1,2,3) -> A(1,3,2) identifies
@@ -11,6 +12,19 @@ twisted by q^ht, ht = h . (lambda - w) / 2 the height of the drop
 (h = D3's ``height_vec``).  Both sides are compared weight by weight in
 ``oracles.gauss_normal_form``, and the first differing weight is the
 highest in A3's fixed order, in A3's coordinates.
+
+``d4_automorphism_rows`` is item 2's check of the D4 diagram automorphisms
+that fix lambda: the fork swap (w1 <-> w2) and 1 <-> 4 (w1 <-> w4; the
+repo's D4 has fork nodes 1, 2 and 4 around centre 3).  Such a sigma carries
+the root datum to itself, so P(lambda) at w should equal P(lambda) at
+sigma w, with no twist.  Each weight is compared in ``gauss_normal_form``,
+and the first differing weight is the highest by (h . w, w), h = D4's
+``height_vec``, as in ``d3_a3_row``.
+
+``one_gauss_part_rows`` is item 19's type-D table: a row differs where
+some weight's coefficient has more than one Gauss key in
+``gauss_normal_form``.  The count is the number of such weights, and the
+first is ``oracles.first_mixed_weight``'s, the first in the fixed order.
 
 Run as a script (``python tests/findings.py``, with the package importable)
 it prints every row as one JSON object per line.  The tier-1 tests pin
@@ -24,7 +38,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from crystalmds import CartanSpec, build_root_system, p_part
-from oracles import gauss_normal_form
+from oracles import first_mixed_weight, gauss_normal_form
 
 
 class Row(NamedTuple):
@@ -35,6 +49,7 @@ class Row(NamedTuple):
     status: str                         # "agree" or "differ"
     count: int                          # weights at which the sides differ
     first: tuple[int, ...] | None       # the highest of them, None if none
+    sigma: str | None = None            # the map the check applies, if any
 
 
 D3_A3_LAMBDAS = tuple(itertools.product((1, 2, 3), repeat=3))
@@ -67,6 +82,61 @@ def d3_a3_rows() -> list[Row]:
     return [d3_a3_row(lam, n) for lam in D3_A3_LAMBDAS for n in D3_A3_DEGREES]
 
 
+# sigma -> the pair of fundamental-weight coordinates it swaps
+D4_AUTOMORPHISMS = {"1<->2": (0, 1), "1<->4": (0, 3)}
+D4_AUTOMORPHISM_LAMBDAS = ((1, 1, 1, 1), (1, 1, 2, 1), (2, 2, 1, 2))
+D4_AUTOMORPHISM_DEGREES = range(1, 7)
+
+
+def d4_automorphism_row(sigma: str, lam: tuple[int, ...], n: int) -> Row:
+    """P of D4 ``lam`` at w against P at sigma w, for a ``sigma`` of
+    ``D4_AUTOMORPHISMS`` that fixes ``lam``, in ``gauss_normal_form``."""
+    i, j = D4_AUTOMORPHISMS[sigma]
+
+    def swap(v):
+        v = list(v)
+        v[i], v[j] = v[j], v[i]
+        return tuple(v)
+
+    assert swap(lam) == tuple(lam), f"{sigma} moves lambda {lam}"
+    d4 = build_root_system(CartanSpec("D", 4))
+    nf = {w: gauss_normal_form(c, n) for w, c in p_part(d4, lam, n).terms.items()}
+    diff = [w for w in nf.keys() | set(map(swap, nf)) if nf.get(w, {}) != nf.get(swap(w), {})]
+    first = max(diff, key=lambda w: (sum(map(mul, d4.height_vec, w)), w), default=None)
+    return Row("d4_automorphism", "D", tuple(lam), n, "differ" if diff else "agree",
+               len(diff), first, sigma)
+
+
+def d4_automorphism_rows() -> list[Row]:
+    """``d4_automorphism_row`` for both maps, lambda in
+    ``D4_AUTOMORPHISM_LAMBDAS`` and n = 1..6."""
+    return [d4_automorphism_row(sigma, lam, n) for sigma in D4_AUTOMORPHISMS
+            for lam in D4_AUTOMORPHISM_LAMBDAS for n in D4_AUTOMORPHISM_DEGREES]
+
+
+# (rank, lambdas) of type D, each at n = 3..7
+ONE_GAUSS_PART_CASES = ((3, tuple(itertools.product((1, 2, 3), repeat=3))),
+                        (4, tuple(itertools.product((1, 2), repeat=4))))
+ONE_GAUSS_PART_DEGREES = range(3, 8)
+
+
+def one_gauss_part_row(rank: int, lam: tuple[int, ...], n: int) -> Row:
+    """The weights of P of D``rank`` ``lam`` whose coefficient has more than
+    one Gauss key in ``gauss_normal_form``."""
+    P = p_part(build_root_system(CartanSpec("D", rank)), lam, n)
+    count = sum(len(gauss_normal_form(c, n)) > 1 for c in P.terms.values())
+    found = first_mixed_weight(P, n)
+    return Row("one_gauss_part", "D", tuple(lam), n, "differ" if count else "agree", count,
+               found and found[0])
+
+
+def one_gauss_part_rows() -> list[Row]:
+    """``one_gauss_part_row`` for D3 lambda in {1,2,3}^3 and D4 lambda in
+    {1,2}^4, at n = 3..7."""
+    return [one_gauss_part_row(rank, lam, n) for rank, lams in ONE_GAUSS_PART_CASES
+            for lam in lams for n in ONE_GAUSS_PART_DEGREES]
+
+
 if __name__ == "__main__":
-    for row in d3_a3_rows():
+    for row in d3_a3_rows() + d4_automorphism_rows() + one_gauss_part_rows():
         print(json.dumps(row._asdict()))

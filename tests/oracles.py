@@ -16,7 +16,8 @@ Demazure operator that writes each term's whole interval of its alpha-string,
 as the reference for ``roots._demazure``'s one pass per string.
 ``polynomial_json_obj`` and ``coeff_text`` render a polynomial's JSON object
 and an element's text from the decoded terms, as references for the
-renderers that read packed values.
+renderers that read packed values.  ``element`` builds a ring element from
+its canonical terms by multiplying the package's public constructors.
 
 The pattern bounds are written out here from their definitions, apart from
 the package's slot walk: ``chain_lower_bound`` from each family's row-chain
@@ -49,8 +50,8 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
 from operator import mul, sub
 
-from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern, WeightPolynomial,
-                        enumerate_patterns, pattern_wt, weyl_character)
+from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, LittelmannPattern,
+                        WeightPolynomial, enumerate_patterns, pattern_wt, weyl_character)
 from crystalmds.coefficients import kronecker_encode
 from crystalmds.roots import _demazure, long_word_blocks
 from crystalmds.weightpoly import WeightCodec, weight_codec
@@ -631,6 +632,22 @@ class RefCoeff:
             {"int": c, "q": e,
              "gauss": [{"t": t, "c": residue, "pow": k} for (t, residue, _), k in g]}
             for c, e, g in self.monomials()]}
+
+
+def element(terms: dict) -> CoeffElement:
+    """The ring element sum c * q^e * prod sym^m over ``terms``, a dict from
+    (e, ((sym, m), ...)) to c, with sym a ``GaussSymbol`` or its
+    (t, residue, degree) fields.  Built through the public constructors
+    alone: each monomial is ``q_power(e, c)`` times m factors of
+    ``symbol(sym)``, and the monomials are added up."""
+    out = CoeffElement.zero()
+    for (e, gauss), c in terms.items():
+        mon = CoeffElement.q_power(e, c)
+        for sym, m in gauss:
+            for _ in range(m):
+                mon = mon * CoeffElement.symbol(GaussSymbol(*sym))
+        out = out + mon
+    return out
 
 
 def polynomial_json_obj(poly: WeightPolynomial, family: str, rank: int,

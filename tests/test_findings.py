@@ -68,20 +68,114 @@ D3_A3_DIFFERS = {
 }
 
 
+# D4 diagram automorphisms that fix lambda (ROADMAP items 2 and 17):
+# (sigma, lambda, n) -> (count, first differing weight) for every row that
+# differs; the other 9 of the 36 agree
+D4_AUTOMORPHISM_DIFFERS = {
+    ("1<->2", (1, 1, 1, 1), 1): (86, (1, -1, 0, 3)),
+    ("1<->2", (1, 1, 1, 1), 2): (18, (0, -2, 1, 2)),
+    ("1<->2", (1, 1, 2, 1), 1): (412, (1, -1, 1, 3)),
+    ("1<->2", (1, 1, 2, 1), 2): (86, (0, -2, 1, 4)),
+    ("1<->2", (1, 1, 2, 1), 3): (18, (-1, -3, 2, 3)),
+    ("1<->2", (2, 2, 1, 2), 1): (1194, (1, -1, 2, 3)),
+    ("1<->2", (2, 2, 1, 2), 2): (94, (2, -2, 1, 2)),
+    ("1<->2", (2, 2, 1, 2), 3): (18, (1, -3, 1, 3)),
+    ("1<->2", (2, 2, 1, 2), 4): (4, (-2, -4, 1, 2)),
+    ("1<->4", (1, 1, 1, 1), 1): (178, (3, 1, -1, 1)),
+    ("1<->4", (1, 1, 1, 1), 2): (66, (2, 2, 0, -2)),
+    ("1<->4", (1, 1, 1, 1), 3): (8, (2, 2, 0, -2)),
+    ("1<->4", (1, 1, 1, 1), 4): (8, (2, 2, 0, -2)),
+    ("1<->4", (1, 1, 1, 1), 5): (8, (2, 2, 0, -2)),
+    ("1<->4", (1, 1, 1, 1), 6): (8, (2, 2, 0, -2)),
+    ("1<->4", (1, 1, 2, 1), 1): (700, (4, 2, -2, 2)),
+    ("1<->4", (1, 1, 2, 1), 2): (432, (4, 2, -2, 2)),
+    ("1<->4", (1, 1, 2, 1), 3): (212, (4, 2, -2, 2)),
+    ("1<->4", (1, 1, 2, 1), 4): (146, (4, 2, -2, 2)),
+    ("1<->4", (1, 1, 2, 1), 5): (148, (4, 2, -2, 2)),
+    ("1<->4", (1, 1, 2, 1), 6): (128, (4, 2, -2, 2)),
+    ("1<->4", (2, 2, 1, 2), 1): (1448, (4, 2, -1, 2)),
+    ("1<->4", (2, 2, 1, 2), 2): (584, (3, 3, -1, 1)),
+    ("1<->4", (2, 2, 1, 2), 3): (340, (2, 2, 2, -2)),
+    ("1<->4", (2, 2, 1, 2), 4): (160, (2, 2, 2, -2)),
+    ("1<->4", (2, 2, 1, 2), 5): (144, (2, 2, 2, -2)),
+    ("1<->4", (2, 2, 1, 2), 6): (130, (2, 2, 2, -2)),
+}
+
+# one Gauss part per weight in type D (ROADMAP items 17 and 19): (lambda, n)
+# -> (mixed-weight count, first mixed weight in the fixed order) for every
+# row with a mixed weight; D3 and D4 rows differ in lambda's length, and the
+# other 142 of the 215 have none
+ONE_GAUSS_PART_DIFFERS = {
+    ((1, 1, 2), 3): (2, (2, 2, -2)), ((1, 1, 3), 3): (1, (-2, -2, 1)),
+    ((1, 1, 3), 4): (2, (3, 3, -3)), ((1, 2, 2), 4): (2, (2, -3, 1)),
+    ((1, 2, 3), 4): (2, (-2, 3, -1)), ((1, 2, 3), 5): (2, (3, -4, 1)),
+    ((1, 3, 2), 5): (2, (2, -4, 2)), ((1, 3, 3), 3): (2, (3, -5, 2)),
+    ((1, 3, 3), 6): (2, (3, -5, 2)), ((2, 1, 2), 4): (2, (-3, 2, 1)),
+    ((2, 1, 3), 4): (2, (3, -2, -1)), ((2, 1, 3), 5): (2, (-4, 3, 1)),
+    ((2, 2, 3), 5): (2, (3, 3, -3)), ((2, 3, 3), 3): (2, (3, -4, 1)),
+    ((2, 3, 3), 6): (2, (3, -4, 1)), ((3, 1, 2), 5): (2, (-4, 2, 2)),
+    ((3, 1, 3), 3): (2, (-5, 3, 2)), ((3, 1, 3), 6): (2, (-5, 3, 2)),
+    ((3, 2, 3), 3): (2, (-4, 3, 1)), ((3, 2, 3), 6): (2, (-4, 3, 1)),
+    ((1, 1, 1, 1), 3): (4, (2, 2, -2, 2)), ((1, 1, 1, 2), 3): (8, (3, 3, -2, 0)),
+    ((1, 1, 1, 2), 4): (22, (3, 3, -3, 2)), ((1, 1, 1, 2), 5): (12, (3, 3, -2, 0)),
+    ((1, 1, 1, 2), 6): (4, (3, 3, -2, 0)), ((1, 1, 1, 2), 7): (4, (3, 3, -2, 0)),
+    ((1, 1, 2, 1), 3): (83, (2, 2, -2, 4)), ((1, 1, 2, 1), 4): (4, (3, 3, -3, 3)),
+    ((1, 1, 2, 1), 6): (16, (3, 3, -5, 1)), ((1, 1, 2, 2), 3): (90, (2, 2, -2, 5)),
+    ((1, 1, 2, 2), 4): (4, (3, 3, -3, 2)), ((1, 1, 2, 2), 5): (24, (4, 4, -4, 3)),
+    ((1, 2, 1, 1), 4): (4, (2, -3, 1, 2)), ((1, 2, 1, 2), 3): (45, (3, 4, -2, 0)),
+    ((1, 2, 1, 2), 4): (6, (-2, 3, -1, 3)), ((1, 2, 1, 2), 5): (30, (3, 4, -2, 0)),
+    ((1, 2, 1, 2), 6): (20, (3, 4, -2, 0)), ((1, 2, 1, 2), 7): (4, (3, 4, -2, 0)),
+    ((1, 2, 2, 1), 3): (6, (5, 2, -2, -1)), ((1, 2, 2, 1), 4): (53, (2, -3, 1, 4)),
+    ((1, 2, 2, 1), 5): (4, (3, -4, 1, 3)), ((1, 2, 2, 2), 3): (60, (3, -2, 0, 2)),
+    ((1, 2, 2, 2), 4): (90, (2, -3, 1, 5)), ((1, 2, 2, 2), 5): (6, (-3, 4, -1, 4)),
+    ((1, 2, 2, 2), 6): (26, (4, -5, 1, 3)), ((2, 1, 1, 1), 4): (4, (-3, 2, 1, 2)),
+    ((2, 1, 1, 2), 3): (44, (4, 3, -2, 0)), ((2, 1, 1, 2), 4): (6, (3, -2, -1, 3)),
+    ((2, 1, 1, 2), 5): (30, (4, 3, -2, 0)), ((2, 1, 1, 2), 6): (20, (4, 3, -2, 0)),
+    ((2, 1, 1, 2), 7): (4, (4, 3, -2, 0)), ((2, 1, 2, 1), 3): (6, (2, 5, -2, -1)),
+    ((2, 1, 2, 1), 4): (53, (-3, 2, 1, 4)), ((2, 1, 2, 1), 5): (4, (-4, 3, 1, 3)),
+    ((2, 1, 2, 2), 3): (58, (-2, 3, 0, 2)), ((2, 1, 2, 2), 4): (91, (-3, 2, 1, 5)),
+    ((2, 1, 2, 2), 5): (6, (4, -3, -1, 4)), ((2, 1, 2, 2), 6): (26, (-5, 4, 1, 3)),
+    ((2, 2, 1, 1), 3): (8, (2, 2, -2, 1)), ((2, 2, 1, 1), 4): (2, (3, 3, -3, -2)),
+    ((2, 2, 1, 1), 5): (4, (3, 3, -2, -4)), ((2, 2, 1, 2), 3): (21, (4, 4, -2, 0)),
+    ((2, 2, 1, 2), 4): (4, (3, 3, -4, -1)), ((2, 2, 1, 2), 5): (8, (4, 4, -2, 0)),
+    ((2, 2, 1, 2), 6): (4, (4, 4, -2, 0)), ((2, 2, 1, 2), 7): (24, (4, 4, -2, 0)),
+    ((2, 2, 2, 1), 3): (24, (2, 2, -3, 3)), ((2, 2, 2, 1), 4): (2, (3, 3, -3, -2)),
+    ((2, 2, 2, 1), 5): (26, (3, 3, -3, 4)), ((2, 2, 2, 1), 6): (8, (4, 4, -3, -5)),
+    ((2, 2, 2, 2), 3): (155, (-2, -2, 7, -2)), ((2, 2, 2, 2), 5): (62, (3, 3, -3, 3)),
+    ((2, 2, 2, 2), 6): (4, (4, 4, -4, 4)),
+}
+
+
 class D3DiffersFromA3(AssertionError):
     """P of D3, twisted and mapped, differs from P of A3 at some weight."""
 
 
-def _d3_a3_case(lam, n):
-    found = D3_A3_DIFFERS.get((lam, n))
+class D4AutomorphismDiffers(AssertionError):
+    """P of D4 at some weight differs from P at its image under sigma."""
+
+
+class MixedGaussParts(AssertionError):
+    """A weight of P whose coefficient has more than one Gauss key."""
+
+
+def _text(lam):
+    return ",".join(map(str, lam))
+
+
+def _pinned(args, case_id, found, error, finding):
+    """``args`` and the recorded first weight as a test case: plain where
+    ``found`` is None, else a strict xfail raising ``error``, with
+    ``finding``, the count and the first weight in the reason."""
     if found is None:
-        return pytest.param(lam, n, None, id=f"{','.join(map(str, lam))}-n{n}")
+        return pytest.param(*args, None, id=case_id)
     count, first = found
-    reason = (f"ROADMAP item 3: D3 {lam} n={n} differs from A3 at {count} weights, "
-              f"first {first}")
-    return pytest.param(lam, n, first, id=f"{','.join(map(str, lam))}-n{n}",
-                        marks=pytest.mark.xfail(strict=True, raises=D3DiffersFromA3,
-                                                reason=reason))
+    return pytest.param(*args, first, id=case_id, marks=pytest.mark.xfail(
+        strict=True, raises=error, reason=f"{finding} at {count} weights, first {first}"))
+
+
+def _d3_a3_case(lam, n):
+    return _pinned((lam, n), f"{_text(lam)}-n{n}", D3_A3_DIFFERS.get((lam, n)), D3DiffersFromA3,
+                   f"ROADMAP item 3: D3 {lam} n={n} differs from A3")
 
 
 def test_d3_a3_table_shape():
@@ -96,4 +190,50 @@ def test_d3_matches_a3(lam, n, first):
     if row.status == "differ":
         assert row.first == first
         raise D3DiffersFromA3(f"{row.count} weights differ, first {row.first}")
+    assert row.count == 0 and row.first is None
+
+
+def test_d4_automorphism_table_shape():
+    assert len(findings.D4_AUTOMORPHISMS) * len(findings.D4_AUTOMORPHISM_LAMBDAS) * len(
+        findings.D4_AUTOMORPHISM_DEGREES) == 36
+    assert len(D4_AUTOMORPHISM_DIFFERS) == 27
+
+
+def _d4_automorphism_case(sigma, lam, n):
+    return _pinned((sigma, lam, n), f"{sigma}-{_text(lam)}-n{n}",
+                   D4_AUTOMORPHISM_DIFFERS.get((sigma, lam, n)), D4AutomorphismDiffers,
+                   f"ROADMAP item 2: D4 {lam} n={n} differs from its image under {sigma}")
+
+
+@pytest.mark.parametrize("sigma,lam,n,first", [
+    _d4_automorphism_case(sigma, lam, n) for sigma in findings.D4_AUTOMORPHISMS
+    for lam in findings.D4_AUTOMORPHISM_LAMBDAS for n in findings.D4_AUTOMORPHISM_DEGREES])
+def test_d4_automorphism_fixing_lambda(sigma, lam, n, first):
+    row = findings.d4_automorphism_row(sigma, lam, n)
+    if row.status == "differ":
+        assert row.first == first
+        raise D4AutomorphismDiffers(f"{row.count} weights differ, first {row.first}")
+    assert row.count == 0 and row.first is None
+
+
+def test_one_gauss_part_table_shape():
+    assert sum(len(lams) for _, lams in findings.ONE_GAUSS_PART_CASES) * len(
+        findings.ONE_GAUSS_PART_DEGREES) == 215
+    assert len(ONE_GAUSS_PART_DIFFERS) == 73
+
+
+def _one_gauss_part_case(rank, lam, n):
+    return _pinned((rank, lam, n), f"D{rank}-{_text(lam)}-n{n}",
+                   ONE_GAUSS_PART_DIFFERS.get((lam, n)), MixedGaussParts,
+                   f"ROADMAP item 19: D{rank} {lam} n={n} has more than one Gauss part")
+
+
+@pytest.mark.parametrize("rank,lam,n,first", [
+    _one_gauss_part_case(rank, lam, n) for rank, lams in findings.ONE_GAUSS_PART_CASES
+    for lam in lams for n in findings.ONE_GAUSS_PART_DEGREES])
+def test_type_d_one_gauss_part_table(rank, lam, n, first):
+    row = findings.one_gauss_part_row(rank, lam, n)
+    if row.status == "differ":
+        assert row.first == first
+        raise MixedGaussParts(f"{row.count} weights are mixed, first {row.first}")
     assert row.count == 0 and row.first is None
