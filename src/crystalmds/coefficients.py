@@ -40,7 +40,7 @@ them.  The cache is sound because the fields are append-only, so given bits
 decode the same way for the life of the process.  ``packed`` and
 ``from_packed`` hand the packed dict over as it is, with no copy:
 ``packed()`` is shared and read-only, and ``from_packed`` takes its dict
-over, dropping zero coefficients in place.  The row sums of ``series``
+over as it is, with no zero coefficient in it.  The row sums of ``series``
 multiply into dicts of their own by adding keys, which is sound because the
 packing is linear.  Monomials sort by their canonical form, in which a
 ``GaussSymbol`` compares as its (t, residue, degree) fields.
@@ -338,13 +338,10 @@ class CoeffElement:
     @staticmethod
     def from_packed(packed: dict[int, int]) -> "CoeffElement":
         """Inverse of ``packed``: the element takes ``packed`` over without
-        a copy, so the caller must not change it afterwards.  Zero
-        coefficients are dropped from it in place.  Each key must be a packed
-        monomial within the bounds, as sums and differences of packed keys
-        that stay within them are."""
-        if 0 in packed.values():
-            for k in [k for k, c in packed.items() if not c]:
-                del packed[k]
+        a copy, so the caller must not change it afterwards.  ``packed`` must
+        hold no zero coefficient.  Each key must be a packed monomial within
+        the bounds, as sums and differences of packed keys that stay within
+        them are."""
         return _wrap(packed)
 
     def __repr__(self):

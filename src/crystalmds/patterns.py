@@ -82,12 +82,8 @@ class LittelmannPattern(_PatternFields):
                 yield i, i + off, v
 
     def to_text(self) -> str:
-        return _rows_text(self.rows)
-
-
-def _rows_text(rows) -> str:
-    """Pattern text: rows separated by ';', entries by ','."""
-    return ";".join(",".join(map(str, row)) for row in rows)
+        """Pattern text: rows separated by ';', entries by ','."""
+        return ";".join(",".join(map(str, row)) for row in self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +269,13 @@ def _freeze(rows: list[list]) -> tuple[tuple, ...]:
 
 
 def enumerate_patterns(rs: RootSystem, lam: Weight) -> Iterator[LittelmannPattern]:
-    """All patterns of the highest-weight crystal, each exactly once.
+    """All patterns of the highest-weight crystal, each exactly once: the
+    patterns of ``decorated_crystal``, in its order.
 
     Deterministic order: lexicographic in the slot sequence of the walk
     plan's frames (rows top to bottom, right to left), values ascending.
     """
-    spec = rs.spec
-    for rows, _, _, _, _ in _walk(walk_plan(spec, lam)):
-        yield LittelmannPattern(spec, _freeze(rows))
+    return (dp.pattern for dp in decorated_crystal(rs, lam))
 
 
 # ---------------------------------------------------------------------------

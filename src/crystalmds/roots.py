@@ -104,11 +104,6 @@ class RootSystem(NamedTuple):
     def family(self) -> str:
         return self.spec.family
 
-    @property
-    def cartan_inverse(self) -> tuple[tuple, ...]:
-        """The inverse Cartan matrix, as Fractions (``_cartan_inverse``)."""
-        return _cartan_inverse(self.spec)
-
     def root_coordinates(self, w: Weight) -> tuple:
         """Coordinates of a lattice point in the simple-root basis, as
         Fractions (exact).
@@ -116,7 +111,7 @@ class RootSystem(NamedTuple):
         The package itself does not call this; the traced tokuyama workload
         in ``perfbench/workloads.py`` does.  It goes when that workload times
         the package's own twisted character (ROADMAP item 9)."""
-        ainv = self.cartan_inverse
+        ainv = _cartan_inverse(self.spec)
         return tuple(sum(ainv[k][i] * w[i] for i in range(self.rank))
                      for k in range(self.rank))
 

@@ -146,10 +146,6 @@ class WeightPolynomial:
         weights = self._terms if packed is None else packed[0].decode_all(packed[1])
         return sorted(weights, key=self.order_key, reverse=True)
 
-    def leading(self) -> tuple[Weight, CoeffElement]:
-        w = max(self.terms, key=self.order_key)
-        return w, self.terms[w]
-
     # -- basic structure ----------------------------------------------------
     def is_zero(self) -> bool:
         return not len(self)
@@ -209,8 +205,8 @@ class WeightPolynomial:
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero weight polynomial")
-        lead, unit = divisor.leading()
-        unit = unit.as_unit_monomial()
+        lead = max(divisor.terms, key=divisor.order_key)
+        unit = divisor.terms[lead].as_unit_monomial()
         if unit is None:
             raise ValueError("divisor leading coefficient is not a unit monomial")
         inverse = CoeffElement.q_power(-unit[1], unit[0])

@@ -26,6 +26,19 @@ some weight's coefficient has more than one Gauss key in
 ``gauss_normal_form``.  The count is the number of such weights, and the
 first is ``oracles.first_mixed_weight``'s, the first in the fixed order.
 
+``stable_range_rows`` is item 17's stable-range table: at n = 60, above
+every <lambda, alpha^vee> of its lambdas, Brubaker-Bump-Friedberg give P
+supported on the Weyl orbit W.lambda.  A row counts the weights where P's
+support and W.lambda differ, and the first is the highest of them by
+(h . w, w).  In every row measured the orbit lies in the support, so the
+count is P's term count less |W.lambda|.
+
+``rule_screen`` runs a candidate type-D component rule through the type-D
+tables above (homogeneity, stable range, D3 = A3), for item 3: it swaps
+``coefficients._component_factor`` for the candidate while the rows are
+computed, and restores it after, so a candidate's table can be set beside
+today's with no engine option.
+
 Run as a script (``python tests/findings.py``, with the package importable)
 it prints every row as one JSON object per line.  The tier-1 tests pin
 each row's status (``tests/test_findings.py``).
@@ -37,8 +50,8 @@ import json
 from operator import mul, sub
 from typing import NamedTuple
 
-from crystalmds import CartanSpec, build_root_system, p_part
-from oracles import first_mixed_weight, gauss_normal_form
+from crystalmds import CartanSpec, build_root_system, coefficients, p_part
+from oracles import _signed_orbit, first_mixed_weight, gauss_normal_form
 
 
 class Row(NamedTuple):
@@ -137,6 +150,47 @@ def one_gauss_part_rows() -> list[Row]:
             for lam in lams for n in ONE_GAUSS_PART_DEGREES]
 
 
+STABLE_RANGE_SPECS = (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                      ("D", 3), ("D", 4))
+STABLE_RANGE_N = 60
+
+
+def stable_range_row(family: str, rank: int, lam: tuple[int, ...]) -> Row:
+    """The weights where the support of P of ``lam`` (strongly dominant) at
+    n = ``STABLE_RANGE_N``, in the root system ``family`` ``rank``, and the
+    orbit W.lam differ."""
+    rs = build_root_system(CartanSpec(family, rank))
+    diff = p_part(rs, lam, STABLE_RANGE_N).terms.keys() ^ _signed_orbit(rs, lam).keys()
+    first = max(diff, key=lambda w: (sum(map(mul, rs.height_vec, w)), w), default=None)
+    return Row("stable_range", family, tuple(lam), STABLE_RANGE_N,
+               "differ" if diff else "agree", len(diff), first)
+
+
+def stable_range_cases(families: str = "ABCD") -> list[tuple]:
+    """(family, rank, lambda) for each spec of ``STABLE_RANGE_SPECS`` in
+    ``families``, with lambda in {1,2}^rank."""
+    return [(family, rank, lam) for family, rank in STABLE_RANGE_SPECS if family in families
+            for lam in itertools.product((1, 2), repeat=rank)]
+
+
+def stable_range_rows(families: str = "ABCD") -> list[Row]:
+    """``stable_range_row`` for each of ``stable_range_cases(families)``."""
+    return [stable_range_row(*case) for case in stable_range_cases(families)]
+
+
+def rule_screen(component_factor) -> list[Row]:
+    """``one_gauss_part_rows``, the type-D ``stable_range_rows`` and
+    ``d3_a3_rows``, with ``component_factor`` in place of
+    ``coefficients._component_factor``, which is restored afterwards."""
+    today = coefficients._component_factor
+    coefficients._component_factor = component_factor
+    try:
+        return one_gauss_part_rows() + stable_range_rows("D") + d3_a3_rows()
+    finally:
+        coefficients._component_factor = today
+
+
 if __name__ == "__main__":
-    for row in d3_a3_rows() + d4_automorphism_rows() + one_gauss_part_rows():
+    for row in (d3_a3_rows() + d4_automorphism_rows() + one_gauss_part_rows()
+                + stable_range_rows()):
         print(json.dumps(row._asdict()))

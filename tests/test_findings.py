@@ -6,6 +6,7 @@ agree flips its xfail."""
 import pytest
 
 import findings
+from crystalmds import coefficients
 
 # D3 = A3 (ROADMAP items 3 and 17): (lambda of D3, n) -> (differing-weight
 # count, first differing weight in A3's coordinates), for every pair of
@@ -146,6 +147,25 @@ ONE_GAUSS_PART_DIFFERS = {
 }
 
 
+# the stable range (ROADMAP items 3 and 17): (family, lambda) -> (count of
+# weights off W.lambda, the highest of them by (h . w, w)) at n = 60 for
+# every row that differs; P has |W.lambda| + count terms, 24 + 4 in D3 and
+# 192 + 8, 80, 76 or 160 in D4 by (lambda_3, lambda_4), lambda_3 the centre
+# node; the other 40 of the 60 agree
+STABLE_RANGE_DIFFERS = {
+    ("D", (1, 1, 2)): (4, (2, 2, -2)), ("D", (1, 2, 2)): (4, (2, 3, -2)),
+    ("D", (2, 1, 2)): (4, (3, 2, -2)), ("D", (2, 2, 2)): (4, (3, 3, -2)),
+    ("D", (1, 1, 1, 1)): (8, (2, 2, -2, 2)), ("D", (1, 1, 1, 2)): (80, (1, 1, 2, -2)),
+    ("D", (1, 1, 2, 1)): (76, (2, 2, -2, 4)), ("D", (1, 1, 2, 2)): (160, (2, 2, -2, 5)),
+    ("D", (1, 2, 1, 1)): (8, (2, 3, -2, 2)), ("D", (1, 2, 1, 2)): (80, (1, 2, 2, -2)),
+    ("D", (1, 2, 2, 1)): (76, (2, 3, -2, 4)), ("D", (1, 2, 2, 2)): (160, (2, 3, -2, 5)),
+    ("D", (2, 1, 1, 1)): (8, (3, 2, -2, 2)), ("D", (2, 1, 1, 2)): (80, (2, 1, 2, -2)),
+    ("D", (2, 1, 2, 1)): (76, (3, 2, -2, 4)), ("D", (2, 1, 2, 2)): (160, (3, 2, -2, 5)),
+    ("D", (2, 2, 1, 1)): (8, (3, 3, -2, 2)), ("D", (2, 2, 1, 2)): (80, (2, 2, 2, -2)),
+    ("D", (2, 2, 2, 1)): (76, (3, 3, -2, 4)), ("D", (2, 2, 2, 2)): (160, (3, 3, -2, 5)),
+}
+
+
 class D3DiffersFromA3(AssertionError):
     """P of D3, twisted and mapped, differs from P of A3 at some weight."""
 
@@ -156,6 +176,10 @@ class D4AutomorphismDiffers(AssertionError):
 
 class MixedGaussParts(AssertionError):
     """A weight of P whose coefficient has more than one Gauss key."""
+
+
+class OffOrbitSupport(AssertionError):
+    """P in the stable range has a term off W.lambda, or misses a point of it."""
 
 
 def _text(lam):
@@ -237,3 +261,57 @@ def test_type_d_one_gauss_part_table(rank, lam, n, first):
         assert row.first == first
         raise MixedGaussParts(f"{row.count} weights are mixed, first {row.first}")
     assert row.count == 0 and row.first is None
+
+
+def test_stable_range_table_shape():
+    assert len(findings.stable_range_cases()) == 60
+    assert len(STABLE_RANGE_DIFFERS) == 20
+
+
+def _stable_range_case(family, rank, lam):
+    return _pinned((family, rank, lam), f"{family}{rank}-{_text(lam)}",
+                   STABLE_RANGE_DIFFERS.get((family, lam)), OffOrbitSupport,
+                   f"ROADMAP item 3: {family}{rank} {lam} n=60 has support off W.lambda")
+
+
+@pytest.mark.parametrize("family,rank,lam,first", [
+    _stable_range_case(*case) for case in findings.stable_range_cases()])
+def test_stable_range_support(family, rank, lam, first):
+    row = findings.stable_range_row(family, rank, lam)
+    if row.status == "differ":
+        assert row.first == first
+        raise OffOrbitSupport(f"{row.count} weights differ, first {row.first}")
+    assert row.count == 0 and row.first is None
+
+
+def _pinned_row(check, lam, n, found):
+    """The row that a pinned (count, first) of ``check``, or its absence, stands for."""
+    if found is None:
+        return findings.Row(check, "D", lam, n, "agree", 0, None)
+    return findings.Row(check, "D", lam, n, "differ", *found)
+
+
+def test_rule_screen_of_todays_rule_reproduces_the_tables():
+    # ROADMAP item 17's rule screen: today's rule, run through it, gives the
+    # pinned type-D tables row for row, counts included
+    want = [_pinned_row("one_gauss_part", lam, n, ONE_GAUSS_PART_DIFFERS.get((lam, n)))
+            for _, lams in findings.ONE_GAUSS_PART_CASES for lam in lams
+            for n in findings.ONE_GAUSS_PART_DEGREES]
+    want += [_pinned_row("stable_range", lam, 60, STABLE_RANGE_DIFFERS.get(("D", lam)))
+             for _, _, lam in findings.stable_range_cases("D")]
+    want += [_pinned_row("d3_a3", lam, n, D3_A3_DIFFERS.get((lam, n)))
+             for lam in findings.D3_A3_LAMBDAS for n in findings.D3_A3_DEGREES]
+    today = coefficients._component_factor
+    assert findings.rule_screen(today) == want
+    assert coefficients._component_factor is today
+
+
+def test_rule_screen_restores_the_rule_after_an_exception():
+    today = coefficients._component_factor
+
+    def broken(*args):
+        raise RuntimeError("candidate rule failed")
+
+    with pytest.raises(RuntimeError, match="candidate rule failed"):
+        findings.rule_screen(broken)
+    assert coefficients._component_factor is today
