@@ -40,10 +40,10 @@ them.  The cache is sound because the fields are append-only, so given bits
 decode the same way for the life of the process.  ``packed`` and
 ``from_packed`` hand the packed dict over as it is, with no copy:
 ``packed()`` is shared and read-only, and ``from_packed`` takes its dict
-over as it is, with no zero coefficient in it.  The row sums of ``series``
-multiply into dicts of their own by adding keys, which is sound because the
-packing is linear.  Monomials sort by their canonical form, in which a
-``GaussSymbol`` compares as its (t, residue, degree) fields.
+over as it is, with no zero coefficient in it.  ``__mul__`` and the row
+sums of ``series`` share one product, ``mul_into``, which adds keys, and one
+zero strip, ``drop_zeros``, so no other module reads a key.  Monomials sort
+by their canonical form, a ``GaussSymbol`` as its (t, residue, degree).
 
 A polynomial in q, with no Gauss symbol and no negative exponent, also
 has a value at q = 2^B: ``kronecker_encode`` sends sum c * q^e to
@@ -209,6 +209,24 @@ def json_monomials(packed: dict[int, int]) -> list[dict]:
     return [{"int": c, "q": e, "gauss": g} for e, _, c, g in _monomials(packed, 1)]
 
 
+def mul_into(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """``acc`` plus the product of the packed monomial dicts ``a`` and ``b``,
+    added in place by key sums; cancellation can leave zeros in it."""
+    get = acc.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def drop_zeros(acc: dict[int, int]) -> dict[int, int]:
+    """``acc``, its zero coefficients deleted in place."""
+    for k in [k for k, c in acc.items() if not c]:
+        del acc[k]
+    return acc
+
+
 def _monomial(key: int, coeff) -> "CoeffElement":
     """The element ``coeff`` times the monomial of packed ``key``."""
     coeff = _integer("coefficient", coeff)
@@ -295,15 +313,8 @@ class CoeffElement:
             a, b = b, a
         if not a:
             return _ZERO
-        acc: dict[int, int] = {}
-        get = acc.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-        if 0 in acc.values():
-            acc = {k: c for k, c in acc.items() if c}
-        return _wrap(acc)
+        acc = mul_into({}, a, b)
+        return _wrap(drop_zeros(acc) if 0 in acc.values() else acc)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoeffElement) and self._terms == other._terms
@@ -321,15 +332,6 @@ class CoeffElement:
     def monomials(self) -> list[tuple[int, int, _GaussPart]]:
         """Monomials as (int coeff, q exponent, gauss part), canonical order."""
         return [(c, e, g) for e, g, c, _ in _monomials(self._terms, 0)]
-
-    def as_unit_monomial(self) -> tuple[int, int] | None:
-        """Return (sign, q_exp) if the element is ±q^e with no symbols."""
-        if len(self._terms) != 1:
-            return None
-        (k, c), = self._terms.items()
-        if c not in (1, -1) or not -_Q_HALF <= k < _Q_HALF:
-            return None
-        return c, k
 
     def packed(self) -> dict[int, int]:
         """Packed monomial key -> int coefficient; shared, so do not change it."""

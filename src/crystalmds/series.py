@@ -21,11 +21,12 @@ next row applies.  The last table is keyed by packed weight, and
 ``weightpoly.poly_from_packed`` keeps it as the polynomial; the first read of
 its terms decodes all weights a field at a time, and takes the values as
 they are, since no table keeps a zero.  ``p_part``'s tables hold packed
-monomial dicts (``CoeffElement.packed``), not ring elements: each product of
-a partial sum and a filling value is added into the next table's dict in
-place, and the polynomial wraps each last dict as an element once, without a
-copy.  A row writes only the dicts it created; the ``packed()`` dicts of slot
-values, which the slot table and the ring's one share, are read-only.
+monomial dicts (``CoeffElement.packed``), not ring elements: the ring's own
+product (``coefficients.mul_into``) adds each partial sum times a filling
+value into the next table's dict in place, and the polynomial wraps each
+last dict as an element once, without a copy.  A row writes only the dicts
+it created; the ``packed()`` dicts of slot values, which the slot table and
+the ring's one share, are read-only.
 
 The walk and the row loop take their ring from the slot table: its
 ``one`` seeds every product, and a table mapped into the ints
@@ -66,7 +67,8 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .coefficients import CoeffElement, _integer, json_monomials, kronecker_encode, slot_table
+from .coefficients import (CoeffElement, _integer, drop_zeros, json_monomials,
+                           kronecker_encode, mul_into, slot_table)
 from .patterns import WalkPlan, _walk, walk_plan
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system, is_dominant,
                     is_strongly_dominant, packed_character, weyl_dimension)
@@ -97,10 +99,10 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
     cache of the row keyed by the weight fields the row reads
     (``WalkPlan.reads``), so each distinct key is walked once.  The partial
     sum times each filling value goes into the next table at the weight
-    plus the drop.  Products of packed dicts accumulate in place, through
-    one merge loop, into dicts the next table created; the zeros that
-    cancellation leaves go once per row.  Ints go once, after the last row,
-    so a count, which never cancels, scans no row."""
+    plus the drop.  Products of packed dicts accumulate in place, by the
+    ring's ``mul_into``, into dicts the next table created, and cancelled
+    zeros go once per row (``drop_zeros``); ints go once, after the last
+    row, so a count, which never cancels, scans no row."""
     one = 1 if factor is None else factor.one
     packed = isinstance(one, CoeffElement)
     sums = {plan.top if wt is None else wt: dict(one.packed()) if packed else one}
@@ -127,17 +129,10 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
                 t = get(x)
                 if t is None:
                     t = out[x] = {}
-                tget = t.get
-                for k1, c1 in f.items():
-                    for k, v in s.items():
-                        k += k1
-                        t[k] = tget(k, 0) + c1 * v
+                mul_into(t, f, s)
         if packed:
             for x in [x for x, t in out.items() if 0 in t.values()]:
-                t = out[x]
-                for k in [k for k, c in t.items() if not c]:
-                    del t[k]
-                if not t:
+                if not drop_zeros(out[x]):
                     del out[x]
         sums = out
     if not packed and 0 in sums.values():
@@ -146,11 +141,11 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
 
 
 def _p_sums(spec: CartanSpec, lam: Weight, factor) -> tuple[WalkPlan, dict]:
-    """The walk plan of ``lam``'s crystal and ``_row_sums`` of P over it,
-    with the factors of the slot table ``factor`` (``coefficients.slot_table``),
-    so each packed weight maps to a zero-free packed monomial dict, which the
-    caller owns.  The one sum behind ``p_part``, the Tokuyama check and the
-    sums that ``branch_decompose`` compares."""
+    """The walk plan of ``lam``'s crystal and ``_row_sums`` over it, with
+    the factors of the slot table ``factor`` (``coefficients.slot_table``),
+    or of 1 for None, the values as ``_row_sums`` gives them.  The one sum
+    behind ``character_via_patterns``, ``p_part``, the Tokuyama check and
+    the sums that ``branch_decompose`` compares."""
     plan = walk_plan(spec, lam)
     return plan, _row_sums(plan, factor)
 
@@ -163,8 +158,8 @@ def character_via_patterns(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     the row reads, and every prefix that reaches a weight once
     (``_row_sums``), not once per leaf.
     """
-    plan = walk_plan(rs.spec, lam)
-    return poly_from_packed(rs.height_vec, plan.codec, _row_sums(plan))
+    plan, sums = _p_sums(rs.spec, lam, None)
+    return poly_from_packed(rs.height_vec, plan.codec, sums)
 
 
 def p_part(rs: RootSystem, lam: Weight, n: int, *,

@@ -74,7 +74,7 @@ def weight_codec(lam: Weight, cartan) -> WeightCodec:
         return zip(*[[(x >> s & mask) - bias for x in xs] for s in shifts])
 
     return WeightCodec(width, mask, bias, lambda w: zero + linear(w),
-                       lambda x: tuple([(x >> s & mask) - bias for s in shifts]),
+                       lambda x: next(decode_all((x,))),
                        decode_all, tuple(map(linear, zip(*cartan))))
 
 
@@ -125,15 +125,15 @@ class WeightPolynomial:
 
     def packed_items(self) -> list[tuple[Weight, dict[int, int]]]:
         """(weight, packed monomial dict) per term, in the fixed order,
-        leading (highest ``order_key``) first, read without decoding the
-        terms: an int table's value c reads as ``{0: c}``, a dict table's as
-        it is, a decoded term's as its element's ``packed()``.  The dicts
-        are shared: do not change them."""
+        leading (highest ``order_key``) first, without decoding the terms:
+        each value as its element's ``packed()``, an int c as ``from_int(c)``'s.
+        The dicts are shared: do not change them."""
         if self._packed is None:
             pairs = [(w, c.packed()) for w, c in self._terms.items()]
         else:
             codec, table, dicts = self._table()
-            values = table.values() if dicts else [{0: c} for c in table.values()]
+            values = (table.values() if dicts else
+                      [CoeffElement.from_int(c).packed() for c in table.values()])
             pairs = zip(codec.decode_all(table), values)
         h = self.height_vec
         # order_key inline; weights are distinct, so no dict is compared
@@ -206,10 +206,10 @@ class WeightPolynomial:
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero weight polynomial")
         lead = max(divisor.terms, key=divisor.order_key)
-        unit = divisor.terms[lead].as_unit_monomial()
-        if unit is None:
+        (sign, e, gauss), *more = divisor.terms[lead].monomials()
+        if more or gauss or sign not in (1, -1):
             raise ValueError("divisor leading coefficient is not a unit monomial")
-        inverse = CoeffElement.q_power(-unit[1], unit[0])
+        inverse = CoeffElement.q_power(-e, sign)
         rest = [(w, c) for w, c in divisor.terms.items() if w != lead]
         box = [(min(a) - min(b), max(a) - max(b))
                for a, b in zip(zip(*self.terms), zip(*divisor.terms))]
@@ -254,18 +254,19 @@ def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec,
 
 def character_dimension(poly: WeightPolynomial) -> int:
     """Sum of integer coefficients (evaluation at the all-ones point).  An
-    undecoded packed table is read as it is: an int table's values are
-    summed, and each packed monomial dict must be a constant's, {0: c}."""
+    undecoded table is read as it is: an int table's values are summed, and
+    each packed monomial dict's element must be one constant monomial."""
     if poly._packed is None:
-        values = (c.packed() for c in poly.terms.values())
+        values = poly.terms.values()
     else:
         _, table, dicts = poly._table()
-        values = table.values()
         if not dicts:
-            return sum(values)
+            return sum(table.values())
+        values = map(CoeffElement.from_packed, table.values())
     total = 0
-    for t in values:
-        if t.keys() != {0}:
+    for c in values:
+        (k, e, gauss), *more = c.monomials()
+        if more or e or gauss:
             raise ValueError("character polynomial has non-constant coefficients")
-        total += t[0]
+        total += k
     return total

@@ -619,14 +619,6 @@ class RefCoeff:
     def monomials(self):
         return [(c, e, g) for (e, g), c in sorted(self.terms.items())]
 
-    def as_unit_monomial(self):
-        """(sign, e) for ±q^e, else None."""
-        if len(self.terms) == 1:
-            ((e, g), c), = self.terms.items()
-            if not g and c in (1, -1):
-                return c, e
-        return None
-
     def to_json_obj(self):
         return {"monomials": [
             {"int": c, "q": e,

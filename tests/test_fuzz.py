@@ -2,7 +2,8 @@
 
 Each property draws crystals (family, rank, lambda) with lambda in
 {low..3}^rank and dim V(lambda) below ``MAX_DIM``, and checks the package
-against an oracle of ``tests/oracles.py`` only.  The draws are derandomized
+against an oracle of ``tests/oracles.py``, or, for Tokuyama's
+factorization, through the package's own multiplied-out check.  The draws are derandomized
 and their number fixed, so every run tests the same cases; a failing draw
 shrinks toward the first family, the least rank, the least lambda and the
 least n, the smallest witness.  Type D is drawn only for the properties
@@ -12,11 +13,12 @@ import collections
 
 from hypothesis import assume, given, settings, strategies as st
 
-from crystalmds import CartanSpec, build_root_system, character_via_patterns, p_part
+from crystalmds import (CartanSpec, build_root_system, character_via_patterns, p_part,
+                        tokuyama_quotient)
 from crystalmds.patterns import _walk, walk_plan
 from crystalmds.roots import _MIN_RANK, weyl_dimension
 from oracles import (_signed_orbit, first_mixed_weight, freudenthal_multiplicities,
-                     levi_multiplicities)
+                     gauss_normal_form, levi_multiplicities)
 
 MAX_DIM = 3_000
 TOP_RANK = 4
@@ -76,3 +78,28 @@ def test_stable_range_support_is_the_orbit(case):
     family, rank, lam = case
     r = rs(family, rank)
     assert p_part(r, lam, 60).terms.keys() == _signed_orbit(r, lam).keys()
+
+
+@fuzz(300)
+@given(crystals("A", low=1, rank_over_min=1), st.integers(1, 6))
+def test_a_flip_reverses_every_weight(case, n):
+    # the diagram automorphism of A_r reverses the simple roots, so P of
+    # reversed lambda is P of lambda with every weight reversed, in the
+    # normal form of the Gauss relations
+    family, rank, lam = case
+    r = rs(family, rank)
+
+    def normal_form(lam, flip):
+        return {w[::-1] if flip else w: nf for w, c in p_part(r, lam, n).terms.items()
+                if (nf := gauss_normal_form(c, n))}
+
+    assert normal_form(lam, True) == normal_form(lam[::-1], False)
+
+
+@fuzz(100)
+@given(crystals("A", low=1))
+def test_tokuyama_factorization_holds(case):
+    # at n = 1, P is the deformed Weyl denominator times the twisted
+    # character of lambda - rho (Tokuyama)
+    family, rank, lam = case
+    assert tokuyama_quotient(rs(family, rank), lam).ok

@@ -384,10 +384,15 @@ def test_division_rejects_a_non_unit_leading_coefficient():
     one, two, q = CoeffElement.one(), CoeffElement.from_int(2), CoeffElement.q_power(1)
     g = CoeffElement.symbol(GaussSymbol(1, 1, 2))
     numer = WeightPolynomial(r.height_vec, {(0, 0): one})
-    for lead in (two, q + one, g, -g):
+    for lead in (two, q + one, g, -g, two * q, q * g):
         divisor = WeightPolynomial(r.height_vec, {(0, 0): lead, (-2, 1): one})
         with pytest.raises(ValueError):
             numer.divide(divisor)
+    # a unit lead +-q^e divides exactly, whatever the sign of e
+    quot = WeightPolynomial(r.height_vec, {(1, 0): g, (0, 0): two, (-1, 1): q})
+    for lead in (CoeffElement.q_power(3, -1), CoeffElement.q_power(-2)):
+        divisor = WeightPolynomial(r.height_vec, {(0, 0): lead, (-2, 1): one + g})
+        assert (quot * divisor).divide(divisor) == (quot, WeightPolynomial(r.height_vec))
     with pytest.raises(ZeroDivisionError):
         numer.divide(WeightPolynomial(r.height_vec, {}))
 
