@@ -41,9 +41,10 @@ decode the same way for the life of the process.  ``packed`` and
 ``from_packed`` hand the packed dict over as it is, with no copy:
 ``packed()`` is shared and read-only, and ``from_packed`` takes its dict
 over as it is, with no zero coefficient in it.  ``__mul__`` and the row
-sums of ``series`` share one product, ``mul_into``, which adds keys, and one
-zero strip, ``drop_zeros``, so no other module reads a key.  Monomials sort
-by their canonical form, a ``GaussSymbol`` as its (t, residue, degree).
+sums of ``series`` share one product, ``mul_into``, which adds keys, so no
+other module reads a key; it deletes a key whose sum cancels to 0, so its
+dicts stay zero-free and nothing scans them for zeros.  Monomials sort by
+their canonical form, a ``GaussSymbol`` as its (t, residue, degree).
 
 A polynomial in q, with no Gauss symbol and no negative exponent, also
 has a value at q = 2^B: ``kronecker_encode`` sends sum c * q^e to
@@ -210,20 +211,18 @@ def json_monomials(packed: dict[int, int]) -> list[dict]:
 
 
 def mul_into(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """``acc`` plus the product of the packed monomial dicts ``a`` and ``b``,
-    added in place by key sums; cancellation can leave zeros in it."""
+    """``acc`` plus the product of the zero-free packed monomial dicts ``a``
+    and ``b``, added in place by key sums.  A key whose sum reaches 0 is
+    deleted, so a zero-free ``acc`` stays zero-free, and may end as ``{}``."""
     get = acc.get
     for k1, c1 in a.items():
         for k2, c2 in b.items():
             k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-    return acc
-
-
-def drop_zeros(acc: dict[int, int]) -> dict[int, int]:
-    """``acc``, its zero coefficients deleted in place."""
-    for k in [k for k, c in acc.items() if not c]:
-        del acc[k]
+            c = get(k, 0) + c1 * c2
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]
     return acc
 
 
@@ -313,8 +312,7 @@ class CoeffElement:
             a, b = b, a
         if not a:
             return _ZERO
-        acc = mul_into({}, a, b)
-        return _wrap(drop_zeros(acc) if 0 in acc.values() else acc)
+        return _wrap(mul_into({}, a, b))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoeffElement) and self._terms == other._terms

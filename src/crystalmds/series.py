@@ -23,10 +23,10 @@ its terms decodes all weights a field at a time, and takes the values as
 they are, since no table keeps a zero.  ``p_part``'s tables hold packed
 monomial dicts (``CoeffElement.packed``), not ring elements: the ring's own
 product (``coefficients.mul_into``) adds each partial sum times a filling
-value into the next table's dict in place, and the polynomial wraps each
-last dict as an element once, without a copy.  A row writes only the dicts
-it created; the ``packed()`` dicts of slot values, which the slot table and
-the ring's one share, are read-only.
+value into the next table's dict in place, zero-free, and the polynomial
+wraps each last dict as an element once, without a copy.  A row writes only
+the dicts it created; the ``packed()`` dicts of slot values, which the slot
+table and the ring's one share, are read-only.
 
 The walk and the row loop take their ring from the slot table: its
 ``one`` seeds every product, and a table mapped into the ints
@@ -38,11 +38,11 @@ where every coefficient is a Laurent polynomial in q (``g_value`` evaluates g
 there): P is the lambda-independent deformed Weyl denominator D times the
 character of lambda - rho with each coefficient twisted by q to the height
 drop of its weight, the variable normalization under which the
-factorization is exact (see README notes).  Nothing is divided.  In type A
-both sides are polynomials in q, so the check evaluates them at q = 2^B
-(Kronecker substitution), with B wide enough that the evaluation is
-injective on every coefficient either side can have; the proof is in
-``tokuyama_quotient``.  P's row sums (``_p_sums``, the one sum behind
+factorization is exact (see README notes), asserted in types A and C.
+Nothing is divided.  Both sides are polynomials in q, so the check
+evaluates them at q = 2^B (Kronecker substitution), with B wide enough that
+the evaluation is injective on every coefficient either side can have; the
+proof is in ``tokuyama_quotient``.  P's row sums (``_p_sums``, the one sum behind
 ``p_part`` too) run on the int path; the character of lambda - rho is built
 by the Demazure operators on the codec of P's walk plan and twisted key by
 key, at heights read through that codec, times x^rho, then multiplied by D's
@@ -67,8 +67,8 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .coefficients import (CoeffElement, _integer, drop_zeros, json_monomials,
-                           kronecker_encode, mul_into, slot_table)
+from .coefficients import (CoeffElement, _integer, json_monomials, kronecker_encode,
+                           mul_into, slot_table)
 from .patterns import WalkPlan, _walk, walk_plan
 from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system, is_dominant,
                     is_strongly_dominant, packed_character, weyl_dimension)
@@ -100,9 +100,9 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
     (``WalkPlan.reads``), so each distinct key is walked once.  The partial
     sum times each filling value goes into the next table at the weight
     plus the drop.  Products of packed dicts accumulate in place, by the
-    ring's ``mul_into``, into dicts the next table created, and cancelled
-    zeros go once per row (``drop_zeros``); ints go once, after the last
-    row, so a count, which never cancels, scans no row."""
+    ring's ``mul_into``, into dicts the next table created, which it keeps
+    zero-free, so a row drops only the dicts that cancelled to ``{}``; zero
+    ints go once, after the last row, so a count scans no row."""
     one = 1 if factor is None else factor.one
     packed = isinstance(one, CoeffElement)
     sums = {plan.top if wt is None else wt: dict(one.packed()) if packed else one}
@@ -131,9 +131,8 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
                     t = out[x] = {}
                 mul_into(t, f, s)
         if packed:
-            for x in [x for x, t in out.items() if 0 in t.values()]:
-                if not drop_zeros(out[x]):
-                    del out[x]
+            for x in [x for x, t in out.items() if not t]:
+                del out[x]
         sums = out
     if not packed and 0 in sums.values():
         sums = {x: c for x, c in sums.items() if c}
@@ -226,7 +225,12 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     on success the quotient D, built by the same loop from x^rho, and on
     failure the remainder P - D * chi~, whose keys name the leading weight.
 
-    The evaluation is injective.  In type A at n = 1 every coefficient of
+    Types A and C are asserted; C's form is type A's over C's own roots,
+    the Casselman-Shalika formula at n = 1 for the group whose dual is
+    Sp(2r).  B and D raise ValueError.
+
+    The evaluation is injective.  In types A and C at n = 1 every slot
+    factor is q^a, -q^(a-1) or (q - 1) q^(a-1), so every coefficient of
     either side is a polynomial in q with nonnegative exponents, and with
     N positive roots and d = dim V(lam - rho) (``roots.weyl_dimension``),
     B = (d * 4^N).bit_length() + 2 (``_q_bits``):
@@ -251,14 +255,16 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     h . (lam - rho - w) / 2; the shift by rho, packing being linear, is one
     addition of rho's packed offset.
 
-    No field overflows.  In type A every weight of every partial product
-    lies in conv(W lam), where |<w, alpha_i^vee>| <= <lam, theta^vee> =
-    sum(lam), inside the codec's 4 * sum(lam): it is a weight of chi~, in
-    conv(W(lam - rho)), plus rho minus distinct positive roots, a weight of
-    V(rho), whose character is prod_(a>0) (x^(a/2) + x^(-a/2)).
+    No field overflows.  Every weight of every partial product is a weight
+    of chi~, in conv(W(lam - rho)), plus rho minus distinct positive roots,
+    a weight of V(rho) (character prod_(a>0) (x^(a/2) + x^(-a/2))), so it
+    lies in conv(W(lam - rho)) + conv(W rho) = conv(W lam).  There
+    |<w, alpha_i^vee>| <= <lam, beta^vee> for a positive coroot beta^vee:
+    sum(lam) in type A, at most 2 * sum(lam) in type C (its coroots are of
+    type B), inside the codec's 4 * sum(lam).
     """
-    if rs.family != "A":
-        raise ValueError("the deformation factorization is asserted for type A only")
+    if rs.family not in ("A", "C"):
+        raise ValueError("the deformation factorization is asserted for types A and C only")
     lam = _checked_weight(rs.spec, lam)
     if not is_strongly_dominant(lam):
         raise ValueError(f"need a strongly dominant highest weight, got {lam}")

@@ -13,7 +13,8 @@ which its first read reads back as packed monomial dicts), as the polynomial.
 The first read of ``terms`` decodes it, once: the codec decodes every key a
 field at a time (``decode_all``), each distinct integer coefficient becomes
 one shared element, and the terms go in without the constructor's copy and
-zero scan, since the engines keep no zeros; from then on they are all it
+zero scan, since the engines keep no zeros (``coefficients.mul_into``
+builds every packed monomial dict zero-free); from then on they are all it
 holds.  Until then ``len``, ``is_zero``, ``==``, ``character_dimension``,
 ``sorted_weights`` (the keys alone) and ``packed_items``, the ordered reader
 behind JSON and text output, read the table: two tables over one packing
@@ -21,10 +22,10 @@ behind JSON and text output, read the table: two tables over one packing
 of value are equal exactly when their polynomials are, the codec being
 injective on every weight its fields hold.
 
-No engine path divides.  ``WeightPolynomial.divide`` is a short
-leading-term elimination over whole weights and their elements, kept for
-callers outside the package; the Tokuyama check of ``series`` multiplies
-instead.
+No engine path divides or multiplies polynomials, and the class has no
+product.  ``WeightPolynomial.divide`` is a short leading-term elimination
+over whole weights and their elements, kept for callers outside the
+package; the Tokuyama check of ``series`` multiplies int tables instead.
 """
 from __future__ import annotations
 
@@ -153,10 +154,6 @@ class WeightPolynomial:
     def __len__(self) -> int:
         return len(self._terms if self._packed is None else self._packed[1])
 
-    def __iter__(self) -> Iterator[tuple[Weight, CoeffElement]]:
-        for w in self.sorted_weights():
-            yield w, self.terms[w]
-
     def coeff(self, w: Weight) -> CoeffElement:
         return self.terms.get(tuple(w), CoeffElement.zero())
 
@@ -173,21 +170,6 @@ class WeightPolynomial:
         bits = [f"({self.terms[w]!r})*x^{w}" for w in self.sorted_weights()]
         return " + ".join(bits) if bits else "0"
 
-    # -- arithmetic ----------------------------------------------------------
-    def __mul__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        self._check(other)
-        acc: dict[Weight, CoeffElement] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = tuple(a + b for a, b in zip(w1, w2))
-                prod = c1 * c2
-                acc[w] = acc[w] + prod if w in acc else prod
-        return WeightPolynomial(self.height_vec, acc)
-
-    def _check(self, other: "WeightPolynomial"):
-        if self.height_vec != other.height_vec:
-            raise ValueError("weight polynomials live over different root systems")
-
     # -- division ------------------------------------------------------------
     def divide(self, divisor: "WeightPolynomial") -> tuple["WeightPolynomial", "WeightPolynomial"]:
         """Leading-term elimination under the fixed order.  Returns
@@ -202,7 +184,8 @@ class WeightPolynomial:
         outside that box ends the division, and w stays in the remainder.
         Leading weights strictly decrease inside self's box, so it ends.
         """
-        self._check(divisor)
+        if self.height_vec != divisor.height_vec:
+            raise ValueError("weight polynomials live over different root systems")
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero weight polynomial")
         lead = max(divisor.terms, key=divisor.order_key)

@@ -33,11 +33,22 @@ support and W.lambda differ, and the first is the highest of them by
 (h . w, w).  In every row measured the orbit lies in the support, so the
 count is P's term count less |W.lambda|.
 
+``type_d_n1_rows`` is ROADMAP item 24's type-D table at n = 1, where every
+coefficient is a Laurent polynomial in q.  D is simply laced, so
+Casselman-Shalika give type A's form over D's own roots: D's coefficient at
+w, twisted by q^ht as in ``d3_a3_row``, should be the coefficient at w of
+x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a) times the twisted character of
+lambda - rho (``oracles.deformed_denominator`` times
+``oracles.twisted_character``).  Elements are compared as they are, and the
+first differing weight is the highest by (h . w, w) in D's coordinates.  On
+D3 it is the D3 = A3 arbiter again, with the same count as ``d3_a3_row`` at
+n = 1 for every lambda, and it reaches every rank.
+
 ``rule_screen`` runs a candidate type-D component rule through the type-D
-tables above (homogeneity, stable range, D3 = A3), for item 3: it swaps
-``coefficients._component_factor`` for the candidate while the rows are
-computed, and restores it after, so a candidate's table can be set beside
-today's with no engine option.
+tables above (homogeneity, stable range, D3 = A3, the n = 1 form), for item
+3: it swaps ``coefficients._component_factor`` for the candidate while the
+rows are computed, and restores it after, so a candidate's table can be set
+beside today's with no engine option.
 
 Run as a script (``python tests/findings.py``, with the package importable)
 it prints every row as one JSON object per line.  The tier-1 tests pin
@@ -50,8 +61,9 @@ import json
 from operator import mul, sub
 from typing import NamedTuple
 
-from crystalmds import CartanSpec, build_root_system, coefficients, p_part
-from oracles import _signed_orbit, first_mixed_weight, gauss_normal_form
+from crystalmds import CartanSpec, CoeffElement, build_root_system, coefficients, p_part
+from oracles import (_signed_orbit, deformed_denominator, first_mixed_weight, gauss_normal_form,
+                     twisted_character)
 
 
 class Row(NamedTuple):
@@ -178,19 +190,48 @@ def stable_range_rows(families: str = "ABCD") -> list[Row]:
     return [stable_range_row(*case) for case in stable_range_cases(families)]
 
 
+# (rank, lambdas) of type D, each at n = 1
+TYPE_D_N1_CASES = ((3, tuple(itertools.product((1, 2, 3), repeat=3))),
+                   (4, tuple(itertools.product((1, 2), repeat=4))),
+                   (5, ((1,) * 5,)))
+
+
+def type_d_n1_row(rank: int, lam: tuple[int, ...]) -> Row:
+    """The weights where P of D``rank`` ``lam`` at n = 1, twisted by q^ht,
+    and the type-A form over D's roots differ."""
+    rs = build_root_system(CartanSpec("D", rank))
+    want = deformed_denominator(rs, times=twisted_character(rs, tuple(c - 1 for c in lam))).terms
+    got = {}
+    for w, c in p_part(rs, lam, 1).terms.items():
+        ht, odd = divmod(sum(map(mul, rs.height_vec, map(sub, lam, w))), 2)
+        assert not odd, f"weight {w} outside the root lattice shift"
+        got[w] = c * CoeffElement.q_power(ht)
+    diff = [w for w in got.keys() | want.keys() if got.get(w) != want.get(w)]
+    first = max(diff, key=lambda w: (sum(map(mul, rs.height_vec, w)), w), default=None)
+    return Row("type_d_n1", "D", tuple(lam), 1, "differ" if diff else "agree", len(diff), first)
+
+
+def type_d_n1_rows() -> list[Row]:
+    """``type_d_n1_row`` for D3 lambda in {1,2,3}^3, D4 lambda in {1,2}^4
+    and D5 rho."""
+    return [type_d_n1_row(rank, lam) for rank, lams in TYPE_D_N1_CASES for lam in lams]
+
+
 def rule_screen(component_factor) -> list[Row]:
-    """``one_gauss_part_rows``, the type-D ``stable_range_rows`` and
-    ``d3_a3_rows``, with ``component_factor`` in place of
-    ``coefficients._component_factor``, which is restored afterwards."""
+    """``one_gauss_part_rows``, the type-D ``stable_range_rows``,
+    ``d3_a3_rows`` and ``type_d_n1_rows``, with ``component_factor`` in
+    place of ``coefficients._component_factor``, which is restored
+    afterwards."""
     today = coefficients._component_factor
     coefficients._component_factor = component_factor
     try:
-        return one_gauss_part_rows() + stable_range_rows("D") + d3_a3_rows()
+        return (one_gauss_part_rows() + stable_range_rows("D") + d3_a3_rows()
+                + type_d_n1_rows())
     finally:
         coefficients._component_factor = today
 
 
 if __name__ == "__main__":
     for row in (d3_a3_rows() + d4_automorphism_rows() + one_gauss_part_rows()
-                + stable_range_rows()):
+                + stable_range_rows() + type_d_n1_rows()):
         print(json.dumps(row._asdict()))

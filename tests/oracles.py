@@ -11,7 +11,8 @@ tuple-keyed, one-int-per-term division that is also the reference for
 ``WeightPolynomial.divide``.  ``deformed_denominator`` expands Tokuyama's
 deformed Weyl denominator from the model's positive roots, as a reference
 for the quotient of ``series.tokuyama_quotient``, and ``twisted_character``
-the q-twisted character that it multiplies.  ``demazure_by_terms`` is the
+the q-twisted character that it multiplies, through ``poly_product``, the
+term-by-term product of two weight polynomials.  ``demazure_by_terms`` is the
 Demazure operator that writes each term's whole interval of its alpha-string,
 as the reference for ``roots._demazure``'s one pass per string.
 ``polynomial_json_obj`` and ``coeff_text`` render a polynomial's JSON object
@@ -48,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
-from operator import mul, sub
+from operator import add, mul, sub
 
 from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, LittelmannPattern,
                         WeightPolynomial, enumerate_patterns, pattern_wt, weyl_character)
@@ -409,20 +410,42 @@ def twisted_character(rs, lam_prime) -> WeightPolynomial:
     return WeightPolynomial(rs.height_vec, terms)
 
 
-def deformed_denominator(rs, bump: tuple[int, ...] | None = None):
-    """Tokuyama's deformed Weyl denominator of type A,
-    x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a), expanded one factor at a time
-    through ``WeightPolynomial.__mul__`` on tuple weights.  The positive
-    roots are the model's e_i - e_j, i < j, of height j - i.  The factor of
-    the root ``bump`` (weight coordinates), if given, takes q^(ht a)."""
-    model = ModelRootSystem("A", rs.rank)
+def poly_product(a: WeightPolynomial, b: WeightPolynomial) -> WeightPolynomial:
+    """The product of two weight polynomials, term by term on their decoded
+    tuple weights; the package itself never multiplies polynomials."""
+    assert a.height_vec == b.height_vec, "weight polynomials over different root systems"
+    acc: dict = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            w = tuple(map(add, w1, w2))
+            acc[w] = acc[w] + c1 * c2 if w in acc else c1 * c2
+    return WeightPolynomial(a.height_vec, acc)
+
+
+def deformed_denominator(rs, bump: tuple[int, ...] | None = None,
+                         times: WeightPolynomial | None = None):
+    """The deformed Weyl denominator x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a)
+    over the model's positive roots of ``rs``'s family, expanded one factor
+    at a time through ``poly_product`` on tuple weights: Tokuyama's in type
+    A, and Casselman-Shalika's at n = 1 in the others.  A root's height is
+    the sum of its simple-root coordinates, read through the inverse of the
+    model's Cartan matrix.  The factor of the root ``bump`` (weight
+    coordinates), if given, takes q^(ht a).  With ``times``, the product
+    starts from x^rho * ``times`` instead of x^rho, so it is D * ``times``
+    with no product of two large polynomials."""
+    model = ModelRootSystem(rs.family, rs.rank)
+    ainv = invert_fraction_matrix(model.cartan_matrix())
     one = CoeffElement.one()
     out = WeightPolynomial(rs.height_vec, {rho(rs): one})
-    for (i, j), vec in zip(combinations(range(rs.rank + 1), 2), model.positive):
+    if times is not None:
+        out = poly_product(out, times)
+    for vec in model.positive:
         root = tuple(int(c) for c in model.weight_coords(vec))
-        e = j - i - 1 + (root == bump)
-        out = out * WeightPolynomial(rs.height_vec, {
-            (0,) * rs.rank: one, tuple(-c for c in root): CoeffElement.q_power(e, -1)})
+        ht = sum(_dot(row, root) for row in ainv)
+        assert ht.denominator == 1, f"root {root} outside the root lattice"
+        e = int(ht) - 1 + (root == bump)
+        out = poly_product(out, WeightPolynomial(rs.height_vec, {
+            (0,) * rs.rank: one, tuple(-c for c in root): CoeffElement.q_power(e, -1)}))
     return out
 
 

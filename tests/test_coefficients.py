@@ -248,6 +248,19 @@ def test_canonical_merging_and_zero_dropping():
     assert (s * s).monomials() == [(1, 0, ((GaussSymbol(1, 1, 3), 2),))]
 
 
+def test_mul_into_keeps_the_accumulator_zero_free():
+    # a monomial whose sum reaches 0 is deleted as it cancels, and a dict
+    # whose every monomial cancels is left empty, in place
+    g = CoeffElement.symbol(GaussSymbol(1, 1, 3))
+    acc = dict((Q(1) + g).packed())
+    assert coefficients.mul_into(acc, Q(1, -1).packed(), ONE.packed()) is acc
+    assert acc == g.packed()
+    acc = dict((Q(1) - ONE).packed())
+    assert coefficients.mul_into(acc, ONE.packed(), (ONE - Q(1)).packed()) == {}
+    # and the same through the ring's product: (1 + q)(1 - q) = 1 - q^2
+    assert ((ONE + Q(1)) * (ONE - Q(1))).packed() == (ONE - Q(2)).packed()
+
+
 def test_gauss_symbol_value_semantics():
     # symbols are dict keys (the field of each symbol); the hash is the value hash
     a, b = GaussSymbol(2, 1, 3), GaussSymbol(2, 1, 3)

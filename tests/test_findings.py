@@ -166,6 +166,32 @@ STABLE_RANGE_DIFFERS = {
 }
 
 
+# type D at n = 1 against type A's form over D's own roots (ROADMAP items 3
+# and 24): lambda -> (differing-weight count, first differing weight by
+# (h . w, w)) for D3 lambda in {1,2,3}^3, D4 lambda in {1,2}^4 and D5 rho;
+# every one of the 44 rows differs
+TYPE_D_N1_DIFFERS = {
+    (1, 1, 1): (4, (1, 1, -1)), (1, 1, 2): (14, (2, 2, -2)), (1, 1, 3): (39, (2, 2, -1)),
+    (1, 2, 1): (26, (-1, 0, 3)), (1, 2, 2): (59, (-1, 0, 4)), (1, 2, 3): (110, (-1, 0, 5)),
+    (1, 3, 1): (33, (-1, 1, 3)), (1, 3, 2): (73, (-1, 1, 4)), (1, 3, 3): (133, (-1, 1, 5)),
+    (2, 1, 1): (11, (2, 1, -1)), (2, 1, 2): (25, (-1, 0, 3)), (2, 1, 3): (57, (-1, 0, 4)),
+    (2, 2, 1): (14, (2, 2, -1)), (2, 2, 2): (32, (-1, 1, 3)), (2, 2, 3): (73, (-1, 1, 4)),
+    (2, 3, 1): (68, (2, 3, -1)), (2, 3, 2): (121, (-1, 2, 3)), (2, 3, 3): (211, (-1, 2, 4)),
+    (3, 1, 1): (13, (3, 1, -1)), (3, 1, 2): (32, (4, 2, -2)), (3, 1, 3): (72, (4, 2, -1)),
+    (3, 2, 1): (25, (3, 2, -1)), (3, 2, 2): (53, (4, 3, -2)), (3, 2, 3): (106, (4, 3, -1)),
+    (3, 3, 1): (29, (3, 3, -1)), (3, 3, 2): (62, (4, 4, -2)), (3, 3, 3): (126, (4, 4, -1)),
+    (1, 1, 1, 1): (191, (1, 1, -1, 3)), (1, 1, 1, 2): (416, (1, 1, -1, 4)),
+    (1, 1, 2, 1): (725, (2, 2, -2, 4)), (1, 1, 2, 2): (1279, (2, 2, -2, 5)),
+    (1, 2, 1, 1): (682, (-1, 0, 3, 1)), (1, 2, 1, 2): (1272, (-1, 0, 3, 2)),
+    (1, 2, 2, 1): (1859, (-1, 0, 4, 1)), (1, 2, 2, 2): (3057, (-1, 0, 4, 2)),
+    (2, 1, 1, 1): (494, (2, 1, -1, 3)), (2, 1, 1, 2): (965, (2, 1, -1, 4)),
+    (2, 1, 2, 1): (1428, (-1, 0, 3, 2)), (2, 1, 2, 2): (2413, (-1, 0, 3, 3)),
+    (2, 2, 1, 1): (767, (2, 2, -1, 3)), (2, 2, 1, 2): (1419, (2, 2, -1, 4)),
+    (2, 2, 2, 1): (2078, (-1, 1, 3, 2)), (2, 2, 2, 2): (3333, (-1, 1, 3, 3)),
+    (1, 1, 1, 1, 1): (6569, (1, 1, -1, 3, 1))
+}
+
+
 class D3DiffersFromA3(AssertionError):
     """P of D3, twisted and mapped, differs from P of A3 at some weight."""
 
@@ -180,6 +206,10 @@ class MixedGaussParts(AssertionError):
 
 class OffOrbitSupport(AssertionError):
     """P in the stable range has a term off W.lambda, or misses a point of it."""
+
+
+class DiffersFromTheN1Form(AssertionError):
+    """P of type D at n = 1, twisted, differs from type A's form over D's roots."""
 
 
 def _text(lam):
@@ -284,6 +314,37 @@ def test_stable_range_support(family, rank, lam, first):
     assert row.count == 0 and row.first is None
 
 
+def test_type_d_n1_table_shape():
+    assert sum(len(lams) for _, lams in findings.TYPE_D_N1_CASES) == 44
+    assert len(TYPE_D_N1_DIFFERS) == 44
+
+
+def test_type_d_n1_counts_are_the_d3_a3_counts_at_n1():
+    # on D3 the n = 1 form is the D3 = A3 arbiter again: the same count of
+    # differing weights for every lambda (the first weights are in different
+    # coordinates)
+    (rank, lams), *_ = findings.TYPE_D_N1_CASES
+    assert rank == 3 and lams == findings.D3_A3_LAMBDAS
+    assert {lam: TYPE_D_N1_DIFFERS[lam][0] for lam in lams} == {
+        lam: D3_A3_DIFFERS.get((lam, 1), (0,))[0] for lam in lams}
+
+
+def _type_d_n1_case(rank, lam):
+    return _pinned((rank, lam), f"D{rank}-{_text(lam)}", TYPE_D_N1_DIFFERS.get(lam),
+                   DiffersFromTheN1Form,
+                   f"ROADMAP item 24: D{rank} {lam} n=1 differs from type A's form over D's roots")
+
+
+@pytest.mark.parametrize("rank,lam,first", [
+    _type_d_n1_case(rank, lam) for rank, lams in findings.TYPE_D_N1_CASES for lam in lams])
+def test_type_d_n1_form(rank, lam, first):
+    row = findings.type_d_n1_row(rank, lam)
+    if row.status == "differ":
+        assert row.first == first
+        raise DiffersFromTheN1Form(f"{row.count} weights differ, first {row.first}")
+    assert row.count == 0 and row.first is None
+
+
 def _pinned_row(check, lam, n, found):
     """The row that a pinned (count, first) of ``check``, or its absence, stands for."""
     if found is None:
@@ -301,6 +362,8 @@ def test_rule_screen_of_todays_rule_reproduces_the_tables():
              for _, _, lam in findings.stable_range_cases("D")]
     want += [_pinned_row("d3_a3", lam, n, D3_A3_DIFFERS.get((lam, n)))
              for lam in findings.D3_A3_LAMBDAS for n in findings.D3_A3_DEGREES]
+    want += [_pinned_row("type_d_n1", lam, 1, TYPE_D_N1_DIFFERS.get(lam))
+             for _, lams in findings.TYPE_D_N1_CASES for lam in lams]
     today = coefficients._component_factor
     assert findings.rule_screen(today) == want
     assert coefficients._component_factor is today

@@ -8,6 +8,8 @@ and their number fixed, so every run tests the same cases; a failing draw
 shrinks toward the first family, the least rank, the least lambda and the
 least n, the smallest witness.  Type D is drawn only for the properties
 that hold there; ``tests/findings.py`` pins the ones that fail in type D.
+Tokuyama's factorization is drawn in types A and C, the two families whose
+n = 1 sums it covers.
 """
 import collections
 
@@ -101,5 +103,14 @@ def test_a_flip_reverses_every_weight(case, n):
 def test_tokuyama_factorization_holds(case):
     # at n = 1, P is the deformed Weyl denominator times the twisted
     # character of lambda - rho (Tokuyama)
+    family, rank, lam = case
+    assert tokuyama_quotient(rs(family, rank), lam).ok
+
+
+@fuzz(100)
+@given(crystals("C", low=1))
+def test_type_c_tokuyama_factorization_holds(case):
+    # at n = 1, type C factors as type A does, over C's own positive roots
+    # (Casselman-Shalika)
     family, rank, lam = case
     assert tokuyama_quotient(rs(family, rank), lam).ok

@@ -11,7 +11,7 @@ from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, LittelmannPattern
 from crystalmds.roots import _MIN_RANK, MAX_RANK, _cartan_inverse, _demazure, packed_character
 from crystalmds.weightpoly import poly_from_packed, weight_codec
 from oracles import (ModelRootSystem, demazure_by_terms, element, freudenthal_multiplicities,
-                     invert_fraction_matrix, reflect, rho)
+                     invert_fraction_matrix, poly_product, reflect, rho)
 from oracles import divide_terms as reference_divide_terms
 
 ALL_SPECS = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -392,7 +392,8 @@ def test_division_rejects_a_non_unit_leading_coefficient():
     quot = WeightPolynomial(r.height_vec, {(1, 0): g, (0, 0): two, (-1, 1): q})
     for lead in (CoeffElement.q_power(3, -1), CoeffElement.q_power(-2)):
         divisor = WeightPolynomial(r.height_vec, {(0, 0): lead, (-2, 1): one + g})
-        assert (quot * divisor).divide(divisor) == (quot, WeightPolynomial(r.height_vec))
+        assert (poly_product(quot, divisor).divide(divisor)
+                == (quot, WeightPolynomial(r.height_vec)))
     with pytest.raises(ZeroDivisionError):
         numer.divide(WeightPolynomial(r.height_vec, {}))
 
@@ -428,7 +429,8 @@ def _plus(a: WeightPolynomial, b: WeightPolynomial) -> WeightPolynomial:
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("D", 4)])
 def test_symbolic_division_round_trips_exact_products(family, rank):
     # N = g * d for random symbolic g and d, d led by a unit +-q^e; the
-    # quotient is g again, and Q * D == N through the term-by-term product.
+    # quotient is g again, and Q * D == N through the term-by-term product
+    # (``oracles.poly_product``).
     # Coordinates reach 10^6 from both sides, so the packed fields are wide.
     r = rs(family, rank)
     rng = random.Random(f"divide {family}{rank}")
@@ -441,11 +443,11 @@ def test_symbolic_division_round_trips_exact_products(family, rank):
         lead = d.sorted_weights()[0]
         d = WeightPolynomial(r.height_vec, {**d.terms, lead: CoeffElement.q_power(
             rng.randrange(-5, 5), rng.choice((1, -1)))})
-        numer = g * d
+        numer = poly_product(g, d)
         quot, rem = numer.divide(d)
         assert rem.is_zero(), trial
         assert quot == g, trial
-        assert quot * d == numer, trial
+        assert poly_product(quot, d) == numer, trial
         # a perturbed numerator leaves a nonzero remainder, and still
         # N == Q * D + R
         w = rng.choice(list(numer.terms))
@@ -455,7 +457,7 @@ def test_symbolic_division_round_trips_exact_products(family, rank):
             continue
         quot, rem = bumped.divide(d)
         assert not rem.is_zero(), trial
-        assert _plus(quot * d, rem) == bumped, trial
+        assert _plus(poly_product(quot, d), rem) == bumped, trial
 
 
 def _flat(table: dict) -> dict:
@@ -503,7 +505,7 @@ def test_division_matches_the_reference_division():
             lead = max(d, key=lambda w: (sum(map(mul, h, w)), w))
             unit = {rng.randrange(-5, 5) if trial % 2 == 0 else 0: rng.choice((1, -1))}
             d[lead] = {**d[lead], **unit} if trial % 3 == 0 else unit
-            numer = g * _poly(h, d)
+            numer = poly_product(g, _poly(h, d))
             if len(d[lead]) > 1:
                 _assert_both_refuse(h, _packed(numer), d)
                 continue

@@ -17,14 +17,15 @@ from crystalmds import (CartanSpec, CoeffElement, LittelmannPattern,
                         polynomial_json_obj, tokuyama_quotient, weyl_character,
                         weyl_dimension)
 from crystalmds.coefficients import (GaussSymbol, _component_factor, entry_factor,
-                                     kronecker_decode, kronecker_encode, slot_table)
-from crystalmds.patterns import _freeze, _walk, rows_weight, walk_plan
+                                     kronecker_decode, kronecker_encode, mul_into, slot_table)
+from crystalmds.patterns import _freeze, _walk, decorated_crystal, rows_weight, walk_plan
 from crystalmds.series import _p_sums
 from crystalmds.verification import _BRANCHING_BATTERY, CHARACTER_BATTERY
 from crystalmds.weightpoly import poly_from_int_terms, poly_from_packed, weight_codec
 import oracles
 from oracles import (deformed_denominator, dominant_representative, element,
-                     full_denominator_character, reflect, twisted_character, weight_in_hull)
+                     full_denominator_character, poly_product, reflect, twisted_character,
+                     weight_in_hull)
 
 Q = CoeffElement.q_power
 
@@ -158,7 +159,8 @@ def test_tokuyama_int_path_decodes_to_p_part(rank):
         assert all(isinstance(v, int) and v for v in sums.values())
         P = p_part(r, lam, 1)
         assert _digits_poly(r, plan.codec, bits, sums).terms == P.terms
-        product = deformed_denominator(r) * twisted_character(r, tuple(c - 1 for c in lam))
+        product = poly_product(deformed_denominator(r),
+                               twisted_character(r, tuple(c - 1 for c in lam)))
         assert product == P
         assert max(_largest_coefficient(P), _largest_coefficient(product)) < 1 << (bits - 1)
 
@@ -251,6 +253,38 @@ def test_cancelled_monomial_leaves_p():
     P = p_part(r, lam, n)
     assert P.coeff(w) == per_leaf_p_part(r, lam, (n,))[n][w]
     assert k not in P.coeff(w).packed()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
+def test_row_sums_stay_zero_free_when_fillings_cancel(monkeypatch, family, rank):
+    # an entry rule of -1 for a boxed entry, 1 + q for a circled one and 1
+    # otherwise makes fillings that meet at one weight cancel in the row
+    # loop's merge: a monomial of a dict, and a whole dict.  ``mul_into``
+    # deletes each as it cancels, so every packed dict returned is
+    # zero-free, and P is still the sum of the pattern coefficients
+    def entry(family, a, circled, boxed, middle, n):
+        return Q(0, -1) if boxed else (Q(1) + Q(0) if circled else Q(0))
+
+    cancelled = collections.Counter()
+
+    def recording(acc, a, b):
+        before = list(acc)
+        mul_into(acc, a, b)
+        cancelled["monomial" if any(acc.values()) else "dict"] += any(
+            not acc.get(k) for k in before)
+        return acc
+
+    monkeypatch.setattr(coefficients, "entry_factor", entry)
+    monkeypatch.setattr(series, "mul_into", recording)
+    r, lam, n = rs(family, rank), (1,) * rank, 2
+    _, sums = _p_sums(r.spec, lam, slot_table(r.spec, n))
+    assert cancelled["monomial"] and cancelled["dict"]
+    assert all(t and 0 not in t.values() for t in sums.values())
+    want: dict = {}
+    for dp in decorated_crystal(r, lam):
+        w = pattern_wt(dp.pattern, lam)
+        want[w] = want.get(w, CoeffElement.zero()) + pattern_coefficient(dp, n)
+    assert p_part(r, lam, n) == WeightPolynomial(r.height_vec, want)
 
 
 def assert_canonical(poly, rank):
@@ -603,7 +637,7 @@ def test_weyl_character_matches_full_denominator():
 
 def test_character_d4_spinor_has_eight_unit_terms():
     chi = character_via_patterns(rs("D", 4), (1, 0, 0, 0))
-    assert len(chi) == 8 and all(c == CoeffElement.one() for _, c in chi)
+    assert len(chi) == 8 and all(c == CoeffElement.one() for c in chi.terms.values())
 
 
 def undecoded(poly):
@@ -700,14 +734,15 @@ def test_tokuyama_quotient_lambda_independent():
         res = tokuyama_quotient(r, lam)
         assert res.ok, (lam, res.reason)
         assert res.quotient == D
-        assert D * twisted_character(r, tuple(c - 1 for c in lam)) == p_part(r, lam, 1)
+        chi = twisted_character(r, tuple(c - 1 for c in lam))
+        assert poly_product(D, chi) == p_part(r, lam, 1)
 
 
 def test_tokuyama_quotient_times_divisor_reconstructs():
     r = rs("A", 2)
     lam = (2, 1)
     res = tokuyama_quotient(r, lam)
-    product = res.quotient * twisted_character(r, (1, 0))
+    product = poly_product(res.quotient, twisted_character(r, (1, 0)))
     P = p_part(r, lam, 1)
     assert product.terms == P.terms
 
@@ -717,6 +752,28 @@ def test_tokuyama_rank_one_closed_form():
     assert res.ok
     assert dict(res.quotient.terms) == {(1,): CoeffElement.from_int(1),
                                         (-1,): CoeffElement.from_int(-1)}
+
+
+TYPE_C_TOKUYAMA_CASES = ([(2, lam) for lam in itertools.product(range(1, 6), repeat=2)]
+                         + [(3, lam) for lam in itertools.product(range(1, 4), repeat=3)]
+                         + [(4, lam) for lam in itertools.product((1, 2), repeat=4)]
+                         + [(5, (1,) * 5)])
+
+
+def test_tokuyama_factorization_holds_in_type_c():
+    # at n = 1 type C factors as type A does, over its own positive roots
+    # (Casselman-Shalika): P = D * chi~, and below rank 5 the quotient is
+    # the model's D, expanded from C's roots in the unit-vector model
+    assert len(TYPE_C_TOKUYAMA_CASES) == 69
+    denominators = {}
+    for rank, lam in TYPE_C_TOKUYAMA_CASES:
+        r = rs("C", rank)
+        res = tokuyama_quotient(r, lam)
+        assert res.ok, (lam, res.reason)
+        if rank < 5:
+            if rank not in denominators:
+                denominators[rank] = deformed_denominator(r)
+            assert res.quotient == denominators[rank], lam
 
 
 def _q_bits(r, lam):
@@ -735,14 +792,17 @@ def _largest_coefficient(poly) -> int:
     return max(abs(c) for el in poly.terms.values() for c, _, _ in el.monomials())
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
-def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, rank):
+@pytest.mark.parametrize("family,rank", [pytest.param("A", k, id=str(k)) for k in range(1, 6)]
+                         + [pytest.param("C", k, id=f"C{k}") for k in range(2, 5)])
+def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, family, rank):
     # every partial product, of x^rho * chi~ and then of x^rho alone with D's
     # binomials, an int table at q = 2^B, decodes to the same product on tuple
     # weights: its coefficients stay below 2^(B-1), inside the digit codec,
-    # and its coordinates <w, alpha_i^vee> within sum(lam), a quarter of the
-    # weight codec's field bound; the quotient is the model's D
-    r = rs("A", rank)
+    # and its coordinates <w, alpha_i^vee> within the largest <lam, beta^vee>
+    # over positive coroots, sum(lam) in type A and at most 2 * sum(lam) in
+    # type C, inside the weight codec's field bound 4 * sum(lam); the
+    # quotient is the model's D
+    r = rs(family, rank)
     tables, minus = [], series._minus
 
     def recording(a, b, drop=0, shift=0):
@@ -759,20 +819,21 @@ def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, rank):
         res = tokuyama_quotient(r, lam)
         assert res.ok and res.quotient == deformed_denominator(r)
         codec, bits = walk_plan(r.spec, lam).codec, _q_bits(r, lam)
-        assert 4 * sum(lam) < codec.bias
+        cap = max(sum(map(mul, lam, coroot)) for coroot in r.positive_coroots)
+        assert cap <= (1 if family == "A" else 2) * sum(lam) and 4 * sum(lam) < codec.bias
         chi = twisted_character(r, tuple(c - 1 for c in lam))
         want = []
-        for start in (chi * WeightPolynomial(r.height_vec, {rho: CoeffElement.one()}),
+        for start in (poly_product(chi, WeightPolynomial(r.height_vec, {rho: CoeffElement.one()})),
                       WeightPolynomial(r.height_vec, {rho: CoeffElement.one()})):
             for binomial in binomials:
-                start = start * binomial
+                start = poly_product(start, binomial)
                 want.append(start)
         assert len(tables) == len(want)
         for table, poly in zip(tables, want):
             assert all(isinstance(v, int) and v for v in table.values())
             assert _digits_poly(r, codec, bits, table) == poly
             assert _largest_coefficient(poly) < 1 << (bits - 1)
-            assert all(abs(c) <= sum(lam) for w in poly.terms for c in w)
+            assert all(abs(c) <= cap for w in poly.terms for c in w)
 
 
 def _patch_p_sums(monkeypatch, change):
@@ -854,7 +915,7 @@ def _leading_differences(mutate_p, denominator) -> dict:
         r = rs("A", len(lam))
         P = WeightPolynomial(r.height_vec, mutate_p(r, lam, dict(p_part(r, lam, 1).terms)))
         out[lam] = _first_difference(
-            P, denominator(r) * twisted_character(r, tuple(c - 1 for c in lam)))
+            P, poly_product(denominator(r), twisted_character(r, tuple(c - 1 for c in lam))))
     return out
 
 
@@ -905,10 +966,13 @@ def test_tokuyama_suite_refuses_an_empty_selection():
 
 
 def test_tokuyama_requires_type_a_and_strong_dominance():
-    with pytest.raises(ValueError):
-        tokuyama_quotient(rs("B", 2), (1, 1))
-    with pytest.raises(ValueError):
-        tokuyama_quotient(rs("A", 2), (1, 0))
+    # type C is asserted too; B and D are refused, by a message naming both
+    for family, rank in (("B", 2), ("B", 3), ("D", 3), ("D", 4)):
+        with pytest.raises(ValueError, match="asserted for types A and C only"):
+            tokuyama_quotient(rs(family, rank), (1,) * rank)
+    for family in "AC":
+        with pytest.raises(ValueError, match="strongly dominant"):
+            tokuyama_quotient(rs(family, 2), (1, 0))
     # lambda is checked before anything packs it, and the error names
     # lambda, not lambda - rho
     with pytest.raises(ValueError, match="weight coordinate must be an integer, got 2.0"):
