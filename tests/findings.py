@@ -44,6 +44,14 @@ first differing weight is the highest by (h . w, w) in D's coordinates.  On
 D3 it is the D3 = A3 arbiter again, with the same count as ``d3_a3_row`` at
 n = 1 for every lambda, and it reaches every rank.
 
+``b_rho_n2_rows`` is item 24's type-B table at n = 2, a measured table
+rather than a theorem check: P of B_r rho, twisted by q^ht as in
+``d3_a3_row``, against the product over B's positive roots
+x^rho prod_long (1 - q^(ht a - 1) x^-a) prod_short (1 + g_1(1) q^(ht a - 1)
+x^-a) of ``oracles.b_rho_n2_form``, g_1(1) = sqrt(q) at n = 2, compared in
+``gauss_normal_form``.  The first differing weight is the highest by
+(h . w, w).  It runs on B2-B5; B5 takes seconds, so tier-1 pins B2-B4.
+
 ``rule_screen`` runs a candidate type-D component rule through the type-D
 tables above (homogeneity, stable range, D3 = A3, the n = 1 form), for item
 3: it swaps ``coefficients._component_factor`` for the candidate while the
@@ -62,8 +70,8 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from crystalmds import CartanSpec, CoeffElement, build_root_system, coefficients, p_part
-from oracles import (_signed_orbit, deformed_denominator, first_mixed_weight, gauss_normal_form,
-                     twisted_character)
+from oracles import (_signed_orbit, b_rho_n2_form, deformed_denominator, first_mixed_weight,
+                     gauss_normal_form, twisted_character)
 
 
 class Row(NamedTuple):
@@ -75,6 +83,23 @@ class Row(NamedTuple):
     count: int                          # weights at which the sides differ
     first: tuple[int, ...] | None       # the highest of them, None if none
     sigma: str | None = None            # the map the check applies, if any
+
+
+def _highest(height_vec, weights):
+    """The highest of ``weights`` by (h . w, w), None if there are none."""
+    return max(weights, key=lambda w: (sum(map(mul, height_vec, w)), w), default=None)
+
+
+def _twisted_normal_forms(rs, lam: tuple[int, ...], n: int) -> dict:
+    """P of ``lam`` at cover degree ``n`` in ``gauss_normal_form``, the
+    coefficient at w twisted by q^ht, ht = h . (lam - w) / 2."""
+    out = {}
+    for w, c in p_part(rs, lam, n).terms.items():
+        # q^ht is sqrt(q)^(h . (lam - w)) in the normal form's exponents
+        half = sum(map(mul, rs.height_vec, map(sub, lam, w)))
+        out[w] = {key: {e + half: x for e, x in part.items()}
+                  for key, part in gauss_normal_form(c, n).items()}
+    return out
 
 
 D3_A3_LAMBDAS = tuple(itertools.product((1, 2, 3), repeat=3))
@@ -91,15 +116,10 @@ def d3_a3_row(lam: tuple[int, ...], n: int) -> Row:
     d3, a3 = build_root_system(CartanSpec("D", 3)), build_root_system(CartanSpec("A", 3))
     want = {w: gauss_normal_form(c, n)
             for w, c in p_part(a3, _d3_to_a3(lam), n).terms.items()}
-    got = {}
-    for w, c in p_part(d3, lam, n).terms.items():
-        # q^ht is sqrt(q)^(h . (lam - w)) in the normal form's exponents
-        half = sum(map(mul, d3.height_vec, map(sub, lam, w)))
-        got[_d3_to_a3(w)] = {key: {e + half: x for e, x in part.items()}
-                             for key, part in gauss_normal_form(c, n).items()}
+    got = {_d3_to_a3(w): nf for w, nf in _twisted_normal_forms(d3, lam, n).items()}
     diff = [w for w in got.keys() | want.keys() if got.get(w, {}) != want.get(w, {})]
-    first = max(diff, key=lambda w: (sum(map(mul, a3.height_vec, w)), w), default=None)
-    return Row("d3_a3", "D", tuple(lam), n, "differ" if diff else "agree", len(diff), first)
+    return Row("d3_a3", "D", tuple(lam), n, "differ" if diff else "agree", len(diff),
+               _highest(a3.height_vec, diff))
 
 
 def d3_a3_rows() -> list[Row]:
@@ -127,9 +147,8 @@ def d4_automorphism_row(sigma: str, lam: tuple[int, ...], n: int) -> Row:
     d4 = build_root_system(CartanSpec("D", 4))
     nf = {w: gauss_normal_form(c, n) for w, c in p_part(d4, lam, n).terms.items()}
     diff = [w for w in nf.keys() | set(map(swap, nf)) if nf.get(w, {}) != nf.get(swap(w), {})]
-    first = max(diff, key=lambda w: (sum(map(mul, d4.height_vec, w)), w), default=None)
     return Row("d4_automorphism", "D", tuple(lam), n, "differ" if diff else "agree",
-               len(diff), first, sigma)
+               len(diff), _highest(d4.height_vec, diff), sigma)
 
 
 def d4_automorphism_rows() -> list[Row]:
@@ -173,9 +192,8 @@ def stable_range_row(family: str, rank: int, lam: tuple[int, ...]) -> Row:
     orbit W.lam differ."""
     rs = build_root_system(CartanSpec(family, rank))
     diff = p_part(rs, lam, STABLE_RANGE_N).terms.keys() ^ _signed_orbit(rs, lam).keys()
-    first = max(diff, key=lambda w: (sum(map(mul, rs.height_vec, w)), w), default=None)
     return Row("stable_range", family, tuple(lam), STABLE_RANGE_N,
-               "differ" if diff else "agree", len(diff), first)
+               "differ" if diff else "agree", len(diff), _highest(rs.height_vec, diff))
 
 
 def stable_range_cases(families: str = "ABCD") -> list[tuple]:
@@ -207,14 +225,33 @@ def type_d_n1_row(rank: int, lam: tuple[int, ...]) -> Row:
         assert not odd, f"weight {w} outside the root lattice shift"
         got[w] = c * CoeffElement.q_power(ht)
     diff = [w for w in got.keys() | want.keys() if got.get(w) != want.get(w)]
-    first = max(diff, key=lambda w: (sum(map(mul, rs.height_vec, w)), w), default=None)
-    return Row("type_d_n1", "D", tuple(lam), 1, "differ" if diff else "agree", len(diff), first)
+    return Row("type_d_n1", "D", tuple(lam), 1, "differ" if diff else "agree", len(diff),
+               _highest(rs.height_vec, diff))
 
 
 def type_d_n1_rows() -> list[Row]:
     """``type_d_n1_row`` for D3 lambda in {1,2,3}^3, D4 lambda in {1,2}^4
     and D5 rho."""
     return [type_d_n1_row(rank, lam) for rank, lams in TYPE_D_N1_CASES for lam in lams]
+
+
+B_RHO_N2_RANKS = range(2, 6)
+
+
+def b_rho_n2_row(rank: int) -> Row:
+    """The weights where P of B``rank`` rho at n = 2, twisted by q^ht, and
+    ``oracles.b_rho_n2_form`` differ, in ``gauss_normal_form``."""
+    rs = build_root_system(CartanSpec("B", rank))
+    lam = (1,) * rank
+    got, want = _twisted_normal_forms(rs, lam, 2), b_rho_n2_form(rank)
+    diff = [w for w in got.keys() | want.keys() if got.get(w, {}) != want.get(w, {})]
+    return Row("b_rho_n2", "B", lam, 2, "differ" if diff else "agree", len(diff),
+               _highest(rs.height_vec, diff))
+
+
+def b_rho_n2_rows() -> list[Row]:
+    """``b_rho_n2_row`` for B2-B5."""
+    return [b_rho_n2_row(rank) for rank in B_RHO_N2_RANKS]
 
 
 def rule_screen(component_factor) -> list[Row]:
@@ -233,5 +270,5 @@ def rule_screen(component_factor) -> list[Row]:
 
 if __name__ == "__main__":
     for row in (d3_a3_rows() + d4_automorphism_rows() + one_gauss_part_rows()
-                + stable_range_rows() + type_d_n1_rows()):
+                + stable_range_rows() + type_d_n1_rows() + b_rho_n2_rows()):
         print(json.dumps(row._asdict()))

@@ -12,9 +12,12 @@ tuple-keyed, one-int-per-term division that is also the reference for
 deformed Weyl denominator from the model's positive roots, as a reference
 for the quotient of ``series.tokuyama_quotient``, and ``twisted_character``
 the q-twisted character that it multiplies, through ``poly_product``, the
-term-by-term product of two weight polynomials.  ``demazure_by_terms`` is the
-Demazure operator that writes each term's whole interval of its alpha-string,
-as the reference for ``roots._demazure``'s one pass per string.
+term-by-term product of two weight polynomials.  ``b_rho_n2_form`` expands
+the type-B product at cover degree 2 that P of rho is measured against,
+long and short roots apart, in the Gauss normal form.
+``demazure_by_terms`` is the Demazure operator that writes each term's
+whole interval of its alpha-string, as the reference for
+``roots._demazure``'s one pass per string.
 ``polynomial_json_obj`` and ``coeff_text`` render a polynomial's JSON object
 and an element's text from the decoded terms, as references for the
 renderers that read packed values.  ``element`` builds a ring element from
@@ -49,6 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
+from math import lcm
 from operator import add, mul, sub
 
 from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, LittelmannPattern,
@@ -162,13 +166,18 @@ def invert_fraction_matrix(mat):
 def freudenthal_multiplicities(family: str, rank: int,
                                lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Weight multiplicities of the highest-weight module by the Freudenthal
-    recursion, entirely from the coordinate model."""
+    recursion, entirely from the coordinate model.  The recursion runs in
+    integers: the model's Gram matrix is scaled by the lcm of its
+    denominators, which leaves each multiplicity, a ratio of two inner
+    products, unchanged."""
     model = ModelRootSystem(family, rank)
     cartan = model.cartan_matrix()
     gram = model.gram()
+    scale = lcm(*(x.denominator for row in gram for x in row))
+    gram = [[int(x * scale) for x in row] for row in gram]
     r = rank
 
-    def ip(u, v) -> Fraction:
+    def ip(u, v) -> int:
         return sum(u[i] * gram[i][j] * v[j] for i in range(r) for j in range(r))
 
     def sub_alpha(w, k):  # w - alpha_k in weight coords
@@ -205,17 +214,17 @@ def freudenthal_multiplicities(family: str, rank: int,
             denom = cas - ip(mu_rho, mu_rho)
             if denom == 0:
                 continue
-            total = Fraction(0)
+            total = 0
             for beta in pos_roots:
                 for k in range(1, depth_cap + 1):
                     up = tuple(mu[i] + k * beta[i] for i in range(r))
                     m_up = mults.get(up, 0)
                     if m_up:
                         total += m_up * ip(up, beta)
-            m = 2 * total / denom
-            assert m.denominator == 1
+            m, rem = divmod(2 * total, denom)
+            assert rem == 0, f"Freudenthal ratio at {mu} is not an integer"
             if m:
-                mults[mu] = int(m)
+                mults[mu] = m
         # only weights go to the next depth: every weight mu != lam of the
         # module has a simple root alpha with mu + alpha a weight
         level = [mu for mu in level if mu in mults]
@@ -447,6 +456,33 @@ def deformed_denominator(rs, bump: tuple[int, ...] | None = None,
         out = poly_product(out, WeightPolynomial(rs.height_vec, {
             (0,) * rs.rank: one, tuple(-c for c in root): CoeffElement.q_power(e, -1)}))
     return out
+
+
+def b_rho_n2_form(rank: int) -> dict:
+    """x^rho prod_long (1 - q^(ht a - 1) x^-a) prod_short (1 + g_1(1)
+    q^(ht a - 1) x^-a) over the model's positive roots of type B ``rank``, at
+    cover degree 2, in ``gauss_normal_form``'s shape: weight -> {(): Laurent
+    polynomial in sqrt(q)}, since g_1(1) = sqrt(q) at n = 2 and no other
+    Gauss key exists there.  A root is long when its model vector has norm 2,
+    and its height is read as in ``deformed_denominator``."""
+    model = ModelRootSystem("B", rank)
+    ainv = invert_fraction_matrix(model.cartan_matrix())
+    out = {(1,) * rank: {0: 1}}
+    for vec in model.positive:
+        root = tuple(int(c) for c in model.weight_coords(vec))
+        ht = sum(_dot(row, root) for row in ainv)
+        assert ht.denominator == 1, f"root {root} outside the root lattice"
+        # the sqrt(q) exponent and sign of the factor's x^-a term
+        half, sign = (2 * int(ht) - 2, -1) if _dot(vec, vec) == 2 else (2 * int(ht) - 1, 1)
+        nxt: dict = {}
+        for w, part in out.items():
+            for v, shift, s in ((w, 0, 1), (tuple(map(sub, w, root)), half, sign)):
+                acc = nxt.setdefault(v, {})
+                for e, c in part.items():
+                    acc[e + shift] = acc.get(e + shift, 0) + s * c
+        out = nxt
+    out = {w: {e: c for e, c in part.items() if c} for w, part in out.items()}
+    return {w: {(): part} for w, part in out.items() if part}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Tier-1 pins of the measured tables in ``findings``: an agreeing row is a
-plain test, and a differing row a strict xfail that carries its count and
-first differing weight in the reason.  A differing row whose first weight
-changes fails outright, since the finding has changed; a row that comes to
-agree flips its xfail."""
+"""Tier-1 pins of the measured tables in ``findings``.  Each table is
+computed once per test run (the module-scoped ``screen`` and ``rows``
+fixtures), and every row is its own test item through one table-driven
+check: an agreeing row is a plain test, and a differing row a strict xfail
+that carries its count and first differing weight in the reason.  A
+differing row whose count or first weight changes fails outright, since the
+finding has changed; a row that comes to agree flips its xfail."""
 import pytest
 
 import findings
@@ -192,131 +194,108 @@ TYPE_D_N1_DIFFERS = {
 }
 
 
-class D3DiffersFromA3(AssertionError):
-    """P of D3, twisted and mapped, differs from P of A3 at some weight."""
+# type B rho at n = 2 against the product over long and short roots (ROADMAP
+# items 17 and 24): every row agrees; B5 takes seconds, so it runs in the
+# script only
+B_RHO_N2_DIFFERS = {}
+B_RHO_N2_RANKS = range(2, 5)
 
 
-class D4AutomorphismDiffers(AssertionError):
-    """P of D4 at some weight differs from P at its image under sigma."""
+class FindingDiffers(AssertionError):
+    """A row of a findings table whose two sides differ at some weight."""
 
 
-class MixedGaussParts(AssertionError):
-    """A weight of P whose coefficient has more than one Gauss key."""
+@pytest.fixture(scope="module")
+def screen():
+    """``findings.rule_screen`` of today's rule, which it must restore: the
+    type-D tables of homogeneity, stable range, D3 = A3 and the n = 1 form."""
+    today = coefficients._component_factor
+    rows = findings.rule_screen(today)
+    assert coefficients._component_factor is today
+    return rows
 
 
-class OffOrbitSupport(AssertionError):
-    """P in the stable range has a term off W.lambda, or misses a point of it."""
-
-
-class DiffersFromTheN1Form(AssertionError):
-    """P of type D at n = 1, twisted, differs from type A's form over D's roots."""
+@pytest.fixture(scope="module")
+def rows(screen):
+    """Every row that tier-1 pins, keyed by (check, family, lam, n, sigma)."""
+    return {(row.check, row.family, row.lam, row.n, row.sigma): row for row in (
+        screen + findings.stable_range_rows("ABC") + findings.d4_automorphism_rows()
+        + [findings.b_rho_n2_row(rank) for rank in B_RHO_N2_RANKS])}
 
 
 def _text(lam):
     return ",".join(map(str, lam))
 
 
-def _pinned(args, case_id, found, error, finding):
-    """``args`` and the recorded first weight as a test case: plain where
-    ``found`` is None, else a strict xfail raising ``error``, with
-    ``finding``, the count and the first weight in the reason."""
+def _pinned(key, case_id, found, finding):
+    """The row ``key`` and its pinned (count, first weight) as a test case:
+    plain where ``found`` is None, else a strict xfail raising
+    ``FindingDiffers``, with ``finding``, the count and the first weight in
+    the reason."""
     if found is None:
-        return pytest.param(*args, None, id=case_id)
+        return pytest.param(key, None, id=case_id)
     count, first = found
-    return pytest.param(*args, first, id=case_id, marks=pytest.mark.xfail(
-        strict=True, raises=error, reason=f"{finding} at {count} weights, first {first}"))
+    return pytest.param(key, found, id=case_id, marks=pytest.mark.xfail(
+        strict=True, raises=FindingDiffers, reason=f"{finding} at {count} weights, first {first}"))
 
 
-def _d3_a3_case(lam, n):
-    return _pinned((lam, n), f"{_text(lam)}-n{n}", D3_A3_DIFFERS.get((lam, n)), D3DiffersFromA3,
-                   f"ROADMAP item 3: D3 {lam} n={n} differs from A3")
+def _table(check, pins, size, differing, cases):
+    """The row test of one table, an item per case of ``_pinned``, and its
+    shape test: ``size`` cases, ``differing`` pins, each pin one differing
+    case, and the cases exactly the rows of ``check`` that ``rows`` holds."""
+    @pytest.mark.parametrize("key,found", cases)
+    def test_row(rows, key, found):
+        row = rows[key]
+        if row.status == "differ":
+            assert (row.count, row.first) == found
+            raise FindingDiffers(f"{row.count} weights differ, first {row.first}")
+        assert row.count == 0 and row.first is None
+
+    def test_shape(rows):
+        assert len(cases) == size
+        assert len(pins) == sum(bool(case.marks) for case in cases) == differing
+        assert {case.values[0] for case in cases} == {key for key in rows if key[0] == check}
+
+    return test_row, test_shape
 
 
-def test_d3_a3_table_shape():
-    assert len(findings.D3_A3_LAMBDAS) * len(findings.D3_A3_DEGREES) == 135
-    assert len(D3_A3_DIFFERS) == 108
+test_d3_matches_a3, test_d3_a3_table_shape = _table("d3_a3", D3_A3_DIFFERS, 135, 108, [
+    _pinned(("d3_a3", "D", lam, n, None), f"{_text(lam)}-n{n}", D3_A3_DIFFERS.get((lam, n)),
+            f"ROADMAP item 3: D3 {lam} n={n} differs from A3")
+    for lam in findings.D3_A3_LAMBDAS for n in findings.D3_A3_DEGREES])
 
+test_d4_automorphism_fixing_lambda, test_d4_automorphism_table_shape = _table(
+    "d4_automorphism", D4_AUTOMORPHISM_DIFFERS, 36, 27, [
+        _pinned(("d4_automorphism", "D", lam, n, sigma), f"{sigma}-{_text(lam)}-n{n}",
+                D4_AUTOMORPHISM_DIFFERS.get((sigma, lam, n)),
+                f"ROADMAP item 2: D4 {lam} n={n} differs from its image under {sigma}")
+        for sigma in findings.D4_AUTOMORPHISMS for lam in findings.D4_AUTOMORPHISM_LAMBDAS
+        for n in findings.D4_AUTOMORPHISM_DEGREES])
 
-@pytest.mark.parametrize("lam,n,first", [_d3_a3_case(lam, n) for lam in findings.D3_A3_LAMBDAS
-                                         for n in findings.D3_A3_DEGREES])
-def test_d3_matches_a3(lam, n, first):
-    row = findings.d3_a3_row(lam, n)
-    if row.status == "differ":
-        assert row.first == first
-        raise D3DiffersFromA3(f"{row.count} weights differ, first {row.first}")
-    assert row.count == 0 and row.first is None
+test_type_d_one_gauss_part_table, test_one_gauss_part_table_shape = _table(
+    "one_gauss_part", ONE_GAUSS_PART_DIFFERS, 215, 73, [
+        _pinned(("one_gauss_part", "D", lam, n, None), f"D{rank}-{_text(lam)}-n{n}",
+                ONE_GAUSS_PART_DIFFERS.get((lam, n)),
+                f"ROADMAP item 19: D{rank} {lam} n={n} has more than one Gauss part")
+        for rank, lams in findings.ONE_GAUSS_PART_CASES for lam in lams
+        for n in findings.ONE_GAUSS_PART_DEGREES])
 
+test_stable_range_support, test_stable_range_table_shape = _table(
+    "stable_range", STABLE_RANGE_DIFFERS, 60, 20, [
+        _pinned(("stable_range", family, lam, findings.STABLE_RANGE_N, None),
+                f"{family}{rank}-{_text(lam)}", STABLE_RANGE_DIFFERS.get((family, lam)),
+                f"ROADMAP item 3: {family}{rank} {lam} n=60 has support off W.lambda")
+        for family, rank, lam in findings.stable_range_cases()])
 
-def test_d4_automorphism_table_shape():
-    assert len(findings.D4_AUTOMORPHISMS) * len(findings.D4_AUTOMORPHISM_LAMBDAS) * len(
-        findings.D4_AUTOMORPHISM_DEGREES) == 36
-    assert len(D4_AUTOMORPHISM_DIFFERS) == 27
+test_type_d_n1_form, test_type_d_n1_table_shape = _table("type_d_n1", TYPE_D_N1_DIFFERS, 44, 44, [
+    _pinned(("type_d_n1", "D", lam, 1, None), f"D{rank}-{_text(lam)}", TYPE_D_N1_DIFFERS.get(lam),
+            f"ROADMAP item 24: D{rank} {lam} n=1 differs from type A's form over D's roots")
+    for rank, lams in findings.TYPE_D_N1_CASES for lam in lams])
 
-
-def _d4_automorphism_case(sigma, lam, n):
-    return _pinned((sigma, lam, n), f"{sigma}-{_text(lam)}-n{n}",
-                   D4_AUTOMORPHISM_DIFFERS.get((sigma, lam, n)), D4AutomorphismDiffers,
-                   f"ROADMAP item 2: D4 {lam} n={n} differs from its image under {sigma}")
-
-
-@pytest.mark.parametrize("sigma,lam,n,first", [
-    _d4_automorphism_case(sigma, lam, n) for sigma in findings.D4_AUTOMORPHISMS
-    for lam in findings.D4_AUTOMORPHISM_LAMBDAS for n in findings.D4_AUTOMORPHISM_DEGREES])
-def test_d4_automorphism_fixing_lambda(sigma, lam, n, first):
-    row = findings.d4_automorphism_row(sigma, lam, n)
-    if row.status == "differ":
-        assert row.first == first
-        raise D4AutomorphismDiffers(f"{row.count} weights differ, first {row.first}")
-    assert row.count == 0 and row.first is None
-
-
-def test_one_gauss_part_table_shape():
-    assert sum(len(lams) for _, lams in findings.ONE_GAUSS_PART_CASES) * len(
-        findings.ONE_GAUSS_PART_DEGREES) == 215
-    assert len(ONE_GAUSS_PART_DIFFERS) == 73
-
-
-def _one_gauss_part_case(rank, lam, n):
-    return _pinned((rank, lam, n), f"D{rank}-{_text(lam)}-n{n}",
-                   ONE_GAUSS_PART_DIFFERS.get((lam, n)), MixedGaussParts,
-                   f"ROADMAP item 19: D{rank} {lam} n={n} has more than one Gauss part")
-
-
-@pytest.mark.parametrize("rank,lam,n,first", [
-    _one_gauss_part_case(rank, lam, n) for rank, lams in findings.ONE_GAUSS_PART_CASES
-    for lam in lams for n in findings.ONE_GAUSS_PART_DEGREES])
-def test_type_d_one_gauss_part_table(rank, lam, n, first):
-    row = findings.one_gauss_part_row(rank, lam, n)
-    if row.status == "differ":
-        assert row.first == first
-        raise MixedGaussParts(f"{row.count} weights are mixed, first {row.first}")
-    assert row.count == 0 and row.first is None
-
-
-def test_stable_range_table_shape():
-    assert len(findings.stable_range_cases()) == 60
-    assert len(STABLE_RANGE_DIFFERS) == 20
-
-
-def _stable_range_case(family, rank, lam):
-    return _pinned((family, rank, lam), f"{family}{rank}-{_text(lam)}",
-                   STABLE_RANGE_DIFFERS.get((family, lam)), OffOrbitSupport,
-                   f"ROADMAP item 3: {family}{rank} {lam} n=60 has support off W.lambda")
-
-
-@pytest.mark.parametrize("family,rank,lam,first", [
-    _stable_range_case(*case) for case in findings.stable_range_cases()])
-def test_stable_range_support(family, rank, lam, first):
-    row = findings.stable_range_row(family, rank, lam)
-    if row.status == "differ":
-        assert row.first == first
-        raise OffOrbitSupport(f"{row.count} weights differ, first {row.first}")
-    assert row.count == 0 and row.first is None
-
-
-def test_type_d_n1_table_shape():
-    assert sum(len(lams) for _, lams in findings.TYPE_D_N1_CASES) == 44
-    assert len(TYPE_D_N1_DIFFERS) == 44
+test_b_rho_n2_form, test_b_rho_n2_table_shape = _table("b_rho_n2", B_RHO_N2_DIFFERS, 3, 0, [
+    _pinned(("b_rho_n2", "B", (1,) * rank, 2, None), f"B{rank}", B_RHO_N2_DIFFERS.get(rank),
+            f"ROADMAP item 24: B{rank} rho n=2 differs from the long-short root product")
+    for rank in B_RHO_N2_RANKS])
 
 
 def test_type_d_n1_counts_are_the_d3_a3_counts_at_n1():
@@ -329,22 +308,6 @@ def test_type_d_n1_counts_are_the_d3_a3_counts_at_n1():
         lam: D3_A3_DIFFERS.get((lam, 1), (0,))[0] for lam in lams}
 
 
-def _type_d_n1_case(rank, lam):
-    return _pinned((rank, lam), f"D{rank}-{_text(lam)}", TYPE_D_N1_DIFFERS.get(lam),
-                   DiffersFromTheN1Form,
-                   f"ROADMAP item 24: D{rank} {lam} n=1 differs from type A's form over D's roots")
-
-
-@pytest.mark.parametrize("rank,lam,first", [
-    _type_d_n1_case(rank, lam) for rank, lams in findings.TYPE_D_N1_CASES for lam in lams])
-def test_type_d_n1_form(rank, lam, first):
-    row = findings.type_d_n1_row(rank, lam)
-    if row.status == "differ":
-        assert row.first == first
-        raise DiffersFromTheN1Form(f"{row.count} weights differ, first {row.first}")
-    assert row.count == 0 and row.first is None
-
-
 def _pinned_row(check, lam, n, found):
     """The row that a pinned (count, first) of ``check``, or its absence, stands for."""
     if found is None:
@@ -352,7 +315,7 @@ def _pinned_row(check, lam, n, found):
     return findings.Row(check, "D", lam, n, "differ", *found)
 
 
-def test_rule_screen_of_todays_rule_reproduces_the_tables():
+def test_rule_screen_of_todays_rule_reproduces_the_tables(screen):
     # ROADMAP item 17's rule screen: today's rule, run through it, gives the
     # pinned type-D tables row for row, counts included
     want = [_pinned_row("one_gauss_part", lam, n, ONE_GAUSS_PART_DIFFERS.get((lam, n)))
@@ -364,9 +327,7 @@ def test_rule_screen_of_todays_rule_reproduces_the_tables():
              for lam in findings.D3_A3_LAMBDAS for n in findings.D3_A3_DEGREES]
     want += [_pinned_row("type_d_n1", lam, 1, TYPE_D_N1_DIFFERS.get(lam))
              for _, lams in findings.TYPE_D_N1_CASES for lam in lams]
-    today = coefficients._component_factor
-    assert findings.rule_screen(today) == want
-    assert coefficients._component_factor is today
+    assert screen == want
 
 
 def test_rule_screen_restores_the_rule_after_an_exception():
