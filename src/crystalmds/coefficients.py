@@ -575,12 +575,18 @@ def slot_table(spec: CartanSpec, n: int, ring_map: Callable | None = None):
     through the same dict, so each distinct key is computed once for as
     long as the caller keeps the function.
 
+    The table owns the check of ``n``, an integer >= 1, else ValueError:
+    every crystal sum with coefficients builds one before it walks, and so
+    does ``pattern_coefficient``, whatever entries the pattern holds.
+
     ``ring_map``, if given, is a ring map from ``CoeffElement``: the function
     then returns each slot factor's image, applied once per factor it
     computes, and its ``one`` attribute, the ring's one that a product of
     factors starts from, is the image of 1 (1 for ``kronecker_encode``'s
     ints).  In type D a run's factor is the image of its product: the
     entries it reads stay elements, under keys that no run's key equals."""
+    if _integer("cover degree n", n) < 1:
+        raise ValueError("cover degree n must be >= 1")
     factors: dict = {}
     family, rank = spec.family, spec.rank  # read once: no field read per slot
     image = ring_map or (lambda f: f)
@@ -625,7 +631,7 @@ def slot_table(spec: CartanSpec, n: int, ring_map: Callable | None = None):
 
 def pattern_coefficient(dp: DecoratedPattern, n: int) -> CoeffElement:
     """Total coefficient of a decorated pattern: the product of its slot
-    factors, from a ``slot_table`` of its own."""
+    factors, from a ``slot_table`` of its own, which checks ``n``."""
     L = dp.pattern
     factor = slot_table(L.spec, n)
     out = _ONE

@@ -38,8 +38,8 @@ from itertools import accumulate, chain
 from operator import index
 from typing import Callable, Iterator, NamedTuple
 
-from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system,
-                    is_dominant, long_word_blocks)
+from .roots import (CartanSpec, RootSystem, _highest_weight, build_root_system,
+                    long_word_blocks)
 from .weightpoly import Weight, WeightCodec, weight_codec
 
 
@@ -140,9 +140,7 @@ def walk_plan(spec: CartanSpec, lam: Weight) -> WalkPlan:
     """Codec, row buffers and per-slot frames of the walk over the crystal of
     ``lam``, which must be dominant, as the codec's bound requires; otherwise
     ValueError."""
-    lam = _checked_weight(spec, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"enumeration requires a dominant weight, got {lam}")
+    lam = _highest_weight(spec, lam)
     shape = pattern_shape(spec)
     rows = [[0] * n for n in shape]
     circled = [[False] * n for n in shape]
@@ -348,9 +346,10 @@ def rows_weight(spec: CartanSpec, rows) -> tuple[int, ...]:
 
 def pattern_wt(L: LittelmannPattern, lam: Weight) -> Weight:
     """Crystal weight of the pattern: lam minus the counted simple roots,
-    in fundamental-weight coordinates."""
+    in fundamental-weight coordinates; ``lam`` is checked as a highest
+    weight of the pattern's rank."""
     rs = build_root_system(L.spec)
     s = rows_weight(L.spec, L.rows)
-    lam = tuple(lam)
+    lam = _highest_weight(L.spec, lam)
     return tuple(lam[i] - sum(s[k] * rs.cartan[i][k] for k in range(rs.rank))
                  for i in range(rs.rank))

@@ -116,21 +116,25 @@ class RootSystem(NamedTuple):
                      for k in range(self.rank))
 
 
-def _checked_weight(spec: CartanSpec, w: Weight) -> Weight:
-    """``w`` as a tuple of ints; a ValueError unless it has one integer
-    coordinate per rank."""
-    w = tuple(_integer("weight coordinate", c) for c in w)
-    if len(w) != spec.rank:
-        raise ValueError(f"weight {w} has {len(w)} coordinates, rank is {spec.rank}")
-    return w
-
-
 def is_dominant(w: Weight) -> bool:
     return all(c >= 0 for c in w)
 
 
 def is_strongly_dominant(w: Weight) -> bool:
     return all(c >= 1 for c in w)
+
+
+def _highest_weight(spec: CartanSpec, lam: Weight) -> Weight:
+    """``lam`` as a tuple of ints; a ValueError unless it has one integer
+    coordinate per rank and is dominant.  The one check of a highest weight:
+    every crystal walk, character, dimension and pattern weight reads its
+    ``lam`` through here."""
+    lam = tuple(_integer("weight coordinate", c) for c in lam)
+    if len(lam) != spec.rank:
+        raise ValueError(f"weight {lam} has {len(lam)} coordinates, rank is {spec.rank}")
+    if not is_dominant(lam):
+        raise ValueError(f"highest weight must be dominant, got {lam}")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +355,14 @@ def weyl_character(rs: RootSystem, lam: Weight) -> WeightPolynomial:
     each operator writes each point of each alpha-string it reaches once.
     ``packed_character`` builds the zero-free table on the codec of ``lam``,
     and the polynomial keeps it, to decode it when its terms are first read."""
-    lam = _checked_weight(rs.spec, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"character requires a dominant weight, got {lam}")
+    lam = _highest_weight(rs.spec, lam)
     codec = weight_codec(lam, rs.cartan)
     return poly_from_packed(rs.height_vec, codec, packed_character(rs, lam, codec))
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the highest-weight representation, exact product formula."""
-    lam = _checked_weight(rs.spec, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"dimension requires a dominant weight, got {lam}")
+    lam = _highest_weight(rs.spec, lam)
     shifted = tuple(c + 1 for c in lam)
     num = den = 1
     for coroot in rs.positive_coroots:

@@ -20,13 +20,14 @@ every prefix that reaches a weight is merged into one partial sum before the
 next row applies.  The last table is keyed by packed weight, and
 ``weightpoly.poly_from_packed`` keeps it as the polynomial; the first read of
 its terms decodes all weights a field at a time, and takes the values as
-they are, since no table keeps a zero.  ``p_part``'s tables hold packed
-monomial dicts (``CoeffElement.packed``), not ring elements: the ring's own
-product (``coefficients.mul_into``) adds each partial sum times a filling
-value into the next table's dict in place, zero-free, and the polynomial
-wraps each last dict as an element once, without a copy.  A row writes only
-the dicts it created; the ``packed()`` dicts of slot values, which the slot
-table and the ring's one share, are read-only.
+they are: the row loop's one zero filter, after its last row, leaves none.
+``p_part``'s tables hold packed monomial dicts (``CoeffElement.packed``),
+not ring elements: the ring's own product (``coefficients.mul_into``) adds
+each partial sum times a filling value into the next table's dict in place,
+zero-free, and the polynomial wraps each last dict as an element once,
+without a copy.  A row writes only the dicts it created; the ``packed()``
+dicts of slot values, which the slot table and the ring's one share, are
+read-only.
 
 The walk and the row loop take their ring from the slot table: its
 ``one`` seeds every product, and a table mapped into the ints
@@ -67,10 +68,9 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .coefficients import (CoeffElement, _integer, json_monomials, kronecker_encode,
-                           mul_into, slot_table)
+from .coefficients import CoeffElement, json_monomials, kronecker_encode, mul_into, slot_table
 from .patterns import WalkPlan, _walk, walk_plan
-from .roots import (CartanSpec, RootSystem, _checked_weight, build_root_system, is_dominant,
+from .roots import (CartanSpec, RootSystem, _highest_weight, build_root_system, is_dominant,
                     is_strongly_dominant, packed_character, weyl_dimension)
 from .weightpoly import Weight, WeightPolynomial, poly_from_packed
 
@@ -101,8 +101,9 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
     sum times each filling value goes into the next table at the weight
     plus the drop.  Products of packed dicts accumulate in place, by the
     ring's ``mul_into``, into dicts the next table created, which it keeps
-    zero-free, so a row drops only the dicts that cancelled to ``{}``; zero
-    ints go once, after the last row, so a count scans no row."""
+    zero-free.  A sum that cancels, a zero int or a dict emptied to ``{}``,
+    stays in its table and is carried on as a zero; the one zero filter
+    runs after the last row, for ints and dicts alike."""
     one = 1 if factor is None else factor.one
     packed = isinstance(one, CoeffElement)
     sums = {plan.top if wt is None else wt: dict(one.packed()) if packed else one}
@@ -118,7 +119,7 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
                 for _, _, _, w, f in _walk(plan, factor=factor, row=i, wt=wt):
                     ends[w] = ends[w] + f if w in ends else f
                 fills = cache[key] = [(w - wt, f.packed() if packed else f)
-                                      for w, f in ends.items() if f]
+                                      for w, f in ends.items()]
             if not packed:
                 for d, c in fills:
                     x = wt + d
@@ -130,12 +131,9 @@ def _row_sums(plan: WalkPlan, factor=None, row: int = 1, wt: int | None = None) 
                 if t is None:
                     t = out[x] = {}
                 mul_into(t, f, s)
-        if packed:
-            for x in [x for x, t in out.items() if not t]:
-                del out[x]
         sums = out
-    if not packed and 0 in sums.values():
-        sums = {x: c for x, c in sums.items() if c}
+    if not all(sums.values()):
+        sums = {x: t for x, t in sums.items() if t}
     return sums
 
 
@@ -174,11 +172,7 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
     of a row, like its bounds, depend only on the weight fields the row
     reads, and ``_row_sums`` walks the row once per such set of fields.
     """
-    if _integer("cover degree n", n) < 1:
-        raise ValueError("cover degree n must be >= 1")
-    lam = _checked_weight(rs.spec, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"highest weight must be dominant, got {lam}")
+    lam = _highest_weight(rs.spec, lam)
     if not is_strongly_dominant(lam) and not allow_dominant:
         raise ValueError(
             f"p-part semantics require a strongly dominant weight, got {lam}; "
@@ -265,7 +259,7 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     """
     if rs.family not in ("A", "C"):
         raise ValueError("the deformation factorization is asserted for types A and C only")
-    lam = _checked_weight(rs.spec, lam)
+    lam = _highest_weight(rs.spec, lam)
     if not is_strongly_dominant(lam):
         raise ValueError(f"need a strongly dominant highest weight, got {lam}")
     rho = (1,) * rs.rank
@@ -386,8 +380,6 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     # truncation must stay in-family: A_1 exists, B_1/C_1/D_2 do not, and
     # their spec raises ValueError
     sub_rs = build_root_system(CartanSpec(spec.family, r - 1))
-    if _integer("cover degree n", n) < 1:
-        raise ValueError("cover degree n must be >= 1")
     factor, sub_factor = slot_table(spec, n), slot_table(sub_rs.spec, n)
     plan, sums = _p_sums(spec, lam, factor)
     whole = poly_from_packed(rs.height_vec, plan.codec, sums)

@@ -13,9 +13,10 @@ which its first read reads back as packed monomial dicts), as the polynomial.
 The first read of ``terms`` decodes it, once: the codec decodes every key a
 field at a time (``decode_all``), each distinct integer coefficient becomes
 one shared element, and the terms go in without the constructor's copy and
-zero scan, since the engines keep no zeros (``coefficients.mul_into``
-builds every packed monomial dict zero-free); from then on they are all it
-holds.  Until then ``len``, ``is_zero``, ``==``, ``character_dimension``,
+zero scan, since the engines return no zeros (``coefficients.mul_into``
+builds every packed monomial dict zero-free, and the row sums drop what
+cancels); from then on they are all it holds.  Until then ``len``,
+``is_zero``, ``==``, ``character_dimension`` (of an int table),
 ``sorted_weights`` (the keys alone) and ``packed_items``, the ordered reader
 behind JSON and text output, read the table: two tables over one packing
 (equal height functional, codec width and packed simple roots) with one kind
@@ -214,11 +215,8 @@ class WeightPolynomial:
 
 def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
                         meta: dict | None = None) -> WeightPolynomial:
-    return WeightPolynomial(
-        height_vec,
-        {w: CoeffElement.from_int(c) for w, c in table.items() if c != 0},
-        meta,
-    )
+    return WeightPolynomial(height_vec, {w: CoeffElement.from_int(c) for w, c in table.items()},
+                            meta)
 
 
 def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec,
@@ -237,17 +235,14 @@ def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec,
 
 def character_dimension(poly: WeightPolynomial) -> int:
     """Sum of integer coefficients (evaluation at the all-ones point).  An
-    undecoded table is read as it is: an int table's values are summed, and
-    each packed monomial dict's element must be one constant monomial."""
-    if poly._packed is None:
-        values = poly.terms.values()
-    else:
+    undecoded int table's values are summed as they are; otherwise each
+    decoded term must be one constant monomial."""
+    if poly._packed is not None:
         _, table, dicts = poly._table()
         if not dicts:
             return sum(table.values())
-        values = map(CoeffElement.from_packed, table.values())
     total = 0
-    for c in values:
+    for c in poly.terms.values():
         (k, e, gauss), *more = c.monomials()
         if more or e or gauss:
             raise ValueError("character polynomial has non-constant coefficients")

@@ -83,6 +83,20 @@ def test_compute_huge_rank_exits_two_at_once():
     assert "rank 3000 exceeds the supported maximum" in done.stderr
 
 
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="ROADMAP item 8: no work budget yet, so D12 rho n=2 runs until killed")
+def test_hostile_input_exits_two_at_once():
+    # D12 rho has 2^132 patterns: a work budget must refuse it with exit 2
+    # within the timeout, which otherwise kills the child, so nothing is left
+    # running
+    code = "import sys; from crystalmds.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "compute", "--family", "D", "--rank", "12",
+            "--lambda", ",".join(["1"] * 12), "--n", "2", "--json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(crystalmds.__file__).parents[1]))
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=2)
+    assert done.returncode == 2, done.stderr
+
+
 @pytest.mark.parametrize("command", ["compute", "export"])
 def test_rank_mismatch_checked_before_root_system(capsys, monkeypatch, tmp_path, command):
     # a large rank must not pay for its root system before the rank and

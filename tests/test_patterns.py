@@ -215,7 +215,10 @@ def test_bounds_match_string_oracle(family, rank):
     lambda L: decorate(L, (1,)),
     lambda L: weyl_dimension(rs("A", 2), (1, 0, 7)),
     lambda L: weyl_dimension(rs("A", 2), (1,)),
-], ids=["decorate-long", "decorate-short", "dimension-long", "dimension-short"])
+    lambda L: pattern_wt(L, (1, 1, 5)),
+    lambda L: pattern_wt(L, (1,)),
+], ids=["decorate-long", "decorate-short", "dimension-long", "dimension-short",
+        "pattern-wt-long", "pattern-wt-short"])
 def test_wrong_rank_highest_weight_rejected(call):
     # a weight with the wrong number of coordinates is an error, not a weight
     # read short, padded or cut to the rank
@@ -227,7 +230,8 @@ def test_wrong_rank_highest_weight_rejected(call):
     lambda: decorate(P("A", 2, [[0, 0], [0]]), (2, -1)),
     lambda: list(enumerate_patterns(rs("B", 2), (-1, 3))),
     lambda: list(decorated_crystal(rs("D", 3), (0, 2, -1))),
-], ids=["decorate", "enumerate", "decorated-crystal"])
+    lambda: pattern_wt(P("A", 2, [[0, 0], [0]]), (2, -1)),
+], ids=["decorate", "enumerate", "decorated-crystal", "pattern-wt"])
 def test_walk_rejects_non_dominant_highest_weight(call):
     # the packed weights are proven to fit their fields for dominant lambda
     # only, so the walk accepts no other

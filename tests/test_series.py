@@ -105,10 +105,11 @@ def test_p_part_leaves_shared_dicts_alone(family, rank, lam, other, n):
                                                ("C", 3, (2, 1, 1), 3), ("D", 3, (1, 1, 3), 2),
                                                ("D", 4, (1, 1, 1, 2), 2)])
 def test_row_sums_hold_no_zero(family, rank, lam, n):
-    # each row of the row loop drops the zeros that cancellation leaves, and
-    # the weights it empties, when it completes: the table the loop returns
-    # after any number of rows holds none; the type-D cases cancel inside
-    # the merges of the row sums (see the witness below)
+    # a row leaves the zeros that cancellation makes in its table; the
+    # loop's one zero filter, after its last row, drops them and the
+    # weights they empty, so the table it returns after any number of rows
+    # holds none; the type-D cases cancel inside the merges of the row sums
+    # (see the witness below)
     r = rs(family, rank)
     factor = slot_table(r.spec, n)
     plan = walk_plan(r.spec, lam)
@@ -540,6 +541,15 @@ def test_p_part_preconditions():
         p_part(rs("A", 2), (1, 1), 2.0)
     with pytest.raises(ValueError, match="weight coordinate must be an integer, got 1.0"):
         p_part(rs("A", 2), (1.0, 1), 2)
+    # the slot table owns n, so every path that builds one checks it: also
+    # pattern_coefficient on a pattern whose entries reach no Gauss sum
+    dp = decorate(LittelmannPattern(CartanSpec("A", 2), ((0, 0), (0,))), (1, 1))
+    assert all(map(all, dp.circled)) and pattern_coefficient(dp, 1) == CoeffElement.one()
+    for n, message in ((0, ">= 1"), (-3, ">= 1"), (2.0, "an integer, got 2.0")):
+        with pytest.raises(ValueError, match=f"cover degree n must be {message}"):
+            pattern_coefficient(dp, n)
+    with pytest.raises(ValueError, match="cover degree n must be >= 1"):
+        slot_table(CartanSpec("A", 2), 0)
 
 
 def test_p_part_rejects_a_non_dominant_weight():
@@ -710,13 +720,13 @@ def test_character_dimension_reads_either_table_kind():
     _, table, _ = chi._packed
     codec = weight_codec((1, 1), r.cartan)
     constants = poly_from_packed(r.height_vec, codec, {w: {0: c} for w, c in table.items()})
-    assert character_dimension(constants) == 16 and undecoded(constants)
+    assert character_dimension(constants) == 16
     assert constants == chi and not undecoded(constants) and character_dimension(constants) == 16
     assert character_dimension(chi) == 16 and chi.terms and character_dimension(chi) == 16
     P = p_part(r, (1, 1), 2)
     with pytest.raises(ValueError, match="non-constant coefficients"):
         character_dimension(P)
-    assert undecoded(P) and P.terms
+    assert P.terms
     with pytest.raises(ValueError, match="non-constant coefficients"):
         character_dimension(P)
 
