@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", dest="degrees", type=_parse_ints,
                     help="cover degrees for the gauss suite, comma separated")
     pv.add_argument("--lambdas", type=_parse_weights,
-                    help="semicolon-separated weights for the tokuyama suite, "
+                    help="semicolon-separated type-A weights for the tokuyama suite, "
                          "e.g. '1,1;2,1;2,2'")
 
     pe = sub.add_parser("export", help="write pattern/decoration/polynomial fixtures")

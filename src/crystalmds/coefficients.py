@@ -51,12 +51,14 @@ has a value at q = 2^B: ``kronecker_encode`` sends sum c * q^e to
 sum c * 2^(B * e), and ``kronecker_decode`` reads such an int back as signed
 base-2^B digits, which recovers every polynomial whose coefficients lie
 strictly inside +-2^(B-1).  ``series`` checks Tokuyama's factorization on
-these values, one bigint per coefficient.
+such values in t = 1/q, each q^-k read as t^k, one bigint per coefficient.
 
 A decorated pattern's coefficient is a product of slot factors, all from one
 entry rule (``entry_factor``): 0 for a circled and boxed entry a, else q^a,
-g_t(a) or h(a) as it is circled, boxed or neither, times q^-a in types B and
-D.  A slot's factor is its entry's in types A, B and C.  In type D a row
+g_t(a) or h(a) as it is circled, boxed or neither, times a unit: q^-a in
+types B and D, 1 in A and C unless the caller asks for q^-a there too
+(``normalized``, which Tokuyama's check in t = 1/q does).  A slot's factor
+is its entry's in types A, B and C.  In type D a row
 splits into components, its runs of equal entries (``row_components``), and
 each component's factor (``_component_factor``) reads only its own run; a
 slot's factor is the product over the runs that close there, in the walk's
@@ -77,7 +79,7 @@ Everything here is immutable; the table of symbol fields only grows.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import index
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -454,11 +456,14 @@ def _check_ta(t: int, a: int, n: int):
 # ---------------------------------------------------------------------------
 
 def entry_factor(family: str, a: int, circled: bool, boxed: bool,
-                 middle: bool, n: int) -> CoeffElement:
+                 middle: bool, n: int, *, normalized: bool = False) -> CoeffElement:
     """Factor of one decorated entry ``a``, in every family: 0 if circled and
     boxed, else u * q^a if circled, u * g_t(a) if boxed and u * h_s(a) if
     neither.  The unit u is q^-a in types B and D, so a circled entry gives
-    the ring's one itself there, and 1 in A and C.  The subscript t is 2 off
+    the ring's one itself there, and 1 in A and C.  ``normalized`` takes
+    u = q^-a in every family, and leaves B and D as they are; at n = 1 it
+    gives A and C Tokuyama's weights in 1/q: 1 circled, -q^-1 boxed and
+    1 - q^-1 neither.  The subscript t is 2 off
     the ``middle`` column in B and at it in C, and 1 elsewhere; s is t in B
     and 1 in A, C and D.  Type D applies the rule to the entries a component
     reads (``_component_factor``), and its circled-and-unboxed case, which
@@ -468,7 +473,7 @@ def entry_factor(family: str, a: int, circled: bool, boxed: bool,
         raise ValueError(f"entry_factor does not apply to family {family!r}")
     if circled and boxed:
         return _ZERO
-    normalized = family in ("B", "D")
+    normalized = normalized or family in ("B", "D")
     if circled:
         return _ONE if normalized else CoeffElement.q_power(a)
     t = 1
@@ -558,7 +563,8 @@ def _component_factor(comp: ComponentD, i: int, crow, brow, entry) -> CoeffEleme
     return right * (_ONE - CoeffElement.q_power(-comp.length))
 
 
-def slot_table(spec: CartanSpec, n: int, ring_map: Callable | None = None):
+def slot_table(spec: CartanSpec, n: int, ring_map: Callable | None = None, *,
+               normalized: bool = False):
     """The slot factors at this spec and cover degree, as a function of
     (i, j, row, crow, brow): row ``i``'s values and circled and boxed marks,
     each indexed by column minus ``i``, of which only columns j and up,
@@ -579,6 +585,11 @@ def slot_table(spec: CartanSpec, n: int, ring_map: Callable | None = None):
     every crystal sum with coefficients builds one before it walks, and so
     does ``pattern_coefficient``, whatever entries the pattern holds.
 
+    ``normalized`` is ``entry_factor``'s choice of unit, q^-a in every
+    family; it changes no factor of B or D, whose unit that is already.  The
+    unit sits in the factors, not in a ring map: a map sees a factor's
+    value, not its entry.
+
     ``ring_map``, if given, is a ring map from ``CoeffElement``: the function
     then returns each slot factor's image, applied once per factor it
     computes, and its ``one`` attribute, the ring's one that a product of
@@ -593,12 +604,14 @@ def slot_table(spec: CartanSpec, n: int, ring_map: Callable | None = None):
     one = image(_ONE)
 
     if family != "D":
+        rule = partial(entry_factor, normalized=True) if normalized else entry_factor
+
         def factor(i, j, row, crow, brow):
             off = j - i
             key = row[off], crow[off], brow[off], j == rank
             f = factors.get(key)
             if f is None:
-                f = factors[key] = image(entry_factor(family, *key, n))
+                f = factors[key] = image(rule(family, *key, n))
             return f
         factor.one = one
         return factor

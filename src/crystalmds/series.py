@@ -36,19 +36,21 @@ character's, where each product is one int multiply.
 
 ``tokuyama_quotient`` checks Tokuyama's factorization of P at degree 1,
 where every coefficient is a Laurent polynomial in q (``g_value`` evaluates g
-there): P is the lambda-independent deformed Weyl denominator D times the
-character of lambda - rho with each coefficient twisted by q to the height
-drop of its weight, the variable normalization under which the
-factorization is exact (see README notes), asserted in types A and C.
-Nothing is divided.  Both sides are polynomials in q, so the check
-evaluates them at q = 2^B (Kronecker substitution), with B wide enough that
-the evaluation is injective on every coefficient either side can have; the
-proof is in ``tokuyama_quotient``.  P's row sums (``_p_sums``, the one sum behind
-``p_part`` too) run on the int path; the character of lambda - rho is built
-by the Demazure operators on the codec of P's walk plan and twisted key by
-key, at heights read through that codec, times x^rho, then multiplied by D's
-binomials one at a time, and the two int tables are compared; the quotient
-or remainder that is returned is its table, decoded on first read.
+there), in Tokuyama's own variable t = 1/q: with the unit q^-a in every
+family (``slot_table``'s ``normalized``), P_t is x^rho prod_(a>0)
+(1 - t x^-a) times the character of lambda - rho, asserted in types A and
+C.  In q this is P = D * chi~, the lambda-independent deformed Weyl
+denominator D times the character twisted by q to the height drop of each
+weight (see README notes).  Nothing is divided.  Both sides are polynomials
+in t, so the check evaluates them at t = 2^B (Kronecker substitution), with
+B wide enough that the evaluation is injective on every coefficient either
+side can have; the proof is in ``tokuyama_quotient``.  P's row sums
+(``_p_sums``, the one sum behind ``p_part`` too) run on the int path; the
+character of lambda - rho is built by the Demazure operators on the codec of
+P's walk plan, shifted by rho, then multiplied by the binomials one at a
+time, each one shift by B bits, and the two int tables are compared; the
+quotient or remainder that is returned is its table, with the height its
+t-digits count down from, decoded to q on first read.
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
@@ -203,54 +205,65 @@ class TokuyamaResult(NamedTuple):
 
 
 def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
-    """Tokuyama's factorization P = D * chi~ of the degree-1 sum, checked by
-    multiplying out at q = 2^B.  D = x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a)
-    is the deformed Weyl denominator, the same for every ``lam``, and chi~
-    the character of lam - rho with each multiplicity c at weight w twisted
-    to c * q^ht, ht the height of the drop lam - rho - w.
+    """Tokuyama's factorization of the degree-1 sum, checked in t = 1/q by
+    multiplying out at t = 2^B: P_t = x^rho prod_(a>0) (1 - t x^-a) * chi,
+    chi the character of lam - rho.  With the unit q^-a in every family
+    (``slot_table``'s ``normalized``) an entry's n = 1 factor is Tokuyama's
+    weight: 1 circled, -t boxed, 1 - t neither, 0 circled and boxed.  A
+    pattern's entries sum to the height drop ht(lam - w) of its weight w, so
+    its coefficient in P_t is its coefficient in P times q^-ht(lam - w).  In
+    q the check is P = D * chi~, with D = x^rho prod_(a>0) (1 - q^(ht a - 1)
+    x^-a) the deformed Weyl denominator, the same for every ``lam``, and
+    chi~ the character of lam - rho with each multiplicity c at weight w
+    twisted to c * q^ht(lam - rho - w): D's coefficient at w is q^ht(rho - w)
+    times that of D_t = x^rho prod_(a>0) (1 - t x^-a).
 
     Both sides are int tables on the packed weights of P's walk plan.  P's
     row sums (``_p_sums``) run on a slot table mapped by
-    ``coefficients.kronecker_encode``, so every factor, partial sum and
-    coefficient is its value at q = 2^B, and x^rho * chi~, with c * q^ht as
-    c << B * ht, is multiplied by each binomial in turn
-    (``_times_denominator``).  What is returned is returned undecoded,
-    decoded on first read as signed base-2^B digits (``poly_from_packed``):
-    on success the quotient D, built by the same loop from x^rho, and on
-    failure the remainder P - D * chi~, whose keys name the leading weight.
+    ``coefficients.kronecker_encode`` with each q^-k read as t^k, so every
+    factor, partial sum and coefficient is its value at t = 2^B, and x^rho *
+    chi is multiplied by each binomial in turn (``_times_denominator``),
+    each one subtraction of the table shifted by B bits and by the root.
+    What is returned is returned undecoded, with the height its t-digits
+    count down from, and decoded on first read to the q-form polynomial
+    (``poly_from_packed``): on success the quotient D, built by the same
+    loop from x^rho (top h . rho), and on failure the remainder
+    P - D * chi~, whose keys name the leading weight (top h . lam; h =
+    ``rs.height_vec`` pairs every simple root to 2, so ht(lam - w) is
+    h . (lam - w) / 2).
 
     Types A and C are asserted; C's form is type A's over C's own roots,
     the Casselman-Shalika formula at n = 1 for the group whose dual is
     Sp(2r).  B and D raise ValueError.
 
     The evaluation is injective.  In types A and C at n = 1 every slot
-    factor is q^a, -q^(a-1) or (q - 1) q^(a-1), so every coefficient of
-    either side is a polynomial in q with nonnegative exponents, and with
-    N positive roots and d = dim V(lam - rho) (``roots.weyl_dimension``),
-    B = (d * 4^N).bit_length() + 2 (``_q_bits``):
-    - a pattern has N slots, each factor of 1-norm at most 2, so
-      ||P_mu||_1 <= mult_lam(mu) * 2^N <= dim V(lam) * 2^N;
+    factor is 1, -t or 1 - t, so every coefficient of either side is a
+    polynomial in t of degree at most N, the number of positive roots and
+    of entries of a pattern.  With d = dim V(lam - rho)
+    (``roots.weyl_dimension``), B = (d * 4^N).bit_length() + 2
+    (``_q_bits``):
+    - a pattern's factors have 1-norm at most 2 each, so
+      ||P_t,mu||_1 <= mult_lam(mu) * 2^N <= dim V(lam) * 2^N;
     - dim V(lam) <= dim V(lam - rho) * dim V(rho), as V(lam) is a summand
       of V(lam - rho) (x) V(rho), and dim V(rho) = 2^N, so
-      ||P_mu||_1 <= d * 4^N;
-    - D's coefficients have 1-norms summing to at most 2^N, so
-      ||(D * chi~)_mu||_1 <= d * 2^N, and so is every partial product;
+      ||P_t,mu||_1 <= d * 4^N;
+    - D_t's coefficients have 1-norms summing to at most 2^N, and so do
+      those of each partial product of its binomials, so every partial
+      product of x^rho * chi has ||.||_1 <= d * 2^N at each weight;
     - so every coefficient of either side, and of their difference, is
-      below 2 * d * 4^N < 2^(B - 1) in size, and two polynomials with the
-      same value at 2^B are equal, digit by digit.
+      below 2 * d * 4^N < 2^(B - 1) in size, and two polynomials in t with
+      the same value at 2^B are equal, digit by digit.
 
     The character is built on the codec of P's walk plan, and its keys stay
     packed up to the comparison.  lam - rho <= lam and both are dominant, so
     conv(W(lam - rho)) lies in conv(W lam), and every Demazure table of
     lam - rho (``roots.packed_character``) stays inside the margin of lam's
     codec (``weightpoly.weight_codec``), the one the plan packs with.  The
-    codec decodes each key to its weight w (``decode_all``), and
-    h = ``rs.height_vec`` pairs every simple root to 2, so ht is
-    h . (lam - rho - w) / 2; the shift by rho, packing being linear, is one
-    addition of rho's packed offset.
+    shift by rho, packing being linear, is one addition of rho's packed
+    offset per key.
 
     No field overflows.  Every weight of every partial product is a weight
-    of chi~, in conv(W(lam - rho)), plus rho minus distinct positive roots,
+    of chi, in conv(W(lam - rho)), plus rho minus distinct positive roots,
     a weight of V(rho) (character prod_(a>0) (x^(a/2) + x^(-a/2))), so it
     lies in conv(W(lam - rho)) + conv(W rho) = conv(W lam).  There
     |<w, alpha_i^vee>| <= <lam, beta^vee> for a positive coroot beta^vee:
@@ -266,23 +279,17 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     lam_prime = tuple(map(sub, lam, rho))
     bits = _q_bits(rs, weyl_dimension(rs, lam_prime))
     plan, sums = _p_sums(rs.spec, lam, slot_table(
-        rs.spec, 1, lambda f: kronecker_encode(f.packed(), bits)))
-    codec = plan.codec
-    chi = packed_character(rs, lam_prime, codec)
-    h = rs.height_vec
-    top = sum(map(mul, h, lam_prime))
+        rs.spec, 1, lambda f: kronecker_encode({-e: c for e, c in f.packed().items()}, bits),
+        normalized=True))
+    codec, h = plan.codec, rs.height_vec
     offset = codec.pack(rho) - codec.pack((0,) * rs.rank)
-    twisted = {}
-    for (x, c), w in zip(chi.items(), codec.decode_all(chi)):
-        ht, odd = divmod(top - sum(map(mul, h, w)), 2)
-        if odd:
-            raise AssertionError("character weight outside the root lattice shift")
-        twisted[x + offset] = c << bits * ht
-    product = _times_denominator(rs, codec, bits, twisted)
+    chi = packed_character(rs, lam_prime, codec)
+    product = _times_denominator(rs, codec, bits, {x + offset: c for x, c in chi.items()})
     if product == sums:
         quot = _times_denominator(rs, codec, bits, {codec.pack(rho): 1})
-        return TokuyamaResult(lam, "minus_rho", True, poly_from_packed(h, codec, quot, bits), None)
-    rem = poly_from_packed(h, codec, _minus(sums, product), bits)
+        return TokuyamaResult(lam, "minus_rho", True,
+                              poly_from_packed(h, codec, quot, (bits, sum(h))), None)
+    rem = poly_from_packed(h, codec, _minus(sums, product), (bits, sum(map(mul, h, lam))))
     return TokuyamaResult(lam, "minus_rho", False, None, rem,
                           reason=f"P - D * chi~ is nonzero; its leading weight is "
                                  f"{list(rem.sorted_weights()[0])}")
@@ -290,18 +297,17 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
 
 def _q_bits(rs: RootSystem, dim: int) -> int:
     """B = (dim * 4^N).bit_length() + 2 for the N positive roots of ``rs``:
-    the digit width at which ``tokuyama_quotient`` evaluates q, given the
-    dimension ``dim`` of V(lam - rho)."""
+    the digit width at which ``tokuyama_quotient`` evaluates t = 1/q, given
+    the dimension ``dim`` of V(lam - rho)."""
     return (dim << 2 * len(rs.positive_roots)).bit_length() + 2
 
 
 def _times_denominator(rs: RootSystem, codec, bits: int, table: dict) -> dict:
-    """``table`` times (1 - q^(ht a - 1) x^-a) for each positive root a, one
-    factor at a time, at q = 2^``bits``: each a ``_minus`` of the table and
-    its shifted self."""
+    """``table`` times (1 - t x^-a) for each positive root a, one factor at
+    a time, at t = 2^``bits``: each a ``_minus`` of the table and its
+    shifted self."""
     for coords in rs.positive_roots_root_coords:
-        table = _minus(table, table, sum(map(mul, coords, codec.roots)),
-                       bits * (sum(coords) - 1))
+        table = _minus(table, table, sum(map(mul, coords, codec.roots)), bits)
     return table
 
 

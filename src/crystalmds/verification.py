@@ -253,26 +253,38 @@ DEFAULT_TOKUYAMA_LAMBDAS: tuple[tuple[int, ...], ...] = (
     (1, 1, 1), (2, 1, 1), (1, 1, 2),
 )
 
+# type C at n = 1 (Casselman-Shalika), run by default after type A
+DEFAULT_TYPE_C_TOKUYAMA_LAMBDAS: tuple[tuple[int, ...], ...] = (
+    (1, 1), (2, 1), (1, 2),
+    (1, 1, 1), (2, 1, 1),
+)
+
 
 def run_tokuyama_suite(lambdas: Sequence[tuple[int, ...]] | None = None) -> dict:
-    """Degree-1 factorization, one case per rank: every lambda's sum P equals
-    D * chi~, Tokuyama's deformed Weyl denominator
+    """Degree-1 factorization, one case per family and rank: every lambda's
+    sum P equals D * chi~, Tokuyama's deformed Weyl denominator
     D = x^rho prod_(a>0) (1 - q^(ht a - 1) x^-a) times the twisted character
-    of lambda - rho, multiplied out (``series.tokuyama_quotient``).  A failed
-    case names each failing lambda, and as witness the leading weight of the
-    first one's P - D * chi~.
+    of lambda - rho, checked in t = 1/q (``series.tokuyama_quotient``).  A
+    failed case names each failing lambda, and as witness the leading
+    weight of the first one's P - D * chi~.
 
-    ``None`` runs ``DEFAULT_TOKUYAMA_LAMBDAS``.  The lambdas are grouped by
+    ``None`` runs ``DEFAULT_TOKUYAMA_LAMBDAS`` in type A, cases named
+    ``rank=r``, then ``DEFAULT_TYPE_C_TOKUYAMA_LAMBDAS`` in type C, cases
+    named ``Cr``; given lambdas run in type A.  The lambdas are grouped by
     rank, the ranks run in ascending order, and each rank keeps the input
     order."""
-    by_rank: dict[int, list] = {}
-    for lam in DEFAULT_TOKUYAMA_LAMBDAS if lambdas is None else lambdas:
-        by_rank.setdefault(len(lam), []).append(lam)
+    selected = ({"A": DEFAULT_TOKUYAMA_LAMBDAS, "C": DEFAULT_TYPE_C_TOKUYAMA_LAMBDAS}
+                if lambdas is None else {"A": lambdas})
+    groups: dict[tuple[str, int], list] = {}
+    for family, lams in selected.items():
+        for lam in lams:
+            groups.setdefault((family, len(lam)), []).append(lam)
     cases = []
-    for rank, lams in sorted(by_rank.items()):
-        rs = build_root_system(CartanSpec("A", rank))
+    for (family, rank), lams in sorted(groups.items()):
+        rs = build_root_system(CartanSpec(family, rank))
         failed = [r for r in (tokuyama_quotient(rs, lam) for lam in lams) if not r.ok]
-        cases.append(_case(f"rank={rank}: P = D * chi~ for every lambda", not failed,
+        name = f"rank={rank}" if family == "A" else f"{family}{rank}"
+        cases.append(_case(f"{name}: P = D * chi~ for every lambda", not failed,
                            failed=[list(r.lam) for r in failed],
                            witness=failed[0].reason if failed else None))
     return _finish("tokuyama", cases)

@@ -8,8 +8,9 @@ division.  Height is evaluated through an integer-scaled functional
 supplied by the root system, so ordering never touches rationals.
 
 Every engine finishes in a packed table, keyed by ``WeightCodec`` ints, and
-``poly_from_packed`` keeps it, with its codec (and B, for ints at q = 2^B,
-which its first read reads back as packed monomial dicts), as the polynomial.
+``poly_from_packed`` keeps it, with its codec (and, for ints at
+t = 1/q = 2^B, B and the height their t-digits count down from, which its
+first read reads back as packed monomial dicts in q), as the polynomial.
 The first read of ``terms`` decodes it, once: the codec decodes every key a
 field at a time (``decode_all``), each distinct integer coefficient becomes
 one shared element, and the terms go in without the constructor's copy and
@@ -82,8 +83,9 @@ def weight_codec(lam: Weight, cartan) -> WeightCodec:
 
 class WeightPolynomial:
     """Until ``terms`` is first read, a polynomial from ``poly_from_packed``
-    holds None in ``_terms`` and in ``_packed`` (codec, packed table, B, the
-    digit width of a table of ints at q = 2^B, else 0), read by ``_table``.
+    holds None in ``_terms`` and in ``_packed`` (codec, packed table, and
+    for a table of ints at t = 1/q = 2^B the pair (B, top), else None),
+    read by ``_table``.
 
     ``meta`` is a free-form dict that nothing in the package fills or
     reads; it stays only because ``perfbench/workloads.py`` passes one, and
@@ -99,11 +101,16 @@ class WeightPolynomial:
         self.meta = dict(meta) if meta else {}
 
     def _table(self) -> tuple[WeightCodec, dict, bool]:
-        """``_packed`` as (codec, table, whether its values are dicts), read back from 2^B once."""
-        codec, table, bits = self._packed
-        if bits:
-            table = {x: kronecker_decode(v, bits) for x, v in table.items()}
-            self._packed = codec, table, 0
+        """``_packed`` as (codec, table, whether its values are dicts), read
+        back from t = 2^B once (``poly_from_packed``)."""
+        codec, table, digits = self._packed
+        if digits:
+            bits, top = digits
+            h = self.height_vec
+            heights = ((top - sum(map(mul, h, w))) // 2 for w in codec.decode_all(table))
+            table = {x: {e - k: c for k, c in kronecker_decode(v, bits).items()}
+                     for (x, v), e in zip(table.items(), heights)}
+            self._packed = codec, table, None
         return codec, table, isinstance(next(iter(table.values()), None), dict)
 
     @property
@@ -220,16 +227,19 @@ def poly_from_int_terms(height_vec: tuple[int, ...], table: dict[Weight, int],
 
 
 def poly_from_packed(height_vec: tuple[int, ...], codec: WeightCodec,
-                     table: dict, bits: int = 0) -> WeightPolynomial:
+                     table: dict, digits: tuple[int, int] | None = None) -> WeightPolynomial:
     """The polynomial of a packed table: each key a packed weight, each value
-    a nonzero int (with ``bits``, one at q = 2^bits, inside the digits of
-    ``kronecker_decode``) or a zero-free packed monomial dict, which the
-    polynomial takes over.  The table is kept, not copied, so the caller
-    must not change it; the first read of ``terms`` decodes it."""
+    a nonzero int or a zero-free packed monomial dict, which the polynomial
+    takes over.  With ``digits`` = (B, top), an int is a polynomial in
+    t = 1/q at t = 2^B, inside the digits of ``kronecker_decode``, and
+    stands for its value times q^((top - h.w)/2) at weight w, h the height
+    functional: the decode counts each t-digit down from that power of q.
+    The table is kept, not copied, so the caller must not change it; the
+    first read of ``terms`` decodes it."""
     # the terms are canonical already: skip the constructor's copy and scan
     poly = object.__new__(WeightPolynomial)
     poly.height_vec, poly.meta, poly._terms = height_vec, {}, None
-    poly._packed = codec, table, bits
+    poly._packed = codec, table, digits
     return poly
 
 

@@ -158,8 +158,9 @@ def test_verify_tokuyama_groups_lambdas_by_rank(capsys):
 
 # SHA-256 of the stdout of verify commands the CI console-script step runs
 VERIFY_STDOUT_SHA256 = {
+    # the default run: type A ranks 1-3, then the type-C cases C2 and C3
     "--suite tokuyama":
-        "678e0aa6ec550f8eba99909f83fa4d37a2b0d33d8bae645e940065a87a41ae81",
+        "e7cf9fcaab231e2474f05796c51ac209496953260e3a248a959bf797399d9dda",
     "--suite tokuyama --lambdas 1,1,1,1;2,1,1,2":
         "2cba156e53729f18041b2f7efab1cd4408ac76423d1f44219d213c80c5790102",
     "--suite tokuyama --lambdas 1,1,1,1,1;2,1,1,1,2":

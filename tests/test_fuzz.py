@@ -3,7 +3,8 @@
 Each property draws crystals (family, rank, lambda) with lambda in
 {low..3}^rank and dim V(lambda) below ``MAX_DIM``, and checks the package
 against an oracle of ``tests/oracles.py``, or, for Tokuyama's
-factorization, through the package's own multiplied-out check.  The draws are derandomized
+factorization, through the package's own multiplied-out check, with its
+quotient read back against the oracle's D.  The draws are derandomized
 and their number fixed, so every run tests the same cases; a failing draw
 shrinks toward the first family, the least rank, the least lambda and the
 least n, the smallest witness.  Type D is drawn only for the properties
@@ -12,6 +13,7 @@ Tokuyama's factorization is drawn in types A and C, the two families whose
 n = 1 sums it covers.
 """
 import collections
+from functools import lru_cache
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -19,8 +21,8 @@ from crystalmds import (CartanSpec, build_root_system, character_via_patterns, p
                         tokuyama_quotient)
 from crystalmds.patterns import _walk, walk_plan
 from crystalmds.roots import _MIN_RANK, weyl_dimension
-from oracles import (_signed_orbit, first_mixed_weight, freudenthal_multiplicities,
-                     gauss_normal_form, levi_multiplicities)
+from oracles import (_signed_orbit, deformed_denominator, first_mixed_weight,
+                     freudenthal_multiplicities, gauss_normal_form, levi_multiplicities)
 
 MAX_DIM = 3_000
 TOP_RANK = 4
@@ -98,19 +100,27 @@ def test_a_flip_reverses_every_weight(case, n):
     assert normal_form(lam, True) == normal_form(lam[::-1], False)
 
 
+@lru_cache(maxsize=None)
+def _denominator(family, rank):
+    return deformed_denominator(rs(family, rank))
+
+
 @fuzz(100)
 @given(crystals("A", low=1))
 def test_tokuyama_factorization_holds(case):
     # at n = 1, P is the deformed Weyl denominator times the twisted
-    # character of lambda - rho (Tokuyama)
+    # character of lambda - rho (Tokuyama), and the quotient, checked in
+    # t = 1/q, reads back in q as the model's D
     family, rank, lam = case
-    assert tokuyama_quotient(rs(family, rank), lam).ok
+    res = tokuyama_quotient(rs(family, rank), lam)
+    assert res.ok and res.quotient == _denominator(family, rank)
 
 
 @fuzz(100)
 @given(crystals("C", low=1))
 def test_type_c_tokuyama_factorization_holds(case):
     # at n = 1, type C factors as type A does, over C's own positive roots
-    # (Casselman-Shalika)
+    # (Casselman-Shalika), with the model's D as quotient
     family, rank, lam = case
-    assert tokuyama_quotient(rs(family, rank), lam).ok
+    res = tokuyama_quotient(rs(family, rank), lam)
+    assert res.ok and res.quotient == _denominator(family, rank)

@@ -735,6 +735,52 @@ def test_character_dimension_reads_either_table_kind():
 # deformed denominator factorization
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("family,rank,lams", [
+    ("A", 2, [(1, 1), (2, 1), (1, 2), (2, 2), (2, 0)]),
+    ("A", 3, [(1, 1, 1), (2, 1, 1), (1, 2, 1)]),
+    ("C", 2, [(1, 1), (2, 1), (1, 2), (0, 2)]),
+    ("C", 3, [(1, 1, 1), (2, 1, 1)])])
+def test_the_unit_q_to_the_minus_a_gives_tokuyamas_weights(family, rank, lams):
+    # with the unit q^-a in every family, a pattern's n = 1 coefficient is
+    # Tokuyama's weight in t = 1/q, the product over its entries of 1
+    # circled, -t boxed, 1 - t unmarked and 0 circled and boxed, so the row
+    # sums are those weights summed by pattern weight; t^k is q^-k
+    r = rs(family, rank)
+    for lam in lams:
+        want = collections.defaultdict(collections.Counter)
+        for dp in decorated_crystal(r, lam):
+            weight = {0: 1}
+            for circled, boxed in zip(itertools.chain(*dp.circled), itertools.chain(*dp.boxed)):
+                entry = ({} if circled and boxed else {0: 1} if circled else
+                         {1: -1} if boxed else {0: 1, 1: -1})
+                product = collections.Counter()
+                for (i, x), (j, y) in itertools.product(weight.items(), entry.items()):
+                    product[i + j] += x * y
+                weight = product
+            want[pattern_wt(dp.pattern, lam)].update(weight)
+        want = {w: {-k: c for k, c in poly.items() if c} for w, poly in want.items()}
+        plan = walk_plan(r.spec, lam)
+        sums = series._row_sums(plan, slot_table(r.spec, 1, normalized=True))
+        assert dict(zip(plan.codec.decode_all(sums), sums.values())) == \
+            {w: poly for w, poly in want.items() if poly}, (family, rank, lam)
+
+
+def test_the_unit_choice_leaves_b_and_d_alone():
+    # B and D take the unit q^-a already: asking for it changes no entry
+    # factor and no row sum
+    for family in "BD":
+        for a, circled, boxed, middle, n in itertools.product(
+                range(1, 4), (False, True), (False, True), (False, True), (1, 2, 3)):
+            assert entry_factor(family, a, circled, boxed, middle, n, normalized=True) == \
+                entry_factor(family, a, circled, boxed, middle, n)
+    for family, rank, lam, n in [("B", 3, (1, 1, 1), 2), ("B", 2, (2, 1), 1),
+                                 ("D", 4, (1, 1, 1, 1), 2), ("D", 3, (2, 1, 2), 1)]:
+        spec = CartanSpec(family, rank)
+        plan = walk_plan(spec, lam)
+        assert series._row_sums(plan, slot_table(spec, n, normalized=True)) == \
+            series._row_sums(plan, slot_table(spec, n))
+
+
 def test_tokuyama_quotient_lambda_independent():
     # one D, expanded from the model's roots, factors every P of the rank:
     # P = D * chi~ through the term-by-term product, and D is the quotient
@@ -798,6 +844,19 @@ def _digits_poly(r, codec, bits, table):
                             {x: kronecker_decode(v, bits) for x, v in table.items()})
 
 
+def _t_digits_poly(r, codec, bits, top, table):
+    """The q-form polynomial of an int table at t = 1/q = 2^bits whose
+    t-digits count down from the height ``top``: the value sum c_k 2^(bits k)
+    at weight w is sum c_k q^((top - h.w)/2 - k), h = ``r.height_vec``."""
+    terms = {}
+    for w, v in zip(codec.decode_all(table), table.values()):
+        ht, odd = divmod(top - sum(map(mul, r.height_vec, w)), 2)
+        assert not odd, w
+        terms[w] = sum((Q(ht - k, c) for k, c in kronecker_decode(v, bits).items()),
+                       CoeffElement.zero())
+    return WeightPolynomial(r.height_vec, terms)
+
+
 def _largest_coefficient(poly) -> int:
     return max(abs(c) for el in poly.terms.values() for c, _, _ in el.monomials())
 
@@ -805,9 +864,11 @@ def _largest_coefficient(poly) -> int:
 @pytest.mark.parametrize("family,rank", [pytest.param("A", k, id=str(k)) for k in range(1, 6)]
                          + [pytest.param("C", k, id=f"C{k}") for k in range(2, 5)])
 def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, family, rank):
-    # every partial product, of x^rho * chi~ and then of x^rho alone with D's
-    # binomials, an int table at q = 2^B, decodes to the same product on tuple
-    # weights: its coefficients stay below 2^(B-1), inside the digit codec,
+    # every partial product, of x^rho * chi and then of x^rho alone with D's
+    # binomials, an int table at t = 1/q = 2^B, taken to q by the height rule
+    # (times q^ht(lam - w), and q^ht(rho - w) for D's), is the same product of
+    # x^rho * chi~ or x^rho with D's binomials in q on tuple weights: its
+    # coefficients stay below 2^(B-1), inside the digit codec,
     # and its coordinates <w, alpha_i^vee> within the largest <lam, beta^vee>
     # over positive coroots, sum(lam) in type A and at most 2 * sum(lam) in
     # type C, inside the weight codec's field bound 4 * sum(lam); the
@@ -829,6 +890,7 @@ def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, family, ra
         res = tokuyama_quotient(r, lam)
         assert res.ok and res.quotient == deformed_denominator(r)
         codec, bits = walk_plan(r.spec, lam).codec, _q_bits(r, lam)
+        tops = [sum(map(mul, r.height_vec, top)) for top in (lam, rho)]
         cap = max(sum(map(mul, lam, coroot)) for coroot in r.positive_coroots)
         assert cap <= (1 if family == "A" else 2) * sum(lam) and 4 * sum(lam) < codec.bias
         chi = twisted_character(r, tuple(c - 1 for c in lam))
@@ -838,10 +900,11 @@ def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, family, ra
             for binomial in binomials:
                 start = poly_product(start, binomial)
                 want.append(start)
-        assert len(tables) == len(want)
-        for table, poly in zip(tables, want):
+        assert len(tables) == len(want) == 2 * len(binomials)
+        for k, (table, poly) in enumerate(zip(tables, want)):
             assert all(isinstance(v, int) and v for v in table.values())
-            assert _digits_poly(r, codec, bits, table) == poly
+            top = tops[k >= len(binomials)]
+            assert _t_digits_poly(r, codec, bits, top, table) == poly
             assert _largest_coefficient(poly) < 1 << (bits - 1)
             assert all(abs(c) <= cap for w in poly.terms for c in w)
 
@@ -850,44 +913,44 @@ def _patch_p_sums(monkeypatch, change):
     """Pass the terms of every sum that ``series._p_sums`` returns, as a
     weight -> CoeffElement dict, through ``change(r, lam, terms)``, which
     returns new terms or a false value to leave them.  An int table, the
-    Tokuyama check's values at q = 2^B, is decoded and encoded again with
-    that check's B."""
+    Tokuyama check's values at t = 1/q = 2^B, is decoded and encoded again
+    with that check's B, in t: the coefficient at w counts its t-digits down
+    from q^ht(lam - w)."""
     def wrapped(spec, lam, factor):
         plan, sums = _p_sums(spec, lam, factor)
         r = rs(spec.family, spec.rank)
+        top = sum(map(mul, r.height_vec, lam))
         if isinstance(factor.one, int):
             bits = _q_bits(r, lam)
-            terms = _digits_poly(r, plan.codec, bits, sums).terms
+            terms = _t_digits_poly(r, plan.codec, bits, top, sums).terms
         else:
             terms = poly_from_packed(r.height_vec, plan.codec, sums).terms
         new = change(r, lam, dict(terms))
         if not new:
             return plan, sums
         if isinstance(factor.one, int):
-            return plan, {plan.codec.pack(w): kronecker_encode(c.packed(), bits)
-                          for w, c in new.items()}
+            def at_t(w, c):
+                ht = (top - sum(map(mul, r.height_vec, w))) // 2
+                return kronecker_encode({ht - e: x for e, x in c.packed().items()}, bits)
+            return plan, {plan.codec.pack(w): at_t(w, c) for w, c in new.items()}
         return plan, {plan.codec.pack(w): c.packed() for w, c in new.items()}
 
     monkeypatch.setattr(series, "_p_sums", wrapped)
 
 
-def _first_difference(a: WeightPolynomial, b: WeightPolynomial):
-    """The leading weight of a - b."""
-    return max((w for w in a.terms.keys() | b.terms.keys() if a.coeff(w) != b.coeff(w)),
-               key=a.order_key)
-
-
 @pytest.mark.parametrize("where", ["top", "below"])
 def test_tokuyama_stray_term_is_an_inexact_division(monkeypatch, where):
     # one stray term in P, whether it changes the leading coefficient or
-    # sits below every weight of P, is all of P - D * chi~
+    # sits below every weight of P, is all of P - D * chi~.  The stray is
+    # q^-2: the check runs in t = 1/q, where a coefficient at x^lam holds no
+    # positive power of q
     stray = {}
 
     def with_stray(r, lam, terms):
         low = WeightPolynomial(r.height_vec, terms).sorted_weights()[-1]
         w = lam if where == "top" else tuple(c - 3 for c in low)
         stray[lam] = w
-        terms[w] = terms.get(w, CoeffElement.zero()) + Q(2)
+        terms[w] = terms.get(w, CoeffElement.zero()) + Q(-2)
         return terms
 
     _patch_p_sums(monkeypatch, with_stray)
@@ -895,7 +958,7 @@ def test_tokuyama_stray_term_is_an_inexact_division(monkeypatch, where):
     res = tokuyama_quotient(r, (2, 1))
     assert not res.ok and res.quotient is None
     w = stray[(2, 1)]
-    assert res.remainder == WeightPolynomial(r.height_vec, {w: Q(2)})
+    assert res.remainder == WeightPolynomial(r.height_vec, {w: Q(-2)})
     assert res.reason.endswith(f"leading weight is {list(w)}")
 
 
@@ -915,24 +978,24 @@ def _move_q_exponent(r, lam, terms):
 _TOKUYAMA_MUTANT_LAMBDAS = [(1, 1), (2, 1), (1, 1, 1), (2, 1, 2)]
 
 
-def _leading_differences(mutate_p, denominator) -> dict:
-    """Per lambda of ``_TOKUYAMA_MUTANT_LAMBDAS``, the leading weight of
-    P' - D' * chi~ on tuple weights: P' is P's terms passed through
-    ``mutate_p(r, lam, terms)``, and D' is ``denominator(r)``.  Taken before
-    any patch."""
+def _differences(mutate_p, denominator) -> dict:
+    """Per lambda of ``_TOKUYAMA_MUTANT_LAMBDAS``, P' - D' * chi~ on tuple
+    weights: P' is P's terms passed through ``mutate_p(r, lam, terms)``, and
+    D' is ``denominator(r)``.  Taken before any patch."""
     out = {}
     for lam in _TOKUYAMA_MUTANT_LAMBDAS:
         r = rs("A", len(lam))
         P = WeightPolynomial(r.height_vec, mutate_p(r, lam, dict(p_part(r, lam, 1).terms)))
-        out[lam] = _first_difference(
-            P, poly_product(denominator(r), twisted_character(r, tuple(c - 1 for c in lam))))
+        product = poly_product(denominator(r), twisted_character(r, tuple(c - 1 for c in lam)))
+        out[lam] = WeightPolynomial(r.height_vec, {w: P.coeff(w) - product.coeff(w)
+                                                   for w in P.terms.keys() | product.terms.keys()})
     return out
 
 
 def _assert_mutant_fails(want: dict):
-    """Each lambda's result fails with its leading difference ``want[lam]``
-    named, and so does the suite's case of its rank, with the first one's
-    reason as witness."""
+    """Each lambda's result fails with remainder ``want[lam]`` and its
+    leading weight named, and so does the suite's case of its rank, with
+    the first one's reason as witness."""
     rep = verification.run_tokuyama_suite(list(want))
     assert not rep["ok"]
     for case in rep["cases"]:
@@ -941,29 +1004,31 @@ def _assert_mutant_fails(want: dict):
         for lam in mine:
             res = tokuyama_quotient(rs("A", len(lam)), lam)
             assert not res.ok and res.quotient is None
-            assert res.reason.endswith(f"leading weight is {list(want[lam])}")
+            assert res.remainder == want[lam]
+            assert res.reason.endswith(f"leading weight is {list(want[lam].sorted_weights()[0])}")
         assert case["witness"] == tokuyama_quotient(rs("A", len(mine[0])), mine[0]).reason
     assert len(rep["cases"]) == 2
 
 
 @pytest.mark.parametrize("mutate", [_drop_term, _move_q_exponent], ids=["drop", "move-q"])
 def test_tokuyama_mutated_p_fails_with_its_first_differing_weight(monkeypatch, mutate):
-    want = _leading_differences(mutate, deformed_denominator)
+    want = _differences(mutate, deformed_denominator)
     _patch_p_sums(monkeypatch, mutate)
     _assert_mutant_fails(want)
 
 
 def test_tokuyama_suite_checks_the_quotient_against_the_closed_form(monkeypatch):
-    # D with the highest root's binomial at q^(ht a), not q^(ht a - 1),
-    # factors no P, and every rank's case fails with its witness
+    # D with the highest root's binomial at q^(ht a), not q^(ht a - 1), that
+    # is at t^0, not t: (1 - x^-a), factors no P, and every rank's case
+    # fails with its witness
     def shifted(r, codec, bits, table):
         for coords in r.positive_roots_root_coords:
-            e = sum(coords) - 1 + (coords == r.positive_roots_root_coords[-1])
+            e = coords != r.positive_roots_root_coords[-1]
             table = series._minus(table, table, sum(map(mul, coords, codec.roots)), bits * e)
         return table
 
-    want = _leading_differences(lambda r, lam, terms: terms,
-                                lambda r: deformed_denominator(r, r.positive_roots[-1]))
+    want = _differences(lambda r, lam, terms: terms,
+                        lambda r: deformed_denominator(r, r.positive_roots[-1]))
     monkeypatch.setattr(series, "_times_denominator", shifted)
     _assert_mutant_fails(want)
 
@@ -972,7 +1037,7 @@ def test_tokuyama_suite_refuses_an_empty_selection():
     # None runs the defaults; an empty list selects no case, as in every suite
     with pytest.raises(ValueError, match="selected no cases"):
         verification.run_tokuyama_suite([])
-    assert len(verification.run_tokuyama_suite(None)["cases"]) == 3
+    assert len(verification.run_tokuyama_suite(None)["cases"]) == 5
 
 
 def test_tokuyama_requires_type_a_and_strong_dominance():
@@ -993,11 +1058,11 @@ def test_tokuyama_requires_type_a_and_strong_dominance():
 
 def test_tokuyama_results_are_decoded_on_first_read(monkeypatch):
     # the check decodes no value: the quotient comes back as its table at
-    # q = 2^B, and the first read of its terms decodes each of D's values
-    # once, to the quotient that a decode of every value gives; its weights
-    # in the fixed order are read off the keys alone, and so is the leading
-    # weight that a failing check names, so its remainder decodes nothing
-    # until its terms are read
+    # t = 1/q = 2^B, counted down from h . rho, and the first read of its
+    # terms decodes each of D's values once, to the quotient that a decode
+    # of every value gives; its weights in the fixed order are read off the
+    # keys alone, and so is the leading weight that a failing check names,
+    # so its remainder decodes nothing until its terms are read
     assert not hasattr(series, "_decoded") and not hasattr(series, "kronecker_decode")
     calls, decode = [], weightpoly.kronecker_decode
     monkeypatch.setattr(weightpoly, "kronecker_decode",
@@ -1006,9 +1071,10 @@ def test_tokuyama_results_are_decoded_on_first_read(monkeypatch):
     res = tokuyama_quotient(r, lam)
     order = res.quotient.sorted_weights()
     assert res.ok and not calls
-    codec, table, bits = res.quotient._packed
+    codec, table, (bits, top) = res.quotient._packed
     assert bits == _q_bits(r, lam) and all(isinstance(v, int) for v in table.values())
-    want = _digits_poly(r, codec, bits, dict(table))
+    assert top == sum(r.height_vec)
+    want = _t_digits_poly(r, codec, bits, top, dict(table))
     # the order that the weights of packed_items, which reads every value, give
     assert order == [w for w, _ in want.packed_items()]
     assert res.quotient.terms == want.terms == deformed_denominator(r).terms
