@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .coefficients import CoeffElement
 from .patterns import decorated_crystal, render
-from .roots import CartanSpec, build_root_system, is_strongly_dominant
+from .roots import CartanSpec, _highest_weight, build_root_system
 from .series import character_via_patterns, p_part, polynomial_json_obj
 
 
@@ -82,20 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _compute_poly(args):
-    # the spec checks the rank, and builds no root system
+    # the spec checks the rank and roots reads lambda, and neither builds a
+    # root system; p_part checks strong dominance
     spec = CartanSpec(args.family, args.rank)
-    if len(args.lam) != args.rank:
-        raise ValueError(f"lambda has {len(args.lam)} coordinates, rank is {args.rank}")
+    _highest_weight(spec, args.lam)
     if args.n < 1:
-        # the character ignores n, but the JSON records it
+        # the character ignores n and builds no slot table to check it, but
+        # the JSON records it
         raise ValueError(f"cover degree n must be >= 1, got {args.n}")
     rs = build_root_system(spec)
     if args.character:
         return rs, character_via_patterns(rs, args.lam)
-    if not is_strongly_dominant(args.lam) and not args.allow_dominant:
-        raise ValueError(
-            "p-part semantics require a strongly dominant lambda; "
-            "pass --allow-dominant to sum over a boundary crystal anyway")
     return rs, p_part(rs, args.lam, args.n, allow_dominant=args.allow_dominant)
 
 

@@ -42,9 +42,12 @@ decode the same way for the life of the process.  ``packed`` and
 ``packed()`` is shared and read-only, and ``from_packed`` takes its dict
 over as it is, with no zero coefficient in it.  ``__mul__`` and the row
 sums of ``series`` share one product, ``mul_into``, which adds keys, so no
-other module reads a key; it deletes a key whose sum cancels to 0, so its
-dicts stay zero-free and nothing scans them for zeros.  Monomials sort by
-their canonical form, a ``GaussSymbol`` as its (t, residue, degree).
+other module reads a key.  ``__add__``, ``__sub__`` and ``series``'s
+Tokuyama check, on int tables keyed by packed weight, share one sum,
+``add_into``, which adds a scaled table with its keys shifted.  Both delete
+a key whose sum cancels to 0, so their dicts stay zero-free and nothing
+scans them for zeros.  Monomials sort by their canonical form, a
+``GaussSymbol`` as its (t, residue, degree).
 
 A polynomial in q, with no Gauss symbol and no negative exponent, also
 has a value at q = 2^B: ``kronecker_encode`` sends sum c * q^e to
@@ -228,6 +231,25 @@ def mul_into(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> dict[
     return acc
 
 
+def add_into(acc: dict[int, int], b: dict[int, int], scale: int = 1,
+             drop: int = 0) -> dict[int, int]:
+    """``acc`` plus the nonzero int ``scale`` times the int table ``b``
+    with its keys lowered by ``drop``, added in place; ``b`` is only read.
+    A key whose sum reaches 0 is deleted, as in ``mul_into``, so a
+    zero-free ``acc`` stays zero-free.  The one scaled, shifted sum of
+    sparse int tables, keyed by packed monomials or by packed weights
+    alike."""
+    get = acc.get
+    for k, c in b.items():
+        k -= drop
+        c = get(k, 0) + scale * c
+        if c:
+            acc[k] = c
+        else:
+            del acc[k]
+    return acc
+
+
 def _monomial(key: int, coeff) -> "CoeffElement":
     """The element ``coeff`` times the monomial of packed ``key``."""
     coeff = _integer("coefficient", coeff)
@@ -293,14 +315,7 @@ class CoeffElement:
         """self + sign * other, merged into a copy of self's terms."""
         if not other._terms:
             return self
-        acc = self._terms.copy()
-        for k, c in other._terms.items():
-            s = acc.get(k, 0) + sign * c
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-        return _wrap(acc)
+        return _wrap(add_into(self._terms.copy(), other._terms, sign))
 
     def __mul__(self, other: "CoeffElement") -> "CoeffElement":
         if not isinstance(other, CoeffElement):

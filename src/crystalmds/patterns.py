@@ -35,9 +35,9 @@ components, live in ``coefficients``.
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from operator import index
 from typing import Callable, Iterator, NamedTuple
 
+from .coefficients import _integer
 from .roots import (CartanSpec, RootSystem, _highest_weight, build_root_system,
                     long_word_blocks)
 from .weightpoly import Weight, WeightCodec, weight_codec
@@ -64,10 +64,8 @@ class LittelmannPattern(_PatternFields):
         shape = pattern_shape(spec)
         if [len(row) for row in rows] != shape:
             raise ValueError(f"rows do not fit the {spec} shape {shape}")
-        try:
-            low = min(map(index, chain.from_iterable(rows)), default=0)
-        except TypeError:
-            raise ValueError("pattern entries must be integers") from None
+        low = min((_integer("pattern entry", v) for v in chain.from_iterable(rows)),
+                  default=0)
         if low < 0:
             raise ValueError("pattern entries must be nonnegative")
         return super().__new__(cls, spec, rows)

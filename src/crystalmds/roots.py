@@ -124,16 +124,20 @@ def is_strongly_dominant(w: Weight) -> bool:
     return all(c >= 1 for c in w)
 
 
-def _highest_weight(spec: CartanSpec, lam: Weight) -> Weight:
+def _highest_weight(spec: CartanSpec, lam: Weight, strong: bool = False) -> Weight:
     """``lam`` as a tuple of ints; a ValueError unless it has one integer
-    coordinate per rank and is dominant.  The one check of a highest weight:
-    every crystal walk, character, dimension and pattern weight reads its
-    ``lam`` through here."""
+    coordinate per rank and is dominant, and with ``strong`` strongly
+    dominant, lam = lam' + rho as a p-part's crystal sum takes it.  The one
+    check of a highest weight: every crystal walk, character, dimension,
+    pattern weight, p-part, Tokuyama check, branching and CLI command reads
+    its ``lam`` through here."""
     lam = tuple(_integer("weight coordinate", c) for c in lam)
     if len(lam) != spec.rank:
         raise ValueError(f"weight {lam} has {len(lam)} coordinates, rank is {spec.rank}")
     if not is_dominant(lam):
         raise ValueError(f"highest weight must be dominant, got {lam}")
+    if strong and not is_strongly_dominant(lam):
+        raise ValueError(f"highest weight must be strongly dominant, got {lam}")
     return lam
 
 

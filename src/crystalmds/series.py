@@ -48,9 +48,11 @@ side can have; the proof is in ``tokuyama_quotient``.  P's row sums
 (``_p_sums``, the one sum behind ``p_part`` too) run on the int path; the
 character of lambda - rho is built by the Demazure operators on the codec of
 P's walk plan, shifted by rho, then multiplied by the binomials one at a
-time, each one shift by B bits, and the two int tables are compared; the
-quotient or remainder that is returned is its table, with the height its
-t-digits count down from, decoded to q on first read.
+time, and the two int tables are compared.  Each binomial, and the
+remainder on failure, is one ``coefficients.add_into``, the ring's own
+cancelling sum: -2^B times the table, its keys lowered by the root, added
+to a copy.  The quotient or remainder that is returned is its table, with
+the height its t-digits count down from, decoded to q on first read.
 
 ``branch_decompose`` splits the crystal by top rows into rank-(r-1) crystals
 and verifies that both weights and coefficients factor through the split.
@@ -70,10 +72,11 @@ from functools import reduce
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .coefficients import CoeffElement, json_monomials, kronecker_encode, mul_into, slot_table
+from .coefficients import (CoeffElement, add_into, json_monomials, kronecker_encode, mul_into,
+                           slot_table)
 from .patterns import WalkPlan, _walk, walk_plan
 from .roots import (CartanSpec, RootSystem, _highest_weight, build_root_system, is_dominant,
-                    is_strongly_dominant, packed_character, weyl_dimension)
+                    packed_character, weyl_dimension)
 from .weightpoly import Weight, WeightPolynomial, poly_from_packed
 
 __all__ = [
@@ -165,20 +168,17 @@ def p_part(rs: RootSystem, lam: Weight, n: int, *,
            allow_dominant: bool = False) -> WeightPolynomial:
     """The prime-power-coefficient polynomial P at cover degree ``n``.
 
-    ``lam`` is the crystal's highest weight.  It must be strongly dominant
-    for p-part semantics; pass ``allow_dominant`` for exploratory sums over
-    crystals with boundary weights.
+    ``lam`` is the crystal's highest weight, read through
+    ``roots._highest_weight``: it must be strongly dominant, lam = lam' +
+    rho, for p-part semantics; ``allow_dominant`` takes any dominant ``lam``
+    for exploratory sums over crystals with boundary weights.
 
     A pattern's coefficient is the product of its slot factors, and a slot's
     factor reads only its own row's values and marks.  So the coefficients
     of a row, like its bounds, depend only on the weight fields the row
     reads, and ``_row_sums`` walks the row once per such set of fields.
     """
-    lam = _highest_weight(rs.spec, lam)
-    if not is_strongly_dominant(lam) and not allow_dominant:
-        raise ValueError(
-            f"p-part semantics require a strongly dominant weight, got {lam}; "
-            "pass allow_dominant=True to sum anyway")
+    lam = _highest_weight(rs.spec, lam, strong=not allow_dominant)
     plan, sums = _p_sums(rs.spec, lam, slot_table(rs.spec, n))
     return poly_from_packed(rs.height_vec, plan.codec, sums)
 
@@ -223,7 +223,8 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     ``coefficients.kronecker_encode`` with each q^-k read as t^k, so every
     factor, partial sum and coefficient is its value at t = 2^B, and x^rho *
     chi is multiplied by each binomial in turn (``_times_denominator``),
-    each one subtraction of the table shifted by B bits and by the root.
+    each one ``coefficients.add_into`` of -2^B times the table, its keys
+    lowered by the root, and P - D * chi~ is one more.
     What is returned is returned undecoded, with the height its t-digits
     count down from, and decoded on first read to the q-form polynomial
     (``poly_from_packed``): on success the quotient D, built by the same
@@ -234,7 +235,9 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
 
     Types A and C are asserted; C's form is type A's over C's own roots,
     the Casselman-Shalika formula at n = 1 for the group whose dual is
-    Sp(2r).  B and D raise ValueError.
+    Sp(2r).  B and D raise ValueError.  After that guard ``lam`` is read
+    through ``roots._highest_weight``, which refuses a ``lam`` that is not
+    strongly dominant, as ``p_part`` does.
 
     The evaluation is injective.  In types A and C at n = 1 every slot
     factor is 1, -t or 1 - t, so every coefficient of either side is a
@@ -272,9 +275,7 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
     """
     if rs.family not in ("A", "C"):
         raise ValueError("the deformation factorization is asserted for types A and C only")
-    lam = _highest_weight(rs.spec, lam)
-    if not is_strongly_dominant(lam):
-        raise ValueError(f"need a strongly dominant highest weight, got {lam}")
+    lam = _highest_weight(rs.spec, lam, strong=True)
     rho = (1,) * rs.rank
     lam_prime = tuple(map(sub, lam, rho))
     bits = _q_bits(rs, weyl_dimension(rs, lam_prime))
@@ -289,7 +290,7 @@ def tokuyama_quotient(rs: RootSystem, lam: Weight) -> TokuyamaResult:
         quot = _times_denominator(rs, codec, bits, {codec.pack(rho): 1})
         return TokuyamaResult(lam, "minus_rho", True,
                               poly_from_packed(h, codec, quot, (bits, sum(h))), None)
-    rem = poly_from_packed(h, codec, _minus(sums, product), (bits, sum(map(mul, h, lam))))
+    rem = poly_from_packed(h, codec, add_into(sums, product, -1), (bits, sum(map(mul, h, lam))))
     return TokuyamaResult(lam, "minus_rho", False, None, rem,
                           reason=f"P - D * chi~ is nonzero; its leading weight is "
                                  f"{list(rem.sorted_weights()[0])}")
@@ -303,28 +304,15 @@ def _q_bits(rs: RootSystem, dim: int) -> int:
 
 
 def _times_denominator(rs: RootSystem, codec, bits: int, table: dict) -> dict:
-    """``table`` times (1 - t x^-a) for each positive root a, one factor at
-    a time, at t = 2^``bits``: each a ``_minus`` of the table and its
-    shifted self."""
+    """``table``, from packed weight to nonzero int, times (1 - t x^-a) for
+    each positive root a, one factor at a time, at t = 2^``bits``: each a
+    new table, a copy of the last plus -2^bits times it with its keys
+    lowered by a's packed offset (``coefficients.add_into``), so no table
+    is changed once built and none holds a zero."""
+    scale = -1 << bits
     for coords in rs.positive_roots_root_coords:
-        table = _minus(table, table, sum(map(mul, coords, codec.roots)), bits)
+        table = add_into(dict(table), table, scale, sum(map(mul, coords, codec.roots)))
     return table
-
-
-def _minus(a: dict, b: dict, drop: int = 0, shift: int = 0) -> dict:
-    """a - 2^shift x^-drop * b, for tables from packed weight to nonzero int
-    and a packed offset ``drop``: a new table of that form.  ``a`` and
-    ``b`` are only read."""
-    out = dict(a)
-    get = out.get
-    for x, t in b.items():
-        y = x - drop
-        v = get(y, 0) - (t << shift)
-        if v:
-            out[y] = v
-        else:
-            del out[y]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +367,15 @@ def branch_decompose(rs: RootSystem, lam: Weight, n: int) -> BranchDecomposition
     distinct slot state's factor is computed once per call.
     All checks are recorded per group rather than raised; the factorization
     is a theorem in type A and checked on a fixed battery elsewhere.
+
+    ``lam`` is read through ``roots._highest_weight`` before anything is
+    built, and may be any dominant weight: like ``p_part(...,
+    allow_dominant=True)``, the sums run over the crystal of ``lam`` whether
+    or not it is strongly dominant, as the branching suite's D4 (1, 0, 0, 1)
+    case needs.
     """
-    lam = tuple(lam)
     spec = rs.spec
+    lam = _highest_weight(spec, lam)
     r = spec.rank
     # truncation must stay in-family: A_1 exists, B_1/C_1/D_2 do not, and
     # their spec raises ValueError

@@ -101,7 +101,8 @@ def test_hostile_input_exits_two_at_once():
 def test_rank_mismatch_checked_before_root_system(capsys, monkeypatch, tmp_path, command):
     # a large rank must not pay for its root system before the rank and
     # length checks; the rank is checked first, so a rank out of range is
-    # named as such, not as a lambda of the wrong length
+    # named as such, not as a lambda of the wrong length, which roots'
+    # highest-weight check names
     def fail(spec):
         raise RuntimeError(f"root system of {spec} built before the lambda check")
     monkeypatch.setattr(cli, "build_root_system", fail)
@@ -109,7 +110,7 @@ def test_rank_mismatch_checked_before_root_system(capsys, monkeypatch, tmp_path,
     extra = ["--out", str(outdir)] if command == "export" else []
     for rank, message in ((160, "rank 160 exceeds the supported maximum 100"),
                           (0, "family A needs rank >= 1, got 0"),
-                          (90, "lambda has 1 coordinates, rank is 90")):
+                          (90, "weight (1,) has 1 coordinates, rank is 90")):
         code, out, err = run(capsys, [command, "--family", "A", "--rank", str(rank),
                                       "--lambda", "1", *extra])
         assert code == 2 and out == "" and not outdir.exists()
@@ -143,7 +144,21 @@ def test_verify_tokuyama_passes(capsys):
 def test_verify_tokuyama_names_the_refused_lambda(capsys):
     code, out, err = run(capsys, ["verify", "--suite", "tokuyama", "--lambdas", "1,1;0,1"])
     assert code == 2 and out == ""
-    assert "need a strongly dominant highest weight, got (0, 1)" in err
+    assert err == "invalid configuration: highest weight must be strongly dominant, got (0, 1)\n"
+
+
+def test_strong_dominance_has_one_message(capsys):
+    # p_part, tokuyama_quotient and compute refuse a lambda that is not
+    # strongly dominant with roots' one message, as verify does (above)
+    r = crystalmds.build_root_system(crystalmds.CartanSpec("A", 2))
+    for call, lam in ((lambda lam: crystalmds.p_part(r, lam, 1), (1, 0)),
+                      (lambda lam: crystalmds.tokuyama_quotient(r, lam), (0, 1))):
+        with pytest.raises(ValueError) as info:
+            call(lam)
+        assert str(info.value) == f"highest weight must be strongly dominant, got {lam}"
+    code, out, err = run(capsys, ["compute", "--family", "A", "--rank", "2", "--lambda", "1,0"])
+    assert (code, out) == (2, "")
+    assert err == "invalid configuration: highest weight must be strongly dominant, got (1, 0)\n"
 
 
 def test_verify_tokuyama_groups_lambdas_by_rank(capsys):

@@ -4,7 +4,7 @@ from functools import partial, reduce
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crystalmds import (CartanSpec, CoeffElement, GaussSymbol, entry_factor, g_value,
                         h_value, pattern_shape, row_components)
@@ -259,6 +259,38 @@ def test_mul_into_keeps_the_accumulator_zero_free():
     assert coefficients.mul_into(acc, ONE.packed(), (ONE - Q(1)).packed()) == {}
     # and the same through the ring's product: (1 + q)(1 - q) = 1 - q^2
     assert ((ONE + Q(1)) * (ONE - Q(1))).packed() == (ONE - Q(2)).packed()
+
+
+@st.composite
+def cancelling_sums(draw):
+    """(acc, b, scale, drop) for ``add_into``: zero-free int tables on a
+    few keys, a nonzero scale, ±1 or not, and a shift, with some keys of
+    ``acc`` set to cancel scale * b exactly."""
+    table = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5).filter(bool), max_size=8)
+    acc, b = draw(table), draw(table)
+    scale = draw(st.one_of(st.sampled_from([1, -1, -(1 << 70)]),
+                           st.integers(-9, 9).filter(bool)))
+    drop = draw(st.integers(-3, 3))
+    for k in draw(st.sets(st.sampled_from(sorted(b)))) if b else ():
+        acc[k - drop] = -scale * b[k]
+    return acc, b, scale, drop
+
+
+@settings(max_examples=300, deadline=None)
+@given(cancelling_sums())
+@example(({0: 3, 1: 6, 5: 1}, {2: 1, 3: -2, 7: 4}, -3, 2))
+def test_add_into_is_a_zero_free_scaled_shifted_sum(case):
+    # acc + scale * x^-drop * b in place, as a plain dict sum with its zeros
+    # dropped; b is only read
+    acc, b, scale, drop = case
+    want = dict(acc)
+    for k, c in b.items():
+        want[k - drop] = want.get(k - drop, 0) + scale * c
+    want = {k: c for k, c in want.items() if c}
+    before = dict(b)
+    assert coefficients.add_into(acc, b, scale, drop) is acc
+    assert acc == want and 0 not in acc.values()
+    assert b == before
 
 
 def test_gauss_symbol_value_semantics():

@@ -60,7 +60,7 @@ _VALIDATED = [
     (GaussSymbol(1, 1, 2), "residue", 0.5, "symbol residue must be an integer, got 0.5"),
     (GaussSymbol(1, 1, 2), "degree", 2.0, "symbol degree must be an integer, got 2.0"),
     (LittelmannPattern(CartanSpec("A", 2), ((1, 0), (0,))), "rows", ((1.0, 0), (0,)),
-     "pattern entries must be integers"),
+     "pattern entry must be an integer, got 1.0"),
 ]
 
 

@@ -146,20 +146,25 @@ def test_row_sums_run_in_the_ring_of_a_mapped_slot_table(family, rank, lam):
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_tokuyama_int_path_decodes_to_p_part(rank):
-    # P at q = 2^B from the row loop's int path decodes, digit by digit, to
+def test_tokuyama_int_path_decodes_to_p_part(monkeypatch, rank):
+    # the sum that tokuyama_quotient takes, P at t = 1/q = 2^B on the row
+    # loop's int path with the unit q^-a and each q^-k read as t^k, decodes
+    # digit by digit, its t-digits counted down from q^ht(lam - w), to
     # p_part's terms; B bounds every coefficient of P and of D * chi~ from
     # the oracles with room to spare
+    seen = []
+    monkeypatch.setattr(series, "_p_sums", lambda *a: seen.append(_p_sums(*a)) or seen[-1])
     r = rs("A", rank)
     rho = (1,) * rank
     lams = {rho, (2,) + rho[1:]} | ({(3, 3, 3)} if rank == 3 else set())
     for lam in lams:
-        bits = _q_bits(r, lam)
-        plan, sums = _p_sums(r.spec, lam, slot_table(
-            r.spec, 1, lambda f: kronecker_encode(f.packed(), bits)))
+        seen.clear()
+        assert tokuyama_quotient(r, lam).ok
+        (plan, sums), = seen
+        bits, top = _q_bits(r, lam), sum(map(mul, r.height_vec, lam))
         assert all(isinstance(v, int) and v for v in sums.values())
         P = p_part(r, lam, 1)
-        assert _digits_poly(r, plan.codec, bits, sums).terms == P.terms
+        assert _t_digits_poly(r, plan.codec, bits, top, sums).terms == P.terms
         product = poly_product(deformed_denominator(r),
                                twisted_character(r, tuple(c - 1 for c in lam)))
         assert product == P
@@ -838,12 +843,6 @@ def _q_bits(r, lam):
     return series._q_bits(r, weyl_dimension(r, tuple(c - 1 for c in lam)))
 
 
-def _digits_poly(r, codec, bits, table):
-    """The polynomial of an int table at q = 2^bits, read back digit by digit."""
-    return poly_from_packed(r.height_vec, codec,
-                            {x: kronecker_decode(v, bits) for x, v in table.items()})
-
-
 def _t_digits_poly(r, codec, bits, top, table):
     """The q-form polynomial of an int table at t = 1/q = 2^bits whose
     t-digits count down from the height ``top``: the value sum c_k 2^(bits k)
@@ -874,13 +873,13 @@ def test_tokuyama_partial_products_stay_inside_the_codec(monkeypatch, family, ra
     # type C, inside the weight codec's field bound 4 * sum(lam); the
     # quotient is the model's D
     r = rs(family, rank)
-    tables, minus = [], series._minus
+    tables, add = [], series.add_into
 
-    def recording(a, b, drop=0, shift=0):
-        tables.append(minus(a, b, drop, shift))
+    def recording(acc, b, scale=1, drop=0):
+        tables.append(add(acc, b, scale, drop))
         return tables[-1]
 
-    monkeypatch.setattr(series, "_minus", recording)
+    monkeypatch.setattr(series, "add_into", recording)
     binomials = [WeightPolynomial(r.height_vec, {(0,) * rank: CoeffElement.one(),
                                                  tuple(-c for c in root): Q(sum(coords) - 1, -1)})
                  for root, coords in zip(r.positive_roots, r.positive_roots_root_coords)]
@@ -1024,7 +1023,8 @@ def test_tokuyama_suite_checks_the_quotient_against_the_closed_form(monkeypatch)
     def shifted(r, codec, bits, table):
         for coords in r.positive_roots_root_coords:
             e = coords != r.positive_roots_root_coords[-1]
-            table = series._minus(table, table, sum(map(mul, coords, codec.roots)), bits * e)
+            table = series.add_into(dict(table), table, -1 << bits * e,
+                                    sum(map(mul, coords, codec.roots)))
         return table
 
     want = _differences(lambda r, lam, terms: terms,
@@ -1142,6 +1142,23 @@ def test_top_rows_count_the_levi_components(family, rank, lam):
     tops = collections.Counter(plan.codec.decode(w)[:-1]
                                for _, _, _, w, _ in _walk(plan, row=1, wt=plan.top))
     assert tops == oracles.levi_multiplicities(r, rs(family, rank - 1), lam)
+
+
+def test_branch_reads_lambda_before_it_builds_the_branch_root_system(monkeypatch):
+    # lambda is read through the one highest-weight check, before the
+    # rank-(r-1) root system and its slot tables are built, and the report
+    # holds the checked ints; any dominant lambda is summed, as p_part's
+    # allow_dominant does
+    def fail(spec):
+        raise RuntimeError(f"root system of {spec} built before the lambda check")
+    monkeypatch.setattr(series, "build_root_system", fail)
+    with pytest.raises(ValueError, match=r"weight \(1, 1\) has 2 coordinates, rank is 3"):
+        branch_decompose(rs("A", 3), (1, 1), 1)
+    with pytest.raises(ValueError, match=r"highest weight must be dominant, got \(1, -1, 1\)"):
+        branch_decompose(rs("A", 3), (1, -1, 1), 1)
+    monkeypatch.undo()
+    bd = branch_decompose(rs("A", 2), [True, 0], 1)
+    assert bd.lam == (1, 0) and all(type(c) is int for c in bd.lam) and bd.all_ok
 
 
 def test_branch_zero_top_row_group():
